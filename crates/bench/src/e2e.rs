@@ -17,7 +17,7 @@ use mobigate::core::events::ContextEvent;
 use mobigate::core::EventKind;
 use mobigate::netsim::{LinkConfig, WirelessLink};
 use mobigate::streamlets::workload::MessageMix;
-use mobigate::testbed::{Testbed, TestbedConfig};
+use mobigate::testbed::{Testbed, TestbedConfig, WEB_ACCELERATOR};
 use std::time::{Duration, Instant};
 
 /// The bandwidth below which the LOW_BANDWIDTH reconfiguration fires
@@ -45,28 +45,6 @@ pub struct E2EPoint {
     /// Application-level throughput in Kb per emulated second.
     pub throughput_kbps: f64,
 }
-
-/// The §7.5 web-acceleration composition.
-const ACCELERATOR: &str = r#"
-streamlet gif_switch {
-    port { in pi : */*; out po1 : image/gif; out po2 : text; }
-    attribute { type = STATELESS; library = "builtin/switch"; }
-}
-main stream webAccel {
-    streamlet sw = new-streamlet (gif_switch);
-    streamlet g2j = new-streamlet (gif2jpeg);
-    streamlet ds = new-streamlet (img_down_sample);
-    streamlet comp = new-streamlet (text_compress);
-    streamlet out = new-streamlet (communicator);
-    connect (sw.po1, g2j.pi);
-    connect (g2j.po, ds.pi);
-    connect (ds.po, out.pi);
-    connect (sw.po2, out.pi);
-    when (LOW_BANDWIDTH) {
-        insert (sw.po2, out.pi, comp);
-    }
-}
-"#;
 
 /// Measures one grid point. `n` messages of a web-like mix (half images of
 /// 128×128, half 8 KB texts) are pushed through either the MobiGATE
@@ -96,7 +74,7 @@ pub fn end_to_end_point(
             ..TestbedConfig::default()
         });
         let stream = tb
-            .deploy_with_defs(ACCELERATOR)
+            .deploy_with_defs(WEB_ACCELERATOR)
             .expect("deploy accelerator");
         if bandwidth_bps < LOW_BANDWIDTH_THRESHOLD {
             // The context monitor would raise this; the harness sets the

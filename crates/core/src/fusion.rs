@@ -39,8 +39,9 @@ pub struct FusedMember {
     pub key: String,
     /// The single input port of the member's definition.
     pub in_port: String,
-    /// The single output port of the member's definition.
-    pub out_port: String,
+    /// The single output port of the member's definition; `None` for a
+    /// zero-output sink, which can only be the run's tail.
+    pub out_port: Option<String>,
     /// The live logic; `None` while poisoned (awaiting rebuild) or after
     /// fission took it.
     pub logic: Option<Box<dyn StreamletLogic>>,
@@ -157,14 +158,24 @@ pub struct FusedLogic {
     next: Vec<MimeMessage>,
     stage_outs: Vec<(String, MimeMessage)>,
     spare: Vec<String>,
+    /// The run ends in a zero-output sink, whose delivery is a side effect
+    /// outside the unit: the unit then never batches (see
+    /// [`FusedLogic::supports_batch`]).
+    sink_tail: bool,
 }
 
 impl FusedLogic {
     /// A logic view over the shared roster (the supervisor creates a fresh
     /// one per member-level restart; they all drive the same members).
     pub fn new(shared: Arc<FusedShared>) -> Self {
+        let sink_tail = shared
+            .members
+            .lock()
+            .last()
+            .is_some_and(|m| m.out_port.is_none());
         FusedLogic {
             shared,
+            sink_tail,
             batch: Vec::new(),
             next: Vec::new(),
             stage_outs: Vec::new(),
@@ -175,9 +186,10 @@ impl FusedLogic {
     /// Runs `self.batch` through every member. Emissions on a member's
     /// single output port feed the next stage; the last stage's feed is
     /// emitted on its own port name (the fused handle's output binding uses
-    /// the same name). Any *other* emission is surfaced as `instance.port`
-    /// — never bound, so it drops as unrouted exactly like the open circuit
-    /// it would have been unfused.
+    /// the same name). A sink tail has no output port and emits nothing.
+    /// Any *other* emission is surfaced as `instance.port` — never bound,
+    /// so it drops as unrouted exactly like the open circuit it would have
+    /// been unfused.
     fn thread(&mut self, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
         self.next.clear();
         let mut members = self.shared.members.lock();
@@ -245,9 +257,10 @@ impl FusedLogic {
                 }
             };
             member.errors += errors;
+            ctx.charge_errors(errors);
             self.spare = spare;
             for (mut port, msg) in outs.drain(..) {
-                if port == member.out_port {
+                if member.out_port.as_deref() == Some(port.as_str()) {
                     if i == last {
                         ctx.emit_owned(port, msg);
                     } else {
@@ -280,8 +293,13 @@ impl StreamletLogic for FusedLogic {
         self.thread(ctx)
     }
 
+    /// A batch shares one panic boundary, and a panic redelivers the whole
+    /// batch. That is harmless while every member is a pure transform, but
+    /// a sink tail has already delivered the messages before the faulting
+    /// one, and replaying them would deliver them twice. A unit ending in a
+    /// sink therefore runs message by message, like the discrete sink did.
     fn supports_batch(&self) -> bool {
-        true
+        !self.sink_tail
     }
 
     fn process_batch(
@@ -404,7 +422,7 @@ mod tests {
             def: "d".into(),
             key: "builtin/d".into(),
             in_port: "pi".into(),
-            out_port: "po".into(),
+            out_port: Some("po".into()),
             logic: Some(logic),
             errors: 0,
         }
@@ -545,6 +563,90 @@ mod tests {
         let outs = ctx.into_outputs();
         let ports: Vec<&str> = outs.iter().map(|(p, _)| p.as_str()).collect();
         assert_eq!(ports, vec!["t.side", "po"]);
+    }
+
+    /// A pipeline sink: records every body and declares no output port.
+    /// A body starting with `stray` is also emitted on `po` anyway.
+    struct Sink(Arc<Mutex<Vec<String>>>);
+    impl StreamletLogic for Sink {
+        fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
+            self.0
+                .lock()
+                .push(String::from_utf8_lossy(&msg.body).into_owned());
+            if msg.body.starts_with(b"stray") {
+                ctx.emit("po", msg);
+            }
+            Ok(())
+        }
+    }
+
+    fn sink_unit(seen: &Arc<Mutex<Vec<String>>>) -> FusedLogic {
+        let sink = FusedMember {
+            out_port: None,
+            ..member("out", Box::new(Sink(seen.clone())))
+        };
+        FusedLogic::new(FusedShared::new(
+            "fused:a..out",
+            vec![
+                member("a", Box::new(Append(".a"))),
+                member("b", Box::new(Append(".b"))),
+                sink,
+            ],
+        ))
+    }
+
+    #[test]
+    fn sink_tail_consumes_and_emits_nothing() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut fused = sink_unit(&seen);
+        let mut ctx = StreamletCtx::new("fused:a..out", None);
+        fused
+            .process_batch(
+                vec![MimeMessage::text("m1"), MimeMessage::text("m2")],
+                &mut ctx,
+            )
+            .unwrap();
+        assert!(ctx.into_outputs().is_empty(), "a sink tail emits nothing");
+        assert_eq!(*seen.lock(), vec!["m1.a.b", "m2.a.b"]);
+    }
+
+    #[test]
+    fn only_a_unit_without_a_sink_tail_batches() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        assert!(!sink_unit(&seen).supports_batch());
+        let plain = FusedShared::new("u", vec![member("a", Box::new(Append(".a")))]);
+        assert!(FusedLogic::new(plain).supports_batch());
+    }
+
+    #[test]
+    fn member_errors_are_charged_to_the_unit() {
+        let shared = FusedShared::new(
+            "u",
+            vec![
+                member("a", Box::new(FailOn("bad"))),
+                member("b", Box::new(FailOn("ok"))),
+            ],
+        );
+        let mut fused = FusedLogic::new(shared);
+        let mut ctx = StreamletCtx::new("u", None);
+        fused
+            .process_batch(
+                vec![MimeMessage::text("bad"), MimeMessage::text("ok")],
+                &mut ctx,
+            )
+            .unwrap();
+        assert_eq!(ctx.charged_errors(), 2);
+    }
+
+    #[test]
+    fn stray_sink_emission_surfaces_unrouted() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut fused = sink_unit(&seen);
+        let mut ctx = StreamletCtx::new("fused:a..out", None);
+        fused.process(MimeMessage::text("stray"), &mut ctx).unwrap();
+        let outs = ctx.into_outputs();
+        let ports: Vec<&str> = outs.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(ports, vec!["out.po"]);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use crate::overload::PriorityClass;
 use crate::pool::{MessagePool, Payload};
 use crate::spsc::SpscRing;
-use crate::telemetry::{DropReason, QueueProbe};
+use crate::telemetry::{DropReason, QueueProbe, TimingSite};
 use mobigate_mcl::ast::{ChannelCategory, ChannelKind};
 use mobigate_mime::MimeType;
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -636,7 +636,7 @@ impl MessageQueue {
         let t0 = self
             .probe
             .as_ref()
-            .filter(|p| p.sample_timing())
+            .filter(|p| p.sample_timing(TimingSite::Post))
             .map(|_| Instant::now());
         let res = match self.try_ring_post(payload, len) {
             Ok(()) => PostResult::Posted,
@@ -830,7 +830,7 @@ impl MessageQueue {
         let t0 = self
             .probe
             .as_ref()
-            .filter(|p| p.sample_timing())
+            .filter(|p| p.sample_timing(TimingSite::Post))
             .map(|_| Instant::now());
         let deadline = Instant::now() + self.cfg.full_wait;
         let mut admitted = 0u64;

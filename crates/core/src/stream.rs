@@ -503,6 +503,13 @@ impl RunningStream {
         self.inner.lock().instances.get(name).cloned()
     }
 
+    /// Member-attributed `process` error counts of fused unit `unit`, in
+    /// pipeline order (`None` when no such unit is live).
+    pub fn fused_member_errors(&self, unit: &str) -> Option<Vec<(String, u64)>> {
+        let inner = self.inner.lock();
+        inner.fused.get(unit).map(|i| i.shared.member_errors())
+    }
+
     /// Current connection rows.
     pub fn connections(&self) -> Vec<ConnectionRow> {
         self.inner.lock().connections.clone()
@@ -1172,25 +1179,7 @@ impl RunningStream {
                 name: channel.to_string(),
             })?;
         let t = Instant::now();
-        // A port that was exported at deploy time (unsatisfied, §5.1.4) is
-        // satisfied by this connection: retire its ingress/egress binding so
-        // traffic is not duplicated onto the stream boundary.
-        if from_h
-            .output_bindings()
-            .iter()
-            .any(|(p, c)| *p == from.1 && c == "__egress")
-        {
-            let _ = from_h.detach_out(&from.1, "__egress");
-            stats.channel_ops += 1;
-        }
-        if let Some((_, ingress_chan)) = to_h
-            .input_bindings()
-            .into_iter()
-            .find(|(p, c)| *p == to.1 && c.starts_with("__ingress/"))
-        {
-            let _ = to_h.detach_in(&to.1, &ingress_chan);
-            stats.channel_ops += 1;
-        }
+        retire_boundary(&from_h, &from.1, &to_h, &to.1, stats);
         from_h.attach_out(&from.1, &q);
         to_h.attach_in(&to.1, &q);
         stats.channel_ops += 2;
@@ -1286,6 +1275,7 @@ impl RunningStream {
 
         // Steps 3-5: rewire through channel m and a fresh channel n.
         let t_c = Instant::now();
+        retire_boundary(&c_handle, &c_out, &c_handle, &c_in, stats);
         a.detach_out(&from.1, &row.channel)?;
         c_handle.attach_out(&c_out, &m);
         let n_name = loop {
@@ -1842,6 +1832,35 @@ impl Drop for RunningStream {
     }
 }
 
+/// A port that was exported at deploy time (unsatisfied, §5.1.4) is
+/// satisfied once a connection or insert wires it: retire its egress
+/// binding (`from`'s output) and ingress binding (`to`'s input) so traffic
+/// is not duplicated onto the stream boundary.
+fn retire_boundary(
+    from_h: &StreamletHandle,
+    from_port: &str,
+    to_h: &StreamletHandle,
+    to_port: &str,
+    stats: &mut ReconfigStats,
+) {
+    if from_h
+        .output_bindings()
+        .iter()
+        .any(|(p, c)| p == from_port && c == "__egress")
+    {
+        let _ = from_h.detach_out(from_port, "__egress");
+        stats.channel_ops += 1;
+    }
+    if let Some((_, ingress_chan)) = to_h
+        .input_bindings()
+        .into_iter()
+        .find(|(p, c)| p == to_port && c.starts_with("__ingress/"))
+    {
+        let _ = to_h.detach_in(to_port, &ingress_chan);
+        stats.channel_ops += 1;
+    }
+}
+
 /// Checks logic out of the pool (or directory) and wraps it in a handle.
 /// When the deps carry a supervisor, the new instance is registered for
 /// panic recovery: rebuilds go through the directory factory (never the
@@ -1960,10 +1979,15 @@ fn build_fused_unit(
             kind: "streamlet definition",
             name: row.def.clone(),
         })?;
-        let (Some(pin), Some(pout)) = (spec.inputs.first(), spec.outputs.first()) else {
-            return Err(CoreError::Reconfig {
-                message: format!("fused member `{name}` must have 1 input + 1 output"),
-            });
+        let pin = match (spec.inputs.as_slice(), spec.outputs.len()) {
+            ([pin], 0 | 1) => pin,
+            _ => {
+                return Err(CoreError::Reconfig {
+                    message: format!(
+                        "fused member `{name}` must have 1 input and at most 1 output"
+                    ),
+                })
+            }
         };
         let key = deps
             .directory
@@ -1975,7 +1999,7 @@ fn build_fused_unit(
             def: row.def.clone(),
             key,
             in_port: pin.0.clone(),
-            out_port: pout.0.clone(),
+            out_port: spec.outputs.first().map(|p| p.0.clone()),
             logic: Some(logic),
             errors: 0,
         });

@@ -15,7 +15,7 @@ use crate::executor::{default_executor, Executor};
 use crate::pool::{MessagePool, Payload, PayloadMode};
 use crate::queue::{FetchResult, MessageQueue, Notifier};
 use crate::supervisor::FaultCause;
-use crate::telemetry::QueueProbe;
+use crate::telemetry::{QueueProbe, TimingSite};
 use mobigate_mime::{MimeMessage, SessionId, TypeRegistry};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::VecDeque;
@@ -41,6 +41,9 @@ pub struct StreamletCtx<'a> {
     /// Retired port-name strings, reused by `emit` so steady-state
     /// emission allocates nothing (the memory plane's scratch reuse).
     spare: Vec<String>,
+    /// Errors an adapter logic absorbed on behalf of inner logics (a fused
+    /// unit's member errors), added to the handle's `errors` stat.
+    charged_errors: u64,
 }
 
 impl<'a> StreamletCtx<'a> {
@@ -63,6 +66,7 @@ impl<'a> StreamletCtx<'a> {
             session,
             outputs,
             spare,
+            charged_errors: 0,
         }
     }
 
@@ -85,6 +89,18 @@ impl<'a> StreamletCtx<'a> {
     /// Consumes the context, handing back both lent buffers.
     pub(crate) fn into_parts(self) -> (Vec<(String, MimeMessage)>, Vec<String>) {
         (self.outputs, self.spare)
+    }
+
+    /// Charges `n` errors that an inner logic returned and the adapter
+    /// absorbed (a fused member's `Err`), so the handle's `errors` stat
+    /// still counts them.
+    pub(crate) fn charge_errors(&mut self, n: u64) {
+        self.charged_errors += n;
+    }
+
+    /// Errors charged through [`StreamletCtx::charge_errors`].
+    pub(crate) fn charged_errors(&self) -> u64 {
+        self.charged_errors
     }
 
     /// `emit` with an already-owned port name (the fused interior loop
@@ -153,7 +169,10 @@ pub trait StreamletLogic: Send {
     /// `process` is a pure per-message transform — nothing may observe
     /// the missing channel boundary (no cross-message buffering, no
     /// reliance on queue backpressure or on running concurrently with its
-    /// neighbors). Stateless pooling-eligible transforms qualify; the
+    /// neighbors). Stateless pooling-eligible transforms qualify, and so
+    /// does a zero-output sink whose only side effect is delivering each
+    /// message (the `communicator`): a unit ending in a sink never batches,
+    /// so a panic redelivers only the messages not yet delivered. The
     /// default is conservative.
     fn fusable(&self) -> bool {
         false
@@ -1673,7 +1692,7 @@ impl StreamletTask {
         let t0 = shared
             .probe
             .get()
-            .filter(|p| p.sample_timing())
+            .filter(|p| p.sample_timing(TimingSite::Process))
             .map(|_| Instant::now());
         shared.processing.store(true, Ordering::Release);
         // Lend the scratch's output and spare-string buffers to the ctx so
@@ -1686,7 +1705,7 @@ impl StreamletTask {
             let mut ctx =
                 StreamletCtx::with_buffers(&shared.name, shared.session.as_ref(), outputs, spare);
             let result = logic.process(msg, &mut ctx);
-            (result, ctx.into_parts())
+            (result, ctx.charged_errors(), ctx.into_parts())
         }));
         // `processing` stays up through routing: until the emissions land
         // in their queues the message is still in flight through this
@@ -1694,9 +1713,10 @@ impl StreamletTask {
         // drain` rely on "not processing && queues empty" meaning nothing
         // is in transit.
         let step = match outcome {
-            Ok((result, (outs, spare))) => {
+            Ok((result, charged, (outs, spare))) => {
                 scratch.outputs = outs;
                 scratch.spare_strings = spare;
+                shared.errors.fetch_add(charged, Ordering::Relaxed);
                 match result {
                     Ok(()) => {
                         shared.processed.fetch_add(1, Ordering::Relaxed);
@@ -1750,7 +1770,7 @@ impl StreamletTask {
         let t0 = shared
             .probe
             .get()
-            .filter(|p| p.sample_timing())
+            .filter(|p| p.sample_timing(TimingSite::Process))
             .map(|_| Instant::now());
         shared.processing.store(true, Ordering::Release);
         let outputs = std::mem::take(&mut scratch.outputs);
@@ -1759,15 +1779,16 @@ impl StreamletTask {
             let mut ctx =
                 StreamletCtx::with_buffers(&shared.name, shared.session.as_ref(), outputs, spare);
             let result = logic.process_batch(msgs, &mut ctx);
-            (result, ctx.into_parts())
+            (result, ctx.charged_errors(), ctx.into_parts())
         }));
         // As in `process_one`: the flag stays up until the batch's
         // emissions are routed, so quiescence checks never miss in-transit
         // messages.
         let step = match outcome {
-            Ok((result, (outs, spare))) => {
+            Ok((result, charged, (outs, spare))) => {
                 scratch.outputs = outs;
                 scratch.spare_strings = spare;
+                shared.errors.fetch_add(charged, Ordering::Relaxed);
                 match result {
                     Ok(()) => {
                         shared.processed.fetch_add(n, Ordering::Relaxed);

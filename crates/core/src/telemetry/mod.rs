@@ -29,7 +29,7 @@ pub mod trace;
 
 pub use bridge::BridgeConfig;
 pub use hist::{Histogram, HistogramSnapshot};
-pub use registry::{DropReason, MetricsRegistry, StreamMetrics, StreamMetricsSnapshot};
+pub use registry::{DropReason, MetricsRegistry, StreamMetrics, StreamMetricsSnapshot, TimingSite};
 pub use snapshot::MetricsSnapshot;
 pub use trace::{TraceEvent, TraceKind, TraceRing};
 
@@ -186,12 +186,11 @@ pub const TIMING_SAMPLE: u64 = 64;
 
 impl QueueProbe {
     /// Returns true when this operation should pay for wall-clock timing
-    /// (1 in [`TIMING_SAMPLE`]). The gate is one relaxed increment.
+    /// (1 in [`TIMING_SAMPLE`] calls from `site`). The gate is one relaxed
+    /// increment of the site's own tick.
     #[inline]
-    pub fn sample_timing(&self) -> bool {
-        self.stream
-            .timing_ticks
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    pub fn sample_timing(&self, site: TimingSite) -> bool {
+        self.stream.timing_ticks[site as usize].fetch_add(1, std::sync::atomic::Ordering::Relaxed)
             & (TIMING_SAMPLE - 1)
             == 0
     }
@@ -220,7 +219,7 @@ impl QueueProbe {
     /// Ring occupancy observed right after a lock-free push (sampled).
     #[inline]
     pub fn on_ring_depth(&self, depth: usize) {
-        if self.sample_timing() {
+        if self.sample_timing(TimingSite::RingDepth) {
             self.stream.ring_depth.record(depth as u64);
         }
     }
@@ -238,7 +237,7 @@ impl QueueProbe {
     #[inline]
     pub fn on_batch(&self, n: usize) {
         self.on_fetch(n as u64);
-        if self.sample_timing() {
+        if self.sample_timing(TimingSite::Batch) {
             self.stream.batch_len.record(n as u64);
         }
     }
@@ -277,5 +276,39 @@ impl QueueProbe {
         self.stream
             .faults
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One message on a one-in-flight session: post, ring push, batch
+    /// fetch, process — four sampled calls, which divides the period. Each
+    /// histogram must still get its own 1-in-N share.
+    #[test]
+    fn each_histogram_samples_its_own_share() {
+        let probe = Telemetry::new(&TelemetryConfig::enabled()).probe_for("s");
+        let cycles = 64 * TIMING_SAMPLE;
+        for _ in 0..cycles {
+            if probe.sample_timing(TimingSite::Post) {
+                probe.on_post_ns(1);
+            }
+            probe.on_ring_depth(1);
+            probe.on_batch(1);
+            if probe.sample_timing(TimingSite::Process) {
+                probe.on_process_ns(1);
+            }
+        }
+        let m = &probe.stream;
+        let want = cycles / TIMING_SAMPLE;
+        for (name, h) in [
+            ("post_ns", &m.post_ns),
+            ("ring_depth", &m.ring_depth),
+            ("batch_len", &m.batch_len),
+            ("process_ns", &m.process_ns),
+        ] {
+            assert_eq!(h.snapshot().count, want, "{name}");
+        }
     }
 }

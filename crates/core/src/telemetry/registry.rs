@@ -49,6 +49,28 @@ impl DropReason {
     }
 }
 
+/// The sampled histograms, each gated by its own tick. A shared tick
+/// aliases: with one message in flight per session every message makes
+/// the same calls in the same order, and when their number divides the
+/// sampling period the gate keeps landing on the same call site, starving
+/// the others.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TimingSite {
+    /// `post_ns`.
+    Post,
+    /// `ring_depth`.
+    RingDepth,
+    /// `batch_len`.
+    Batch,
+    /// `process_ns`.
+    Process,
+}
+
+impl TimingSite {
+    /// Number of sites.
+    pub const COUNT: usize = 4;
+}
+
 /// Hot-path metrics for one stream/session (or the retired accumulator).
 #[derive(Default)]
 pub struct StreamMetrics {
@@ -63,9 +85,10 @@ pub struct StreamMetrics {
     pub dropped_shed: AtomicU64,
     pub dropped_admission: AtomicU64,
     pub faults: AtomicU64,
-    /// Internal tick counter driving the 1-in-N latency sampling gate
-    /// ([`super::QueueProbe::sample_timing`]); not part of snapshots.
-    pub timing_ticks: AtomicU64,
+    /// Internal tick counters driving the 1-in-N sampling gate
+    /// ([`super::QueueProbe::sample_timing`]), one per [`TimingSite`];
+    /// not part of snapshots.
+    pub timing_ticks: [AtomicU64; TimingSite::COUNT],
     // Histograms.
     /// Wall time of one `post`/`post_all` call, nanoseconds.
     pub post_ns: Histogram,

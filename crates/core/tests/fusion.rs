@@ -8,7 +8,11 @@
 //! * fission under load — a reconfiguration addressed at fused members
 //!   splits the unit mid-burst with zero message loss;
 //! * member-granular quarantine — a poisoned member inside a fused unit is
-//!   quarantined *alone*; surviving contiguous segments re-fuse.
+//!   quarantined *alone*; surviving contiguous segments re-fuse;
+//! * sink tails — a chain ending in the `communicator` sink fuses into one
+//!   unit, delivers the same frames in the same order as the discrete
+//!   chain, charges transport errors to the sink member, and fissions and
+//!   quarantines around the sink like around any other member.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -20,9 +24,10 @@ use mobigate_core::{
 };
 use mobigate_mcl::compile::compile;
 use mobigate_mime::{MimeMessage, SessionId};
+use mobigate_streamlets::comm::{CollectorTransport, Communicator, FailingTransport, Transport};
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Appends a marker character to text bodies and opts into fusion.
 struct FTag(char);
@@ -81,9 +86,8 @@ fn deps_on(fusion: bool, executor: Arc<dyn Executor>) -> StreamDeps {
     }
 }
 
-/// Three fusable streamlets in a chain, no `when` rules: the whole run is
-/// eligible, so a fused deployment collapses f1→f2→f3 into one unit.
-const CHAIN: &str = r#"
+/// The three tag definitions every chain here is built from.
+const TAG_DEFS: &str = r#"
     streamlet ftag_a {
         port { in pi : text/plain; out po : text/plain; }
         attribute { type = STATELESS; library = "fuse/tag_a"; }
@@ -96,30 +100,88 @@ const CHAIN: &str = r#"
         port { in pi : text/plain; out po : text/plain; }
         attribute { type = STATELESS; library = "fuse/tag_c"; }
     }
-    main stream app {
-        streamlet f1 = new-streamlet (ftag_a);
-        streamlet f2 = new-streamlet (ftag_b);
-        streamlet f3 = new-streamlet (ftag_c);
-        connect (f1.po, f2.pi);
-        connect (f2.po, f3.pi);
+    streamlet communicator {
+        port { in pi : */*; }
+        attribute { type = STATELESS; library = "builtin/communicator"; }
     }
 "#;
+
+/// Three fusable streamlets in a chain, no `when` rules: the whole run is
+/// eligible, so a fused deployment collapses f1→f2→f3 into one unit. With
+/// `sink` the chain ends in the `communicator` sink `out`, and the unit
+/// becomes f1..out.
+fn chain_script(sink: bool) -> String {
+    let tail = if sink {
+        "streamlet out = new-streamlet (communicator);\n connect (f3.po, out.pi);"
+    } else {
+        ""
+    };
+    format!(
+        "{TAG_DEFS}
+        main stream app {{
+            streamlet f1 = new-streamlet (ftag_a);
+            streamlet f2 = new-streamlet (ftag_b);
+            streamlet f3 = new-streamlet (ftag_c);
+            connect (f1.po, f2.pi);
+            connect (f2.po, f3.pi);
+            {tail}
+        }}"
+    )
+}
+
+fn deploy_script(script: &str, d: StreamDeps, session: &str) -> Arc<RunningStream> {
+    let program = compile(script).unwrap();
+    RunningStream::deploy(
+        program.main().unwrap(),
+        &program.streamlet_defs,
+        d,
+        SessionId::new(session),
+    )
+    .unwrap()
+}
 
 fn deploy_chain(fusion: bool) -> (Arc<RunningStream>, StreamDeps) {
     deploy_chain_on(fusion, default_executor())
 }
 
 fn deploy_chain_on(fusion: bool, executor: Arc<dyn Executor>) -> (Arc<RunningStream>, StreamDeps) {
-    let program = compile(CHAIN).unwrap();
     let d = deps_on(fusion, executor);
-    let stream = RunningStream::deploy(
-        program.main().unwrap(),
-        &program.streamlet_defs,
-        d.clone(),
-        SessionId::new(if fusion { "fused" } else { "unfused" }),
-    )
-    .unwrap();
-    (stream, d)
+    let session = if fusion { "fused" } else { "unfused" };
+    (deploy_script(&chain_script(false), d.clone(), session), d)
+}
+
+/// The chain ending in a `communicator` that sends over `transport`. The
+/// session is the same either way, so fused and unfused frames compare
+/// byte for byte.
+fn deploy_sink_chain_on(
+    fusion: bool,
+    executor: Arc<dyn Executor>,
+    transport: Arc<dyn Transport>,
+) -> Arc<RunningStream> {
+    let d = deps_on(fusion, executor);
+    Communicator::register(&d.directory, transport);
+    deploy_script(&chain_script(true), d, "app")
+}
+
+/// Bodies of the frames a collector has received, in arrival order.
+fn collected(collector: &CollectorTransport) -> Vec<String> {
+    collector
+        .messages()
+        .iter()
+        .map(|m| String::from_utf8_lossy(&m.body).into_owned())
+        .collect()
+}
+
+/// Polls `done` until it holds or 10 s pass; returns its last value.
+fn wait_until(mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    true
 }
 
 fn roundtrip(stream: &RunningStream, text: &str) -> String {
@@ -300,6 +362,195 @@ fn member_panic_quarantines_only_that_member() {
     stream.shutdown();
 }
 
+#[test]
+fn sink_tail_fuses_into_the_run() {
+    let collector = CollectorTransport::new();
+    let stream = deploy_sink_chain_on(true, default_executor(), collector.clone());
+    assert_eq!(
+        stream.instance_names(),
+        vec!["fused:f1..out".to_string()],
+        "the communicator ends the run instead of running as its own task"
+    );
+    stream.post_input(MimeMessage::text("x")).unwrap();
+    assert!(wait_until(|| collector.len() == 1));
+    assert_eq!(collected(&collector), vec!["xabc"]);
+    stream.shutdown();
+}
+
+#[test]
+fn transport_error_is_charged_to_the_sink_member() {
+    let stream = deploy_sink_chain_on(true, default_executor(), Arc::new(FailingTransport));
+    let unit = "fused:f1..out";
+    let n = 5u64;
+    for i in 0..n {
+        stream
+            .post_input(MimeMessage::text(format!("m{i}")))
+            .unwrap();
+    }
+    let out_errors = || {
+        stream
+            .fused_member_errors(unit)
+            .and_then(|e| e.last().map(|(_, n)| *n))
+    };
+    assert!(wait_until(|| out_errors() == Some(n)), "{:?}", out_errors());
+    let errors = stream.fused_member_errors(unit).unwrap();
+    let want: Vec<(String, u64)> = [("f1", 0), ("f2", 0), ("f3", 0), ("out", n)]
+        .into_iter()
+        .map(|(m, e)| (m.to_string(), e))
+        .collect();
+    assert_eq!(errors, want);
+    let h = stream.instance(unit).unwrap();
+    assert_eq!(h.state(), LifecycleState::Running);
+    let stats = h.stats();
+    assert_eq!(
+        (stats.faults, stats.errors),
+        (0, n),
+        "member errors also count in the unit's stats: {stats:?}"
+    );
+    stream.shutdown();
+}
+
+#[test]
+fn sink_unit_fission_under_load_loses_nothing() {
+    let collector = CollectorTransport::new();
+    let stream = deploy_sink_chain_on(true, default_executor(), collector.clone());
+    assert_eq!(stream.instance_names(), vec!["fused:f1..out".to_string()]);
+    let n = 200;
+    let stream2 = stream.clone();
+    let producer = std::thread::spawn(move || {
+        for i in 0..n {
+            stream2
+                .post_input(MimeMessage::text(format!("m{i}")))
+                .unwrap();
+            if i == n / 2 {
+                stream2
+                    .insert_streamlet(("f3", "po"), ("out", "pi"), "mid", "ftag_c")
+                    .unwrap();
+            }
+        }
+    });
+    producer.join().unwrap();
+    assert!(
+        wait_until(|| collector.len() == n),
+        "all {n} messages must survive the fission: got {}",
+        collector.len()
+    );
+    let names = stream.instance_names();
+    for want in ["f1", "f2", "f3", "mid", "out"] {
+        assert!(names.contains(&want.to_string()), "{want}: {names:?}");
+    }
+    stream.shutdown();
+}
+
+/// Panics on any frame whose wire form carries `boom`.
+struct PanicOnBoom;
+impl Transport for PanicOnBoom {
+    fn send(&self, wire: &[u8]) -> Result<(), String> {
+        assert!(!wire.windows(4).any(|w| w == b"boom"), "boom poison");
+        Ok(())
+    }
+}
+
+/// Records every frame, and panics on a frame carrying `boom` before
+/// sending it.
+#[derive(Default)]
+struct CollectUntilBoom(parking_lot::Mutex<Vec<Vec<u8>>>);
+impl Transport for CollectUntilBoom {
+    fn send(&self, wire: &[u8]) -> Result<(), String> {
+        assert!(!wire.windows(4).any(|w| w == b"boom"), "boom poison");
+        self.0.lock().push(wire.to_vec());
+        Ok(())
+    }
+}
+
+/// A gateway with fusion on, the tag components registered, and a
+/// supervisor allowing `max_restarts` restarts.
+fn fusing_gate(max_restarts: u32) -> MobiGate {
+    let mut cfg = ServerConfig {
+        fusion: true,
+        ..Default::default()
+    };
+    cfg.supervision.policy.max_restarts = max_restarts;
+    let gate = MobiGate::with_config(
+        cfg,
+        Arc::new(StreamletDirectory::new()),
+        Arc::new(StreamletPool::new(16)),
+    );
+    for (key, tag) in [
+        ("fuse/tag_a", 'a'),
+        ("fuse/tag_b", 'b'),
+        ("fuse/tag_c", 'c'),
+    ] {
+        gate.directory()
+            .register(key, "", move || Box::new(FTag(tag)));
+    }
+    gate
+}
+
+#[test]
+fn sink_panic_mid_batch_does_not_resend_delivered_frames() {
+    let gate = fusing_gate(1);
+    let transport = Arc::new(CollectUntilBoom::default());
+    Communicator::register(gate.directory(), transport.clone());
+    let stream = gate.deploy_mcl(&chain_script(true)).unwrap();
+    let unit = "fused:f1..out";
+    assert_eq!(stream.instance_names(), vec![unit.to_string()]);
+
+    // Queue all three while the unit is paused so one wake fetches them
+    // as a single batch.
+    let h = stream.instance(unit).unwrap();
+    h.pause_and_wait(Duration::from_secs(5)).unwrap();
+    for text in ["first", "second", "boom"] {
+        stream.post_input(MimeMessage::text(text)).unwrap();
+    }
+    h.activate().unwrap();
+
+    // `boom` faults the unit, is retried once after the restart, and then
+    // quarantines the sink, which fission splits off.
+    assert!(wait_until(|| stream
+        .instance("out")
+        .is_some_and(|o| o.state() == LifecycleState::Quarantined)));
+    let count = |needle: &[u8]| {
+        transport
+            .0
+            .lock()
+            .iter()
+            .filter(|w| w.windows(needle.len()).any(|x| x == needle))
+            .count()
+    };
+    assert_eq!(count(b"firstabc"), 1, "first must be sent exactly once");
+    assert_eq!(count(b"secondabc"), 1, "second must be sent exactly once");
+    assert_eq!(transport.0.lock().len(), 2);
+    stream.shutdown();
+}
+
+#[test]
+fn quarantined_sink_leaves_the_rest_fused() {
+    // No restart budget: the first fault quarantines immediately.
+    let gate = fusing_gate(0);
+    Communicator::register(gate.directory(), Arc::new(PanicOnBoom));
+    let stream = gate.deploy_mcl(&chain_script(true)).unwrap();
+    assert_eq!(stream.instance_names(), vec!["fused:f1..out".to_string()]);
+
+    // Poison the sink. The supervisor quarantines the unit, raises
+    // STREAMLET_FAULT, and fault-driven fission splits the sink off.
+    stream.post_input(MimeMessage::text("boom")).unwrap();
+    assert!(wait_until(|| stream
+        .instance_names()
+        .iter()
+        .any(|n| n == "out")));
+    let names = stream.instance_names();
+    assert_eq!(
+        names,
+        vec!["fused:f1..f3".to_string(), "out".to_string()],
+        "the upstream segment must re-fuse"
+    );
+    let state = |n: &str| stream.instance(n).unwrap().state();
+    assert_eq!(state("out"), LifecycleState::Quarantined);
+    assert_eq!(state("fused:f1..f3"), LifecycleState::Running);
+    stream.shutdown();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
 
@@ -333,6 +584,38 @@ proptest! {
             let out_fused = drain(&fused);
             let out_unfused = drain(&unfused);
             prop_assert_eq!(out_fused, out_unfused, "executor {}", executor.name());
+            fused.shutdown();
+            unfused.shutdown();
+            if executor.name() != "thread-per-streamlet" {
+                executor.shutdown();
+            }
+        }
+    }
+
+    /// The same equivalence for chains that end in the `communicator`
+    /// sink: the fused unit f1..out puts the same frames on the transport,
+    /// in the same order, as the four discrete instances.
+    #[test]
+    fn fused_sink_chain_matches_unfused(tags in prop::collection::vec(any::<u8>(), 1..24)) {
+        let executors: [Arc<dyn Executor>; 3] = [
+            default_executor(),
+            WorkerPool::new(2),
+            Reactor::new(2),
+        ];
+        for executor in executors {
+            let fused_out = CollectorTransport::new();
+            let unfused_out = CollectorTransport::new();
+            let fused = deploy_sink_chain_on(true, executor.clone(), fused_out.clone());
+            let unfused = deploy_sink_chain_on(false, executor.clone(), unfused_out.clone());
+            prop_assert_eq!(fused.instance_names(), vec!["fused:f1..out".to_string()]);
+            for (i, t) in tags.iter().enumerate() {
+                let text = format!("m{i}-{t}");
+                fused.post_input(MimeMessage::text(text.clone())).unwrap();
+                unfused.post_input(MimeMessage::text(text)).unwrap();
+            }
+            let n = tags.len();
+            prop_assert!(wait_until(|| fused_out.len() == n && unfused_out.len() == n));
+            prop_assert_eq!(fused_out.frames(), unfused_out.frames(), "executor {}", executor.name());
             fused.shutdown();
             unfused.shutdown();
             if executor.name() != "thread-per-streamlet" {

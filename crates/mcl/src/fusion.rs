@@ -11,8 +11,10 @@
 //! A streamlet instance is *fusable* when all of the following hold:
 //!
 //! 1. it is part of the **initial** topology (not declared inside `when`);
-//! 2. its definition has **exactly one input and one output port**
-//!    (a pipeline stage — fan-in/fan-out stays on real channels);
+//! 2. its definition has **exactly one input and at most one output
+//!    port** (a pipeline stage, or a zero-output sink such as the
+//!    `communicator` — fan-in/fan-out stays on real channels). A sink has
+//!    no outgoing edge, so it can only ever end a run;
 //! 3. it is **stateless** (pooling-eligible, §3.3.4) — stateful logics may
 //!    observe the missing channel boundary;
 //! 4. its logic opts in (`StreamletLogic::fusable`, probed by the caller
@@ -123,7 +125,7 @@ pub fn plan(
             continue;
         };
         if def.inputs.len() == 1
-            && def.outputs.len() == 1
+            && def.outputs.len() <= 1
             && !def.stateful
             && !when_instances.contains(row.name.as_str())
             && fusable(def)
@@ -334,6 +336,63 @@ mod tests {
              connect (a.po, c.pi);\n}";
         let p = plan_for(source);
         assert!(p.is_empty(), "fan-out must not fuse: {p:?}");
+    }
+
+    /// `a → b → c → out` where `out` is a zero-output sink, plus `extra`.
+    fn sink_chain_source(extra: &str) -> String {
+        format!(
+            "streamlet tag {{\n\
+             port {{ in pi : text/plain; out po : text/plain; }}\n\
+             attribute {{ type = STATELESS; library = \"builtin/tag\"; }}\n}}\n\
+             streamlet sink {{\n\
+             port {{ in pi : text/plain; }}\n\
+             attribute {{ type = STATELESS; library = \"builtin/sink\"; }}\n}}\n\
+             main stream s {{\n\
+             streamlet a = new-streamlet (tag);\n\
+             streamlet b = new-streamlet (tag);\n\
+             streamlet c = new-streamlet (tag);\n\
+             streamlet out = new-streamlet (sink);\n\
+             connect (a.po, b.pi);\n\
+             connect (b.po, c.pi);\n\
+             connect (c.po, out.pi);\n\
+             {extra}\n}}"
+        )
+    }
+
+    #[test]
+    fn sink_tail_ends_the_run() {
+        let p = plan_for(&sink_chain_source(""));
+        assert_eq!(p.runs.len(), 1, "{p:?}");
+        assert_eq!(p.runs[0].members, vec!["a", "b", "c", "out"]);
+        assert_eq!(p.runs[0].interior_channels.len(), 3);
+    }
+
+    #[test]
+    fn when_referenced_sink_stays_discrete() {
+        let p = plan_for(&sink_chain_source(
+            "when (LOW_BANDWIDTH) { streamlet x = new-streamlet (tag); insert (c.po, out.pi, x); }",
+        ));
+        assert!(p.run_of("out").is_none(), "{p:?}");
+        assert!(
+            p.run_of("c").is_none(),
+            "c is an insert endpoint too: {p:?}"
+        );
+        assert_eq!(p.runs.len(), 1, "{p:?}");
+        assert_eq!(p.runs[0].members, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn fan_in_sink_stays_discrete() {
+        // webaccel's shape: two branches merge into one sink input.
+        let p = plan_for(&sink_chain_source(
+            "streamlet d = new-streamlet (tag);\nconnect (d.po, out.pi);",
+        ));
+        assert!(
+            p.run_of("out").is_none(),
+            "fan-in sink must not fuse: {p:?}"
+        );
+        assert_eq!(p.runs.len(), 1, "{p:?}");
+        assert_eq!(p.runs[0].members, vec!["a", "b", "c"]);
     }
 
     #[test]

@@ -68,6 +68,13 @@ impl StreamletLogic for Communicator {
         Ok(())
     }
 
+    // The counters are diagnostic, not cross-message coupling, and the
+    // transport is a shared `Arc`: a session chain's sink can end its
+    // fused run instead of running as a task of its own.
+    fn fusable(&self) -> bool {
+        true
+    }
+
     fn reset(&mut self) {
         self.sent = 0;
         self.sent_bytes = 0;

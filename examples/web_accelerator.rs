@@ -11,34 +11,9 @@ use mobigate::core::events::ContextEvent;
 use mobigate::core::EventKind;
 use mobigate::netsim::{LinkConfig, LinkEvent, LinkMonitor};
 use mobigate::streamlets::workload::MessageMix;
-use mobigate::testbed::{Testbed, TestbedConfig};
+use mobigate::testbed::{Testbed, TestbedConfig, WEB_ACCELERATOR};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
-
-/// The §7.5 composition. Under normal conditions text passes Switch →
-/// Communicator directly; LOW_BANDWIDTH inserts the compressor between
-/// them. Images always go through Gif2Jpeg + down-sampling.
-const ACCELERATOR: &str = r#"
-streamlet gif_switch {
-    port { in pi : */*; out po1 : image/gif; out po2 : text; }
-    attribute { type = STATELESS; library = "builtin/switch";
-                description = "switch whose image branch is declared GIF"; }
-}
-main stream webAccel {
-    streamlet sw = new-streamlet (gif_switch);
-    streamlet g2j = new-streamlet (gif2jpeg);
-    streamlet ds = new-streamlet (img_down_sample);
-    streamlet comp = new-streamlet (text_compress);
-    streamlet out = new-streamlet (communicator);
-    connect (sw.po1, g2j.pi);
-    connect (g2j.po, ds.pi);
-    connect (ds.po, out.pi);
-    connect (sw.po2, out.pi);
-    when (LOW_BANDWIDTH) {
-        insert (sw.po2, out.pi, comp);
-    }
-}
-"#;
 
 fn main() {
     // Emulated wireless link at 1/50 time scale: a 500 Kb/s experiment
@@ -53,7 +28,7 @@ fn main() {
         ..TestbedConfig::default()
     };
     let testbed = Testbed::new(cfg);
-    let stream = testbed.deploy_with_defs(ACCELERATOR).expect("deploy");
+    let stream = testbed.deploy_with_defs(WEB_ACCELERATOR).expect("deploy");
     println!(
         "deployed `{}`: {:?}",
         stream.name(),

@@ -22,6 +22,42 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// The MCL definition of the link-bound `communicator` sink.
+pub const COMMUNICATOR_DEF: &str = r#"
+streamlet communicator {
+    port { in pi : */*; }
+    attribute { type = STATELESS; library = "builtin/communicator";
+                description = "send messages onto the emulated wireless link"; }
+}
+"#;
+
+/// The §7.5 web-acceleration composition: Switch, Gif2Jpeg,
+/// ImageDownSample and Communicator. Under normal conditions text passes
+/// Switch → Communicator directly; LOW_BANDWIDTH inserts the text
+/// compressor between them. Images always go through Gif2Jpeg +
+/// down-sampling. Deploy it with [`Testbed::deploy_with_defs`].
+pub const WEB_ACCELERATOR: &str = r#"
+streamlet gif_switch {
+    port { in pi : */*; out po1 : image/gif; out po2 : text; }
+    attribute { type = STATELESS; library = "builtin/switch";
+                description = "switch whose image branch is declared GIF"; }
+}
+main stream webAccel {
+    streamlet sw = new-streamlet (gif_switch);
+    streamlet g2j = new-streamlet (gif2jpeg);
+    streamlet ds = new-streamlet (img_down_sample);
+    streamlet comp = new-streamlet (text_compress);
+    streamlet out = new-streamlet (communicator);
+    connect (sw.po1, g2j.pi);
+    connect (g2j.po, ds.pi);
+    connect (ds.po, out.pi);
+    connect (sw.po2, out.pi);
+    when (LOW_BANDWIDTH) {
+        insert (sw.po2, out.pi, comp);
+    }
+}
+"#;
+
 /// Adapts a [`LinkSender`] to the streamlet [`Transport`] interface so the
 /// `communicator` streamlet transmits over the emulated link. The sender is
 /// swappable, which is what makes a **vertical handoff** (switching between
@@ -188,7 +224,7 @@ impl Testbed {
     /// standard library plus the link-bound `communicator`.
     pub fn defs(&self) -> String {
         format!(
-            "{}\n{}\nstreamlet communicator {{\n    port {{ in pi : */*; }}\n    attribute {{ type = STATELESS; library = \"builtin/communicator\";\n                description = \"send messages onto the emulated wireless link\"; }}\n}}\n",
+            "{}\n{}\n{COMMUNICATOR_DEF}",
             mobigate_streamlets::standard_defs(),
             mobigate_streamlets::batch::defs(),
         )

@@ -150,3 +150,90 @@ fn reconfiguration_time_grows_with_insert_count() {
         "20 inserts ({large:?}) must cost more than 2 ({small:?})"
     );
 }
+
+/// The §7.5 LOW_BANDWIDTH rule splices the compressor into a running
+/// stream. `comp` is declared at deploy time with both ports unconnected,
+/// so they start out exported to the stream boundary; the insert must
+/// retire those bindings, or every compressed text is duplicated onto
+/// egress, which nobody drains, until egress fills (8 MiB) and posts
+/// start to wait out Figure 6-9's `T` and drop.
+#[test]
+fn low_bandwidth_insert_retires_the_compressor_boundary_ports() {
+    use mobigate::core::{BridgeConfig, TelemetryConfig};
+    use mobigate::core::{MobiGate, ServerConfig, StreamletDirectory, StreamletPool};
+    use mobigate::streamlets::comm::{CollectorTransport, Communicator};
+    use mobigate::streamlets::workload::gen_text;
+    use mobigate::testbed::{COMMUNICATOR_DEF, WEB_ACCELERATOR};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    const TEXT_BYTES: usize = 8 * 1024;
+    // A little over 8 MiB of texts: past the egress capacity.
+    const TEXTS: usize = (9 << 20) / TEXT_BYTES;
+
+    let gate = MobiGate::with_config(
+        ServerConfig {
+            telemetry: TelemetryConfig {
+                enabled: true,
+                bridge: BridgeConfig {
+                    enabled: false,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+        Arc::new(StreamletDirectory::new()),
+        Arc::new(StreamletPool::new(16)),
+    );
+    mobigate::streamlets::register_builtins(gate.directory());
+    let collector = CollectorTransport::new();
+    Communicator::register(gate.directory(), collector.clone());
+    let stream = gate
+        .deploy_mcl(&format!(
+            "{}\n{COMMUNICATOR_DEF}\n{WEB_ACCELERATOR}",
+            mobigate::streamlets::standard_defs()
+        ))
+        .unwrap();
+    gate.raise_event(&ContextEvent::broadcast(EventKind::LowBandwidth));
+    assert!(stream.instance("comp").is_some(), "compressor spliced in");
+
+    let mut rng = StdRng::seed_from_u64(7);
+    for seq in 0..TEXTS {
+        let mut msg = MimeMessage::new(
+            &mobigate::mime::MimeType::new("text", "plain"),
+            gen_text(&mut rng, TEXT_BYTES),
+        );
+        msg.headers.set("X-Seq", seq.to_string());
+        stream.post_input(msg).unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while collector.len() < TEXTS && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let delivered = collector.messages();
+    assert!(
+        delivered
+            .iter()
+            .all(|m| m.content_type().to_string() == "text/x-lzss"),
+        "every text took the compressed path"
+    );
+    let seqs: BTreeSet<usize> = delivered
+        .iter()
+        .filter_map(|m| m.headers.get("X-Seq")?.parse().ok())
+        .collect();
+    assert_eq!(delivered.len(), TEXTS, "one frame per text");
+    assert_eq!(seqs.len(), TEXTS, "every text reached the link");
+    assert!(
+        stream.take_output(Duration::ZERO).is_none(),
+        "nothing may be duplicated onto egress"
+    );
+    assert_eq!(stream.stats().queued_bytes, 0);
+    let drops = gate.metrics_snapshot().unwrap().totals.dropped_total();
+    assert_eq!(drops, 0, "no post may wait out egress and drop");
+    stream.shutdown();
+}
