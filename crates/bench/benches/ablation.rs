@@ -2,7 +2,8 @@
 //!
 //! * streamlet pooling on vs off (instance churn cost, §3.3.4);
 //! * sync vs async channels (rendezvous vs buffered post/fetch);
-//! * LZSS compressor throughput (the work the TextCompressor adds);
+//! * codec kernels: LZSS (the work the TextCompressor adds) and the web
+//!   accelerator's image path (gif2jpeg, down-sampling);
 //! * event multicast fanout (Event Manager delivery cost, §6.4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -12,6 +13,7 @@ use mobigate::core::queue::{FetchResult, MessageQueue, QueueConfig};
 use mobigate::core::{EventCategory, EventKind, StreamletDirectory, StreamletPool};
 use mobigate::mime::MimeMessage;
 use mobigate::streamlets::codec::lzss;
+use mobigate::streamlets::codec::raster::{downsample, Encoding, Image};
 use mobigate_streamlets::workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,10 +100,10 @@ fn bench_channels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_lzss(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_lzss");
+fn bench_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ablation_codec");
     let mut rng = StdRng::seed_from_u64(17);
-    for size_kb in [4usize, 64] {
+    for size_kb in [4usize, 8, 64] {
         let text = workload::gen_text(&mut rng, size_kb * 1024);
         let compressed = lzss::compress(&text);
         group.throughput(Throughput::Bytes((size_kb * 1024) as u64));
@@ -112,6 +114,22 @@ fn bench_lzss(c: &mut Criterion) {
             b.iter(|| lzss::decompress(&compressed).unwrap());
         });
     }
+    // The web accelerator's image path on its 128×128 workload image, as
+    // the `gif2jpeg` and `img_down_sample` streamlets run it.
+    let gif = workload::gen_image(&mut rng, 128, Encoding::Palette);
+    let gif2jpeg = || {
+        let (img, _, _) = Image::decode(&gif).unwrap();
+        img.encode(Encoding::Quantized, 40)
+    };
+    let jpeg = gif2jpeg();
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("gif2jpeg/128", |b| b.iter(gif2jpeg));
+    group.bench_function("down_sample/128", |b| {
+        b.iter(|| {
+            let (img, encoding, quality) = Image::decode(&jpeg).unwrap();
+            downsample(&img, 2).encode(encoding, quality)
+        });
+    });
     group.finish();
 }
 
@@ -146,7 +164,7 @@ criterion_group!(
     benches,
     bench_pooling,
     bench_channels,
-    bench_lzss,
+    bench_codec,
     bench_event_fanout
 );
 criterion_main!(benches);

@@ -111,14 +111,19 @@ impl Image {
     }
 
     /// Encodes into MGRF bytes.
+    ///
+    /// The output bytes are a contract (gateway and client must agree on
+    /// them, and sizes feed the paper's figures); the tests hold this
+    /// encoder to a reference implementation byte for byte.
     pub fn encode(&self, encoding: Encoding, quality: u8) -> Vec<u8> {
         let quality = quality.clamp(1, 100);
-        let payload = match encoding {
-            Encoding::Raw => self.samples.clone(),
-            Encoding::Palette => encode_palette(self),
-            Encoding::Quantized => encode_quantized(self, quality),
+        let payload_hint = match encoding {
+            Encoding::Raw => self.samples.len(),
+            Encoding::Palette => 768 + self.pixels(),
+            // The RLE size depends on the content: let the buffer grow.
+            Encoding::Quantized => 0,
         };
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        let mut out = Vec::with_capacity(HEADER_LEN + payload_hint);
         out.extend_from_slice(MAGIC);
         out.push(VERSION);
         out.push(encoding.code());
@@ -126,8 +131,14 @@ impl Image {
         out.push(quality);
         out.extend_from_slice(&self.width.to_le_bytes());
         out.extend_from_slice(&self.height.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(&[0; 4]); // payload_len, patched below
+        match encoding {
+            Encoding::Raw => out.extend_from_slice(&self.samples),
+            Encoding::Palette => encode_palette(self, &mut out),
+            Encoding::Quantized => encode_quantized(self, quality, &mut out),
+        }
+        let payload_len = (out.len() - HEADER_LEN) as u32;
+        out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
         out
     }
 
@@ -151,6 +162,9 @@ impl Image {
         if channels == 0 || channels > 4 {
             return Err(RasterError::BadPayload("invalid channel count"));
         }
+        if width == 0 || height == 0 {
+            return Err(RasterError::BadPayload("zero image dimension"));
+        }
         let payload = &data[HEADER_LEN..HEADER_LEN + payload_len];
         let n = width as usize * height as usize * channels as usize;
         let samples = match encoding {
@@ -161,7 +175,7 @@ impl Image {
                 payload.to_vec()
             }
             Encoding::Palette => decode_palette(payload, width, height, channels)?,
-            Encoding::Quantized => decode_quantized(payload, n, channels, quality)?,
+            Encoding::Quantized => decode_quantized(payload, n, channels)?,
         };
         Ok((
             Image {
@@ -180,9 +194,9 @@ impl Image {
 
 /// Palette encoding: 256 RGB entries (768 bytes) + one index per pixel.
 /// Colors are quantized to a 3-3-2-bit cube (the classic web-safe trick),
-/// so encoding is lossy but decode(encode(x)) is stable.
-fn encode_palette(img: &Image) -> Vec<u8> {
-    let mut out = Vec::with_capacity(768 + img.pixels());
+/// so encoding is lossy but decode(encode(x)) is stable. One- and
+/// two-channel images (gray, gray+alpha) index by their gray sample.
+fn encode_palette(img: &Image, out: &mut Vec<u8>) {
     // Fixed 3-3-2 palette.
     for idx in 0u16..256 {
         let i = idx as u8;
@@ -196,21 +210,22 @@ fn encode_palette(img: &Image) -> Vec<u8> {
     let ch = img.channels as usize;
     for p in 0..img.pixels() {
         let (r, g, b) = match ch {
-            1 => {
-                let v = img.samples[p];
+            1 | 2 => {
+                let v = img.samples[p * ch];
                 (v, v, v)
             }
             _ => (
                 img.samples[p * ch],
                 img.samples[p * ch + 1],
-                img.samples[p * ch + ch.min(3) - 1],
+                img.samples[p * ch + 2],
             ),
         };
         out.push((r & 0xE0) | ((g & 0xE0) >> 3) | (b >> 6));
     }
-    out
 }
 
+/// Expands palette indices to `channels` samples per pixel: RGB for three
+/// or more channels, luma for fewer, and 255 (opaque alpha) for the rest.
 fn decode_palette(
     payload: &[u8],
     width: u16,
@@ -223,17 +238,17 @@ fn decode_palette(
     }
     let (palette, indices) = payload.split_at(768);
     let ch = channels as usize;
-    let mut samples = Vec::with_capacity(pixels * ch);
-    for &idx in indices {
-        let base = idx as usize * 3;
-        let (r, g, b) = (palette[base], palette[base + 1], palette[base + 2]);
-        match ch {
-            1 => samples.push(luma(r, g, b)),
-            3 => samples.extend_from_slice(&[r, g, b]),
-            _ => {
-                samples.extend_from_slice(&[r, g, b]);
-                samples.extend(std::iter::repeat_n(255, ch.saturating_sub(3)));
-            }
+    let mut samples = vec![255u8; pixels * ch];
+    if ch >= 3 {
+        for (px, &idx) in samples.chunks_exact_mut(ch).zip(indices) {
+            let base = idx as usize * 3;
+            px[..3].copy_from_slice(&palette[base..base + 3]);
+        }
+    } else {
+        let grays: [u8; 256] =
+            std::array::from_fn(|i| luma(palette[i * 3], palette[i * 3 + 1], palette[i * 3 + 2]));
+        for (px, &idx) in samples.chunks_exact_mut(ch).zip(indices) {
+            px[0] = grays[idx as usize];
         }
     }
     Ok(samples)
@@ -253,68 +268,73 @@ fn quant_step(quality: u8) -> u16 {
 /// a plane neighbouring pixels are similar, so quantized runs are long —
 /// interleaved samples would alternate channels and defeat the RLE
 /// entirely.
-fn encode_quantized(img: &Image, quality: u8) -> Vec<u8> {
+fn encode_quantized(img: &Image, quality: u8, out: &mut Vec<u8>) {
     let step = quant_step(quality);
+    let quantize: [u8; 256] = std::array::from_fn(|s| ((s as u16 / step) * step) as u8);
     let ch = img.channels as usize;
-    let pixels = img.pixels();
-    let mut out = Vec::new();
+    let samples = &img.samples[..img.pixels() * ch];
+    if samples.is_empty() {
+        return;
+    }
     for c in 0..ch {
-        let mut iter = (0..pixels)
-            .map(|p| img.samples[p * ch + c])
-            .map(|s| ((s as u16 / step) * step) as u8);
-        let Some(mut current) = iter.next() else {
-            continue;
-        };
+        let mut plane = samples[c..]
+            .iter()
+            .step_by(ch)
+            .map(|&s| quantize[s as usize]);
+        let mut current = plane.next().expect("non-empty plane");
         let mut count: u8 = 1;
-        for v in iter {
+        for v in plane {
             if v == current && count < 255 {
                 count += 1;
             } else {
-                out.push(count);
-                out.push(current);
+                out.extend_from_slice(&[count, current]);
                 current = v;
                 count = 1;
             }
         }
-        out.push(count);
-        out.push(current);
+        out.extend_from_slice(&[count, current]);
     }
-    out
 }
 
-fn decode_quantized(
-    payload: &[u8],
-    n: usize,
-    channels: u8,
-    _quality: u8,
-) -> Result<Vec<u8>, RasterError> {
+/// Expands `(count, value)` runs into `n` channel-interleaved samples.
+///
+/// Every run is checked before the output is allocated, so a header
+/// claiming more samples than the runs carry (at most 255 per pair) is
+/// rejected without reserving `n` bytes.
+fn decode_quantized(payload: &[u8], n: usize, channels: u8) -> Result<Vec<u8>, RasterError> {
     if !payload.len().is_multiple_of(2) {
         return Err(RasterError::BadPayload("odd RLE payload"));
     }
-    let ch = channels as usize;
-    if !n.is_multiple_of(ch) {
-        return Err(RasterError::BadPayload(
-            "sample count not divisible by channels",
-        ));
-    }
-    // Expand the concatenated planes…
-    let mut planes = Vec::with_capacity(n);
+    let mut total = 0usize;
     for pair in payload.chunks_exact(2) {
-        let (count, value) = (pair[0] as usize, pair[1]);
-        if count == 0 {
+        if pair[0] == 0 {
             return Err(RasterError::BadPayload("zero RLE run"));
         }
-        planes.extend(std::iter::repeat_n(value, count));
+        total += pair[0] as usize;
     }
-    if planes.len() != n {
+    if total != n {
         return Err(RasterError::BadPayload("RLE sample count mismatch"));
     }
-    // …then re-interleave into pixel order.
+    // Runs fill the planes in order (a run may continue into the next
+    // plane); plane `c` holds every `ch`-th sample from offset `c`.
+    let ch = channels as usize;
     let pixels = n / ch;
     let mut samples = vec![0u8; n];
-    for c in 0..ch {
-        for p in 0..pixels {
-            samples[p * ch + c] = planes[c * pixels + p];
+    let (mut plane, mut pixel) = (0usize, 0usize);
+    for pair in payload.chunks_exact(2) {
+        let (mut count, value) = (pair[0] as usize, pair[1]);
+        while count > 0 {
+            let take = count.min(pixels - pixel);
+            let start = pixel * ch + plane;
+            let end = start + (take - 1) * ch + 1;
+            for s in samples[start..end].iter_mut().step_by(ch) {
+                *s = value;
+            }
+            count -= take;
+            pixel += take;
+            if pixel == pixels {
+                (plane, pixel) = (plane + 1, 0);
+            }
         }
     }
     Ok(samples)
@@ -366,9 +386,221 @@ pub fn to_16_grays(img: &Image) -> Image {
     out
 }
 
+/// A straightforward implementation kept as the codec's specification:
+/// the equivalence tests hold [`Image::encode`] and [`Image::decode`] to
+/// its bytes and accept/reject decisions, except where the shipped codec
+/// deliberately differs (zero dimensions, two-channel palettes, and
+/// allocating before checking the runs).
+#[cfg(test)]
+mod reference {
+    use super::{luma, quant_step, Encoding, Image, RasterError, HEADER_LEN, MAGIC, VERSION};
+
+    /// Encodes into MGRF bytes.
+    pub(super) fn encode(img: &Image, encoding: Encoding, quality: u8) -> Vec<u8> {
+        let quality = quality.clamp(1, 100);
+        let payload = match encoding {
+            Encoding::Raw => img.samples.clone(),
+            Encoding::Palette => encode_palette(img),
+            Encoding::Quantized => encode_quantized(img, quality),
+        };
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        out.extend_from_slice(MAGIC);
+        out.push(VERSION);
+        out.push(encoding.code());
+        out.push(img.channels);
+        out.push(quality);
+        out.extend_from_slice(&img.width.to_le_bytes());
+        out.extend_from_slice(&img.height.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    /// Decodes MGRF bytes. Lossy encodings reconstruct approximations.
+    pub(super) fn decode(data: &[u8]) -> Result<(Image, Encoding, u8), RasterError> {
+        if data.len() < HEADER_LEN || &data[..4] != MAGIC {
+            return Err(RasterError::BadHeader);
+        }
+        if data[4] != VERSION {
+            return Err(RasterError::Unsupported);
+        }
+        let encoding = Encoding::from_code(data[5]).ok_or(RasterError::Unsupported)?;
+        let channels = data[6];
+        let quality = data[7];
+        let width = u16::from_le_bytes([data[8], data[9]]);
+        let height = u16::from_le_bytes([data[10], data[11]]);
+        let payload_len = u32::from_le_bytes([data[12], data[13], data[14], data[15]]) as usize;
+        if data.len() < HEADER_LEN + payload_len {
+            return Err(RasterError::BadPayload("truncated payload"));
+        }
+        if channels == 0 || channels > 4 {
+            return Err(RasterError::BadPayload("invalid channel count"));
+        }
+        let payload = &data[HEADER_LEN..HEADER_LEN + payload_len];
+        let n = width as usize * height as usize * channels as usize;
+        let samples = match encoding {
+            Encoding::Raw => {
+                if payload.len() != n {
+                    return Err(RasterError::BadPayload("raw size mismatch"));
+                }
+                payload.to_vec()
+            }
+            Encoding::Palette => decode_palette(payload, width, height, channels)?,
+            Encoding::Quantized => decode_quantized(payload, n, channels, quality)?,
+        };
+        Ok((
+            Image {
+                width,
+                height,
+                channels,
+                samples,
+            },
+            encoding,
+            quality,
+        ))
+    }
+
+    /// Palette encoding: 256 RGB entries (768 bytes) + one index per pixel.
+    /// Colors are quantized to a 3-3-2-bit cube (the classic web-safe trick),
+    /// so encoding is lossy but decode(encode(x)) is stable.
+    fn encode_palette(img: &Image) -> Vec<u8> {
+        let mut out = Vec::with_capacity(768 + img.pixels());
+        // Fixed 3-3-2 palette.
+        for idx in 0u16..256 {
+            let i = idx as u8;
+            let r = (i >> 5) & 0b111;
+            let g = (i >> 2) & 0b111;
+            let b = i & 0b11;
+            out.push(r << 5 | r << 2 | r >> 1);
+            out.push(g << 5 | g << 2 | g >> 1);
+            out.push(b << 6 | b << 4 | b << 2 | b);
+        }
+        let ch = img.channels as usize;
+        for p in 0..img.pixels() {
+            let (r, g, b) = match ch {
+                1 => {
+                    let v = img.samples[p];
+                    (v, v, v)
+                }
+                _ => (
+                    img.samples[p * ch],
+                    img.samples[p * ch + 1],
+                    img.samples[p * ch + ch.min(3) - 1],
+                ),
+            };
+            out.push((r & 0xE0) | ((g & 0xE0) >> 3) | (b >> 6));
+        }
+        out
+    }
+
+    fn decode_palette(
+        payload: &[u8],
+        width: u16,
+        height: u16,
+        channels: u8,
+    ) -> Result<Vec<u8>, RasterError> {
+        let pixels = width as usize * height as usize;
+        if payload.len() != 768 + pixels {
+            return Err(RasterError::BadPayload("palette size mismatch"));
+        }
+        let (palette, indices) = payload.split_at(768);
+        let ch = channels as usize;
+        let mut samples = Vec::with_capacity(pixels * ch);
+        for &idx in indices {
+            let base = idx as usize * 3;
+            let (r, g, b) = (palette[base], palette[base + 1], palette[base + 2]);
+            match ch {
+                1 => samples.push(luma(r, g, b)),
+                3 => samples.extend_from_slice(&[r, g, b]),
+                _ => {
+                    samples.extend_from_slice(&[r, g, b]);
+                    samples.extend(std::iter::repeat_n(255, ch.saturating_sub(3)));
+                }
+            }
+        }
+        Ok(samples)
+    }
+
+    /// Quantize samples then RLE-encode as `(count, value)` pairs.
+    ///
+    /// Channels are encoded as separate *planes* (all R, then all G, …): within
+    /// a plane neighbouring pixels are similar, so quantized runs are long —
+    /// interleaved samples would alternate channels and defeat the RLE
+    /// entirely.
+    fn encode_quantized(img: &Image, quality: u8) -> Vec<u8> {
+        let step = quant_step(quality);
+        let ch = img.channels as usize;
+        let pixels = img.pixels();
+        let mut out = Vec::new();
+        for c in 0..ch {
+            let mut iter = (0..pixels)
+                .map(|p| img.samples[p * ch + c])
+                .map(|s| ((s as u16 / step) * step) as u8);
+            let Some(mut current) = iter.next() else {
+                continue;
+            };
+            let mut count: u8 = 1;
+            for v in iter {
+                if v == current && count < 255 {
+                    count += 1;
+                } else {
+                    out.push(count);
+                    out.push(current);
+                    current = v;
+                    count = 1;
+                }
+            }
+            out.push(count);
+            out.push(current);
+        }
+        out
+    }
+
+    fn decode_quantized(
+        payload: &[u8],
+        n: usize,
+        channels: u8,
+        _quality: u8,
+    ) -> Result<Vec<u8>, RasterError> {
+        if !payload.len().is_multiple_of(2) {
+            return Err(RasterError::BadPayload("odd RLE payload"));
+        }
+        let ch = channels as usize;
+        if !n.is_multiple_of(ch) {
+            return Err(RasterError::BadPayload(
+                "sample count not divisible by channels",
+            ));
+        }
+        // Expand the concatenated planes…
+        let mut planes = Vec::with_capacity(n);
+        for pair in payload.chunks_exact(2) {
+            let (count, value) = (pair[0] as usize, pair[1]);
+            if count == 0 {
+                return Err(RasterError::BadPayload("zero RLE run"));
+            }
+            planes.extend(std::iter::repeat_n(value, count));
+        }
+        if planes.len() != n {
+            return Err(RasterError::BadPayload("RLE sample count mismatch"));
+        }
+        // …then re-interleave into pixel order.
+        let pixels = n / ch;
+        let mut samples = vec![0u8; n];
+        for c in 0..ch {
+            for p in 0..pixels {
+                samples[p * ch + c] = planes[c * pixels + p];
+            }
+        }
+        Ok(samples)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// A smooth gradient test image (mirrors the synthetic workload).
     fn gradient(w: u16, h: u16, channels: u8) -> Image {
@@ -501,5 +733,268 @@ mod tests {
     fn luma_bounds() {
         assert_eq!(luma(0, 0, 0), 0);
         assert!(luma(255, 255, 255) >= 254);
+    }
+
+    #[test]
+    fn quantized_header_claiming_more_than_the_runs_is_rejected_before_allocating() {
+        // 65535 × 65535 × 4 samples from one RLE pair: the decoder must
+        // refuse before reserving 17 GB (an allocation failure aborts).
+        let mut body = b"MGRF\x01\x02\x04\x50".to_vec();
+        body.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF]);
+        body.extend_from_slice(&2u32.to_le_bytes());
+        body.extend_from_slice(&[1, 0]);
+        assert_eq!(body.len(), 18);
+        assert!(matches!(
+            Image::decode(&body),
+            Err(RasterError::BadPayload(_))
+        ));
+    }
+
+    #[test]
+    fn zero_dimensions_are_rejected() {
+        // Raw, 3 channels, 0 × 7: an empty but self-consistent payload.
+        let body = b"MGRF\x01\x00\x03\x50\x00\x00\x07\x00\x00\x00\x00\x00";
+        assert_eq!(
+            Image::decode(body).unwrap_err(),
+            RasterError::BadPayload("zero image dimension")
+        );
+        for encoding in [Encoding::Raw, Encoding::Palette, Encoding::Quantized] {
+            let bytes = Image::new(5, 0, 1).encode(encoding, 50);
+            assert!(Image::decode(&bytes).is_err(), "{encoding:?}");
+        }
+    }
+
+    #[test]
+    fn two_channel_palette_is_gray_plus_alpha() {
+        let mut img = Image::new(3, 2, 2);
+        for (i, px) in img.samples.chunks_exact_mut(2).enumerate() {
+            px.copy_from_slice(&[(i * 50) as u8, 7]);
+        }
+        let (back, _, _) = Image::decode(&img.encode(Encoding::Palette, 100)).unwrap();
+        assert_eq!(back.samples.len(), 3 * 2 * 2);
+        for (orig, px) in img
+            .samples
+            .chunks_exact(2)
+            .zip(back.samples.chunks_exact(2))
+        {
+            assert_eq!(px[1], 255, "alpha is opaque");
+            assert!(px[0].abs_diff(orig[0]) < 40, "{} vs {}", px[0], orig[0]);
+        }
+    }
+
+    /// Smooth gradients, flat blocks (runs past the 255 cap) and noise
+    /// (one-sample runs), per channel.
+    fn textured(width: u16, height: u16, channels: u8, seed: u64) -> Image {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut img = Image::new(width, height, channels);
+        let (w, ch) = (width as usize, channels as usize);
+        let style: u8 = rng.gen_range(0u8..4);
+        let flat: u8 = rng.gen();
+        for (i, s) in img.samples.iter_mut().enumerate() {
+            let (p, c) = (i / ch, i % ch);
+            let (x, y) = (p % w.max(1), p / w.max(1));
+            *s = match (style, (x / 5 + y / 3) % 3) {
+                (0, _) => flat,
+                (1, _) | (3, 0) => ((x * 3 + y * 5 + c * 40) % 256) as u8,
+                (2, _) | (3, 1) => rng.gen(),
+                _ => flat ^ c as u8,
+            };
+        }
+        img
+    }
+
+    /// Overwrites bytes at `edits` positions (mod length), then truncates
+    /// to `keep` bytes when that is shorter.
+    fn mutate(mut data: Vec<u8>, edits: &[(usize, u8)], keep: usize) -> Vec<u8> {
+        if !data.is_empty() {
+            let n = data.len();
+            for &(at, v) in edits {
+                data[at % n] = v;
+            }
+        }
+        data.truncate(keep);
+        data
+    }
+
+    /// The new decoder against the reference, apart from the cases it
+    /// deliberately fixes: zero dimensions and two-channel palettes (shape),
+    /// and quantized headers claiming more samples than the runs can carry,
+    /// on which the reference would try to allocate them all.
+    fn assert_same_decode(body: &[u8]) {
+        let fast = Image::decode(body);
+        if let Ok((img, _, _)) = &fast {
+            assert!(img.width >= 1 && img.height >= 1);
+            assert_eq!(img.samples.len(), img.pixels() * img.channels as usize);
+        }
+        if body.len() < HEADER_LEN {
+            assert_eq!(fast, reference::decode(body));
+            return;
+        }
+        let (encoding, channels) = (body[5], body[6]);
+        let width = u16::from_le_bytes([body[8], body[9]]) as usize;
+        let height = u16::from_le_bytes([body[10], body[11]]) as usize;
+        let payload_len = u32::from_le_bytes([body[12], body[13], body[14], body[15]]) as usize;
+        let n = width * height * channels as usize;
+        if encoding == 2 && n > 255 * (payload_len / 2) {
+            assert!(fast.is_err(), "runs cannot fill the image");
+            return;
+        }
+        let slow = reference::decode(body);
+        if width == 0 || height == 0 {
+            assert!(fast.is_err());
+        } else if encoding == 1 && channels == 2 {
+            assert_eq!(fast.is_ok(), slow.is_ok());
+        } else {
+            assert_eq!(fast, slow);
+        }
+    }
+
+    /// `(count, value)` pairs drawn from `bytes` whose counts sum to `n`
+    /// (when `bytes` holds a pair); runs freely cross plane boundaries.
+    fn runs_summing_to(bytes: &[u8], n: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut left = n;
+        for pair in bytes.chunks_exact(2).cycle() {
+            if left == 0 {
+                break;
+            }
+            let count = usize::from(pair[0].max(1)).min(left);
+            out.extend_from_slice(&[count as u8, pair[1]]);
+            left -= count;
+        }
+        out
+    }
+
+    #[test]
+    fn quantized_run_may_continue_into_the_next_plane() {
+        // 2 × 1 pixels, 3 channels: planes [10 10][10 20][20 20].
+        let mut body = b"MGRF\x01\x02\x03\x50\x02\x00\x01\x00".to_vec();
+        body.extend_from_slice(&4u32.to_le_bytes());
+        body.extend_from_slice(&[3, 10, 3, 20]);
+        let (img, _, _) = Image::decode(&body).unwrap();
+        assert_eq!(img.samples, [10, 10, 20, 10, 20, 20]);
+        assert_same_decode(&body);
+    }
+
+    fn any_encoding() -> impl Strategy<Value = Encoding> {
+        prop_oneof![
+            Just(Encoding::Raw),
+            Just(Encoding::Palette),
+            Just(Encoding::Quantized)
+        ]
+    }
+
+    #[test]
+    fn encode_matches_reference_at_every_quality() {
+        for (w, h) in [(1, 1), (7, 3), (3, 17), (64, 64)] {
+            for channels in [1, 3, 4] {
+                let img = textured(w, h, channels, u64::from(w * h));
+                for encoding in [Encoding::Raw, Encoding::Palette, Encoding::Quantized] {
+                    for quality in 1..=100 {
+                        assert_eq!(
+                            img.encode(encoding, quality),
+                            reference::encode(&img, encoding, quality),
+                            "{w}x{h}x{channels} {encoding:?} q{quality}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn encode_matches_reference(
+            (w, h) in (0u16..48, 0u16..48),
+            channels in prop_oneof![Just(1u8), Just(2), Just(3), Just(4)],
+            encoding in any_encoding(),
+            quality in any::<u8>(),
+            seed in any::<u64>(),
+        ) {
+            // Two-channel palettes changed on purpose (gray + alpha).
+            let encoding = if channels == 2 { Encoding::Quantized } else { encoding };
+            let img = textured(w, h, channels, seed);
+            prop_assert_eq!(
+                img.encode(encoding, quality),
+                reference::encode(&img, encoding, quality)
+            );
+        }
+
+        #[test]
+        fn decode_matches_reference_on_mutated_bodies(
+            (w, h) in (0u16..24, 0u16..24),
+            channels in 1u8..=4,
+            encoding in any_encoding(),
+            quality in 1u8..=100,
+            seed in any::<u64>(),
+            header_edit in (4usize..HEADER_LEN, any::<u8>()),
+            edits in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+            keep in 0usize..2048,
+        ) {
+            let body = textured(w, h, channels, seed).encode(encoding, quality);
+            assert_same_decode(&body);
+            assert_same_decode(&mutate(body.clone(), &edits, keep));
+            assert_same_decode(&mutate(body, &[header_edit], usize::MAX));
+        }
+
+        /// Bytes from outside the gateway never panic the decoder or the
+        /// kernels run on what it accepts, and what those produce decodes.
+        #[test]
+        fn arbitrary_bodies_never_panic(
+            (encoding, channels, quality) in (0u8..4, 0u8..6, any::<u8>()),
+            (w, h) in (0u16..20, 0u16..20),
+            mut payload in prop::collection::vec(any::<u8>(), 0..1024),
+            fit in 0u8..3,
+            raw in prop::collection::vec(any::<u8>(), 0..64),
+            factor in 0u16..5,
+        ) {
+            // Size the payload to the header for an encoding a third of the
+            // time, so the kernels see accepted images.
+            let n = usize::from(w) * usize::from(h) * usize::from(channels);
+            match (fit, encoding) {
+                (0, 0) => payload.resize(n, 7),
+                (0, 1) => payload.resize(768 + n / usize::from(channels.max(1)), 3),
+                (0, 2) => payload = runs_summing_to(&payload, n),
+                _ => {}
+            }
+            let len = if fit < 2 { payload.len() as u32 } else { u32::from(quality) * 3 };
+            let mut body = MAGIC.to_vec();
+            body.extend_from_slice(&[VERSION, encoding, channels, quality]);
+            body.extend_from_slice(&w.to_le_bytes());
+            body.extend_from_slice(&h.to_le_bytes());
+            body.extend_from_slice(&len.to_le_bytes());
+            body.extend_from_slice(&payload);
+            for data in [&body[..], &raw[..]] {
+                assert_same_decode(data);
+                if let Ok((img, _, q)) = Image::decode(data) {
+                    let kernels = [downsample(&img, factor), to_16_grays(&img), img.clone()];
+                    for out in kernels {
+                        for enc in [Encoding::Raw, Encoding::Palette, Encoding::Quantized] {
+                            prop_assert!(Image::decode(&out.encode(enc, q)).is_ok());
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn decoded_shape_matches_the_header(
+            (w, h) in (0u16..12, 0u16..12),
+            channels in 1u8..=4,
+            encoding in any_encoding(),
+            seed in any::<u64>(),
+        ) {
+            let img = textured(w, h, channels, seed);
+            match Image::decode(&img.encode(encoding, 60)) {
+                Ok((back, _, _)) => {
+                    prop_assert!(back.width >= 1 && back.height >= 1);
+                    prop_assert_eq!((back.width, back.height, back.channels), (w, h, channels));
+                    prop_assert_eq!(back.samples.len(), back.pixels() * channels as usize);
+                }
+                Err(e) => prop_assert!(w == 0 || h == 0, "{:?}", e),
+            }
+        }
     }
 }

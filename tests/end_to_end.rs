@@ -3,7 +3,7 @@
 
 use mobigate::core::events::ContextEvent;
 use mobigate::core::EventKind;
-use mobigate::mime::MimeMessage;
+use mobigate::mime::{MimeMessage, MimeType};
 use mobigate::netsim::LinkConfig;
 use mobigate::streamlets::codec::raster::{Encoding, Image};
 use mobigate::streamlets::workload;
@@ -11,6 +11,25 @@ use mobigate::testbed::{Testbed, TestbedConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
+
+/// GIF images through gif2jpeg and down-sampling to the link; other
+/// types go straight to the link.
+const IMAGING: &str = r#"
+    streamlet gifsw {
+        port { in pi : */*; out po1 : image/gif; out po2 : text; }
+        attribute { type = STATELESS; library = "builtin/switch"; }
+    }
+    main stream imaging {
+        streamlet sw = new-streamlet (gifsw);
+        streamlet g2j = new-streamlet (gif2jpeg);
+        streamlet ds = new-streamlet (img_down_sample);
+        streamlet out = new-streamlet (communicator);
+        connect (sw.po1, g2j.pi);
+        connect (g2j.po, ds.pi);
+        connect (ds.po, out.pi);
+        connect (sw.po2, out.pi);
+    }
+"#;
 
 #[test]
 fn compress_then_encrypt_chain_reverses_in_lifo_order() {
@@ -46,26 +65,7 @@ fn compress_then_encrypt_chain_reverses_in_lifo_order() {
 #[test]
 fn image_transcoding_pipeline_shrinks_and_remains_decodable() {
     let tb = Testbed::new(TestbedConfig::fast());
-    let stream = tb
-        .deploy_with_defs(
-            r#"
-            streamlet gifsw {
-                port { in pi : */*; out po1 : image/gif; out po2 : text; }
-                attribute { type = STATELESS; library = "builtin/switch"; }
-            }
-            main stream imaging {
-                streamlet sw = new-streamlet (gifsw);
-                streamlet g2j = new-streamlet (gif2jpeg);
-                streamlet ds = new-streamlet (img_down_sample);
-                streamlet out = new-streamlet (communicator);
-                connect (sw.po1, g2j.pi);
-                connect (g2j.po, ds.pi);
-                connect (ds.po, out.pi);
-                connect (sw.po2, out.pi);
-            }
-            "#,
-        )
-        .unwrap();
+    let stream = tb.deploy_with_defs(IMAGING).unwrap();
 
     let mut rng = StdRng::seed_from_u64(99);
     let original = workload::image_message(&mut rng, 128);
@@ -82,6 +82,37 @@ fn image_transcoding_pipeline_shrinks_and_remains_decodable() {
     let (img, enc, _) = Image::decode(&got.body).expect("decodable");
     assert_eq!(enc, Encoding::Quantized);
     assert_eq!(img.width, 64, "down-sampled 2x from 128");
+    tb.shutdown();
+}
+
+/// An `MGRF` header claiming 65535 × 65535 × 4 samples over one RLE pair
+/// must be an ordinary process error that leaves the stream running: were
+/// the decoder to reserve the 17 GB the header claims, the allocation
+/// failure would abort the process, past any `catch_unwind`.
+#[test]
+fn oversized_image_header_is_a_process_error_not_an_abort() {
+    let tb = Testbed::new(TestbedConfig::fast());
+    let stream = tb.deploy_with_defs(IMAGING).unwrap();
+
+    let mut bomb = b"MGRF\x01\x02\x04\x50\xFF\xFF\xFF\xFF".to_vec();
+    bomb.extend_from_slice(&2u32.to_le_bytes());
+    bomb.extend_from_slice(&[1, 0]);
+    stream
+        .post_input(MimeMessage::new(&MimeType::new("image", "gif"), bomb))
+        .unwrap();
+    // Let it fail alone: a batch that returns an error discards the
+    // batch's other outputs too.
+    assert!(stream.drain(Duration::from_secs(5)));
+    let mut rng = StdRng::seed_from_u64(7);
+    stream
+        .post_input(workload::image_message(&mut rng, 64))
+        .unwrap();
+
+    let got = tb.client().recv(Duration::from_secs(5)).expect("delivered");
+    let (img, enc, _) = Image::decode(&got.body).expect("decodable");
+    assert_eq!((enc, img.width), (Encoding::Quantized, 32));
+    let g2j = stream.instance("g2j").expect("discrete g2j").stats();
+    assert_eq!((g2j.errors, g2j.faults), (1, 0), "{g2j:?}");
     tb.shutdown();
 }
 
