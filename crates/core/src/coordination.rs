@@ -26,6 +26,7 @@ use crate::error::CoreError;
 use crate::events::{ContextEvent, EventManager, EventSubscriber};
 use crate::stream::{RunningStream, StreamDeps};
 use mobigate_mcl::config::{ConfigTable, Program, StreamletSpec};
+use mobigate_mcl::fusion::FusionPlan;
 use mobigate_mime::SessionId;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -100,7 +101,32 @@ impl CoordinationManager {
         session: SessionId,
     ) -> Result<Arc<RunningStream>, CoreError> {
         let stream = RunningStream::deploy(table, defs, self.deps.clone(), session.clone())?;
+        Ok(self.register(stream, session))
+    }
 
+    /// [`Self::deploy_table`] for the session plane: the definitions and
+    /// the fusion plan were computed once per template and are shared by
+    /// every session stamped from it.
+    pub(crate) fn deploy_planned(
+        &self,
+        table: &ConfigTable,
+        defs: &Arc<BTreeMap<String, StreamletSpec>>,
+        plan: &FusionPlan,
+        session: SessionId,
+    ) -> Result<Arc<RunningStream>, CoreError> {
+        let stream = RunningStream::deploy_planned(
+            table,
+            defs.clone(),
+            plan,
+            self.deps.clone(),
+            session.clone(),
+        )?;
+        Ok(self.register(stream, session))
+    }
+
+    /// Subscribes a freshly deployed stream to its event categories and
+    /// enters its routing-table row.
+    fn register(&self, stream: Arc<RunningStream>, session: SessionId) -> Arc<RunningStream> {
         // Subscribe to the categories of interest (§6.4: streams subscribe
         // to events of interest and ignore the flood of the rest).
         let sub: Arc<dyn EventSubscriber> = stream.clone();
@@ -111,7 +137,7 @@ impl CoordinationManager {
         self.shard_for(&session)
             .lock()
             .insert(session, stream.clone());
-        Ok(stream)
+        stream
     }
 
     /// Deploys one stream of a compiled program under a generated session.

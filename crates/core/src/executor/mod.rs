@@ -14,7 +14,9 @@
 //!   [`crate::queue::Notifier`] fires (queue post, pause/activate/end,
 //!   control command) via a wake hook installed at launch, so idle
 //!   streamlets cost no threads and a 100-redirector chain runs on a
-//!   handful of workers.
+//!   handful of workers. Launch itself schedules only a task that already
+//!   has work, and `end` finalizes a task no worker is pumping on the
+//!   calling thread, so an idle session's lifecycle costs no pump.
 //! * [`Reactor`] — per-worker run queues with work stealing. The same
 //!   wake hooks act as wakers: a blocked `fetch`/`post` costs one
 //!   queue-listener entry instead of a parked thread, workers steal from
@@ -136,6 +138,43 @@ impl Executor for ThreadPerStreamlet {
 pub fn default_executor() -> Arc<dyn Executor> {
     static DEFAULT: OnceLock<Arc<ThreadPerStreamlet>> = OnceLock::new();
     DEFAULT.get_or_init(ThreadPerStreamlet::new).clone()
+}
+
+/// Adopts `task` into a pooled back end (worker pool or reactor):
+/// non-blocking outputs, and a wake hook routing every notification to
+/// `schedule` on `state`. The launch itself schedules nothing unless the
+/// task already has work — an idle session costs no pump, and
+/// `on_activate` waits for the first one (or for an inline `end`).
+///
+/// Order matters as in [`pump_and_reschedule`]: the hook is installed and
+/// the coalescing notifier re-armed *before* the work check, so a post
+/// landing after the disarm fires the hook, and one that landed before it
+/// is seen by the check.
+pub(crate) fn launch_pooled<S: Send + Sync + 'static>(
+    state: &Arc<S>,
+    task: Arc<StreamletTask>,
+    schedule: fn(&S, Arc<StreamletTask>),
+) {
+    // Workers must never park inside a downstream post: with more
+    // streamlets than workers, a backed-up chain would otherwise eat every
+    // worker and stall until the drop deadline. Full async queues park the
+    // message in the task's pending-output buffer, occupied rendezvous
+    // slots do the same, and the worker moves on.
+    task.set_nonblocking_outputs(true);
+    // Weak in both directions: the hook lives inside the task's notifier,
+    // so a strong task ref here would leak the task, and a strong state
+    // ref would keep dead back ends alive.
+    let weak_state = Arc::downgrade(state);
+    let weak_task = Arc::downgrade(&task);
+    task.set_wake_hook(move || {
+        if let (Some(state), Some(task)) = (weak_state.upgrade(), weak_task.upgrade()) {
+            schedule(&state, task);
+        }
+    });
+    task.disarm_wake();
+    if task.has_pending_work() {
+        schedule(state, task);
+    }
 }
 
 /// Drives one task for one quantum and applies the shared never-lose-a-

@@ -31,7 +31,7 @@
 //! sees the enqueue and never sleeps. A timed wait backstops the
 //! handshake but is not needed for correctness.
 
-use super::{pump_and_reschedule, Executor, ExecutorStats, WorkerStats};
+use super::{launch_pooled, pump_and_reschedule, Executor, ExecutorStats, WorkerStats};
 use crate::streamlet::StreamletTask;
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
@@ -245,18 +245,8 @@ fn worker_loop(state: &Arc<ReactorState>, idx: usize) {
 
 impl Executor for Reactor {
     fn launch(&self, task: Arc<StreamletTask>) {
-        // Identical discipline to the worker pool: a worker must never
-        // park inside a downstream post, so outputs go through the
-        // non-blocking path and overflow into the task's pending buffer.
-        task.set_nonblocking_outputs(true);
-        let state = Arc::downgrade(&self.state);
-        let weak = Arc::downgrade(&task);
-        task.set_wake_hook(move || {
-            if let (Some(state), Some(task)) = (state.upgrade(), weak.upgrade()) {
-                state.schedule(task);
-            }
-        });
-        self.state.schedule(task);
+        // Identical discipline to the worker pool.
+        launch_pooled(&self.state, task, ReactorState::schedule);
     }
 
     fn name(&self) -> &'static str {

@@ -1,6 +1,6 @@
 //! The shared-run-queue back end: `M` workers, one global queue.
 
-use super::{pump_and_reschedule, Executor};
+use super::{launch_pooled, pump_and_reschedule, Executor};
 use crate::streamlet::StreamletTask;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -88,23 +88,7 @@ fn worker_loop(state: &Arc<PoolState>) {
 
 impl Executor for WorkerPool {
     fn launch(&self, task: Arc<StreamletTask>) {
-        // Workers must never park inside a downstream post: with more
-        // streamlets than workers, a backed-up chain would otherwise eat
-        // every worker and stall until the drop deadline. Full async
-        // queues park the message in the task's pending-output buffer,
-        // occupied rendezvous slots do the same, and the worker moves on.
-        task.set_nonblocking_outputs(true);
-        let state = Arc::downgrade(&self.state);
-        let weak = Arc::downgrade(&task);
-        // Weak in both directions: the hook lives inside the task's
-        // notifier, so a strong task ref here would leak the task, and a
-        // strong pool ref would keep dead pools alive.
-        task.set_wake_hook(move || {
-            if let (Some(state), Some(task)) = (state.upgrade(), weak.upgrade()) {
-                state.schedule(task);
-            }
-        });
-        self.state.schedule(task);
+        launch_pooled(&self.state, task, PoolState::schedule);
     }
 
     fn name(&self) -> &'static str {

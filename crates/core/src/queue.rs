@@ -32,7 +32,7 @@ use mobigate_mime::MimeType;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Slot count of the SPSC fast-path ring (bounds *messages*; the byte
@@ -80,6 +80,17 @@ impl Notifier {
     /// Creates a notifier.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates a notifier that starts armed: notifies cost one atomic swap
+    /// until a consumer first disarms it. For consumers that always
+    /// disarm (`snapshot`) before their first check, so no notify issued
+    /// before then matters.
+    pub(crate) fn armed() -> Self {
+        Notifier {
+            armed: AtomicBool::new(true),
+            ..Self::default()
+        }
     }
 
     /// Wakes all waiters and fires the wake hook, if any. Returns without
@@ -199,6 +210,12 @@ impl Default for QueueConfig {
 }
 
 impl QueueConfig {
+    /// Whether the channel gets the SPSC fast-path ring (sync channels
+    /// never do).
+    fn uses_ring(&self) -> bool {
+        self.spsc && self.kind == ChannelKind::Async
+    }
+
     /// Builds a config from a compiled MCL [`mobigate_mcl::ChannelSpec`].
     pub fn from_spec(name: &str, spec: &mobigate_mcl::ChannelSpec) -> Self {
         QueueConfig {
@@ -278,6 +295,10 @@ struct QState {
     bytes: usize,
     source_open: bool,
     sink_open: bool,
+    /// The last break discarded the pending units (`drop_pending`);
+    /// cleared when a sink reattaches. A fast-path post that raced the
+    /// break into the ring is discarded on the same terms.
+    discarding: bool,
 }
 
 /// The channel object. Cheaply shareable via `Arc`.
@@ -313,10 +334,14 @@ pub struct MessageQueue {
     /// lock: lets the wake fan-out skip the read lock entirely in the
     /// common no-parked-producer case.
     space_listener_count: AtomicUsize,
-    /// SPSC fast-path ring, allocated once for async channels with
-    /// [`QueueConfig::spsc`] set. Consumers *always* drain it before the
-    /// mutex queue, so FIFO holds across activation changes.
-    ring: Option<SpscRing>,
+    /// SPSC fast-path ring of async channels with [`QueueConfig::spsc`]
+    /// set, allocated when the first producer or consumer attaches, or
+    /// else by the first ring post: a queue nothing attaches to or posts
+    /// to (the egress of a chain ending in a sink) never pays for its
+    /// slots, and a queue in use never allocates inside a post. Consumers
+    /// *always* drain it before the mutex queue, so FIFO holds across
+    /// activation changes.
+    ring: OnceLock<SpscRing>,
     /// True while fast-path posts are allowed: at most one producer and
     /// one consumer, sink open, and both buffers were empty at the last
     /// (re)activation point. Maintained under the state lock; read
@@ -342,8 +367,7 @@ impl MessageQueue {
         pool: Arc<MessagePool>,
         probe: Option<QueueProbe>,
     ) -> Arc<Self> {
-        let ring = (cfg.spsc && cfg.kind == ChannelKind::Async).then(|| SpscRing::new(SPSC_SLOTS));
-        let spsc_active = ring.is_some();
+        let spsc_active = cfg.uses_ring();
         Arc::new(MessageQueue {
             cfg,
             state: Mutex::new(QState {
@@ -351,6 +375,7 @@ impl MessageQueue {
                 bytes: 0,
                 source_open: true,
                 sink_open: true,
+                discarding: false,
             }),
             cv: Condvar::new(),
             pool,
@@ -368,7 +393,7 @@ impl MessageQueue {
             listeners: RwLock::new(Vec::new()),
             space_listeners: RwLock::new(Vec::new()),
             space_listener_count: AtomicUsize::new(0),
-            ring,
+            ring: OnceLock::new(),
             spsc_active: AtomicBool::new(spsc_active),
             sleepers: AtomicUsize::new(0),
         })
@@ -405,13 +430,15 @@ impl MessageQueue {
     /// predate mutex-queue entries and the drain order (ring first)
     /// preserves FIFO.
     fn refresh_spsc(&self, st: &QState) {
-        let Some(ring) = &self.ring else { return };
+        if !self.cfg.uses_ring() {
+            return;
+        }
         let eligible = self.pcount.load(Ordering::SeqCst) <= 1
             && self.ccount.load(Ordering::SeqCst) <= 1
             && st.sink_open;
         if !eligible {
             self.spsc_active.store(false, Ordering::SeqCst);
-        } else if st.queue.is_empty() && ring.is_empty() {
+        } else if st.queue.is_empty() && self.ring.get().is_none_or(SpscRing::is_empty) {
             self.spsc_active.store(true, Ordering::SeqCst);
         }
     }
@@ -419,6 +446,27 @@ impl MessageQueue {
     /// True when the SPSC fast path is currently switched in.
     pub fn spsc_active(&self) -> bool {
         self.spsc_active.load(Ordering::SeqCst)
+    }
+
+    /// The fast-path ring, allocated on first use. Only attachment and
+    /// producers posting into it call this; every reader goes through
+    /// `ring.get()`, where a never-allocated ring reads as empty.
+    fn ring(&self) -> &SpscRing {
+        self.ring.get_or_init(|| SpscRing::new(SPSC_SLOTS))
+    }
+
+    /// Allocates the ring of a fast-path channel that gains an endpoint,
+    /// so its posts never pay for the allocation.
+    fn prepare_ring(&self) {
+        if self.cfg.uses_ring() {
+            self.ring();
+        }
+    }
+
+    /// Whether the fast-path ring has been allocated.
+    #[cfg(test)]
+    pub(crate) fn ring_allocated(&self) -> bool {
+        self.ring.get().is_some()
     }
 
     /// The queue's configuration.
@@ -481,6 +529,7 @@ impl MessageQueue {
     /// Attaches a producer (paper `incr_pCount`); reopens the source side.
     /// A second producer immediately deactivates the SPSC fast path.
     pub fn attach_source(&self) {
+        self.prepare_ring();
         self.pcount.fetch_add(1, Ordering::SeqCst);
         let mut st = self.state.lock();
         st.source_open = true;
@@ -492,9 +541,11 @@ impl MessageQueue {
     /// Attaches a consumer (paper `incr_cCount`); reopens the sink side.
     /// A second consumer immediately deactivates the SPSC fast path.
     pub fn attach_sink(&self) {
+        self.prepare_ring();
         self.ccount.fetch_add(1, Ordering::SeqCst);
         let mut st = self.state.lock();
         st.sink_open = true;
+        st.discarding = false;
         self.refresh_spsc(&st);
         drop(st);
         self.cv.notify_all();
@@ -580,7 +631,16 @@ impl MessageQueue {
         Ok(())
     }
 
+    /// Discards every pending unit on a break; the caller has closed the
+    /// sink. The fast path is switched off *before* the ring is drained,
+    /// and the fence pairs with the one a fast-path post runs after its
+    /// push: a post that saw the path still on either lands in the ring
+    /// before this drain reads it, or sees it off afterwards and discards
+    /// its payload itself (`try_ring_post`) — never stranded uncharged.
     fn drop_pending(&self, st: &mut QState) {
+        st.discarding = true;
+        self.refresh_spsc(st);
+        std::sync::atomic::fence(Ordering::SeqCst);
         let mut n = st.queue.len() as u64;
         for p in st.queue.drain(..) {
             self.pool.discard(p);
@@ -588,7 +648,7 @@ impl MessageQueue {
         st.bytes = 0;
         // The fast-path ring is pending buffer too; the state lock we hold
         // serializes us with every other popper.
-        if let Some(ring) = &self.ring {
+        if let Some(ring) = self.ring.get() {
             while let Some((p, _)) = ring.pop() {
                 self.pool.discard(p);
                 n += 1;
@@ -655,9 +715,8 @@ impl MessageQueue {
         if !self.spsc_active.load(Ordering::SeqCst) {
             return Err(payload);
         }
-        let Some(ring) = &self.ring else {
-            return Err(payload);
-        };
+        // Active implies an SPSC-enabled async channel (`refresh_spsc`).
+        let ring = self.ring();
         // Byte-budget admission mirrors the mutex path: an empty buffer
         // always admits one (possibly oversized) message. The check and
         // the push are not atomic together, but overshoot needs a second
@@ -673,6 +732,16 @@ impl MessageQueue {
             p.on_ring_depth(ring.len());
         }
         self.wake_after_ring_post();
+        // A break may have switched the path off and drained the ring
+        // between the activation check and the push (the fence in
+        // `wake_after_ring_post` orders the push before this re-check;
+        // see `drop_pending`). Discard what the break would have.
+        if !self.spsc_active.load(Ordering::SeqCst) {
+            let mut st = self.state.lock();
+            if st.discarding {
+                self.drop_pending(&mut st);
+            }
+        }
         Ok(())
     }
 
@@ -681,18 +750,16 @@ impl MessageQueue {
     /// allows (an empty channel admits one oversized message). Caller
     /// holds the state lock.
     fn try_admit(&self, st: &mut QState, payload: Payload, len: usize) -> Result<(), Payload> {
-        let ring_bytes = self.ring.as_ref().map_or(0, SpscRing::bytes);
-        let ring_empty = self.ring.as_ref().is_none_or(SpscRing::is_empty);
+        let ring_bytes = self.ring.get().map_or(0, SpscRing::bytes);
+        let ring_empty = self.ring.get().is_none_or(SpscRing::is_empty);
         let empty = st.queue.is_empty() && ring_empty;
         if !empty && st.bytes + ring_bytes + len > self.cfg.capacity_bytes {
             return Err(payload);
         }
         if self.spsc_active.load(Ordering::SeqCst) {
-            if let Some(ring) = &self.ring {
-                // Ring slots can fill before the byte budget does; the
-                // caller then waits for the consumer like any full queue.
-                return ring.push(payload, len);
-            }
+            // Ring slots can fill before the byte budget does; the caller
+            // then waits for the consumer like any full queue.
+            return self.ring().push(payload, len);
         }
         st.queue.push_back(payload);
         st.bytes += len;
@@ -1110,7 +1177,7 @@ impl MessageQueue {
         }
         let mut st = self.state.lock();
         let mut n = 0usize;
-        if let Some(ring) = &self.ring {
+        if let Some(ring) = self.ring.get() {
             while n < max_n {
                 let Some((p, _)) = ring.pop() else {
                     break;
@@ -1205,8 +1272,8 @@ impl MessageQueue {
             // the space wakeup).
             return st.queue.is_empty();
         }
-        let ring_bytes = self.ring.as_ref().map_or(0, SpscRing::bytes);
-        let ring_empty = self.ring.as_ref().is_none_or(SpscRing::is_empty);
+        let ring_bytes = self.ring.get().map_or(0, SpscRing::bytes);
+        let ring_empty = self.ring.get().is_none_or(SpscRing::is_empty);
         if st.queue.is_empty() && ring_empty {
             return true;
         }
@@ -1224,7 +1291,7 @@ impl MessageQueue {
     /// counter; only mutex-queue pops adjust `st.bytes`. Caller holds the
     /// state lock, which serializes every popper.
     fn pop_one(&self, st: &mut QState) -> Option<Payload> {
-        if let Some(ring) = &self.ring {
+        if let Some(ring) = self.ring.get() {
             if let Some((p, _)) = ring.pop() {
                 return Some(p);
             }
@@ -1237,7 +1304,7 @@ impl MessageQueue {
     /// Buffered length of the oldest pending payload. Caller holds the
     /// state lock.
     fn peek_front_len(&self, st: &QState) -> Option<usize> {
-        if let Some(ring) = &self.ring {
+        if let Some(ring) = self.ring.get() {
             if let Some(len) = ring.peek_len() {
                 return Some(len);
             }
@@ -1288,13 +1355,13 @@ impl MessageQueue {
             // and then reads `sleepers`, so it either sees our increment
             // (and grabs the lock to notify) or we see its payload here.
             self.sleepers.fetch_add(1, Ordering::SeqCst);
-            if self.ring.as_ref().is_some_and(|r| !r.is_empty()) {
+            if self.ring.get().is_some_and(|r| !r.is_empty()) {
                 self.sleepers.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
             let timed_out = self.cv.wait_until(&mut st, deadline).timed_out();
             self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            if timed_out && st.queue.is_empty() && self.ring.as_ref().is_none_or(|r| r.is_empty()) {
+            if timed_out && st.queue.is_empty() && self.ring.get().is_none_or(|r| r.is_empty()) {
                 return FetchResult::Empty;
             }
         }
@@ -1352,19 +1419,19 @@ impl MessageQueue {
     /// Number of pending messages.
     pub fn len(&self) -> usize {
         let st = self.state.lock();
-        st.queue.len() + self.ring.as_ref().map_or(0, |r| r.len())
+        st.queue.len() + self.ring.get().map_or(0, |r| r.len())
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
         let st = self.state.lock();
-        st.queue.is_empty() && self.ring.as_ref().is_none_or(|r| r.is_empty())
+        st.queue.is_empty() && self.ring.get().is_none_or(|r| r.is_empty())
     }
 
     /// Bytes currently buffered.
     pub fn buffered_bytes(&self) -> usize {
         let st = self.state.lock();
-        st.bytes + self.ring.as_ref().map_or(0, |r| r.bytes())
+        st.bytes + self.ring.get().map_or(0, |r| r.bytes())
     }
 
     /// Statistics snapshot.
@@ -1864,5 +1931,97 @@ mod tests {
         assert_eq!(s.dropped_admission, 3);
         assert_eq!(s.dropped_total(), 3);
         assert_eq!(s.posted, 0, "rejected posts never count as posted");
+    }
+
+    #[test]
+    fn ring_is_allocated_only_for_a_channel_in_use() {
+        // Construction and every read leave the ring alone.
+        let (q, pool) = setup(QueueConfig::default());
+        assert!(q.spsc_active());
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.buffered_bytes(), 0);
+        assert!(matches!(q.try_fetch(), FetchResult::Empty));
+        assert!(matches!(
+            q.fetch(Duration::from_millis(1)),
+            FetchResult::Empty
+        ));
+        assert!(q.take_batch(8, usize::MAX).is_empty());
+        assert_eq!(q.shed_oldest(4), 0);
+        assert!(q.has_space(1));
+        assert!(!q.ring_allocated(), "never attached or posted to, no ring");
+        // Without an endpoint attached, the first fast-path post allocates.
+        assert_eq!(q.post(payload(&pool, 8)), PostResult::Posted);
+        assert!(q.ring_allocated(), "first fast-path post allocates it");
+        assert_eq!(q.len(), 1);
+        assert!(matches!(q.try_fetch(), FetchResult::Msg(_)));
+
+        // Attaching either endpoint allocates it ahead of any post.
+        let (q, _) = setup(QueueConfig::default());
+        q.attach_sink();
+        assert!(q.ring_allocated(), "sink attached");
+        let (q, _) = setup(QueueConfig::default());
+        q.attach_source();
+        assert!(q.ring_allocated(), "source attached");
+
+        // Channels that can never use the ring never allocate one.
+        for cfg in [
+            QueueConfig {
+                spsc: false,
+                ..Default::default()
+            },
+            QueueConfig {
+                kind: ChannelKind::Sync,
+                full_wait: Duration::from_millis(1),
+                ..Default::default()
+            },
+        ] {
+            let (q, pool) = setup(cfg);
+            q.attach_source();
+            q.attach_sink();
+            let _ = q.post(payload(&pool, 8));
+            assert!(!q.ring_allocated());
+        }
+    }
+
+    #[test]
+    fn fast_path_post_racing_a_break_is_never_stranded() {
+        // A producer that saw the SPSC path on can push after the break
+        // drained the ring; it must discard the payload itself. Two
+        // posting threads (the path is lock-free for any caller) widen
+        // the window.
+        const POSTS: u64 = 64;
+        for round in 0..200 {
+            let (q, pool) = setup(QueueConfig {
+                capacity_bytes: 1 << 20,
+                ..Default::default()
+            });
+            q.attach_source();
+            q.attach_sink();
+            let posters: Vec<_> = (0..2)
+                .map(|_| {
+                    let (q, pool) = (q.clone(), pool.clone());
+                    thread::spawn(move || {
+                        (0..POSTS)
+                            .filter(|_| q.post(payload(&pool, 8)) == PostResult::Posted)
+                            .count() as u64
+                    })
+                })
+                .collect();
+            for _ in 0..round % 16 {
+                thread::yield_now();
+            }
+            q.detach_sink().unwrap();
+            let posted: u64 = posters.into_iter().map(|p| p.join().unwrap()).sum();
+            let s = q.stats();
+            assert_eq!(q.len(), 0, "round {round}: stranded in the ring");
+            assert_eq!(s.dropped_break, posted, "round {round}");
+            assert_eq!(
+                s.dropped_break + s.dropped_closed,
+                2 * POSTS,
+                "round {round}"
+            );
+            assert_eq!(pool.stats().resident, 0, "round {round}");
+        }
     }
 }

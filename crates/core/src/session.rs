@@ -19,8 +19,9 @@
 
 use crate::coordination::CoordinationManager;
 use crate::error::CoreError;
-use crate::stream::RunningStream;
+use crate::stream::{fusion_plan, RunningStream};
 use crate::telemetry::TraceKind;
+use mobigate_mcl::fusion::FusionPlan;
 use mobigate_mcl::template::StreamTemplate;
 use mobigate_mime::SessionId;
 use parking_lot::Mutex;
@@ -36,6 +37,9 @@ pub const DEFAULT_DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 /// Stamps out and tears down per-user sessions of one stream template.
 pub struct SessionManager {
     template: StreamTemplate,
+    /// The template's fusion plan, computed once: instantiation renames
+    /// only the table, so every session fuses the same runs.
+    plan: FusionPlan,
     coordination: Arc<CoordinationManager>,
     /// Monotonic per-template sequence feeding `StreamTemplate::
     /// session_name` — never reused, so a torn-down session's ID cannot
@@ -50,8 +54,10 @@ pub struct SessionManager {
 impl SessionManager {
     /// A manager stamping sessions of `template` into `coordination`.
     pub fn new(template: StreamTemplate, coordination: Arc<CoordinationManager>) -> Self {
+        let plan = fusion_plan(template.base_table(), template.defs(), coordination.deps());
         SessionManager {
             template,
+            plan,
             coordination,
             next_seq: AtomicU64::new(0),
             roster: Mutex::new(HashSet::new()),
@@ -64,7 +70,8 @@ impl SessionManager {
     }
 
     /// Instantiates one new session: clones the template table under a
-    /// fresh `<stream>#<seq>` identity and deploys it. The session ID,
+    /// fresh `<stream>#<seq>` identity and deploys it against the
+    /// template's shared definitions and fusion plan. The session ID,
     /// the stream name (= event `evtSource` identity), and the
     /// `Content-Session` header stamped on every message the session
     /// carries are all that same string.
@@ -73,9 +80,12 @@ impl SessionManager {
         let name = self.template.session_name(seq);
         let table = self.template.instantiate(&name);
         let session = SessionId::new(name);
-        let stream =
-            self.coordination
-                .deploy_table(&table, self.template.defs(), session.clone())?;
+        let stream = self.coordination.deploy_planned(
+            &table,
+            self.template.defs(),
+            &self.plan,
+            session.clone(),
+        )?;
         if let Some(t) = &self.coordination.deps().telemetry {
             t.trace_event(
                 TraceKind::SessionSpawn,

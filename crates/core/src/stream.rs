@@ -197,7 +197,9 @@ pub struct RunningStream {
     name: String,
     session: SessionId,
     deps: StreamDeps,
-    defs: BTreeMap<String, StreamletSpec>,
+    /// Streamlet definitions, shared with every other stream deployed
+    /// from the same template.
+    defs: Arc<BTreeMap<String, StreamletSpec>>,
     inner: Mutex<Inner>,
     /// Exported input alias → ingress channel (alias is the inner
     /// `instance.port`).
@@ -205,6 +207,9 @@ pub struct RunningStream {
     /// Single egress channel every exported output feeds.
     egress: Arc<MessageQueue>,
     egress_notifier: Arc<Notifier>,
+    /// Fired by every instance of the stream after each step; `drain`
+    /// waits on it.
+    quiesce: Arc<Notifier>,
     injected: AtomicU64,
     delivered: AtomicU64,
     reconfigurations: AtomicU64,
@@ -227,27 +232,23 @@ impl RunningStream {
         deps: StreamDeps,
         session: SessionId,
     ) -> Result<Arc<Self>, CoreError> {
-        // Chain fusion (empty plan when the knob is off): member instances
-        // and their interior channels are skipped below, and each run is
-        // materialized as one fused execution unit instead. Rule 4 of the
-        // plan (logic opt-in) is answered by probing an instance out of the
-        // pool/directory and asking `StreamletLogic::fusable`.
-        let plan = if deps.fusion {
-            let probe = |spec: &StreamletSpec| {
-                let key = deps.directory.resolve_key(&spec.library, &spec.name);
-                match deps.streamlet_pool.checkout(key, &deps.directory) {
-                    Ok(logic) => {
-                        let fusable = logic.fusable();
-                        deps.streamlet_pool.checkin(key, logic);
-                        fusable
-                    }
-                    Err(_) => false,
-                }
-            };
-            mobigate_mcl::fusion::plan(table, defs, &deps.route_opts.registry, &probe)
-        } else {
-            FusionPlan::default()
-        };
+        let plan = fusion_plan(table, defs, &deps);
+        Self::deploy_planned(table, Arc::new(defs.clone()), &plan, deps, session)
+    }
+
+    /// [`Self::deploy`] with the definitions and the fusion plan computed
+    /// up front, so the session plane stamps every session of a template
+    /// from one shared copy of each. `plan` must be [`fusion_plan`]'s
+    /// answer for a table with `table`'s instances and channels.
+    pub(crate) fn deploy_planned(
+        table: &ConfigTable,
+        defs: Arc<BTreeMap<String, StreamletSpec>>,
+        plan: &FusionPlan,
+        deps: StreamDeps,
+        session: SessionId,
+    ) -> Result<Arc<Self>, CoreError> {
+        // Members of fused runs and their interior channels are skipped
+        // below; each run is materialized as one fused execution unit.
         let interior: HashSet<&str> = plan
             .runs
             .iter()
@@ -314,6 +315,9 @@ impl RunningStream {
         );
         let egress_notifier = Arc::new(Notifier::new());
         egress.add_listener(egress_notifier.clone());
+        // `drain` disarms before its first check, so the notifier can
+        // start armed: until a drain waits, instances pay one swap a step.
+        let quiesce = Arc::new(Notifier::armed());
 
         // Create the initial streamlet instances (members of fused runs are
         // created inside their unit below).
@@ -327,7 +331,15 @@ impl RunningStream {
             if is_member.contains(row.name.as_str()) {
                 continue;
             }
-            let handle = create_instance(&row.name, &row.def, defs, &deps, &session, &table.name)?;
+            let handle = create_instance(
+                &row.name,
+                &row.def,
+                &defs,
+                &deps,
+                &session,
+                &table.name,
+                &quiesce,
+            )?;
             instances.insert(row.name.clone(), handle);
         }
 
@@ -339,7 +351,7 @@ impl RunningStream {
         let mut alias: HashMap<String, Arc<StreamletHandle>> = HashMap::new();
         for run in &plan.runs {
             let (unit, handle, info) =
-                build_fused_unit(run, table, defs, &deps, &session, &table.name)?;
+                build_fused_unit(run, table, &defs, &deps, &session, &table.name, &quiesce)?;
             for m in &run.members {
                 fused_members.insert(m.clone(), unit.clone());
                 alias.insert(m.clone(), handle.clone());
@@ -413,7 +425,7 @@ impl RunningStream {
             name: table.name.clone(),
             session,
             deps,
-            defs: defs.clone(),
+            defs,
             inner: Mutex::new(Inner {
                 instances,
                 channels,
@@ -435,6 +447,7 @@ impl RunningStream {
             ingress,
             egress,
             egress_notifier,
+            quiesce,
             injected: AtomicU64::new(0),
             delivered: AtomicU64::new(0),
             reconfigurations: AtomicU64::new(0),
@@ -451,6 +464,12 @@ impl RunningStream {
     /// The unique session of this stream instance (§4.4.3).
     pub fn session(&self) -> &SessionId {
         &self.session
+    }
+
+    /// The streamlet definitions the stream resolves instances against.
+    /// Sessions of one template share a single copy.
+    pub fn defs(&self) -> &Arc<BTreeMap<String, StreamletSpec>> {
+        &self.defs
     }
 
     /// Counters snapshot. The byte gauges walk the stream's channels and
@@ -880,33 +899,39 @@ impl RunningStream {
     pub fn drain(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            let quiescent = {
-                let inner = self.inner.lock();
-                // Channels → instances → channels again: a message leaving
-                // a queue shows up as `is_processing` on its consumer, and
-                // one leaving `process` lands back in a queue before the
-                // worker clears the flag, so (absent new input) passing
-                // all three passes means nothing is in flight.
-                let queues_empty = |inner: &Inner| {
-                    self.ingress.iter().all(|(_, q)| q.is_empty())
-                        && inner.channels.values().all(|q| q.is_empty())
-                };
-                inner.shutdown
-                    || (queues_empty(&inner)
-                        && inner
-                            .instances
-                            .values()
-                            .all(|h| !h.is_processing() && h.pending_outputs() == 0)
-                        && queues_empty(&inner))
-            };
-            if quiescent {
+            // Snapshot before the check: an instance finishing a step
+            // after it fires the notifier, and the wait returns at once.
+            let seen = self.quiesce.snapshot();
+            if self.quiescent() {
                 return true;
             }
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            self.quiesce.wait_unless(seen, deadline - now);
         }
+    }
+
+    /// One quiescence check for [`Self::drain`].
+    fn quiescent(&self) -> bool {
+        let inner = self.inner.lock();
+        // Channels → instances → channels again: a message leaving a
+        // queue shows up as `is_processing` on its consumer, and one
+        // leaving `process` lands back in a queue before the worker clears
+        // the flag, so (absent new input) passing all three passes means
+        // nothing is in flight.
+        let queues_empty = |inner: &Inner| {
+            self.ingress.iter().all(|(_, q)| q.is_empty())
+                && inner.channels.values().all(|q| q.is_empty())
+        };
+        inner.shutdown
+            || (queues_empty(&inner)
+                && inner
+                    .instances
+                    .values()
+                    .all(|h| !h.is_processing() && h.pending_outputs() == 0)
+                && queues_empty(&inner))
     }
 
     /// Ends every streamlet, detaches bindings, and returns stateless logic
@@ -1152,6 +1177,7 @@ impl RunningStream {
             &self.deps,
             &self.session,
             &self.name,
+            &self.quiesce,
         )?;
         handle.start()?;
         stats.instance_creations += 1;
@@ -1652,8 +1678,13 @@ impl RunningStream {
                 stats.instance_creations += 1;
                 seg_handles.push(h);
             } else {
-                let (sub_unit, h, shared) =
-                    assemble_fused_handle(segment, &self.deps, &self.session, &self.name);
+                let (sub_unit, h, shared) = assemble_fused_handle(
+                    segment,
+                    &self.deps,
+                    &self.session,
+                    &self.name,
+                    &self.quiesce,
+                );
                 for name in &member_names[start..=end] {
                     inner.fused_members.insert(name.clone(), sub_unit.clone());
                 }
@@ -1770,6 +1801,7 @@ impl RunningStream {
             self.deps.executor.clone(),
         );
         handle.set_batch_max(self.deps.batching.batch_max);
+        handle.set_quiesce_notifier(self.quiesce.clone());
         if let Some(p) = &self.probe {
             handle.set_probe(p.clone());
         }
@@ -1832,6 +1864,33 @@ impl Drop for RunningStream {
     }
 }
 
+/// Chain fusion's plan for `table` (empty when `deps.fusion` is off).
+/// Rule 4 of the plan (logic opt-in) is answered by probing an instance
+/// out of the pool/directory and asking `StreamletLogic::fusable`, so a
+/// plan costs a pool checkout and checkin per candidate member: compute
+/// it once per template, not once per session.
+pub(crate) fn fusion_plan(
+    table: &ConfigTable,
+    defs: &BTreeMap<String, StreamletSpec>,
+    deps: &StreamDeps,
+) -> FusionPlan {
+    if !deps.fusion {
+        return FusionPlan::default();
+    }
+    let probe = |spec: &StreamletSpec| {
+        let key = deps.directory.resolve_key(&spec.library, &spec.name);
+        match deps.streamlet_pool.checkout(key, &deps.directory) {
+            Ok(logic) => {
+                let fusable = logic.fusable();
+                deps.streamlet_pool.checkin(key, logic);
+                fusable
+            }
+            Err(_) => false,
+        }
+    };
+    mobigate_mcl::fusion::plan(table, defs, &deps.route_opts.registry, &probe)
+}
+
 /// A port that was exported at deploy time (unsatisfied, §5.1.4) is
 /// satisfied once a connection or insert wires it: retire its egress
 /// binding (`from`'s output) and ingress binding (`to`'s input) so traffic
@@ -1872,6 +1931,7 @@ fn create_instance(
     deps: &StreamDeps,
     session: &SessionId,
     stream: &str,
+    quiesce: &Arc<Notifier>,
 ) -> Result<Arc<StreamletHandle>, CoreError> {
     let spec = defs.get(def).ok_or_else(|| CoreError::NotFound {
         kind: "streamlet definition",
@@ -1891,6 +1951,7 @@ fn create_instance(
         deps.executor.clone(),
     );
     handle.set_batch_max(deps.batching.batch_max);
+    handle.set_quiesce_notifier(quiesce.clone());
     if let Some(t) = &deps.telemetry {
         handle.set_probe(t.probe_for(session.as_str()));
     }
@@ -1912,6 +1973,7 @@ fn assemble_fused_handle(
     deps: &StreamDeps,
     session: &SessionId,
     stream: &str,
+    quiesce: &Arc<Notifier>,
 ) -> (String, Arc<StreamletHandle>, Arc<FusedShared>) {
     let unit = match (members.first(), members.last()) {
         (Some(a), Some(b)) => format!("fused:{}..{}", a.instance, b.instance),
@@ -1931,6 +1993,7 @@ fn assemble_fused_handle(
         deps.executor.clone(),
     );
     handle.set_batch_max(deps.batching.batch_max);
+    handle.set_quiesce_notifier(quiesce.clone());
     if let Some(t) = &deps.telemetry {
         handle.set_probe(t.probe_for(session.as_str()));
         t.trace_event(
@@ -1968,6 +2031,7 @@ fn build_fused_unit(
     deps: &StreamDeps,
     session: &SessionId,
     stream: &str,
+    quiesce: &Arc<Notifier>,
 ) -> Result<(String, Arc<StreamletHandle>, FusedInfo), CoreError> {
     let mut members = Vec::with_capacity(run.members.len());
     for name in &run.members {
@@ -2004,7 +2068,7 @@ fn build_fused_unit(
             errors: 0,
         });
     }
-    let (unit, handle, shared) = assemble_fused_handle(members, deps, session, stream);
+    let (unit, handle, shared) = assemble_fused_handle(members, deps, session, stream, quiesce);
     let interior_channels = run
         .interior_channels
         .iter()
@@ -2243,6 +2307,49 @@ mod tests {
         stream.post_input(MimeMessage::text("held")).unwrap();
         assert!(stream.take_output(Duration::from_millis(100)).is_none());
         stream.handle_event(&ContextEvent::broadcast(EventKind::Resume));
+        assert!(stream.take_output(Duration::from_secs(5)).is_some());
+        stream.shutdown();
+    }
+
+    #[test]
+    fn a_chain_ending_in_a_sink_allocates_no_egress_ring() {
+        let script = r#"
+            streamlet tag_a {
+                port { in pi : text; out po : text; }
+                attribute { type = STATELESS; library = "builtin/tag_a"; }
+            }
+            streamlet sink {
+                port { in pi : text; }
+                attribute { type = STATELESS; library = "builtin/tag_b"; }
+            }
+            main stream app {
+                streamlet s1 = new-streamlet (tag_a);
+                streamlet s2 = new-streamlet (sink);
+                connect (s1.po, s2.pi);
+            }
+        "#;
+        let (stream, _) = deploy(script);
+        assert!(stream.ingress.iter().all(|(_, q)| q.ring_allocated()));
+        assert!(!stream.egress.ring_allocated(), "nothing feeds the egress");
+        let (wired, _) = deploy(SCRIPT);
+        assert!(wired.egress.ring_allocated(), "s2 feeds the egress");
+        stream.shutdown();
+        wired.shutdown();
+    }
+
+    #[test]
+    fn drain_waits_out_a_held_message() {
+        let (stream, _) = deploy(SCRIPT);
+        stream.handle_event(&ContextEvent::broadcast(EventKind::Pause));
+        stream.post_input(MimeMessage::text("held")).unwrap();
+        assert!(!stream.drain(Duration::from_millis(30)), "held in ingress");
+        // Resumed while `drain` waits: the instances' steps wake it.
+        let resumer = stream.clone();
+        let resume = std::thread::spawn(move || {
+            resumer.handle_event(&ContextEvent::broadcast(EventKind::Resume));
+        });
+        assert!(stream.drain(Duration::from_secs(10)));
+        resume.join().unwrap();
         assert!(stream.take_output(Duration::from_secs(5)).is_some());
         stream.shutdown();
     }

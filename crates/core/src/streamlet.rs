@@ -178,7 +178,10 @@ pub trait StreamletLogic: Send {
         false
     }
 
-    /// Lifecycle hook: the streamlet (re)starts running.
+    /// Lifecycle hook: the streamlet (re)starts running. Runs once per
+    /// (re)start on the driver's first turn — under the pooled executors
+    /// that is the first pump, which a launch with no input defers until
+    /// work arrives — and always before `on_end`.
     fn on_activate(&mut self) {}
 
     /// Lifecycle hook: the streamlet is paused.
@@ -329,6 +332,11 @@ struct Shared {
     /// Session-keyed telemetry probe (observability plane). `get()` is a
     /// single atomic load, so the disabled path stays one branch per call.
     probe: OnceLock<QueueProbe>,
+    /// The owning stream's quiescence notifier, fired after every step
+    /// (once `processing` is down and parked outputs have had their
+    /// retry), so `RunningStream::drain` waits on events instead of
+    /// polling. Coalesces to one atomic swap while no drain is waiting.
+    quiesce: OnceLock<Arc<Notifier>>,
     /// Reused per-step buffers (memory plane). Exactly one driver runs a
     /// task at a time, so the mutex is uncontended; `step` moves the
     /// scratch out for the duration of the step and back at its end,
@@ -712,6 +720,7 @@ impl StreamletHandle {
                 faults: AtomicU64::new(0),
                 restarts: AtomicU64::new(0),
                 probe: OnceLock::new(),
+                quiesce: OnceLock::new(),
                 scratch: Mutex::new(StepScratch::default()),
             }),
             def_name: def_name.into(),
@@ -1100,6 +1109,12 @@ impl StreamletHandle {
     /// parked back in the handle (retrievable via [`Self::take_logic`] for
     /// pooling). Blocks until the task has exited, whichever executor
     /// drives it.
+    ///
+    /// A task no driver is running — a pooled task between pumps, its
+    /// logic in the task's slot — is finalized right here on the calling
+    /// thread, without an executor round trip. Otherwise (a dedicated
+    /// thread owns the logic, a pump is in progress, or a fault dropped
+    /// the logic) the driver is woken and publishes the exit itself.
     pub fn end(&self) {
         {
             let mut state = self.shared.state.lock();
@@ -1108,6 +1123,11 @@ impl StreamletHandle {
             }
             *state = LifecycleState::Ended;
             self.shared.cv.notify_all();
+        }
+        let task = self.task.lock().clone();
+        if task.is_some_and(|t| t.end_inline()) {
+            *self.task.lock() = None;
+            return;
         }
         self.shared.notifier.notify();
         if !self.started.load(Ordering::Acquire) {
@@ -1186,6 +1206,12 @@ impl StreamletHandle {
         let _ = self.shared.probe.set(probe);
     }
 
+    /// Installs the owning stream's quiescence notifier, fired after
+    /// every step this instance runs. First install wins.
+    pub(crate) fn set_quiesce_notifier(&self, notifier: Arc<Notifier>) {
+        let _ = self.shared.quiesce.set(notifier);
+    }
+
     /// Installs fresh logic into a `Faulted` instance and resumes it in
     /// place. Channel bindings live on the handle and are untouched, so the
     /// restarted instance keeps its exact position in the stream topology.
@@ -1257,7 +1283,9 @@ pub enum PumpOutcome {
 /// The executable unit an [`Executor`] drives: the streamlet's shared
 /// state plus its logic object. Exactly one driver runs a task at a time
 /// (a dedicated thread via [`Self::run_blocking`], or pool workers via
-/// [`Self::pump`] serialized by the scheduling mark).
+/// [`Self::pump`] serialized by the scheduling mark). `end()` may finalize
+/// an idle pooled task itself, holding the logic slot so no pump runs
+/// meanwhile.
 pub struct StreamletTask {
     shared: Arc<Shared>,
     /// The handle's slot: the logic is parked back here at end for pooling.
@@ -1519,6 +1547,37 @@ impl StreamletTask {
         PumpOutcome::More
     }
 
+    /// `end()`'s fast path: finalizes the task on the calling thread when
+    /// its logic sits in the slot, i.e. no driver is running it. Returns
+    /// `false` without touching anything when the slot is locked (a pump
+    /// in progress) or empty (a dedicated thread owns the logic, or a
+    /// fault dropped it). The caller has already moved the state to
+    /// `Ended`.
+    fn end_inline(&self) -> bool {
+        let Some(mut slot) = self.running.try_lock() else {
+            return false;
+        };
+        let Some(mut logic) = slot.take() else {
+            return false;
+        };
+        // A task launched idle is activated by its first pump, which may
+        // never have come: `on_activate` still precedes `on_end`.
+        let healthy = self.activate_logic(logic.as_mut());
+        // Nothing needs pumping any more, and `finalize`'s notify must
+        // not schedule a pump just to find the task ended.
+        self.clear_wake_hook();
+        if healthy {
+            self.finalize(logic);
+        } else {
+            drop(logic);
+            self.finalize_empty();
+        }
+        // Released only now: a pump already queued blocks on the slot,
+        // then finds it empty with the exit published (`Ended`).
+        drop(slot);
+        true
+    }
+
     /// Fires `on_activate` exactly once per (re)start. A panic there is a
     /// fault like any other; returns `false` when the logic is poisoned.
     fn activate_logic(&self, logic: &mut dyn StreamletLogic) -> bool {
@@ -1585,6 +1644,9 @@ impl StreamletTask {
         let mut scratch = std::mem::take(&mut *self.shared.scratch.lock());
         let step = self.step_inner(logic, &mut scratch);
         *self.shared.scratch.lock() = scratch;
+        if let Some(n) = self.shared.quiesce.get() {
+            n.notify();
+        }
         step
     }
 

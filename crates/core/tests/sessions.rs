@@ -10,19 +10,29 @@
 //! * the satellite leak assertion — `MobiGate::undeploy` returns every
 //!   fused member to the §3.3.4 pool and clears the routing-table row;
 //! * per-session targeted events — a `Pause` aimed at one session's
-//!   `evtSource` identity stalls that session alone, across shard counts.
+//!   `evtSource` identity stalls that session alone, across shard counts;
+//! * the cheap session lifecycle — an idle pooled task ends inline on the
+//!   calling thread, a launch with no input schedules nothing, `end`
+//!   racing a burst of posts loses no message, and a dedicated-thread
+//!   task still ends through its own thread;
+//! * template sharing — sessions of one manager share one definitions
+//!   table and one fusion plan, and deploy like a hand deploy would.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mobigate_core::{
-    ContextEvent, CoreError, Emitter, EventKind, ExecutorConfig, MobiGate, ServerConfig,
-    SessionManager, StreamletCtx, StreamletDirectory, StreamletLogic, StreamletPool,
+    ContextEvent, CoreError, Emitter, EventKind, Executor, ExecutorConfig, FetchResult,
+    MessagePool, MessageQueue, MobiGate, PayloadMode, PostResult, QueueConfig, Reactor, RouteOpts,
+    ServerConfig, SessionManager, StreamletCtx, StreamletDirectory, StreamletHandle,
+    StreamletLogic, StreamletPool, ThreadPerStreamlet, WorkerPool,
 };
 use mobigate_mime::{MimeMessage, MimeType, SessionId};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -349,4 +359,313 @@ fn targeted_pause_stalls_only_the_named_session() {
         assert_eq!(manager.teardown_all(), 6);
         assert_eq!(server.coordination().stream_count(), 0);
     }
+}
+
+/// What a [`Journaled`] logic saw of its lifecycle.
+#[derive(Default)]
+struct Journal {
+    events: Mutex<Vec<&'static str>>,
+    end_thread: Mutex<Option<(thread::ThreadId, Option<String>)>>,
+}
+
+impl Journal {
+    fn events(&self) -> Vec<&'static str> {
+        self.events.lock().unwrap().clone()
+    }
+}
+
+/// Pass-through logic journaling its lifecycle hooks, and the thread
+/// `on_end` ran on.
+struct Journaled(Arc<Journal>);
+
+impl StreamletLogic for Journaled {
+    fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
+        ctx.emit("po", msg);
+        Ok(())
+    }
+    fn on_activate(&mut self) {
+        self.0.events.lock().unwrap().push("activate");
+    }
+    fn on_end(&mut self) {
+        self.0.events.lock().unwrap().push("end");
+        let me = thread::current();
+        *self.0.end_thread.lock().unwrap() = Some((me.id(), me.name().map(String::from)));
+    }
+}
+
+/// One journaled instance between an input and an output queue.
+struct Rig {
+    pool: Arc<MessagePool>,
+    qin: Arc<MessageQueue>,
+    qout: Arc<MessageQueue>,
+    handle: Arc<StreamletHandle>,
+    journal: Arc<Journal>,
+}
+
+fn rig(executor: Arc<dyn Executor>) -> Rig {
+    let pool = Arc::new(MessagePool::new());
+    let queue = |name: &str| {
+        MessageQueue::new(
+            QueueConfig {
+                name: name.into(),
+                capacity_bytes: 8 << 20,
+                ..Default::default()
+            },
+            pool.clone(),
+        )
+    };
+    let (qin, qout) = (queue("in"), queue("out"));
+    let journal = Arc::new(Journal::default());
+    let handle = StreamletHandle::with_executor(
+        "j",
+        "journaled",
+        false,
+        Box::new(Journaled(journal.clone())),
+        pool.clone(),
+        PayloadMode::Reference,
+        None,
+        RouteOpts::default(),
+        executor,
+    );
+    handle.attach_in("pi", &qin);
+    handle.attach_out("po", &qout);
+    Rig {
+        pool,
+        qin,
+        qout,
+        handle,
+        journal,
+    }
+}
+
+impl Rig {
+    fn post(&self, i: usize) -> PostResult {
+        self.qin.post(
+            self.pool
+                .wrap(msg(&format!("m{i}")), PayloadMode::Reference, 1),
+        )
+    }
+
+    fn take(&self, timeout: Duration) -> Option<String> {
+        match self.qout.fetch(timeout) {
+            FetchResult::Msg(p) => {
+                let m = self.pool.resolve(p).expect("resident payload");
+                Some(String::from_utf8_lossy(&m.body).into_owned())
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The pooled back ends, with a label for assertion messages.
+fn pooled() -> Vec<(&'static str, Arc<dyn Executor>)> {
+    vec![
+        ("worker-pool/1", WorkerPool::new(1)),
+        ("worker-pool/2", WorkerPool::new(2)),
+        ("reactor/2", Reactor::new(2)),
+    ]
+}
+
+#[test]
+fn idle_pooled_task_ends_inline_without_a_pump() {
+    for (label, executor) in pooled() {
+        let r = rig(executor.clone());
+        r.handle.start().unwrap();
+        let pumps = || executor.stats().map(|s| s.total_pumps());
+        // Launching onto empty inputs schedules nothing.
+        assert!(pumps().is_none_or(|n| n == 0), "{label}: launch pumped");
+        let before = pumps();
+        r.handle.end();
+        assert_eq!(pumps(), before, "{label}: end() needed a pump");
+        // The deferred `on_activate` still ran, once, before `on_end` —
+        // both here on the ending thread.
+        assert_eq!(r.journal.events(), ["activate", "end"], "{label}");
+        let (ended_on, _) = r.journal.end_thread.lock().unwrap().clone().unwrap();
+        assert_eq!(ended_on, thread::current().id(), "{label}: not inline");
+        assert!(r.handle.take_logic().is_some(), "{label}: logic parked");
+        // Idempotent, and a late post neither runs nor resurrects it.
+        r.handle.end();
+        assert_eq!(r.post(0), PostResult::Posted);
+        assert!(r.take(Duration::from_millis(20)).is_none(), "{label}");
+        assert_eq!(r.journal.events(), ["activate", "end"], "{label}");
+        executor.shutdown();
+    }
+}
+
+#[test]
+fn launch_defers_activation_until_work_arrives() {
+    // One reactor worker, FIFO: had the idle task's launch been
+    // scheduled, it would have been pumped (and activated) before the
+    // busy one's backlog.
+    let executor: Arc<dyn Executor> = Reactor::new(1);
+    let idle = rig(executor.clone());
+    let busy = rig(executor.clone());
+    idle.handle.start().unwrap();
+    busy.post(0);
+    busy.handle.start().unwrap();
+    assert_eq!(busy.take(Duration::from_secs(10)).as_deref(), Some("m0"));
+    assert!(idle.journal.events().is_empty(), "idle launch was pumped");
+    assert_eq!(busy.journal.events(), ["activate"]);
+    idle.handle.end();
+    busy.handle.end();
+    assert_eq!(idle.journal.events(), ["activate", "end"]);
+    assert_eq!(busy.journal.events(), ["activate", "end"]);
+    executor.shutdown();
+}
+
+#[test]
+fn launch_onto_a_backlog_still_schedules_the_task() {
+    // Guards the disarm-then-check order of the wakeless launch: posts
+    // that landed before the wake hook existed must still get drained.
+    for (label, executor) in pooled() {
+        let r = rig(executor.clone());
+        for i in 0..5 {
+            assert_eq!(r.post(i), PostResult::Posted);
+        }
+        r.handle.start().unwrap();
+        for i in 0..5 {
+            let got = r.take(Duration::from_secs(10));
+            assert_eq!(got, Some(format!("m{i}")), "{label}");
+        }
+        r.handle.end();
+        assert_eq!(r.journal.events(), ["activate", "end"], "{label}");
+        executor.shutdown();
+    }
+}
+
+/// `end` racing a burst of posts, on both pooled executors, across
+/// seeds that vary the burst length, the post the end lands after, and
+/// the poster's pacing. Whichever of the inline end or the driver's
+/// fallback wins, `on_end` runs once, after `on_activate`, and every
+/// posted message is delivered (in order) or charged as a reason-coded
+/// drop.
+#[test]
+fn end_racing_posts_finalizes_once_and_loses_nothing() {
+    const SEEDS: u64 = 150;
+    for (label, executor) in [
+        ("worker-pool/2", WorkerPool::new(2) as Arc<dyn Executor>),
+        ("reactor/2", Reactor::new(2) as Arc<dyn Executor>),
+    ] {
+        for seed in 0..SEEDS {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let total = rng.gen_range(1usize..64);
+            let end_after = rng.gen_range(0..=total);
+            let pace: u64 = rng.gen();
+            let r = Arc::new(rig(executor.clone()));
+            r.handle.start().unwrap();
+            let posted = Arc::new(AtomicUsize::new(0));
+            let poster = {
+                let (r, posted) = (r.clone(), posted.clone());
+                thread::spawn(move || {
+                    for i in 0..total {
+                        r.post(i);
+                        posted.fetch_add(1, Ordering::Release);
+                        if (pace >> (i % 64)) & 1 == 1 {
+                            thread::yield_now();
+                        }
+                    }
+                })
+            };
+            while posted.load(Ordering::Acquire) < end_after {
+                thread::yield_now();
+            }
+            r.handle.end();
+            r.handle.detach_all().unwrap();
+            poster.join().unwrap();
+
+            let events = r.journal.events();
+            assert_eq!(events, ["activate", "end"], "{label} seed {seed}");
+            let mut delivered = Vec::new();
+            while let Some(body) = r.take(Duration::ZERO) {
+                delivered.push(body);
+            }
+            let expect: Vec<String> = (0..delivered.len()).map(|i| format!("m{i}")).collect();
+            assert_eq!(delivered, expect, "{label} seed {seed}: order");
+            let drops = r.qin.stats().dropped_total() + r.qout.stats().dropped_total();
+            assert_eq!(
+                delivered.len() as u64 + drops,
+                total as u64,
+                "{label} seed {seed}: {} delivered, {drops} dropped, {} still queued",
+                delivered.len(),
+                r.qin.len(),
+            );
+            assert_eq!(r.pool.stats().resident, 0, "{label} seed {seed}: leak");
+        }
+        executor.shutdown();
+    }
+}
+
+#[test]
+fn dedicated_thread_task_ends_through_its_thread() {
+    let r = rig(ThreadPerStreamlet::new());
+    r.handle.start().unwrap();
+    // A round trip proves the dedicated thread holds the logic.
+    r.post(0);
+    assert_eq!(r.take(Duration::from_secs(10)).as_deref(), Some("m0"));
+    r.handle.end();
+    assert_eq!(r.journal.events(), ["activate", "end"]);
+    let (ended_on, name) = r.journal.end_thread.lock().unwrap().clone().unwrap();
+    assert_ne!(ended_on, thread::current().id(), "ended inline");
+    assert_eq!(
+        name.as_deref(),
+        Some("streamlet-j"),
+        "ended on its own thread"
+    );
+    assert!(r.handle.take_logic().is_some(), "logic parked after exit");
+}
+
+#[test]
+fn sessions_of_one_manager_share_one_definitions_table() {
+    let server = gate(4, 64);
+    let manager = server.session_manager(&script(3)).expect("template");
+    let streams = manager.spawn_many(3).expect("spawn");
+    for s in &streams {
+        assert!(Arc::ptr_eq(s.defs(), manager.template().defs()));
+    }
+    manager.teardown_all();
+}
+
+#[test]
+fn spawned_session_deploys_like_a_hand_deployed_table() {
+    let server = gate(4, 64);
+    let manager = server.session_manager(&script(3)).expect("template");
+    let spawned = manager.spawn().expect("spawn");
+    let template = manager.template();
+    let session = SessionId::new("app#hand");
+    let hand = server
+        .coordination()
+        .deploy_table(
+            &template.instantiate(session.as_str()),
+            template.defs(),
+            session,
+        )
+        .expect("hand deploy");
+    assert_eq!(spawned.instance_names(), ["fused:e0..e2"]);
+    assert_eq!(spawned.instance_names(), hand.instance_names());
+    assert_eq!(spawned.connections(), hand.connections());
+    round_trip(&spawned, "planned");
+    round_trip(&hand, "hand");
+    assert!(
+        !Arc::ptr_eq(spawned.defs(), hand.defs()),
+        "hand deploys own theirs"
+    );
+    assert!(server.undeploy(hand.session()));
+    manager.teardown_all();
+}
+
+#[test]
+fn each_spawn_checks_out_one_instance_per_member() {
+    let server = gate(4, 64);
+    // The fusion plan (with its logic probe) is computed here, once.
+    let manager = server.session_manager(&script(3)).expect("template");
+    let checkouts = || {
+        let s = server.streamlet_pool().stats();
+        s.hits + s.misses
+    };
+    for _ in 0..4 {
+        let before = checkouts();
+        manager.spawn().expect("spawn");
+        assert_eq!(checkouts() - before, 3, "one checkout per member");
+    }
+    manager.teardown_all();
 }

@@ -16,17 +16,20 @@ use crate::analysis;
 use crate::config::{ConfigTable, Program, StreamletSpec};
 use crate::error::{MclError, Span};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A validated, reusable stream blueprint.
 ///
 /// Construction runs the Chapter-5 consistency gate exactly once;
 /// [`StreamTemplate::instantiate`] afterwards is O(table size) with no
 /// re-compilation and no re-analysis, which is what makes stamping out
-/// thousands of sessions from one script tractable.
+/// thousands of sessions from one script tractable. The streamlet
+/// definitions are shared, not copied: every session stamped from the
+/// template resolves against the same `Arc`.
 #[derive(Debug, Clone)]
 pub struct StreamTemplate {
     base: ConfigTable,
-    defs: BTreeMap<String, StreamletSpec>,
+    defs: Arc<BTreeMap<String, StreamletSpec>>,
 }
 
 impl StreamTemplate {
@@ -53,7 +56,7 @@ impl StreamTemplate {
         }
         Ok(StreamTemplate {
             base: table.clone(),
-            defs: program.streamlet_defs.clone(),
+            defs: Arc::new(program.streamlet_defs.clone()),
         })
     }
 
@@ -72,8 +75,9 @@ impl StreamTemplate {
         &self.base.name
     }
 
-    /// The streamlet definitions instances resolve against.
-    pub fn defs(&self) -> &BTreeMap<String, StreamletSpec> {
+    /// The streamlet definitions instances resolve against, shared by
+    /// every session stamped from this template.
+    pub fn defs(&self) -> &Arc<BTreeMap<String, StreamletSpec>> {
         &self.defs
     }
 
