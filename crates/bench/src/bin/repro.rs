@@ -7,8 +7,11 @@
 //! cargo run --release -p mobigate-bench --bin repro -- fig7_7 --quick
 //! ```
 //!
-//! Results are printed as tables/ASCII charts and written as CSV files
-//! under `results/`.
+//! Results are printed as tables/ASCII charts. A full run (neither
+//! `--quick` nor `--smoke`) also writes them as CSV/JSON files under
+//! `results/`; the reduced modes write nothing there, so they never
+//! overwrite the committed full-mode records. An unknown section name is
+//! an error.
 
 use mobigate::core::pool::{MessagePool, PayloadMode};
 use mobigate::core::{BatchConfig, ExecutorConfig, ServerConfig};
@@ -20,8 +23,30 @@ use mobigate_bench::{
     run_sessions, with_quiet_panics, ChainHarness, ChaosConfig, MemplaneChainConfig,
     ObsChainConfig, OverloadBurstConfig, SessionsConfig,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Every section, in the order `all` runs them.
+const SECTIONS: &[&str] = &[
+    "fig7_2",
+    "fig7_3",
+    "fig7_6",
+    "eq7_1",
+    "fig7_7",
+    "pool_sharding",
+    "chaos",
+    "batching",
+    "fusion",
+    "sessions",
+    "reactor",
+    "obs",
+    "overload",
+    "memplane",
+];
+
+/// Set once in `main`: only full-mode runs write under `results/`.
+static WRITE_RESULTS: AtomicBool = AtomicBool::new(false);
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,10 +57,24 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
+    if let Some(unknown) = selected
+        .iter()
+        .find(|s| **s != "all" && !SECTIONS.contains(s))
+    {
+        eprintln!(
+            "repro: unknown section `{unknown}`; valid sections: all {}",
+            SECTIONS.join(" ")
+        );
+        std::process::exit(2);
+    }
     let run_all = selected.is_empty() || selected.contains(&"all");
     let want = |name: &str| run_all || selected.contains(&name);
 
-    std::fs::create_dir_all("results").expect("create results dir");
+    let full = !quick && !smoke;
+    if full {
+        std::fs::create_dir_all("results").expect("create results dir");
+    }
+    WRITE_RESULTS.store(full, Ordering::Relaxed);
 
     if want("fig7_2") {
         fig7_2(quick);
@@ -79,11 +118,28 @@ fn main() {
     if want("memplane") {
         memplane(quick, smoke);
     }
-    println!("\nCSV written under results/");
+    if full {
+        println!("\nResults written under results/");
+    } else {
+        println!("\nReduced run (--quick/--smoke): nothing written under results/");
+    }
 }
 
 fn save(name: &str, csv: &Csv) {
-    std::fs::write(format!("results/{name}.csv"), csv.to_string()).expect("write csv");
+    write_result(&format!("{name}.csv"), &csv.to_string());
+}
+
+fn save_json(name: &str, json: &str) {
+    write_result(&format!("{name}.json"), json);
+}
+
+/// Writes `results/{file}` in full mode; reduced runs write nothing.
+fn write_result(file: &str, contents: &str) {
+    if WRITE_RESULTS.load(Ordering::Relaxed) {
+        let path = format!("results/{file}");
+        std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("Wrote {path}");
+    }
 }
 
 /// Figure 7-2: streamlet overhead — delay vs. number of redirectors.
@@ -500,9 +556,8 @@ fn pool_sharding(quick: bool) {
         "sharded/single-shard speedups: chain tps {chain_tps:.2}x, chain wp8 {chain_wp8:.2}x, \
          reconfig tps {reconf_tps:.2}x, reconfig wp8 {reconf_wp8:.2}x, contention {speedup:.2}x"
     );
-    std::fs::write("results/BENCH_pool_sharding.json", json).expect("write ablation json");
+    save_json("BENCH_pool_sharding", &json);
     save("pool_sharding_ablation", &csv);
-    println!("JSON written to results/BENCH_pool_sharding.json");
 }
 
 /// Chaos harness: throughput and delivery of the `r0 → fault_injector → r1`
@@ -623,9 +678,8 @@ fn chaos(quick: bool) {
     }
     json.push_str("  ]\n");
     json.push_str("}\n");
-    std::fs::write("results/BENCH_chaos.json", json).expect("write chaos json");
+    save_json("BENCH_chaos", &json);
     save("chaos_supervision", &csv);
-    println!("JSON written to results/BENCH_chaos.json");
 }
 
 /// Hot-path batching ablation: pipelined chain throughput (the Figure 7-2
@@ -754,9 +808,8 @@ fn batching(quick: bool) {
         .unwrap_or(1);
     json.push_str(&format!("  \"host_cores\": {cores}\n"));
     json.push_str("}\n");
-    std::fs::write("results/BENCH_batching.json", json).expect("write batching json");
+    save_json("BENCH_batching", &json);
     save("batching_ablation", &csv);
-    println!("JSON written to results/BENCH_batching.json");
 }
 
 /// Chain fusion ablation: pipelined throughput of the Figure 7-2 redirector
@@ -931,9 +984,8 @@ fn fusion(quick: bool) {
         .unwrap_or(1);
     json.push_str(&format!("  \"host_cores\": {cores}\n"));
     json.push_str("}\n");
-    std::fs::write("results/BENCH_fusion.json", json).expect("write fusion json");
+    save_json("BENCH_fusion", &json);
     save("fusion_ablation", &csv);
-    println!("JSON written to results/BENCH_fusion.json");
 }
 
 /// Session-plane ablation: one MCL template instantiated as N concurrent
@@ -1121,9 +1173,8 @@ fn sessions(quick: bool, smoke: bool) {
         .unwrap_or(1);
     json.push_str(&format!("  \"host_cores\": {cores}\n"));
     json.push_str("}\n");
-    std::fs::write("results/BENCH_sessions.json", json).expect("write sessions json");
+    save_json("BENCH_sessions", &json);
     save("sessions_ablation", &csv);
-    println!("JSON written to results/BENCH_sessions.json");
 }
 
 /// Reactor-executor ablation: session scale on per-worker run queues
@@ -1351,9 +1402,8 @@ fn reactor(quick: bool, smoke: bool) {
         .unwrap_or(1);
     json.push_str(&format!("  \"host_cores\": {cores}\n"));
     json.push_str("}\n");
-    std::fs::write("results/BENCH_reactor.json", json).expect("write reactor json");
+    save_json("BENCH_reactor", &json);
     save("reactor_ablation", &csv);
-    println!("JSON written to results/BENCH_reactor.json");
 }
 
 /// Observability ablation: telemetry-on vs. telemetry-off chain
@@ -1505,9 +1555,8 @@ fn obs(quick: bool, smoke: bool) {
         .unwrap_or(1);
     json.push_str(&format!("  \"host_cores\": {cores}\n"));
     json.push_str("}\n");
-    std::fs::write("results/BENCH_obs.json", json).expect("write obs json");
+    save_json("BENCH_obs", &json);
     save("obs_ablation", &csv);
-    println!("JSON written to results/BENCH_obs.json");
 }
 
 /// Overload-protection ablation: a 10× admission-budget burst through N
@@ -1708,9 +1757,8 @@ fn overload(quick: bool, smoke: bool) {
         .unwrap_or(1);
     json.push_str(&format!("  \"host_cores\": {cores}\n"));
     json.push_str("}\n");
-    std::fs::write("results/BENCH_overload.json", json).expect("write overload json");
+    save_json("BENCH_overload", &json);
     save("overload_protection", &csv);
-    println!("JSON written to results/BENCH_overload.json");
 }
 
 /// Memory-plane ablation: allocations per message through a pure
@@ -1963,8 +2011,7 @@ fn memplane(quick: bool, smoke: bool) {
         .unwrap_or(1);
     json.push_str(&format!("  \"host_cores\": {cores}\n"));
     json.push_str("}\n");
-    std::fs::write("results/BENCH_memplane.json", json).expect("write memplane json");
+    save_json("BENCH_memplane", &json);
     save("memplane_allocs", &alloc_csv);
     save("memplane_throughput", &tp_csv);
-    println!("JSON written to results/BENCH_memplane.json");
 }

@@ -16,7 +16,8 @@ pub use chain::ChainHarness;
 pub use chaos::{chaos_server_config, run_chaos, with_quiet_panics, ChaosConfig, ChaosOutcome};
 pub use e2e::{end_to_end_point, E2EPoint};
 pub use memplane::{
-    allocations, run_memplane_chain, CountingAlloc, MemplaneChainConfig, MemplaneChainOutcome,
+    allocations, run_library_chain, run_memplane_chain, CountingAlloc, MemplaneChainConfig,
+    MemplaneChainOutcome,
 };
 pub use obs::{obs_chain_pair, run_scrape_churn, ObsChainConfig, ScrapeOutcome};
 pub use overload::{

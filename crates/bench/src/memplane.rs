@@ -91,7 +91,18 @@ pub struct MemplaneChainOutcome {
 /// into one reused scratch buffer. Interleaved post/take keeps exactly
 /// one message in flight so the pipeline is quiescent between
 /// iterations and the count is reproducible.
+///
+/// The chain is *pass-through*: `builtin/forward` does zero application
+/// work, so every allocation counted is transport — ingress, queueing,
+/// routing, payload handling, egress.
 pub fn run_memplane_chain(cfg: MemplaneChainConfig) -> MemplaneChainOutcome {
+    run_library_chain(cfg, "builtin/forward")
+}
+
+/// [`run_memplane_chain`] over a chain of `library` streamlets. With
+/// `"builtin/redirector"` the difference between two chain lengths is the
+/// §7.2 probe's per-hop parse/re-encapsulate allocation cost.
+pub fn run_library_chain(cfg: MemplaneChainConfig, library: &str) -> MemplaneChainOutcome {
     let (mode, membuf) = if cfg.memplane {
         (PayloadMode::Reference, MembufConfig::default())
     } else {
@@ -103,11 +114,6 @@ pub fn run_memplane_chain(cfg: MemplaneChainConfig) -> MemplaneChainOutcome {
             },
         )
     };
-    // A *pass-through* chain: `builtin/forward` does zero application work,
-    // so every allocation counted below is transport — ingress, queueing,
-    // routing, payload handling, egress. (The redirector chain would add
-    // ~16 allocs/hop of deliberate §7.2 parse/re-encapsulate work and
-    // drown the signal.)
     let harness = ChainHarness::with_library(
         cfg.chain_len,
         ServerConfig {
@@ -115,7 +121,7 @@ pub fn run_memplane_chain(cfg: MemplaneChainConfig) -> MemplaneChainOutcome {
             membuf,
             ..Default::default()
         },
-        "builtin/forward",
+        library,
     );
     let stream = harness.stream().clone();
 

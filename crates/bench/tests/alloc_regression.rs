@@ -7,7 +7,7 @@
 //! harness interleaves exactly one message in flight and the test binary
 //! runs these tests single-threaded via the harness's own serial lock.
 
-use mobigate_bench::{run_memplane_chain, MemplaneChainConfig};
+use mobigate_bench::{run_library_chain, run_memplane_chain, MemplaneChainConfig};
 use std::sync::Mutex;
 
 /// Allocation counts are global; overlapping chains would pollute each
@@ -27,7 +27,7 @@ fn run(chain_len: usize, memplane: bool) -> f64 {
 
 /// The headline invariant: per-hop transport is allocation-free, so the
 /// rate must not grow with chain length. The absolute bound (16/msg for
-/// ingress parse + egress serialize, measured at 10) is the regression
+/// ingress parse + egress serialize, measured at 5) is the regression
 /// tripwire for the hot path.
 #[test]
 fn memplane_steady_state_allocation_rate_is_flat_and_low() {
@@ -59,5 +59,35 @@ fn memplane_beats_deep_copy_baseline_by_3x() {
     assert!(
         base >= 3.0 * mem,
         "memory plane only cut allocs/msg from {base:.1} to {mem:.1} (< 3x)"
+    );
+}
+
+/// The §7.2 redirector serializes and re-parses every message's header
+/// block and stamps a hop header. With the block kept in wire form that
+/// costs at most 5 allocations per hop: the serialized block, the parsed
+/// block's handle, text and index, and the hop counter's string. The
+/// per-hop figure is the slope between a 2- and an 8-redirector chain, so
+/// transport cost cancels out.
+#[test]
+fn redirector_hop_allocates_at_most_five_times() {
+    let run = |chain_len: usize| {
+        let _guard = SERIAL.lock().unwrap();
+        run_library_chain(
+            MemplaneChainConfig {
+                chain_len,
+                payload_bytes: 4 * 1024,
+                msgs: 256,
+                memplane: true,
+            },
+            "builtin/redirector",
+        )
+        .allocs_per_msg
+    };
+    let (short, long) = (run(2), run(8));
+    let per_hop = (long - short) / 6.0;
+    assert!(
+        per_hop <= 5.0,
+        "a redirector hop allocates {per_hop:.2} times (k=2: {short:.1}/msg, \
+         k=8: {long:.1}/msg); at most 5 expected"
     );
 }

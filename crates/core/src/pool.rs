@@ -325,21 +325,15 @@ impl MessagePool {
     }
 }
 
-/// A genuine deep copy: headers cloned, body bytes memcpy'd into a fresh
-/// buffer (defeating `Bytes` sharing) — the cost Figure 7-3 measures.
-/// Exactly one copy: straight into a fresh `Bytes`, not via an
-/// intermediate `Vec`.
+/// A genuine deep copy: header and body bytes memcpy'd into fresh
+/// buffers (defeating `Headers` and `Bytes` sharing) — the cost Figure 7-3
+/// measures. Exactly one copy each: straight into fresh storage, not via
+/// an intermediate buffer.
 pub fn deep_copy(msg: &MimeMessage) -> MimeMessage {
     // `Headers::clone` is a copy-on-write share (one refcount bump), which
-    // is exactly what Figure 7-3's pass-by-value system did *not* have:
-    // rebuild the header block entry by entry so every name and value owns
-    // fresh storage.
-    let mut headers = mobigate_mime::Headers::new();
-    for (name, value) in msg.headers.iter() {
-        headers.append(name, value);
-    }
+    // is exactly what Figure 7-3's pass-by-value system did *not* have.
     MimeMessage {
-        headers,
+        headers: msg.headers.deep_clone(),
         body: Bytes::copy_from_slice(&msg.body),
     }
 }
@@ -406,6 +400,8 @@ mod tests {
         let c = deep_copy(&m);
         assert_eq!(c, m);
         assert_ne!(c.body.as_ptr(), m.body.as_ptr());
+        assert!(!c.headers.shares_entries_with(&m.headers));
+        assert_ne!(c.headers.as_wire().as_ptr(), m.headers.as_wire().as_ptr());
     }
 
     #[test]

@@ -1776,6 +1776,11 @@ impl StreamletTask {
         // is in transit.
         let step = match outcome {
             Ok((result, charged, (outs, spare))) => {
+                // No panic, so no replay: release the snapshot before
+                // routing. A consumer may take the delivery and post again
+                // at once, and the snapshot would otherwise still pin the
+                // body's slab out of the buffer pool.
+                drop(replay);
                 scratch.outputs = outs;
                 scratch.spare_strings = spare;
                 shared.errors.fetch_add(charged, Ordering::Relaxed);
@@ -1848,6 +1853,8 @@ impl StreamletTask {
         // messages.
         let step = match outcome {
             Ok((result, charged, (outs, spare))) => {
+                // As in `process_one`: release the snapshots before routing.
+                drop(replays);
                 scratch.outputs = outs;
                 scratch.spare_strings = spare;
                 shared.errors.fetch_add(charged, Ordering::Relaxed);

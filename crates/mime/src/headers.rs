@@ -4,77 +4,146 @@
 //! stack of peer-streamlet identifiers whose order encodes the reverse
 //! processing sequence on the client.
 //!
-//! The entry list is copy-on-write: `clone()` bumps a refcount and the
-//! first mutation after a clone materializes a private copy
-//! (`Arc::make_mut`). Together with the refcounted message body this
-//! makes `MimeMessage::clone` — the per-hop replay snapshot and the
-//! message pool's shared-read path — allocation-free.
+//! A header block is kept in its wire form: one `String` holding the
+//! `Name: value\r\n` lines exactly as [`Headers::to_wire`] emits them, plus
+//! a small per-line index of offsets into it. Parsing a block allocates
+//! those two buffers (and their shared handle) however many lines it has,
+//! and serializing one is a single copy — the per-hop parse/re-encapsulate work of §7.2 stays cheap
+//! next to the data, as §6.7 intends for meta-data.
+//!
+//! The block is copy-on-write: `clone()` bumps a refcount and the first
+//! mutation after a clone materializes a private copy (`Arc::make_mut`).
+//! Together with the refcounted message body this makes
+//! `MimeMessage::clone` — the per-hop replay snapshot and the message
+//! pool's shared-read path — allocation-free.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use crate::error::MimeError;
 
-/// A case-preserving, case-insensitively-compared header name.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HeaderName(String);
+/// Spare text a parsed block reserves for the edit that usually follows a
+/// parse — one stamped header line such as a hop counter or the
+/// `Content-Session` label — so that edit does not regrow the buffer.
+const SPARE_TEXT: usize = 64;
+/// Spare index slots a parsed block reserves, for the same reason.
+const SPARE_LINES: usize = 2;
 
-impl HeaderName {
-    /// Creates a header name; the original casing is preserved for output.
-    pub fn new(name: impl Into<String>) -> Self {
-        HeaderName(name.into())
+/// Where one header line sits in the block text:
+/// `text[start..]` is `name`, `": "`, `value`, `"\r\n"`.
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    start: usize,
+    name_len: usize,
+    value_len: usize,
+}
+
+impl Line {
+    fn name_end(&self) -> usize {
+        self.start + self.name_len
     }
 
-    /// The name as written.
-    pub fn as_str(&self) -> &str {
-        &self.0
+    fn value_start(&self) -> usize {
+        self.name_end() + 2
+    }
+
+    fn value_end(&self) -> usize {
+        self.value_start() + self.value_len
+    }
+
+    /// Bytes the line occupies, line break included.
+    fn len(&self) -> usize {
+        self.name_len + self.value_len + 4
     }
 }
 
-impl PartialEq for HeaderName {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.eq_ignore_ascii_case(&other.0)
-    }
-}
-impl Eq for HeaderName {}
-
-impl PartialEq<str> for HeaderName {
-    fn eq(&self, other: &str) -> bool {
-        self.0.eq_ignore_ascii_case(other)
-    }
+/// The wire text and its line index.
+#[derive(Debug, Clone, Default)]
+struct Block {
+    text: String,
+    lines: Vec<Line>,
 }
 
-impl fmt::Display for HeaderName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+impl Block {
+    fn name(&self, line: &Line) -> &str {
+        &self.text[line.start..line.name_end()]
+    }
+
+    fn value(&self, line: &Line) -> &str {
+        &self.text[line.value_start()..line.value_end()]
+    }
+
+    fn push_line(&mut self, name: &str, value: &str) {
+        let start = self.text.len();
+        self.text.push_str(name);
+        self.text.push_str(": ");
+        self.text.push_str(value);
+        self.text.push_str("\r\n");
+        self.lines.push(Line {
+            start,
+            name_len: name.len(),
+            value_len: value.len(),
+        });
+    }
+
+    /// Splices line `idx` out of the text and the index.
+    fn remove_line(&mut self, idx: usize) {
+        let line = self.lines.remove(idx);
+        self.text.drain(line.start..line.start + line.len());
+        for later in &mut self.lines[idx..] {
+            later.start -= line.len();
+        }
+    }
+
+    /// Removes every line named `name`, returning how many were removed.
+    fn remove_all(&mut self, name: &str) -> usize {
+        let mut removed = 0;
+        for idx in (0..self.lines.len()).rev() {
+            if self.name(&self.lines[idx]).eq_ignore_ascii_case(name) {
+                self.remove_line(idx);
+                removed += 1;
+            }
+        }
+        removed
     }
 }
 
-/// The one shared empty entry list every `Headers::new()` hands out, so
+/// The one shared empty block every `Headers::new()` hands out, so
 /// constructing an empty header block never allocates.
-fn empty_entries() -> Arc<Vec<(HeaderName, String)>> {
-    static EMPTY: OnceLock<Arc<Vec<(HeaderName, String)>>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(Vec::new())).clone()
+fn empty_block() -> Arc<Block> {
+    static EMPTY: OnceLock<Arc<Block>> = OnceLock::new();
+    EMPTY.get_or_init(|| Arc::new(Block::default())).clone()
 }
 
-/// An ordered multimap of headers with copy-on-write entries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// An ordered multimap of headers, stored in wire form with copy-on-write.
+/// Names compare case-insensitively and keep their casing for output.
+#[derive(Clone)]
 pub struct Headers {
-    entries: Arc<Vec<(HeaderName, String)>>,
+    block: Arc<Block>,
 }
 
 impl Default for Headers {
     fn default() -> Self {
         Headers {
-            entries: empty_entries(),
+            block: empty_block(),
         }
     }
 }
 
 impl PartialEq for Headers {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.entries, &other.entries) || self.entries == other.entries
+        Arc::ptr_eq(&self.block, &other.block)
+            || (self.len() == other.len()
+                && self
+                    .iter()
+                    .zip(other.iter())
+                    .all(|((n1, v1), (n2, v2))| n1.eq_ignore_ascii_case(n2) && v1 == v2))
+    }
+}
+
+impl fmt::Debug for Headers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -84,129 +153,159 @@ impl Headers {
         Self::default()
     }
 
-    /// Private view for mutation: unshares the entry list if any clone
-    /// still references it (this is where CoW triggers).
-    fn entries_mut(&mut self) -> &mut Vec<(HeaderName, String)> {
-        Arc::make_mut(&mut self.entries)
+    /// Private view for mutation: unshares the block if any clone still
+    /// references it (this is where CoW triggers).
+    fn block_mut(&mut self) -> &mut Block {
+        Arc::make_mut(&mut self.block)
+    }
+
+    /// The lines named `name`, in order.
+    fn matching<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Line> + 'a {
+        let block = &*self.block;
+        block
+            .lines
+            .iter()
+            .filter(move |line| block.name(line).eq_ignore_ascii_case(name))
     }
 
     /// Number of header lines.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.block.lines.len()
     }
 
     /// True when no headers are present.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.block.lines.is_empty()
     }
 
     /// Appends a header line (duplicates allowed).
-    pub fn append(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        self.entries_mut()
-            .push((HeaderName::new(name), value.into()));
+    pub fn append(&mut self, name: impl AsRef<str>, value: impl AsRef<str>) {
+        self.block_mut().push_line(name.as_ref(), value.as_ref());
     }
 
-    /// Replaces every occurrence of `name` with a single line, or appends.
+    /// Replaces every occurrence of `name` with a single line at the end,
+    /// or appends one.
     ///
     /// When the sole occurrence already carries `value` this is a no-op
     /// that touches nothing — repeated idempotent sets (the ingress
     /// `Content-Session` stamp on every hop) never unshare a clone.
-    pub fn set(&mut self, name: &str, value: impl Into<String>) {
-        let value = value.into();
-        let mut matches = self.entries.iter().filter(|(n, _)| n == name);
-        if let (Some((_, existing)), None) = (matches.next(), matches.next()) {
-            if *existing == value {
-                return;
-            }
+    pub fn set(&mut self, name: &str, value: impl AsRef<str>) {
+        let value = value.as_ref();
+        let unchanged = {
+            let mut matches = self.matching(name);
+            matches!((matches.next(), matches.next()),
+                (Some(line), None) if self.block.value(line) == value)
+        };
+        if unchanged {
+            return;
         }
-        let entries = self.entries_mut();
-        entries.retain(|(n, _)| n != name);
-        entries.push((HeaderName::new(name), value));
+        let block = self.block_mut();
+        block.remove_all(name);
+        block.push_line(name, value);
     }
 
     /// First value for `name`, if present.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.entries
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        self.matching(name)
+            .next()
+            .map(|line| self.block.value(line))
     }
 
     /// All values for `name`, in insertion order.
     pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.entries
-            .iter()
-            .filter(move |(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        self.matching(name).map(|line| self.block.value(line))
     }
 
     /// Removes every occurrence of `name`, returning how many were removed.
     pub fn remove(&mut self, name: &str) -> usize {
-        if !self.entries.iter().any(|(n, _)| n == name) {
+        if self.matching(name).next().is_none() {
             return 0;
         }
-        let entries = self.entries_mut();
-        let before = entries.len();
-        entries.retain(|(n, _)| n != name);
-        before - entries.len()
+        self.block_mut().remove_all(name)
     }
 
     /// Removes and returns the *last* value for `name` (stack semantics, used
     /// for the peer chain).
     pub fn pop(&mut self, name: &str) -> Option<String> {
-        let idx = self.entries.iter().rposition(|(n, _)| n == name)?;
-        Some(self.entries_mut().remove(idx).1)
+        let block = &*self.block;
+        let idx = block
+            .lines
+            .iter()
+            .rposition(|line| block.name(line).eq_ignore_ascii_case(name))?;
+        let block = self.block_mut();
+        let value = block.value(&block.lines[idx]).to_owned();
+        block.remove_line(idx);
+        Some(value)
     }
 
     /// Iterates over `(name, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        let block = &*self.block;
+        block
+            .lines
+            .iter()
+            .map(move |line| (block.name(line), block.value(line)))
     }
 
-    /// True when `self` and `other` are clones of one entry list (no
-    /// mutation since the clone).
+    /// True when `self` and `other` are clones of one block (no mutation
+    /// since the clone).
     pub fn shares_entries_with(&self, other: &Headers) -> bool {
-        Arc::ptr_eq(&self.entries, &other.entries)
+        Arc::ptr_eq(&self.block, &other.block)
+    }
+
+    /// A copy with storage of its own: every byte copied, nothing shared
+    /// with `self` (the pass-by-value cost Figure 7-3 measures).
+    pub fn deep_clone(&self) -> Headers {
+        Headers {
+            block: Arc::new(Block::clone(&self.block)),
+        }
+    }
+
+    /// The block as `Name: value\r\n` lines (no terminating blank line),
+    /// borrowed — exactly what [`Headers::to_wire`] returns.
+    pub fn as_wire(&self) -> &str {
+        &self.block.text
     }
 
     /// Serializes as `Name: value\r\n` lines (no terminating blank line).
     pub fn to_wire(&self) -> String {
-        let mut out = String::new();
-        self.to_wire_into(&mut out);
-        out
+        self.as_wire().to_owned()
     }
 
     /// Appends the wire form to `out` (for callers reusing a buffer).
     pub fn to_wire_into(&self, out: &mut String) {
-        for (n, v) in self.iter() {
-            out.push_str(n);
-            out.push_str(": ");
-            out.push_str(v);
-            out.push_str("\r\n");
-        }
+        out.push_str(self.as_wire());
     }
 
     /// Parses a header block (one header per line; `\r` tolerated; stops at
     /// the end of input). Continuation lines (leading whitespace) are folded
     /// into the previous value per RFC 822.
     pub fn parse(block: &str) -> Result<Self, MimeError> {
-        let mut entries: Vec<(HeaderName, String)> = Vec::new();
+        // An input line grows by at most three bytes in wire form (`:` to
+        // `": "`, a bare or missing `\n` to `"\r\n"`), so one reservation
+        // holds the result.
+        let breaks = block.bytes().filter(|&b| b == b'\n').count() + 1;
+        let mut out = Block {
+            text: String::with_capacity(block.len() + 3 * breaks + SPARE_TEXT),
+            lines: Vec::with_capacity(breaks + SPARE_LINES),
+        };
         for raw in block.lines() {
             let line = raw.trim_end_matches('\r');
             if line.is_empty() {
                 continue;
             }
             if line.starts_with(' ') || line.starts_with('\t') {
-                // Folded continuation of the previous header.
-                match entries.last_mut() {
-                    Some((_, v)) => {
-                        v.push(' ');
-                        v.push_str(line.trim());
-                    }
-                    None => {
-                        return Err(MimeError::InvalidHeader { line: line.into() });
-                    }
-                }
+                // Folded continuation of the previous header, which is the
+                // last line of the text: reopen it before its line break.
+                let Some(last) = out.lines.last_mut() else {
+                    return Err(MimeError::InvalidHeader { line: line.into() });
+                };
+                let more = line.trim();
+                out.text.truncate(out.text.len() - 2);
+                out.text.push(' ');
+                out.text.push_str(more);
+                out.text.push_str("\r\n");
+                last.value_len += 1 + more.len();
                 continue;
             }
             let (name, value) = line
@@ -215,30 +314,143 @@ impl Headers {
             if name.trim().is_empty() {
                 return Err(MimeError::InvalidHeader { line: line.into() });
             }
-            entries.push((HeaderName::new(name.trim()), value.trim().to_string()));
+            out.push_line(name.trim(), value.trim());
         }
-        Ok(if entries.is_empty() {
+        Ok(if out.lines.is_empty() {
             Headers::new()
         } else {
             Headers {
-                entries: Arc::new(entries),
+                block: Arc::new(out),
             }
         })
     }
 }
 
-impl<N: Into<String>, V: Into<String>> FromIterator<(N, V)> for Headers {
+impl<N: AsRef<str>, V: AsRef<str>> FromIterator<(N, V)> for Headers {
     fn from_iter<T: IntoIterator<Item = (N, V)>>(iter: T) -> Self {
-        let entries: Vec<(HeaderName, String)> = iter
-            .into_iter()
-            .map(|(n, v)| (HeaderName::new(n), v.into()))
-            .collect();
-        if entries.is_empty() {
-            Headers::new()
-        } else {
-            Headers {
-                entries: Arc::new(entries),
+        let mut headers = Headers::new();
+        for (name, value) in iter {
+            headers.append(name, value);
+        }
+        headers
+    }
+}
+
+/// The entry-list implementation the wire-form block replaced: one owned
+/// name and value string per line. Kept only as the oracle the
+/// equivalence tests hold [`Headers`] to.
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::error::MimeError;
+    use std::sync::Arc;
+
+    #[derive(Debug, Clone)]
+    struct HeaderName(String);
+
+    impl PartialEq<str> for HeaderName {
+        fn eq(&self, other: &str) -> bool {
+            self.0.eq_ignore_ascii_case(other)
+        }
+    }
+
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct Headers {
+        entries: Arc<Vec<(HeaderName, String)>>,
+    }
+
+    impl Headers {
+        fn entries_mut(&mut self) -> &mut Vec<(HeaderName, String)> {
+            Arc::make_mut(&mut self.entries)
+        }
+
+        pub(crate) fn append(&mut self, name: &str, value: &str) {
+            self.entries_mut()
+                .push((HeaderName(name.into()), value.into()));
+        }
+
+        pub(crate) fn set(&mut self, name: &str, value: &str) {
+            let mut matches = self.entries.iter().filter(|(n, _)| n == name);
+            if let (Some((_, existing)), None) = (matches.next(), matches.next()) {
+                if existing == value {
+                    return;
+                }
             }
+            let entries = self.entries_mut();
+            entries.retain(|(n, _)| n != name);
+            entries.push((HeaderName(name.into()), value.into()));
+        }
+
+        pub(crate) fn get(&self, name: &str) -> Option<&str> {
+            self.entries
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v.as_str())
+        }
+
+        pub(crate) fn remove(&mut self, name: &str) -> usize {
+            if !self.entries.iter().any(|(n, _)| n == name) {
+                return 0;
+            }
+            let entries = self.entries_mut();
+            let before = entries.len();
+            entries.retain(|(n, _)| n != name);
+            before - entries.len()
+        }
+
+        pub(crate) fn pop(&mut self, name: &str) -> Option<String> {
+            let idx = self.entries.iter().rposition(|(n, _)| n == name)?;
+            Some(self.entries_mut().remove(idx).1)
+        }
+
+        pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+            self.entries.iter().map(|(n, v)| (n.0.as_str(), v.as_str()))
+        }
+
+        pub(crate) fn shares_entries_with(&self, other: &Headers) -> bool {
+            Arc::ptr_eq(&self.entries, &other.entries)
+        }
+
+        pub(crate) fn to_wire(&self) -> String {
+            let mut out = String::new();
+            for (n, v) in self.iter() {
+                out.push_str(n);
+                out.push_str(": ");
+                out.push_str(v);
+                out.push_str("\r\n");
+            }
+            out
+        }
+
+        pub(crate) fn parse(block: &str) -> Result<Self, MimeError> {
+            let mut entries: Vec<(HeaderName, String)> = Vec::new();
+            for raw in block.lines() {
+                let line = raw.trim_end_matches('\r');
+                if line.is_empty() {
+                    continue;
+                }
+                if line.starts_with(' ') || line.starts_with('\t') {
+                    match entries.last_mut() {
+                        Some((_, v)) => {
+                            v.push(' ');
+                            v.push_str(line.trim());
+                        }
+                        None => {
+                            return Err(MimeError::InvalidHeader { line: line.into() });
+                        }
+                    }
+                    continue;
+                }
+                let (name, value) = line
+                    .split_once(':')
+                    .ok_or_else(|| MimeError::InvalidHeader { line: line.into() })?;
+                if name.trim().is_empty() {
+                    return Err(MimeError::InvalidHeader { line: line.into() });
+                }
+                entries.push((HeaderName(name.trim().into()), value.trim().to_string()));
+            }
+            Ok(Headers {
+                entries: Arc::new(entries),
+            })
         }
     }
 }
@@ -249,11 +461,13 @@ mod tests {
 
     #[test]
     fn names_compare_case_insensitively() {
-        assert_eq!(
-            HeaderName::new("Content-Type"),
-            HeaderName::new("content-type")
-        );
-        assert!(HeaderName::new("Content-Type") == *"CONTENT-TYPE");
+        let mut h = Headers::new();
+        h.append("Content-Type", "text/plain");
+        assert_eq!(h.get("content-type"), Some("text/plain"));
+        assert_eq!(h.get("CONTENT-TYPE"), Some("text/plain"));
+        let lower: Headers = [("content-type", "text/plain")].into_iter().collect();
+        assert_eq!(h, lower);
+        assert_eq!(h.iter().next(), Some(("Content-Type", "text/plain")));
     }
 
     #[test]
@@ -263,6 +477,17 @@ mod tests {
         h.append("x-a", "2");
         h.set("X-A", "3");
         assert_eq!(h.get_all("X-A").collect::<Vec<_>>(), vec!["3"]);
+    }
+
+    #[test]
+    fn set_moves_a_replaced_line_to_the_end() {
+        let mut h: Headers = [("A", "1"), ("B", "2"), ("C", "3")].into_iter().collect();
+        h.set("b", "22");
+        assert_eq!(
+            h.iter().collect::<Vec<_>>(),
+            vec![("A", "1"), ("C", "3"), ("b", "22")]
+        );
+        assert_eq!(h.to_wire(), "A: 1\r\nC: 3\r\nb: 22\r\n");
     }
 
     #[test]
@@ -283,12 +508,24 @@ mod tests {
         h.append("Content-Session", "s-42");
         let parsed = Headers::parse(&h.to_wire()).unwrap();
         assert_eq!(parsed, h);
+        assert_eq!(parsed.as_wire(), h.as_wire());
     }
 
     #[test]
     fn parse_folded_continuation() {
-        let h = Headers::parse("X-Long: part one\r\n\tpart two\r\n").unwrap();
+        let h = Headers::parse("X-Long: part one\r\n\tpart two\r\nNext: x\r\n").unwrap();
         assert_eq!(h.get("X-Long"), Some("part one part two"));
+        assert_eq!(h.to_wire(), "X-Long: part one part two\r\nNext: x\r\n");
+    }
+
+    #[test]
+    fn parse_normalizes_to_wire_form() {
+        let h = Headers::parse("A:1\n\nB\u{a0}:  two words \r\r\n").unwrap();
+        assert_eq!(
+            h.iter().collect::<Vec<_>>(),
+            vec![("A", "1"), ("B", "two words")]
+        );
+        assert_eq!(h.as_wire(), "A: 1\r\nB: two words\r\n");
     }
 
     #[test]
@@ -306,6 +543,7 @@ mod tests {
         h.append("B", "3");
         assert_eq!(h.remove("A"), 2);
         assert_eq!(h.len(), 1);
+        assert_eq!(h.to_wire(), "B: 3\r\n");
     }
 
     #[test]
@@ -336,6 +574,12 @@ mod tests {
         let mut d = c.clone();
         d.set("Content-Session", "s-7");
         assert!(d.shares_entries_with(&h), "idempotent set must be a no-op");
+        d.set("content-session", "s-7");
+        assert!(
+            d.shares_entries_with(&h),
+            "the no-op holds whatever the name's casing"
+        );
+        assert_eq!(d.iter().next(), Some(("Content-Session", "s-7")));
         d.set("Content-Session", "s-8");
         assert!(!d.shares_entries_with(&h));
         assert_eq!(h.get("Content-Session"), Some("s-7"));
@@ -349,5 +593,161 @@ mod tests {
         let mut c = h.clone();
         assert_eq!(c.remove("Z"), 0);
         assert!(c.shares_entries_with(&h));
+    }
+
+    #[test]
+    fn deep_clone_copies_every_byte() {
+        let h: Headers = [("A", "1"), ("B", "2")].into_iter().collect();
+        let d = h.deep_clone();
+        assert_eq!(d, h);
+        assert!(!d.shares_entries_with(&h));
+        assert_ne!(d.as_wire().as_ptr(), h.as_wire().as_ptr());
+    }
+}
+
+/// Holds [`Headers`] to the [`reference`] implementation: the same
+/// accept/reject decisions, entries, wire bytes and sharing outcomes.
+#[cfg(test)]
+pub(crate) mod equivalence {
+    use super::{reference, Headers};
+    use proptest::prelude::*;
+
+    /// Names drawn from a small pool in mixed casings, so duplicates and
+    /// case-insensitive matches are common.
+    fn name() -> impl Strategy<Value = String> {
+        prop_oneof![
+            "[Xx]-[Aa]",
+            "[Xx]-[Bb]",
+            "[Cc]ontent-[Ss]ession",
+            "[Cc]ontent-[Ll]ength",
+            "[A-Za-z][A-Za-z0-9-]{0,12}",
+        ]
+    }
+
+    /// Values as the API receives them: no line breaks, but leading,
+    /// trailing and inner whitespace (ASCII and not) and colons allowed.
+    fn value() -> impl Strategy<Value = String> {
+        prop_oneof![
+            "[a-z0-9]{0,6}",
+            "[ a-z:\t]{0,8}",
+            "[ a\u{a0}\u{2003}é]{0,5}",
+        ]
+    }
+
+    /// One raw input line of a header block: well-formed, folded,
+    /// blank, `\r`-laden, whitespace-padded, or malformed.
+    fn raw_line() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (name(), value()).prop_map(|(n, v)| format!("{n}: {v}")),
+            (name(), value()).prop_map(|(n, v)| format!("{n}:{v}")),
+            (name(), value()).prop_map(|(n, v)| format!(" \u{a0}{n} \t:{v}\u{2003}")),
+            value().prop_map(|v| format!(" {v}")),
+            value().prop_map(|v| format!("\t{v}")),
+            "[\r \t]{0,3}",
+            "[a-z:\u{a0}é]{0,6}",
+            Just(":".to_string()),
+            Just("\u{a0}: x".to_string()),
+        ]
+    }
+
+    /// Line terminators, including `\r` runs and a bare `\r`.
+    fn line_end() -> impl Strategy<Value = String> {
+        prop_oneof![
+            Just("\r\n".to_string()),
+            Just("\n".to_string()),
+            "[\r]{2,4}\n",
+            Just("\r".to_string()),
+        ]
+    }
+
+    /// An adversarial header block: random lines and terminators.
+    pub(crate) fn block() -> impl Strategy<Value = String> {
+        prop::collection::vec((raw_line(), line_end()), 0..8)
+            .prop_map(|lines| lines.into_iter().map(|(l, e)| l + &e).collect())
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Append(String, String),
+        Set(String, String),
+        Remove(String),
+        Pop(String),
+        Snapshot,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (name(), value()).prop_map(|(n, v)| Op::Append(n, v)),
+            (name(), value()).prop_map(|(n, v)| Op::Set(n, v)),
+            (name(), prop_oneof!["[a-z0-9]{0,1}", Just("7".to_string())])
+                .prop_map(|(n, v)| Op::Set(n, v)),
+            name().prop_map(Op::Remove),
+            name().prop_map(Op::Pop),
+            Just(Op::Snapshot),
+        ]
+    }
+
+    fn assert_same(new: &Headers, old: &reference::Headers) {
+        assert_eq!(
+            new.iter().collect::<Vec<_>>(),
+            old.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(new.to_wire(), old.to_wire());
+        assert_eq!(new.len(), old.iter().count());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+        /// Identical accept/reject decisions and entries on adversarial
+        /// blocks.
+        #[test]
+        fn parse_matches_reference(text in block()) {
+            match (Headers::parse(&text), reference::Headers::parse(&text)) {
+                (Ok(new), Ok(old)) => assert_same(&new, &old),
+                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => panic!("{text:?}: new {a:?} vs reference {b:?}"),
+            }
+        }
+
+        /// Random edit sequences leave identical entries, wire bytes and
+        /// copy-on-write sharing.
+        #[test]
+        fn edits_match_reference(
+            start in block(),
+            ops in prop::collection::vec(op(), 0..24),
+        ) {
+            let (Ok(mut new), Ok(mut old)) =
+                (Headers::parse(&start), reference::Headers::parse(&start))
+            else {
+                return;
+            };
+            let (mut new_snap, mut old_snap) = (new.clone(), old.clone());
+            for op in ops {
+                match op {
+                    Op::Append(n, v) => {
+                        new.append(&n, &v);
+                        old.append(&n, &v);
+                    }
+                    Op::Set(n, v) => {
+                        new.set(&n, &v);
+                        old.set(&n, &v);
+                    }
+                    Op::Remove(n) => prop_assert_eq!(new.remove(&n), old.remove(&n)),
+                    Op::Pop(n) => prop_assert_eq!(new.pop(&n), old.pop(&n)),
+                    Op::Snapshot => {
+                        new_snap = new.clone();
+                        old_snap = old.clone();
+                    }
+                }
+                assert_same(&new, &old);
+                prop_assert_eq!(new.get("x-a"), old.get("x-a"));
+                prop_assert_eq!(
+                    new.shares_entries_with(&new_snap),
+                    old.shares_entries_with(&old_snap)
+                );
+            }
+            assert_same(&new_snap, &old_snap);
+        }
     }
 }

@@ -28,6 +28,6 @@ pub mod types;
 
 pub use bytes::{Bytes, BytesMut};
 pub use error::MimeError;
-pub use headers::{HeaderName, Headers};
+pub use headers::Headers;
 pub use message::{MimeMessage, SessionId, CONTENT_SESSION, PEER_CHAIN};
 pub use types::{MimeType, TypeRegistry};

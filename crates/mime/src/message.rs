@@ -139,12 +139,7 @@ impl MimeMessage {
 
     /// Total size on the wire: headers + blank line + body.
     pub fn wire_len(&self) -> usize {
-        let head: usize = self
-            .headers
-            .iter()
-            .map(|(n, v)| n.len() + 2 + v.len() + 2)
-            .sum();
-        head + 2 + self.body.len()
+        self.headers.as_wire().len() + 2 + self.body.len()
     }
 
     /// Serializes to the wire format: headers, CRLF, body.
@@ -158,12 +153,7 @@ impl MimeMessage {
     /// scratch buffer across messages; `buf` is not cleared).
     pub fn to_wire_into(&self, buf: &mut Vec<u8>) {
         buf.reserve(self.wire_len());
-        for (n, v) in self.headers.iter() {
-            buf.extend_from_slice(n.as_bytes());
-            buf.extend_from_slice(b": ");
-            buf.extend_from_slice(v.as_bytes());
-            buf.extend_from_slice(b"\r\n");
-        }
+        buf.extend_from_slice(self.headers.as_wire().as_bytes());
         buf.extend_from_slice(b"\r\n");
         buf.extend_from_slice(&self.body);
     }
@@ -197,15 +187,16 @@ impl MimeMessage {
                 let len: usize = len.trim().parse().map_err(|_| MimeError::InvalidMessage {
                     reason: format!("bad Content-Length `{len}`"),
                 })?;
-                if body_start + len > data.len() {
-                    return Err(MimeError::InvalidMessage {
+                let body = body_start
+                    .checked_add(len)
+                    .and_then(|end| data.get(body_start..end))
+                    .ok_or_else(|| MimeError::InvalidMessage {
                         reason: format!(
                             "truncated body: declared {len} bytes, {} available",
                             data.len() - body_start
                         ),
-                    });
-                }
-                make_body(&data[body_start..body_start + len])
+                    })?;
+                make_body(body)
             }
             None => make_body(&data[body_start..]),
         };
@@ -311,6 +302,15 @@ mod tests {
     }
 
     #[test]
+    fn from_wire_rejects_an_overflowing_content_length() {
+        let raw = b"Content-Length: 18446744073709551615\r\n\r\nbody";
+        assert!(matches!(
+            MimeMessage::from_wire(raw),
+            Err(MimeError::InvalidMessage { .. })
+        ));
+    }
+
+    #[test]
     fn from_wire_rejects_missing_separator() {
         assert!(MimeMessage::from_wire(b"Content-Type: text/plain").is_err());
     }
@@ -374,5 +374,56 @@ mod tests {
         .unwrap();
         assert_eq!(seen, 200);
         assert_eq!(parsed.body, m.body);
+    }
+}
+
+/// Holds the wire path to the entry-list reference: `from_wire` then
+/// `to_wire` reproduces the reference's bytes exactly.
+#[cfg(test)]
+mod equivalence {
+    use super::*;
+    use crate::headers::{equivalence::block, reference};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+        #[test]
+        fn wire_round_trip_matches_reference(
+            head in block(),
+            body in prop::collection::vec(any::<u8>(), 0..48),
+            declare_len in any::<bool>(),
+        ) {
+            let mut frame = head.into_bytes();
+            if declare_len {
+                frame.extend_from_slice(format!("Content-Length: {}\r\n", body.len()).as_bytes());
+            }
+            frame.extend_from_slice(b"\r\n");
+            frame.extend_from_slice(&body);
+
+            let old = find_header_end(&frame).and_then(|split| {
+                let head = std::str::from_utf8(&frame[..split.header_end]).ok()?;
+                Some((reference::Headers::parse(head), split.body_start))
+            });
+            match (MimeMessage::from_wire(&frame), old) {
+                (Ok(msg), Some((Ok(headers), body_start))) => {
+                    prop_assert_eq!(
+                        msg.headers.iter().collect::<Vec<_>>(),
+                        headers.iter().collect::<Vec<_>>()
+                    );
+                    prop_assert_eq!(&msg.body[..], &frame[body_start..body_start + msg.body.len()]);
+                    let mut expected = headers.to_wire().into_bytes();
+                    expected.extend_from_slice(b"\r\n");
+                    expected.extend_from_slice(&msg.body);
+                    prop_assert_eq!(&msg.to_wire()[..], &expected[..]);
+                    prop_assert_eq!(msg.wire_len(), expected.len());
+                }
+                (Ok(msg), old) => panic!("{frame:?}: accepted as {msg:?}, reference {old:?}"),
+                (Err(MimeError::InvalidHeader { .. }), old) => {
+                    prop_assert!(matches!(old, Some((Err(_), _))), "{:?}", frame);
+                }
+                (Err(_), _) => {}
+            }
+        }
     }
 }

@@ -76,11 +76,12 @@ pub fn split_body(body: &Bytes, boundary: &str) -> Result<Vec<MimeMessage>, Mime
         if is_delim {
             if let Some(start) = current_start {
                 // The part payload ends before this delimiter line, minus the
-                // CRLF that `compose` appends after each part.
+                // CRLF that `compose` appends after each part (when the part
+                // is long enough to hold one).
                 let mut end = cursor;
-                if end >= 2 && &body[end - 2..end] == b"\r\n" {
+                if end >= start + 2 && &body[end - 2..end] == b"\r\n" {
                     end -= 2;
-                } else if end >= 1 && body[end - 1] == b'\n' {
+                } else if end > start && body[end - 1] == b'\n' {
                     end -= 1;
                 }
                 let part = MimeMessage::from_wire(&body[start..end])?;
@@ -192,6 +193,13 @@ mod tests {
     fn split_rejects_unterminated() {
         let ty = MimeType::new("multipart", "mixed").with_param("boundary", "b");
         let m = MimeMessage::new(&ty, &b"--b\r\nContent-Length: 0\r\n\r\n\r\n"[..]);
+        assert!(split(&m).is_err());
+    }
+
+    #[test]
+    fn back_to_back_delimiters_are_an_error_not_a_panic() {
+        let ty = MimeType::new("multipart", "mixed").with_param("boundary", "b");
+        let m = MimeMessage::new(&ty, &b"--b\r\n--b\r\n--b--\r\n"[..]);
         assert!(split(&m).is_err());
     }
 
