@@ -130,6 +130,21 @@ fn bench_codec(c: &mut Criterion) {
             downsample(&img, 2).encode(encoding, quality)
         });
     });
+    // The MGRF kernels those two streamlets are made of, one entry each.
+    let (rgb, _, _) = Image::decode(&gif).unwrap();
+    let half = downsample(&rgb, 2);
+    group.bench_function("palette_decode/128", |b| {
+        b.iter(|| Image::decode(&gif).unwrap())
+    });
+    for (side, img) in [(128, &rgb), (64, &half)] {
+        group.bench_with_input(BenchmarkId::new("quantized_encode", side), img, |b, img| {
+            b.iter(|| img.encode(Encoding::Quantized, 40));
+        });
+    }
+    group.bench_function("quantized_decode/128", |b| {
+        b.iter(|| Image::decode(&jpeg).unwrap())
+    });
+    group.bench_function("downsample/128", |b| b.iter(|| downsample(&rgb, 2)));
     group.finish();
 }
 

@@ -174,7 +174,29 @@ fn fig7_2(quick: bool) {
         ascii_series("delay vs streamlet count", &[("latency", pts)], "µs")
     );
     save("fig7_2_streamlet_overhead", &csv);
+
+    // Shape guard: 16 redirectors cost more per message than 2, compared
+    // on the median of repeated runs so one descheduled run cannot flip it.
+    let short = median_latency(&ChainHarness::new(2, PayloadMode::Reference), size, 20);
+    let long = median_latency(&ChainHarness::new(16, PayloadMode::Reference), size, 20);
+    assert!(
+        long > short,
+        "16 hops ({long:?}) must cost more than 2 ({short:?})"
+    );
+    println!("\nchain-length guard: 16 hops {long:?} > 2 hops {short:?}  [ok]");
 }
+
+/// Median over [`GUARD_REPEATS`] runs of [`ChainHarness::mean_latency`].
+fn median_latency(h: &ChainHarness, size: usize, iters: usize) -> Duration {
+    let mut runs: Vec<Duration> = (0..GUARD_REPEATS)
+        .map(|_| h.mean_latency(size, iters))
+        .collect();
+    runs.sort_unstable();
+    runs[GUARD_REPEATS / 2]
+}
+
+/// Repeats behind each Figure 7-2/7-3 shape guard's median.
+const GUARD_REPEATS: usize = 5;
 
 /// Figure 7-3: passing by reference vs. passing by value.
 fn fig7_3(quick: bool) {
@@ -221,6 +243,20 @@ fn fig7_3(quick: bool) {
         )
     );
     save("fig7_3_ref_vs_value", &csv);
+
+    // Shape guard: 400 KB through 10 hops costs more by value than by
+    // reference, on the median of repeated runs.
+    let by_ref = median_latency(
+        &ChainHarness::new(10, PayloadMode::Reference),
+        400 * 1024,
+        10,
+    );
+    let by_val = median_latency(&ChainHarness::new(10, PayloadMode::Value), 400 * 1024, 10);
+    assert!(
+        by_val > by_ref,
+        "value {by_val:?} must exceed reference {by_ref:?}"
+    );
+    println!("\npayload-mode guard: value {by_val:?} > reference {by_ref:?}  [ok]");
 }
 
 /// Figure 7-6: reconfiguration overhead vs. number of inserted streamlets.

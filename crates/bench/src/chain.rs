@@ -152,25 +152,49 @@ mod tests {
         assert!(d < Duration::from_secs(5));
     }
 
-    #[test]
-    fn longer_chains_cost_more() {
-        // Figure 7-2's shape: latency grows with the number of streamlets.
-        let short = ChainHarness::new(2, PayloadMode::Reference).mean_latency(10_000, 20);
-        let long = ChainHarness::new(16, PayloadMode::Reference).mean_latency(10_000, 20);
-        assert!(
-            long > short,
-            "16 hops ({long:?}) must cost more than 2 ({short:?})"
-        );
+    /// Total `process` calls across the chain's redirectors.
+    fn processed(h: &ChainHarness) -> u64 {
+        (0..h.k)
+            .map(|i| {
+                let r = h.stream().instance(&format!("r{i}")).expect("redirector");
+                r.stats().processed
+            })
+            .sum()
     }
 
     #[test]
-    fn value_mode_costs_more_than_reference_on_big_messages() {
-        // Figure 7-3's shape at a single point: 400 KB through 10 hops.
-        let by_ref = ChainHarness::new(10, PayloadMode::Reference).mean_latency(400_000, 10);
-        let by_val = ChainHarness::new(10, PayloadMode::Value).mean_latency(400_000, 10);
-        assert!(
-            by_val > by_ref,
-            "value {by_val:?} must exceed reference {by_ref:?}"
-        );
+    fn longer_chains_do_more_work_per_message() {
+        // Figure 7-2's mechanism: every hop processes every message, so 16
+        // hops do 8x the work of 2. The latency comparison itself is a
+        // release-mode guard in `repro -- fig7_2`.
+        let work = |k: usize| {
+            let h = ChainHarness::new(k, PayloadMode::Reference);
+            h.mean_latency(1_000, 4); // one warm-up + four timed messages
+            assert!(h.stream().drain(Duration::from_secs(5)));
+            processed(&h)
+        };
+        let (short, long) = (work(2), work(16));
+        assert_eq!((short, long), (2 * 5, 16 * 5));
+    }
+
+    #[test]
+    fn value_mode_hops_share_no_body_storage_with_the_input() {
+        // Figure 7-3's mechanism: by reference the body crosses every hop
+        // in place; by value each hop gets its own copy. The latency
+        // comparison itself is a release-mode guard in `repro -- fig7_3`.
+        let body = vec![0x5Au8; 400_000];
+        let msg = MimeMessage::new(&MimeType::new("application", "octet-stream"), body);
+        let through = |mode: PayloadMode| {
+            let h = ChainHarness::new(10, mode);
+            h.stream().post_input(msg.clone()).expect("post");
+            let out = h
+                .stream()
+                .take_output(Duration::from_secs(30))
+                .expect("chain output");
+            assert_eq!(out.body, msg.body);
+            out.body.as_ptr()
+        };
+        assert_eq!(through(PayloadMode::Reference), msg.body.as_ptr());
+        assert_ne!(through(PayloadMode::Value), msg.body.as_ptr());
     }
 }

@@ -283,26 +283,3 @@ pub fn run_sessions(cfg: SessionsConfig) -> SessionsOutcome {
         executor_parks: exec_stats.total_parks(),
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn small_session_plane_round_trips_cleanly() {
-        let out = run_sessions(SessionsConfig {
-            sessions: 8,
-            mode: PayloadMode::Reference,
-            chain_len: 3,
-            msgs_per_session: 4,
-            payload_bytes: 64,
-            executor: ExecutorConfig::WorkerPool { workers: 2 },
-            fusion: true,
-            latency_iters: 2,
-        });
-        assert!(out.delivery_clean(), "{out:?}");
-        assert!(out.teardown_clean(), "{out:?}");
-        assert_eq!(out.torn_down, 8);
-        assert_eq!(out.settled_resident_bytes, 0, "{out:?}");
-    }
-}

@@ -216,11 +216,12 @@ impl FusedLogic {
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 // Error semantics mirror the member's own handle exactly:
                 // a per-message `Err` discards that invocation's emissions
-                // and counts one error; a batched `Err` discards the whole
-                // batch's emissions under one error count (what
-                // `process_batched` does for a discrete streamlet). One
-                // context serves the whole stage; rollback marks give each
-                // message its own discard scope.
+                // and counts one error (the default `process_batch` charges
+                // its failed messages the same way); a batch that returns
+                // `Err` discards the whole batch's emissions under one
+                // error count (what `process_batched` does for a discrete
+                // streamlet). One context serves the whole stage; rollback
+                // marks give each message its own discard scope.
                 let mut errors = 0u64;
                 let mut mctx =
                     StreamletCtx::with_buffers(&member.instance, session, outs_buf, spare);
@@ -229,6 +230,7 @@ impl FusedLogic {
                         errors += 1;
                         mctx.truncate_outputs(0);
                     }
+                    errors += mctx.charged_errors();
                 } else {
                     for msg in feed {
                         let mark = mctx.outputs_len();
@@ -455,6 +457,41 @@ mod tests {
         let outs = ctx.into_outputs();
         assert_eq!(texts(&outs), vec!["m1.a.b.c", "m2.a.b.c"]);
         assert!(outs.iter().all(|(p, _)| p == "po"), "last stage's port");
+    }
+
+    /// [`FailOn`] taking the batched path through the default
+    /// `process_batch`.
+    struct BatchFailOn(&'static str);
+    impl StreamletLogic for BatchFailOn {
+        fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
+            FailOn(self.0).process(msg, ctx)
+        }
+
+        fn supports_batch(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn batched_member_error_drops_only_that_message() {
+        let shared = FusedShared::new(
+            "u",
+            vec![
+                member("a", Box::new(Append(".a"))),
+                member("b", Box::new(BatchFailOn("bad"))),
+                member("c", Box::new(Append(".c"))),
+            ],
+        );
+        let mut fused = FusedLogic::new(shared.clone());
+        let mut ctx = StreamletCtx::new("u", None);
+        let batch = ["ok1", "bad", "ok2"].map(MimeMessage::text).to_vec();
+        fused.process_batch(batch, &mut ctx).unwrap();
+        assert_eq!(ctx.charged_errors(), 1);
+        assert_eq!(texts(&ctx.into_outputs()), vec!["ok1.a.c", "ok2.a.c"]);
+        assert_eq!(
+            shared.member_errors(),
+            vec![("a".into(), 0), ("b".into(), 1), ("c".into(), 0)]
+        );
     }
 
     #[test]

@@ -44,6 +44,9 @@ pub struct StreamletCtx<'a> {
     /// Errors an adapter logic absorbed on behalf of inner logics (a fused
     /// unit's member errors), added to the handle's `errors` stat.
     charged_errors: u64,
+    /// Messages of a batch whose `process` call failed (each also charged
+    /// as an error): the handle counts them as not processed.
+    failed_messages: u64,
 }
 
 impl<'a> StreamletCtx<'a> {
@@ -67,6 +70,7 @@ impl<'a> StreamletCtx<'a> {
             outputs,
             spare,
             charged_errors: 0,
+            failed_messages: 0,
         }
     }
 
@@ -96,6 +100,18 @@ impl<'a> StreamletCtx<'a> {
     /// still counts them.
     pub(crate) fn charge_errors(&mut self, n: u64) {
         self.charged_errors += n;
+    }
+
+    /// Charges one error for a batched message whose `process` call
+    /// failed, which the handle then counts as not processed.
+    fn fail_message(&mut self) {
+        self.charge_errors(1);
+        self.failed_messages += 1;
+    }
+
+    /// Messages charged through [`StreamletCtx::fail_message`].
+    fn failed_messages(&self) -> u64 {
+        self.failed_messages
     }
 
     /// Errors charged through [`StreamletCtx::charge_errors`].
@@ -149,15 +165,26 @@ pub trait StreamletLogic: Send {
     }
 
     /// Processes a run of messages under one invocation, amortizing the
-    /// dispatch and routing overhead. The default simply loops over
-    /// [`StreamletLogic::process`], stopping at the first error.
+    /// dispatch and routing overhead.
+    ///
+    /// The default calls [`StreamletLogic::process`] on every message and
+    /// counts exactly as separate calls would: a failing message loses
+    /// only its own emissions and is charged as one error, while its
+    /// batch-mates are processed and delivered. An override that returns
+    /// `Err` fails the whole batch instead: the handle discards every
+    /// emission of the call, charges one error, and counts none of the
+    /// batch as processed.
     fn process_batch(
         &mut self,
         msgs: Vec<MimeMessage>,
         ctx: &mut StreamletCtx,
     ) -> Result<(), CoreError> {
         for msg in msgs {
-            self.process(msg, ctx)?;
+            let mark = ctx.outputs_len();
+            if self.process(msg, ctx).is_err() {
+                ctx.truncate_outputs(mark);
+                ctx.fail_message();
+            }
         }
         Ok(())
     }
@@ -1846,13 +1873,14 @@ impl StreamletTask {
             let mut ctx =
                 StreamletCtx::with_buffers(&shared.name, shared.session.as_ref(), outputs, spare);
             let result = logic.process_batch(msgs, &mut ctx);
-            (result, ctx.charged_errors(), ctx.into_parts())
+            let counts = (ctx.charged_errors(), ctx.failed_messages());
+            (result, counts, ctx.into_parts())
         }));
         // As in `process_one`: the flag stays up until the batch's
         // emissions are routed, so quiescence checks never miss in-transit
         // messages.
         let step = match outcome {
-            Ok((result, charged, (outs, spare))) => {
+            Ok((result, (charged, failed), (outs, spare))) => {
                 // As in `process_one`: release the snapshots before routing.
                 drop(replays);
                 scratch.outputs = outs;
@@ -1860,7 +1888,7 @@ impl StreamletTask {
                 shared.errors.fetch_add(charged, Ordering::Relaxed);
                 match result {
                     Ok(()) => {
-                        shared.processed.fetch_add(n, Ordering::Relaxed);
+                        shared.processed.fetch_add(n - failed, Ordering::Relaxed);
                         shared.route_outputs(scratch);
                     }
                     Err(_) => {
@@ -2024,6 +2052,40 @@ mod tests {
                 message: "bang".into(),
             })
         }
+    }
+
+    /// Emits every message, then refuses those whose body is `bad`.
+    struct RefuseBad;
+    impl StreamletLogic for RefuseBad {
+        fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
+            let bad = &msg.body[..] == b"bad";
+            ctx.emit("po", msg);
+            if bad {
+                return Err(CoreError::Process {
+                    streamlet: "refuser".into(),
+                    message: "bad".into(),
+                });
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn default_process_batch_fails_only_the_failing_message() {
+        let mut ctx = StreamletCtx::new("t", None);
+        let batch = ["ok1", "bad", "ok2"].map(MimeMessage::text).to_vec();
+        RefuseBad.process_batch(batch, &mut ctx).unwrap();
+        assert_eq!((ctx.charged_errors(), ctx.failed_messages()), (1, 1));
+        let bodies: Vec<_> = ctx
+            .into_outputs()
+            .into_iter()
+            .map(|(_, m)| m.body.to_vec())
+            .collect();
+        assert_eq!(
+            bodies,
+            [b"ok1".to_vec(), b"ok2".to_vec()],
+            "bad's emission rolled back"
+        );
     }
 
     fn pipeline() -> (

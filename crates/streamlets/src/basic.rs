@@ -78,17 +78,6 @@ impl StreamletLogic for Redirector {
         true
     }
 
-    fn process_batch(
-        &mut self,
-        msgs: Vec<MimeMessage>,
-        ctx: &mut StreamletCtx,
-    ) -> Result<(), CoreError> {
-        for msg in msgs {
-            self.process(msg, ctx)?;
-        }
-        Ok(())
-    }
-
     fn reset(&mut self) {
         self.hops = 0;
     }
@@ -112,17 +101,6 @@ impl StreamletLogic for Forward {
 
     fn fusable(&self) -> bool {
         true
-    }
-
-    fn process_batch(
-        &mut self,
-        msgs: Vec<MimeMessage>,
-        ctx: &mut StreamletCtx,
-    ) -> Result<(), CoreError> {
-        for msg in msgs {
-            ctx.emit("po", msg);
-        }
-        Ok(())
     }
 }
 

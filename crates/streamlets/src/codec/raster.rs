@@ -262,45 +262,109 @@ fn quant_step(quality: u8) -> u16 {
     1 + (100 - q) * 63 / 99
 }
 
+/// Pixels per step of the blocked plane split.
+const BLOCK: usize = 8;
+
 /// Quantize samples then RLE-encode as `(count, value)` pairs.
 ///
 /// Channels are encoded as separate *planes* (all R, then all G, …): within
 /// a plane neighbouring pixels are similar, so quantized runs are long —
 /// interleaved samples would alternate channels and defeat the RLE
-/// entirely.
+/// entirely. One blocked pass quantizes the samples into contiguous
+/// planes, then each plane is run-length coded a word at a time.
 fn encode_quantized(img: &Image, quality: u8, out: &mut Vec<u8>) {
     let step = quant_step(quality);
     let quantize: [u8; 256] = std::array::from_fn(|s| ((s as u16 / step) * step) as u8);
     let ch = img.channels as usize;
-    let samples = &img.samples[..img.pixels() * ch];
+    let pixels = img.pixels();
+    let samples = &img.samples[..pixels * ch];
     if samples.is_empty() {
         return;
     }
-    for c in 0..ch {
-        let mut plane = samples[c..]
-            .iter()
-            .step_by(ch)
-            .map(|&s| quantize[s as usize]);
-        let mut current = plane.next().expect("non-empty plane");
-        let mut count: u8 = 1;
-        for v in plane {
-            if v == current && count < 255 {
-                count += 1;
-            } else {
-                out.extend_from_slice(&[count, current]);
-                current = v;
-                count = 1;
+    let mut planes = vec![0u8; samples.len()];
+    match ch {
+        1 => split_planes::<1>(samples, &quantize, &mut planes),
+        2 => split_planes::<2>(samples, &quantize, &mut planes),
+        3 => split_planes::<3>(samples, &quantize, &mut planes),
+        4 => split_planes::<4>(samples, &quantize, &mut planes),
+        _ => {
+            for (c, plane) in planes.chunks_exact_mut(pixels).enumerate() {
+                for (d, &s) in plane.iter_mut().zip(samples[c..].iter().step_by(ch)) {
+                    *d = quantize[usize::from(s)];
+                }
             }
         }
-        out.extend_from_slice(&[count, current]);
     }
+    for plane in planes.chunks_exact(pixels) {
+        rle_plane(plane, out);
+    }
+}
+
+/// Quantizes `C`-channel interleaved `samples` into `planes` (plane-major,
+/// `planes.len() == samples.len()`), [`BLOCK`] pixels per step.
+fn split_planes<const C: usize>(samples: &[u8], quantize: &[u8; 256], planes: &mut [u8]) {
+    let pixels = samples.len() / C;
+    let mut rest = planes;
+    let mut dst: [&mut [u8]; C] = std::array::from_fn(|_| {
+        let (plane, tail) = std::mem::take(&mut rest).split_at_mut(pixels);
+        rest = tail;
+        plane
+    });
+    let blocks = samples.chunks_exact(BLOCK * C);
+    let tail = blocks.remainder();
+    for (at, block) in (0..).step_by(BLOCK).zip(blocks) {
+        for (c, plane) in dst.iter_mut().enumerate() {
+            for (i, d) in plane[at..at + BLOCK].iter_mut().enumerate() {
+                *d = quantize[usize::from(block[i * C + c])];
+            }
+        }
+    }
+    let done = pixels - tail.len() / C;
+    for (p, px) in (done..).zip(tail.chunks_exact(C)) {
+        for (plane, &s) in dst.iter_mut().zip(px) {
+            plane[p] = quantize[usize::from(s)];
+        }
+    }
+}
+
+/// Appends `plane`'s `(count, value)` runs to `out`, splitting runs longer
+/// than 255 samples.
+fn rle_plane(plane: &[u8], out: &mut Vec<u8>) {
+    let mut start = 0;
+    while let Some(&value) = plane.get(start) {
+        let end = run_end(plane, start + 1, value);
+        let mut count = end - start;
+        while count > 255 {
+            out.extend_from_slice(&[255, value]);
+            count -= 255;
+        }
+        out.extend_from_slice(&[count as u8, value]);
+        start = end;
+    }
+}
+
+/// The first index at or after `from` whose sample is not `value`, or
+/// `plane.len()`. Eight samples at a time: XOR against `value` in every
+/// byte leaves the first differing sample as the lowest nonzero byte.
+fn run_end(plane: &[u8], mut from: usize, value: u8) -> usize {
+    let splat = u64::from_ne_bytes([value; 8]);
+    while let Some(word) = plane[from..].first_chunk::<8>() {
+        let diff = u64::from_le_bytes(*word) ^ splat;
+        if diff != 0 {
+            return from + (diff.trailing_zeros() / 8) as usize;
+        }
+        from += 8;
+    }
+    from + plane[from..].iter().take_while(|&&s| s == value).count()
 }
 
 /// Expands `(count, value)` runs into `n` channel-interleaved samples.
 ///
 /// Every run is checked before the output is allocated, so a header
 /// claiming more samples than the runs carry (at most 255 per pair) is
-/// rejected without reserving `n` bytes.
+/// rejected without reserving `n` bytes. The runs then fill the planes
+/// back to back (a run may continue into the next plane), and one pass
+/// interleaves them; a single plane already is the image.
 fn decode_quantized(payload: &[u8], n: usize, channels: u8) -> Result<Vec<u8>, RasterError> {
     if !payload.len().is_multiple_of(2) {
         return Err(RasterError::BadPayload("odd RLE payload"));
@@ -315,29 +379,39 @@ fn decode_quantized(payload: &[u8], n: usize, channels: u8) -> Result<Vec<u8>, R
     if total != n {
         return Err(RasterError::BadPayload("RLE sample count mismatch"));
     }
-    // Runs fill the planes in order (a run may continue into the next
-    // plane); plane `c` holds every `ch`-th sample from offset `c`.
-    let ch = channels as usize;
-    let pixels = n / ch;
-    let mut samples = vec![0u8; n];
-    let (mut plane, mut pixel) = (0usize, 0usize);
+    let mut planes = vec![0u8; n];
+    let mut at = 0;
     for pair in payload.chunks_exact(2) {
-        let (mut count, value) = (pair[0] as usize, pair[1]);
-        while count > 0 {
-            let take = count.min(pixels - pixel);
-            let start = pixel * ch + plane;
-            let end = start + (take - 1) * ch + 1;
-            for s in samples[start..end].iter_mut().step_by(ch) {
-                *s = value;
-            }
-            count -= take;
-            pixel += take;
-            if pixel == pixels {
-                (plane, pixel) = (plane + 1, 0);
-            }
-        }
+        let count = usize::from(pair[0]);
+        planes[at..at + count].fill(pair[1]);
+        at += count;
     }
-    Ok(samples)
+    // `Image::decode` admits 1..=4 channels.
+    Ok(match channels {
+        1 => planes,
+        2 => interleave::<2>(&planes),
+        3 => interleave::<3>(&planes),
+        _ => interleave::<4>(&planes),
+    })
+}
+
+/// Interleaves `C` (at most 4) back-to-back planes into pixel order.
+fn interleave<const C: usize>(planes: &[u8]) -> Vec<u8> {
+    const { assert!(C <= 4) };
+    let pixels = planes.len() / C;
+    let src: [&[u8]; C] = std::array::from_fn(|c| &planes[c * pixels..(c + 1) * pixels]);
+    let word = |p: usize| (0..C).fold(0u32, |w, c| w | u32::from(src[c][p]) << (8 * c));
+    let mut samples = vec![0u8; planes.len()];
+    // One 4-byte store per pixel, whose spill the next pixel overwrites;
+    // the last pixels, whose store would run past the end, go bytewise.
+    let wide = samples.len().checked_sub(4).map_or(0, |room| room / C + 1);
+    for p in 0..wide {
+        samples[p * C..p * C + 4].copy_from_slice(&word(p).to_le_bytes());
+    }
+    for p in wide..pixels {
+        samples[p * C..p * C + C].copy_from_slice(&word(p).to_le_bytes()[..C]);
+    }
+    samples
 }
 
 // --- transformations used by the streamlets -----------------------------------
@@ -353,18 +427,36 @@ pub fn downsample(img: &Image, factor: u16) -> Image {
     let factor = factor.max(1);
     let nw = (img.width / factor).max(1);
     let nh = (img.height / factor).max(1);
-    let ch = img.channels as usize;
     let mut out = Image::new(nw, nh, img.channels);
-    for y in 0..nh as usize {
-        for x in 0..nw as usize {
-            let sx = (x as u16 * factor).min(img.width - 1) as usize;
-            let sy = (y as u16 * factor).min(img.height - 1) as usize;
-            let src = (sy * img.width as usize + sx) * ch;
-            let dst = (y * nw as usize + x) * ch;
-            out.samples[dst..dst + ch].copy_from_slice(&img.samples[src..src + ch]);
-        }
+    let (ch, factor) = (img.channels as usize, usize::from(factor));
+    if ch == 0 {
+        return out;
+    }
+    // A constant channel count turns each pixel copy into a fixed-size move.
+    match ch {
+        1 => sample_rows(img, factor, 1, &mut out),
+        2 => sample_rows(img, factor, 2, &mut out),
+        3 => sample_rows(img, factor, 3, &mut out),
+        4 => sample_rows(img, factor, 4, &mut out),
+        _ => sample_rows(img, factor, ch, &mut out),
     }
     out
+}
+
+/// Fills `out`'s rows with every `factor`-th pixel of every `factor`-th
+/// row of `img`, `ch > 0` samples per pixel.
+#[inline(always)]
+fn sample_rows(img: &Image, factor: usize, ch: usize, out: &mut Image) {
+    let (w, h) = (usize::from(img.width), usize::from(img.height));
+    let row_len = usize::from(out.width) * ch;
+    for (y, dst) in out.samples.chunks_exact_mut(row_len).enumerate() {
+        let sy = (y * factor).min(h - 1);
+        let src = &img.samples[sy * w * ch..];
+        for (x, px) in dst.chunks_exact_mut(ch).enumerate() {
+            let sx = (x * factor).min(w - 1) * ch;
+            px.copy_from_slice(&src[sx..sx + ch]);
+        }
+    }
 }
 
 /// Converts to 16 gray levels, one channel — the `map_to_16_grays`
@@ -373,12 +465,13 @@ pub fn to_16_grays(img: &Image) -> Image {
     let ch = img.channels as usize;
     let mut out = Image::new(img.width, img.height, 1);
     for p in 0..img.pixels() {
+        // One and two channels (gray, gray+alpha) carry gray in sample 0.
         let g = match ch {
-            1 => img.samples[p],
+            1 | 2 => img.samples[p * ch],
             _ => luma(
                 img.samples[p * ch],
                 img.samples[p * ch + 1],
-                img.samples[p * ch + 2.min(ch - 1)],
+                img.samples[p * ch + 2],
             ),
         };
         out.samples[p] = (g / 16) * 17; // 16 levels spread over 0..=255
@@ -390,7 +483,8 @@ pub fn to_16_grays(img: &Image) -> Image {
 /// the equivalence tests hold [`Image::encode`] and [`Image::decode`] to
 /// its bytes and accept/reject decisions, except where the shipped codec
 /// deliberately differs (zero dimensions, two-channel palettes, and
-/// allocating before checking the runs).
+/// allocating before checking the runs), and hold [`downsample`] to its
+/// output.
 #[cfg(test)]
 mod reference {
     use super::{luma, quant_step, Encoding, Image, RasterError, HEADER_LEN, MAGIC, VERSION};
@@ -593,6 +687,25 @@ mod reference {
         }
         Ok(samples)
     }
+
+    /// Down-samples by an integer factor in both dimensions (point sampling).
+    pub(super) fn downsample(img: &Image, factor: u16) -> Image {
+        let factor = factor.max(1);
+        let nw = (img.width / factor).max(1);
+        let nh = (img.height / factor).max(1);
+        let ch = img.channels as usize;
+        let mut out = Image::new(nw, nh, img.channels);
+        for y in 0..nh as usize {
+            for x in 0..nw as usize {
+                let sx = (x as u16 * factor).min(img.width - 1) as usize;
+                let sy = (y as u16 * factor).min(img.height - 1) as usize;
+                let src = (sy * img.width as usize + sx) * ch;
+                let dst = (y * nw as usize + x) * ch;
+                out.samples[dst..dst + ch].copy_from_slice(&img.samples[src..src + ch]);
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -688,6 +801,27 @@ mod tests {
         let img = gradient(3, 3, 1);
         let tiny = downsample(&img, 10);
         assert_eq!((tiny.width, tiny.height), (1, 1));
+    }
+
+    #[test]
+    fn to_16_grays_reads_gray_plus_alpha_as_gray() {
+        let gray = Image {
+            width: 1,
+            height: 1,
+            channels: 1,
+            samples: vec![100],
+        };
+        let gray_alpha = Image {
+            channels: 2,
+            samples: vec![100, 255],
+            ..gray.clone()
+        };
+        assert_eq!(to_16_grays(&gray).samples, [102]);
+        assert_eq!(
+            to_16_grays(&gray_alpha).samples,
+            [102],
+            "alpha is not color"
+        );
     }
 
     #[test]
@@ -876,6 +1010,98 @@ mod tests {
         assert_same_decode(&body);
     }
 
+    /// A `width`-sample single-channel image of one value, which quantizes
+    /// to a single run of exactly `width` samples.
+    fn flat_row(width: u16, value: u8) -> Image {
+        Image {
+            width,
+            height: 1,
+            channels: 1,
+            samples: vec![value; width as usize],
+        }
+    }
+
+    #[test]
+    fn quantized_runs_split_at_255() {
+        for (width, runs) in [
+            (255, &[255][..]),
+            (256, &[255, 1]),
+            (510, &[255, 255]),
+            (511, &[255, 255, 1]),
+        ] {
+            let bytes = flat_row(width, 200).encode(Encoding::Quantized, 100);
+            let pairs: Vec<u8> = runs.iter().flat_map(|&n| [n, 200]).collect();
+            assert_eq!(&bytes[HEADER_LEN..], pairs, "{width} samples");
+            for quality in 1..=100 {
+                let img = flat_row(width, 200);
+                let bytes = img.encode(Encoding::Quantized, quality);
+                assert_eq!(bytes, reference::encode(&img, Encoding::Quantized, quality));
+                assert_same_decode(&bytes);
+            }
+        }
+    }
+
+    /// Runs that end at every offset within and across the words the run
+    /// scan reads, in planes whose length is not a multiple of 8.
+    #[test]
+    fn quantized_runs_of_every_length_match_the_reference() {
+        for len in 1..=40u16 {
+            let mut img = Image::new(len, 3, 3);
+            for (i, s) in img.samples.iter_mut().enumerate() {
+                *s = if (i / 3) % usize::from(len) < usize::from(len) / 2 {
+                    40
+                } else {
+                    90
+                };
+            }
+            let bytes = img.encode(Encoding::Quantized, 100);
+            assert_eq!(bytes, reference::encode(&img, Encoding::Quantized, 100));
+            assert_eq!(Image::decode(&bytes).unwrap().0, img);
+        }
+    }
+
+    #[test]
+    fn small_and_ragged_images_round_trip_like_the_reference() {
+        // 1×1 and 7×3 (21 pixels: not a whole number of 8-pixel blocks).
+        for (w, h) in [(1, 1), (7, 3), (9, 1), (1, 9)] {
+            for channels in 1..=4 {
+                for quality in 1..=100 {
+                    let img = textured(w, h, channels, u64::from(quality));
+                    let bytes = img.encode(Encoding::Quantized, quality);
+                    assert_eq!(
+                        bytes,
+                        reference::encode(&img, Encoding::Quantized, quality),
+                        "{w}x{h}x{channels} q{quality}"
+                    );
+                    assert_same_decode(&bytes);
+                }
+            }
+        }
+    }
+
+    /// Channel counts the kernels do not specialise take the generic paths
+    /// and still match the reference.
+    #[test]
+    fn unspecialised_channel_counts_match_the_reference() {
+        for channels in [0, 5, 6] {
+            let img = textured(9, 7, channels, 3);
+            for quality in [1, 40, 100] {
+                assert_eq!(
+                    img.encode(Encoding::Quantized, quality),
+                    reference::encode(&img, Encoding::Quantized, quality),
+                    "{channels} channels q{quality}"
+                );
+            }
+            for factor in 1..=10 {
+                assert_eq!(
+                    downsample(&img, factor),
+                    reference::downsample(&img, factor),
+                    "{channels} channels factor {factor}"
+                );
+            }
+        }
+    }
+
     fn any_encoding() -> impl Strategy<Value = Encoding> {
         prop_oneof![
             Just(Encoding::Raw),
@@ -977,6 +1203,22 @@ mod tests {
                     }
                 }
             }
+        }
+
+        #[test]
+        fn downsample_matches_reference(
+            (w, h) in (1u16..=300, 1u16..=300),
+            channels in 1u8..=4,
+            factor in 1u16..=9,
+            seed in any::<u64>(),
+        ) {
+            // Factors past the side (down to a single row or column) come
+            // from small sides.
+            let img = textured(w, h, channels, seed);
+            prop_assert_eq!(downsample(&img, factor), reference::downsample(&img, factor));
+            let (w, h) = (w % 9 + 1, h % 9 + 1);
+            let small = textured(w, h, channels, seed);
+            prop_assert_eq!(downsample(&small, factor), reference::downsample(&small, factor));
         }
 
         #[test]

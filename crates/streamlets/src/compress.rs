@@ -54,17 +54,6 @@ impl StreamletLogic for TextCompress {
     fn fusable(&self) -> bool {
         true
     }
-
-    fn process_batch(
-        &mut self,
-        msgs: Vec<MimeMessage>,
-        ctx: &mut StreamletCtx,
-    ) -> Result<(), CoreError> {
-        for msg in msgs {
-            self.process(msg, ctx)?;
-        }
-        Ok(())
-    }
 }
 
 /// The client-side peer: reverses [`TextCompress`].
@@ -97,17 +86,6 @@ impl StreamletLogic for TextDecompress {
     // Pure per-message transform: eligible for chain fusion.
     fn fusable(&self) -> bool {
         true
-    }
-
-    fn process_batch(
-        &mut self,
-        msgs: Vec<MimeMessage>,
-        ctx: &mut StreamletCtx,
-    ) -> Result<(), CoreError> {
-        for msg in msgs {
-            self.process(msg, ctx)?;
-        }
-        Ok(())
     }
 }
 

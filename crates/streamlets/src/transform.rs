@@ -61,17 +61,6 @@ impl StreamletLogic for ImgDownSample {
         true
     }
 
-    fn process_batch(
-        &mut self,
-        msgs: Vec<MimeMessage>,
-        ctx: &mut StreamletCtx,
-    ) -> Result<(), CoreError> {
-        for msg in msgs {
-            self.process(msg, ctx)?;
-        }
-        Ok(())
-    }
-
     /// Control interface (§8.2.1): `factor = <n>` adjusts the sample-rate
     /// reduction at runtime.
     fn control(&mut self, key: &str, value: &str) -> Result<(), CoreError> {
@@ -120,17 +109,6 @@ impl StreamletLogic for MapTo16Grays {
     fn fusable(&self) -> bool {
         true
     }
-
-    fn process_batch(
-        &mut self,
-        msgs: Vec<MimeMessage>,
-        ctx: &mut StreamletCtx,
-    ) -> Result<(), CoreError> {
-        for msg in msgs {
-            self.process(msg, ctx)?;
-        }
-        Ok(())
-    }
 }
 
 /// Converting incoming image messages into Jpeg format (§7.5): re-encodes
@@ -167,17 +145,6 @@ impl StreamletLogic for Gif2Jpeg {
     // Pure per-message transform: eligible for chain fusion.
     fn fusable(&self) -> bool {
         true
-    }
-
-    fn process_batch(
-        &mut self,
-        msgs: Vec<MimeMessage>,
-        ctx: &mut StreamletCtx,
-    ) -> Result<(), CoreError> {
-        for msg in msgs {
-            self.process(msg, ctx)?;
-        }
-        Ok(())
     }
 
     /// Control interface (§8.2.1): `quality = 1..=100` adjusts the lossy
@@ -241,17 +208,6 @@ impl StreamletLogic for Postscript2Text {
     // Pure per-message transform: eligible for chain fusion.
     fn fusable(&self) -> bool {
         true
-    }
-
-    fn process_batch(
-        &mut self,
-        msgs: Vec<MimeMessage>,
-        ctx: &mut StreamletCtx,
-    ) -> Result<(), CoreError> {
-        for msg in msgs {
-            self.process(msg, ctx)?;
-        }
-        Ok(())
     }
 }
 

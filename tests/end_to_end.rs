@@ -100,9 +100,8 @@ fn oversized_image_header_is_a_process_error_not_an_abort() {
     stream
         .post_input(MimeMessage::new(&MimeType::new("image", "gif"), bomb))
         .unwrap();
-    // Let it fail alone: a batch that returns an error discards the
-    // batch's other outputs too.
-    assert!(stream.drain(Duration::from_secs(5)));
+    // Whether or not the next image shares its batch, the failure costs
+    // only the bomb itself.
     let mut rng = StdRng::seed_from_u64(7);
     stream
         .post_input(workload::image_message(&mut rng, 64))
@@ -113,6 +112,48 @@ fn oversized_image_header_is_a_process_error_not_an_abort() {
     assert_eq!((enc, img.width), (Encoding::Quantized, 32));
     let g2j = stream.instance("g2j").expect("discrete g2j").stats();
     assert_eq!((g2j.errors, g2j.faults), (1, 0), "{g2j:?}");
+    tb.shutdown();
+}
+
+/// A message that fails inside a batch costs only itself: its batch-mates
+/// are still processed and delivered, and it is charged as one error, just
+/// as three separate `process` calls would count.
+#[test]
+fn a_failing_message_does_not_discard_its_batch_mates() {
+    let tb = Testbed::new(TestbedConfig::fast());
+    let stream = tb
+        .deploy_with_defs(
+            "main stream shrink {\n streamlet ds = new-streamlet (img_down_sample);\n \
+             streamlet out = new-streamlet (communicator);\n connect (ds.po, out.pi);\n}",
+        )
+        .unwrap();
+    let ds = stream.instance("ds").expect("discrete ds");
+    // Hold the streamlet so the three posts wait in its queue; on resume
+    // it takes them as one batch.
+    ds.pause_and_wait(Duration::from_secs(5)).unwrap();
+    let mut rng = StdRng::seed_from_u64(3);
+    let corrupt = MimeMessage::new(&MimeType::new("image", "gif"), b"not an image".to_vec());
+    for msg in [
+        workload::image_message(&mut rng, 64),
+        corrupt,
+        workload::image_message(&mut rng, 64),
+    ] {
+        stream.post_input(msg).unwrap();
+    }
+    ds.activate().unwrap();
+
+    for _ in 0..2 {
+        let got = tb.client().recv(Duration::from_secs(5)).expect("delivered");
+        let (img, _, _) = Image::decode(&got.body).expect("decodable");
+        assert_eq!(img.width, 32, "down-sampled 2x from 64");
+    }
+    assert!(stream.drain(Duration::from_secs(5)));
+    let stats = ds.stats();
+    assert_eq!(
+        (stats.processed, stats.errors, stats.faults),
+        (2, 1, 0),
+        "{stats:?}"
+    );
     tb.shutdown();
 }
 
