@@ -39,7 +39,6 @@ const SECTIONS: &[&str] = &[
     "batching",
     "fusion",
     "sessions",
-    "reactor",
     "obs",
     "overload",
     "memplane",
@@ -105,9 +104,6 @@ fn main() {
     }
     if want("sessions") {
         sessions(quick, smoke);
-    }
-    if want("reactor") {
-        reactor(quick, smoke);
     }
     if want("obs") {
         obs(quick, smoke);
@@ -1027,8 +1023,9 @@ fn fusion(quick: bool) {
 /// Session-plane ablation: one MCL template instantiated as N concurrent
 /// per-user sessions over the sharded coordination plane, measured for
 /// spawn rate, aggregate throughput, steady-state latency, and memory,
-/// then torn down with pool-return and thread-leak verification. Emits
-/// `results/BENCH_sessions.json`.
+/// then torn down with pool-return and thread-leak verification. Asserts
+/// that the worker pool's thread count stays flat across its session
+/// scales. Emits `results/BENCH_sessions.json`.
 fn sessions(quick: bool, smoke: bool) {
     println!("\n=============== Session plane: N concurrent user streams ===============");
     println!("(one compiled template stamped out per session; sharded routing/events)\n");
@@ -1043,19 +1040,18 @@ fn sessions(quick: bool, smoke: bool) {
     } else {
         20_000
     };
-    let wp = ExecutorConfig::WorkerPool { workers: 4 };
+    let workers = 4;
+    let wp = ExecutorConfig::WorkerPool { workers };
     let tps = ExecutorConfig::ThreadPerStreamlet;
-    let re = ExecutorConfig::Reactor { workers: 4 };
-    // Thread-per-streamlet idles at a 5 ms safety poll per thread; past
-    // ~1k sessions on a small host those polls alone saturate the cores,
-    // which is precisely the wall the worker-pool executor exists to
-    // remove — so the TPS curve stops at 1k, the worker pool carries the
-    // 10k point, and the reactor's per-worker queues extend the curve
-    // (see the dedicated `reactor` ablation for the 100k point).
+    // Thread-per-streamlet costs one OS thread per fused unit, blocked on
+    // its notifier while idle; past ~1k sessions on a small host spawning
+    // and scheduling those threads is the wall the worker-pool executor
+    // exists to remove — so the TPS curve stops at 1k and the worker pool
+    // carries the 10k point on a flat thread count.
     let points: Vec<(ExecutorConfig, usize)> = if smoke {
-        vec![(tps, 25), (wp, 25), (wp, 100), (re, 100)]
+        vec![(tps, 25), (wp, 25), (wp, 100)]
     } else if quick {
-        vec![(tps, 100), (wp, 100), (wp, 1_000), (re, 1_000)]
+        vec![(tps, 100), (wp, 100), (wp, 1_000)]
     } else {
         vec![
             (tps, 100),
@@ -1063,8 +1059,6 @@ fn sessions(quick: bool, smoke: bool) {
             (wp, 100),
             (wp, 1_000),
             (wp, 10_000),
-            (re, 1_000),
-            (re, 10_000),
         ]
     };
 
@@ -1150,6 +1144,19 @@ fn sessions(quick: bool, smoke: bool) {
     }
     print!("\n{}", csv.to_table());
 
+    // Thread flatness: the pool's sessions cost no threads of their own,
+    // so the threads beyond the baseline stay within the worker count and
+    // identical at every pooled scale.
+    let pooled_extra: Vec<usize> = outs
+        .iter()
+        .filter(|o| o.executor == "worker-pool")
+        .map(|o| o.threads_running.saturating_sub(o.threads_baseline))
+        .collect();
+    assert!(
+        pooled_extra.iter().all(|&e| e <= workers) && pooled_extra.windows(2).all(|w| w[0] == w[1]),
+        "worker-pool threads must stay flat across the session sweep: {pooled_extra:?}"
+    );
+
     // The serde shim is a no-op, so the JSON is formatted by hand.
     let mode = if smoke {
         "smoke"
@@ -1169,8 +1176,9 @@ fn sessions(quick: bool, smoke: bool) {
         "  \"mode\": \"{mode}\", \"total_msgs_target\": {total_msgs},\n"
     ));
     json.push_str(
-        "  \"note\": \"thread-per-streamlet stops at 1k sessions: its 5 ms idle \
-         polls saturate a small host's cores, the wall the worker pool removes\",\n",
+        "  \"note\": \"thread-per-streamlet stops at 1k sessions: one OS thread per \
+         session is the wall the worker pool removes; worker-pool threads stay flat \
+         across its points\",\n",
     );
     json.push_str("  \"series\": [\n");
     for (i, o) in outs.iter().enumerate() {
@@ -1211,235 +1219,6 @@ fn sessions(quick: bool, smoke: bool) {
     json.push_str("}\n");
     save_json("BENCH_sessions", &json);
     save("sessions_ablation", &csv);
-}
-
-/// Reactor-executor ablation: session scale on per-worker run queues
-/// with work stealing vs. the shared-queue worker pool. Two guards, both
-/// hard-asserted:
-///
-/// * **Thread flatness** — reactor worker threads stay exactly flat as
-///   the session count grows by orders of magnitude (idle streamlets
-///   cost a queue-table entry, never a thread);
-/// * **No regression at pool scale** — reactor throughput at 1k sessions
-///   is ≥ 1.0× the 4-worker pool baseline (best of three runs, since a
-///   shared small host jitters).
-///
-/// Emits `results/BENCH_reactor.json`.
-fn reactor(quick: bool, smoke: bool) {
-    println!("\n=============== Reactor executor: sessions on stolen work ===============");
-    println!("(per-worker run queues; wake hooks as wakers; fused unit = quantum)\n");
-    let chain_len = 3;
-    let payload = 64;
-    let workers = 4;
-    let total_msgs: usize = if smoke {
-        400
-    } else if quick {
-        4_000
-    } else {
-        20_000
-    };
-    let wp = ExecutorConfig::WorkerPool { workers };
-    let re = ExecutorConfig::Reactor { workers };
-    let baseline_sessions: usize = if smoke { 100 } else { 1_000 };
-    // The scale sweep: the last point is the headline (10k in quick CI,
-    // 100k in a full run — ROADMAP item 2's target band).
-    let reactor_sessions: Vec<usize> = if smoke {
-        vec![100, 1_000]
-    } else if quick {
-        vec![1_000, 10_000]
-    } else {
-        vec![1_000, 10_000, 100_000]
-    };
-
-    let run = |executor: ExecutorConfig, n: usize| {
-        let out = run_sessions(SessionsConfig {
-            sessions: n,
-            mode: PayloadMode::Reference,
-            chain_len,
-            msgs_per_session: (total_msgs / n).max(2),
-            payload_bytes: payload,
-            executor,
-            fusion: true,
-            latency_iters: if smoke { 5 } else { 20 },
-        });
-        println!(
-            "{:>20} n={:<7} spawn {:>9.0}/s  {:>9.0} msg/s  latency {:>8.1} µs  \
-             threads {}→{}→{}",
-            out.executor,
-            out.sessions,
-            out.spawn_rate,
-            out.throughput_mps,
-            out.mean_latency.as_secs_f64() * 1e6,
-            out.threads_baseline,
-            out.threads_running,
-            out.threads_after_teardown
-        );
-        assert!(
-            out.delivery_clean(),
-            "{} n={} lost messages: injected={} delivered={} label_errors={}",
-            out.executor,
-            out.sessions,
-            out.injected,
-            out.delivered,
-            out.label_errors
-        );
-        assert!(
-            out.teardown_clean(),
-            "{} n={} teardown left residue: threads {}→{} (baseline {})",
-            out.executor,
-            out.sessions,
-            out.threads_running,
-            out.threads_after_teardown,
-            out.threads_baseline
-        );
-        out
-    };
-
-    let base = run(wp, baseline_sessions);
-
-    // Throughput guard at the baseline scale, best-of-3 against jitter.
-    let mut parity = run(re, baseline_sessions);
-    for _ in 0..2 {
-        if parity.throughput_mps >= base.throughput_mps {
-            break;
-        }
-        let retry = run(re, baseline_sessions);
-        if retry.throughput_mps > parity.throughput_mps {
-            parity = retry;
-        }
-    }
-    let ratio = parity.throughput_mps / base.throughput_mps;
-    println!(
-        "\nreactor/worker-pool throughput at n={baseline_sessions}: {ratio:.3}x \
-         ({:.0} vs {:.0} msg/s)",
-        parity.throughput_mps, base.throughput_mps
-    );
-    assert!(
-        ratio >= 1.0,
-        "reactor regressed below the worker pool at n={baseline_sessions}: \
-         {:.0} vs {:.0} msg/s ({ratio:.3}x < 1.0x)",
-        parity.throughput_mps,
-        base.throughput_mps
-    );
-
-    // Scale sweep with the thread-flatness guard.
-    let mut sweep = Vec::new();
-    for &n in &reactor_sessions {
-        let out = if n == baseline_sessions {
-            parity.clone()
-        } else {
-            run(re, n)
-        };
-        let extra = out.threads_running.saturating_sub(out.threads_baseline);
-        assert!(
-            extra <= workers,
-            "reactor n={n} grew threads with sessions: {} running over {} baseline \
-             (> {workers} workers)",
-            out.threads_running,
-            out.threads_baseline
-        );
-        sweep.push(out);
-    }
-    let extras: Vec<usize> = sweep
-        .iter()
-        .map(|o| o.threads_running.saturating_sub(o.threads_baseline))
-        .collect();
-    assert!(
-        extras.windows(2).all(|w| w[0] == w[1]),
-        "reactor thread count must stay flat across the sweep: {extras:?}"
-    );
-
-    let mut csv = Csv::new([
-        "executor",
-        "sessions",
-        "spawn_per_s",
-        "throughput_msg_s",
-        "latency_us",
-        "threads_running",
-        "steals",
-        "parks",
-    ]);
-    let mut rows: Vec<(&str, &mobigate_bench::SessionsOutcome)> = vec![("baseline", &base)];
-    for o in &sweep {
-        rows.push(("reactor", o));
-    }
-    for (_, o) in &rows {
-        csv.row([
-            o.executor.clone(),
-            o.sessions.to_string(),
-            format!("{:.0}", o.spawn_rate),
-            format!("{:.0}", o.throughput_mps),
-            format!("{:.1}", o.mean_latency.as_secs_f64() * 1e6),
-            o.threads_running.to_string(),
-            o.executor_steals.to_string(),
-            o.executor_parks.to_string(),
-        ]);
-    }
-    print!("\n{}", csv.to_table());
-
-    let mode = if smoke {
-        "smoke"
-    } else if quick {
-        "quick"
-    } else {
-        "full"
-    };
-    // The serde shim is a no-op, so the JSON is formatted by hand.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"reactor_executor_ablation\",\n");
-    json.push_str(&format!(
-        "  \"template\": {{\"chain_len\": {chain_len}, \"fusion\": true, \
-         \"payload_bytes\": {payload}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"mode\": \"{mode}\", \"workers\": {workers}, \
-         \"total_msgs_target\": {total_msgs},\n"
-    ));
-    json.push_str(&format!(
-        "  \"throughput_ratio_vs_worker_pool\": {ratio:.3},\n"
-    ));
-    json.push_str(
-        "  \"guards\": {\"thread_flatness\": \"reactor threads stay flat across \
-         the session sweep\", \"parity\": \"reactor >= 1.0x worker-pool \
-         throughput at the baseline scale\"},\n",
-    );
-    json.push_str("  \"series\": [\n");
-    let all: Vec<&mobigate_bench::SessionsOutcome> =
-        std::iter::once(&base).chain(sweep.iter()).collect();
-    for (i, o) in all.iter().enumerate() {
-        let sep = if i + 1 == all.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"executor\": \"{}\", \"sessions\": {}, \"spawn_rate_per_s\": {:.1}, \
-             \"throughput_msg_per_s\": {:.1}, \"mean_latency_us\": {:.1}, \
-             \"rss_spawn_kib\": {}, \"injected\": {}, \"delivered\": {}, \
-             \"threads_baseline\": {}, \"threads_running\": {}, \
-             \"threads_after_teardown\": {}, \"executor_pumps\": {}, \
-             \"executor_steals\": {}, \"executor_parks\": {}}}{sep}\n",
-            o.executor,
-            o.sessions,
-            o.spawn_rate,
-            o.throughput_mps,
-            o.mean_latency.as_secs_f64() * 1e6,
-            o.rss_spawn_kib,
-            o.injected,
-            o.delivered,
-            o.threads_baseline,
-            o.threads_running,
-            o.threads_after_teardown,
-            o.executor_pumps,
-            o.executor_steals,
-            o.executor_parks,
-        ));
-    }
-    json.push_str("  ],\n");
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    json.push_str(&format!("  \"host_cores\": {cores}\n"));
-    json.push_str("}\n");
-    save_json("BENCH_reactor", &json);
-    save("reactor_ablation", &csv);
 }
 
 /// Observability ablation: telemetry-on vs. telemetry-off chain
@@ -1868,7 +1647,7 @@ fn memplane(quick: bool, smoke: bool) {
     );
     println!("\nallocs/msg guard: {head_ratio:.1}x >= 5x at k={head_k}  [ok]");
 
-    // --- Part 2: throughput at session scale, per executor back end. ---
+    // --- Part 2: throughput at session scale on the worker pool. ---
     let chain_len = 4;
     let payload = 16 * 1024;
     let workers = 4;
@@ -1880,7 +1659,7 @@ fn memplane(quick: bool, smoke: bool) {
         20_000
     };
     let wp = ExecutorConfig::WorkerPool { workers };
-    let re = ExecutorConfig::Reactor { workers };
+    let label = "worker-pool";
     let scales: Vec<usize> = if smoke {
         vec![100, 1_000]
     } else {
@@ -1888,14 +1667,14 @@ fn memplane(quick: bool, smoke: bool) {
     };
     let headline_sessions = *scales.last().expect("at least one scale");
 
-    let run = |executor: ExecutorConfig, n: usize, mode: PayloadMode| {
+    let run = |n: usize, mode: PayloadMode| {
         let out = run_sessions(SessionsConfig {
             sessions: n,
             mode,
             chain_len,
             msgs_per_session: (total_msgs / n).max(2),
             payload_bytes: payload,
-            executor,
+            executor: wp,
             fusion: true,
             latency_iters: if smoke { 5 } else { 20 },
         });
@@ -1929,56 +1708,46 @@ fn memplane(quick: bool, smoke: bool) {
         "throughput_ratio",
     ]);
     let mut tp_rows = Vec::new();
-    let mut headline_ratios: Vec<(String, f64)> = Vec::new();
-    for &(label, executor) in &[("worker-pool", wp), ("reactor", re)] {
-        for &n in &scales {
-            let base = run(executor, n, PayloadMode::Value);
-            // Best-of-3 against scheduler jitter at the guarded point.
-            let mut mem = run(executor, n, PayloadMode::Reference);
-            if n == headline_sessions {
-                for _ in 0..2 {
-                    if mem.throughput_mps >= 1.15 * base.throughput_mps {
-                        break;
-                    }
-                    let retry = run(executor, n, PayloadMode::Reference);
-                    if retry.throughput_mps > mem.throughput_mps {
-                        mem = retry;
-                    }
+    let mut headline_ratio = 0.0;
+    for &n in &scales {
+        let base = run(n, PayloadMode::Value);
+        // Best-of-3 against scheduler jitter at the guarded point.
+        let mut mem = run(n, PayloadMode::Reference);
+        if n == headline_sessions {
+            for _ in 0..2 {
+                if mem.throughput_mps >= 1.15 * base.throughput_mps {
+                    break;
+                }
+                let retry = run(n, PayloadMode::Reference);
+                if retry.throughput_mps > mem.throughput_mps {
+                    mem = retry;
                 }
             }
-            let ratio = mem.throughput_mps / base.throughput_mps;
-            println!("    -> {label} n={n}: {ratio:.3}x");
-            tp_csv.row([
-                label.to_string(),
-                n.to_string(),
-                format!("{:.0}", base.throughput_mps),
-                format!("{:.0}", mem.throughput_mps),
-                format!("{ratio:.3}"),
-            ]);
-            if n == headline_sessions {
-                headline_ratios.push((label.to_string(), ratio));
-            }
-            tp_rows.push((label, n, base, mem, ratio));
         }
+        let ratio = mem.throughput_mps / base.throughput_mps;
+        println!("    -> {label} n={n}: {ratio:.3}x");
+        tp_csv.row([
+            label.to_string(),
+            n.to_string(),
+            format!("{:.0}", base.throughput_mps),
+            format!("{:.0}", mem.throughput_mps),
+            format!("{ratio:.3}"),
+        ]);
+        if n == headline_sessions {
+            headline_ratio = ratio;
+        }
+        tp_rows.push((label, n, base, mem, ratio));
     }
 
-    // Acceptance guard: at the headline scale at least one executor back
-    // end gains >=1.15x throughput from the memory plane.
-    let best = headline_ratios
-        .iter()
-        .cloned()
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("at least one headline point");
+    // Acceptance guard: at the headline scale the memory plane gains
+    // >=1.15x throughput.
     assert!(
-        best.1 >= 1.15,
-        "memory plane must gain >=1.15x throughput at n={headline_sessions} on at \
-         least one executor; best was {} at {:.3}x",
-        best.0,
-        best.1
+        headline_ratio >= 1.15,
+        "memory plane must gain >=1.15x throughput at n={headline_sessions} on the \
+         {label}; got {headline_ratio:.3}x"
     );
     println!(
-        "\nthroughput guard: {:.3}x >= 1.15x at n={headline_sessions} ({})  [ok]",
-        best.1, best.0
+        "\nthroughput guard: {headline_ratio:.3}x >= 1.15x at n={headline_sessions} ({label})  [ok]"
     );
 
     print!("\n{}", alloc_csv.to_table());
@@ -2008,13 +1777,12 @@ fn memplane(quick: bool, smoke: bool) {
     ));
     json.push_str(&format!(
         "  \"alloc_ratio_at_headline\": {head_ratio:.2}, \
-         \"throughput_ratio_at_headline\": {:.3},\n",
-        best.1
+         \"throughput_ratio_at_headline\": {headline_ratio:.3},\n"
     ));
     json.push_str(
         "  \"guards\": {\"allocs\": \"memplane cuts allocs/msg by >=5x on the \
          longest pass-through chain\", \"throughput\": \">=1.15x msg/s at the \
-         headline session scale on at least one executor\"},\n",
+         headline session scale on the worker pool\"},\n",
     );
     json.push_str("  \"alloc_series\": [\n");
     for (i, (k, base, mem, ratio)) in alloc_rows.iter().enumerate() {

@@ -14,8 +14,8 @@ use mobigate::core::{MobiGate, RestartPolicy, ServerConfig, SupervisionConfig};
 use mobigate::core::{StreamletDirectory, StreamletPool};
 use mobigate::mime::{MimeMessage, MimeType};
 use mobigate_streamlets::fault::{FaultInjector, GARBAGE_HEADER, POISON_HEADER};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 /// One chaos run's knobs.
@@ -251,15 +251,40 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     }
 }
 
-/// Silences the default panic hook for the duration of `f` — chaos runs
-/// panic thousands of times on purpose and would otherwise flood stderr
-/// with backtraces.
+/// Quiet scopes currently open (see [`with_quiet_panics`]).
+static QUIET_SCOPES: AtomicUsize = AtomicUsize::new(0);
+
+/// Silences panics on streamlet executor threads for the duration of `f` —
+/// chaos runs panic thousands of times on purpose and would otherwise
+/// flood stderr with backtraces.
+///
+/// The filtering hook is installed once per process and forwards every
+/// other panic to the hook it replaced, so concurrent scopes never
+/// restore each other's silence, and a failing assertion on any other
+/// thread still prints.
 pub fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let executor_thread = std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("streamlet-") || n.starts_with("mobigate-worker-"));
+            if !(executor_thread && QUIET_SCOPES.load(Ordering::Acquire) > 0) {
+                prev(info);
+            }
+        }));
+    });
+    /// Closes the scope even if `f` unwinds.
+    struct Scope;
+    impl Drop for Scope {
+        fn drop(&mut self) {
+            QUIET_SCOPES.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+    QUIET_SCOPES.fetch_add(1, Ordering::AcqRel);
+    let _scope = Scope;
+    f()
 }
 
 #[cfg(test)]

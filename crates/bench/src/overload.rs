@@ -394,9 +394,9 @@ mod tests {
     #[test]
     fn breaker_probe_leg_trips_without_quarantine() {
         let out = with_quiet_panics(|| run_breaker_probe(ExecutorConfig::ThreadPerStreamlet, 5));
-        assert_eq!(out.trips, 1);
-        assert_eq!(out.quarantined, 0);
-        assert_eq!(out.delivered, out.offered);
-        assert!(out.restarts >= 2);
+        assert_eq!(out.trips, 1, "{out:?}");
+        assert_eq!(out.quarantined, 0, "{out:?}");
+        assert_eq!(out.delivered, out.offered, "{out:?}");
+        assert!(out.restarts >= 2, "{out:?}");
     }
 }

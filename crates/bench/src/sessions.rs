@@ -88,13 +88,6 @@ pub struct SessionsOutcome {
     pub pool_discarded_delta: u64,
     /// Live streams the coordination plane still tracks after teardown.
     pub residual_streams: usize,
-    /// Scheduler pump calls across workers (0 when the back end keeps no
-    /// per-worker counters — thread-per-streamlet).
-    pub executor_pumps: u64,
-    /// Tasks stolen between worker run queues (reactor only).
-    pub executor_steals: u64,
-    /// Worker park events (reactor only).
-    pub executor_parks: u64,
 }
 
 impl SessionsOutcome {
@@ -158,7 +151,6 @@ pub fn run_sessions(cfg: SessionsConfig) -> SessionsOutcome {
     let executor_label = match cfg.executor {
         ExecutorConfig::ThreadPerStreamlet => "thread-per-streamlet",
         ExecutorConfig::WorkerPool { .. } => "worker-pool",
-        ExecutorConfig::Reactor { .. } => "reactor",
     };
     // Pool sized so teardown checkins are never discarded: every session
     // can return its full chain.
@@ -242,9 +234,6 @@ pub fn run_sessions(cfg: SessionsConfig) -> SessionsOutcome {
     }
     let mean_latency = total / cfg.latency_iters.max(1) as u32;
 
-    // Scheduler counters before teardown, while the workers are alive.
-    let exec_stats = server.executor().stats().unwrap_or_default();
-
     // --- teardown --------------------------------------------------------
     let pool_before = pool.stats();
     drop(streams);
@@ -278,8 +267,5 @@ pub fn run_sessions(cfg: SessionsConfig) -> SessionsOutcome {
         pool_returned_delta: pool_after.returned - pool_before.returned,
         pool_discarded_delta: pool_after.discarded - pool_before.discarded,
         residual_streams,
-        executor_pumps: exec_stats.total_pumps(),
-        executor_steals: exec_stats.total_steals(),
-        executor_parks: exec_stats.total_parks(),
     }
 }

@@ -8,7 +8,9 @@
 //! scheduling:
 //!
 //! * [`ThreadPerStreamlet`] — the paper-faithful default; each started
-//!   streamlet gets a dedicated blocking worker thread.
+//!   streamlet gets a dedicated thread that pumps it and, when idle,
+//!   blocks on its notifier with no timeout. Outputs keep the paper's
+//!   blocking posts.
 //! * [`WorkerPool`] — `M` workers drive a single shared run-queue of
 //!   runnable streamlet tasks. A task becomes runnable when its
 //!   [`crate::queue::Notifier`] fires (queue post, pause/activate/end,
@@ -17,16 +19,14 @@
 //!   handful of workers. Launch itself schedules only a task that already
 //!   has work, and `end` finalizes a task no worker is pumping on the
 //!   calling thread, so an idle session's lifecycle costs no pump.
-//! * [`Reactor`] — per-worker run queues with work stealing. The same
-//!   wake hooks act as wakers: a blocked `fetch`/`post` costs one
-//!   queue-listener entry instead of a parked thread, workers steal from
-//!   each other before sleeping, and each fused unit is the scheduling
-//!   quantum. Built for thousands of mostly-idle sessions per core.
 //!
-//! All back ends drive the same [`StreamletTask`] state machine, so
-//! lifecycle semantics (Created → Running → Paused → Ended,
+//! Both back ends drive the same [`StreamletTask::pump`] state machine,
+//! so lifecycle semantics (Created → Running → Paused → Ended,
 //! suspend-during-reconfiguration per Figure 7-4, control commands
-//! serviced between messages) are identical under any executor.
+//! serviced between messages) are identical under either executor. They
+//! differ only in who calls `pump` and how an idle task waits: a
+//! dedicated thread blocks on the task's notifier, a pooled task leaves
+//! the run queue until its wake hook re-schedules it.
 //!
 //! Pool-driven tasks post outputs without blocking: a full async queue
 //! parks the message in the task's pending-output buffer (with its Figure
@@ -38,10 +38,8 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-mod reactor;
 mod worker_pool;
 
-pub use reactor::Reactor;
 pub use worker_pool::WorkerPool;
 
 use crate::streamlet::{PumpOutcome, StreamletTask};
@@ -49,43 +47,9 @@ use std::sync::{Arc, OnceLock};
 
 /// Maximum messages a worker pumps from one task before requeueing it, so
 /// a busy streamlet cannot starve its siblings. This is the cooperative
-/// scheduling quantum shared by the pool and reactor back ends.
+/// scheduling quantum; a dedicated thread uses the same budget between
+/// its notifier checks.
 pub(crate) const PUMP_BATCH: usize = 64;
-
-/// Scheduler counters for one pool/reactor worker thread.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Pump calls executed (each drives one task for up to one quantum).
-    pub pumps: u64,
-    /// Tasks stolen from another worker's local queue.
-    pub steals: u64,
-    /// Times the worker went to sleep with no runnable task anywhere.
-    pub parks: u64,
-}
-
-/// Point-in-time scheduler counters for an executor back end.
-#[derive(Clone, Debug, Default)]
-pub struct ExecutorStats {
-    /// One entry per worker thread, indexed by worker id.
-    pub workers: Vec<WorkerStats>,
-}
-
-impl ExecutorStats {
-    /// Sum of pump calls across workers.
-    pub fn total_pumps(&self) -> u64 {
-        self.workers.iter().map(|w| w.pumps).sum()
-    }
-
-    /// Sum of steals across workers.
-    pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
-    }
-
-    /// Sum of parks across workers.
-    pub fn total_parks(&self) -> u64 {
-        self.workers.iter().map(|w| w.parks).sum()
-    }
-}
 
 /// A scheduling back end for started streamlets.
 pub trait Executor: Send + Sync {
@@ -99,11 +63,6 @@ pub trait Executor: Send + Sync {
     /// the default (thread-per-streamlet) has nothing to stop because each
     /// thread exits with its streamlet.
     fn shutdown(&self) {}
-
-    /// Per-worker scheduler counters, when the back end keeps them.
-    fn stats(&self) -> Option<ExecutorStats> {
-        None
-    }
 }
 
 /// The paper's scheduling model: one dedicated OS thread per streamlet.
@@ -122,7 +81,7 @@ impl Executor for ThreadPerStreamlet {
         let name = format!("streamlet-{}", task.name());
         if let Err(e) = std::thread::Builder::new()
             .name(name)
-            .spawn(move || task.run_blocking())
+            .spawn(move || drive_dedicated(&task))
         {
             panic!("spawn streamlet thread: {e}");
         }
@@ -133,75 +92,28 @@ impl Executor for ThreadPerStreamlet {
     }
 }
 
+/// The paper's `Streamlet.run()` on a dedicated thread: pump one quantum
+/// at a time and, once the task goes idle, block on its notifier with no
+/// timeout. Every source of pump work notifies, and the snapshot precedes
+/// the pump, so a wake that lands while the pump inspects inputs and
+/// lifecycle state makes the wait return at once.
+fn drive_dedicated(task: &StreamletTask) {
+    let notifier = task.notifier();
+    loop {
+        let seen = notifier.snapshot();
+        match task.pump(PUMP_BATCH) {
+            PumpOutcome::More => {}
+            PumpOutcome::Idle => notifier.wait_untimed(seen),
+            PumpOutcome::Ended => return,
+        }
+    }
+}
+
 /// The process-wide default executor (thread-per-streamlet), used by
 /// handles constructed without an explicit executor.
 pub fn default_executor() -> Arc<dyn Executor> {
     static DEFAULT: OnceLock<Arc<ThreadPerStreamlet>> = OnceLock::new();
     DEFAULT.get_or_init(ThreadPerStreamlet::new).clone()
-}
-
-/// Adopts `task` into a pooled back end (worker pool or reactor):
-/// non-blocking outputs, and a wake hook routing every notification to
-/// `schedule` on `state`. The launch itself schedules nothing unless the
-/// task already has work — an idle session costs no pump, and
-/// `on_activate` waits for the first one (or for an inline `end`).
-///
-/// Order matters as in [`pump_and_reschedule`]: the hook is installed and
-/// the coalescing notifier re-armed *before* the work check, so a post
-/// landing after the disarm fires the hook, and one that landed before it
-/// is seen by the check.
-pub(crate) fn launch_pooled<S: Send + Sync + 'static>(
-    state: &Arc<S>,
-    task: Arc<StreamletTask>,
-    schedule: fn(&S, Arc<StreamletTask>),
-) {
-    // Workers must never park inside a downstream post: with more
-    // streamlets than workers, a backed-up chain would otherwise eat every
-    // worker and stall until the drop deadline. Full async queues park the
-    // message in the task's pending-output buffer, occupied rendezvous
-    // slots do the same, and the worker moves on.
-    task.set_nonblocking_outputs(true);
-    // Weak in both directions: the hook lives inside the task's notifier,
-    // so a strong task ref here would leak the task, and a strong state
-    // ref would keep dead back ends alive.
-    let weak_state = Arc::downgrade(state);
-    let weak_task = Arc::downgrade(&task);
-    task.set_wake_hook(move || {
-        if let (Some(state), Some(task)) = (weak_state.upgrade(), weak_task.upgrade()) {
-            schedule(&state, task);
-        }
-    });
-    task.disarm_wake();
-    if task.has_pending_work() {
-        schedule(state, task);
-    }
-}
-
-/// Drives one task for one quantum and applies the shared never-lose-a-
-/// wakeup reschedule protocol. `reschedule` must route the task back into
-/// the caller's run queue (it is only invoked when the task stays live).
-///
-/// The ordering is load-bearing and identical under pool and reactor:
-/// clear the membership mark *before* re-checking for work — a notify
-/// racing the pump either found the mark set (caught by the re-check) or
-/// lands after and re-queues — then re-arm the coalescing notifier for
-/// the same reason.
-pub(crate) fn pump_and_reschedule(
-    task: Arc<StreamletTask>,
-    reschedule: impl FnOnce(Arc<StreamletTask>),
-) {
-    let outcome = task.pump(PUMP_BATCH);
-    task.clear_scheduled();
-    task.disarm_wake();
-    match outcome {
-        PumpOutcome::Ended => task.clear_wake_hook(),
-        PumpOutcome::More => reschedule(task),
-        PumpOutcome::Idle => {
-            if task.has_pending_work() {
-                reschedule(task);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +123,7 @@ mod tests {
     use super::*;
     use crate::error::CoreError;
     use crate::pool::{MessagePool, PayloadMode};
-    use crate::queue::{FetchResult, MessageQueue, PostResult, QueueConfig};
+    use crate::queue::{FetchResult, MessageQueue, Notifier, PostResult, QueueConfig};
     use crate::streamlet::{
         Emitter, LifecycleState, RouteOpts, StreamletCtx, StreamletHandle, StreamletLogic,
     };
@@ -328,7 +240,7 @@ mod tests {
     }
 
     /// Full lifecycle — process, pause (Fig 7-4 step 2), control command,
-    /// activate, end with logic parked — identical under all back ends.
+    /// activate, end with logic parked — identical under both back ends.
     fn lifecycle_suite(executor: Arc<dyn Executor>) {
         let (pool, qin, qout, h) = upper_pipeline(executor);
         h.start().unwrap();
@@ -368,20 +280,33 @@ mod tests {
     }
 
     #[test]
+    fn idle_dedicated_thread_blocks_until_notified() {
+        let (pool, qin, qout, h) = upper_pipeline(ThreadPerStreamlet::new());
+        // Fired after every step the task runs.
+        let steps = Arc::new(Notifier::new());
+        h.set_quiesce_notifier(steps.clone());
+        h.start().unwrap();
+        post_text(&pool, &qin, "a");
+        assert_eq!(fetch_text(&pool, &qout), "A");
+        // Once the thread has gone idle, no step runs until a wake: a
+        // timed idle poll would step (and fire `steps`) in every window.
+        let quiet_window = (0..10).any(|_| {
+            let since = steps.snapshot();
+            std::thread::sleep(Duration::from_millis(50));
+            steps.snapshot() == since
+        });
+        assert!(quiet_window, "idle dedicated thread kept stepping");
+        post_text(&pool, &qin, "b");
+        assert_eq!(fetch_text(&pool, &qout), "B");
+        h.end();
+        assert!(h.take_logic().is_some(), "logic parked back after end");
+    }
+
+    #[test]
     fn worker_pool_single_worker_suffices() {
         // Even one worker must drive a streamlet through its lifecycle:
         // the run-queue serializes, nothing blocks inside a pump.
         lifecycle_suite(WorkerPool::new(1));
-    }
-
-    #[test]
-    fn lifecycle_under_reactor() {
-        lifecycle_suite(Reactor::new(2));
-    }
-
-    #[test]
-    fn reactor_single_worker_suffices() {
-        lifecycle_suite(Reactor::new(1));
     }
 
     /// The Figure 7-6 stress shape: a chain of `CHAIN` redirector
@@ -428,13 +353,6 @@ mod tests {
     fn hundred_redirector_chain_on_eight_workers() {
         let executor = WorkerPool::new(8);
         assert_eq!(executor.worker_count(), 8);
-        redirector_chain(executor, 100, 25);
-    }
-
-    #[test]
-    fn hundred_redirector_chain_on_reactor() {
-        let executor = Reactor::new(4);
-        assert_eq!(executor.worker_count(), 4);
         redirector_chain(executor, 100, 25);
     }
 
@@ -497,11 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_chain_deeper_than_workers_on_reactor() {
-        sync_chain_deeper_than_workers(Reactor::new(2));
-    }
-
-    #[test]
     fn worker_pool_shutdown_is_idempotent() {
         let pool = WorkerPool::new(2);
         pool.shutdown();
@@ -509,31 +422,24 @@ mod tests {
         assert_eq!(pool.worker_count(), 0, "workers joined");
     }
 
+    /// A shutdown landing while a fresh worker is between its `stop`
+    /// check and its wait must still reach it: every cycle joins. The
+    /// spin varies how far the worker got before the shutdown.
     #[test]
-    fn reactor_shutdown_is_idempotent() {
-        let r = Reactor::new(2);
-        r.shutdown();
-        r.shutdown();
-        assert_eq!(r.worker_count(), 0, "workers joined");
+    fn worker_pool_shutdown_reaches_a_worker_on_its_way_to_sleep() {
+        for i in 0..3000u32 {
+            let pool = WorkerPool::new(1);
+            for _ in 0..(i % 128) * 20 {
+                std::hint::spin_loop();
+            }
+            pool.shutdown();
+        }
     }
 
     #[test]
     fn executor_names() {
         assert_eq!(ThreadPerStreamlet::new().name(), "thread-per-streamlet");
         assert_eq!(WorkerPool::new(1).name(), "worker-pool");
-        assert_eq!(Reactor::new(1).name(), "reactor");
         assert_eq!(default_executor().name(), "thread-per-streamlet");
-    }
-
-    #[test]
-    fn reactor_reports_per_worker_stats() {
-        let executor = Reactor::new(3);
-        redirector_chain(executor.clone(), 20, 50);
-        let stats = executor.stats().expect("reactor keeps stats");
-        assert_eq!(stats.workers.len(), 3);
-        assert!(stats.total_pumps() > 0, "workers pumped tasks");
-        // Parks happen whenever a worker finds nothing runnable; with 3
-        // workers and a mostly-serial chain this is effectively certain.
-        assert!(stats.total_parks() > 0, "idle workers parked");
     }
 }

@@ -1,7 +1,7 @@
 //! The shared-run-queue back end: `M` workers, one global queue.
 
-use super::{launch_pooled, pump_and_reschedule, Executor};
-use crate::streamlet::StreamletTask;
+use super::{Executor, PUMP_BATCH};
+use crate::streamlet::{PumpOutcome, StreamletTask};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,9 +17,9 @@ struct PoolState {
 
 impl PoolState {
     /// Enqueues `task` unless it is already queued or being pumped. Paired
-    /// with the re-check in [`worker_loop`], this never loses a wakeup:
-    /// a notify during a pump is either absorbed by that pump or caught by
-    /// the post-pump `has_pending_work` check.
+    /// with the re-check in [`pump_and_reschedule`], this never loses a
+    /// wakeup: a notify during a pump is either absorbed by that pump or
+    /// caught by the post-pump `has_pending_work` check.
     fn schedule(&self, task: Arc<StreamletTask>) {
         if task.try_mark_scheduled() {
             self.run_queue.lock().push_back(task);
@@ -67,7 +67,7 @@ impl WorkerPool {
     }
 }
 
-fn worker_loop(state: &Arc<PoolState>) {
+fn worker_loop(state: &PoolState) {
     loop {
         let task = {
             let mut queue = state.run_queue.lock();
@@ -81,14 +81,62 @@ fn worker_loop(state: &Arc<PoolState>) {
                 state.cv.wait(&mut queue);
             }
         };
-        let st = state.clone();
-        pump_and_reschedule(task, move |t| st.schedule(t));
+        pump_and_reschedule(state, task);
+    }
+}
+
+/// Drives one task for one quantum and applies the never-lose-a-wakeup
+/// reschedule protocol. The ordering is load-bearing: clear the
+/// membership mark *before* re-checking for work — a notify racing the
+/// pump either found the mark set (caught by the re-check) or lands after
+/// and re-queues — then re-arm the coalescing notifier for the same
+/// reason.
+fn pump_and_reschedule(state: &PoolState, task: Arc<StreamletTask>) {
+    let outcome = task.pump(PUMP_BATCH);
+    task.clear_scheduled();
+    task.disarm_wake();
+    match outcome {
+        PumpOutcome::Ended => task.clear_wake_hook(),
+        PumpOutcome::More => state.schedule(task),
+        PumpOutcome::Idle => {
+            if task.has_pending_work() {
+                state.schedule(task);
+            }
+        }
     }
 }
 
 impl Executor for WorkerPool {
+    /// Adopts `task`: non-blocking outputs, and a wake hook routing every
+    /// notification to the run queue. The launch itself schedules nothing
+    /// unless the task already has work — an idle session costs no pump,
+    /// and `on_activate` waits for the first one (or for an inline `end`).
+    ///
+    /// Order matters as in [`pump_and_reschedule`]: the hook is installed
+    /// and the coalescing notifier re-armed *before* the work check, so a
+    /// post landing after the disarm fires the hook, and one that landed
+    /// before it is seen by the check.
     fn launch(&self, task: Arc<StreamletTask>) {
-        launch_pooled(&self.state, task, PoolState::schedule);
+        // Workers must never park inside a downstream post: with more
+        // streamlets than workers, a backed-up chain would otherwise eat
+        // every worker and stall until the drop deadline. Full async queues
+        // park the message in the task's pending-output buffer, occupied
+        // rendezvous slots do the same, and the worker moves on.
+        task.set_nonblocking_outputs(true);
+        // Weak in both directions: the hook lives inside the task's
+        // notifier, so a strong task ref here would leak the task, and a
+        // strong state ref would keep a dead pool alive.
+        let weak_state = Arc::downgrade(&self.state);
+        let weak_task = Arc::downgrade(&task);
+        task.set_wake_hook(move || {
+            if let (Some(state), Some(task)) = (weak_state.upgrade(), weak_task.upgrade()) {
+                state.schedule(task);
+            }
+        });
+        task.disarm_wake();
+        if task.has_pending_work() {
+            self.state.schedule(task);
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -96,7 +144,13 @@ impl Executor for WorkerPool {
     }
 
     fn shutdown(&self) {
-        self.state.stop.store(true, Ordering::Release);
+        {
+            // Under the run-queue lock: a worker between its `stop` check
+            // and its wait holds that lock, so the notify below cannot
+            // fall into the gap and leave it asleep.
+            let _queue = self.state.run_queue.lock();
+            self.state.stop.store(true, Ordering::Release);
+        }
         self.state.cv.notify_all();
         for handle in self.workers.lock().drain(..) {
             let _ = handle.join();

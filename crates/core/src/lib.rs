@@ -8,8 +8,9 @@
 //!   tables;
 //! * the **Streamlet Execution Plane**: [`streamlet::StreamletLogic`]
 //!   computation objects held by [`streamlet::StreamletHandle`] and
-//!   scheduled by an [`executor::Executor`] (thread-per-streamlet, a
-//!   shared worker pool, or a work-stealing reactor), with
+//!   scheduled by an [`executor::Executor`] (thread-per-streamlet, or a
+//!   shared worker pool; both drive the one
+//!   [`streamlet::StreamletTask::pump`] state machine), with
 //!   [`pooling::StreamletPool`] reusing stateless instances.
 //!
 //! Cross-cutting services: the [`events::EventManager`] (Table 6-1 context
@@ -46,9 +47,7 @@ pub use coordination::CoordinationManager;
 pub use directory::StreamletDirectory;
 pub use error::CoreError;
 pub use events::{ContextEvent, EventManager};
-pub use executor::{
-    default_executor, Executor, ExecutorStats, Reactor, ThreadPerStreamlet, WorkerPool, WorkerStats,
-};
+pub use executor::{default_executor, Executor, ThreadPerStreamlet, WorkerPool};
 pub use fusion::{FusedLogic, FusedMember, FusedShared};
 pub use membuf::{BufferPool, BufferPoolStats, MembufConfig, PooledBuf};
 pub use overload::{

@@ -46,7 +46,7 @@ const SPSC_SLOTS: usize = 256;
 /// already pending, and while it is set further [`Notifier::notify`] calls
 /// return without touching the sequence mutex or the hook. The contract is
 /// that consumers *disarm* before re-checking their work sources —
-/// [`Notifier::snapshot`], [`Notifier::wait_unless`] and [`Notifier::wait`]
+/// [`Notifier::snapshot`], [`Notifier::wait_unless`] and `wait_untimed`
 /// all disarm on entry, as does `StreamletTask::pump` — so a skipped
 /// notification is always covered by a re-check that observes its effects.
 #[derive(Default)]
@@ -137,6 +137,11 @@ impl Notifier {
         self.has_hook.store(true, Ordering::Release);
     }
 
+    /// True while a wake hook is installed.
+    pub(crate) fn has_hook(&self) -> bool {
+        self.has_hook.load(Ordering::Acquire)
+    }
+
     /// Removes the wake hook.
     pub fn clear_hook(&self) {
         self.has_hook.store(false, Ordering::Release);
@@ -163,13 +168,15 @@ impl Notifier {
         self.cv.wait_for(&mut seq, timeout);
     }
 
-    /// Waits until notified or `timeout` elapses (racy convenience: a
-    /// notification issued just before the call can be missed — prefer
-    /// `snapshot` + `wait_unless` in loops).
-    pub fn wait(&self, timeout: Duration) {
+    /// [`Notifier::wait_unless`] without a timeout: returns only once a
+    /// notification has landed after `since` was snapshotted. For
+    /// consumers every one of whose wake sources notifies.
+    pub(crate) fn wait_untimed(&self, since: u64) {
         self.disarm();
         let mut seq = self.seq.lock();
-        self.cv.wait_for(&mut seq, timeout);
+        while *seq == since {
+            self.cv.wait(&mut seq);
+        }
     }
 }
 
@@ -1719,9 +1726,10 @@ mod tests {
         let n = Arc::new(Notifier::new());
         q.add_listener(n.clone());
         let n2 = n.clone();
+        let since = n.snapshot();
         let waiter = thread::spawn(move || {
             let t0 = Instant::now();
-            n2.wait(Duration::from_millis(500));
+            n2.wait_unless(since, Duration::from_millis(500));
             t0.elapsed()
         });
         thread::sleep(Duration::from_millis(20));

@@ -15,7 +15,7 @@ use crate::coordination::CoordinationManager;
 use crate::directory::StreamletDirectory;
 use crate::error::CoreError;
 use crate::events::{ContextEvent, EventManager};
-use crate::executor::{default_executor, Executor, Reactor, WorkerPool};
+use crate::executor::{default_executor, Executor, WorkerPool};
 use crate::membuf::{BufferPool, MembufConfig};
 use crate::overload::{AdmissionController, OverloadConfig};
 use crate::pool::{MessagePool, PayloadMode};
@@ -44,13 +44,6 @@ pub enum ExecutorConfig {
         /// Number of pool worker threads (clamped to at least 1).
         workers: usize,
     },
-    /// Per-worker run queues with work stealing and waker-driven
-    /// scheduling — thousands of mostly-idle sessions per core on a
-    /// fixed, flat thread count.
-    Reactor {
-        /// Number of reactor worker threads (clamped to at least 1).
-        workers: usize,
-    },
 }
 
 impl ExecutorConfig {
@@ -59,7 +52,6 @@ impl ExecutorConfig {
         match self {
             ExecutorConfig::ThreadPerStreamlet => default_executor(),
             ExecutorConfig::WorkerPool { workers } => WorkerPool::new(workers),
-            ExecutorConfig::Reactor { workers } => Reactor::new(workers),
         }
     }
 }
@@ -405,7 +397,6 @@ impl MobiGate {
             dead_letters: self.supervisor.as_ref().map(|s| s.dead_letters().stats()),
             trace_recorded: t.trace().recorded(),
             trace_overwritten: t.trace().overwritten(),
-            executor: self.executor.stats(),
             buf_pool: self.buf_pool.as_ref().map(|p| p.stats()),
         })
     }

@@ -171,14 +171,18 @@ fn shared_worker(
     mut logic: Box<dyn StreamletLogic>,
 ) {
     logic.on_activate();
-    while !inner.stop.load(Ordering::Acquire) {
+    loop {
+        // Snapshot first, then check `stop` and the inbox: a `shutdown`
+        // or post landing after the snapshot moves the sequence, so the
+        // untimed wait below returns at once instead of missing it.
         let snapshot = inner.notifier.snapshot();
+        if inner.stop.load(Ordering::Acquire) {
+            break;
+        }
         let payload = match inner.inbox.try_fetch() {
             FetchResult::Msg(p) => p,
             _ => {
-                inner
-                    .notifier
-                    .wait_unless(snapshot, Duration::from_millis(5));
+                inner.notifier.wait_untimed(snapshot);
                 continue;
             }
         };
@@ -369,6 +373,29 @@ mod tests {
         assert!(shared.shutdown().is_some());
         // Second shutdown is a no-op.
         assert!(shared.shutdown().is_none());
+    }
+
+    /// The idle worker waits on its notifier with no timeout, so a
+    /// `shutdown` racing the worker's way into that wait must still be
+    /// seen: every cycle joins the worker and gets the logic back. The
+    /// spin before each shutdown varies how far the worker got; with
+    /// `stop` checked before the snapshot this hangs within a few
+    /// thousand cycles.
+    #[test]
+    fn idle_start_shutdown_cycles_return_the_logic() {
+        let pool = Arc::new(MessagePool::new());
+        for i in 0..3000u32 {
+            let shared = SharedStreamlet::spawn(
+                "idle",
+                Box::new(Upper),
+                pool.clone(),
+                PayloadMode::Reference,
+            );
+            for _ in 0..(i % 128) * 20 {
+                std::hint::spin_loop();
+            }
+            assert!(shared.shutdown().is_some(), "cycle {i}");
+        }
     }
 
     /// Byte-accounting conservation for the value-mode emission hop: a

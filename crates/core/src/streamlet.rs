@@ -296,6 +296,8 @@ pub struct StreamletStats {
 struct Shared {
     name: String,
     state: Mutex<LifecycleState>,
+    /// Signalled (under `state`) when the task publishes its exit;
+    /// `end()` waits on it. Drivers wait on `notifier`, never here.
     cv: Condvar,
     notifier: Arc<Notifier>,
     /// Set by the worker while inside `process` (Fig 6-8 condition 2).
@@ -1076,7 +1078,6 @@ impl StreamletHandle {
                 LifecycleState::Running => {
                     *state = LifecycleState::Paused;
                     self.shared.pause_acked.store(false, Ordering::Release);
-                    self.shared.cv.notify_all();
                 }
                 LifecycleState::Paused => {}
                 // No worker is inside `process` for a faulted/quarantined
@@ -1119,7 +1120,6 @@ impl StreamletHandle {
             LifecycleState::Paused => {
                 *state = LifecycleState::Running;
                 self.shared.pause_acked.store(false, Ordering::Release);
-                self.shared.cv.notify_all();
                 drop(state);
                 self.shared.notifier.notify();
                 Ok(())
@@ -1137,11 +1137,11 @@ impl StreamletHandle {
     /// pooling). Blocks until the task has exited, whichever executor
     /// drives it.
     ///
-    /// A task no driver is running — a pooled task between pumps, its
-    /// logic in the task's slot — is finalized right here on the calling
-    /// thread, without an executor round trip. Otherwise (a dedicated
-    /// thread owns the logic, a pump is in progress, or a fault dropped
-    /// the logic) the driver is woken and publishes the exit itself.
+    /// A pooled task no worker is pumping — its logic in the task's slot
+    /// — is finalized right here on the calling thread, without an
+    /// executor round trip. Otherwise (a dedicated thread drives it, a
+    /// pump is in progress, or a fault dropped the logic) the driver is
+    /// woken and publishes the exit itself.
     pub fn end(&self) {
         {
             let mut state = self.shared.state.lock();
@@ -1149,7 +1149,6 @@ impl StreamletHandle {
                 return;
             }
             *state = LifecycleState::Ended;
-            self.shared.cv.notify_all();
         }
         let task = self.task.lock().clone();
         if task.is_some_and(|t| t.end_inline()) {
@@ -1266,7 +1265,6 @@ impl StreamletHandle {
             self.shared.pause_acked.store(false, Ordering::Release);
             *state = LifecycleState::Running;
             self.shared.restarts.fetch_add(1, Ordering::Relaxed);
-            self.shared.cv.notify_all();
         }
         self.shared.notifier.notify();
         Ok(())
@@ -1282,7 +1280,6 @@ impl StreamletHandle {
         match *state {
             LifecycleState::Faulted | LifecycleState::Created => {
                 *state = LifecycleState::Quarantined;
-                self.shared.cv.notify_all();
                 drop(state);
                 self.shared.notifier.notify();
                 Ok(())
@@ -1308,10 +1305,10 @@ pub enum PumpOutcome {
 }
 
 /// The executable unit an [`Executor`] drives: the streamlet's shared
-/// state plus its logic object. Exactly one driver runs a task at a time
-/// (a dedicated thread via [`Self::run_blocking`], or pool workers via
-/// [`Self::pump`] serialized by the scheduling mark). `end()` may finalize
-/// an idle pooled task itself, holding the logic slot so no pump runs
+/// state plus its logic object. Every executor drives it through
+/// [`Self::pump`], one caller at a time (a dedicated thread, or pool
+/// workers serialized by the scheduling mark). `end()` may finalize an
+/// idle pooled task itself, holding the logic slot so no pump runs
 /// meanwhile.
 pub struct StreamletTask {
     shared: Arc<Shared>,
@@ -1362,6 +1359,12 @@ impl StreamletTask {
         self.shared.notifier.disarm();
     }
 
+    /// The notifier every source of pump work fires: queue post,
+    /// lifecycle transition, control command, restart.
+    pub(crate) fn notifier(&self) -> &Notifier {
+        &self.shared.notifier
+    }
+
     /// Switches output posting to the non-blocking pending-buffer
     /// discipline. Pool executors set this at launch: their workers must
     /// never park inside a downstream `post`, or a backed-up chain deeper
@@ -1404,104 +1407,18 @@ impl StreamletTask {
         }
     }
 
-    /// Dedicated-thread driver: blocks on the notifier when idle and only
-    /// returns once the streamlet ends (the paper's `Streamlet.run()`).
+    /// The one driver of the lifecycle state machine: runs up to `budget`
+    /// messages, servicing lifecycle transitions and control commands
+    /// between them, then reports how it left the task. It never waits
+    /// for work: an idle, paused or faulted task returns
+    /// [`PumpOutcome::Idle`], and the executor waits for the next wake
+    /// (a dedicated thread on the task's notifier, a pooled task on its
+    /// wake hook).
     ///
     /// A panic in the logic does **not** unwind out of this function: the
     /// poisoned logic object is dropped, the instance goes `Faulted`, and
-    /// the thread parks until the supervisor installs fresh logic via
+    /// later pumps idle until the supervisor installs fresh logic via
     /// [`StreamletHandle::restart_with`] (or `end()` terminates it).
-    pub fn run_blocking(&self) {
-        let Some(mut logic) = self.running.lock().take() else {
-            return;
-        };
-        let shared = &self.shared;
-        let idle_wait = Duration::from_millis(5);
-        loop {
-            let mut faulted = !self.activate_logic(logic.as_mut());
-            while !faulted {
-                // Snapshot before inspecting any state: a notify issued
-                // while we are checking queues/lifecycle is then caught by
-                // wait_unless.
-                let notified = shared.notifier.snapshot();
-                // Lifecycle gate.
-                {
-                    let mut state = shared.state.lock();
-                    loop {
-                        match *state {
-                            LifecycleState::Running => break,
-                            LifecycleState::Paused => {
-                                if !shared.pause_acked.swap(true, Ordering::AcqRel) {
-                                    logic.on_pause();
-                                }
-                                shared.cv.wait(&mut state);
-                            }
-                            LifecycleState::Ended => {
-                                drop(state);
-                                self.finalize(logic);
-                                return;
-                            }
-                            LifecycleState::Created => {
-                                shared.cv.wait(&mut state);
-                            }
-                            // Only this driver's own step/controls fault
-                            // the task, and those exit the loop below —
-                            // but tolerate external transitions too.
-                            LifecycleState::Faulted | LifecycleState::Quarantined => {
-                                faulted = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if faulted {
-                    break;
-                }
-                if !self.service_controls(logic.as_mut()) {
-                    // A control handler panicked: state is already Faulted.
-                    break;
-                }
-                match self.step(logic.as_mut()) {
-                    Step::Progress => {}
-                    Step::Idle => shared.notifier.wait_unless(notified, idle_wait),
-                    Step::Fault => faulted = true,
-                }
-            }
-            // The logic object is poisoned: drop it and park until the
-            // supervisor installs a fresh one (or `end()` arrives).
-            drop(logic);
-            logic = loop {
-                let ended = {
-                    let mut state = shared.state.lock();
-                    loop {
-                        match *state {
-                            LifecycleState::Running => break false,
-                            LifecycleState::Ended => break true,
-                            _ => shared.cv.wait(&mut state),
-                        }
-                    }
-                };
-                if ended {
-                    self.finalize_empty();
-                    return;
-                }
-                if let Some(fresh) = self.running.lock().take() {
-                    break fresh;
-                }
-                // Running with an empty slot: a wakeup raced the restart
-                // installing the logic; go around.
-                std::thread::yield_now();
-            };
-            // Loop: `restart_with` cleared `activated`, so the fresh logic
-            // gets its `on_activate`.
-        }
-    }
-
-    /// Pool-worker driver: runs up to `budget` messages without ever
-    /// blocking, then reports how it left the task. Lifecycle handling
-    /// mirrors [`Self::run_blocking`] except that instead of waiting on
-    /// condition variables the task goes [`PumpOutcome::Idle`] and relies
-    /// on the wake hook to be rescheduled.
     pub fn pump(&self, budget: usize) -> PumpOutcome {
         // Re-arm wakeups for the work we are about to drain: posts from
         // here on must fire the wake hook again (`Notifier::notify`
@@ -1517,8 +1434,7 @@ impl StreamletTask {
             // The poisoned logic was dropped by a fault. Keep servicing
             // lifecycle transitions: `end()` still needs the exit
             // published, and until then the task just idles awaiting a
-            // supervisor restart. (A task driven by `run_blocking` also
-            // has an empty slot, but executors never mix drivers.)
+            // supervisor restart.
             let state = { *self.shared.state.lock() };
             return match state {
                 LifecycleState::Ended => {
@@ -1574,13 +1490,17 @@ impl StreamletTask {
         PumpOutcome::More
     }
 
-    /// `end()`'s fast path: finalizes the task on the calling thread when
-    /// its logic sits in the slot, i.e. no driver is running it. Returns
-    /// `false` without touching anything when the slot is locked (a pump
-    /// in progress) or empty (a dedicated thread owns the logic, or a
-    /// fault dropped it). The caller has already moved the state to
-    /// `Ended`.
+    /// `end()`'s fast path: finalizes a pooled task on the calling thread
+    /// when its logic sits in the slot, i.e. no worker is pumping it.
+    /// Returns `false` without touching anything when the task has no
+    /// wake hook (a dedicated thread drives it, and `on_end` runs on that
+    /// thread as the paper's `run()` would), when the slot is locked (a
+    /// pump in progress) or when it is empty (a fault dropped the logic).
+    /// The caller has already moved the state to `Ended`.
     fn end_inline(&self) -> bool {
+        if !self.shared.notifier.has_hook() {
+            return false;
+        }
         let Some(mut slot) = self.running.try_lock() else {
             return false;
         };
@@ -1944,7 +1864,6 @@ impl StreamletTask {
             } else {
                 *state = LifecycleState::Faulted;
                 *shared.last_fault.lock() = Some(cause.clone());
-                shared.cv.notify_all();
                 true
             }
         };

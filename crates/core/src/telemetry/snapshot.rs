@@ -11,7 +11,6 @@
 use super::hist::{bucket_bound, HistogramSnapshot, BUCKETS};
 use super::registry::StreamMetricsSnapshot;
 use crate::events::EventStats;
-use crate::executor::ExecutorStats;
 use crate::pool::PoolStats;
 use crate::pooling::PoolingStats;
 use crate::supervisor::{DeadLetterStats, SupervisorStats};
@@ -39,9 +38,6 @@ pub struct MetricsSnapshot {
     pub trace_recorded: u64,
     /// Lifecycle trace events lost to ring overwrite.
     pub trace_overwritten: u64,
-    /// Per-worker scheduler counters, when the executor back end keeps
-    /// them (the reactor's steal/park/pump counts).
-    pub executor: Option<ExecutorStats>,
     /// Memory-plane buffer pool counters, when the pool is enabled.
     pub buf_pool: Option<crate::membuf::BufferPoolStats>,
 }
@@ -247,31 +243,6 @@ impl MetricsSnapshot {
                 "Dead letters dropped at capacity.",
                 d.discarded,
             );
-        }
-
-        if let Some(ex) = &self.executor {
-            for (name, help, pick) in [
-                (
-                    "mobigate_executor_pumps_total",
-                    "Task pump calls executed, per scheduler worker.",
-                    (|w| w.pumps) as fn(&crate::executor::WorkerStats) -> u64,
-                ),
-                (
-                    "mobigate_executor_steals_total",
-                    "Tasks stolen from sibling run queues, per scheduler worker.",
-                    |w| w.steals,
-                ),
-                (
-                    "mobigate_executor_parks_total",
-                    "Times a scheduler worker slept with nothing runnable.",
-                    |w| w.parks,
-                ),
-            ] {
-                help_type(&mut out, name, help, "counter");
-                for (i, w) in ex.workers.iter().enumerate() {
-                    out.push_str(&format!("{name}{{worker=\"{i}\"}} {}\n", pick(w)));
-                }
-            }
         }
 
         if let Some(bp) = &self.buf_pool {

@@ -3,17 +3,18 @@
 //! * a property test feeding one random message sequence through an
 //!   SPSC-enabled and a mutex-only deployment of the same chain and
 //!   requiring identical output under *each* executor back end
-//!   (thread-per-streamlet, worker pool, reactor) — the batching
-//!   equivalence proptest from PR 4, parametrized over schedulers;
-//! * a reactor starvation test: one hot session flooding a deep chain
-//!   must not stall cold sessions sharing the same (small) worker set —
-//!   the cooperative pump budget plus FIFO stealing keeps them live.
+//!   (thread-per-streamlet, worker pool) — the batching equivalence
+//!   proptest, parametrized over schedulers;
+//! * a worker-pool starvation test: one hot session flooding a deep
+//!   chain must not stall cold sessions sharing the same (small) worker
+//!   set — the cooperative pump budget plus the FIFO run queue keeps
+//!   them live.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mobigate_core::stream::{BatchConfig, RunningStream, StreamDeps};
 use mobigate_core::{
-    default_executor, CoreError, Emitter, Executor, MessagePool, PayloadMode, Reactor, RouteOpts,
+    default_executor, CoreError, Emitter, Executor, MessagePool, PayloadMode, RouteOpts,
     StreamletCtx, StreamletDirectory, StreamletLogic, StreamletPool, WorkerPool,
 };
 use mobigate_mcl::compile::compile;
@@ -95,8 +96,8 @@ fn deploy(
     (stream, deps)
 }
 
-fn executors() -> [Arc<dyn Executor>; 3] {
-    [default_executor(), WorkerPool::new(2), Reactor::new(2)]
+fn executors() -> [Arc<dyn Executor>; 2] {
+    [default_executor(), WorkerPool::new(2)]
 }
 
 proptest! {
@@ -105,7 +106,7 @@ proptest! {
     /// The SPSC ring fast path is a pure specialization at stream level
     /// too: the same message sequence through a ring-enabled and a
     /// mutex-only chain yields identical bodies in identical order, and
-    /// the scheduler driving the chain must not matter — all three
+    /// the scheduler driving the chain must not matter — both
     /// executors satisfy the equivalence.
     #[test]
     fn spsc_stream_matches_mutex_stream_on_all_executors(
@@ -140,12 +141,12 @@ proptest! {
 }
 
 /// One hot session saturating a deep chain must not stall cold sessions
-/// on the same two reactor workers: the pump budget bounds how long the
-/// hot task holds a worker, FIFO local queues put cold wakes ahead of
-/// the hot task's requeue, and siblings steal the oldest entry first.
+/// on the same two pool workers: the pump budget bounds how long the hot
+/// task holds a worker, and the FIFO run queue puts cold wakes ahead of
+/// the hot task's requeue.
 #[test]
-fn reactor_hot_session_does_not_starve_cold_sessions() {
-    let executor: Arc<dyn Executor> = Reactor::new(2);
+fn worker_pool_hot_session_does_not_starve_cold_sessions() {
+    let executor: Arc<dyn Executor> = WorkerPool::new(2);
     let (hot, _) = deploy(executor.clone(), true, "hot");
     let colds: Vec<_> = (0..4)
         .map(|i| deploy(executor.clone(), true, &format!("cold-{i}")).0)
@@ -153,7 +154,7 @@ fn reactor_hot_session_does_not_starve_cold_sessions() {
 
     // Flood the hot session from a dedicated producer for the duration
     // of the test. Drops on its input queue are fine — the point is to
-    // keep the reactor saturated with hot work.
+    // keep the pool saturated with hot work.
     let hot2 = hot.clone();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let stop2 = stop.clone();

@@ -19,8 +19,8 @@
 use mobigate_core::stream::{RunningStream, StreamDeps};
 use mobigate_core::{
     default_executor, CoreError, Emitter, Executor, LifecycleState, MessagePool, MobiGate,
-    PayloadMode, Reactor, RouteOpts, ServerConfig, StreamletCtx, StreamletDirectory,
-    StreamletLogic, StreamletPool, WorkerPool,
+    PayloadMode, RouteOpts, ServerConfig, StreamletCtx, StreamletDirectory, StreamletLogic,
+    StreamletPool, WorkerPool,
 };
 use mobigate_mcl::compile::compile;
 use mobigate_mime::{MimeMessage, SessionId};
@@ -560,11 +560,7 @@ proptest! {
     /// in identical order — under every executor back end.
     #[test]
     fn fused_stream_matches_unfused_stream(tags in prop::collection::vec(any::<u8>(), 1..24)) {
-        let executors: [Arc<dyn Executor>; 3] = [
-            default_executor(),
-            WorkerPool::new(2),
-            Reactor::new(2),
-        ];
+        let executors: [Arc<dyn Executor>; 2] = [default_executor(), WorkerPool::new(2)];
         for executor in executors {
             let (fused, _) = deploy_chain_on(true, executor.clone());
             let (unfused, _) = deploy_chain_on(false, executor.clone());
@@ -597,11 +593,7 @@ proptest! {
     /// in the same order, as the four discrete instances.
     #[test]
     fn fused_sink_chain_matches_unfused(tags in prop::collection::vec(any::<u8>(), 1..24)) {
-        let executors: [Arc<dyn Executor>; 3] = [
-            default_executor(),
-            WorkerPool::new(2),
-            Reactor::new(2),
-        ];
+        let executors: [Arc<dyn Executor>; 2] = [default_executor(), WorkerPool::new(2)];
         for executor in executors {
             let fused_out = CollectorTransport::new();
             let unfused_out = CollectorTransport::new();

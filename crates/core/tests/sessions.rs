@@ -22,7 +22,7 @@
 
 use mobigate_core::{
     ContextEvent, CoreError, Emitter, EventKind, Executor, ExecutorConfig, FetchResult,
-    MessagePool, MessageQueue, MobiGate, PayloadMode, PostResult, QueueConfig, Reactor, RouteOpts,
+    MessagePool, MessageQueue, MobiGate, PayloadMode, PostResult, QueueConfig, RouteOpts,
     ServerConfig, SessionManager, StreamletCtx, StreamletDirectory, StreamletHandle,
     StreamletLogic, StreamletPool, ThreadPerStreamlet, WorkerPool,
 };
@@ -366,6 +366,7 @@ fn targeted_pause_stalls_only_the_named_session() {
 struct Journal {
     events: Mutex<Vec<&'static str>>,
     end_thread: Mutex<Option<(thread::ThreadId, Option<String>)>>,
+    activate_thread: Mutex<Option<thread::ThreadId>>,
 }
 
 impl Journal {
@@ -374,8 +375,8 @@ impl Journal {
     }
 }
 
-/// Pass-through logic journaling its lifecycle hooks, and the thread
-/// `on_end` ran on.
+/// Pass-through logic journaling its lifecycle hooks, and the threads
+/// `on_activate` and `on_end` ran on.
 struct Journaled(Arc<Journal>);
 
 impl StreamletLogic for Journaled {
@@ -385,6 +386,7 @@ impl StreamletLogic for Journaled {
     }
     fn on_activate(&mut self) {
         self.0.events.lock().unwrap().push("activate");
+        *self.0.activate_thread.lock().unwrap() = Some(thread::current().id());
     }
     fn on_end(&mut self) {
         self.0.events.lock().unwrap().push("end");
@@ -462,7 +464,6 @@ fn pooled() -> Vec<(&'static str, Arc<dyn Executor>)> {
     vec![
         ("worker-pool/1", WorkerPool::new(1)),
         ("worker-pool/2", WorkerPool::new(2)),
-        ("reactor/2", Reactor::new(2)),
     ]
 }
 
@@ -471,15 +472,13 @@ fn idle_pooled_task_ends_inline_without_a_pump() {
     for (label, executor) in pooled() {
         let r = rig(executor.clone());
         r.handle.start().unwrap();
-        let pumps = || executor.stats().map(|s| s.total_pumps());
-        // Launching onto empty inputs schedules nothing.
-        assert!(pumps().is_none_or(|n| n == 0), "{label}: launch pumped");
-        let before = pumps();
         r.handle.end();
-        assert_eq!(pumps(), before, "{label}: end() needed a pump");
         // The deferred `on_activate` still ran, once, before `on_end` —
-        // both here on the ending thread.
+        // both here on the ending thread. Had the launch (or the end)
+        // needed a pump, a pool worker would have activated the logic.
         assert_eq!(r.journal.events(), ["activate", "end"], "{label}");
+        let activated_on = r.journal.activate_thread.lock().unwrap().unwrap();
+        assert_eq!(activated_on, thread::current().id(), "{label}: pumped");
         let (ended_on, _) = r.journal.end_thread.lock().unwrap().clone().unwrap();
         assert_eq!(ended_on, thread::current().id(), "{label}: not inline");
         assert!(r.handle.take_logic().is_some(), "{label}: logic parked");
@@ -494,10 +493,10 @@ fn idle_pooled_task_ends_inline_without_a_pump() {
 
 #[test]
 fn launch_defers_activation_until_work_arrives() {
-    // One reactor worker, FIFO: had the idle task's launch been
-    // scheduled, it would have been pumped (and activated) before the
-    // busy one's backlog.
-    let executor: Arc<dyn Executor> = Reactor::new(1);
+    // One pool worker, FIFO: had the idle task's launch been scheduled,
+    // it would have been pumped (and activated) before the busy one's
+    // backlog.
+    let executor: Arc<dyn Executor> = WorkerPool::new(1);
     let idle = rig(executor.clone());
     let busy = rig(executor.clone());
     idle.handle.start().unwrap();
@@ -533,7 +532,7 @@ fn launch_onto_a_backlog_still_schedules_the_task() {
     }
 }
 
-/// `end` racing a burst of posts, on both pooled executors, across
+/// `end` racing a burst of posts, on both executors, across
 /// seeds that vary the burst length, the post the end lands after, and
 /// the poster's pacing. Whichever of the inline end or the driver's
 /// fallback wins, `on_end` runs once, after `on_activate`, and every
@@ -543,8 +542,11 @@ fn launch_onto_a_backlog_still_schedules_the_task() {
 fn end_racing_posts_finalizes_once_and_loses_nothing() {
     const SEEDS: u64 = 150;
     for (label, executor) in [
-        ("worker-pool/2", WorkerPool::new(2) as Arc<dyn Executor>),
-        ("reactor/2", Reactor::new(2) as Arc<dyn Executor>),
+        (
+            "thread-per-streamlet",
+            ThreadPerStreamlet::new() as Arc<dyn Executor>,
+        ),
+        ("worker-pool/2", WorkerPool::new(2)),
     ] {
         for seed in 0..SEEDS {
             let mut rng = StdRng::seed_from_u64(seed);
