@@ -188,7 +188,14 @@ impl MobiGateClient {
 
     /// Stops the distributor threads.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Release);
+        {
+            // Under both locks: a distributor checks `stop` under the
+            // inbox lock and `recv` under the outbox lock before each
+            // wait, so the notifies below cannot fall into that gap.
+            let _inbox = self.shared.inbox.lock();
+            let _outbox = self.shared.outbox.lock();
+            self.shared.stop.store(true, Ordering::Release);
+        }
         self.shared.inbox_cv.notify_all();
         self.shared.outbox_cv.notify_all();
         for h in self.workers.lock().drain(..) {
@@ -225,9 +232,7 @@ fn distributor_loop(shared: Arc<Shared>) {
                     break f;
                 }
                 shared.idle_workers.fetch_add(1, Ordering::AcqRel);
-                shared
-                    .inbox_cv
-                    .wait_for(&mut inbox, Duration::from_millis(50));
+                shared.inbox_cv.wait(&mut inbox);
                 shared.idle_workers.fetch_sub(1, Ordering::AcqRel);
             }
         };

@@ -18,7 +18,9 @@
 //!   streamlets cost no threads and a 100-redirector chain runs on a
 //!   handful of workers. Launch itself schedules only a task that already
 //!   has work, and `end` finalizes a task no worker is pumping on the
-//!   calling thread, so an idle session's lifecycle costs no pump.
+//!   calling thread, so an idle session's lifecycle costs no pump. A
+//!   schedule wakes a parked worker only when no awake worker is about to
+//!   look at the run queue.
 //!
 //! Both back ends drive the same [`StreamletTask::pump`] state machine,
 //! so lifecycle semantics (Created → Running → Paused → Ended,
@@ -412,6 +414,105 @@ mod tests {
     #[test]
     fn sync_chain_deeper_than_workers_on_worker_pool() {
         sync_chain_deeper_than_workers(WorkerPool::new(2));
+    }
+
+    /// Blocks in `process` until `n` instances are inside it at once (or
+    /// a 10 s deadline passes), then counts whether all `n` met.
+    struct Rendezvous {
+        gate: Arc<(parking_lot::Mutex<usize>, parking_lot::Condvar)>,
+        n: usize,
+        met: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl StreamletLogic for Rendezvous {
+        fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
+            let (arrived, cv) = &*self.gate;
+            let mut arrived = arrived.lock();
+            *arrived += 1;
+            cv.notify_all();
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while *arrived < self.n && !cv.wait_until(&mut arrived, deadline).timed_out() {}
+            if *arrived >= self.n {
+                self.met.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            drop(arrived);
+            ctx.emit("po", msg);
+            Ok(())
+        }
+    }
+
+    /// `W` tasks that each block until all `W` run at once, posted in one
+    /// burst from a foreign thread: a schedule wakes only one parked
+    /// worker, so the rest must be reached by chain wakes.
+    #[test]
+    fn worker_pool_reaches_every_worker_through_chain_wakes() {
+        const W: usize = 4;
+        let executor = WorkerPool::new(W);
+        let pool = Arc::new(MessagePool::new());
+        let gate = Arc::new((parking_lot::Mutex::new(0), parking_lot::Condvar::new()));
+        let met = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let out = queue("out", &pool);
+        let inputs: Vec<_> = (0..W).map(|i| queue(&format!("in{i}"), &pool)).collect();
+        let handles: Vec<_> = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, qin)| {
+                let h = StreamletHandle::with_executor(
+                    format!("meet-{i}"),
+                    "meet",
+                    false,
+                    Box::new(Rendezvous {
+                        gate: gate.clone(),
+                        n: W,
+                        met: met.clone(),
+                    }),
+                    pool.clone(),
+                    PayloadMode::Reference,
+                    None,
+                    RouteOpts::default(),
+                    executor.clone(),
+                );
+                h.attach_in("pi", qin);
+                h.attach_out("po", &out);
+                h.start().unwrap();
+                h
+            })
+            .collect();
+        for qin in &inputs {
+            post_text(&pool, qin, "x");
+        }
+        for _ in 0..W {
+            match out.fetch(Duration::from_secs(20)) {
+                FetchResult::Msg(p) => drop(pool.resolve(p)),
+                other => panic!("expected message, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            met.load(std::sync::atomic::Ordering::Relaxed),
+            W,
+            "all {W} tasks must run on {W} workers at once"
+        );
+        for h in &handles {
+            h.end();
+        }
+        executor.shutdown();
+    }
+
+    /// Every post from a foreign thread onto a pool whose workers went
+    /// idle is processed: the schedule wakes a parked worker unless an
+    /// awake one is bound to look. Each cycle waits for the previous
+    /// delivery, so the post races the workers on their way to park.
+    #[test]
+    fn worker_pool_post_to_idle_workers_is_never_lost() {
+        let executor = WorkerPool::new(4);
+        let (pool, qin, qout, h) = upper_pipeline(executor.clone());
+        h.start().unwrap();
+        for i in 0..3000u32 {
+            post_text(&pool, &qin, &format!("m{i}"));
+            assert_eq!(fetch_text(&pool, &qout), format!("M{i}"));
+        }
+        h.end();
+        executor.shutdown();
     }
 
     #[test]

@@ -4,15 +4,39 @@ use super::{Executor, PUMP_BATCH};
 use crate::streamlet::{PumpOutcome, StreamletTask};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Run-queue shared by a [`WorkerPool`]'s workers and the wake hooks.
+///
+/// A schedule wakes a parked worker only when no awake worker is about to
+/// look at the queue: every wake is a futex round trip that costs more
+/// than the work it hands over, and an awake searcher pops the task
+/// anyway. Workers fall into three groups for this:
+/// * `searching`: awake and bound to lock the queue and pop from it
+///   before they could park (just woken, or just back from a pump);
+/// * parked: waiting on `cv`, possibly with a wake on its way (`waking`);
+/// * busy: inside a pump, counted in neither.
+///
+/// `searching` is decremented only under the run-queue lock (by a worker
+/// that pops or parks), but incremented lock-free right after a pump. A
+/// scheduler that misses that increment wakes a worker it did not need,
+/// which is harmless; one that sees it leaves the task to a worker that
+/// has yet to look.
 struct PoolState {
-    run_queue: Mutex<VecDeque<Arc<StreamletTask>>>,
+    run_queue: Mutex<RunQueue>,
     cv: Condvar,
+    searching: AtomicUsize,
     stop: AtomicBool,
+}
+
+struct RunQueue {
+    tasks: VecDeque<Arc<StreamletTask>>,
+    /// Workers waiting on `cv`.
+    parked: usize,
+    /// A wake was issued and no parked worker has taken it up yet.
+    waking: bool,
 }
 
 impl PoolState {
@@ -22,7 +46,17 @@ impl PoolState {
     /// caught by the post-pump `has_pending_work` check.
     fn schedule(&self, task: Arc<StreamletTask>) {
         if task.try_mark_scheduled() {
-            self.run_queue.lock().push_back(task);
+            let mut queue = self.run_queue.lock();
+            queue.tasks.push_back(task);
+            self.wake_one_if_unsearched(&mut queue);
+        }
+    }
+
+    /// Wakes one parked worker when nobody awake will look at the queue:
+    /// no searcher and no wake already on its way.
+    fn wake_one_if_unsearched(&self, queue: &mut RunQueue) {
+        if queue.parked > 0 && !queue.waking && self.searching.load(Ordering::Acquire) == 0 {
+            queue.waking = true;
             self.cv.notify_one();
         }
     }
@@ -38,12 +72,19 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Spawns a pool of `workers` threads (clamped to at least 1).
     pub fn new(workers: usize) -> Arc<Self> {
+        let workers = workers.max(1);
         let state = Arc::new(PoolState {
-            run_queue: Mutex::new(VecDeque::new()),
+            run_queue: Mutex::new(RunQueue {
+                tasks: VecDeque::new(),
+                parked: 0,
+                waking: false,
+            }),
             cv: Condvar::new(),
+            // Every worker starts out searching.
+            searching: AtomicUsize::new(workers),
             stop: AtomicBool::new(false),
         });
-        let handles = (0..workers.max(1))
+        let handles = (0..workers)
             .map(|i| {
                 let state = state.clone();
                 match std::thread::Builder::new()
@@ -67,6 +108,10 @@ impl WorkerPool {
     }
 }
 
+/// A worker searches the queue, pumps what it pops, and parks only when
+/// the queue is empty. Taking a task while others wait behind it passes
+/// the search on to a parked worker if no one else is searching (a chain
+/// wake), so `W` queued tasks still reach `W` workers.
 fn worker_loop(state: &PoolState) {
     loop {
         let task = {
@@ -75,10 +120,22 @@ fn worker_loop(state: &PoolState) {
                 if state.stop.load(Ordering::Acquire) {
                     return;
                 }
-                if let Some(task) = queue.pop_front() {
+                if let Some(task) = queue.tasks.pop_front() {
+                    state.searching.fetch_sub(1, Ordering::AcqRel);
+                    if !queue.tasks.is_empty() {
+                        state.wake_one_if_unsearched(&mut queue);
+                    }
                     break task;
                 }
+                state.searching.fetch_sub(1, Ordering::AcqRel);
+                queue.parked += 1;
                 state.cv.wait(&mut queue);
+                queue.parked -= 1;
+                // Woken by a schedule (or spuriously, or for shutdown):
+                // either way this worker now searches, which is what the
+                // wake was for.
+                queue.waking = false;
+                state.searching.fetch_add(1, Ordering::AcqRel);
             }
         };
         pump_and_reschedule(state, task);
@@ -91,8 +148,13 @@ fn worker_loop(state: &PoolState) {
 /// pump either found the mark set (caught by the re-check) or lands after
 /// and re-queues — then re-arm the coalescing notifier for the same
 /// reason.
+///
+/// The worker counts itself searching as soon as the pump returns, before
+/// anything is rescheduled: it is about to pop again, so requeueing its
+/// own task (or a racing notify requeueing it) wakes nobody.
 fn pump_and_reschedule(state: &PoolState, task: Arc<StreamletTask>) {
     let outcome = task.pump(PUMP_BATCH);
+    state.searching.fetch_add(1, Ordering::AcqRel);
     task.clear_scheduled();
     task.disarm_wake();
     match outcome {

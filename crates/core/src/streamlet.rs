@@ -1241,7 +1241,16 @@ impl StreamletHandle {
     /// Installs fresh logic into a `Faulted` instance and resumes it in
     /// place. Channel bindings live on the handle and are untouched, so the
     /// restarted instance keeps its exact position in the stream topology.
-    pub fn restart_with(&self, logic: Box<dyn StreamletLogic>) -> Result<(), CoreError> {
+    ///
+    /// `on_restart` runs only when the restart is accepted, under the
+    /// lifecycle lock and before the instance is back to `Running`, so
+    /// anything it records (a restart counter) is visible before the
+    /// restarted instance can process a message.
+    pub fn restart_with(
+        &self,
+        logic: Box<dyn StreamletLogic>,
+        on_restart: impl FnOnce(),
+    ) -> Result<(), CoreError> {
         let task = self.task.lock().clone();
         let Some(task) = task else {
             return Err(CoreError::Lifecycle {
@@ -1263,8 +1272,9 @@ impl StreamletHandle {
             // The fresh logic gets its own `on_activate`.
             task.activated.store(false, Ordering::Release);
             self.shared.pause_acked.store(false, Ordering::Release);
-            *state = LifecycleState::Running;
             self.shared.restarts.fetch_add(1, Ordering::Relaxed);
+            on_restart();
+            *state = LifecycleState::Running;
         }
         self.shared.notifier.notify();
         Ok(())

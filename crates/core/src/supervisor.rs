@@ -468,7 +468,13 @@ impl Supervisor {
 
     /// Stops the worker thread. Idempotent; also run on drop.
     pub fn shutdown(&self) {
-        self.work.stop.store(true, Ordering::Release);
+        {
+            // Under the jobs lock: an idle worker checks `stop` under it
+            // and then waits with no timeout, so a store outside the lock
+            // could land between the two and the notify wake nobody.
+            let _jobs = self.work.jobs.lock();
+            self.work.stop.store(true, Ordering::Release);
+        }
         self.work.cv.notify_all();
         if let Some(h) = self.worker.lock().take() {
             // The worker loop upgrades its Weak while handling a job, so the
@@ -684,10 +690,15 @@ impl Supervisor {
             Ok(logic) => {
                 // `restart_with` refuses unless the instance is still
                 // Faulted — losing the race with `end()` or a second
-                // restart is benign.
-                if handle.restart_with(logic).is_ok() {
-                    entry.restarts += 1;
+                // restart is benign. The restart is counted before the
+                // instance can run again, so whoever observes its output
+                // also observes the count.
+                let restarts = &mut entry.restarts;
+                let counted = handle.restart_with(logic, || {
+                    *restarts += 1;
                     self.restarts.fetch_add(1, Ordering::Relaxed);
+                });
+                if counted.is_ok() {
                     self.trace(
                         TraceKind::Restart,
                         entry.stream.as_deref(),
@@ -745,10 +756,12 @@ impl Supervisor {
             );
             match (entry.rebuild)() {
                 Ok(logic) => {
-                    if handle.restart_with(logic).is_ok() {
-                        entry.restarts += 1;
+                    let restarts = &mut entry.restarts;
+                    // A refused restart (no longer Faulted) counts nothing.
+                    let _ = handle.restart_with(logic, || {
+                        *restarts += 1;
                         self.restarts.fetch_add(1, Ordering::Relaxed);
-                    }
+                    });
                     let mut jobs = self.work.jobs.lock();
                     jobs.push_back(Job {
                         key,
@@ -845,6 +858,22 @@ impl Drop for Supervisor {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+
+    /// An idle supervisor shut down at any point of its worker's way into
+    /// the untimed wait still joins: `stop` is stored under the jobs lock
+    /// the worker checks it under. The spin varies how far it got.
+    #[test]
+    fn idle_supervisor_shutdown_always_joins() {
+        let events = Arc::new(EventManager::new());
+        for i in 0..20_000u32 {
+            let sup = Supervisor::new(events.clone(), RestartPolicy::default(), 4);
+            let spin = Instant::now() + Duration::from_micros(u64::from(i % 61));
+            while Instant::now() < spin {
+                std::hint::spin_loop();
+            }
+            sup.shutdown();
+        }
+    }
 
     #[test]
     fn dead_letter_queue_is_bounded_fifo() {

@@ -4,15 +4,23 @@
 //! channel for `bits / bandwidth` (serialization time), then arrives after
 //! an additional propagation delay. Frames are lost independently with the
 //! configured probability. All durations are *emulated* time, converted to
-//! wall time by `time_scale` before sleeping.
+//! wall time by `time_scale`.
+//!
+//! The link has no thread of its own. Every endpoint call first *settles*
+//! the channel up to the current instant, under one lock, by absolute
+//! deadlines: frame `k` starts transmitting at
+//! `start_k = max(arrive_k, depart_{k-1})`, departs at
+//! `depart_k = start_k + tx_k` (with `tx_k` at the bandwidth in force at
+//! `start_k`) and is delivered at `deliver_k = depart_k + prop`. Frames
+//! pipeline over the propagation delay, as on the paper's Linux router,
+//! and a late wake-up never shifts the schedule: sleep overshoot delays
+//! when a receiver *notices* a frame, never when the next one departs.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`WirelessLink`].
@@ -91,27 +99,110 @@ pub struct LinkStats {
     pub busy_micros: u64,
 }
 
+/// A frame that has started transmitting: on the air until `deliver_at`.
+struct Airborne {
+    deliver_at: Instant,
+    /// `None` when the loss process claimed the frame.
+    frame: Option<Vec<u8>>,
+}
+
+/// Everything the endpoints share, behind one lock.
+struct Channel {
+    /// Frames that have not started transmitting, with their arrival.
+    waiting: VecDeque<(Instant, Vec<u8>)>,
+    /// Frames transmitting or propagating, in delivery order.
+    airborne: VecDeque<Airborne>,
+    /// Frames whose delivery time has passed, not yet received.
+    delivered: VecDeque<Vec<u8>>,
+    /// When the last started transmission departs.
+    free_at: Instant,
+    bandwidth_bps: u64,
+    /// Loss draws, one per frame in FIFO order.
+    rng: StdRng,
+    /// Receivers asleep with nothing on the way: only a send wakes them.
+    idle_receivers: usize,
+    stop: bool,
+    stats: LinkStats,
+}
+
+impl Channel {
+    /// Moves the channel to `now`: starts every frame whose start time
+    /// has come, at the bandwidth in force now, and delivers every frame
+    /// whose delivery time has passed. Nothing moves after shutdown.
+    fn settle(&mut self, now: Instant, link: &Shared) {
+        if self.stop {
+            return;
+        }
+        while let Some(&(arrive, _)) = self.waiting.front() {
+            let start = arrive.max(self.free_at);
+            if start > now {
+                break;
+            }
+            let Some((_, frame)) = self.waiting.pop_front() else {
+                break;
+            };
+            let tx = transmission_time(frame.len(), self.bandwidth_bps);
+            self.stats.busy_micros += tx.as_micros() as u64;
+            self.free_at = start + tx.mul_f64(link.cfg.time_scale);
+            // Loss process: flat frame loss plus length-dependent bit errors.
+            let survival = (1.0 - link.cfg.loss_rate.clamp(0.0, 1.0))
+                * frame_survival(frame.len(), link.cfg.bit_error_rate);
+            let lost = survival < 1.0 && !self.rng.gen_bool(survival.clamp(0.0, 1.0));
+            self.airborne.push_back(Airborne {
+                deliver_at: self.free_at + link.propagation,
+                frame: (!lost).then_some(frame),
+            });
+        }
+        while self.airborne.front().is_some_and(|f| f.deliver_at <= now) {
+            let Some(landed) = self.airborne.pop_front() else {
+                break;
+            };
+            match landed.frame {
+                Some(frame) => {
+                    self.stats.delivered += 1;
+                    self.stats.delivered_bytes += frame.len() as u64;
+                    self.delivered.push_back(frame);
+                }
+                None => self.stats.lost += 1,
+            }
+        }
+    }
+
+    /// When the next frame lands, on a settled channel: the head of the
+    /// air, else the head of the queue as the current bandwidth would
+    /// carry it. `None` when the channel is empty.
+    fn next_delivery(&self, link: &Shared) -> Option<Instant> {
+        if let Some(f) = self.airborne.front() {
+            return Some(f.deliver_at);
+        }
+        let (arrive, frame) = self.waiting.front()?;
+        let tx = transmission_time(frame.len(), self.bandwidth_bps);
+        Some((*arrive).max(self.free_at) + tx.mul_f64(link.cfg.time_scale) + link.propagation)
+    }
+}
+
 struct Shared {
-    queue: Mutex<VecDeque<Vec<u8>>>,
-    queue_cv: Condvar,
-    delivered: Mutex<VecDeque<Vec<u8>>>,
+    channel: Mutex<Channel>,
+    /// Receivers wait here for their next delivery or their deadline.
     delivered_cv: Condvar,
-    bandwidth_bps: AtomicU64,
-    stop: AtomicBool,
-    sent: AtomicU64,
-    delivered_count: AtomicU64,
-    lost: AtomicU64,
-    rejected: AtomicU64,
-    delivered_bytes: AtomicU64,
-    busy_micros: AtomicU64,
+    /// The propagation delay in wall time.
+    propagation: Duration,
     cfg: LinkConfig,
+}
+
+impl Shared {
+    /// Locks the channel and settles it up to now.
+    fn settled(&self) -> MutexGuard<'_, Channel> {
+        let mut ch = self.channel.lock();
+        ch.settle(Instant::now(), self);
+        ch
+    }
 }
 
 /// The emulated link: construct with [`WirelessLink::spawn`] to get the
 /// sender/receiver endpoints.
 pub struct WirelessLink {
     shared: Arc<Shared>,
-    worker: Option<JoinHandle<()>>,
 }
 
 /// Sending endpoint (server side of the air gap).
@@ -126,32 +217,28 @@ pub struct LinkReceiver {
 }
 
 impl WirelessLink {
-    /// Starts the link worker and returns the link plus both endpoints.
+    /// Builds the link and returns it plus both endpoints. No thread is
+    /// started: the endpoints advance the channel themselves.
     pub fn spawn(cfg: LinkConfig) -> (WirelessLink, LinkSender, LinkReceiver) {
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            delivered: Mutex::new(VecDeque::new()),
+            channel: Mutex::new(Channel {
+                waiting: VecDeque::new(),
+                airborne: VecDeque::new(),
+                delivered: VecDeque::new(),
+                free_at: Instant::now(),
+                bandwidth_bps: cfg.bandwidth_bps,
+                rng: StdRng::seed_from_u64(cfg.seed),
+                idle_receivers: 0,
+                stop: false,
+                stats: LinkStats::default(),
+            }),
             delivered_cv: Condvar::new(),
-            bandwidth_bps: AtomicU64::new(cfg.bandwidth_bps),
-            stop: AtomicBool::new(false),
-            sent: AtomicU64::new(0),
-            delivered_count: AtomicU64::new(0),
-            lost: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            delivered_bytes: AtomicU64::new(0),
-            busy_micros: AtomicU64::new(0),
-            cfg: cfg.clone(),
+            propagation: cfg.propagation_delay.mul_f64(cfg.time_scale),
+            cfg,
         });
-        let worker_shared = shared.clone();
-        let worker = std::thread::Builder::new()
-            .name("wireless-link".into())
-            .spawn(move || link_worker(worker_shared))
-            .expect("spawn link worker");
         (
             WirelessLink {
                 shared: shared.clone(),
-                worker: Some(worker),
             },
             LinkSender {
                 shared: shared.clone(),
@@ -161,42 +248,43 @@ impl WirelessLink {
     }
 
     /// Changes the link bandwidth on the fly (vertical handoff, fading…).
+    /// Frames already transmitting keep their rate; the new one applies
+    /// from the next transmission start.
     pub fn set_bandwidth(&self, bps: u64) {
-        self.shared.bandwidth_bps.store(bps, Ordering::Release);
+        self.shared.settled().bandwidth_bps = bps;
+        // A receiver asleep until the queue head's predicted delivery
+        // must recompute it at the new rate.
+        self.shared.delivered_cv.notify_all();
     }
 
     /// Current bandwidth.
     pub fn bandwidth(&self) -> u64 {
-        self.shared.bandwidth_bps.load(Ordering::Acquire)
+        self.shared.channel.lock().bandwidth_bps
     }
 
     /// A detached probe reading the current bandwidth (used by monitors
     /// that must not borrow the link).
     pub fn bandwidth_probe(&self) -> impl Fn() -> u64 + Send + Sync + 'static {
         let shared = self.shared.clone();
-        move || shared.bandwidth_bps.load(Ordering::Acquire)
+        move || shared.channel.lock().bandwidth_bps
     }
 
-    /// Statistics snapshot.
+    /// Statistics snapshot. A frame counts as delivered once its delivery
+    /// time has passed, whether or not it has been received.
     pub fn stats(&self) -> LinkStats {
-        LinkStats {
-            sent: self.shared.sent.load(Ordering::Relaxed),
-            delivered: self.shared.delivered_count.load(Ordering::Relaxed),
-            lost: self.shared.lost.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            delivered_bytes: self.shared.delivered_bytes.load(Ordering::Relaxed),
-            busy_micros: self.shared.busy_micros.load(Ordering::Relaxed),
-        }
+        self.shared.settled().stats
     }
 
-    /// Stops the worker; undelivered frames are discarded.
+    /// Takes the link down; frames delivered by now stay receivable,
+    /// frames still queued or on the air are discarded.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.queue_cv.notify_all();
-        self.shared.delivered_cv.notify_all();
-        if let Some(h) = self.worker.take() {
-            let _ = h.join();
+        {
+            let mut ch = self.shared.settled();
+            ch.stop = true;
+            ch.waiting.clear();
+            ch.airborne.clear();
         }
+        self.shared.delivered_cv.notify_all();
     }
 }
 
@@ -210,24 +298,29 @@ impl LinkSender {
     /// Enqueues a frame for transmission. Returns `false` when the link
     /// queue is full (frame rejected) or the link is down.
     pub fn send(&self, frame: Vec<u8>) -> bool {
-        if self.shared.stop.load(Ordering::Acquire) {
+        let mut ch = self.shared.settled();
+        if ch.stop {
             return false;
         }
-        let mut q = self.shared.queue.lock();
-        if q.len() >= self.shared.cfg.queue_limit {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
+        if ch.waiting.len() >= self.shared.cfg.queue_limit {
+            ch.stats.rejected += 1;
             return false;
         }
-        q.push_back(frame);
-        self.shared.sent.fetch_add(1, Ordering::Relaxed);
-        drop(q);
-        self.shared.queue_cv.notify_all();
+        ch.waiting.push_back((Instant::now(), frame));
+        ch.stats.sent += 1;
+        // Receivers asleep on a scheduled delivery wake by themselves no
+        // later than this frame could land; only idle ones need a wake.
+        let wake = ch.idle_receivers > 0;
+        drop(ch);
+        if wake {
+            self.shared.delivered_cv.notify_all();
+        }
         true
     }
 
     /// Frames waiting ahead of the channel.
     pub fn backlog(&self) -> usize {
-        self.shared.queue.lock().len()
+        self.shared.settled().waiting.len()
     }
 }
 
@@ -236,87 +329,36 @@ impl LinkReceiver {
     /// time). `None` on timeout or link shutdown with an empty buffer.
     pub fn recv(&self, timeout: Duration) -> Option<Vec<u8>> {
         let deadline = Instant::now() + timeout;
-        let mut d = self.shared.delivered.lock();
+        let mut ch = self.shared.channel.lock();
         loop {
-            if let Some(frame) = d.pop_front() {
+            let now = Instant::now();
+            ch.settle(now, &self.shared);
+            if let Some(frame) = ch.delivered.pop_front() {
                 return Some(frame);
             }
-            if self.shared.stop.load(Ordering::Acquire) {
+            if ch.stop || now >= deadline {
                 return None;
             }
-            if self
-                .shared
-                .delivered_cv
-                .wait_until(&mut d, deadline)
-                .timed_out()
-            {
-                return d.pop_front();
+            // Sleep until the next delivery or the deadline, whichever
+            // comes first; with nothing on the way, until a send.
+            match ch.next_delivery(&self.shared) {
+                Some(at) => {
+                    self.shared
+                        .delivered_cv
+                        .wait_until(&mut ch, at.min(deadline));
+                }
+                None => {
+                    ch.idle_receivers += 1;
+                    self.shared.delivered_cv.wait_until(&mut ch, deadline);
+                    ch.idle_receivers -= 1;
+                }
             }
         }
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Vec<u8>> {
-        self.shared.delivered.lock().pop_front()
-    }
-}
-
-fn link_worker(shared: Arc<Shared>) {
-    let mut rng = StdRng::seed_from_u64(shared.cfg.seed);
-    loop {
-        let frame = {
-            let mut q = shared.queue.lock();
-            loop {
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                if let Some(f) = q.pop_front() {
-                    break f;
-                }
-                shared.queue_cv.wait_for(&mut q, Duration::from_millis(20));
-            }
-        };
-
-        // Serialization: the channel is busy for bits/bandwidth.
-        let bw = shared.bandwidth_bps.load(Ordering::Acquire);
-        let tx = transmission_time(frame.len(), bw);
-        shared
-            .busy_micros
-            .fetch_add(tx.as_micros() as u64, Ordering::Relaxed);
-        let wall = tx.mul_f64(shared.cfg.time_scale)
-            + shared.cfg.propagation_delay.mul_f64(shared.cfg.time_scale);
-        precise_sleep(wall, &shared.stop);
-        if shared.stop.load(Ordering::Acquire) {
-            return;
-        }
-
-        // Loss process: flat frame loss plus length-dependent bit errors.
-        let survival = (1.0 - shared.cfg.loss_rate.clamp(0.0, 1.0))
-            * frame_survival(frame.len(), shared.cfg.bit_error_rate);
-        if survival < 1.0 && !rng.gen_bool(survival.clamp(0.0, 1.0)) {
-            shared.lost.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-
-        shared
-            .delivered_bytes
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        shared.delivered_count.fetch_add(1, Ordering::Relaxed);
-        shared.delivered.lock().push_back(frame);
-        shared.delivered_cv.notify_all();
-    }
-}
-
-/// Sleeps in small slices so shutdown stays responsive even through long
-/// emulated transmissions.
-fn precise_sleep(total: Duration, stop: &AtomicBool) {
-    let deadline = Instant::now() + total;
-    while Instant::now() < deadline {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        std::thread::sleep(left.min(Duration::from_millis(10)));
+        self.shared.settled().delivered.pop_front()
     }
 }
 
@@ -527,5 +569,95 @@ mod tests {
         // After shutdown recv drains whatever was delivered then None.
         let _ = rx.recv(Duration::from_millis(50));
         assert!(rx.recv(Duration::from_millis(50)).is_none());
+    }
+
+    /// A lossless link of `bps` at wall-clock speed with an unbounded queue.
+    fn paced(bps: u64, delay: Duration) -> (WirelessLink, LinkSender, LinkReceiver) {
+        WirelessLink::spawn(LinkConfig {
+            bandwidth_bps: bps,
+            propagation_delay: delay,
+            time_scale: 1.0,
+            queue_limit: usize::MAX,
+            ..Default::default()
+        })
+    }
+
+    #[test]
+    fn n_frames_finish_within_one_frame_time_of_n_tx() {
+        // 1250 B at 1 Mb/s: 10 ms per frame. Departures are absolute
+        // deadlines, so the slack is one frame-time whatever N is; a
+        // per-frame relative sleep would add its overshoot N times.
+        let frame_time = transmission_time(1250, 1_000_000);
+        for n in [1u32, 10, 100] {
+            let (_link, tx, rx) = paced(1_000_000, Duration::ZERO);
+            let t0 = Instant::now();
+            for _ in 0..n {
+                assert!(tx.send(vec![0u8; 1250]));
+            }
+            for _ in 0..n {
+                rx.recv(Duration::from_secs(5)).expect("frame");
+            }
+            let elapsed = t0.elapsed();
+            let ideal = frame_time * n;
+            assert!(elapsed >= ideal, "N={n}: {elapsed:?} beat the rate");
+            assert!(
+                elapsed < ideal + frame_time,
+                "N={n}: {elapsed:?} overshot {ideal:?} by a frame-time or more"
+            );
+        }
+    }
+
+    #[test]
+    fn frames_pipeline_over_the_propagation_delay() {
+        // 125 B at 1 Mb/s: 1 ms each, behind a 50 ms delay. A pipelined
+        // link lands all 20 by 50 + 20 ms; stop-and-wait would take 1 s.
+        let (_link, tx, rx) = paced(1_000_000, Duration::from_millis(50));
+        let t0 = Instant::now();
+        for _ in 0..20 {
+            assert!(tx.send(vec![0u8; 125]));
+        }
+        let first = rx.recv(Duration::from_secs(5)).map(|_| t0.elapsed());
+        for _ in 1..20 {
+            rx.recv(Duration::from_secs(5)).expect("frame");
+        }
+        let elapsed = t0.elapsed();
+        assert!(first.expect("first frame") >= Duration::from_millis(51));
+        assert!(
+            elapsed < Duration::from_millis(50 + 20 + 10),
+            "20 frames took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn bandwidth_change_applies_from_the_next_transmission_start() {
+        // A (1000 B at 80 Kb/s) transmits for 100 ms; B queues behind it.
+        let (link, tx, rx) = paced(80_000, Duration::ZERO);
+        let t0 = Instant::now();
+        assert!(tx.send(vec![0u8; 1000]));
+        assert!(tx.send(vec![1u8; 1000]));
+        std::thread::sleep(Duration::from_millis(20));
+        link.set_bandwidth(80_000_000);
+        let a = rx.recv(Duration::from_secs(5)).expect("A");
+        assert_eq!(a[0], 0);
+        assert!(
+            t0.elapsed() >= Duration::from_millis(100),
+            "A finished at its old rate"
+        );
+        let b = rx.recv(Duration::from_secs(5)).expect("B");
+        assert_eq!(b[0], 1);
+        // B started after the change: 0.1 ms, not another 100 ms.
+        assert!(t0.elapsed() < Duration::from_millis(150), "B at old rate");
+        assert_eq!(link.stats().busy_micros, 100_000 + 100);
+    }
+
+    #[test]
+    fn stats_count_a_due_frame_before_it_is_received() {
+        let (link, tx, rx) = paced(100_000_000, Duration::ZERO);
+        assert!(tx.send(vec![7u8; 64]));
+        std::thread::sleep(Duration::from_millis(5));
+        let stats = link.stats();
+        assert_eq!((stats.delivered, stats.delivered_bytes), (1, 64));
+        assert_eq!(rx.try_recv(), Some(vec![7u8; 64]));
+        assert_eq!(link.stats(), stats);
     }
 }
