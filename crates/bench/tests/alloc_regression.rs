@@ -91,3 +91,73 @@ fn redirector_hop_allocates_at_most_five_times() {
          k=8: {long:.1}/msg); at most 5 expected"
     );
 }
+
+/// A link that accepts and discards every message, so the session
+/// template's `communicator` can be deployed without a network.
+struct NullTransport;
+
+impl mobigate::streamlets::comm::Transport for NullTransport {
+    fn send(&self, _wire: &[u8]) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+/// Session lifecycle allocations: one spawn plus one teardown of the
+/// `churn` template (three fused redirectors ending in the communicator,
+/// on a 2-worker pool). The template is compiled into a shared blueprint
+/// once, so a cycle allocates only live state: queues, handles, the fused
+/// unit and the registrations. Measured at 173 per cycle before stamping
+/// from a blueprint.
+#[test]
+fn session_spawn_and_teardown_allocate_at_most_40() {
+    use mobigate::core::StreamletPool;
+    use mobigate::core::{ExecutorConfig, MobiGate, ServerConfig, StreamletDirectory};
+    use std::sync::Arc;
+
+    let _guard = SERIAL.lock().unwrap();
+    let server = MobiGate::with_config(
+        ServerConfig {
+            executor: ExecutorConfig::WorkerPool { workers: 2 },
+            fusion: true,
+            ..Default::default()
+        },
+        Arc::new(StreamletDirectory::new()),
+        Arc::new(StreamletPool::new(64)),
+    );
+    mobigate::streamlets::register_builtins(server.directory());
+    mobigate::streamlets::comm::Communicator::register(server.directory(), Arc::new(NullTransport));
+    let script = format!(
+        "{}\nstreamlet communicator {{ port {{ in pi : */*; }} \
+         attribute {{ type = STATELESS; library = \"builtin/communicator\"; }} }}\n\
+         main stream user {{
+             streamlet r0 = new-streamlet (redirector);
+             streamlet r1 = new-streamlet (redirector);
+             streamlet r2 = new-streamlet (redirector);
+             streamlet out = new-streamlet (communicator);
+             connect (r0.po, r1.pi);
+             connect (r1.po, r2.pi);
+             connect (r2.po, out.pi);
+         }}",
+        mobigate::streamlets::standard_defs()
+    );
+    let sessions = server.session_manager(&script).unwrap();
+    let cycle = || {
+        let stream = sessions.spawn().unwrap();
+        assert!(sessions.teardown(stream.session()));
+    };
+    // Warm the instance pool and every table's capacity first.
+    for _ in 0..32 {
+        cycle();
+    }
+    const CYCLES: u64 = 200;
+    let before = mobigate_bench::allocations();
+    for _ in 0..CYCLES {
+        cycle();
+    }
+    let per_cycle = (mobigate_bench::allocations() - before) as f64 / CYCLES as f64;
+    eprintln!("session spawn+teardown: {per_cycle:.1} allocations per cycle");
+    assert!(
+        per_cycle <= 40.0,
+        "a session spawn+teardown allocates {per_cycle:.1} times; at most 40 expected"
+    );
+}

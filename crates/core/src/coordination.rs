@@ -24,9 +24,8 @@
 
 use crate::error::CoreError;
 use crate::events::{ContextEvent, EventManager, EventSubscriber};
-use crate::stream::{RunningStream, StreamDeps};
+use crate::stream::{RunningStream, StreamBlueprint, StreamDeps};
 use mobigate_mcl::config::{ConfigTable, Program, StreamletSpec};
-use mobigate_mcl::fusion::FusionPlan;
 use mobigate_mime::SessionId;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -87,57 +86,40 @@ impl CoordinationManager {
         SessionId::new(format!("{stream_name}-{n}"))
     }
 
-    /// Deploys one configuration table under an explicit session identity
-    /// and subscribes the stream to the event categories its `when` rules
-    /// react to (plus System Command, which every stream obeys for
-    /// PAUSE/RESUME/END). This is the bottom of every deployment path —
-    /// `deploy` routes compiled programs here, and the session plane
-    /// (`session.rs`) feeds it template-instantiated tables directly,
-    /// skipping recompilation.
+    /// Deploys one configuration table under an explicit session identity:
+    /// compiles it into a [`StreamBlueprint`] and stamps the blueprint's
+    /// one instance. `deploy` routes compiled programs here; the session
+    /// plane (`session.rs`) compiles its template once and stamps every
+    /// session through [`Self::instantiate`].
     pub fn deploy_table(
         &self,
         table: &ConfigTable,
         defs: &BTreeMap<String, StreamletSpec>,
         session: SessionId,
     ) -> Result<Arc<RunningStream>, CoreError> {
-        let stream = RunningStream::deploy(table, defs, self.deps.clone(), session.clone())?;
-        Ok(self.register(stream, session))
+        let blueprint = StreamBlueprint::compile(table, Arc::new(defs.clone()), self.deps.clone())?;
+        self.instantiate(&blueprint, session)
     }
 
-    /// [`Self::deploy_table`] for the session plane: the definitions and
-    /// the fusion plan were computed once per template and are shared by
-    /// every session stamped from it.
-    pub(crate) fn deploy_planned(
+    /// Stamps one instance of `blueprint` under `session`, subscribes it
+    /// to the event categories its `when` rules react to (plus System
+    /// Command, which every stream obeys for PAUSE/RESUME/END), and enters
+    /// its routing-table row. This is the bottom of every deployment path.
+    pub(crate) fn instantiate(
         &self,
-        table: &ConfigTable,
-        defs: &Arc<BTreeMap<String, StreamletSpec>>,
-        plan: &FusionPlan,
+        blueprint: &Arc<StreamBlueprint>,
         session: SessionId,
     ) -> Result<Arc<RunningStream>, CoreError> {
-        let stream = RunningStream::deploy_planned(
-            table,
-            defs.clone(),
-            plan,
-            self.deps.clone(),
-            session.clone(),
-        )?;
-        Ok(self.register(stream, session))
-    }
-
-    /// Subscribes a freshly deployed stream to its event categories and
-    /// enters its routing-table row.
-    fn register(&self, stream: Arc<RunningStream>, session: SessionId) -> Arc<RunningStream> {
+        let stream = blueprint.instantiate(session.clone())?;
         // Subscribe to the categories of interest (§6.4: streams subscribe
         // to events of interest and ignore the flood of the rest).
         let sub: Arc<dyn EventSubscriber> = stream.clone();
-        for c in stream.subscribed_categories() {
-            self.events.subscribe(c, &sub);
-        }
-
+        self.events
+            .subscribe_as(stream.name(), stream.subscribed_categories(), &sub);
         self.shard_for(&session)
             .lock()
             .insert(session, stream.clone());
-        stream
+        Ok(stream)
     }
 
     /// Deploys one stream of a compiled program under a generated session.
@@ -181,9 +163,8 @@ impl CoordinationManager {
         match removed {
             Some(stream) => {
                 let sub: Arc<dyn EventSubscriber> = stream.clone();
-                for c in stream.subscribed_categories() {
-                    self.events.unsubscribe(c, &sub);
-                }
+                self.events
+                    .unsubscribe_as(stream.name(), stream.subscribed_categories(), &sub);
                 stream.shutdown();
                 true
             }

@@ -176,21 +176,46 @@ impl EventManager {
     /// Subscribes `app` to a category (paper `subscribeEvt`). Subscribers
     /// are held weakly: a dropped stream unsubscribes itself implicitly.
     pub fn subscribe(&self, category: EventCategory, app: &Arc<dyn EventSubscriber>) {
-        self.shard_for(&app.subscriber_name()).lists[category.id()]
-            .write()
-            .push(Arc::downgrade(app));
+        self.subscribe_as(&app.subscriber_name(), &[category], app);
+    }
+
+    /// Subscribes `app`, whose [`EventSubscriber::subscriber_name`] is
+    /// `name`, to every category in `categories` at once: the caller that
+    /// already knows the name saves asking for it once per category.
+    pub fn subscribe_as(
+        &self,
+        name: &str,
+        categories: &[EventCategory],
+        app: &Arc<dyn EventSubscriber>,
+    ) {
+        let shard = self.shard_for(name);
+        for c in categories {
+            shard.lists[c.id()].write().push(Arc::downgrade(app));
+        }
     }
 
     /// Unsubscribes `app` from a category (paper `unsubscribeEvt`).
     pub fn unsubscribe(&self, category: EventCategory, app: &Arc<dyn EventSubscriber>) {
+        self.unsubscribe_as(&app.subscriber_name(), &[category], app);
+    }
+
+    /// [`Self::unsubscribe`] from every category in `categories`, for a
+    /// subscriber named `name`. Entries are matched by address, so the
+    /// sweep never upgrades a live neighbour; dead entries are dropped
+    /// on the way.
+    pub fn unsubscribe_as(
+        &self,
+        name: &str,
+        categories: &[EventCategory],
+        app: &Arc<dyn EventSubscriber>,
+    ) {
         let target = Arc::as_ptr(app) as *const ();
-        self.shard_for(&app.subscriber_name()).lists[category.id()]
-            .write()
-            .retain(|w| {
-                w.upgrade()
-                    .map(|s| Arc::as_ptr(&s) as *const () != target)
-                    .unwrap_or(false)
-            });
+        let shard = self.shard_for(name);
+        for c in categories {
+            shard.lists[c.id()]
+                .write()
+                .retain(|w| w.strong_count() > 0 && Weak::as_ptr(w) as *const () != target);
+        }
     }
 
     /// Number of live subscribers in a category (all shards).
@@ -306,6 +331,23 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(net.seen.lock().as_slice(), &[EventKind::LowBandwidth]);
         assert!(hw.seen.lock().is_empty());
+    }
+
+    #[test]
+    fn unsubscribing_one_stream_keeps_its_neighbours() {
+        let mgr = EventManager::with_shards(1);
+        let subs: Vec<Arc<Recorder>> = ["a", "b", "c"].iter().map(|n| Recorder::new(n)).collect();
+        for r in &subs {
+            mgr.subscribe(EventCategory::NetworkVariation, &as_sub(r));
+        }
+        mgr.unsubscribe(EventCategory::NetworkVariation, &as_sub(&subs[1]));
+        assert_eq!(mgr.subscriber_count(EventCategory::NetworkVariation), 2);
+
+        let n = mgr.multicast(&ContextEvent::broadcast(EventKind::LowBandwidth));
+        assert_eq!(n, 2);
+        assert_eq!(subs[0].seen.lock().as_slice(), &[EventKind::LowBandwidth]);
+        assert!(subs[1].seen.lock().is_empty());
+        assert_eq!(subs[2].seen.lock().as_slice(), &[EventKind::LowBandwidth]);
     }
 
     #[test]

@@ -32,16 +32,16 @@ use std::sync::Arc;
 /// and fission) plus the live logic object.
 pub struct FusedMember {
     /// Original instance name from the configuration table.
-    pub instance: String,
+    pub instance: Arc<str>,
     /// Definition name (fission re-creates the instance row from this).
-    pub def: String,
+    pub def: Arc<str>,
     /// Directory key of the implementing component (member rebuild).
-    pub key: String,
+    pub key: Arc<str>,
     /// The single input port of the member's definition.
-    pub in_port: String,
+    pub in_port: Arc<str>,
     /// The single output port of the member's definition; `None` for a
     /// zero-output sink, which can only be the run's tail.
-    pub out_port: Option<String>,
+    pub out_port: Option<Arc<str>>,
     /// The live logic; `None` while poisoned (awaiting rebuild) or after
     /// fission took it.
     pub logic: Option<Box<dyn StreamletLogic>>,
@@ -56,7 +56,7 @@ pub struct FusedMember {
 /// and the other lockers (rebuild, fission) only run while the task is
 /// parked or paused.
 pub struct FusedShared {
-    unit: String,
+    unit: Arc<str>,
     members: Mutex<Vec<FusedMember>>,
     /// Index of the member whose panic poisoned the unit, if any.
     faulted: Mutex<Option<usize>>,
@@ -64,7 +64,7 @@ pub struct FusedShared {
 
 impl FusedShared {
     /// Creates the shared roster for unit `unit`.
-    pub fn new(unit: impl Into<String>, members: Vec<FusedMember>) -> Arc<Self> {
+    pub fn new(unit: impl Into<Arc<str>>, members: Vec<FusedMember>) -> Arc<Self> {
         Arc::new(FusedShared {
             unit: unit.into(),
             members: Mutex::new(members),
@@ -82,7 +82,7 @@ impl FusedShared {
         self.members
             .lock()
             .iter()
-            .map(|m| m.instance.clone())
+            .map(|m| m.instance.to_string())
             .collect()
     }
 
@@ -91,7 +91,7 @@ impl FusedShared {
         self.members
             .lock()
             .iter()
-            .map(|m| (m.instance.clone(), m.errors))
+            .map(|m| (m.instance.to_string(), m.errors))
             .collect()
     }
 
@@ -99,7 +99,7 @@ impl FusedShared {
     pub fn faulted_member(&self) -> Option<(usize, String)> {
         let idx = (*self.faulted.lock())?;
         let members = self.members.lock();
-        members.get(idx).map(|m| (idx, m.instance.clone()))
+        members.get(idx).map(|m| (idx, m.instance.to_string()))
     }
 
     /// Directory key of the faulted member (rebuild closures resolve the
@@ -107,7 +107,7 @@ impl FusedShared {
     pub fn faulted_member_key(&self) -> Option<(usize, String)> {
         let idx = (*self.faulted.lock())?;
         let members = self.members.lock();
-        members.get(idx).map(|m| (idx, m.key.clone()))
+        members.get(idx).map(|m| (idx, m.key.to_string()))
     }
 
     /// Installs fresh logic for member `idx` and clears the fault marker
@@ -353,7 +353,7 @@ impl StreamletLogic for FusedLogic {
         let mut members = self.shared.members.lock();
         if let Some((member, mkey)) = key.split_once('.') {
             for m in members.iter_mut() {
-                if m.instance == member {
+                if *m.instance == *member {
                     if let Some(logic) = m.logic.as_mut() {
                         return logic.control(mkey, value);
                     }
@@ -420,7 +420,7 @@ mod tests {
 
     fn member(name: &str, logic: Box<dyn StreamletLogic>) -> FusedMember {
         FusedMember {
-            instance: name.to_string(),
+            instance: name.into(),
             def: "d".into(),
             key: "builtin/d".into(),
             in_port: "pi".into(),

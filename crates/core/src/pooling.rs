@@ -102,7 +102,12 @@ impl StreamletPool {
         }
         instance.reset();
         let mut idle = self.idle.lock();
-        let slot = idle.entry(library.to_string()).or_default();
+        // Look the key up before `entry`, which would copy it: every
+        // checkin after a key's first finds its slot.
+        let slot = match idle.get_mut(library) {
+            Some(slot) => slot,
+            None => idle.entry(library.to_string()).or_default(),
+        };
         if slot.len() >= self.max_idle_per_key {
             self.discarded.fetch_add(1, Ordering::Relaxed);
         } else {

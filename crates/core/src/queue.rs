@@ -311,7 +311,8 @@ struct QState {
 /// The channel object. Cheaply shareable via `Arc`.
 #[derive(Debug)]
 pub struct MessageQueue {
-    cfg: QueueConfig,
+    /// Shared with every queue stamped from the same stream blueprint.
+    cfg: Arc<QueueConfig>,
     state: Mutex<QState>,
     /// Signals consumers (message available) and producers (space
     /// available); a single condvar keeps the monitor simple, exactly like
@@ -363,17 +364,18 @@ pub struct MessageQueue {
 
 impl MessageQueue {
     /// Creates a queue backed by `pool` for reference accounting.
-    pub fn new(cfg: QueueConfig, pool: Arc<MessagePool>) -> Arc<Self> {
+    pub fn new(cfg: impl Into<Arc<QueueConfig>>, pool: Arc<MessagePool>) -> Arc<Self> {
         Self::with_probe(cfg, pool, None)
     }
 
     /// Creates a queue carrying an optional telemetry probe: every post,
     /// fetch, and drop is mirrored into the owning stream's metrics.
     pub fn with_probe(
-        cfg: QueueConfig,
+        cfg: impl Into<Arc<QueueConfig>>,
         pool: Arc<MessagePool>,
         probe: Option<QueueProbe>,
     ) -> Arc<Self> {
+        let cfg = cfg.into();
         let spsc_active = cfg.uses_ring();
         Arc::new(MessageQueue {
             cfg,

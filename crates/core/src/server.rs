@@ -462,7 +462,7 @@ impl MobiGate {
             StreamTemplate::from_program(&program, &name).map_err(|e| CoreError::Deploy {
                 message: e.to_string(),
             })?;
-        Ok(SessionManager::new(template, self.coordination.clone()))
+        SessionManager::new(template, self.coordination.clone())
     }
 
     /// Tears one stream down: drains its in-flight messages (bounded),

@@ -5,10 +5,13 @@
 //! "the system automatically generates a unique session ID for each
 //! instance of a stream"; §3.3.4 pooling exists so that per-session cost
 //! stays small). The [`SessionManager`] industrializes that: it holds one
-//! validated [`StreamTemplate`] (compiled and analyzed exactly once) and
-//! stamps out independent sessions from it, each a full `RunningStream`
-//! with its own session ID, event identity, and routing-table row in the
-//! sharded Coordination Manager.
+//! validated [`StreamTemplate`] (compiled and analyzed exactly once),
+//! compiles it once more into a [`StreamBlueprint`] — resolved pool keys,
+//! fused-run descriptors, queue configurations, port bindings as indices —
+//! and stamps out independent sessions from that, each a full
+//! `RunningStream` with its own session ID, event identity, and
+//! routing-table row in the sharded Coordination Manager. A spawn creates
+//! only live state; the blueprint's rows and `when` rules are shared.
 //!
 //! Per-session cost at idle is deliberately tiny: instances come out of
 //! the §3.3.4 streamlet pool, fusion (when enabled) collapses the chain
@@ -19,9 +22,8 @@
 
 use crate::coordination::CoordinationManager;
 use crate::error::CoreError;
-use crate::stream::{fusion_plan, RunningStream};
+use crate::stream::{RunningStream, StreamBlueprint};
 use crate::telemetry::TraceKind;
-use mobigate_mcl::fusion::FusionPlan;
 use mobigate_mcl::template::StreamTemplate;
 use mobigate_mime::SessionId;
 use parking_lot::Mutex;
@@ -37,9 +39,9 @@ pub const DEFAULT_DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 /// Stamps out and tears down per-user sessions of one stream template.
 pub struct SessionManager {
     template: StreamTemplate,
-    /// The template's fusion plan, computed once: instantiation renames
-    /// only the table, so every session fuses the same runs.
-    plan: FusionPlan,
+    /// The template compiled against the coordination manager's runtime
+    /// services, once: every session is stamped from it.
+    blueprint: Arc<StreamBlueprint>,
     coordination: Arc<CoordinationManager>,
     /// Monotonic per-template sequence feeding `StreamTemplate::
     /// session_name` — never reused, so a torn-down session's ID cannot
@@ -53,15 +55,21 @@ pub struct SessionManager {
 
 impl SessionManager {
     /// A manager stamping sessions of `template` into `coordination`.
-    pub fn new(template: StreamTemplate, coordination: Arc<CoordinationManager>) -> Self {
-        let plan = fusion_plan(template.base_table(), template.defs(), coordination.deps());
-        SessionManager {
+    /// Fails when the template does not compile into a blueprint (an
+    /// instance of an unknown definition, a row naming an unknown
+    /// channel).
+    pub fn new(
+        template: StreamTemplate,
+        coordination: Arc<CoordinationManager>,
+    ) -> Result<Self, CoreError> {
+        let blueprint = StreamBlueprint::compile_template(&template, coordination.deps().clone())?;
+        Ok(SessionManager {
             template,
-            plan,
+            blueprint,
             coordination,
             next_seq: AtomicU64::new(0),
             roster: Mutex::new(HashSet::new()),
-        }
+        })
     }
 
     /// The underlying template.
@@ -69,23 +77,16 @@ impl SessionManager {
         &self.template
     }
 
-    /// Instantiates one new session: clones the template table under a
-    /// fresh `<stream>#<seq>` identity and deploys it against the
-    /// template's shared definitions and fusion plan. The session ID,
-    /// the stream name (= event `evtSource` identity), and the
-    /// `Content-Session` header stamped on every message the session
-    /// carries are all that same string.
+    /// Instantiates one new session: stamps the blueprint under a fresh
+    /// `<stream>#<seq>` identity. The session ID, the stream name (= event
+    /// `evtSource` identity), and the `Content-Session` header stamped on
+    /// every message the session carries all share that one string.
     pub fn spawn(&self) -> Result<Arc<RunningStream>, CoreError> {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let name = self.template.session_name(seq);
-        let table = self.template.instantiate(&name);
-        let session = SessionId::new(name);
-        let stream = self.coordination.deploy_planned(
-            &table,
-            self.template.defs(),
-            &self.plan,
-            session.clone(),
-        )?;
+        let session = SessionId::new(self.template.session_name(seq));
+        let stream = self
+            .coordination
+            .instantiate(&self.blueprint, session.clone())?;
         if let Some(t) = &self.coordination.deps().telemetry {
             t.trace_event(
                 TraceKind::SessionSpawn,

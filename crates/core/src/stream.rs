@@ -35,11 +35,12 @@ use mobigate_mcl::config::{
 };
 use mobigate_mcl::events::{EventCategory, EventKind};
 use mobigate_mcl::fusion::{FusedRun, FusionPlan};
+use mobigate_mcl::template::StreamTemplate;
 use mobigate_mime::{MimeMessage, SessionId};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
 /// Hot-path batching knobs, plumbed from `ServerConfig` down to every
@@ -165,18 +166,21 @@ impl StreamStats {
 }
 
 struct Inner {
-    instances: HashMap<String, Arc<StreamletHandle>>,
-    channels: HashMap<String, Arc<MessageQueue>>,
-    connections: Vec<ConnectionRow>,
-    /// Lazily created instances declared inside `when` blocks: name → def.
-    lazy: HashMap<String, String>,
-    when_rules: Vec<WhenRule>,
+    instances: HashMap<Arc<str>, Arc<StreamletHandle>>,
+    channels: HashMap<Arc<str>, Arc<MessageQueue>>,
+    /// The live connection rows, shared with the blueprint until a
+    /// reconfiguration or a fission edits this session's copy.
+    connections: Arc<Vec<ConnectionRow>>,
+    /// Lazily created instances declared inside `when` blocks: name → def
+    /// (shared with the blueprint until this session creates one).
+    lazy: Arc<HashMap<String, String>>,
     reconf_chan_counter: usize,
     shutdown: bool,
     /// Live fused units: unit instance name → fission bookkeeping.
-    fused: HashMap<String, FusedInfo>,
-    /// Member instance name → owning fused unit name.
-    fused_members: HashMap<String, String>,
+    fused: HashMap<Arc<str>, FusedInfo>,
+    /// Member instance name → owning fused unit name (shared with the
+    /// blueprint until a fission edits this session's copy).
+    fused_members: Arc<HashMap<Arc<str>, Arc<str>>>,
 }
 
 /// Everything the stream must remember about one fused unit to be able to
@@ -187,23 +191,488 @@ struct FusedInfo {
     shared: Arc<FusedShared>,
     /// The collapsed interior channels, pipeline order (`[i]` joined member
     /// `i` to member `i + 1`).
-    interior_channels: Vec<ChannelRow>,
+    interior_channels: Arc<[ChannelRow]>,
     /// The connection rows those channels carried, same order.
-    interior_connections: Vec<ConnectionRow>,
+    interior_connections: Arc<[ConnectionRow]>,
+}
+
+/// A streamlet instance as the blueprint resolved it: names, definition,
+/// and the §3.3.4 pool key, each allocated once and shared by refcount.
+struct InstanceDesc {
+    name: Arc<str>,
+    def: Arc<str>,
+    key: Arc<str>,
+    stateful: bool,
+}
+
+/// A fused run as the blueprint resolved it.
+struct UnitDesc {
+    /// `fused:{first}..{last}`.
+    name: Arc<str>,
+    /// Member descriptors, pipeline order.
+    members: Box<[MemberDesc]>,
+    interior_channels: Arc<[ChannelRow]>,
+    interior_connections: Arc<[ConnectionRow]>,
+}
+
+/// One member of a fused run, minus its logic.
+struct MemberDesc {
+    instance: Arc<str>,
+    def: Arc<str>,
+    key: Arc<str>,
+    in_port: Arc<str>,
+    out_port: Option<Arc<str>>,
+}
+
+impl MemberDesc {
+    fn stamp(&self, logic: Box<dyn StreamletLogic>) -> FusedMember {
+        FusedMember {
+            instance: self.instance.clone(),
+            def: self.def.clone(),
+            key: self.key.clone(),
+            in_port: self.in_port.clone(),
+            out_port: self.out_port.clone(),
+            logic: Some(logic),
+            errors: 0,
+        }
+    }
+}
+
+/// A port of one execution slot. Slots number the discrete instances
+/// first, then the fused units, in blueprint order.
+struct Endpoint {
+    slot: usize,
+    port: String,
+}
+
+/// One connection row that keeps a live channel: `channel` indexes the
+/// blueprint's channels.
+struct BindingDesc {
+    channel: usize,
+    from: Endpoint,
+    to: Endpoint,
+}
+
+/// An exported input: its `instance.port` alias, its ingress queue's
+/// configuration, and the port it feeds.
+struct IngressDesc {
+    alias: Arc<str>,
+    cfg: Arc<QueueConfig>,
+    to: Endpoint,
+}
+
+/// A stream compiled once for instantiation (§6: the Coordination Manager
+/// compiles MCL into configuration and routing tables).
+///
+/// Compiling resolves everything that does not change from one deployment
+/// to the next: definitions and pool keys, the fusion plan with its member
+/// descriptors and unit names, the channel, ingress and egress queue
+/// configurations, and the port bindings as slot indices. The connection
+/// rows, the lazy `when` declarations and the fused-member index are kept
+/// behind `Arc`s that every instance shares until a reconfiguration or a
+/// fission edits its own copy (`Arc::make_mut`); `when` rules are shared
+/// for good. [`StreamBlueprint::instantiate`] then creates only live
+/// state: queues, handles, pooled logics and the fused rosters.
+pub(crate) struct StreamBlueprint {
+    /// The compiled stream's name.
+    name: Arc<str>,
+    /// Session templates name each instance by its session ID, so the
+    /// Event Manager's `evtSource` matching tells sessions apart.
+    named_by_session: bool,
+    deps: StreamDeps,
+    defs: Arc<BTreeMap<String, StreamletSpec>>,
+    instances: Box<[InstanceDesc]>,
+    units: Box<[UnitDesc]>,
+    /// Channels that stay live queues (fused interiors excluded).
+    channels: Box<[(Arc<str>, Arc<QueueConfig>)]>,
+    bindings: Box<[BindingDesc]>,
+    ingress: Box<[IngressDesc]>,
+    egress: Arc<QueueConfig>,
+    egress_from: Box<[Endpoint]>,
+    connections: Arc<Vec<ConnectionRow>>,
+    lazy: Arc<HashMap<String, String>>,
+    fused_members: Arc<HashMap<Arc<str>, Arc<str>>>,
+    when_rules: Box<[WhenRule]>,
+    categories: Box<[EventCategory]>,
+}
+
+impl StreamBlueprint {
+    /// Compiles `table` against `defs` and the runtime services in `deps`.
+    /// `fusion_plan` probes pooled logics for their fusion opt-in, so
+    /// compile once per template, not once per session.
+    pub(crate) fn compile(
+        table: &ConfigTable,
+        defs: Arc<BTreeMap<String, StreamletSpec>>,
+        deps: StreamDeps,
+    ) -> Result<Arc<Self>, CoreError> {
+        let plan = fusion_plan(table, &defs, &deps);
+        Self::compile_planned(table, defs, &plan, deps, false)
+    }
+
+    /// Compiles a session template: every instance is named by its own
+    /// session ID.
+    pub(crate) fn compile_template(
+        template: &StreamTemplate,
+        deps: StreamDeps,
+    ) -> Result<Arc<Self>, CoreError> {
+        let table = template.base_table();
+        let plan = fusion_plan(table, template.defs(), &deps);
+        Self::compile_planned(table, template.defs().clone(), &plan, deps, true)
+    }
+
+    fn compile_planned(
+        table: &ConfigTable,
+        defs: Arc<BTreeMap<String, StreamletSpec>>,
+        plan: &FusionPlan,
+        deps: StreamDeps,
+        named_by_session: bool,
+    ) -> Result<Arc<Self>, CoreError> {
+        let interior: HashSet<&str> = plan
+            .runs
+            .iter()
+            .flat_map(|r| r.interior_channels.iter().map(String::as_str))
+            .collect();
+        let is_member: HashSet<&str> = plan
+            .runs
+            .iter()
+            .flat_map(|r| r.members.iter().map(String::as_str))
+            .collect();
+
+        // Priority-aware shedding needs selective removal, which the SPSC
+        // ring cannot do (FIFO pop only): with shedding enabled the
+        // channels stay on the mutex queue so `shed_oldest` can pick
+        // lowest-priority victims instead of whatever is oldest in the ring.
+        let spsc = deps.batching.spsc && !deps.overload.shed_on();
+        let channels: Box<[(Arc<str>, Arc<QueueConfig>)]> = table
+            .channels
+            .iter()
+            .filter(|row| !interior.contains(row.name.as_str()))
+            .map(|row| {
+                let mut cfg = QueueConfig::from_spec(&row.name, &row.spec);
+                cfg.spsc = spsc;
+                (Arc::from(row.name.as_str()), Arc::new(cfg))
+            })
+            .collect();
+
+        // Execution slots: discrete initial instances, then fused units.
+        let mut slots: HashMap<&str, usize> = HashMap::new();
+        let mut instances = Vec::new();
+        let mut lazy = HashMap::new();
+        for row in &table.streamlets {
+            if !row.initial {
+                lazy.insert(row.name.clone(), row.def.clone());
+                continue;
+            }
+            if is_member.contains(row.name.as_str()) {
+                continue;
+            }
+            let spec = spec_of(&defs, &row.def)?;
+            slots.insert(&row.name, instances.len());
+            instances.push(InstanceDesc {
+                name: row.name.as_str().into(),
+                def: row.def.as_str().into(),
+                key: pool_key(&deps, spec),
+                stateful: spec.stateful,
+            });
+        }
+        let mut units = Vec::with_capacity(plan.runs.len());
+        let mut fused_members = HashMap::new();
+        for run in &plan.runs {
+            let unit = compile_unit(run, table, &defs, &deps)?;
+            for (name, m) in run.members.iter().zip(unit.members.iter()) {
+                slots.insert(name, instances.len() + units.len());
+                fused_members.insert(m.instance.clone(), unit.name.clone());
+            }
+            units.push(unit);
+        }
+        let endpoint = |inst: &String, port: &String| -> Result<Endpoint, CoreError> {
+            let slot = *slots
+                .get(inst.as_str())
+                .ok_or_else(|| CoreError::NotFound {
+                    kind: "streamlet instance",
+                    name: inst.clone(),
+                })?;
+            Ok(Endpoint {
+                slot,
+                port: port.clone(),
+            })
+        };
+
+        // Port bindings per the connection rows (interior rows of fused
+        // runs have no physical channel; member endpoints resolve to their
+        // unit's slot).
+        let mut bindings = Vec::new();
+        for c in &table.connections {
+            if interior.contains(c.channel.as_str()) {
+                continue;
+            }
+            let channel = channels
+                .iter()
+                .position(|(name, _)| **name == *c.channel)
+                .ok_or_else(|| CoreError::NotFound {
+                    kind: "channel",
+                    name: c.channel.clone(),
+                })?;
+            bindings.push(BindingDesc {
+                channel,
+                from: endpoint(&c.from.0, &c.from.1)?,
+                to: endpoint(&c.to.0, &c.to.1)?,
+            });
+        }
+
+        // Ingress/egress channels for the stream's exported ports.
+        let mut ingress = Vec::with_capacity(table.exported_inputs.len());
+        for (inst, port, ty) in &table.exported_inputs {
+            ingress.push(IngressDesc {
+                alias: format!("{inst}.{port}").into(),
+                cfg: Arc::new(QueueConfig {
+                    name: format!("__ingress/{inst}.{port}"),
+                    capacity_bytes: 8 << 20,
+                    full_wait: Duration::from_millis(500),
+                    ty: ty.clone(),
+                    spsc,
+                    ..Default::default()
+                }),
+                to: endpoint(inst, port)?,
+            });
+        }
+        let egress = Arc::new(QueueConfig {
+            name: "__egress".into(),
+            capacity_bytes: 8 << 20,
+            full_wait: Duration::from_millis(500),
+            spsc,
+            ..Default::default()
+        });
+        let egress_from = table
+            .exported_outputs
+            .iter()
+            .map(|(inst, port, _)| endpoint(inst, port))
+            .collect::<Result<_, _>>()?;
+
+        let categories = event_categories(&table.when_rules, &deps);
+        Ok(Arc::new(StreamBlueprint {
+            name: table.name.as_str().into(),
+            named_by_session,
+            defs,
+            instances: instances.into(),
+            units: units.into(),
+            channels,
+            bindings: bindings.into(),
+            ingress: ingress.into(),
+            egress,
+            egress_from,
+            // Interior rows of fused runs have no live channel; they are
+            // remembered per unit and resurface on fission.
+            connections: Arc::new(
+                table
+                    .connections
+                    .iter()
+                    .filter(|c| !interior.contains(c.channel.as_str()))
+                    .cloned()
+                    .collect(),
+            ),
+            lazy: Arc::new(lazy),
+            fused_members: Arc::new(fused_members),
+            when_rules: table.when_rules.as_slice().into(),
+            categories,
+            deps,
+        }))
+    }
+
+    /// The paper's setup sequence for one instance of the stream: create
+    /// channels, allocate streamlet instances (§3.3.3, out of the §3.3.4
+    /// pool), bind ports per the configuration table, then start every
+    /// streamlet. Only live state is created here; every name, key, row
+    /// and binding comes from the blueprint.
+    pub(crate) fn instantiate(
+        self: &Arc<Self>,
+        session: SessionId,
+    ) -> Result<Arc<RunningStream>, CoreError> {
+        let deps = &self.deps;
+        // One session-keyed telemetry probe is shared by every channel and
+        // handle of this stream; `None` when the observability plane is off.
+        let probe = deps
+            .telemetry
+            .as_ref()
+            .map(|t| t.probe_for(session.as_str()));
+        let queue = |cfg: &Arc<QueueConfig>| {
+            MessageQueue::with_probe(cfg.clone(), deps.msg_pool.clone(), probe.clone())
+        };
+        let channels: Vec<Arc<MessageQueue>> =
+            self.channels.iter().map(|(_, cfg)| queue(cfg)).collect();
+        let ingress: Box<[(Arc<str>, Arc<MessageQueue>)]> = self
+            .ingress
+            .iter()
+            .map(|d| (d.alias.clone(), queue(&d.cfg)))
+            .collect();
+        let egress = queue(&self.egress);
+        let egress_notifier = Arc::new(Notifier::new());
+        egress.add_listener(egress_notifier.clone());
+        let name = if self.named_by_session {
+            session.shared()
+        } else {
+            self.name.clone()
+        };
+        let stream = Arc::new(RunningStream {
+            name,
+            session,
+            blueprint: self.clone(),
+            inner: Mutex::new(Inner {
+                instances: HashMap::with_capacity(self.instances.len() + self.units.len()),
+                channels: self
+                    .channels
+                    .iter()
+                    .zip(&channels)
+                    .map(|((name, _), q)| (name.clone(), q.clone()))
+                    .collect(),
+                connections: self.connections.clone(),
+                lazy: self.lazy.clone(),
+                reconf_chan_counter: 0,
+                shutdown: false,
+                fused: HashMap::with_capacity(self.units.len()),
+                fused_members: self.fused_members.clone(),
+            }),
+            ingress,
+            egress,
+            egress_notifier,
+            // `drain` disarms before its first check, so the notifier can
+            // start armed: until a drain waits, instances pay one swap a
+            // step.
+            quiesce: Arc::new(Notifier::armed()),
+            injected: AtomicU64::new(0),
+            delivered: AtomicU64::new(0),
+            reconfigurations: AtomicU64::new(0),
+            last_reconfig: Mutex::new(None),
+            probe,
+        });
+        stream.populate(&channels)?;
+        if let Some(t) = &deps.telemetry {
+            t.trace_event(
+                TraceKind::Deploy,
+                Some(stream.session.as_str()),
+                None,
+                format!(
+                    "stream {} ({} instances, {} fused)",
+                    stream.name,
+                    self.instances.len() + self.units.len(),
+                    self.units.len()
+                ),
+            );
+        }
+        Ok(stream)
+    }
+}
+
+/// The definition named `def`.
+fn spec_of<'a>(
+    defs: &'a BTreeMap<String, StreamletSpec>,
+    def: &str,
+) -> Result<&'a StreamletSpec, CoreError> {
+    defs.get(def).ok_or_else(|| CoreError::NotFound {
+        kind: "streamlet definition",
+        name: def.to_string(),
+    })
+}
+
+/// The §3.3.4 pool key (= directory key) of a definition's logic.
+fn pool_key(deps: &StreamDeps, spec: &StreamletSpec) -> Arc<str> {
+    deps.directory.resolve_key(&spec.library, &spec.name).into()
+}
+
+/// Resolves one planned fused run into its unit descriptor.
+fn compile_unit(
+    run: &FusedRun,
+    table: &ConfigTable,
+    defs: &BTreeMap<String, StreamletSpec>,
+    deps: &StreamDeps,
+) -> Result<UnitDesc, CoreError> {
+    let mut members = Vec::with_capacity(run.members.len());
+    for name in &run.members {
+        let row = table.instance(name).ok_or_else(|| CoreError::NotFound {
+            kind: "streamlet instance",
+            name: name.clone(),
+        })?;
+        let spec = spec_of(defs, &row.def)?;
+        let pin = match (spec.inputs.as_slice(), spec.outputs.len()) {
+            ([pin], 0 | 1) => pin,
+            _ => {
+                return Err(CoreError::Reconfig {
+                    message: format!(
+                        "fused member `{name}` must have 1 input and at most 1 output"
+                    ),
+                })
+            }
+        };
+        members.push(MemberDesc {
+            instance: name.as_str().into(),
+            def: row.def.as_str().into(),
+            key: pool_key(deps, spec),
+            in_port: pin.0.as_str().into(),
+            out_port: spec.outputs.first().map(|p| p.0.as_str().into()),
+        });
+    }
+    let name = fused_unit_name(
+        members.first().map(|m| &*m.instance),
+        members.last().map(|m| &*m.instance),
+    );
+    Ok(UnitDesc {
+        name: name.into(),
+        members: members.into(),
+        interior_channels: run
+            .interior_channels
+            .iter()
+            .filter_map(|n| table.channel(n).cloned())
+            .collect(),
+        interior_connections: run
+            .interior_channels
+            .iter()
+            .filter_map(|n| table.connections.iter().find(|c| &c.channel == n).cloned())
+            .collect(),
+    })
+}
+
+/// The instance name of the fused unit running `first..last`.
+fn fused_unit_name(first: Option<&str>, last: Option<&str>) -> String {
+    match (first, last) {
+        (Some(a), Some(b)) => format!("fused:{a}..{b}"),
+        _ => "fused:".to_string(),
+    }
+}
+
+/// The event categories a stream with `rules` needs subscribed: whatever
+/// its `when` rules react to, plus System Command (every stream obeys
+/// PAUSE/RESUME/END), plus Runtime Fault when fusion is on (fault-driven
+/// fission must observe STREAMLET_FAULT), plus Load Variation when load
+/// shedding is on.
+fn event_categories(rules: &[WhenRule], deps: &StreamDeps) -> Box<[EventCategory]> {
+    let mut categories: Vec<EventCategory> = rules.iter().map(|r| r.event.category()).collect();
+    categories.push(EventCategory::SystemCommand);
+    if deps.fusion {
+        categories.push(EventCategory::RuntimeFault);
+    }
+    if deps.overload.shed_on() {
+        // Load shedding reacts to CHANNEL_CONGESTED from the metrics
+        // bridge even when the script has no load-variation rules.
+        categories.push(EventCategory::LoadVariation);
+    }
+    categories.sort_by_key(|c| c.id());
+    categories.dedup();
+    categories.into()
 }
 
 /// A deployed, running stream application.
 pub struct RunningStream {
-    name: String,
+    /// The stream name: the MCL stream identifier, or for a session
+    /// stamped from a template, its session ID.
+    name: Arc<str>,
     session: SessionId,
-    deps: StreamDeps,
-    /// Streamlet definitions, shared with every other stream deployed
-    /// from the same template.
-    defs: Arc<BTreeMap<String, StreamletSpec>>,
+    /// What the stream was instantiated from: runtime services,
+    /// definitions, pool keys, and the shared rows and `when` rules.
+    blueprint: Arc<StreamBlueprint>,
     inner: Mutex<Inner>,
     /// Exported input alias → ingress channel (alias is the inner
     /// `instance.port`).
-    ingress: Vec<(String, Arc<MessageQueue>)>,
+    ingress: Box<[(Arc<str>, Arc<MessageQueue>)]>,
     /// Single egress channel every exported output feeds.
     egress: Arc<MessageQueue>,
     egress_notifier: Arc<Notifier>,
@@ -221,239 +690,167 @@ pub struct RunningStream {
 }
 
 impl RunningStream {
-    /// Materializes a configuration table into a running stream.
-    ///
-    /// The paper's setup sequence: create channels, locate streamlet
-    /// classes, allocate instances (§3.3.3), bind ports per the
-    /// configuration table, then start every streamlet thread.
+    /// Materializes a configuration table into a running stream: compiles
+    /// a [`StreamBlueprint`] and stamps its one instance.
     pub fn deploy(
         table: &ConfigTable,
         defs: &BTreeMap<String, StreamletSpec>,
         deps: StreamDeps,
         session: SessionId,
     ) -> Result<Arc<Self>, CoreError> {
-        let plan = fusion_plan(table, defs, &deps);
-        Self::deploy_planned(table, Arc::new(defs.clone()), &plan, deps, session)
+        StreamBlueprint::compile(table, Arc::new(defs.clone()), deps)?.instantiate(session)
     }
 
-    /// [`Self::deploy`] with the definitions and the fusion plan computed
-    /// up front, so the session plane stamps every session of a template
-    /// from one shared copy of each. `plan` must be [`fusion_plan`]'s
-    /// answer for a table with `table`'s instances and channels.
-    pub(crate) fn deploy_planned(
-        table: &ConfigTable,
-        defs: Arc<BTreeMap<String, StreamletSpec>>,
-        plan: &FusionPlan,
-        deps: StreamDeps,
-        session: SessionId,
-    ) -> Result<Arc<Self>, CoreError> {
-        // Members of fused runs and their interior channels are skipped
-        // below; each run is materialized as one fused execution unit.
-        let interior: HashSet<&str> = plan
-            .runs
-            .iter()
-            .flat_map(|r| r.interior_channels.iter().map(String::as_str))
-            .collect();
-        let is_member: HashSet<&str> = plan
-            .runs
-            .iter()
-            .flat_map(|r| r.members.iter().map(String::as_str))
-            .collect();
-
-        // One session-keyed telemetry probe is shared by every channel and
-        // handle of this stream; `None` when the observability plane is off.
-        let tprobe = deps
-            .telemetry
-            .as_ref()
-            .map(|t| t.probe_for(session.as_str()));
-
-        // Priority-aware shedding needs selective removal, which the SPSC
-        // ring cannot do (FIFO pop only): with shedding enabled the
-        // channels stay on the mutex queue so `shed_oldest` can pick
-        // lowest-priority victims instead of whatever is oldest in the ring.
-        let spsc = deps.batching.spsc && !deps.overload.shed_on();
-
-        let mut channels: HashMap<String, Arc<MessageQueue>> = HashMap::new();
-        for row in &table.channels {
-            if interior.contains(row.name.as_str()) {
-                continue;
+    /// Creates the blueprint's streamlet instances and fused units, binds
+    /// their ports to `channels` (the blueprint's channels, same order)
+    /// and to the stream boundary, and starts them. On error the caller
+    /// drops the stream, whose shutdown returns whatever was already
+    /// checked out.
+    fn populate(&self, channels: &[Arc<MessageQueue>]) -> Result<(), CoreError> {
+        let bp = &*self.blueprint;
+        let deps = &bp.deps;
+        let mut inner = self.inner.lock();
+        let mut slots = Vec::with_capacity(bp.instances.len() + bp.units.len());
+        for d in bp.instances.iter() {
+            let logic = deps.streamlet_pool.checkout(&d.key, &deps.directory)?;
+            let h = self.new_handle(&d.name, &d.def, d.stateful, logic, &d.key);
+            inner.instances.insert(d.name.clone(), h.clone());
+            slots.push(h);
+        }
+        for unit in bp.units.iter() {
+            let mut members = Vec::with_capacity(unit.members.len());
+            for m in unit.members.iter() {
+                members.push(m.stamp(deps.streamlet_pool.checkout(&m.key, &deps.directory)?));
             }
-            let mut cfg = QueueConfig::from_spec(&row.name, &row.spec);
-            cfg.spsc = spsc;
-            channels.insert(
-                row.name.clone(),
-                MessageQueue::with_probe(cfg, deps.msg_pool.clone(), tprobe.clone()),
+            let (handle, shared) = self.fused_handle(unit.name.clone(), members);
+            inner.fused.insert(
+                unit.name.clone(),
+                FusedInfo {
+                    shared,
+                    interior_channels: unit.interior_channels.clone(),
+                    interior_connections: unit.interior_connections.clone(),
+                },
             );
+            inner.instances.insert(unit.name.clone(), handle.clone());
+            slots.push(handle);
         }
-
-        // Ingress/egress channels for the stream's exported ports.
-        let mut ingress = Vec::new();
-        for (inst, port, ty) in &table.exported_inputs {
-            let cfg = QueueConfig {
-                name: format!("__ingress/{inst}.{port}"),
-                capacity_bytes: 8 << 20,
-                full_wait: Duration::from_millis(500),
-                ty: ty.clone(),
-                spsc,
-                ..Default::default()
-            };
-            ingress.push((
-                format!("{inst}.{port}"),
-                MessageQueue::with_probe(cfg, deps.msg_pool.clone(), tprobe.clone()),
-            ));
+        for b in bp.bindings.iter() {
+            let q = &channels[b.channel];
+            slots[b.from.slot].attach_out(&b.from.port, q);
+            slots[b.to.slot].attach_in(&b.to.port, q);
         }
-        let egress = MessageQueue::with_probe(
-            QueueConfig {
-                name: "__egress".into(),
-                capacity_bytes: 8 << 20,
-                full_wait: Duration::from_millis(500),
-                spsc,
-                ..Default::default()
-            },
-            deps.msg_pool.clone(),
-            tprobe.clone(),
-        );
-        let egress_notifier = Arc::new(Notifier::new());
-        egress.add_listener(egress_notifier.clone());
-        // `drain` disarms before its first check, so the notifier can
-        // start armed: until a drain waits, instances pay one swap a step.
-        let quiesce = Arc::new(Notifier::armed());
-
-        // Create the initial streamlet instances (members of fused runs are
-        // created inside their unit below).
-        let mut instances: HashMap<String, Arc<StreamletHandle>> = HashMap::new();
-        let mut lazy = HashMap::new();
-        for row in &table.streamlets {
-            if !row.initial {
-                lazy.insert(row.name.clone(), row.def.clone());
-                continue;
-            }
-            if is_member.contains(row.name.as_str()) {
-                continue;
-            }
-            let handle = create_instance(
-                &row.name,
-                &row.def,
-                &defs,
-                &deps,
-                &session,
-                &table.name,
-                &quiesce,
-            )?;
-            instances.insert(row.name.clone(), handle);
+        for (d, (_, q)) in bp.ingress.iter().zip(self.ingress.iter()) {
+            slots[d.to.slot].attach_in(&d.to.port, q);
         }
-
-        // Materialize each fused run as one execution unit. Members stay
-        // addressable through `alias` for the wiring below and through
-        // `fused_members` afterwards (set_parameter routing, fission).
-        let mut fused: HashMap<String, FusedInfo> = HashMap::new();
-        let mut fused_members: HashMap<String, String> = HashMap::new();
-        let mut alias: HashMap<String, Arc<StreamletHandle>> = HashMap::new();
-        for run in &plan.runs {
-            let (unit, handle, info) =
-                build_fused_unit(run, table, &defs, &deps, &session, &table.name, &quiesce)?;
-            for m in &run.members {
-                fused_members.insert(m.clone(), unit.clone());
-                alias.insert(m.clone(), handle.clone());
-            }
-            fused.insert(unit.clone(), info);
-            instances.insert(unit, handle);
+        for e in bp.egress_from.iter() {
+            slots[e.slot].attach_out(&e.port, &self.egress);
         }
-        let resolve = |name: &str| -> Option<Arc<StreamletHandle>> {
-            instances.get(name).or_else(|| alias.get(name)).cloned()
-        };
-
-        // Bind ports per the connection rows (interior rows of fused runs
-        // have no physical channel; member endpoints resolve to their unit).
-        for c in &table.connections {
-            if interior.contains(c.channel.as_str()) {
-                continue;
-            }
-            let q = channels
-                .get(&c.channel)
-                .ok_or_else(|| CoreError::NotFound {
-                    kind: "channel",
-                    name: c.channel.clone(),
-                })?;
-            let from = resolve(&c.from.0).ok_or_else(|| CoreError::NotFound {
-                kind: "streamlet instance",
-                name: c.from.0.clone(),
-            })?;
-            let to = resolve(&c.to.0).ok_or_else(|| CoreError::NotFound {
-                kind: "streamlet instance",
-                name: c.to.0.clone(),
-            })?;
-            from.attach_out(&c.from.1, q);
-            to.attach_in(&c.to.1, q);
-        }
-
-        // Bind exported ports to ingress/egress.
-        for ((inst, port, _), (_, q)) in table.exported_inputs.iter().zip(&ingress) {
-            let h = resolve(inst).ok_or_else(|| CoreError::NotFound {
-                kind: "streamlet instance",
-                name: inst.clone(),
-            })?;
-            h.attach_in(port, q);
-        }
-        for (inst, port, _) in &table.exported_outputs {
-            let h = resolve(inst).ok_or_else(|| CoreError::NotFound {
-                kind: "streamlet instance",
-                name: inst.clone(),
-            })?;
-            h.attach_out(port, &egress);
-        }
-        // Start every worker.
-        for h in instances.values() {
+        for h in &slots {
             h.start()?;
         }
+        Ok(())
+    }
 
-        if let Some(t) = &deps.telemetry {
-            t.trace_event(
-                TraceKind::Deploy,
-                Some(session.as_str()),
-                None,
-                format!(
-                    "stream {} ({} instances, {} fused)",
-                    table.name,
-                    instances.len(),
-                    fused.len()
-                ),
+    /// [`Self::wrap_logic`], recording the pool key a stateless logic
+    /// returns under. With a supervisor configured, the instance is
+    /// registered for panic recovery; rebuilds go through the directory
+    /// factory (never the pool, which could recycle poisoned state).
+    fn new_handle(
+        &self,
+        name: &Arc<str>,
+        def: &Arc<str>,
+        stateful: bool,
+        logic: Box<dyn StreamletLogic>,
+        key: &Arc<str>,
+    ) -> Arc<StreamletHandle> {
+        let deps = self.deps();
+        let handle = self.wrap_logic(name.clone(), def.clone(), stateful, logic);
+        handle.set_pool_key(key.clone());
+        if let Some(sup) = &deps.supervisor {
+            let dir = deps.directory.clone();
+            let key = key.clone();
+            sup.supervise(&handle, move || dir.create(&key), Some(self.name.clone()));
+        }
+        handle
+    }
+
+    /// Wraps `logic` in an unstarted handle of this stream: session
+    /// label, batching, quiescence notifier and telemetry probe.
+    fn wrap_logic(
+        &self,
+        name: Arc<str>,
+        def: Arc<str>,
+        stateful: bool,
+        logic: Box<dyn StreamletLogic>,
+    ) -> Arc<StreamletHandle> {
+        let deps = self.deps();
+        let handle = StreamletHandle::with_executor(
+            name,
+            def,
+            stateful,
+            logic,
+            deps.msg_pool.clone(),
+            deps.mode,
+            Some(self.session.clone()),
+            deps.route_opts.clone(),
+            deps.executor.clone(),
+        );
+        handle.set_batch_max(deps.batching.batch_max);
+        handle.set_quiesce_notifier(self.quiesce.clone());
+        if let Some(p) = &self.probe {
+            handle.set_probe(p.clone());
+        }
+        handle
+    }
+
+    /// Wraps a member roster in a stateful handle driving a
+    /// [`FusedLogic`]. Supervision resolves to the *member*: the rebuild
+    /// closure re-creates only the faulted member's logic (directory
+    /// factory, never the pool) and hands back a fresh logic view over the
+    /// same roster, so one bad stage never resets its healthy neighbours.
+    fn fused_handle(
+        &self,
+        unit: Arc<str>,
+        members: Vec<FusedMember>,
+    ) -> (Arc<StreamletHandle>, Arc<FusedShared>) {
+        let deps = self.deps();
+        let n_members = members.len();
+        let shared = FusedShared::new(unit.clone(), members);
+        let handle = self.wrap_logic(
+            unit.clone(),
+            fused_def(),
+            true, // stateful: a fused logic must never enter the stateless pool
+            Box::new(FusedLogic::new(shared.clone())),
+        );
+        if let Some(p) = &self.probe {
+            p.telemetry.trace_event(
+                TraceKind::Fuse,
+                Some(self.session.as_str()),
+                Some(&unit),
+                format!("{n_members} members"),
             );
         }
+        if let Some(sup) = &deps.supervisor {
+            let dir = deps.directory.clone();
+            let roster = shared.clone();
+            sup.supervise(
+                &handle,
+                move || {
+                    if let Some((idx, key)) = roster.faulted_member_key() {
+                        let fresh = dir.create(&key)?;
+                        roster.install_member_logic(idx, fresh);
+                    }
+                    Ok(Box::new(FusedLogic::new(roster.clone())) as Box<dyn StreamletLogic>)
+                },
+                Some(self.name.clone()),
+            );
+        }
+        (handle, shared)
+    }
 
-        Ok(Arc::new(RunningStream {
-            name: table.name.clone(),
-            session,
-            deps,
-            defs,
-            inner: Mutex::new(Inner {
-                instances,
-                channels,
-                // Interior rows of fused runs have no live channel; they are
-                // remembered in `fused` and resurface on fission.
-                connections: table
-                    .connections
-                    .iter()
-                    .filter(|c| !interior.contains(c.channel.as_str()))
-                    .cloned()
-                    .collect(),
-                lazy,
-                when_rules: table.when_rules.clone(),
-                reconf_chan_counter: 0,
-                shutdown: false,
-                fused,
-                fused_members,
-            }),
-            ingress,
-            egress,
-            egress_notifier,
-            quiesce,
-            injected: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            reconfigurations: AtomicU64::new(0),
-            last_reconfig: Mutex::new(None),
-            probe: tprobe,
-        }))
+    /// The runtime services the stream was deployed against.
+    fn deps(&self) -> &StreamDeps {
+        &self.blueprint.deps
     }
 
     /// Stream name (the MCL stream identifier).
@@ -469,7 +866,7 @@ impl RunningStream {
     /// The streamlet definitions the stream resolves instances against.
     /// Sessions of one template share a single copy.
     pub fn defs(&self) -> &Arc<BTreeMap<String, StreamletSpec>> {
-        &self.defs
+        &self.blueprint.defs
     }
 
     /// Counters snapshot. The byte gauges walk the stream's channels and
@@ -512,7 +909,13 @@ impl RunningStream {
 
     /// Names of currently live instances.
     pub fn instance_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.lock().instances.keys().cloned().collect();
+        let mut names: Vec<String> = self
+            .inner
+            .lock()
+            .instances
+            .keys()
+            .map(|k| k.to_string())
+            .collect();
         names.sort();
         names
     }
@@ -531,7 +934,7 @@ impl RunningStream {
 
     /// Current connection rows.
     pub fn connections(&self) -> Vec<ConnectionRow> {
-        self.inner.lock().connections.clone()
+        self.inner.lock().connections.to_vec()
     }
 
     // --- data path ----------------------------------------------------------
@@ -542,7 +945,7 @@ impl RunningStream {
         let Some((_, q)) = self.ingress.first() else {
             return Err(CoreError::NotFound {
                 kind: "exported input",
-                name: self.name.clone(),
+                name: self.name.to_string(),
             });
         };
         self.post_to(q.clone(), msg)
@@ -553,7 +956,7 @@ impl RunningStream {
         let q = self
             .ingress
             .iter()
-            .find(|(a, _)| a == alias)
+            .find(|(a, _)| **a == *alias)
             .map(|(_, q)| q.clone())
             .ok_or_else(|| CoreError::NotFound {
                 kind: "exported input",
@@ -566,7 +969,7 @@ impl RunningStream {
         // Admission control gates ingress *before* the message touches the
         // pool: a rejected post costs one token-bucket probe and one
         // reason-coded counter bump — no allocation, no blocking wait.
-        if let Some(ctl) = &self.deps.admission {
+        if let Some(ctl) = &self.deps().admission {
             if !ctl.admit(self.session.as_str()) {
                 q.charge_admission_rejected(1);
                 return Err(CoreError::Overloaded {
@@ -578,7 +981,7 @@ impl RunningStream {
         if let Some(p) = &self.probe {
             p.on_bytes_in(msg.body.len() as u64);
         }
-        let payload = self.deps.msg_pool.wrap(msg, self.deps.mode, 1);
+        let payload = self.deps().msg_pool.wrap(msg, self.deps().mode, 1);
         q.post(payload);
         self.injected.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -589,7 +992,7 @@ impl RunningStream {
     /// memory plane is enabled — the slab returns to the pool on its
     /// own once the message is delivered or dropped.
     pub fn post_wire(&self, data: &[u8]) -> Result<(), CoreError> {
-        let parsed = match &self.deps.buf_pool {
+        let parsed = match &self.deps().buf_pool {
             Some(pool) => MimeMessage::from_wire_with(data, |b| pool.checkout_bytes(b)),
             None => MimeMessage::from_wire(data),
         };
@@ -620,7 +1023,7 @@ impl RunningStream {
             let notified = self.egress_notifier.snapshot();
             match self.egress.try_fetch() {
                 FetchResult::Msg(p) => {
-                    let msg = self.deps.msg_pool.resolve(p)?;
+                    let msg = self.deps().msg_pool.resolve(p)?;
                     self.delivered.fetch_add(1, Ordering::Relaxed);
                     return Some(msg);
                 }
@@ -660,7 +1063,7 @@ impl RunningStream {
                     .cloned()
                     .ok_or_else(|| CoreError::NotFound {
                         kind: "streamlet instance",
-                        name: unit.clone(),
+                        name: unit.to_string(),
                     })?;
                 (h, format!("{instance}.{key}"))
             } else {
@@ -680,7 +1083,7 @@ impl RunningStream {
         use std::fmt::Write as _;
         let inner = self.inner.lock();
         let mut out = String::new();
-        let mut names: Vec<&String> = inner.channels.keys().collect();
+        let mut names: Vec<&Arc<str>> = inner.channels.keys().collect();
         names.sort();
         for name in names {
             let q = &inner.channels[name];
@@ -695,7 +1098,7 @@ impl RunningStream {
                 );
             }
         }
-        let mut names: Vec<&String> = inner.instances.keys().collect();
+        let mut names: Vec<&Arc<str>> = inner.instances.keys().collect();
         names.sort();
         for name in names {
             let h = &inner.instances[name];
@@ -728,7 +1131,7 @@ impl RunningStream {
         let _ = writeln!(out, "digraph \"{}\" {{", self.name);
         let _ = writeln!(out, "  rankdir=LR;");
         let _ = writeln!(out, "  node [shape=box, style=rounded];");
-        let mut names: Vec<&String> = inner.instances.keys().collect();
+        let mut names: Vec<&Arc<str>> = inner.instances.keys().collect();
         names.sort();
         for name in names {
             let h = &inner.instances[name];
@@ -740,7 +1143,7 @@ impl RunningStream {
                 h.def_name()
             );
         }
-        for c in &inner.connections {
+        for c in inner.connections.iter() {
             let _ = writeln!(
                 out,
                 "  \"{}\" -> \"{}\" [label=\"{}\"];",
@@ -760,26 +1163,8 @@ impl RunningStream {
     /// Manager uses this for symmetric subscribe-on-deploy /
     /// unsubscribe-on-undeploy; `when` rules are fixed at compile time, so
     /// the set never changes over the stream's life.
-    pub fn subscribed_categories(&self) -> Vec<EventCategory> {
-        let mut categories: Vec<EventCategory> = self
-            .inner
-            .lock()
-            .when_rules
-            .iter()
-            .map(|r| r.event.category())
-            .collect();
-        categories.push(EventCategory::SystemCommand);
-        if self.deps.fusion {
-            categories.push(EventCategory::RuntimeFault);
-        }
-        if self.deps.overload.shed_on() {
-            // Load shedding reacts to CHANNEL_CONGESTED from the metrics
-            // bridge even when the script has no load-variation rules.
-            categories.push(EventCategory::LoadVariation);
-        }
-        categories.sort_by_key(|c| c.id());
-        categories.dedup();
-        categories
+    pub fn subscribed_categories(&self) -> &[EventCategory] {
+        &self.blueprint.categories
     }
 
     /// Reacts to a context event: System-Command events get their built-in
@@ -805,27 +1190,22 @@ impl RunningStream {
                     self.fission_quarantined(&info.instance);
                 }
             }
-            EventKind::ChannelCongested | EventKind::Overload if self.deps.overload.shed_on() => {
+            EventKind::ChannelCongested | EventKind::Overload if self.deps().overload.shed_on() => {
                 // Load shedding: drop the lowest-priority resident messages
                 // so interactive traffic keeps a bounded queue in front of
                 // it. Shed drops are reason-coded, never silent.
-                self.shed_lowest(self.deps.overload.shed.shed_max);
+                self.shed_lowest(self.deps().overload.shed.shed_max);
             }
             _ => {}
         }
-        let rules: Vec<WhenRule> = {
-            let inner = self.inner.lock();
-            inner
-                .when_rules
-                .iter()
-                .filter(|r| r.event == event.kind)
-                .cloned()
-                .collect()
-        };
-        if rules.is_empty() {
-            return None;
-        }
-        let actions: Vec<ReconfigAction> = rules.into_iter().flat_map(|r| r.actions).collect();
+        let mut rules = self
+            .blueprint
+            .when_rules
+            .iter()
+            .filter(|r| r.event == event.kind)
+            .peekable();
+        rules.peek()?;
+        let actions: Vec<ReconfigAction> = rules.flat_map(|r| r.actions.iter().cloned()).collect();
         Some(self.reconfigure(&actions))
     }
 
@@ -942,12 +1322,11 @@ impl RunningStream {
             return;
         }
         inner.shutdown = true;
-        let handles: Vec<_> = inner.instances.drain().map(|(_, h)| h).collect();
-        let fused: Vec<FusedInfo> = inner.fused.drain().map(|(_, i)| i).collect();
-        inner.fused_members.clear();
-        inner.connections.clear();
+        let handles = std::mem::take(&mut inner.instances);
+        let fused = std::mem::take(&mut inner.fused);
+        inner.connections = no_rows();
         drop(inner);
-        for h in handles {
+        for h in handles.into_values() {
             h.end();
             let _ = h.detach_all();
             self.reclaim_logic(&h);
@@ -955,10 +1334,10 @@ impl RunningStream {
         // Fused units are stateful handles on purpose (a FusedLogic must
         // never be recycled through the stateless pool), but their members
         // are ordinary pooling-eligible logics: return each one.
-        for info in fused {
+        for info in fused.into_values() {
             for m in info.shared.take_members() {
                 if let Some(logic) = m.logic {
-                    self.deps.streamlet_pool.checkin(&m.key, logic);
+                    self.deps().streamlet_pool.checkin(&m.key, logic);
                 }
             }
         }
@@ -976,21 +1355,14 @@ impl RunningStream {
         }
     }
 
-    fn reclaim_logic(&self, handle: &Arc<StreamletHandle>) {
+    /// Checks a stateless instance's logic back into the pool under the
+    /// key it was checked out with.
+    fn reclaim_logic(&self, handle: &StreamletHandle) {
         if handle.is_stateful() {
             return;
         }
-        if let Some(logic) = handle.take_logic() {
-            let def = self.defs.get(handle.def_name());
-            let key = def
-                .map(|d| {
-                    self.deps
-                        .directory
-                        .resolve_key(&d.library, &d.name)
-                        .to_string()
-                })
-                .unwrap_or_else(|| handle.def_name().to_string());
-            self.deps.streamlet_pool.checkin(&key, logic);
+        if let (Some(key), Some(logic)) = (handle.pool_key(), handle.take_logic()) {
+            self.deps().streamlet_pool.checkin(key, logic);
         }
     }
 
@@ -1040,7 +1412,7 @@ impl RunningStream {
     ) -> Result<ReconfigStats, CoreError> {
         let t0 = Instant::now();
         let mut inner = self.inner.lock();
-        inner.lazy.insert(instance.to_string(), def.to_string());
+        Arc::make_mut(&mut inner.lazy).insert(instance.to_string(), def.to_string());
         let action = ReconfigAction::Insert {
             from: (from.0.to_string(), from.1.to_string()),
             to: (to.0.to_string(), to.1.to_string()),
@@ -1085,14 +1457,14 @@ impl RunningStream {
                 self.ensure_instance(inner, name, Some(def), &mut stats)?;
             }
             ReconfigAction::NewChannel { name, spec } => {
-                if !inner.channels.contains_key(name) {
+                if !inner.channels.contains_key(name.as_str()) {
                     let t = Instant::now();
                     let q = MessageQueue::with_probe(
                         QueueConfig::from_spec(name, spec),
-                        self.deps.msg_pool.clone(),
+                        self.deps().msg_pool.clone(),
                         self.probe.clone(),
                     );
-                    inner.channels.insert(name.clone(), q);
+                    inner.channels.insert(name.as_str().into(), q);
                     stats.channel_ops += 1;
                     stats.channel_time += t.elapsed();
                 }
@@ -1131,7 +1503,7 @@ impl RunningStream {
                     self.do_disconnect(inner, &row.from, &row.to, &mut stats)?;
                 }
                 let t = Instant::now();
-                if inner.channels.remove(name).is_none() {
+                if inner.channels.remove(name.as_str()).is_none() {
                     return Err(CoreError::NotFound {
                         kind: "channel",
                         name: name.clone(),
@@ -1170,20 +1542,24 @@ impl RunningStream {
                     name: name.to_string(),
                 })?,
         };
-        let handle = create_instance(
-            name,
-            &def,
-            &self.defs,
-            &self.deps,
-            &self.session,
-            &self.name,
-            &self.quiesce,
-        )?;
+        let handle = self.create_instance(name, &def)?;
         handle.start()?;
         stats.instance_creations += 1;
-        inner.lazy.remove(name);
-        inner.instances.insert(name.to_string(), handle.clone());
+        if inner.lazy.contains_key(name) {
+            Arc::make_mut(&mut inner.lazy).remove(name);
+        }
+        inner.instances.insert(name.into(), handle.clone());
         Ok(handle)
+    }
+
+    /// Checks logic for a new instance `name` of `def` out of the pool (or
+    /// directory) and wraps it in an unstarted handle.
+    fn create_instance(&self, name: &str, def: &str) -> Result<Arc<StreamletHandle>, CoreError> {
+        let deps = self.deps();
+        let spec = spec_of(&self.blueprint.defs, def)?;
+        let key = pool_key(deps, spec);
+        let logic = deps.streamlet_pool.checkout(&key, &deps.directory)?;
+        Ok(self.new_handle(&name.into(), &def.into(), spec.stateful, logic, &key))
     }
 
     fn do_connect(
@@ -1210,7 +1586,7 @@ impl RunningStream {
         to_h.attach_in(&to.1, &q);
         stats.channel_ops += 2;
         stats.channel_time += t.elapsed();
-        inner.connections.push(ConnectionRow {
+        Arc::make_mut(&mut inner.connections).push(ConnectionRow {
             from: from.clone(),
             to: to.clone(),
             channel: channel.to_string(),
@@ -1233,9 +1609,9 @@ impl RunningStream {
                 kind: "connection",
                 name: format!("{}.{} -> {}.{}", from.0, from.1, to.0, to.1),
             })?;
-        let row = inner.connections.remove(idx);
-        let from_h = inner.instances.get(&row.from.0).cloned();
-        let to_h = inner.instances.get(&row.to.0).cloned();
+        let row = Arc::make_mut(&mut inner.connections).remove(idx);
+        let from_h = inner.instances.get(row.from.0.as_str()).cloned();
+        let to_h = inner.instances.get(row.to.0.as_str()).cloned();
         let t = Instant::now();
         if let Some(h) = from_h {
             let _ = h.detach_out(&row.from.1, &row.channel);
@@ -1276,7 +1652,7 @@ impl RunningStream {
 
         let a = inner
             .instances
-            .get(&from.0)
+            .get(from.0.as_str())
             .cloned()
             .ok_or_else(|| CoreError::NotFound {
                 kind: "streamlet instance",
@@ -1286,7 +1662,7 @@ impl RunningStream {
         let (c_in, c_out) = self.single_ports(c_handle.def_name())?;
         let m = inner
             .channels
-            .get(&row.channel)
+            .get(row.channel.as_str())
             .cloned()
             .ok_or_else(|| CoreError::NotFound {
                 kind: "channel",
@@ -1307,7 +1683,7 @@ impl RunningStream {
         let n_name = loop {
             let candidate = format!("__reconf{}", inner.reconf_chan_counter);
             inner.reconf_chan_counter += 1;
-            if !inner.channels.contains_key(&candidate) {
+            if !inner.channels.contains_key(candidate.as_str()) {
                 break candidate;
             }
         };
@@ -1317,23 +1693,24 @@ impl RunningStream {
                 ty: m.config().ty.clone(),
                 ..Default::default()
             },
-            self.deps.msg_pool.clone(),
+            self.deps().msg_pool.clone(),
             self.probe.clone(),
         );
         a.attach_out(&from.1, &n);
         c_handle.attach_in(&c_in, &n);
-        inner.channels.insert(n_name.clone(), n);
+        inner.channels.insert(n_name.as_str().into(), n);
         stats.channel_ops += 5; // detach + attach×3 + create
         stats.channel_time += t_c.elapsed();
 
         // Update the routing table.
-        inner.connections.remove(idx);
-        inner.connections.push(ConnectionRow {
+        let rows = Arc::make_mut(&mut inner.connections);
+        rows.remove(idx);
+        rows.push(ConnectionRow {
             from: from.clone(),
             to: (instance.to_string(), c_in),
             channel: n_name,
         });
-        inner.connections.push(ConnectionRow {
+        rows.push(ConnectionRow {
             from: (instance.to_string(), c_out),
             to: to.clone(),
             channel: row.channel,
@@ -1373,7 +1750,7 @@ impl RunningStream {
             .collect();
         for row in &rows {
             // Suspend producers so no new units enter channel m mid-drain.
-            if let Some(p) = inner.instances.get(&row.from.0).cloned() {
+            if let Some(p) = inner.instances.get(row.from.0.as_str()).cloned() {
                 let t_s = Instant::now();
                 if p.pause_and_wait(Duration::from_secs(2)).is_ok() {
                     stats.suspensions += 1;
@@ -1390,7 +1767,7 @@ impl RunningStream {
             if Instant::now() >= deadline {
                 // Reactivate producers before giving up.
                 for row in &rows {
-                    if let Some(p) = inner.instances.get(&row.from.0) {
+                    if let Some(p) = inner.instances.get(row.from.0.as_str()) {
                         let _ = p.activate();
                     }
                 }
@@ -1420,7 +1797,7 @@ impl RunningStream {
 
         // Reactivate the suspended producers.
         for row in &rows {
-            if let Some(p) = inner.instances.get(&row.from.0) {
+            if let Some(p) = inner.instances.get(row.from.0.as_str()) {
                 let t_a = Instant::now();
                 if p.activate().is_ok() {
                     stats.activations += 1;
@@ -1475,7 +1852,7 @@ impl RunningStream {
             stats.channel_ops += 2;
         }
         stats.channel_time += t_c.elapsed();
-        for c in inner.connections.iter_mut() {
+        for c in Arc::make_mut(&mut inner.connections).iter_mut() {
             if c.from.0 == old {
                 c.from.0 = new.to_string();
             }
@@ -1505,7 +1882,7 @@ impl RunningStream {
         if inner.fused.is_empty() {
             return;
         }
-        let mut units: Vec<String> = Vec::new();
+        let mut units: Vec<Arc<str>> = Vec::new();
         for action in actions {
             for name in mobigate_mcl::fusion::action_instances(action) {
                 if let Some(unit) = inner.fused_members.get(name) {
@@ -1608,8 +1985,9 @@ impl RunningStream {
         let member_names = info.shared.member_names();
         let members = info.shared.take_members();
         let redelivery = handle.drain_redelivery();
+        let fused_members = Arc::make_mut(&mut inner.fused_members);
         for name in &member_names {
-            inner.fused_members.remove(name);
+            fused_members.remove(name.as_str());
         }
         let n = members.len();
         let quarantine_at = quarantine_at.filter(|&q| q < n);
@@ -1649,10 +2027,10 @@ impl RunningStream {
             }
             let t = Instant::now();
             let mut cfg = QueueConfig::from_spec(&row.name, &row.spec);
-            cfg.spsc = self.deps.batching.spsc && !self.deps.overload.shed_on();
+            cfg.spsc = self.deps().batching.spsc && !self.deps().overload.shed_on();
             inner.channels.insert(
-                row.name.clone(),
-                MessageQueue::with_probe(cfg, self.deps.msg_pool.clone(), self.probe.clone()),
+                row.name.as_str().into(),
+                MessageQueue::with_probe(cfg, self.deps().msg_pool.clone(), self.probe.clone()),
             );
             stats.channel_ops += 1;
             stats.channel_time += t.elapsed();
@@ -1678,22 +2056,22 @@ impl RunningStream {
                 stats.instance_creations += 1;
                 seg_handles.push(h);
             } else {
-                let (sub_unit, h, shared) = assemble_fused_handle(
-                    segment,
-                    &self.deps,
-                    &self.session,
-                    &self.name,
-                    &self.quiesce,
-                );
+                let sub_unit: Arc<str> = fused_unit_name(
+                    segment.first().map(|m| &*m.instance),
+                    segment.last().map(|m| &*m.instance),
+                )
+                .into();
+                let (h, shared) = self.fused_handle(sub_unit.clone(), segment);
+                let fused_members = Arc::make_mut(&mut inner.fused_members);
                 for name in &member_names[start..=end] {
-                    inner.fused_members.insert(name.clone(), sub_unit.clone());
+                    fused_members.insert(name.as_str().into(), sub_unit.clone());
                 }
                 inner.fused.insert(
                     sub_unit.clone(),
                     FusedInfo {
                         shared,
-                        interior_channels: info.interior_channels[start..end].to_vec(),
-                        interior_connections: info.interior_connections[start..end].to_vec(),
+                        interior_channels: info.interior_channels[start..end].into(),
+                        interior_connections: info.interior_connections[start..end].into(),
                     },
                 );
                 inner.instances.insert(sub_unit, h.clone());
@@ -1725,7 +2103,7 @@ impl RunningStream {
             if !boundary.contains(&i) {
                 continue;
             }
-            let Some(q) = inner.channels.get(&row.channel).cloned() else {
+            let Some(q) = inner.channels.get(row.channel.as_str()).cloned() else {
                 continue;
             };
             if let (Some(from), Some(to)) =
@@ -1734,7 +2112,7 @@ impl RunningStream {
                 from.attach_out(&row.from.1, &q);
                 to.attach_in(&row.to.1, &q);
                 stats.channel_ops += 2;
-                inner.connections.push(row.clone());
+                Arc::make_mut(&mut inner.connections).push(row.clone());
             }
         }
         stats.channel_time += t_c.elapsed();
@@ -1784,33 +2162,17 @@ impl RunningStream {
     /// boundary) gets fresh logic from the directory factory — never the
     /// pool, which could recycle poisoned state.
     fn materialize_member(&self, mut m: FusedMember) -> Result<Arc<StreamletHandle>, CoreError> {
-        let stateful = self.defs.get(&m.def).map(|d| d.stateful).unwrap_or(false);
+        let stateful = self
+            .blueprint
+            .defs
+            .get(&*m.def)
+            .map(|d| d.stateful)
+            .unwrap_or(false);
         let logic = match m.logic.take() {
             Some(l) => l,
-            None => self.deps.directory.create(&m.key)?,
+            None => self.deps().directory.create(&m.key)?,
         };
-        let handle = StreamletHandle::with_executor(
-            &m.instance,
-            &m.def,
-            stateful,
-            logic,
-            self.deps.msg_pool.clone(),
-            self.deps.mode,
-            Some(self.session.clone()),
-            self.deps.route_opts.clone(),
-            self.deps.executor.clone(),
-        );
-        handle.set_batch_max(self.deps.batching.batch_max);
-        handle.set_quiesce_notifier(self.quiesce.clone());
-        if let Some(p) = &self.probe {
-            handle.set_probe(p.clone());
-        }
-        if let Some(sup) = &self.deps.supervisor {
-            let dir = self.deps.directory.clone();
-            let key = m.key.clone();
-            sup.supervise(&handle, move || dir.create(&key), Some(self.name.clone()));
-        }
-        Ok(handle)
+        Ok(self.new_handle(&m.instance, &m.def, stateful, logic, &m.key))
     }
 
     /// Resolves a channel name to its queue, covering MCL channels plus the
@@ -1831,10 +2193,14 @@ impl RunningStream {
 
     /// The (single input, single output) port names of a definition.
     fn single_ports(&self, def: &str) -> Result<(String, String), CoreError> {
-        let spec = self.defs.get(def).ok_or_else(|| CoreError::NotFound {
-            kind: "streamlet definition",
-            name: def.into(),
-        })?;
+        let spec = self
+            .blueprint
+            .defs
+            .get(def)
+            .ok_or_else(|| CoreError::NotFound {
+                kind: "streamlet definition",
+                name: def.into(),
+            })?;
         if spec.inputs.len() != 1 || spec.outputs.len() != 1 {
             return Err(CoreError::Reconfig {
                 message: format!(
@@ -1850,7 +2216,7 @@ impl RunningStream {
 
 impl EventSubscriber for RunningStream {
     fn subscriber_name(&self) -> String {
-        self.name.clone()
+        self.name.to_string()
     }
     fn on_event(&self, event: &ContextEvent) {
         self.handle_event(event);
@@ -1920,174 +2286,16 @@ fn retire_boundary(
     }
 }
 
-/// Checks logic out of the pool (or directory) and wraps it in a handle.
-/// When the deps carry a supervisor, the new instance is registered for
-/// panic recovery: rebuilds go through the directory factory (never the
-/// pool, which could recycle poisoned state).
-fn create_instance(
-    name: &str,
-    def: &str,
-    defs: &BTreeMap<String, StreamletSpec>,
-    deps: &StreamDeps,
-    session: &SessionId,
-    stream: &str,
-    quiesce: &Arc<Notifier>,
-) -> Result<Arc<StreamletHandle>, CoreError> {
-    let spec = defs.get(def).ok_or_else(|| CoreError::NotFound {
-        kind: "streamlet definition",
-        name: def.to_string(),
-    })?;
-    let key = deps.directory.resolve_key(&spec.library, &spec.name);
-    let logic = deps.streamlet_pool.checkout(key, &deps.directory)?;
-    let handle = StreamletHandle::with_executor(
-        name,
-        def,
-        spec.stateful,
-        logic,
-        deps.msg_pool.clone(),
-        deps.mode,
-        Some(session.clone()),
-        deps.route_opts.clone(),
-        deps.executor.clone(),
-    );
-    handle.set_batch_max(deps.batching.batch_max);
-    handle.set_quiesce_notifier(quiesce.clone());
-    if let Some(t) = &deps.telemetry {
-        handle.set_probe(t.probe_for(session.as_str()));
-    }
-    if let Some(sup) = &deps.supervisor {
-        let dir = deps.directory.clone();
-        let key = key.to_string();
-        sup.supervise(&handle, move || dir.create(&key), Some(stream.to_string()));
-    }
-    Ok(handle)
+/// The definition name every fused unit's handle reports, shared.
+fn fused_def() -> Arc<str> {
+    static DEF: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from("fused"));
+    DEF.clone()
 }
 
-/// Wraps a member roster in a stateful handle driving a [`FusedLogic`].
-/// Supervision resolves to the *member*: the rebuild closure re-creates
-/// only the faulted member's logic (directory factory, never the pool) and
-/// hands back a fresh logic view over the same roster, so one bad stage
-/// never resets its healthy neighbours.
-fn assemble_fused_handle(
-    members: Vec<FusedMember>,
-    deps: &StreamDeps,
-    session: &SessionId,
-    stream: &str,
-    quiesce: &Arc<Notifier>,
-) -> (String, Arc<StreamletHandle>, Arc<FusedShared>) {
-    let unit = match (members.first(), members.last()) {
-        (Some(a), Some(b)) => format!("fused:{}..{}", a.instance, b.instance),
-        _ => "fused:".to_string(),
-    };
-    let n_members = members.len();
-    let shared = FusedShared::new(unit.clone(), members);
-    let handle = StreamletHandle::with_executor(
-        &unit,
-        "fused",
-        true, // stateful: a fused logic must never enter the stateless pool
-        Box::new(FusedLogic::new(shared.clone())),
-        deps.msg_pool.clone(),
-        deps.mode,
-        Some(session.clone()),
-        deps.route_opts.clone(),
-        deps.executor.clone(),
-    );
-    handle.set_batch_max(deps.batching.batch_max);
-    handle.set_quiesce_notifier(quiesce.clone());
-    if let Some(t) = &deps.telemetry {
-        handle.set_probe(t.probe_for(session.as_str()));
-        t.trace_event(
-            TraceKind::Fuse,
-            Some(session.as_str()),
-            Some(&unit),
-            format!("{n_members} members"),
-        );
-    }
-    if let Some(sup) = &deps.supervisor {
-        let dir = deps.directory.clone();
-        let roster = shared.clone();
-        sup.supervise(
-            &handle,
-            move || {
-                if let Some((idx, key)) = roster.faulted_member_key() {
-                    let fresh = dir.create(&key)?;
-                    roster.install_member_logic(idx, fresh);
-                }
-                Ok(Box::new(FusedLogic::new(roster.clone())) as Box<dyn StreamletLogic>)
-            },
-            Some(stream.to_string()),
-        );
-    }
-    (unit, handle, shared)
-}
-
-/// Deploy-time fusion of one planned run: checks each member's logic out
-/// of the pool and assembles the run into a single execution unit, keeping
-/// the collapsed channel/connection rows so fission can resurrect them.
-fn build_fused_unit(
-    run: &FusedRun,
-    table: &ConfigTable,
-    defs: &BTreeMap<String, StreamletSpec>,
-    deps: &StreamDeps,
-    session: &SessionId,
-    stream: &str,
-    quiesce: &Arc<Notifier>,
-) -> Result<(String, Arc<StreamletHandle>, FusedInfo), CoreError> {
-    let mut members = Vec::with_capacity(run.members.len());
-    for name in &run.members {
-        let row = table.instance(name).ok_or_else(|| CoreError::NotFound {
-            kind: "streamlet instance",
-            name: name.clone(),
-        })?;
-        let spec = defs.get(&row.def).ok_or_else(|| CoreError::NotFound {
-            kind: "streamlet definition",
-            name: row.def.clone(),
-        })?;
-        let pin = match (spec.inputs.as_slice(), spec.outputs.len()) {
-            ([pin], 0 | 1) => pin,
-            _ => {
-                return Err(CoreError::Reconfig {
-                    message: format!(
-                        "fused member `{name}` must have 1 input and at most 1 output"
-                    ),
-                })
-            }
-        };
-        let key = deps
-            .directory
-            .resolve_key(&spec.library, &spec.name)
-            .to_string();
-        let logic = deps.streamlet_pool.checkout(&key, &deps.directory)?;
-        members.push(FusedMember {
-            instance: name.clone(),
-            def: row.def.clone(),
-            key,
-            in_port: pin.0.clone(),
-            out_port: spec.outputs.first().map(|p| p.0.clone()),
-            logic: Some(logic),
-            errors: 0,
-        });
-    }
-    let (unit, handle, shared) = assemble_fused_handle(members, deps, session, stream, quiesce);
-    let interior_channels = run
-        .interior_channels
-        .iter()
-        .filter_map(|n| table.channel(n).cloned())
-        .collect();
-    let interior_connections = run
-        .interior_channels
-        .iter()
-        .filter_map(|n| table.connections.iter().find(|c| &c.channel == n).cloned())
-        .collect();
-    Ok((
-        unit,
-        handle,
-        FusedInfo {
-            shared,
-            interior_channels,
-            interior_connections,
-        },
-    ))
+/// The connection rows of a stream that has shut down, shared.
+fn no_rows() -> Arc<Vec<ConnectionRow>> {
+    static ROWS: LazyLock<Arc<Vec<ConnectionRow>>> = LazyLock::new(Arc::default);
+    ROWS.clone()
 }
 
 #[cfg(test)]

@@ -294,7 +294,7 @@ pub struct StreamletStats {
 }
 
 struct Shared {
-    name: String,
+    name: Arc<str>,
     state: Mutex<LifecycleState>,
     /// Signalled (under `state`) when the task publishes its exit;
     /// `end()` waits on it. Drivers wait on `notifier`, never here.
@@ -642,8 +642,11 @@ impl Shared {
 /// bindings.
 pub struct StreamletHandle {
     shared: Arc<Shared>,
-    def_name: String,
+    def_name: Arc<str>,
     stateful: bool,
+    /// The §3.3.4 pool key a stateless logic checks back in under, set by
+    /// the stream that deployed the instance.
+    pool_key: OnceLock<Arc<str>>,
     logic_slot: Arc<Mutex<Option<Box<dyn StreamletLogic>>>>,
     executor: Arc<dyn Executor>,
     /// The live task, owned here so wake hooks (which hold only a `Weak`)
@@ -659,8 +662,8 @@ impl StreamletHandle {
     /// Creates a handle in the `Created` state (no execution resources yet)
     /// with default routing options.
     pub fn new(
-        name: impl Into<String>,
-        def_name: impl Into<String>,
+        name: impl Into<Arc<str>>,
+        def_name: impl Into<Arc<str>>,
         stateful: bool,
         logic: Box<dyn StreamletLogic>,
         pool: Arc<MessagePool>,
@@ -682,8 +685,8 @@ impl StreamletHandle {
     /// Creates a handle with explicit routing options (runtime type check).
     #[allow(clippy::too_many_arguments)]
     pub fn with_route_opts(
-        name: impl Into<String>,
-        def_name: impl Into<String>,
+        name: impl Into<Arc<str>>,
+        def_name: impl Into<Arc<str>>,
         stateful: bool,
         logic: Box<dyn StreamletLogic>,
         pool: Arc<MessagePool>,
@@ -707,8 +710,8 @@ impl StreamletHandle {
     /// Creates a handle scheduled by an explicit [`Executor`].
     #[allow(clippy::too_many_arguments)]
     pub fn with_executor(
-        name: impl Into<String>,
-        def_name: impl Into<String>,
+        name: impl Into<Arc<str>>,
+        def_name: impl Into<Arc<str>>,
         stateful: bool,
         logic: Box<dyn StreamletLogic>,
         pool: Arc<MessagePool>,
@@ -754,6 +757,7 @@ impl StreamletHandle {
             }),
             def_name: def_name.into(),
             stateful,
+            pool_key: OnceLock::new(),
             logic_slot: Arc::new(Mutex::new(Some(logic))),
             executor,
             task: Mutex::new(None),
@@ -779,6 +783,16 @@ impl StreamletHandle {
     /// Whether the instance keeps per-stream state (not poolable).
     pub fn is_stateful(&self) -> bool {
         self.stateful
+    }
+
+    /// Records the pool key the instance's logic returns under.
+    pub(crate) fn set_pool_key(&self, key: Arc<str>) {
+        let _ = self.pool_key.set(key);
+    }
+
+    /// The pool key recorded by [`Self::set_pool_key`], if any.
+    pub(crate) fn pool_key(&self) -> Option<&str> {
+        self.pool_key.get().map(|k| &**k)
     }
 
     /// Current lifecycle state.
@@ -840,7 +854,7 @@ impl StreamletHandle {
         let s = *self.shared.state.lock();
         if matches!(s, LifecycleState::Ended | LifecycleState::Quarantined) {
             return Err(CoreError::Lifecycle {
-                name: self.shared.name.clone(),
+                name: self.shared.name.to_string(),
                 message: format!("cannot control a streamlet in {s:?}"),
             });
         }
@@ -857,7 +871,7 @@ impl StreamletHandle {
         while guard.is_none() {
             if cv.wait_until(&mut guard, deadline).timed_out() {
                 return Err(CoreError::Lifecycle {
-                    name: self.shared.name.clone(),
+                    name: self.shared.name.to_string(),
                     message: "control command not serviced in time".into(),
                 });
             }
@@ -1040,7 +1054,7 @@ impl StreamletHandle {
         let mut state = self.shared.state.lock();
         if *state != LifecycleState::Created {
             return Err(CoreError::Lifecycle {
-                name: self.shared.name.clone(),
+                name: self.shared.name.to_string(),
                 message: format!("cannot start from {:?}", *state),
             });
         }
@@ -1049,7 +1063,7 @@ impl StreamletHandle {
             .lock()
             .take()
             .ok_or_else(|| CoreError::Lifecycle {
-                name: self.shared.name.clone(),
+                name: self.shared.name.to_string(),
                 message: "logic already taken".into(),
             })?;
         *state = LifecycleState::Running;
@@ -1085,7 +1099,7 @@ impl StreamletHandle {
                 LifecycleState::Faulted | LifecycleState::Quarantined => return Ok(()),
                 other => {
                     return Err(CoreError::Lifecycle {
-                        name: self.shared.name.clone(),
+                        name: self.shared.name.to_string(),
                         message: format!("cannot pause from {other:?}"),
                     });
                 }
@@ -1105,7 +1119,7 @@ impl StreamletHandle {
             if Instant::now() >= deadline {
                 return Err(CoreError::Timeout {
                     waited: t0.elapsed(),
-                    instance: self.shared.name.clone(),
+                    instance: self.shared.name.to_string(),
                 });
             }
             std::thread::yield_now();
@@ -1126,7 +1140,7 @@ impl StreamletHandle {
             }
             LifecycleState::Running => Ok(()),
             other => Err(CoreError::Lifecycle {
-                name: self.shared.name.clone(),
+                name: self.shared.name.to_string(),
                 message: format!("cannot activate from {other:?}"),
             }),
         }
@@ -1254,7 +1268,7 @@ impl StreamletHandle {
         let task = self.task.lock().clone();
         let Some(task) = task else {
             return Err(CoreError::Lifecycle {
-                name: self.shared.name.clone(),
+                name: self.shared.name.to_string(),
                 message: "no live task to restart".into(),
             });
         };
@@ -1264,7 +1278,7 @@ impl StreamletHandle {
             let mut state = self.shared.state.lock();
             if *state != LifecycleState::Faulted {
                 return Err(CoreError::Lifecycle {
-                    name: self.shared.name.clone(),
+                    name: self.shared.name.to_string(),
                     message: format!("cannot restart from {:?}", *state),
                 });
             }
@@ -1296,7 +1310,7 @@ impl StreamletHandle {
             }
             LifecycleState::Quarantined => Ok(()),
             other => Err(CoreError::Lifecycle {
-                name: self.shared.name.clone(),
+                name: self.shared.name.to_string(),
                 message: format!("cannot quarantine from {other:?}"),
             }),
         }
@@ -1574,7 +1588,7 @@ impl StreamletTask {
                     let text = panic_message(payload.as_ref());
                     // The requester gets an error rather than a timeout.
                     *slot.lock() = Some(Err(CoreError::Process {
-                        streamlet: self.shared.name.clone(),
+                        streamlet: self.shared.name.to_string(),
                         message: format!("control handler panicked: {text}"),
                     }));
                     cv.notify_all();

@@ -32,7 +32,7 @@ use mobigate_mime::MimeMessage;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -239,13 +239,16 @@ pub struct SupervisorStats {
     pub breaker_trips: u64,
 }
 
+/// Entry count below which registrations never sweep.
+const MIN_SWEEP: usize = 64;
+
 type RebuildFn = Box<dyn Fn() -> Result<Box<dyn StreamletLogic>, CoreError> + Send + Sync>;
 
 struct Entry {
     handle: Weak<StreamletHandle>,
     rebuild: RebuildFn,
     policy: RestartPolicy,
-    stream: Option<String>,
+    stream: Option<Arc<str>>,
     /// Fault timestamps inside the policy window (pruned on each fault).
     fault_times: Vec<Instant>,
     restarts: u32,
@@ -284,6 +287,9 @@ struct WorkQueue {
 pub struct Supervisor {
     entries: Mutex<HashMap<u64, Entry>>,
     next_key: AtomicU64,
+    /// Entry count at which the next registration sweeps out entries
+    /// whose instance is gone.
+    sweep_at: AtomicUsize,
     work: Arc<WorkQueue>,
     worker: Mutex<Option<JoinHandle<()>>>,
     events: Arc<EventManager>,
@@ -343,6 +349,7 @@ impl Supervisor {
         let sup = Arc::new(Supervisor {
             entries: Mutex::new(HashMap::new()),
             next_key: AtomicU64::new(1),
+            sweep_at: AtomicUsize::new(MIN_SWEEP),
             work: Arc::new(WorkQueue {
                 jobs: Mutex::new(VecDeque::new()),
                 cv: Condvar::new(),
@@ -393,7 +400,7 @@ impl Supervisor {
         self: &Arc<Self>,
         handle: &Arc<StreamletHandle>,
         rebuild: impl Fn() -> Result<Box<dyn StreamletLogic>, CoreError> + Send + Sync + 'static,
-        stream: Option<String>,
+        stream: Option<Arc<str>>,
     ) {
         let policy = self.default_policy.clone();
         self.supervise_with_policy(handle, rebuild, policy, stream);
@@ -405,10 +412,21 @@ impl Supervisor {
         handle: &Arc<StreamletHandle>,
         rebuild: impl Fn() -> Result<Box<dyn StreamletLogic>, CoreError> + Send + Sync + 'static,
         policy: RestartPolicy,
-        stream: Option<String>,
+        stream: Option<Arc<str>>,
     ) {
         let key = self.next_key.fetch_add(1, Ordering::Relaxed);
-        self.entries.lock().insert(
+        let mut entries = self.entries.lock();
+        if entries.len() >= self.sweep_at.load(Ordering::Relaxed) {
+            // Torn-down instances leave entries whose handle is gone (a
+            // restart still pending for a live, ended handle must find
+            // its entry to be refused and traced). Sweeping when the map
+            // has doubled since the last sweep keeps it within twice the
+            // live instances at amortized O(1) per registration.
+            entries.retain(|_, e| e.handle.strong_count() > 0);
+            self.sweep_at
+                .store((2 * entries.len()).max(MIN_SWEEP), Ordering::Relaxed);
+        }
+        entries.insert(
             key,
             Entry {
                 handle: Arc::downgrade(handle),
@@ -423,6 +441,7 @@ impl Supervisor {
                     .map(|c| Arc::new(CircuitBreaker::new(c.clone()))),
             },
         );
+        drop(entries);
         let work = Arc::clone(&self.work);
         handle.set_fault_hook(move |cause| {
             let mut jobs = work.jobs.lock();
@@ -433,6 +452,12 @@ impl Supervisor {
             });
             work.cv.notify_all();
         });
+    }
+
+    /// Supervision entries held: every live supervised instance, plus
+    /// those of dropped instances not yet swept (see `supervise`).
+    pub fn entry_count(&self) -> usize {
+        self.entries.lock().len()
     }
 
     /// The dead-letter queue (server inspection API).
@@ -564,7 +589,7 @@ impl Supervisor {
                 cause: cause.clone(),
                 restarts: entry.restarts,
             };
-            let event = ContextEvent::fault(info, entry.stream.clone());
+            let event = ContextEvent::fault(info, entry.stream.as_deref().map(str::to_string));
             self.trace(
                 TraceKind::Fault,
                 entry.stream.as_deref(),
@@ -651,7 +676,7 @@ impl Supervisor {
                         );
                         self.dead_letters.push(DeadLetter {
                             instance: handle.name().to_string(),
-                            stream: entry.stream.clone(),
+                            stream: entry.stream.as_deref().map(str::to_string),
                             message,
                             faults,
                             cause: cause.clone(),

@@ -20,8 +20,8 @@ use mobigate_core::{
     StreamletCtx, StreamletDirectory, StreamletLogic, StreamletPool, Supervisor, TelemetryConfig,
 };
 use mobigate_mime::{MimeMessage, MimeType};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 /// Pass-through logic.
@@ -114,12 +114,37 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     cond()
 }
 
+/// Quiet scopes currently open (see [`with_quiet_panics`]).
+static QUIET_SCOPES: AtomicUsize = AtomicUsize::new(0);
+
+/// Silences panic reports from executor threads (`streamlet-*`,
+/// `mobigate-worker-*`) while `f` runs. The filtering hook is installed
+/// once per process and forwards every other panic to the hook it
+/// replaced, so a sibling test's failing assertion still prints and two
+/// overlapping scopes cannot undo each other. The scope is a guard: it
+/// closes even when `f` unwinds.
 fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let executor_thread = std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("streamlet-") || n.starts_with("mobigate-worker-"));
+            if !(executor_thread && QUIET_SCOPES.load(Ordering::Acquire) > 0) {
+                prev(info);
+            }
+        }));
+    });
+    struct Scope;
+    impl Drop for Scope {
+        fn drop(&mut self) {
+            QUIET_SCOPES.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+    QUIET_SCOPES.fetch_add(1, Ordering::AcqRel);
+    let _scope = Scope;
+    f()
 }
 
 /// Satellite 1: load shedding fires from a *real* `CHANNEL_CONGESTED`

@@ -671,3 +671,169 @@ fn each_spawn_checks_out_one_instance_per_member() {
     }
     manager.teardown_all();
 }
+
+/// A 4-echo chain template whose `when (LOW_BANDWIDTH)` rule splices `x`
+/// between `e2` and `e3`: the rule keeps `e2` and `e3` discrete, so with
+/// fusion on `e0..e1` is the one fused unit.
+fn when_script() -> String {
+    let mut s = script(4);
+    s.pop(); // the closing brace of `main stream app`
+    s.push_str(
+        "when (LOW_BANDWIDTH) {\n\
+         streamlet x = new-streamlet (echo);\n\
+         insert (e2.po, e3.pi, x);\n}\n}",
+    );
+    s
+}
+
+/// Everything a session's topology consists of: connection rows, each
+/// live instance's port bindings (port, channel) and each fused unit's
+/// member roster.
+type Topology = (
+    Vec<mobigate_mcl::config::ConnectionRow>,
+    Vec<(String, Vec<(String, String)>, Vec<(String, String)>)>,
+    Vec<(String, Vec<String>)>,
+);
+
+fn topology(stream: &mobigate_core::RunningStream) -> Topology {
+    let names = stream.instance_names();
+    let bindings = names
+        .iter()
+        .map(|n| {
+            let h = stream.instance(n).expect("live instance");
+            let mut ins = h.input_bindings();
+            let mut outs = h.output_bindings();
+            ins.sort();
+            outs.sort();
+            (n.clone(), ins, outs)
+        })
+        .collect();
+    let rosters = names
+        .iter()
+        .filter_map(|n| {
+            let members = stream.fused_member_errors(n)?;
+            Some((n.clone(), members.into_iter().map(|(m, _)| m).collect()))
+        })
+        .collect();
+    (stream.connections(), bindings, rosters)
+}
+
+/// Sessions stamped from one blueprint share its rows copy-on-write: a
+/// `when` rule fired at one session's `evtSource`, and a fission of that
+/// session's fused unit, edit that session alone. Siblings keep their
+/// connection rows, bindings and fused rosters, the template's base table
+/// is untouched, and a stamped session matches a hand `deploy_table` of
+/// the same table.
+#[test]
+fn one_session_reconfigures_without_touching_its_siblings() {
+    let executors = [
+        ExecutorConfig::ThreadPerStreamlet,
+        ExecutorConfig::WorkerPool { workers: 2 },
+    ];
+    for executor in executors {
+        for fusion in [false, true] {
+            let directory = Arc::new(StreamletDirectory::new());
+            directory.register("test/echo", "", || Box::new(Echo));
+            let server = MobiGate::with_config(
+                ServerConfig {
+                    executor,
+                    fusion,
+                    ..Default::default()
+                },
+                directory,
+                Arc::new(StreamletPool::new(64)),
+            );
+            let manager = server.session_manager(&when_script()).expect("template");
+            let base = manager.template().base_table().clone();
+            let streams = manager.spawn_many(4).expect("spawn");
+            let (target, siblings) = streams.split_first().unwrap();
+            let before: Vec<Topology> = siblings.iter().map(|s| topology(s)).collect();
+            let unit = "fused:e0..e1";
+            assert_eq!(
+                before[0].2.iter().any(|(n, _)| n == unit),
+                fusion,
+                "{executor:?} fusion={fusion}"
+            );
+
+            // The rule fires on the target alone.
+            let delivered = server.raise_event(&ContextEvent::targeted(
+                EventKind::LowBandwidth,
+                target.session().as_str(),
+            ));
+            assert_eq!(delivered, 1);
+            assert!(target.instance_names().contains(&"x".to_string()));
+            // A reconfiguration addressed at e0/e1 fissions the target's
+            // fused unit first (with fusion off it is a plain insert).
+            target
+                .insert_streamlet(("e0", "po"), ("e1", "pi"), "y", "echo")
+                .expect("insert");
+            let names = target.instance_names();
+            assert!(!names.contains(&unit.to_string()), "{names:?}");
+            for n in ["e0", "e1", "x", "y"] {
+                assert!(names.contains(&n.to_string()), "{n} in {names:?}");
+            }
+            round_trip(target, "target");
+
+            for (sibling, topo) in siblings.iter().zip(&before) {
+                assert_eq!(&topology(sibling), topo, "{executor:?} fusion={fusion}");
+                round_trip(sibling, "sibling");
+            }
+            assert_eq!(manager.template().base_table(), &base);
+
+            // A sibling's own copy of the lazy `x` declaration survived the
+            // target's instantiation of it.
+            let delivered = server.raise_event(&ContextEvent::targeted(
+                EventKind::LowBandwidth,
+                siblings[0].session().as_str(),
+            ));
+            assert_eq!(delivered, 1);
+            assert!(siblings[0].instance_names().contains(&"x".to_string()));
+            round_trip(&siblings[0], "sibling after its own rule");
+
+            // Stamping and a hand `deploy_table` of the same table agree.
+            let stamped = manager.spawn().expect("spawn");
+            let session = SessionId::new("app#hand");
+            let hand = server
+                .coordination()
+                .deploy_table(
+                    &manager.template().instantiate(session.as_str()),
+                    manager.template().defs(),
+                    session,
+                )
+                .expect("hand deploy");
+            assert_eq!(topology(&stamped), topology(&hand));
+            round_trip(&stamped, "stamped");
+            round_trip(&hand, "hand");
+
+            assert!(server.undeploy(hand.session()));
+            assert_eq!(manager.teardown_all(), 5);
+        }
+    }
+}
+
+/// Every spawn registers its execution units with the supervisor, and
+/// torn-down sessions' entries are swept as later spawns register, so
+/// session churn holds the supervisor's map to a bound instead of
+/// growing it by one entry per churned instance.
+#[test]
+fn session_churn_keeps_supervisor_entries_bounded() {
+    let server = gate(4, 64);
+    let sup = server.supervisor().expect("supervision is on by default");
+    let manager = server.session_manager(&when_script()).expect("template");
+    // Each session registers 4 instances: the fused e0..e1, e2, e3, and
+    // the x its rule creates.
+    for _ in 0..100 {
+        let stream = manager.spawn().expect("spawn");
+        server.raise_event(&ContextEvent::targeted(
+            EventKind::LowBandwidth,
+            stream.session().as_str(),
+        ));
+        assert!(stream.instance("x").is_some());
+        assert!(manager.teardown(stream.session()));
+    }
+    let held = sup.entry_count();
+    assert!(
+        held <= 70,
+        "{held} supervisor entries held after 100 churned sessions"
+    );
+}

@@ -4,13 +4,16 @@
 //! generates a unique session ID for each instance of a stream" (§4.4.3),
 //! and §3.3.4 pooling exists so instantiating a chain for every mobile
 //! user stays cheap. A [`StreamTemplate`] captures the expensive half of
-//! that pipeline — compilation and the Chapter-5 semantic analyses — once,
-//! and then `instantiate` is a pure table rewrite: clone the configuration
-//! table and rename it to a per-session identity. Everything downstream
-//! keys off that name: the runtime stamps `Content-Session` from it, the
-//! Event Manager matches `evtSource` against it, and supervision labels
-//! faults with it, so one rename at instantiation time gives every session
-//! its own routing row, event identity, and fault domain.
+//! that pipeline — compilation and the Chapter-5 semantic analyses — once.
+//! A session is the template under a per-session identity
+//! ([`StreamTemplate::session_name`]); `instantiate` spells that out as a
+//! table rewrite (clone the configuration table, rename it), while the
+//! runtime compiles the template once more and stamps sessions without
+//! cloning the table. Everything downstream keys off that name: the
+//! runtime stamps `Content-Session` from it, the Event Manager matches
+//! `evtSource` against it, and supervision labels faults with it, so one
+//! name per session gives every session its own routing row, event
+//! identity, and fault domain.
 
 use crate::analysis;
 use crate::config::{ConfigTable, Program, StreamletSpec};

@@ -15,6 +15,7 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use crate::error::MimeError;
 use crate::headers::Headers;
@@ -33,13 +34,22 @@ pub const CONTENT_LENGTH: &str = "Content-Length";
 ///
 /// "Before executing a coordination stream, the system automatically
 /// generates a unique session ID for each instance of a stream" (§4.4.3).
+///
+/// The identifier is shared, not copied: every streamlet, routing row and
+/// registration of a session holds the same allocation, so a clone is a
+/// reference-count bump.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct SessionId(String);
+pub struct SessionId(Arc<str>);
 
 impl SessionId {
     /// Wraps a raw identifier.
-    pub fn new(id: impl Into<String>) -> Self {
+    pub fn new(id: impl Into<Arc<str>>) -> Self {
         SessionId(id.into())
+    }
+
+    /// The identifier as a shared string (a reference-count bump).
+    pub fn shared(&self) -> Arc<str> {
+        self.0.clone()
     }
 
     /// The identifier as text.

@@ -33,11 +33,15 @@ pub struct MimeType {
 }
 
 impl MimeType {
-    /// Builds a type from parts, lowercasing both components.
+    /// Builds a type from parts, lowercasing both components in place
+    /// (one allocation per component, none for an owned `String`).
     pub fn new(top: impl Into<String>, sub: impl Into<String>) -> Self {
+        let (mut top, mut sub) = (top.into(), sub.into());
+        top.make_ascii_lowercase();
+        sub.make_ascii_lowercase();
         MimeType {
-            top: top.into().to_ascii_lowercase(),
-            sub: sub.into().to_ascii_lowercase(),
+            top,
+            sub,
             params: BTreeMap::new(),
         }
     }
@@ -255,6 +259,17 @@ impl TypeRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mixed_case_components_are_lowercased() {
+        let t = MimeType::new("Text", "HTML");
+        assert_eq!(t, MimeType::new("text", "html"));
+        assert_eq!((t.top.as_str(), t.sub.as_str()), ("text", "html"));
+        assert_eq!(
+            MimeType::new(String::from("IMAGE"), "Gif"),
+            "image/gif".parse().unwrap()
+        );
+    }
 
     fn t(s: &str) -> MimeType {
         s.parse().unwrap()
