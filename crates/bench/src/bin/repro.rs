@@ -191,7 +191,7 @@ fn median_latency(h: &ChainHarness, size: usize, iters: usize) -> Duration {
     runs[GUARD_REPEATS / 2]
 }
 
-/// Repeats behind each Figure 7-2/7-3 shape guard's median.
+/// Repeats behind each Figure 7-2/7-3/7-6 shape guard's median.
 const GUARD_REPEATS: usize = 5;
 
 /// Figure 7-3: passing by reference vs. passing by value.
@@ -295,6 +295,21 @@ fn fig7_6(quick: bool) {
         ascii_series("reconfiguration time vs inserts", &[("total", pts)], "µs")
     );
     save("fig7_6_reconfiguration", &csv);
+
+    // Shape guard: 20 inserts cost more than 2, compared on the median of
+    // repeated runs so one descheduled run cannot flip it.
+    let median_total = |n: usize| {
+        let mut runs: Vec<Duration> = (0..GUARD_REPEATS).map(|_| reconfig_time(n).total).collect();
+        runs.sort_unstable();
+        runs[GUARD_REPEATS / 2]
+    };
+    let few = median_total(2);
+    let many = median_total(20);
+    assert!(
+        many > few,
+        "20 inserts ({many:?}) must cost more than 2 ({few:?})"
+    );
+    println!("\ninsert-count guard: 20 inserts {many:?} > 2 inserts {few:?}  [ok]");
 }
 
 /// Equation 7-1: T = Σ sᵢ + n·c + Σ aᵢ — measured decomposition.
@@ -715,10 +730,10 @@ fn chaos(quick: bool) {
 }
 
 /// Hot-path batching ablation: pipelined chain throughput (the Figure 7-2
-/// redirector chain, kept saturated) under {batch=1, batch=16} × {SPSC
-/// ring on, off} × executor back end. Emits `results/BENCH_batching.json`.
+/// redirector chain, kept saturated) under {batch=1, batch=16} × executor
+/// back end. Emits `results/BENCH_batching.json`.
 fn batching(quick: bool) {
-    println!("\n========= Ablation: hot-path batching x SPSC x executor =========");
+    println!("\n========= Ablation: hot-path batching x executor =========");
     println!("(pipelined throughput, every hop busy at once — the workload that");
     println!(" per-message locking and per-message wakeups throttle)\n");
 
@@ -732,24 +747,15 @@ fn batching(quick: bool) {
         ("thread_per_streamlet", ExecutorConfig::ThreadPerStreamlet),
         ("worker_pool8", ExecutorConfig::WorkerPool { workers: 8 }),
     ];
-    let corners: [(&str, usize, bool); 4] = [
-        ("batch1_spsc_off", 1, false),
-        ("batch1_spsc_on", 1, true),
-        ("batchN_spsc_off", batch_n, false),
-        ("batchN_spsc_on", batch_n, true),
-    ];
 
-    let mut csv = Csv::new(["executor", "batch_max", "spsc", "throughput_msg_s"]);
-    // (executor, corner label, batch, spsc, median msg/s)
-    let mut series: Vec<(String, String, usize, bool, f64)> = Vec::new();
+    let mut csv = Csv::new(["executor", "batch_max", "throughput_msg_s"]);
+    // (executor, batch, median msg/s)
+    let mut series: Vec<(String, usize, f64)> = Vec::new();
     for (exec_name, exec_cfg) in &executors {
-        for (label, batch_max, spsc) in &corners {
+        for batch_max in [1, batch_n] {
             let cfg = ServerConfig {
                 executor: *exec_cfg,
-                batching: BatchConfig {
-                    batch_max: *batch_max,
-                    spsc: *spsc,
-                },
+                batching: BatchConfig { batch_max },
                 ..Default::default()
             };
             let harness = ChainHarness::with_config(chain_k, cfg);
@@ -758,46 +764,33 @@ fn batching(quick: bool) {
                 .collect();
             samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
             let median = samples[samples.len() / 2];
-            println!("  {exec_name:<21} {label:<17}: {median:>9.0} msg/s");
+            println!("  {exec_name:<21} batch={batch_max:<3}: {median:>9.0} msg/s");
             csv.row([
                 exec_name.to_string(),
                 batch_max.to_string(),
-                spsc.to_string(),
                 format!("{median:.0}"),
             ]);
-            series.push((
-                exec_name.to_string(),
-                label.to_string(),
-                *batch_max,
-                *spsc,
-                median,
-            ));
+            series.push((exec_name.to_string(), batch_max, median));
         }
     }
     println!();
     print!("{}", csv.to_table());
 
-    let find = |exec: &str, label: &str| -> f64 {
-        series
-            .iter()
-            .find(|(e, l, ..)| e == exec && l == label)
-            .map(|(.., t)| *t)
-            .expect("corner measured")
+    let speedup = |exec: &str| -> f64 {
+        let find = |batch: usize| {
+            series
+                .iter()
+                .find(|(e, b, _)| e == exec && *b == batch)
+                .map(|(.., t)| *t)
+                .expect("corner measured")
+        };
+        find(batch_n) / find(1)
     };
-    // Headline ratio: everything on vs. the pre-batching baseline.
-    let speedup_tps = find("thread_per_streamlet", "batchN_spsc_on")
-        / find("thread_per_streamlet", "batch1_spsc_off");
-    let speedup_wp8 =
-        find("worker_pool8", "batchN_spsc_on") / find("worker_pool8", "batch1_spsc_off");
-    // Axis isolation on the thread-per-streamlet back end.
-    let spsc_only = find("thread_per_streamlet", "batch1_spsc_on")
-        / find("thread_per_streamlet", "batch1_spsc_off");
-    let batch_only = find("thread_per_streamlet", "batchN_spsc_off")
-        / find("thread_per_streamlet", "batch1_spsc_off");
+    let speedup_tps = speedup("thread_per_streamlet");
+    let speedup_wp8 = speedup("worker_pool8");
     println!(
-        "\nbatched+spsc over batch=1 baseline: thread-per-streamlet {speedup_tps:.2}x, \
-         worker-pool8 {speedup_wp8:.2}x (spsc alone {spsc_only:.2}x, batching alone \
-         {batch_only:.2}x on tps)"
+        "\nbatch={batch_n} over batch=1: thread-per-streamlet {speedup_tps:.2}x, \
+         worker-pool8 {speedup_wp8:.2}x"
     );
 
     // The serde shim is a no-op, so the JSON is formatted by hand.
@@ -814,11 +807,10 @@ fn batching(quick: bool) {
     json.push_str(&format!("  \"batch_n\": {batch_n},\n"));
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str("  \"series\": [\n");
-    for (i, (exec_name, label, batch_max, spsc, msg_s)) in series.iter().enumerate() {
+    for (i, (exec_name, batch_max, msg_s)) in series.iter().enumerate() {
         let sep = if i + 1 == series.len() { "" } else { "," };
         json.push_str(&format!(
-            "    {{\"executor\": \"{exec_name}\", \"config\": \"{label}\", \
-             \"batch_max\": {batch_max}, \"spsc\": {spsc}, \
+            "    {{\"executor\": \"{exec_name}\", \"batch_max\": {batch_max}, \
              \"throughput_msg_per_s\": {msg_s:.1}}}{sep}\n"
         ));
     }
@@ -827,13 +819,7 @@ fn batching(quick: bool) {
     json.push_str(&format!(
         "    \"thread_per_streamlet\": {speedup_tps:.3},\n"
     ));
-    json.push_str(&format!("    \"worker_pool8\": {speedup_wp8:.3},\n"));
-    json.push_str(&format!(
-        "    \"spsc_only_thread_per_streamlet\": {spsc_only:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"batch_only_thread_per_streamlet\": {batch_only:.3}\n"
-    ));
+    json.push_str(&format!("    \"worker_pool8\": {speedup_wp8:.3}\n"));
     json.push_str("  },\n");
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -846,7 +832,7 @@ fn batching(quick: bool) {
 
 /// Chain fusion ablation: pipelined throughput of the Figure 7-2 redirector
 /// chain with the whole run statically fused into one execution unit vs.
-/// the discrete (batched, SPSC) baseline, per executor back end and chain
+/// the discrete (batched) baseline, per executor back end and chain
 /// length — plus a fusion-enabled chaos run proving supervision still
 /// holds. Emits `results/BENCH_fusion.json`.
 fn fusion(quick: bool) {

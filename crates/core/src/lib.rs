@@ -23,6 +23,8 @@
 //! MCL script, deploys the resulting configuration tables as running
 //! streams, feeds messages in, and collects adapted messages out.
 
+#![forbid(unsafe_code)]
+
 pub mod coordination;
 pub mod directory;
 pub mod error;
@@ -37,7 +39,6 @@ pub mod queue;
 pub mod server;
 pub mod session;
 pub mod sharing;
-mod spsc;
 pub mod stream;
 pub mod streamlet;
 pub mod supervisor;

@@ -25,19 +25,14 @@
 
 use crate::overload::PriorityClass;
 use crate::pool::{MessagePool, Payload};
-use crate::spsc::SpscRing;
 use crate::telemetry::{DropReason, QueueProbe, TimingSite};
 use mobigate_mcl::ast::{ChannelCategory, ChannelKind};
 use mobigate_mime::MimeType;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Slot count of the SPSC fast-path ring (bounds *messages*; the byte
-/// budget still comes from [`QueueConfig::capacity_bytes`]).
-const SPSC_SLOTS: usize = 256;
 
 /// Wakes streamlet worker threads when any of their input queues receives a
 /// message (or a lifecycle change occurs).
@@ -124,8 +119,8 @@ impl Notifier {
     pub fn disarm(&self) {
         // A swap (RMW), not a store: reading the producer's `swap(true)`
         // synchronizes-with it, so everything the producer published
-        // before a coalesced notify (e.g. a lock-free ring push) is
-        // visible to the re-check that follows this disarm.
+        // before a coalesced notify is visible to the re-check that
+        // follows this disarm.
         self.armed.swap(false, Ordering::SeqCst);
     }
 
@@ -196,10 +191,6 @@ pub struct QueueConfig {
     pub full_wait: Duration,
     /// The MIME type the channel carries (runtime type check on post).
     pub ty: MimeType,
-    /// Enables the lock-free SPSC fast path: while the queue has at most
-    /// one producer and one consumer attached, posts go through a bounded
-    /// ring instead of the monitor mutex. Ignored for sync channels.
-    pub spsc: bool,
 }
 
 impl Default for QueueConfig {
@@ -211,18 +202,11 @@ impl Default for QueueConfig {
             capacity_bytes: 100 * 1024,
             full_wait: Duration::from_millis(50),
             ty: MimeType::any(),
-            spsc: true,
         }
     }
 }
 
 impl QueueConfig {
-    /// Whether the channel gets the SPSC fast-path ring (sync channels
-    /// never do).
-    fn uses_ring(&self) -> bool {
-        self.spsc && self.kind == ChannelKind::Async
-    }
-
     /// Builds a config from a compiled MCL [`mobigate_mcl::ChannelSpec`].
     pub fn from_spec(name: &str, spec: &mobigate_mcl::ChannelSpec) -> Self {
         QueueConfig {
@@ -232,7 +216,6 @@ impl QueueConfig {
             capacity_bytes: (spec.buffer_kb as usize) * 1024,
             full_wait: Duration::from_millis(50),
             ty: spec.ty.clone(),
-            spsc: true,
         }
     }
 }
@@ -302,10 +285,6 @@ struct QState {
     bytes: usize,
     source_open: bool,
     sink_open: bool,
-    /// The last break discarded the pending units (`drop_pending`);
-    /// cleared when a sink reattaches. A fast-path post that raced the
-    /// break into the ring is discarded on the same terms.
-    discarding: bool,
 }
 
 /// The channel object. Cheaply shareable via `Arc`.
@@ -342,24 +321,6 @@ pub struct MessageQueue {
     /// lock: lets the wake fan-out skip the read lock entirely in the
     /// common no-parked-producer case.
     space_listener_count: AtomicUsize,
-    /// SPSC fast-path ring of async channels with [`QueueConfig::spsc`]
-    /// set, allocated when the first producer or consumer attaches, or
-    /// else by the first ring post: a queue nothing attaches to or posts
-    /// to (the egress of a chain ending in a sink) never pays for its
-    /// slots, and a queue in use never allocates inside a post. Consumers
-    /// *always* drain it before the mutex queue, so FIFO holds across
-    /// activation changes.
-    ring: OnceLock<SpscRing>,
-    /// True while fast-path posts are allowed: at most one producer and
-    /// one consumer, sink open, and both buffers were empty at the last
-    /// (re)activation point. Maintained under the state lock; read
-    /// lock-free by producers (`SeqCst` both sides, so a post that
-    /// causally follows a deactivating attach never sees a stale `true`).
-    spsc_active: AtomicBool,
-    /// Consumers blocked in [`MessageQueue::fetch`]: a fast-path post must
-    /// briefly take the state lock to wake them (Dekker-style handshake —
-    /// the consumer registers *before* its final emptiness re-check).
-    sleepers: AtomicUsize,
 }
 
 impl MessageQueue {
@@ -375,16 +336,13 @@ impl MessageQueue {
         pool: Arc<MessagePool>,
         probe: Option<QueueProbe>,
     ) -> Arc<Self> {
-        let cfg = cfg.into();
-        let spsc_active = cfg.uses_ring();
         Arc::new(MessageQueue {
-            cfg,
+            cfg: cfg.into(),
             state: Mutex::new(QState {
                 queue: VecDeque::new(),
                 bytes: 0,
                 source_open: true,
                 sink_open: true,
-                discarding: false,
             }),
             cv: Condvar::new(),
             pool,
@@ -402,9 +360,6 @@ impl MessageQueue {
             listeners: RwLock::new(Vec::new()),
             space_listeners: RwLock::new(Vec::new()),
             space_listener_count: AtomicUsize::new(0),
-            ring: OnceLock::new(),
-            spsc_active: AtomicBool::new(spsc_active),
-            sleepers: AtomicUsize::new(0),
         })
     }
 
@@ -431,51 +386,6 @@ impl MessageQueue {
         if let Some(p) = &self.probe {
             p.on_admit(len);
         }
-    }
-
-    /// Re-evaluates SPSC eligibility. Called under the state lock at every
-    /// attachment change. Deactivation is immediate; (re)activation
-    /// additionally requires both buffers empty, so ring entries always
-    /// predate mutex-queue entries and the drain order (ring first)
-    /// preserves FIFO.
-    fn refresh_spsc(&self, st: &QState) {
-        if !self.cfg.uses_ring() {
-            return;
-        }
-        let eligible = self.pcount.load(Ordering::SeqCst) <= 1
-            && self.ccount.load(Ordering::SeqCst) <= 1
-            && st.sink_open;
-        if !eligible {
-            self.spsc_active.store(false, Ordering::SeqCst);
-        } else if st.queue.is_empty() && self.ring.get().is_none_or(SpscRing::is_empty) {
-            self.spsc_active.store(true, Ordering::SeqCst);
-        }
-    }
-
-    /// True when the SPSC fast path is currently switched in.
-    pub fn spsc_active(&self) -> bool {
-        self.spsc_active.load(Ordering::SeqCst)
-    }
-
-    /// The fast-path ring, allocated on first use. Only attachment and
-    /// producers posting into it call this; every reader goes through
-    /// `ring.get()`, where a never-allocated ring reads as empty.
-    fn ring(&self) -> &SpscRing {
-        self.ring.get_or_init(|| SpscRing::new(SPSC_SLOTS))
-    }
-
-    /// Allocates the ring of a fast-path channel that gains an endpoint,
-    /// so its posts never pay for the allocation.
-    fn prepare_ring(&self) {
-        if self.cfg.uses_ring() {
-            self.ring();
-        }
-    }
-
-    /// Whether the fast-path ring has been allocated.
-    #[cfg(test)]
-    pub(crate) fn ring_allocated(&self) -> bool {
-        self.ring.get().is_some()
     }
 
     /// The queue's configuration.
@@ -536,27 +446,16 @@ impl MessageQueue {
     }
 
     /// Attaches a producer (paper `incr_pCount`); reopens the source side.
-    /// A second producer immediately deactivates the SPSC fast path.
     pub fn attach_source(&self) {
-        self.prepare_ring();
         self.pcount.fetch_add(1, Ordering::SeqCst);
-        let mut st = self.state.lock();
-        st.source_open = true;
-        self.refresh_spsc(&st);
-        drop(st);
+        self.state.lock().source_open = true;
         self.cv.notify_all();
     }
 
     /// Attaches a consumer (paper `incr_cCount`); reopens the sink side.
-    /// A second consumer immediately deactivates the SPSC fast path.
     pub fn attach_sink(&self) {
-        self.prepare_ring();
         self.ccount.fetch_add(1, Ordering::SeqCst);
-        let mut st = self.state.lock();
-        st.sink_open = true;
-        st.discarding = false;
-        self.refresh_spsc(&st);
-        drop(st);
+        self.state.lock().sink_open = true;
         self.cv.notify_all();
         self.wake_listeners();
     }
@@ -592,7 +491,6 @@ impl MessageQueue {
                 ChannelCategory::BK | ChannelCategory::S | ChannelCategory::KK => {}
             }
         }
-        self.refresh_spsc(&st);
         drop(st);
         if prev == 1 {
             self.cv.notify_all();
@@ -629,7 +527,6 @@ impl MessageQueue {
                 ChannelCategory::KB | ChannelCategory::S | ChannelCategory::KK => {}
             }
         }
-        self.refresh_spsc(&st);
         drop(st);
         if prev == 1 {
             self.cv.notify_all();
@@ -641,28 +538,14 @@ impl MessageQueue {
     }
 
     /// Discards every pending unit on a break; the caller has closed the
-    /// sink. The fast path is switched off *before* the ring is drained,
-    /// and the fence pairs with the one a fast-path post runs after its
-    /// push: a post that saw the path still on either lands in the ring
-    /// before this drain reads it, or sees it off afterwards and discards
-    /// its payload itself (`try_ring_post`) — never stranded uncharged.
+    /// sink. Every post checks `sink_open` under the same lock, so none
+    /// can land after this drain.
     fn drop_pending(&self, st: &mut QState) {
-        st.discarding = true;
-        self.refresh_spsc(st);
-        std::sync::atomic::fence(Ordering::SeqCst);
-        let mut n = st.queue.len() as u64;
+        let n = st.queue.len() as u64;
         for p in st.queue.drain(..) {
             self.pool.discard(p);
         }
         st.bytes = 0;
-        // The fast-path ring is pending buffer too; the state lock we hold
-        // serializes us with every other popper.
-        if let Some(ring) = self.ring.get() {
-            while let Some((p, _)) = ring.pop() {
-                self.pool.discard(p);
-                n += 1;
-            }
-        }
         if n > 0 {
             self.charge_drop(DropReason::Break, n);
         }
@@ -674,32 +557,8 @@ impl MessageQueue {
         }
     }
 
-    /// Wakes a consumer after a lock-free ring post: listeners always (the
-    /// armed flag makes redundant notifies one atomic swap), and blocked
-    /// `fetch` callers only when the sleeper count says someone is waiting
-    /// — taking the state lock then is what makes the handshake lossless.
-    fn wake_after_ring_post(&self) {
-        // Store-buffer hazard: the ring push ends in Release stores, and a
-        // plain SeqCst *load* of `sleepers` may still be satisfied before
-        // those stores drain — letting the producer see 0 sleepers while
-        // the consumer (who registered and then saw an empty ring) sleeps.
-        // The fence orders the push before the read, pairing with the
-        // consumer's SeqCst register-then-recheck in `fetch`.
-        std::sync::atomic::fence(Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            drop(self.state.lock());
-            self.cv.notify_all();
-        }
-        self.wake_listeners();
-    }
-
     /// Posts a payload (Figure 6-9 semantics). Sync channels block until
     /// the message is taken or `T` elapses (rendezvous-or-drop).
-    ///
-    /// While the SPSC specialization is active (one producer, one
-    /// consumer) the post is lock-free: the payload goes straight into the
-    /// ring, and only consumers blocked inside [`MessageQueue::fetch`]
-    /// cost a lock acquisition to wake.
     pub fn post(&self, payload: Payload) -> PostResult {
         let len = payload.buffered_len(&self.pool);
         let t0 = self
@@ -707,68 +566,19 @@ impl MessageQueue {
             .as_ref()
             .filter(|p| p.sample_timing(TimingSite::Post))
             .map(|_| Instant::now());
-        let res = match self.try_ring_post(payload, len) {
-            Ok(()) => PostResult::Posted,
-            Err(payload) => self.post_locked(payload, len),
-        };
+        let res = self.post_locked(payload, len);
         if let (Some(p), Some(t0)) = (&self.probe, t0) {
             p.on_post_ns(t0.elapsed().as_nanos() as u64);
         }
         res
     }
 
-    /// Lock-free fast path; hands the payload back whenever it does not
-    /// apply (SPSC inactive, full ring, or over the byte budget — the
-    /// locked path then waits out Figure 6-9's `T`).
-    fn try_ring_post(&self, payload: Payload, len: usize) -> Result<(), Payload> {
-        if !self.spsc_active.load(Ordering::SeqCst) {
-            return Err(payload);
-        }
-        // Active implies an SPSC-enabled async channel (`refresh_spsc`).
-        let ring = self.ring();
-        // Byte-budget admission mirrors the mutex path: an empty buffer
-        // always admits one (possibly oversized) message. The check and
-        // the push are not atomic together, but overshoot needs a second
-        // producer racing a stale activation flag — transient and bounded
-        // by one message.
-        if !ring.is_empty() && ring.bytes() + len > self.cfg.capacity_bytes {
-            return Err(payload);
-        }
-        ring.push(payload, len)?;
-        self.posted.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = &self.probe {
-            p.on_admit(len);
-            p.on_ring_depth(ring.len());
-        }
-        self.wake_after_ring_post();
-        // A break may have switched the path off and drained the ring
-        // between the activation check and the push (the fence in
-        // `wake_after_ring_post` orders the push before this re-check;
-        // see `drop_pending`). Discard what the break would have.
-        if !self.spsc_active.load(Ordering::SeqCst) {
-            let mut st = self.state.lock();
-            if st.discarding {
-                self.drop_pending(&mut st);
-            }
-        }
-        Ok(())
-    }
-
-    /// Admits `payload` into whichever buffer is current — the ring while
-    /// SPSC is active, the mutex queue otherwise — if the byte budget
-    /// allows (an empty channel admits one oversized message). Caller
-    /// holds the state lock.
+    /// Admits `payload` into the buffer if the byte budget allows (an
+    /// empty channel admits one oversized message). Caller holds the state
+    /// lock.
     fn try_admit(&self, st: &mut QState, payload: Payload, len: usize) -> Result<(), Payload> {
-        let ring_bytes = self.ring.get().map_or(0, SpscRing::bytes);
-        let ring_empty = self.ring.get().is_none_or(SpscRing::is_empty);
-        let empty = st.queue.is_empty() && ring_empty;
-        if !empty && st.bytes + ring_bytes + len > self.cfg.capacity_bytes {
+        if !st.queue.is_empty() && st.bytes + len > self.cfg.capacity_bytes {
             return Err(payload);
-        }
-        if self.spsc_active.load(Ordering::SeqCst) {
-            // Ring slots can fill before the byte budget does; the caller
-            // then waits for the consumer like any full queue.
-            return self.ring().push(payload, len);
         }
         st.queue.push_back(payload);
         st.bytes += len;
@@ -777,7 +587,6 @@ impl MessageQueue {
 
     /// The monitor-based post path (the paper's Figure 6-9 pseudocode).
     fn post_locked(&self, payload: Payload, len: usize) -> PostResult {
-        let deadline = Instant::now() + self.cfg.full_wait;
         let mut st = self.state.lock();
         if !st.sink_open {
             drop(st);
@@ -787,6 +596,8 @@ impl MessageQueue {
         }
         match self.cfg.kind {
             ChannelKind::Async => {
+                // The clock is read only once a post has to wait.
+                let mut deadline = None;
                 let mut payload = payload;
                 loop {
                     match self.try_admit(&mut st, payload, len) {
@@ -800,6 +611,8 @@ impl MessageQueue {
                         }
                         Err(p) => payload = p,
                     }
+                    let deadline =
+                        *deadline.get_or_insert_with(|| Instant::now() + self.cfg.full_wait);
                     if self.cv.wait_until(&mut st, deadline).timed_out() {
                         match self.try_admit(&mut st, payload, len) {
                             Ok(()) => {
@@ -827,6 +640,9 @@ impl MessageQueue {
                 }
             }
             ChannelKind::Sync => {
+                // A rendezvous always waits for its consumer, so its
+                // deadline is taken up front.
+                let deadline = Instant::now() + self.cfg.full_wait;
                 // Zero-length buffer: admit when empty, then wait until the
                 // consumer takes it.
                 while !st.queue.is_empty() {
@@ -875,31 +691,17 @@ impl MessageQueue {
     /// one Figure 6-9 wait budget `T` across the run. Per-message byte
     /// accounting and drop-on-full semantics are identical to calling
     /// [`MessageQueue::post`] once per payload; sync (zero-length)
-    /// channels rendezvous per message and SPSC-active channels post
-    /// lock-free per message, so both simply delegate. Returns one
-    /// `PostResult` per payload, in order.
-    pub fn post_all(&self, mut payloads: Vec<Payload>) -> Vec<PostResult> {
-        let mut results = Vec::with_capacity(payloads.len());
-        self.post_run(&mut payloads, |r| results.push(r));
-        results
-    }
-
-    /// [`MessageQueue::post_all`] for callers that reuse one scratch
-    /// buffer per hop and don't need per-message results: drains
-    /// `payloads` in place (capacity is retained for the next run) with
-    /// identical admission, wait-budget, and drop semantics.
-    pub fn post_all_from(&self, payloads: &mut Vec<Payload>) {
-        self.post_run(payloads, |_| {});
-    }
-
-    fn post_run(&self, payloads: &mut Vec<Payload>, mut record: impl FnMut(PostResult)) {
+    /// channels rendezvous per message, so they simply delegate. Drains
+    /// `payloads` in place, so the caller can reuse the buffer (its
+    /// capacity is retained for the next run).
+    pub fn post_all(&self, payloads: &mut Vec<Payload>) {
         if payloads.is_empty() {
             return;
         }
-        if self.cfg.kind == ChannelKind::Sync || self.spsc_active.load(Ordering::SeqCst) {
+        if self.cfg.kind == ChannelKind::Sync {
             // Per-message delegation records its own post timings.
             for p in payloads.drain(..) {
-                record(self.post(p));
+                self.post(p);
             }
             return;
         }
@@ -908,14 +710,14 @@ impl MessageQueue {
             .as_ref()
             .filter(|p| p.sample_timing(TimingSite::Post))
             .map(|_| Instant::now());
-        let deadline = Instant::now() + self.cfg.full_wait;
+        // The run's shared budget starts when its first admission fails.
+        let mut deadline = None;
         let mut admitted = 0u64;
         let mut st = self.state.lock();
         'run: for payload in payloads.drain(..) {
             if !st.sink_open {
                 self.pool.discard(payload);
                 self.charge_drop(DropReason::Closed, 1);
-                record(PostResult::Closed);
                 continue;
             }
             let len = payload.buffered_len(&self.pool);
@@ -925,7 +727,6 @@ impl MessageQueue {
                     Ok(()) => {
                         admitted += 1;
                         self.probe_admit(len);
-                        record(PostResult::Posted);
                         if st.queue.len() == 1 {
                             // Empty→non-empty: blocked fetchers wake as
                             // soon as we release (or wait on) the lock.
@@ -943,17 +744,16 @@ impl MessageQueue {
                     }
                     Err(p) => payload = p,
                 }
+                let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.cfg.full_wait);
                 if self.cv.wait_until(&mut st, deadline).timed_out() {
                     match self.try_admit(&mut st, payload, len) {
                         Ok(()) => {
                             admitted += 1;
                             self.probe_admit(len);
-                            record(PostResult::Posted);
                         }
                         Err(p) => {
                             self.pool.discard(p);
                             self.charge_drop(DropReason::Full, 1);
-                            record(PostResult::Dropped);
                         }
                     }
                     continue 'run;
@@ -961,7 +761,6 @@ impl MessageQueue {
                 if !st.sink_open {
                     self.pool.discard(payload);
                     self.charge_drop(DropReason::Closed, 1);
-                    record(PostResult::Closed);
                     continue 'run;
                 }
             }
@@ -997,10 +796,6 @@ impl MessageQueue {
     /// otherwise deadlock with every worker blocked inside a post.
     pub fn post_nowait(&self, payload: Payload) -> Result<PostResult, Payload> {
         let len = payload.buffered_len(&self.pool);
-        let payload = match self.try_ring_post(payload, len) {
-            Ok(()) => return Ok(PostResult::Posted),
-            Err(p) => p,
-        };
         let mut st = self.state.lock();
         if !st.sink_open {
             drop(st);
@@ -1008,101 +803,24 @@ impl MessageQueue {
             self.charge_drop(DropReason::Closed, 1);
             return Ok(PostResult::Closed);
         }
-        if self.cfg.kind == ChannelKind::Sync {
-            if !st.queue.is_empty() {
-                return Err(payload);
-            }
-            st.queue.push_back(payload);
-            st.bytes += len;
-            self.posted.fetch_add(1, Ordering::Relaxed);
-            self.probe_admit(len);
-            drop(st);
-            self.cv.notify_all();
-            self.wake_listeners();
-            return Ok(PostResult::Posted);
+        if self.cfg.kind == ChannelKind::Sync && !st.queue.is_empty() {
+            return Err(payload);
         }
-        match self.try_admit(&mut st, payload, len) {
-            Ok(()) => {
-                self.posted.fetch_add(1, Ordering::Relaxed);
-                self.probe_admit(len);
-                drop(st);
-                self.cv.notify_all();
-                self.wake_listeners();
-                Ok(PostResult::Posted)
-            }
-            Err(p) => Err(p),
-        }
-    }
-
-    /// Non-blocking batch post under one lock acquisition: admits a prefix
-    /// of `payloads` while room lasts and returns the rest untouched. The
-    /// `Vec<PostResult>` covers only the handled prefix (admitted or
-    /// closed-discarded); leftover payloads carry no result — the caller
-    /// still owns them.
-    pub fn post_all_nowait(&self, payloads: Vec<Payload>) -> (Vec<PostResult>, Vec<Payload>) {
-        if payloads.is_empty() {
-            return (Vec::new(), Vec::new());
-        }
-        if self.cfg.kind == ChannelKind::Sync || self.spsc_active.load(Ordering::SeqCst) {
-            // Per-message delegation: a rendezvous slot admits at most one
-            // payload (the rest go back to the caller untouched), and the
-            // SPSC ring path is lock-free per message anyway.
-            let mut results = Vec::new();
-            let mut iter = payloads.into_iter();
-            for payload in iter.by_ref() {
-                match self.post_nowait(payload) {
-                    Ok(r) => results.push(r),
-                    Err(p) => {
-                        let mut rest = vec![p];
-                        rest.extend(iter);
-                        return (results, rest);
-                    }
-                }
-            }
-            return (results, Vec::new());
-        }
-        let mut results = Vec::new();
-        let mut admitted = 0u64;
-        let mut rest = Vec::new();
-        let mut st = self.state.lock();
-        let mut iter = payloads.into_iter();
-        for payload in iter.by_ref() {
-            if !st.sink_open {
-                self.pool.discard(payload);
-                self.charge_drop(DropReason::Closed, 1);
-                results.push(PostResult::Closed);
-                continue;
-            }
-            let len = payload.buffered_len(&self.pool);
-            match self.try_admit(&mut st, payload, len) {
-                Ok(()) => {
-                    admitted += 1;
-                    self.probe_admit(len);
-                    results.push(PostResult::Posted);
-                }
-                Err(p) => {
-                    // Full: stop here so per-queue FIFO order survives.
-                    rest.push(p);
-                    rest.extend(iter);
-                    break;
-                }
-            }
-        }
+        self.try_admit(&mut st, payload, len)?;
+        self.posted.fetch_add(1, Ordering::Relaxed);
+        self.probe_admit(len);
         drop(st);
-        if admitted > 0 {
-            self.posted.fetch_add(admitted, Ordering::Relaxed);
-            self.cv.notify_all();
-            self.wake_listeners();
-        }
-        (results, rest)
+        self.cv.notify_all();
+        self.wake_listeners();
+        Ok(PostResult::Posted)
     }
 
-    /// [`MessageQueue::post_all_nowait`] for callers reusing one scratch
-    /// buffer: handles a prefix of `payloads` in place (admitted, or
-    /// discarded on a closed sink) and returns how many were consumed.
-    /// On return the vec holds only the refused tail, in order, still
-    /// owned by the caller; its capacity is retained either way.
-    pub fn post_all_nowait_into(&self, payloads: &mut Vec<Payload>) -> usize {
+    /// Non-blocking batch post under one lock acquisition: handles a
+    /// prefix of `payloads` in place (admitted, or discarded on a closed
+    /// sink) and returns how many were consumed. On return the vec holds
+    /// only the refused tail, in order, still owned by the caller; its
+    /// capacity is retained either way.
+    pub fn post_all_nowait(&self, payloads: &mut Vec<Payload>) -> usize {
         if payloads.is_empty() {
             return 0;
         }
@@ -1111,7 +829,9 @@ impl MessageQueue {
         // payloads front-first without shifting or reallocating; the
         // (rare) refused tail pays one more reverse to restore order.
         payloads.reverse();
-        if self.cfg.kind == ChannelKind::Sync || self.spsc_active.load(Ordering::SeqCst) {
+        if self.cfg.kind == ChannelKind::Sync {
+            // A rendezvous slot admits at most one payload; the rest go
+            // back to the caller untouched.
             while let Some(payload) = payloads.pop() {
                 match self.post_nowait(payload) {
                     Ok(_) => handled += 1,
@@ -1173,33 +893,20 @@ impl MessageQueue {
     /// event from the metrics→event bridge) and operator hooks call this
     /// to trade old data for headroom instead of stalling producers.
     ///
-    /// Selection is **priority-aware** over the mutex queue: lowest
-    /// [`PriorityClass`] first (bulk `image/*`/`video/*`/`audio/*` before
-    /// interactive `text/*`/`application/*`), oldest within a class. SPSC
-    /// ring entries have no selective removal and always predate the
-    /// mutex queue's, so they shed first in plain FIFO order — build
-    /// shed-managed queues with [`QueueConfig::spsc`] off to get the full
-    /// priority policy.
+    /// Selection is **priority-aware**: lowest [`PriorityClass`] first
+    /// (bulk `image/*`/`video/*`/`audio/*` before interactive
+    /// `text/*`/`application/*`), oldest within a class.
     pub fn shed_oldest(&self, max_n: usize) -> usize {
         if max_n == 0 {
             return 0;
         }
         let mut st = self.state.lock();
         let mut n = 0usize;
-        if let Some(ring) = self.ring.get() {
-            while n < max_n {
-                let Some((p, _)) = ring.pop() else {
-                    break;
-                };
-                self.pool.discard(p);
-                n += 1;
-            }
-        }
-        if n < max_n && !st.queue.is_empty() {
+        if !st.queue.is_empty() {
             let classes: Vec<PriorityClass> =
                 st.queue.iter().map(|p| self.payload_class(p)).collect();
             let mut shed = vec![false; classes.len()];
-            let mut remaining = max_n - n;
+            let mut remaining = max_n;
             for class in [
                 PriorityClass::Bulk,
                 PriorityClass::Normal,
@@ -1281,12 +988,7 @@ impl MessageQueue {
             // the space wakeup).
             return st.queue.is_empty();
         }
-        let ring_bytes = self.ring.get().map_or(0, SpscRing::bytes);
-        let ring_empty = self.ring.get().is_none_or(SpscRing::is_empty);
-        if st.queue.is_empty() && ring_empty {
-            return true;
-        }
-        st.bytes + ring_bytes + len <= self.cfg.capacity_bytes
+        st.queue.is_empty() || st.bytes + len <= self.cfg.capacity_bytes
     }
 
     /// True for sync (zero-length, rendezvous) channels.
@@ -1294,31 +996,11 @@ impl MessageQueue {
         self.cfg.kind == ChannelKind::Sync
     }
 
-    /// Pops the oldest pending payload: ring first (entries there always
-    /// predate mutex-queue entries — the SPSC path only activates on an
-    /// empty channel), then the mutex queue. The ring manages its own byte
-    /// counter; only mutex-queue pops adjust `st.bytes`. Caller holds the
-    /// state lock, which serializes every popper.
+    /// Pops the oldest pending payload. Caller holds the state lock.
     fn pop_one(&self, st: &mut QState) -> Option<Payload> {
-        if let Some(ring) = self.ring.get() {
-            if let Some((p, _)) = ring.pop() {
-                return Some(p);
-            }
-        }
         let p = st.queue.pop_front()?;
         st.bytes = st.bytes.saturating_sub(p.buffered_len(&self.pool));
         Some(p)
-    }
-
-    /// Buffered length of the oldest pending payload. Caller holds the
-    /// state lock.
-    fn peek_front_len(&self, st: &QState) -> Option<usize> {
-        if let Some(ring) = self.ring.get() {
-            if let Some(len) = ring.peek_len() {
-                return Some(len);
-            }
-        }
-        st.queue.front().map(|p| p.buffered_len(&self.pool))
     }
 
     /// Non-blocking fetch.
@@ -1359,18 +1041,7 @@ impl MessageQueue {
             if !st.source_open && self.pcount() == 0 {
                 return FetchResult::Disconnected;
             }
-            // Dekker handshake with the lock-free producer: register as a
-            // sleeper, then re-check the ring. The producer pushes first
-            // and then reads `sleepers`, so it either sees our increment
-            // (and grabs the lock to notify) or we see its payload here.
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            if self.ring.get().is_some_and(|r| !r.is_empty()) {
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            let timed_out = self.cv.wait_until(&mut st, deadline).timed_out();
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            if timed_out && st.queue.is_empty() && self.ring.get().is_none_or(|r| r.is_empty()) {
+            if self.cv.wait_until(&mut st, deadline).timed_out() && st.queue.is_empty() {
                 return FetchResult::Empty;
             }
         }
@@ -1380,19 +1051,10 @@ impl MessageQueue {
     /// acquisition, in FIFO order, stopping before a payload that would
     /// push the batch past `max_bytes` — except the first, which is always
     /// taken regardless of size (mirroring the oversized-admission rule so
-    /// a message bigger than any budget still makes progress). Returns an
-    /// empty vec when nothing is pending.
-    pub fn take_batch(&self, max_n: usize, max_bytes: usize) -> Vec<Payload> {
-        let mut out = Vec::new();
-        self.take_batch_into(&mut out, max_n, max_bytes);
-        out
-    }
-
-    /// [`MessageQueue::take_batch`] draining into a caller-provided
-    /// buffer, so a driver can reuse one scratch vec across every step
-    /// instead of allocating per drain. Appends up to `max_n` payloads
-    /// to `out` and returns how many were taken.
-    pub fn take_batch_into(&self, out: &mut Vec<Payload>, max_n: usize, max_bytes: usize) -> usize {
+    /// a message bigger than any budget still makes progress). Appends to
+    /// `out`, so a driver can reuse one scratch vec across every step, and
+    /// returns how many were taken.
+    pub fn take_batch(&self, out: &mut Vec<Payload>, max_n: usize, max_bytes: usize) -> usize {
         if max_n == 0 {
             return 0;
         }
@@ -1400,7 +1062,7 @@ impl MessageQueue {
         let mut taken = 0usize;
         let mut bytes = 0usize;
         while taken < max_n {
-            let Some(next) = self.peek_front_len(&st) else {
+            let Some(next) = st.queue.front().map(|p| p.buffered_len(&self.pool)) else {
                 break;
             };
             if taken != 0 && bytes.saturating_add(next) > max_bytes {
@@ -1427,20 +1089,17 @@ impl MessageQueue {
 
     /// Number of pending messages.
     pub fn len(&self) -> usize {
-        let st = self.state.lock();
-        st.queue.len() + self.ring.get().map_or(0, |r| r.len())
+        self.state.lock().queue.len()
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        let st = self.state.lock();
-        st.queue.is_empty() && self.ring.get().is_none_or(|r| r.is_empty())
+        self.state.lock().queue.is_empty()
     }
 
     /// Bytes currently buffered.
     pub fn buffered_bytes(&self) -> usize {
-        let st = self.state.lock();
-        st.bytes + self.ring.get().map_or(0, |r| r.bytes())
+        self.state.lock().bytes
     }
 
     /// Statistics snapshot.
@@ -1870,11 +1529,8 @@ mod tests {
 
     #[test]
     fn shed_oldest_sheds_lowest_priority_first() {
-        // spsc off: the mutex queue holds everything, so the priority
-        // policy applies to every pending message.
         let (q, pool) = setup(QueueConfig {
             capacity_bytes: 1 << 20,
-            spsc: false,
             ..Default::default()
         });
         let post = |top: &str, body: &str| {
@@ -1911,7 +1567,6 @@ mod tests {
     fn shed_oldest_partial_within_class_keeps_order_and_bytes() {
         let (q, pool) = setup(QueueConfig {
             capacity_bytes: 1 << 20,
-            spsc: false,
             ..Default::default()
         });
         for i in 0..3 {
@@ -1944,62 +1599,11 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_allocated_only_for_a_channel_in_use() {
-        // Construction and every read leave the ring alone.
-        let (q, pool) = setup(QueueConfig::default());
-        assert!(q.spsc_active());
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.buffered_bytes(), 0);
-        assert!(matches!(q.try_fetch(), FetchResult::Empty));
-        assert!(matches!(
-            q.fetch(Duration::from_millis(1)),
-            FetchResult::Empty
-        ));
-        assert!(q.take_batch(8, usize::MAX).is_empty());
-        assert_eq!(q.shed_oldest(4), 0);
-        assert!(q.has_space(1));
-        assert!(!q.ring_allocated(), "never attached or posted to, no ring");
-        // Without an endpoint attached, the first fast-path post allocates.
-        assert_eq!(q.post(payload(&pool, 8)), PostResult::Posted);
-        assert!(q.ring_allocated(), "first fast-path post allocates it");
-        assert_eq!(q.len(), 1);
-        assert!(matches!(q.try_fetch(), FetchResult::Msg(_)));
-
-        // Attaching either endpoint allocates it ahead of any post.
-        let (q, _) = setup(QueueConfig::default());
-        q.attach_sink();
-        assert!(q.ring_allocated(), "sink attached");
-        let (q, _) = setup(QueueConfig::default());
-        q.attach_source();
-        assert!(q.ring_allocated(), "source attached");
-
-        // Channels that can never use the ring never allocate one.
-        for cfg in [
-            QueueConfig {
-                spsc: false,
-                ..Default::default()
-            },
-            QueueConfig {
-                kind: ChannelKind::Sync,
-                full_wait: Duration::from_millis(1),
-                ..Default::default()
-            },
-        ] {
-            let (q, pool) = setup(cfg);
-            q.attach_source();
-            q.attach_sink();
-            let _ = q.post(payload(&pool, 8));
-            assert!(!q.ring_allocated());
-        }
-    }
-
-    #[test]
-    fn fast_path_post_racing_a_break_is_never_stranded() {
-        // A producer that saw the SPSC path on can push after the break
-        // drained the ring; it must discard the payload itself. Two
-        // posting threads (the path is lock-free for any caller) widen
-        // the window.
+    fn post_racing_a_break_is_never_stranded() {
+        // Posts racing a sink break either land before the break drains
+        // the channel (charged `break`) or see it closed (charged
+        // `closed`): none is left behind uncharged. Two posting threads
+        // widen the window.
         const POSTS: u64 = 64;
         for round in 0..200 {
             let (q, pool) = setup(QueueConfig {
@@ -2024,7 +1628,7 @@ mod tests {
             q.detach_sink().unwrap();
             let posted: u64 = posters.into_iter().map(|p| p.join().unwrap()).sum();
             let s = q.stats();
-            assert_eq!(q.len(), 0, "round {round}: stranded in the ring");
+            assert_eq!(q.len(), 0, "round {round}: stranded in the channel");
             assert_eq!(s.dropped_break, posted, "round {round}");
             assert_eq!(
                 s.dropped_break + s.dropped_closed,

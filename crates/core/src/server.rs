@@ -104,8 +104,7 @@ pub struct ServerConfig {
     /// Streamlet supervision (panic isolation is always on; this governs
     /// restarts, quarantine, and the dead-letter queue).
     pub supervision: SupervisionConfig,
-    /// Hot-path batching: per-wake drain ceiling and the SPSC channel
-    /// fast path.
+    /// Hot-path batching: the per-wake drain ceiling.
     pub batching: BatchConfig,
     /// Chain fusion: statically collapse maximal runs of fusable streamlets
     /// into single execution units at deploy time, with event-driven

@@ -50,16 +50,11 @@ pub struct BatchConfig {
     /// Maximum messages a streamlet drains per wake (1 = the paper's
     /// per-message cadence; `process_batch` only engages above 1).
     pub batch_max: usize,
-    /// Enables the lock-free SPSC ring fast path on 1:1 async channels.
-    pub spsc: bool,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig {
-            batch_max: 16,
-            spsc: true,
-        }
+        BatchConfig { batch_max: 16 }
     }
 }
 
@@ -338,18 +333,12 @@ impl StreamBlueprint {
             .flat_map(|r| r.members.iter().map(String::as_str))
             .collect();
 
-        // Priority-aware shedding needs selective removal, which the SPSC
-        // ring cannot do (FIFO pop only): with shedding enabled the
-        // channels stay on the mutex queue so `shed_oldest` can pick
-        // lowest-priority victims instead of whatever is oldest in the ring.
-        let spsc = deps.batching.spsc && !deps.overload.shed_on();
         let channels: Box<[(Arc<str>, Arc<QueueConfig>)]> = table
             .channels
             .iter()
             .filter(|row| !interior.contains(row.name.as_str()))
             .map(|row| {
-                let mut cfg = QueueConfig::from_spec(&row.name, &row.spec);
-                cfg.spsc = spsc;
+                let cfg = QueueConfig::from_spec(&row.name, &row.spec);
                 (Arc::from(row.name.as_str()), Arc::new(cfg))
             })
             .collect();
@@ -430,7 +419,6 @@ impl StreamBlueprint {
                     capacity_bytes: 8 << 20,
                     full_wait: Duration::from_millis(500),
                     ty: ty.clone(),
-                    spsc,
                     ..Default::default()
                 }),
                 to: endpoint(inst, port)?,
@@ -440,7 +428,6 @@ impl StreamBlueprint {
             name: "__egress".into(),
             capacity_bytes: 8 << 20,
             full_wait: Duration::from_millis(500),
-            spsc,
             ..Default::default()
         });
         let egress_from = table
@@ -1091,9 +1078,8 @@ impl RunningStream {
             if !q.is_empty() || stats.dropped_total() > 0 {
                 let _ = writeln!(
                     out,
-                    "channel {name}: len={} spsc={} dropped={}",
+                    "channel {name}: len={} dropped={}",
                     q.len(),
-                    q.spsc_active(),
                     stats.dropped_total()
                 );
             }
@@ -2026,8 +2012,7 @@ impl RunningStream {
                 continue;
             }
             let t = Instant::now();
-            let mut cfg = QueueConfig::from_spec(&row.name, &row.spec);
-            cfg.spsc = self.deps().batching.spsc && !self.deps().overload.shed_on();
+            let cfg = QueueConfig::from_spec(&row.name, &row.spec);
             inner.channels.insert(
                 row.name.as_str().into(),
                 MessageQueue::with_probe(cfg, self.deps().msg_pool.clone(), self.probe.clone()),
@@ -2517,32 +2502,6 @@ mod tests {
         stream.handle_event(&ContextEvent::broadcast(EventKind::Resume));
         assert!(stream.take_output(Duration::from_secs(5)).is_some());
         stream.shutdown();
-    }
-
-    #[test]
-    fn a_chain_ending_in_a_sink_allocates_no_egress_ring() {
-        let script = r#"
-            streamlet tag_a {
-                port { in pi : text; out po : text; }
-                attribute { type = STATELESS; library = "builtin/tag_a"; }
-            }
-            streamlet sink {
-                port { in pi : text; }
-                attribute { type = STATELESS; library = "builtin/tag_b"; }
-            }
-            main stream app {
-                streamlet s1 = new-streamlet (tag_a);
-                streamlet s2 = new-streamlet (sink);
-                connect (s1.po, s2.pi);
-            }
-        "#;
-        let (stream, _) = deploy(script);
-        assert!(stream.ingress.iter().all(|(_, q)| q.ring_allocated()));
-        assert!(!stream.egress.ring_allocated(), "nothing feeds the egress");
-        let (wired, _) = deploy(SCRIPT);
-        assert!(wired.egress.ring_allocated(), "s2 feeds the egress");
-        stream.shutdown();
-        wired.shutdown();
     }
 
     #[test]

@@ -472,7 +472,7 @@ impl Shared {
         let nonblocking = self.nonblocking_outputs.load(Ordering::Relaxed);
         for (q, mut payloads) in runs.drain(..) {
             if nonblocking {
-                q.post_all_nowait_into(&mut payloads);
+                q.post_all_nowait(&mut payloads);
                 if !payloads.is_empty() {
                     // Full queue — or an occupied rendezvous slot: park the
                     // tail with the drop deadline it would have waited out
@@ -489,7 +489,7 @@ impl Shared {
                     q.post(p);
                 }
             } else {
-                q.post_all_from(&mut payloads);
+                q.post_all(&mut payloads);
             }
             spare_runs.push(payloads);
         }
@@ -1661,7 +1661,7 @@ impl StreamletTask {
                         break;
                     }
                 } else {
-                    q.take_batch_into(payloads, batch_max - payloads.len(), BATCH_BYTE_BUDGET);
+                    q.take_batch(payloads, batch_max - payloads.len(), BATCH_BYTE_BUDGET);
                 }
             }
         }
@@ -1943,9 +1943,13 @@ impl StreamletTask {
     }
 }
 
-/// Byte ceiling for one fetched batch, keeping a single wake's working set
-/// bounded even when `batch_max` is large and messages are fat.
-const BATCH_BYTE_BUDGET: usize = 4 << 20;
+/// Byte ceiling for one fetched batch. Batching amortizes per-message
+/// constants, which only small messages notice; a batch of fat messages
+/// buys nothing and holds off the consumer's next take, and a producer
+/// blocked on the full channel waits out that whole batch against Figure
+/// 6-9's `T`. 32 KiB keeps small-message batches whole (`batch_max` 16 of
+/// up to 2 KiB) and takes 8 KiB texts three or four at a time.
+const BATCH_BYTE_BUDGET: usize = 32 << 10;
 
 /// How a [`StreamletTask::step`] invocation left the task.
 enum Step {

@@ -216,14 +216,6 @@ impl QueueProbe {
         self.stream.post_ns.record(ns);
     }
 
-    /// Ring occupancy observed right after a lock-free push (sampled).
-    #[inline]
-    pub fn on_ring_depth(&self, depth: usize) {
-        if self.sample_timing(TimingSite::RingDepth) {
-            self.stream.ring_depth.record(depth as u64);
-        }
-    }
-
     /// `n` messages fetched (single fetch: `n = 1`).
     #[inline]
     pub fn on_fetch(&self, n: u64) {
@@ -283,9 +275,10 @@ impl QueueProbe {
 mod tests {
     use super::*;
 
-    /// One message on a one-in-flight session: post, ring push, batch
-    /// fetch, process — four sampled calls, which divides the period. Each
-    /// histogram must still get its own 1-in-N share.
+    /// One message on a one-in-flight session: post, two batch fetches
+    /// (its input and the egress), process — four sampled calls, which
+    /// divides the period. Each histogram must still get its own 1-in-N
+    /// share.
     #[test]
     fn each_histogram_samples_its_own_share() {
         let probe = Telemetry::new(&TelemetryConfig::enabled()).probe_for("s");
@@ -294,7 +287,7 @@ mod tests {
             if probe.sample_timing(TimingSite::Post) {
                 probe.on_post_ns(1);
             }
-            probe.on_ring_depth(1);
+            probe.on_batch(1);
             probe.on_batch(1);
             if probe.sample_timing(TimingSite::Process) {
                 probe.on_process_ns(1);
@@ -302,13 +295,12 @@ mod tests {
         }
         let m = &probe.stream;
         let want = cycles / TIMING_SAMPLE;
-        for (name, h) in [
-            ("post_ns", &m.post_ns),
-            ("ring_depth", &m.ring_depth),
-            ("batch_len", &m.batch_len),
-            ("process_ns", &m.process_ns),
+        for (name, h, per_cycle) in [
+            ("post_ns", &m.post_ns, 1),
+            ("batch_len", &m.batch_len, 2),
+            ("process_ns", &m.process_ns, 1),
         ] {
-            assert_eq!(h.snapshot().count, want, "{name}");
+            assert_eq!(h.snapshot().count, per_cycle * want, "{name}");
         }
     }
 }

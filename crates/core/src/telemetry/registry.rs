@@ -58,8 +58,6 @@ impl DropReason {
 pub enum TimingSite {
     /// `post_ns`.
     Post,
-    /// `ring_depth`.
-    RingDepth,
     /// `batch_len`.
     Batch,
     /// `process_ns`.
@@ -68,7 +66,7 @@ pub enum TimingSite {
 
 impl TimingSite {
     /// Number of sites.
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 3;
 }
 
 /// Hot-path metrics for one stream/session (or the retired accumulator).
@@ -94,8 +92,6 @@ pub struct StreamMetrics {
     pub post_ns: Histogram,
     /// Admitted message payload sizes, bytes.
     pub msg_bytes: Histogram,
-    /// SPSC ring occupancy sampled after each ring push.
-    pub ring_depth: Histogram,
     /// Messages handed out per `take_batch` call.
     pub batch_len: Histogram,
     /// Wall time of one streamlet `process`/`process_batch` call, ns.
@@ -144,7 +140,6 @@ impl StreamMetrics {
         }
         self.post_ns.absorb(&other.post_ns);
         self.msg_bytes.absorb(&other.msg_bytes);
-        self.ring_depth.absorb(&other.ring_depth);
         self.batch_len.absorb(&other.batch_len);
         self.process_ns.absorb(&other.process_ns);
     }
@@ -164,7 +159,6 @@ impl StreamMetrics {
             faults: self.faults.load(Ordering::Relaxed),
             post_ns: self.post_ns.snapshot(),
             msg_bytes: self.msg_bytes.snapshot(),
-            ring_depth: self.ring_depth.snapshot(),
             batch_len: self.batch_len.snapshot(),
             process_ns: self.process_ns.snapshot(),
         }
@@ -186,7 +180,6 @@ pub struct StreamMetricsSnapshot {
     pub faults: u64,
     pub post_ns: HistogramSnapshot,
     pub msg_bytes: HistogramSnapshot,
-    pub ring_depth: HistogramSnapshot,
     pub batch_len: HistogramSnapshot,
     pub process_ns: HistogramSnapshot,
 }
@@ -215,7 +208,6 @@ impl StreamMetricsSnapshot {
         self.faults += other.faults;
         self.post_ns.merge(&other.post_ns);
         self.msg_bytes.merge(&other.msg_bytes);
-        self.ring_depth.merge(&other.ring_depth);
         self.batch_len.merge(&other.batch_len);
         self.process_ns.merge(&other.process_ns);
     }

@@ -112,12 +112,6 @@ impl MetricsSnapshot {
         );
         histogram(
             &mut out,
-            "mobigate_ring_depth",
-            "SPSC ring occupancy after each push.",
-            &self.totals.ring_depth,
-        );
-        histogram(
-            &mut out,
             "mobigate_batch_len",
             "Messages handed out per take_batch call.",
             &self.totals.batch_len,

@@ -1,28 +1,26 @@
 //! Hot-path batching tests for [`MessageQueue`]:
 //!
 //! * admission corner cases under batching — an oversized message still
-//!   enters an *empty* queue whether the SPSC ring or the mutex queue is
-//!   the active buffer, and `post_all` keeps per-message Figure 6-9
+//!   enters an *empty* queue, and `post_all` keeps per-message Figure 6-9
 //!   drop-on-full semantics;
-//! * `take_batch` draining across the ring→mutex buffer boundary in FIFO
-//!   order (entries posted while SPSC was active always predate entries
-//!   posted after it deactivated);
+//! * `take_batch` count and byte budgets;
 //! * the non-blocking producer API (`post_nowait` / `post_all_nowait`)
 //!   and the edge-triggered space-listener wakeup that pool executors
 //!   build their parked-output flushing on;
-//! * a property test driving one random post/take schedule through an
-//!   SPSC-enabled queue and a mutex-only queue and requiring
-//!   observational equivalence: identical `PostResult`s, identical
-//!   delivery order, identical byte accounting and final stats.
+//! * a property test driving random schedules of every post and take
+//!   entry point (plus sink breaks) through one queue and a `VecDeque`
+//!   reference model with the same byte budget, requiring identical
+//!   `PostResult`s, delivery order, byte accounting and stats.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mobigate_core::pool::{MessagePool, Payload, PayloadMode};
-use mobigate_core::queue::{Notifier, QueueConfig};
+use mobigate_core::queue::{Notifier, QueueConfig, QueueStats};
 use mobigate_core::{FetchResult, MessageQueue, PostResult};
 use mobigate_mcl::ast::ChannelKind;
 use mobigate_mime::{MimeMessage, MimeType};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -42,38 +40,42 @@ fn payload(pool: &MessagePool, n: usize, tag: u8) -> Payload {
     )
 }
 
-fn small_queue(spsc: bool) -> QueueConfig {
+/// `take_batch` into a fresh vec.
+fn take(q: &MessageQueue, max_n: usize, max_bytes: usize) -> Vec<Payload> {
+    let mut out = Vec::new();
+    let n = q.take_batch(&mut out, max_n, max_bytes);
+    assert_eq!(n, out.len());
+    out
+}
+
+fn small_queue() -> QueueConfig {
     QueueConfig {
         capacity_bytes: 256,
         full_wait: Duration::from_millis(5),
-        spsc,
         ..Default::default()
     }
 }
 
 #[test]
-fn oversized_message_admitted_when_empty_spsc_and_mutex() {
-    for spsc in [true, false] {
-        let (q, pool) = setup(small_queue(spsc));
-        q.attach_source();
-        q.attach_sink();
-        assert_eq!(q.spsc_active(), spsc, "spsc={spsc}");
-        // 4 KiB into a 256-byte queue: empty buffer admits it.
-        assert_eq!(q.post(payload(&pool, 4096, 1)), PostResult::Posted);
-        assert_eq!(q.len(), 1);
-        // A second oversized message finds a non-empty queue and must
-        // wait out `T`, then drop — on both buffer implementations.
-        assert_eq!(q.post(payload(&pool, 4096, 2)), PostResult::Dropped);
-        assert_eq!(q.stats().dropped_full, 1, "spsc={spsc}");
-        let batch = q.take_batch(16, usize::MAX);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(
-            pool.resolve(batch.into_iter().next().unwrap())
-                .unwrap()
-                .body[0],
-            1
-        );
-    }
+fn oversized_message_admitted_when_empty() {
+    let (q, pool) = setup(small_queue());
+    q.attach_source();
+    q.attach_sink();
+    // 4 KiB into a 256-byte queue: empty buffer admits it.
+    assert_eq!(q.post(payload(&pool, 4096, 1)), PostResult::Posted);
+    assert_eq!(q.len(), 1);
+    // A second oversized message finds a non-empty queue and must wait
+    // out `T`, then drop.
+    assert_eq!(q.post(payload(&pool, 4096, 2)), PostResult::Dropped);
+    assert_eq!(q.stats().dropped_full, 1);
+    let batch = take(&q, 16, usize::MAX);
+    assert_eq!(batch.len(), 1);
+    assert_eq!(
+        pool.resolve(batch.into_iter().next().unwrap())
+            .unwrap()
+            .body[0],
+        1
+    );
 }
 
 /// Buffered wire length of an `n`-byte-body message (body + MIME
@@ -86,55 +88,18 @@ fn unit_len(pool: &MessagePool, n: usize) -> usize {
 }
 
 #[test]
-fn take_batch_crosses_ring_to_mutex_boundary() {
-    let (q, pool) = setup(QueueConfig {
-        capacity_bytes: 4096,
-        full_wait: Duration::from_millis(5),
-        spsc: true,
-        ..Default::default()
-    });
-    q.attach_source();
-    q.attach_sink();
-    assert!(q.spsc_active());
-    // First three land in the ring via the lock-free path.
-    for tag in 0..3u8 {
-        assert_eq!(q.post(payload(&pool, 16, tag)), PostResult::Posted);
-    }
-    // A second producer deactivates SPSC mid-stream; the next posts go
-    // to the mutex queue while the ring still holds the older entries.
-    q.attach_source();
-    assert!(!q.spsc_active());
-    for tag in 3..6u8 {
-        assert_eq!(q.post(payload(&pool, 16, tag)), PostResult::Posted);
-    }
-    assert_eq!(q.len(), 6);
-    // One batched take spans both buffers and must preserve FIFO.
-    let tags: Vec<u8> = q
-        .take_batch(16, usize::MAX)
-        .into_iter()
-        .map(|p| pool.resolve(p).unwrap().body[0])
-        .collect();
-    assert_eq!(tags, vec![0, 1, 2, 3, 4, 5]);
-    assert!(q.is_empty());
-    assert_eq!(q.buffered_bytes(), 0);
-}
-
-#[test]
 fn take_batch_respects_count_and_byte_budgets() {
-    let (q, pool) = setup(QueueConfig {
-        spsc: false,
-        ..Default::default()
-    });
+    let (q, pool) = setup(QueueConfig::default());
     let unit = unit_len(&pool, 32);
     for tag in 0..8u8 {
         assert_eq!(q.post(payload(&pool, 32, tag)), PostResult::Posted);
     }
     // Count budget.
-    assert_eq!(q.take_batch(3, usize::MAX).len(), 3);
+    assert_eq!(take(&q, 3, usize::MAX).len(), 3);
     // Byte budget: room for exactly two messages, not three.
-    assert_eq!(q.take_batch(16, 2 * unit).len(), 2);
+    assert_eq!(take(&q, 16, 2 * unit).len(), 2);
     // The head is always taken even when it alone exceeds the budget.
-    assert_eq!(q.take_batch(16, 1).len(), 1);
+    assert_eq!(take(&q, 16, 1).len(), 1);
     assert_eq!(q.len(), 2);
 }
 
@@ -148,33 +113,30 @@ fn post_all_admits_prefix_then_drops_on_full() {
         QueueConfig {
             capacity_bytes: 2 * unit,
             full_wait: Duration::from_millis(5),
-            spsc: false,
             ..Default::default()
         },
         pool.clone(),
     );
-    let batch: Vec<Payload> = (0..4).map(|tag| payload(&pool, 100, tag)).collect();
-    let results = q.post_all(batch);
-    assert_eq!(
-        results,
-        vec![
-            PostResult::Posted,
-            PostResult::Posted,
-            PostResult::Dropped,
-            PostResult::Dropped,
-        ]
-    );
+    let mut batch: Vec<Payload> = (0..4).map(|tag| payload(&pool, 100, tag)).collect();
+    q.post_all(&mut batch);
+    assert!(batch.is_empty(), "every payload handled");
     let stats = q.stats();
     assert_eq!(stats.posted, 2);
     assert_eq!(stats.dropped_full, 2);
     assert_eq!(q.buffered_bytes(), 2 * unit);
     // The pool reclaimed the dropped messages' references.
     assert_eq!(pool.stats().resident, 2);
+    // The admitted two are the prefix.
+    let tags: Vec<u8> = take(&q, 16, usize::MAX)
+        .into_iter()
+        .map(|p| pool.resolve(p).unwrap().body[0])
+        .collect();
+    assert_eq!(tags, vec![0, 1]);
 }
 
 #[test]
 fn post_nowait_hands_payload_back_instead_of_waiting() {
-    let (q, pool) = setup(small_queue(false));
+    let (q, pool) = setup(small_queue());
     assert_eq!(
         q.post_nowait(payload(&pool, 200, 1)).unwrap(),
         PostResult::Posted
@@ -195,32 +157,29 @@ fn post_all_nowait_returns_fifo_leftovers() {
         QueueConfig {
             capacity_bytes: 2 * unit,
             full_wait: Duration::from_millis(5),
-            spsc: false,
             ..Default::default()
         },
         pool.clone(),
     );
-    let batch: Vec<Payload> = (0..5).map(|tag| payload(&pool, 100, tag)).collect();
-    let (results, rest) = q.post_all_nowait(batch);
+    let mut rest: Vec<Payload> = (0..5).map(|tag| payload(&pool, 100, tag)).collect();
     // #0 and #1 fit; the tail comes back untouched, still in emission
     // order, so the caller's re-post preserves FIFO.
-    assert_eq!(results, vec![PostResult::Posted, PostResult::Posted]);
+    assert_eq!(q.post_all_nowait(&mut rest), 2);
     assert_eq!(rest.len(), 3);
     // Drain, re-post the leftovers, and confirm global order 0..5.
     let mut tags = Vec::new();
-    for p in q.take_batch(16, usize::MAX) {
+    for p in take(&q, 16, usize::MAX) {
         tags.push(pool.resolve(p).unwrap().body[0]);
     }
-    let (results2, rest2) = q.post_all_nowait(rest);
-    assert_eq!(results2, vec![PostResult::Posted, PostResult::Posted]);
-    assert_eq!(rest2.len(), 1);
-    for p in q.take_batch(16, usize::MAX) {
+    assert_eq!(q.post_all_nowait(&mut rest), 2);
+    assert_eq!(rest.len(), 1);
+    for p in take(&q, 16, usize::MAX) {
         tags.push(pool.resolve(p).unwrap().body[0]);
     }
-    for p in rest2 {
+    for p in rest {
         assert_eq!(q.post_nowait(p).unwrap(), PostResult::Posted);
     }
-    for p in q.take_batch(16, usize::MAX) {
+    for p in take(&q, 16, usize::MAX) {
         tags.push(pool.resolve(p).unwrap().body[0]);
     }
     assert_eq!(tags, vec![0, 1, 2, 3, 4]);
@@ -228,7 +187,7 @@ fn post_all_nowait_returns_fifo_leftovers() {
 
 #[test]
 fn space_listener_fires_on_pop_and_sink_close() {
-    let (q, pool) = setup(small_queue(false));
+    let (q, pool) = setup(small_queue());
     q.attach_source();
     q.attach_sink();
     let n = Arc::new(Notifier::new());
@@ -253,89 +212,250 @@ fn space_listener_fires_on_pop_and_sink_close() {
 }
 
 // ---------------------------------------------------------------------
-// SPSC ≡ mutex-queue observational equivalence.
+// MessageQueue against a reference model.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Op {
-    /// Post one message of the given size (tagged with the op index).
+    /// `post` one message of the given body size.
     Post(usize),
-    /// Take a batch bounded by `(max_n, max_bytes)`.
+    /// `post_all` a run of messages.
+    PostAll(Vec<usize>),
+    /// `post_nowait` one message.
+    PostNowait(usize),
+    /// `post_all_nowait` a run of messages.
+    PostAllNowait(Vec<usize>),
+    /// `take_batch` bounded by `(max_n, max_bytes)`.
     Take(usize, usize),
+    /// `take_batch` of up to `max_n` with a byte budget at the boundary:
+    /// the buffered length of the first `k` pending messages, plus
+    /// `delta` (-1, 0 or 1).
+    TakeAtBoundary(usize, usize, isize),
+    /// `try_fetch`.
+    TryFetch,
+    /// Detach the sink (a BK break: pending dropped, posts `Closed`).
+    Break,
+    /// Reattach the sink.
+    Reattach,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    // Sizes 1..64 against a 200-byte budget keep the buffered count far
-    // below the ring's slot capacity, so the byte budget is the binding
-    // constraint on both implementations; the occasional 300-byte
-    // message exercises oversized-into-empty admission. Arms repeat to
-    // weight the uniform choice toward posts.
+    // Sizes 1..64 against a 200-byte budget fill the queue within a few
+    // posts; the occasional 300-byte message exercises
+    // oversized-into-empty admission. Arms repeat to weight the uniform
+    // choice toward posts.
+    let size = || prop_oneof![1usize..64, 1usize..64, 1usize..64, Just(300usize)];
     prop_oneof![
-        (1usize..64).prop_map(Op::Post),
-        (1usize..64).prop_map(Op::Post),
-        (1usize..64).prop_map(Op::Post),
-        Just(Op::Post(300)),
-        (1usize..6, 1usize..128).prop_map(|(n, b)| Op::Take(n, b)),
-        (1usize..6, 1usize..128).prop_map(|(n, b)| Op::Take(n, b)),
+        size().prop_map(Op::Post),
+        size().prop_map(Op::Post),
+        prop::collection::vec(size(), 0..6).prop_map(Op::PostAll),
+        size().prop_map(Op::PostNowait),
+        prop::collection::vec(size(), 0..6).prop_map(Op::PostAllNowait),
+        (1usize..6, 1usize..600).prop_map(|(n, b)| Op::Take(n, b)),
+        (1usize..6, 1usize..4, -1isize..2).prop_map(|(n, k, d)| Op::TakeAtBoundary(n, k, d)),
+        Just(Op::TryFetch),
+        Just(Op::Break),
+        Just(Op::Reattach),
     ]
 }
 
-/// Runs `ops` against `q` with `full_wait == 0` (so a full queue drops
-/// immediately and the schedule stays deterministic) and returns the
-/// observable trace: per-op results and the drained message tags.
-fn run_ops(q: &MessageQueue, pool: &MessagePool, ops: &[Op]) -> (Vec<String>, Vec<u8>) {
-    let mut trace = Vec::new();
-    let mut drained = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Post(size) => {
-                let r = q.post(payload(pool, size, i as u8));
-                trace.push(format!("post:{r:?}"));
-            }
-            Op::Take(max_n, max_bytes) => {
-                let batch = q.take_batch(max_n, max_bytes);
-                trace.push(format!("take:{}", batch.len()));
-                for p in batch {
-                    drained.push(pool.resolve(p).unwrap().body[0]);
-                }
-            }
-        }
+/// The Figure 6-9 channel with `T = 0`, as a plain FIFO over a byte
+/// budget: an empty buffer admits anything, otherwise a message fits
+/// only within `capacity` buffered bytes.
+struct Model {
+    capacity: usize,
+    /// (tag, buffered length) per pending message.
+    queue: VecDeque<(u8, usize)>,
+    bytes: usize,
+    sink_open: bool,
+    stats: QueueStats,
+}
+
+impl Model {
+    fn admits(&self, len: usize) -> bool {
+        self.queue.is_empty() || self.bytes + len <= self.capacity
     }
-    (trace, drained)
+
+    /// `post`/`post_nowait` admission; `None` when refused.
+    fn offer(&mut self, tag: u8, len: usize) -> Option<PostResult> {
+        if !self.sink_open {
+            self.stats.dropped_closed += 1;
+            return Some(PostResult::Closed);
+        }
+        if !self.admits(len) {
+            return None;
+        }
+        self.queue.push_back((tag, len));
+        self.bytes += len;
+        self.stats.posted += 1;
+        Some(PostResult::Posted)
+    }
+
+    /// A blocking post with `T = 0`: refused means dropped at once.
+    fn post(&mut self, tag: u8, len: usize) -> PostResult {
+        self.offer(tag, len).unwrap_or_else(|| {
+            self.stats.dropped_full += 1;
+            PostResult::Dropped
+        })
+    }
+
+    fn pop(&mut self) -> Option<u8> {
+        let (tag, len) = self.queue.pop_front()?;
+        self.bytes -= len;
+        self.stats.fetched += 1;
+        Some(tag)
+    }
+
+    fn take(&mut self, max_n: usize, max_bytes: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut bytes = 0;
+        while out.len() < max_n {
+            let Some(&(_, len)) = self.queue.front() else {
+                break;
+            };
+            if !out.is_empty() && bytes + len > max_bytes {
+                break;
+            }
+            bytes += len;
+            out.extend(self.pop());
+        }
+        out
+    }
+
+    fn break_sink(&mut self) {
+        self.stats.dropped_break += self.queue.len() as u64;
+        self.queue.clear();
+        self.bytes = 0;
+        self.sink_open = false;
+    }
+}
+
+fn tag_of(pool: &MessagePool, p: Payload) -> u8 {
+    pool.resolve(p).unwrap().body[0]
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
 
-    /// The SPSC ring is a pure specialization: under a single-threaded
-    /// producer/consumer schedule its observable behavior — admission
-    /// decisions, delivery order, byte accounting, lifetime stats — is
-    /// identical to the mutex queue's.
+    /// Every post and take entry point behaves as the reference model:
+    /// per-call outcomes, FIFO delivery order, byte accounting, the
+    /// lifetime stats, and the pool's resident count after each step.
     #[test]
-    fn spsc_ring_matches_mutex_queue(ops in prop::collection::vec(op_strategy(), 0..120)) {
-        let cfg = QueueConfig {
+    fn queue_matches_reference_model(ops in prop::collection::vec(op_strategy(), 0..120)) {
+        let (q, pool) = setup(QueueConfig {
             capacity_bytes: 200,
             full_wait: Duration::ZERO,
             kind: ChannelKind::Async,
             ..Default::default()
+        });
+        q.attach_source();
+        q.attach_sink();
+        let mut model = Model {
+            capacity: 200,
+            queue: VecDeque::new(),
+            bytes: 0,
+            sink_open: true,
+            stats: QueueStats::default(),
         };
-        let (fast, fast_pool) = setup(QueueConfig { spsc: true, ..cfg.clone() });
-        let (slow, slow_pool) = setup(QueueConfig { spsc: false, ..cfg });
-        for q in [&fast, &slow] {
-            q.attach_source();
-            q.attach_sink();
+        let mut next_tag = 0u8;
+        let mut mint = |size: usize| {
+            let tag = next_tag;
+            next_tag = next_tag.wrapping_add(1);
+            let p = payload(&pool, size, tag);
+            let len = p.buffered_len(&pool);
+            (p, tag, len)
+        };
+        for (step, op) in ops.iter().enumerate() {
+            match op {
+                Op::Post(size) => {
+                    let (p, tag, len) = mint(*size);
+                    prop_assert_eq!(q.post(p), model.post(tag, len), "step {}", step);
+                }
+                Op::PostAll(sizes) => {
+                    let minted: Vec<_> = sizes.iter().map(|s| mint(*s)).collect();
+                    for &(_, tag, len) in &minted {
+                        model.post(tag, len);
+                    }
+                    let mut run: Vec<Payload> = minted.into_iter().map(|(p, ..)| p).collect();
+                    q.post_all(&mut run);
+                    prop_assert!(run.is_empty(), "step {}", step);
+                }
+                Op::PostNowait(size) => {
+                    let (p, tag, len) = mint(*size);
+                    match (q.post_nowait(p), model.offer(tag, len)) {
+                        (Ok(got), Some(want)) => prop_assert_eq!(got, want, "step {}", step),
+                        (Err(back), None) => {
+                            prop_assert_eq!(tag_of(&pool, back), tag, "step {}", step)
+                        }
+                        (got, want) => prop_assert!(
+                            false,
+                            "step {}: queue {:?}, model {:?}",
+                            step,
+                            got.map_err(|_| "refused"),
+                            want
+                        ),
+                    }
+                }
+                Op::PostAllNowait(sizes) => {
+                    let minted: Vec<_> = sizes.iter().map(|s| mint(*s)).collect();
+                    let mut handled = 0;
+                    let mut refused = Vec::new();
+                    for &(_, tag, len) in &minted {
+                        if refused.is_empty() && model.offer(tag, len).is_some() {
+                            handled += 1;
+                        } else {
+                            refused.push(tag);
+                        }
+                    }
+                    let mut run: Vec<Payload> = minted.into_iter().map(|(p, ..)| p).collect();
+                    prop_assert_eq!(q.post_all_nowait(&mut run), handled, "step {}", step);
+                    let back: Vec<u8> = run.into_iter().map(|p| tag_of(&pool, p)).collect();
+                    prop_assert_eq!(back, refused, "step {}", step);
+                }
+                Op::Take(max_n, max_bytes) => {
+                    let got: Vec<u8> = take(&q, *max_n, *max_bytes)
+                        .into_iter()
+                        .map(|p| tag_of(&pool, p))
+                        .collect();
+                    prop_assert_eq!(got, model.take(*max_n, *max_bytes), "step {}", step);
+                }
+                Op::TakeAtBoundary(max_n, k, delta) => {
+                    let head: usize = model.queue.iter().take(*k).map(|&(_, len)| len).sum();
+                    let max_bytes = head.saturating_add_signed(*delta);
+                    let got: Vec<u8> = take(&q, *max_n, max_bytes)
+                        .into_iter()
+                        .map(|p| tag_of(&pool, p))
+                        .collect();
+                    prop_assert_eq!(got, model.take(*max_n, max_bytes), "step {}", step);
+                }
+                Op::TryFetch => {
+                    let got = match q.try_fetch() {
+                        FetchResult::Msg(p) => Some(tag_of(&pool, p)),
+                        FetchResult::Empty => None,
+                        FetchResult::Disconnected => {
+                            prop_assert!(false, "step {}: source is attached", step);
+                            None
+                        }
+                    };
+                    prop_assert_eq!(got, model.pop(), "step {}", step);
+                }
+                Op::Break => {
+                    if model.sink_open {
+                        q.detach_sink().unwrap();
+                        model.break_sink();
+                    }
+                }
+                Op::Reattach => {
+                    if !model.sink_open {
+                        q.attach_sink();
+                        model.sink_open = true;
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), model.queue.len(), "step {}", step);
+            prop_assert_eq!(q.buffered_bytes(), model.bytes, "step {}", step);
+            prop_assert_eq!(q.stats(), model.stats, "step {}", step);
+            prop_assert_eq!(pool.stats().resident, model.queue.len(), "step {}", step);
         }
-        prop_assert!(fast.spsc_active());
-        prop_assert!(!slow.spsc_active());
-
-        let (fast_trace, fast_msgs) = run_ops(&fast, &fast_pool, &ops);
-        let (slow_trace, slow_msgs) = run_ops(&slow, &slow_pool, &ops);
-
-        prop_assert_eq!(fast_trace, slow_trace);
-        prop_assert_eq!(fast_msgs, slow_msgs);
-        prop_assert_eq!(fast.len(), slow.len());
-        prop_assert_eq!(fast.buffered_bytes(), slow.buffered_bytes());
-        prop_assert_eq!(fast.stats(), slow.stats());
-        prop_assert_eq!(fast_pool.stats().resident, slow_pool.stats().resident);
     }
 }

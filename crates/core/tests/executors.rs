@@ -1,10 +1,9 @@
-//! Cross-executor observational-equivalence and fairness tests:
+//! Cross-executor equivalence and fairness tests:
 //!
-//! * a property test feeding one random message sequence through an
-//!   SPSC-enabled and a mutex-only deployment of the same chain and
-//!   requiring identical output under *each* executor back end
-//!   (thread-per-streamlet, worker pool) — the batching equivalence
-//!   proptest, parametrized over schedulers;
+//! * a property test feeding one random message sequence through a
+//!   three-stage tagging chain and requiring each output to be its
+//!   input's expected tagged body, in order, under *each* executor back
+//!   end (thread-per-streamlet, worker pool);
 //! * a worker-pool starvation test: one hot session flooding a deep
 //!   chain must not stall cold sessions sharing the same (small) worker
 //!   set — the cooperative pump budget plus the FIFO run queue keeps
@@ -58,11 +57,7 @@ const CHAIN: &str = r#"
     }
 "#;
 
-fn deploy(
-    executor: Arc<dyn Executor>,
-    spsc: bool,
-    session: &str,
-) -> (Arc<RunningStream>, StreamDeps) {
+fn deploy(executor: Arc<dyn Executor>, session: &str) -> (Arc<RunningStream>, StreamDeps) {
     let directory = Arc::new(StreamletDirectory::new());
     directory.register("xq/tag_x", "", || Box::new(Tag('x')));
     directory.register("xq/tag_y", "", || Box::new(Tag('y')));
@@ -75,10 +70,7 @@ fn deploy(
         route_opts: RouteOpts::default(),
         executor,
         supervisor: None,
-        batching: BatchConfig {
-            batch_max: 16,
-            spsc,
-        },
+        batching: BatchConfig { batch_max: 16 },
         fusion: false,
         telemetry: None,
         overload: Default::default(),
@@ -103,36 +95,32 @@ fn executors() -> [Arc<dyn Executor>; 2] {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
-    /// The SPSC ring fast path is a pure specialization at stream level
-    /// too: the same message sequence through a ring-enabled and a
-    /// mutex-only chain yields identical bodies in identical order, and
-    /// the scheduler driving the chain must not matter — both
-    /// executors satisfy the equivalence.
+    /// Every message crosses the chain once, tagged by each stage in
+    /// order, and leaves in the order it entered; the scheduler driving
+    /// the chain must not matter — both executors satisfy it.
     #[test]
-    fn spsc_stream_matches_mutex_stream_on_all_executors(
+    fn chain_output_is_each_input_tagged_in_order_on_all_executors(
         tags in prop::collection::vec(any::<u8>(), 1..20)
     ) {
         for executor in executors() {
-            let (fast, _) = deploy(executor.clone(), true, "spsc-on");
-            let (slow, _) = deploy(executor.clone(), false, "spsc-off");
+            let (stream, _) = deploy(executor.clone(), "chain");
             for (i, t) in tags.iter().enumerate() {
-                let text = format!("m{i}-{t}");
-                fast.post_input(MimeMessage::text(text.clone())).unwrap();
-                slow.post_input(MimeMessage::text(text)).unwrap();
+                stream.post_input(MimeMessage::text(format!("m{i}-{t}"))).unwrap();
             }
-            let drain = |s: &RunningStream| -> Vec<String> {
-                (0..tags.len())
-                    .map(|_| {
-                        let out = s.take_output(Duration::from_secs(5)).expect("output");
-                        String::from_utf8_lossy(&out.body).into_owned()
-                    })
-                    .collect()
-            };
-            let out_fast = drain(&fast);
-            let out_slow = drain(&slow);
-            prop_assert_eq!(out_fast, out_slow, "executor {}", executor.name());
-            fast.shutdown();
-            slow.shutdown();
+            let out: Vec<String> = (0..tags.len())
+                .map(|_| {
+                    let out = stream.take_output(Duration::from_secs(5)).expect("output");
+                    String::from_utf8_lossy(&out.body).into_owned()
+                })
+                .collect();
+            let expected: Vec<String> = tags
+                .iter()
+                .enumerate()
+                .map(|(i, t)| format!("m{i}-{t}xyz"))
+                .collect();
+            prop_assert_eq!(out, expected, "executor {}", executor.name());
+            prop_assert!(stream.take_output(Duration::ZERO).is_none());
+            stream.shutdown();
             if executor.name() != "thread-per-streamlet" {
                 executor.shutdown();
             }
@@ -147,9 +135,9 @@ proptest! {
 #[test]
 fn worker_pool_hot_session_does_not_starve_cold_sessions() {
     let executor: Arc<dyn Executor> = WorkerPool::new(2);
-    let (hot, _) = deploy(executor.clone(), true, "hot");
+    let (hot, _) = deploy(executor.clone(), "hot");
     let colds: Vec<_> = (0..4)
-        .map(|i| deploy(executor.clone(), true, &format!("cold-{i}")).0)
+        .map(|i| deploy(executor.clone(), &format!("cold-{i}")).0)
         .collect();
 
     // Flood the hot session from a dedicated producer for the duration

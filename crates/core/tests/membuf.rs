@@ -49,10 +49,7 @@ fn deps(pool: Arc<BufferPool>) -> StreamDeps {
         route_opts: RouteOpts::default(),
         executor: WorkerPool::new(2),
         supervisor: None,
-        batching: BatchConfig {
-            batch_max: 16,
-            spsc: false,
-        },
+        batching: BatchConfig { batch_max: 16 },
         fusion: false,
         telemetry: None,
         overload: Default::default(),
