@@ -739,7 +739,13 @@ fn batching(quick: bool) {
 
     let chain_k = 10;
     let chain_bytes = 10 * 1024;
-    let total = if quick { 400 } else { 2000 };
+    // Each sample is a burst of at least this long, so that one
+    // descheduling on a shared host cannot move a corner's median.
+    let window = if quick {
+        Duration::from_millis(250)
+    } else {
+        Duration::from_secs(1)
+    };
     let runs = if quick { 3 } else { 5 };
     let batch_n = 16;
 
@@ -747,31 +753,48 @@ fn batching(quick: bool) {
         ("thread_per_streamlet", ExecutorConfig::ThreadPerStreamlet),
         ("worker_pool8", ExecutorConfig::WorkerPool { workers: 8 }),
     ];
+    // Every corner's chain is deployed up front; each repeat then samples
+    // all four in turn, so slow spells on the host fall on every corner
+    // alike instead of on whichever corner ran during them.
+    let corners: Vec<(&str, usize, ChainHarness)> = executors
+        .iter()
+        .flat_map(|(exec_name, exec_cfg)| {
+            [1, batch_n].map(|batch_max| {
+                let cfg = ServerConfig {
+                    executor: *exec_cfg,
+                    batching: BatchConfig { batch_max },
+                    ..Default::default()
+                };
+                (
+                    *exec_name,
+                    batch_max,
+                    ChainHarness::with_config(chain_k, cfg),
+                )
+            })
+        })
+        .collect();
+    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(runs); corners.len()];
+    for _ in 0..runs {
+        for ((_, _, harness), samples) in corners.iter().zip(&mut samples) {
+            samples.push(harness.throughput_for(chain_bytes, window));
+        }
+    }
 
     let mut csv = Csv::new(["executor", "batch_max", "throughput_msg_s"]);
-    // (executor, batch, median msg/s)
-    let mut series: Vec<(String, usize, f64)> = Vec::new();
-    for (exec_name, exec_cfg) in &executors {
-        for batch_max in [1, batch_n] {
-            let cfg = ServerConfig {
-                executor: *exec_cfg,
-                batching: BatchConfig { batch_max },
-                ..Default::default()
-            };
-            let harness = ChainHarness::with_config(chain_k, cfg);
-            let mut samples: Vec<f64> = (0..runs)
-                .map(|_| harness.throughput(chain_bytes, total))
-                .collect();
-            samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let median = samples[samples.len() / 2];
-            println!("  {exec_name:<21} batch={batch_max:<3}: {median:>9.0} msg/s");
-            csv.row([
-                exec_name.to_string(),
-                batch_max.to_string(),
-                format!("{median:.0}"),
-            ]);
-            series.push((exec_name.to_string(), batch_max, median));
-        }
+    // (executor, batch, [q1, median, q3] msg/s)
+    let mut series: Vec<(&str, usize, [f64; 3])> = Vec::new();
+    for ((exec_name, batch_max, _), samples) in corners.iter().zip(&samples) {
+        let q = [0.25, 0.5, 0.75].map(|p| quantile(samples, p));
+        println!(
+            "  {exec_name:<21} batch={batch_max:<3}: {:>9.0} msg/s  (IQR {:.0}..{:.0})",
+            q[1], q[0], q[2]
+        );
+        csv.row([
+            exec_name.to_string(),
+            batch_max.to_string(),
+            format!("{:.0}", q[1]),
+        ]);
+        series.push((exec_name, *batch_max, q));
     }
     println!();
     print!("{}", csv.to_table());
@@ -780,8 +803,8 @@ fn batching(quick: bool) {
         let find = |batch: usize| {
             series
                 .iter()
-                .find(|(e, b, _)| e == exec && *b == batch)
-                .map(|(.., t)| *t)
+                .find(|(e, b, _)| *e == exec && *b == batch)
+                .map(|(.., q)| q[1])
                 .expect("corner measured")
         };
         find(batch_n) / find(1)
@@ -789,7 +812,7 @@ fn batching(quick: bool) {
     let speedup_tps = speedup("thread_per_streamlet");
     let speedup_wp8 = speedup("worker_pool8");
     println!(
-        "\nbatch={batch_n} over batch=1: thread-per-streamlet {speedup_tps:.2}x, \
+        "\nbatch={batch_n} over batch=1 (medians): thread-per-streamlet {speedup_tps:.2}x, \
          worker-pool8 {speedup_wp8:.2}x"
     );
 
@@ -800,18 +823,25 @@ fn batching(quick: bool) {
     json.push_str("  \"workload\": {\n");
     json.push_str(&format!(
         "    \"redirectors\": {chain_k}, \"message_bytes\": {chain_bytes}, \
-         \"messages_per_burst\": {total}, \"runs\": {runs}, \"metric\": \
-         \"median pipelined throughput (msg/s)\"\n"
+         \"sample_seconds\": {}, \"runs\": {runs}, \"order\": \"corners interleaved \
+         within each run\", \"metric\": \"pipelined throughput (msg/s): median and \
+         interquartile range over runs\"\n",
+        window.as_secs_f64()
     ));
     json.push_str("  },\n");
     json.push_str(&format!("  \"batch_n\": {batch_n},\n"));
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str("  \"series\": [\n");
-    for (i, (exec_name, batch_max, msg_s)) in series.iter().enumerate() {
+    for (i, ((exec_name, batch_max, [q1, median, q3]), samples)) in
+        series.iter().zip(&samples).enumerate()
+    {
         let sep = if i + 1 == series.len() { "" } else { "," };
+        let samples: Vec<String> = samples.iter().map(|s| format!("{s:.1}")).collect();
         json.push_str(&format!(
             "    {{\"executor\": \"{exec_name}\", \"batch_max\": {batch_max}, \
-             \"throughput_msg_per_s\": {msg_s:.1}}}{sep}\n"
+             \"throughput_msg_per_s\": {median:.1}, \"q1\": {q1:.1}, \"q3\": {q3:.1}, \
+             \"samples\": [{}]}}{sep}\n",
+            samples.join(", ")
         ));
     }
     json.push_str("  ],\n");
@@ -828,6 +858,16 @@ fn batching(quick: bool) {
     json.push_str("}\n");
     save_json("BENCH_batching", &json);
     save("batching_ablation", &csv);
+}
+
+/// The `q` quantile (0..=1) of `values`, interpolating linearly between
+/// the closest ranks — the statistic gatebench reports.
+fn quantile(values: &[f64], q: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
 /// Chain fusion ablation: pipelined throughput of the Figure 7-2 redirector

@@ -9,6 +9,7 @@ use mobigate::core::pool::PayloadMode;
 use mobigate::core::{MobiGate, RunningStream, ServerConfig, StreamletDirectory, StreamletPool};
 use mobigate::mime::{MimeMessage, MimeType};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -138,6 +139,49 @@ impl ChainHarness {
             .saturating_duration_since(t0)
             .max(Duration::from_micros(1));
         got as f64 / elapsed.as_secs_f64()
+    }
+
+    /// Pipelined chain throughput in messages/second over a burst that
+    /// lasts at least `window`: like [`Self::throughput`], but the producer
+    /// posts until the window has passed, so a sample is long enough that
+    /// one descheduling on a shared host cannot dominate it. The rate counts
+    /// deliveries inside the window; the chain is then drained, so the next
+    /// sample (of this chain or another) starts on an idle host.
+    pub fn throughput_for(&self, size: usize, window: Duration) -> f64 {
+        let body = vec![0x5Au8; size];
+        let msg = MimeMessage::new(&MimeType::new("application", "octet-stream"), body);
+        self.round_trip(msg.clone()); // warm-up: first-touch costs
+        let stop = Arc::new(AtomicBool::new(false));
+        let t0 = Instant::now();
+        let producer = {
+            let (stream, stop) = (self.stream.clone(), stop.clone());
+            std::thread::spawn(move || {
+                let mut posted = 0usize;
+                while !stop.load(Ordering::Relaxed) {
+                    stream.post_input(msg.clone()).expect("post");
+                    posted += 1;
+                }
+                posted
+            })
+        };
+        let mut got = 0usize;
+        let mut in_window = None;
+        // Back-pressure drops under extreme load can leave the egress
+        // empty for good: a 2 s silence ends the burst.
+        while in_window.is_none() && self.stream.take_output(Duration::from_secs(2)).is_some() {
+            got += 1;
+            let elapsed = t0.elapsed();
+            if elapsed >= window {
+                in_window = Some((got, elapsed));
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        let posted = producer.join().expect("producer thread");
+        while got < posted && self.stream.take_output(Duration::from_secs(2)).is_some() {
+            got += 1;
+        }
+        let (delivered, elapsed) = in_window.unwrap_or((got, t0.elapsed()));
+        delivered as f64 / elapsed.as_secs_f64()
     }
 }
 

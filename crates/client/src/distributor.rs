@@ -14,7 +14,7 @@
 
 use crate::pool::ClientStreamletPool;
 use mobigate_core::{EventKind, StreamletCtx, StreamletLogic};
-use mobigate_mime::{multipart, MimeMessage};
+use mobigate_mime::{multipart, MimeMessage, PEER_CHAIN};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -245,8 +245,11 @@ fn distributor_loop(shared: Arc<Shared>) {
         // Multipart bodies *without* a peer chain are distributed per part
         // (§3.4.1 "parse the incoming MIME messages and distribute them");
         // a multipart with a chain is handled by its peers (e.g. the
-        // disaggregate peer of the aggregate streamlet).
-        let parts = if msg.content_type().top == "multipart" && msg.peer_chain().is_empty() {
+        // disaggregate peer of the aggregate streamlet). A frame with
+        // neither goes straight to the application.
+        let parts = if msg.headers.get(PEER_CHAIN).is_some() {
+            vec![msg]
+        } else if msg.has_top_type("multipart") {
             match multipart::split(&msg) {
                 Ok(parts) => parts,
                 Err(_) => {
@@ -255,17 +258,23 @@ fn distributor_loop(shared: Arc<Shared>) {
                 }
             }
         } else {
-            vec![msg]
+            deliver(&shared, msg);
+            continue;
         };
 
         for part in parts {
             for done in reverse_process(&shared, part) {
-                shared.delivered.fetch_add(1, Ordering::Relaxed);
-                shared.outbox.lock().push_back(done);
-                shared.outbox_cv.notify_all();
+                deliver(&shared, done);
             }
         }
     }
+}
+
+/// Hands a fully reverse-processed message to the application.
+fn deliver(shared: &Shared, msg: MimeMessage) {
+    shared.delivered.fetch_add(1, Ordering::Relaxed);
+    shared.outbox.lock().push_back(msg);
+    shared.outbox_cv.notify_all();
 }
 
 /// Pops the peer chain and applies each peer streamlet (most recent

@@ -208,7 +208,7 @@ impl FusedLogic {
                     member.instance
                 ));
             };
-            let feed = std::mem::take(&mut self.batch);
+            let mut feed = std::mem::take(&mut self.batch);
             let outs_buf = std::mem::take(&mut self.stage_outs);
             let spare = std::mem::take(&mut self.spare);
             let use_batch = feed.len() > 1 && logic.supports_batch();
@@ -226,13 +226,17 @@ impl FusedLogic {
                 let mut mctx =
                     StreamletCtx::with_buffers(&member.instance, session, outs_buf, spare);
                 if use_batch {
-                    if logic.process_batch(feed, &mut mctx).is_err() {
+                    // `process_batch` takes the feed's buffer with it.
+                    if logic
+                        .process_batch(std::mem::take(&mut feed), &mut mctx)
+                        .is_err()
+                    {
                         errors += 1;
                         mctx.truncate_outputs(0);
                     }
                     errors += mctx.charged_errors();
                 } else {
-                    for msg in feed {
+                    for msg in feed.drain(..) {
                         let mark = mctx.outputs_len();
                         if logic.process(msg, &mut mctx).is_err() {
                             errors += 1;
@@ -240,9 +244,9 @@ impl FusedLogic {
                         }
                     }
                 }
-                (errors, mctx.into_parts())
+                (errors, mctx.into_parts(), feed)
             }));
-            let (errors, (mut outs, spare)) = match outcome {
+            let (errors, (mut outs, spare), feed) = match outcome {
                 Ok(pair) => pair,
                 Err(payload) => {
                     // Member-attributed fault: drop the poisoned logic,
@@ -281,7 +285,9 @@ impl FusedLogic {
                 }
             }
             self.stage_outs = outs;
-            std::mem::swap(&mut self.batch, &mut self.next);
+            // The drained feed's buffer becomes the next stage's: no stage
+            // transition allocates.
+            self.batch = std::mem::replace(&mut self.next, feed);
         }
         self.batch.clear();
         Ok(())

@@ -31,7 +31,7 @@
 // values, never abort.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use mobigate_mime::MimeType;
+use mobigate_mime::{MimeMessage, MimeType};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -168,10 +168,24 @@ pub enum PriorityClass {
 impl PriorityClass {
     /// Classifies a content type by its top-level component.
     pub fn of(ty: &MimeType) -> PriorityClass {
-        match ty.top.as_str() {
-            "text" | "application" => PriorityClass::Interactive,
-            "image" | "video" | "audio" => PriorityClass::Bulk,
-            _ => PriorityClass::Normal,
+        PriorityClass::of_top(&ty.top)
+    }
+
+    /// Classifies a message by its content type's top-level component,
+    /// read without building the type.
+    pub(crate) fn of_message(msg: &MimeMessage) -> PriorityClass {
+        PriorityClass::of_top(msg.content_top())
+    }
+
+    /// Classifies a top-level media type (compared case-insensitively).
+    fn of_top(top: &str) -> PriorityClass {
+        let is = |name: &str| top.eq_ignore_ascii_case(name);
+        if is("text") || is("application") {
+            PriorityClass::Interactive
+        } else if is("image") || is("video") || is("audio") {
+            PriorityClass::Bulk
+        } else {
+            PriorityClass::Normal
         }
     }
 }

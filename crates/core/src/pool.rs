@@ -29,10 +29,12 @@
 // Hot-path modules must surface failures as `CoreError`s, never abort.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use crate::overload::PriorityClass;
 use bytes::Bytes;
-use mobigate_mime::{MimeMessage, MimeType};
+use mobigate_mime::MimeMessage;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a pooled message.
@@ -54,21 +56,57 @@ pub enum PayloadMode {
 /// What actually travels through a [`crate::queue::MessageQueue`].
 #[derive(Debug)]
 pub enum Payload {
-    /// A pool reference.
-    Ref(MessageId),
+    /// A pool reference, carrying the message's wire length taken when it
+    /// was inserted, so a channel accounts its buffer without a pool
+    /// lookup.
+    Ref {
+        /// The pooled message.
+        id: MessageId,
+        /// [`MimeMessage::wire_len`] of the message at insert.
+        len: usize,
+    },
     /// An owned copy.
     Value(Box<MimeMessage>),
 }
 
 impl Payload {
-    /// Approximate size in bytes for channel-buffer accounting.
-    pub fn buffered_len(&self, pool: &MessagePool) -> usize {
+    /// Size in bytes for channel-buffer accounting: the message's wire
+    /// length. Constant over the payload's life.
+    pub fn buffered_len(&self) -> usize {
         match self {
-            Payload::Ref(id) => pool.peek_len(*id).unwrap_or(0),
+            Payload::Ref { len, .. } => *len,
             Payload::Value(m) => m.wire_len(),
         }
     }
 }
+
+/// Hashes the pool's sequential `u64` ids: one multiply by the golden
+/// ratio and a fold of the high half into the low, so both the bucket
+/// bits (low) and the tag bits (high) a hash table reads vary with every
+/// id — even among one shard's ids, which share their low bits.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    // Only `u64` keys are hashed; other input folds in a byte at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let x = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = x ^ (x >> 32);
+    }
+}
+
+/// A map keyed by sequential ids, hashed by [`IdHasher`].
+pub(crate) type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 #[derive(Debug)]
 struct Entry {
@@ -96,14 +134,14 @@ pub struct PoolStats {
 /// without locking.
 #[derive(Debug, Default)]
 struct Shard {
-    slots: Mutex<HashMap<u64, Entry>>,
+    slots: Mutex<IdMap<Entry>>,
     inserted: AtomicU64,
     evicted: AtomicU64,
     resident_bytes: AtomicU64,
 }
 
 impl Shard {
-    fn evict(&self, map: &mut HashMap<u64, Entry>, id: u64) -> Option<MimeMessage> {
+    fn evict(&self, map: &mut IdMap<Entry>, id: u64) -> Option<MimeMessage> {
         let e = map.remove(&id)?;
         self.evicted.fetch_add(1, Ordering::Release);
         self.resident_bytes
@@ -180,6 +218,16 @@ impl MessagePool {
         MessageId(id)
     }
 
+    /// Stores a message for `refs` consumers and returns the payload that
+    /// references it, its wire length taken now.
+    pub(crate) fn insert_ref(&self, msg: MimeMessage, refs: u32) -> Payload {
+        let len = msg.wire_len();
+        Payload::Ref {
+            id: self.insert(msg, refs),
+            len,
+        }
+    }
+
     /// Adds `n` references to an existing entry (fan-out after insertion).
     /// Returns false when the id is unknown (already fully consumed).
     pub fn add_refs(&self, id: MessageId, n: u32) -> bool {
@@ -224,14 +272,14 @@ impl MessagePool {
             .map(|e| e.msg.wire_len())
     }
 
-    /// Content type of a resident message — feeds priority classification
-    /// during shedding without cloning the body handle or the headers.
-    pub fn peek_type(&self, id: MessageId) -> Option<MimeType> {
+    /// Priority class of a resident message — feeds shedding without
+    /// cloning the body handle or the headers, or building its type.
+    pub(crate) fn peek_class(&self, id: MessageId) -> Option<PriorityClass> {
         self.shard(id.0)
             .slots
             .lock()
             .get(&id.0)
-            .map(|e| e.msg.content_type())
+            .map(|e| PriorityClass::of_message(&e.msg))
     }
 
     /// Takes one reference: returns the message (body shared, not copied)
@@ -290,7 +338,7 @@ impl MessagePool {
     /// the rest).
     pub fn wrap(&self, msg: MimeMessage, mode: PayloadMode, fanout: u32) -> Payload {
         match mode {
-            PayloadMode::Reference => Payload::Ref(self.insert(msg, fanout)),
+            PayloadMode::Reference => self.insert_ref(msg, fanout),
             PayloadMode::Value => Payload::Value(Box::new(deep_copy(&msg))),
         }
     }
@@ -312,14 +360,14 @@ impl MessagePool {
     /// Resolves a payload into an owned message, consuming its reference.
     pub fn resolve(&self, payload: Payload) -> Option<MimeMessage> {
         match payload {
-            Payload::Ref(id) => self.take_ref(id),
+            Payload::Ref { id, .. } => self.take_ref(id),
             Payload::Value(m) => Some(*m),
         }
     }
 
     /// Releases a payload without reading it.
     pub fn discard(&self, payload: Payload) {
-        if let Payload::Ref(id) = payload {
+        if let Payload::Ref { id, .. } = payload {
             self.drop_ref(id);
         }
     }
@@ -431,7 +479,7 @@ mod tests {
     fn wrap_and_resolve_reference_mode() {
         let pool = MessagePool::new();
         let p = pool.wrap(msg(9), PayloadMode::Reference, 1);
-        assert!(matches!(p, Payload::Ref(_)));
+        assert!(matches!(p, Payload::Ref { .. }));
         let m = pool.resolve(p).unwrap();
         assert_eq!(m.body.len(), 9);
         assert_eq!(pool.stats().resident, 0);
@@ -452,9 +500,9 @@ mod tests {
         let m = msg(100);
         let expected = m.wire_len();
         let r = pool.wrap(m.clone(), PayloadMode::Reference, 1);
-        assert_eq!(r.buffered_len(&pool), expected);
+        assert_eq!(r.buffered_len(), expected);
         let v = pool.wrap_copy(&m);
-        assert_eq!(v.buffered_len(&pool), expected);
+        assert_eq!(v.buffered_len(), expected);
         pool.discard(r);
     }
 

@@ -560,7 +560,7 @@ impl MessageQueue {
     /// Posts a payload (Figure 6-9 semantics). Sync channels block until
     /// the message is taken or `T` elapses (rendezvous-or-drop).
     pub fn post(&self, payload: Payload) -> PostResult {
-        let len = payload.buffered_len(&self.pool);
+        let len = payload.buffered_len();
         let t0 = self
             .probe
             .as_ref()
@@ -720,7 +720,7 @@ impl MessageQueue {
                 self.charge_drop(DropReason::Closed, 1);
                 continue;
             }
-            let len = payload.buffered_len(&self.pool);
+            let len = payload.buffered_len();
             let mut payload = payload;
             loop {
                 match self.try_admit(&mut st, payload, len) {
@@ -795,7 +795,7 @@ impl MessageQueue {
     /// *worker thread* — a chain deeper than the worker count would
     /// otherwise deadlock with every worker blocked inside a post.
     pub fn post_nowait(&self, payload: Payload) -> Result<PostResult, Payload> {
-        let len = payload.buffered_len(&self.pool);
+        let len = payload.buffered_len();
         let mut st = self.state.lock();
         if !st.sink_open {
             drop(st);
@@ -853,7 +853,7 @@ impl MessageQueue {
                 handled += 1;
                 continue;
             }
-            let len = payload.buffered_len(&self.pool);
+            let len = payload.buffered_len();
             match self.try_admit(&mut st, payload, len) {
                 Ok(()) => {
                     admitted += 1;
@@ -928,7 +928,7 @@ impl MessageQueue {
             let old = std::mem::take(&mut st.queue);
             for (i, p) in old.into_iter().enumerate() {
                 if shed[i] {
-                    st.bytes = st.bytes.saturating_sub(p.buffered_len(&self.pool));
+                    st.bytes = st.bytes.saturating_sub(p.buffered_len());
                     self.pool.discard(p);
                     n += 1;
                 } else {
@@ -949,11 +949,8 @@ impl MessageQueue {
     /// A `Ref` whose pool entry vanished classifies as `Normal`.
     fn payload_class(&self, p: &Payload) -> PriorityClass {
         match p {
-            Payload::Value(m) => PriorityClass::of(&m.content_type()),
-            Payload::Ref(id) => self
-                .pool
-                .peek_type(*id)
-                .map_or(PriorityClass::Normal, |t| PriorityClass::of(&t)),
+            Payload::Value(m) => PriorityClass::of_message(m),
+            Payload::Ref { id, .. } => self.pool.peek_class(*id).unwrap_or(PriorityClass::Normal),
         }
     }
 
@@ -999,7 +996,7 @@ impl MessageQueue {
     /// Pops the oldest pending payload. Caller holds the state lock.
     fn pop_one(&self, st: &mut QState) -> Option<Payload> {
         let p = st.queue.pop_front()?;
-        st.bytes = st.bytes.saturating_sub(p.buffered_len(&self.pool));
+        st.bytes = st.bytes.saturating_sub(p.buffered_len());
         Some(p)
     }
 
@@ -1062,7 +1059,7 @@ impl MessageQueue {
         let mut taken = 0usize;
         let mut bytes = 0usize;
         while taken < max_n {
-            let Some(next) = st.queue.front().map(|p| p.buffered_len(&self.pool)) else {
+            let Some(next) = st.queue.front().map(|p| p.buffered_len()) else {
                 break;
             };
             if taken != 0 && bytes.saturating_add(next) > max_bytes {

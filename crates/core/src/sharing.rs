@@ -20,7 +20,7 @@
 //! restricts pooling/sharing to stateless streamlets.
 
 use crate::error::CoreError;
-use crate::pool::{MessagePool, Payload, PayloadMode};
+use crate::pool::{MessagePool, PayloadMode};
 use crate::queue::{FetchResult, MessageQueue, Notifier, QueueConfig};
 use crate::streamlet::{StreamletCtx, StreamletLogic};
 use mobigate_mime::{MimeMessage, SessionId};
@@ -205,7 +205,7 @@ fn shared_worker(
             match target {
                 Some(q) => {
                     let payload = match inner.mode {
-                        PayloadMode::Reference => Payload::Ref(inner.pool.insert(out_msg, 1)),
+                        PayloadMode::Reference => inner.pool.insert_ref(out_msg, 1),
                         // The emission is owned and about to drop — moving
                         // it (refcounted body and all) into the payload is
                         // observationally identical to a deep copy, minus

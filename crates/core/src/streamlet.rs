@@ -447,9 +447,10 @@ impl Shared {
                 }
                 match self.mode {
                     PayloadMode::Reference => {
+                        let len = msg.wire_len();
                         let id = self.pool.insert(msg, fanout as u32);
                         for q in targets.iter().filter(|q| admit(q)) {
-                            Self::push_run(runs, spare_runs, q, Payload::Ref(id));
+                            Self::push_run(runs, spare_runs, q, Payload::Ref { id, len });
                         }
                     }
                     PayloadMode::Value => {
@@ -598,7 +599,7 @@ impl Shared {
                 continue;
             }
             checked.push(key);
-            if now >= *deadline || q.has_space(p.buffered_len(&self.pool)) {
+            if now >= *deadline || q.has_space(p.buffered_len()) {
                 return true;
             }
         }
@@ -818,7 +819,7 @@ impl StreamletHandle {
             .pending_out
             .lock()
             .iter()
-            .map(|(_, p, _)| p.buffered_len(&self.shared.pool))
+            .map(|(_, p, _)| p.buffered_len())
             .sum()
     }
 

@@ -82,7 +82,7 @@ fn oversized_message_admitted_when_empty() {
 /// headers) — admission accounting is in wire bytes, not body bytes.
 fn unit_len(pool: &MessagePool, n: usize) -> usize {
     let p = payload(pool, n, 0);
-    let len = p.buffered_len(pool);
+    let len = p.buffered_len();
     pool.discard(p);
     len
 }
@@ -132,6 +132,64 @@ fn post_all_admits_prefix_then_drops_on_full() {
         .map(|p| pool.resolve(p).unwrap().body[0])
         .collect();
     assert_eq!(tags, vec![0, 1]);
+}
+
+/// A `Ref` payload carries the wire length it was inserted with, and a
+/// channel accounts its buffer by that length alone: after interleaved
+/// batch posts, byte-budgeted batch takes and priority sheds of mixed
+/// sizes and types, draining the channel leaves exactly zero bytes.
+#[test]
+fn buffered_bytes_return_to_zero_after_interleaved_posts_takes_and_sheds() {
+    let (q, pool) = setup(QueueConfig {
+        capacity_bytes: 1 << 20,
+        ..Default::default()
+    });
+    q.attach_source();
+    q.attach_sink();
+    let (mut run, mut out) = (Vec::new(), Vec::new());
+    let (mut posted, mut taken) = (0usize, 0usize);
+    for round in 0..60usize {
+        for i in 0..6usize {
+            let ty = if (round + i) % 3 == 0 {
+                MimeType::new("image", "gif")
+            } else {
+                MimeType::new("text", "plain")
+            };
+            let msg = MimeMessage::new(&ty, vec![i as u8; 16 + 40 * i + round]);
+            let p = pool.wrap(msg, PayloadMode::Reference, 1);
+            assert!(matches!(p, Payload::Ref { .. }));
+            posted += p.buffered_len();
+            run.push(p);
+        }
+        q.post_all(&mut run);
+        let before = q.buffered_bytes();
+        match round % 3 {
+            0 => {
+                q.take_batch(&mut out, 4, 300);
+            }
+            1 => {
+                q.shed_oldest(2);
+                taken += before - q.buffered_bytes();
+            }
+            _ => {
+                q.take_batch(&mut out, 2, usize::MAX);
+            }
+        }
+        for p in out.drain(..) {
+            taken += p.buffered_len();
+            pool.discard(p);
+        }
+        assert_eq!(q.buffered_bytes(), posted - taken, "round {round}");
+    }
+    while q.take_batch(&mut out, usize::MAX, usize::MAX) > 0 {
+        for p in out.drain(..) {
+            pool.discard(p);
+        }
+    }
+    assert_eq!(q.len(), 0);
+    assert_eq!(q.buffered_bytes(), 0);
+    assert_eq!(q.stats().dropped_shed, 40);
+    assert_eq!(pool.stats().resident, 0);
 }
 
 #[test]
@@ -362,7 +420,7 @@ proptest! {
             let tag = next_tag;
             next_tag = next_tag.wrapping_add(1);
             let p = payload(&pool, size, tag);
-            let len = p.buffered_len(&pool);
+            let len = p.buffered_len();
             (p, tag, len)
         };
         for (step, op) in ops.iter().enumerate() {

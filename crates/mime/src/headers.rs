@@ -6,10 +6,17 @@
 //!
 //! A header block is kept in its wire form: one `String` holding the
 //! `Name: value\r\n` lines exactly as [`Headers::to_wire`] emits them, plus
-//! a small per-line index of offsets into it. Parsing a block allocates
-//! those two buffers (and their shared handle) however many lines it has,
-//! and serializing one is a single copy — the per-hop parse/re-encapsulate work of §7.2 stays cheap
-//! next to the data, as §6.7 intends for meta-data.
+//! a per-line index of offsets into it. The index lives inline in the
+//! block's shared allocation for up to eight lines and spills to
+//! the heap only past that, so parsing a block costs two allocations (the
+//! shared handle and the text) however it is framed, and serializing one is
+//! a single copy — the per-hop parse/re-encapsulate work of §7.2 stays
+//! cheap next to the data, as §6.7 intends for meta-data.
+//!
+//! [`Headers::parse`] scans bytes, not characters: line breaks are found a
+//! machine word at a time, and a name or value is trimmed of ASCII
+//! whitespace in place, falling back to `str::trim` only where a trimmed
+//! end is a non-ASCII character (which may be Unicode whitespace).
 //!
 //! The block is copy-on-write: `clone()` bumps a refcount and the first
 //! mutation after a clone materializes a private copy (`Arc::make_mut`).
@@ -18,6 +25,7 @@
 //! pool's shared-read path — allocation-free.
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
 use crate::error::MimeError;
@@ -26,12 +34,16 @@ use crate::error::MimeError;
 /// parse — one stamped header line such as a hop counter or the
 /// `Content-Session` label — so that edit does not regrow the buffer.
 const SPARE_TEXT: usize = 64;
-/// Spare index slots a parsed block reserves, for the same reason.
+/// Spare index slots a spilled index reserves, for the same reason.
 const SPARE_LINES: usize = 2;
+/// Lines a block indexes inside its own allocation before the index
+/// spills to the heap: a session message's block (type, length, session,
+/// sequence and hop lines) fits.
+const INLINE_LINES: usize = 8;
 
 /// Where one header line sits in the block text:
 /// `text[start..]` is `name`, `": "`, `value`, `"\r\n"`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Line {
     start: usize,
     name_len: usize,
@@ -57,11 +69,102 @@ impl Line {
     }
 }
 
+/// The line index: inline up to [`INLINE_LINES`] entries, a heap vector
+/// past that.
+#[derive(Debug, Clone)]
+enum LineIndex {
+    Inline {
+        len: usize,
+        lines: [Line; INLINE_LINES],
+    },
+    Spilled(Vec<Line>),
+}
+
+impl Default for LineIndex {
+    fn default() -> Self {
+        LineIndex::Inline {
+            len: 0,
+            lines: [Line::default(); INLINE_LINES],
+        }
+    }
+}
+
+impl LineIndex {
+    fn clear(&mut self) {
+        match self {
+            LineIndex::Inline { len, .. } => *len = 0,
+            LineIndex::Spilled(lines) => lines.clear(),
+        }
+    }
+
+    /// Makes room for `additional` more lines; an index that has to spill
+    /// for them also gets room for spare ones.
+    fn reserve(&mut self, additional: usize) {
+        match self {
+            LineIndex::Inline { len, lines } if *len + additional > INLINE_LINES => {
+                let mut spilled = Vec::with_capacity(*len + additional + SPARE_LINES);
+                spilled.extend_from_slice(&lines[..*len]);
+                *self = LineIndex::Spilled(spilled);
+            }
+            LineIndex::Inline { .. } => {}
+            LineIndex::Spilled(lines) => lines.reserve(additional),
+        }
+    }
+
+    fn push(&mut self, line: Line) {
+        match self {
+            LineIndex::Inline { len, lines } if *len < INLINE_LINES => {
+                lines[*len] = line;
+                *len += 1;
+            }
+            LineIndex::Inline { lines, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_LINES);
+                spilled.extend_from_slice(lines);
+                spilled.push(line);
+                *self = LineIndex::Spilled(spilled);
+            }
+            LineIndex::Spilled(lines) => lines.push(line),
+        }
+    }
+
+    fn remove(&mut self, idx: usize) -> Line {
+        match self {
+            LineIndex::Inline { len, lines } => {
+                let line = lines[..*len][idx];
+                lines.copy_within(idx + 1..*len, idx);
+                *len -= 1;
+                line
+            }
+            LineIndex::Spilled(lines) => lines.remove(idx),
+        }
+    }
+}
+
+impl Deref for LineIndex {
+    type Target = [Line];
+
+    fn deref(&self) -> &[Line] {
+        match self {
+            LineIndex::Inline { len, lines } => &lines[..*len],
+            LineIndex::Spilled(lines) => lines,
+        }
+    }
+}
+
+impl DerefMut for LineIndex {
+    fn deref_mut(&mut self) -> &mut [Line] {
+        match self {
+            LineIndex::Inline { len, lines } => &mut lines[..*len],
+            LineIndex::Spilled(lines) => lines,
+        }
+    }
+}
+
 /// The wire text and its line index.
 #[derive(Debug, Clone, Default)]
 struct Block {
     text: String,
-    lines: Vec<Line>,
+    lines: LineIndex,
 }
 
 impl Block {
@@ -92,6 +195,97 @@ impl Block {
         self.text.drain(line.start..line.start + line.len());
         for later in &mut self.lines[idx..] {
             later.start -= line.len();
+        }
+    }
+
+    /// Replaces the block with the parse of `block` (see
+    /// [`Headers::parse`]), keeping its buffers' capacity.
+    fn parse_into(&mut self, block: &str) -> Result<(), MimeError> {
+        let bytes = block.as_bytes();
+        let lines = count_byte(bytes, b'\n') + usize::from(!block.ends_with('\n'));
+        self.lines.clear();
+        self.lines.reserve(lines);
+        self.text.clear();
+        // Set at the first line not in wire form, once the text is
+        // reserved for the worst case.
+        let mut normalizing = false;
+        // Input lines already in wire form are indexed where they stand
+        // and copied in runs: `block[copied..pos]` is such a run, not yet
+        // in the text. A block that is wire form throughout (every hop
+        // after ingress) is copied in one go.
+        let mut copied = 0;
+        let mut pos = 0;
+        while pos < bytes.len() {
+            // One line: up to the next `\n`, less any trailing `\r`s.
+            let start = pos;
+            let end = find_byte(&bytes[pos..], b'\n').map_or(bytes.len(), |i| pos + i);
+            let mut stop = end;
+            while stop > start && bytes[stop - 1] == b'\r' {
+                stop -= 1;
+            }
+            let line = &block[start..stop];
+            pos = end + 1;
+            if end - stop == 1 && end < bytes.len() {
+                if let Some((name_len, value_len)) = wire_line(line) {
+                    self.lines.push(Line {
+                        start: self.text.len() + (start - copied),
+                        name_len,
+                        value_len,
+                    });
+                    continue;
+                }
+            }
+            if !normalizing {
+                // The first line not in wire form; nothing is in the text
+                // yet. From here an input line grows by at most three bytes
+                // (`:` to `": "`, a bare or missing `\n` to `"\r\n"`), so
+                // one reservation holds the result.
+                normalizing = true;
+                let rest = &bytes[start..];
+                self.reserve_text(block.len() + 3 * (count_byte(rest, b'\n') + 1));
+            }
+            self.text.push_str(&block[copied..start]);
+            copied = pos.min(bytes.len());
+            if line.is_empty() {
+                continue;
+            }
+            if matches!(line.as_bytes()[0], b' ' | b'\t') {
+                // Folded continuation of the previous header, which is the
+                // last line of the text: reopen it before its line break.
+                let Some(last) = self.lines.last_mut() else {
+                    return Err(MimeError::InvalidHeader { line: line.into() });
+                };
+                let more = trim(line);
+                self.text.truncate(self.text.len() - 2);
+                self.text.push(' ');
+                self.text.push_str(more);
+                self.text.push_str("\r\n");
+                last.value_len += 1 + more.len();
+                continue;
+            }
+            let Some(colon) = line.bytes().position(|b| b == b':') else {
+                return Err(MimeError::InvalidHeader { line: line.into() });
+            };
+            let name = trim(&line[..colon]);
+            if name.is_empty() {
+                return Err(MimeError::InvalidHeader { line: line.into() });
+            }
+            self.push_line(name, trim(&line[colon + 1..]));
+        }
+        if !normalizing {
+            // Wire form throughout: the text is the block itself.
+            self.reserve_text(block.len());
+        }
+        self.text.push_str(&block[copied..]);
+        Ok(())
+    }
+
+    /// Makes the (empty) text hold `len` bytes. Storage that already does
+    /// is kept as it is, so a re-parse in place never reallocates; fresh
+    /// storage also gets the spare for the edit that usually follows.
+    fn reserve_text(&mut self, len: usize) {
+        if self.text.capacity() < len {
+            self.text.reserve(len + SPARE_TEXT);
         }
     }
 
@@ -204,6 +398,25 @@ impl Headers {
         block.push_line(name, value);
     }
 
+    /// [`Headers::set`] with a number's decimal form, formatted on the
+    /// stack (a hop counter or `Content-Length` costs no `String`).
+    pub fn set_u64(&mut self, name: &str, n: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = n;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        // Only ASCII digits were written.
+        let text = std::str::from_utf8(&digits[at..]).unwrap_or_default();
+        self.set(name, text);
+    }
+
     /// First value for `name`, if present.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.matching(name)
@@ -281,41 +494,8 @@ impl Headers {
     /// the end of input). Continuation lines (leading whitespace) are folded
     /// into the previous value per RFC 822.
     pub fn parse(block: &str) -> Result<Self, MimeError> {
-        // An input line grows by at most three bytes in wire form (`:` to
-        // `": "`, a bare or missing `\n` to `"\r\n"`), so one reservation
-        // holds the result.
-        let breaks = block.bytes().filter(|&b| b == b'\n').count() + 1;
-        let mut out = Block {
-            text: String::with_capacity(block.len() + 3 * breaks + SPARE_TEXT),
-            lines: Vec::with_capacity(breaks + SPARE_LINES),
-        };
-        for raw in block.lines() {
-            let line = raw.trim_end_matches('\r');
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with(' ') || line.starts_with('\t') {
-                // Folded continuation of the previous header, which is the
-                // last line of the text: reopen it before its line break.
-                let Some(last) = out.lines.last_mut() else {
-                    return Err(MimeError::InvalidHeader { line: line.into() });
-                };
-                let more = line.trim();
-                out.text.truncate(out.text.len() - 2);
-                out.text.push(' ');
-                out.text.push_str(more);
-                out.text.push_str("\r\n");
-                last.value_len += 1 + more.len();
-                continue;
-            }
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| MimeError::InvalidHeader { line: line.into() })?;
-            if name.trim().is_empty() {
-                return Err(MimeError::InvalidHeader { line: line.into() });
-            }
-            out.push_line(name.trim(), value.trim());
-        }
+        let mut out = Block::default();
+        out.parse_into(block)?;
         Ok(if out.lines.is_empty() {
             Headers::new()
         } else {
@@ -324,6 +504,104 @@ impl Headers {
             }
         })
     }
+
+    /// Replaces these headers with the parse of `block`, exactly as
+    /// [`Headers::parse`] would, but in this block's own storage when no
+    /// clone shares it: re-parsing a message's headers then allocates
+    /// nothing once that storage has grown to fit. On error the headers
+    /// are left empty.
+    pub fn reparse(&mut self, block: &str) -> Result<(), MimeError> {
+        let parsed = match Arc::get_mut(&mut self.block) {
+            Some(own) => own.parse_into(block),
+            None => Headers::parse(block).map(|parsed| *self = parsed),
+        };
+        if parsed.is_err() {
+            *self = Headers::new();
+        }
+        parsed
+    }
+}
+
+/// The name and value lengths of a `\r\n`-terminated input line (given
+/// without its line break) that is already in wire form — `name: value`
+/// with both trimmed and one space after the colon — so parsing would
+/// reproduce it byte for byte. `None` for any other line.
+fn wire_line(line: &str) -> Option<(usize, usize)> {
+    let colon = line.bytes().position(|b| b == b':')?;
+    let (name, rest) = (&line[..colon], &line[colon + 1..]);
+    let value = rest.strip_prefix(' ')?;
+    (!name.is_empty() && trim(name).len() == name.len() && trim(value).len() == value.len())
+        .then_some((name.len(), value.len()))
+}
+
+/// `str::trim`, trimming ASCII whitespace bytewise. Only when a trimmed
+/// end is a non-ASCII character — possibly Unicode whitespace — does it
+/// defer to `str::trim` itself.
+fn trim(s: &str) -> &str {
+    // The ASCII members of Unicode `White_Space`: `\t` through `\r`, and
+    // the space.
+    let space = |b: u8| b == b' ' || (b'\t'..=b'\r').contains(&b);
+    let b = s.as_bytes();
+    let (mut start, mut end) = (0, b.len());
+    while start < end && space(b[start]) {
+        start += 1;
+    }
+    while end > start && space(b[end - 1]) {
+        end -= 1;
+    }
+    if start < end && (!b[start].is_ascii() || !b[end - 1].is_ascii()) {
+        return s.trim();
+    }
+    &s[start..end]
+}
+
+const LO: u64 = 0x0101_0101_0101_0101;
+const HI: u64 = 0x8080_8080_8080_8080;
+
+/// The 8-byte word at the start of `chunk` (exactly 8 bytes long).
+fn word(chunk: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(chunk);
+    u64::from_le_bytes(w)
+}
+
+/// Position of the first `needle` in `hay`, scanning a word at a time.
+pub(crate) fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
+    let pattern = LO * u64::from(needle);
+    let mut chunks = hay.chunks_exact(8);
+    let mut base = 0;
+    for chunk in &mut chunks {
+        // A zero byte of `x` is a match. The borrow trick can flag a byte
+        // *after* a true zero, never before one, so the lowest flag is
+        // exact.
+        let x = word(chunk) ^ pattern;
+        let found = x.wrapping_sub(LO) & !x & HI;
+        if found != 0 {
+            return Some(base + (found.trailing_zeros() / 8) as usize);
+        }
+        base += 8;
+    }
+    chunks
+        .remainder()
+        .iter()
+        .position(|&b| b == needle)
+        .map(|i| base + i)
+}
+
+/// Occurrences of `needle` in `hay`, counted a word at a time.
+fn count_byte(hay: &[u8], needle: u8) -> usize {
+    let pattern = LO * u64::from(needle);
+    let low7 = !HI;
+    let mut chunks = hay.chunks_exact(8);
+    let mut n = 0;
+    for chunk in &mut chunks {
+        // Exact per-byte zero test (no borrow between bytes): a byte's
+        // high bit ends up set iff the byte of `x` was zero.
+        let x = word(chunk) ^ pattern;
+        let zero = !(((x & low7).wrapping_add(low7)) | x) & HI;
+        n += zero.count_ones() as usize;
+    }
+    n + chunks.remainder().iter().filter(|&&b| b == needle).count()
 }
 
 impl<N: AsRef<str>, V: AsRef<str>> FromIterator<(N, V)> for Headers {
@@ -596,6 +874,52 @@ mod tests {
     }
 
     #[test]
+    fn reparse_reuses_unshared_storage_and_spares_clones() {
+        let mut h = Headers::parse("A: 1\r\nB: 2\r\n").unwrap();
+        let text = h.as_wire().as_ptr();
+        h.reparse("C:  3\nD: 4\r\n").unwrap();
+        assert_eq!(h.as_wire(), "C: 3\r\nD: 4\r\n");
+        assert_eq!(
+            h.as_wire().as_ptr(),
+            text,
+            "an unshared block is parsed in place"
+        );
+        let snapshot = h.clone();
+        h.reparse("E: 5\r\n").unwrap();
+        assert_eq!(h.as_wire(), "E: 5\r\n");
+        assert_eq!(snapshot.as_wire(), "C: 3\r\nD: 4\r\n");
+        assert!(h.reparse("no colon").is_err());
+        assert!(h.is_empty());
+    }
+
+    #[test]
+    fn lines_past_the_inline_index_spill() {
+        let text: String = (0..20).map(|i| format!("H{i}: {i}\r\n")).collect();
+        let mut h = Headers::parse(&text).unwrap();
+        assert_eq!(h.len(), 20);
+        assert_eq!(h.get("h19"), Some("19"));
+        let mut built = Headers::new();
+        for i in 0..20 {
+            built.append(format!("H{i}"), i.to_string());
+        }
+        assert_eq!(built, h);
+        assert_eq!(h.pop("H3").as_deref(), Some("3"));
+        h.set("H0", "zero");
+        assert_eq!(h.len(), 19);
+        assert!(h.as_wire().ends_with("H19: 19\r\nH0: zero\r\n"));
+    }
+
+    #[test]
+    fn set_u64_writes_the_decimal_form() {
+        let mut h = Headers::new();
+        for n in [0, 7, 10, 12345, u64::MAX] {
+            h.set_u64("N", n);
+            assert_eq!(h.get("N"), Some(n.to_string().as_str()));
+        }
+        assert_eq!(h.len(), 1);
+    }
+
+    #[test]
     fn deep_clone_copies_every_byte() {
         let h: Headers = [("A", "1"), ("B", "2")].into_iter().collect();
         let d = h.deep_clone();
@@ -708,6 +1032,32 @@ pub(crate) mod equivalence {
                 (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
                 (a, b) => panic!("{text:?}: new {a:?} vs reference {b:?}"),
             }
+        }
+
+        /// Re-parsing into an existing block — unshared, or shared with a
+        /// snapshot — gives what a fresh parse gives, and leaves the
+        /// snapshot alone.
+        #[test]
+        fn reparse_matches_parse(first in block(), text in block()) {
+            let Ok(mut reused) = Headers::parse(&first) else {
+                return;
+            };
+            let snapshot = reused.clone();
+            let mut shared = reused.clone();
+            for dest in [&mut reused, &mut shared] {
+                match (dest.reparse(&text), Headers::parse(&text)) {
+                    (Ok(()), Ok(fresh)) => {
+                        prop_assert_eq!(dest.as_wire(), fresh.as_wire());
+                        prop_assert_eq!(&*dest, &fresh);
+                    }
+                    (Err(a), Err(b)) => {
+                        prop_assert_eq!(a.to_string(), b.to_string());
+                        prop_assert!(dest.is_empty());
+                    }
+                    (a, b) => panic!("{text:?}: reparse {a:?} vs parse {b:?}"),
+                }
+            }
+            prop_assert_eq!(snapshot.as_wire(), Headers::parse(&first).unwrap().as_wire());
         }
 
         /// Random edit sequences leave identical entries, wire bytes and

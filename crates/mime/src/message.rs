@@ -18,8 +18,8 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use crate::error::MimeError;
-use crate::headers::Headers;
-use crate::types::MimeType;
+use crate::headers::{find_byte, Headers};
+use crate::types::{self, MimeType};
 
 /// Header carrying the stream session identifier (§4.4.3).
 pub const CONTENT_SESSION: &str = "Content-Session";
@@ -88,7 +88,7 @@ impl MimeMessage {
         let body = body.into();
         let mut headers = Headers::new();
         headers.set(CONTENT_TYPE, content_type.to_string());
-        headers.set(CONTENT_LENGTH, body.len().to_string());
+        headers.set_u64(CONTENT_LENGTH, body.len() as u64);
         MimeMessage { headers, body }
     }
 
@@ -106,6 +106,24 @@ impl MimeMessage {
             .unwrap_or_else(|| MimeType::new("application", "octet-stream"))
     }
 
+    /// The top-level media type of [`MimeMessage::content_type`] as
+    /// written in the header (compare it case-insensitively), read without
+    /// building a [`MimeType`]: `application` when the header is absent or
+    /// does not parse.
+    pub fn content_top(&self) -> &str {
+        self.headers
+            .get(CONTENT_TYPE)
+            .and_then(types::top_level_of)
+            .unwrap_or("application")
+    }
+
+    /// True when the content type's top-level media type is `top`
+    /// (case-insensitive): `msg.content_type().top == top` without
+    /// allocating.
+    pub fn has_top_type(&self, top: &str) -> bool {
+        self.content_top().eq_ignore_ascii_case(top)
+    }
+
     /// Replaces the content type header.
     pub fn set_content_type(&mut self, ty: &MimeType) {
         self.headers.set(CONTENT_TYPE, ty.to_string());
@@ -114,8 +132,7 @@ impl MimeMessage {
     /// Replaces the body and keeps `Content-Length` consistent.
     pub fn set_body(&mut self, body: impl Into<Bytes>) {
         self.body = body.into();
-        self.headers
-            .set(CONTENT_LENGTH, self.body.len().to_string());
+        self.headers.set_u64(CONTENT_LENGTH, self.body.len() as u64);
     }
 
     /// The session this message belongs to, if labeled.
@@ -219,23 +236,32 @@ struct HeaderSplit {
     body_start: usize,
 }
 
-/// Finds the header/body separator: CRLFCRLF or LFLF.
+/// Finds the header/body separator: the first blank line, CRLF-framed
+/// (`\r\n\r\n`) or LF-framed (`\n\n`), whichever comes first — so a
+/// body may carry blank lines of the other framing. One pass over the
+/// line breaks of the header block.
 fn find_header_end(data: &[u8]) -> Option<HeaderSplit> {
-    if let Some(pos) = data.windows(4).position(|w| w == b"\r\n\r\n") {
-        return Some(HeaderSplit {
-            header_end: pos + 2,
-            body_start: pos + 4,
-        });
-    }
-    if let Some(pos) = data.windows(2).position(|w| w == b"\n\n") {
-        return Some(HeaderSplit {
-            header_end: pos + 1,
-            body_start: pos + 2,
-        });
+    let mut from = 0;
+    while let Some(i) = find_byte(&data[from..], b'\n').map(|i| from + i) {
+        match data.get(i + 1) {
+            Some(b'\n') => {
+                return Some(HeaderSplit {
+                    header_end: i + 1,
+                    body_start: i + 2,
+                })
+            }
+            Some(b'\r') if i > 0 && data[i - 1] == b'\r' && data.get(i + 2) == Some(&b'\n') => {
+                return Some(HeaderSplit {
+                    header_end: i + 1,
+                    body_start: i + 3,
+                })
+            }
+            _ => from = i + 1,
+        }
     }
     // A message may legally consist of headers only with a final CRLF CRLF
     // omitted if the body is empty and the buffer ends after the headers.
-    if data.ends_with(b"\r\n") || data.ends_with(b"\n") {
+    if data.ends_with(b"\n") {
         return Some(HeaderSplit {
             header_end: data.len(),
             body_start: data.len(),
@@ -303,6 +329,34 @@ mod tests {
         let raw = b"Content-Type: text/plain\nContent-Length: 2\n\nok";
         let m = MimeMessage::from_wire(raw).unwrap();
         assert_eq!(&m.body[..], b"ok");
+    }
+
+    #[test]
+    fn from_wire_splits_at_the_first_blank_line_of_either_framing() {
+        let raw = b"Content-Type: text/plain\nX-A: 1\n\nline one\r\n\r\nline two";
+        let m = MimeMessage::from_wire(raw).unwrap();
+        assert_eq!(m.headers.get("X-A"), Some("1"));
+        assert_eq!(&m.body[..], b"line one\r\n\r\nline two");
+        let raw = b"Content-Type: text/plain\r\nX-A: 1\r\n\r\nline one\n\nline two";
+        let m = MimeMessage::from_wire(raw).unwrap();
+        assert_eq!(m.headers.get("X-A"), Some("1"));
+        assert_eq!(&m.body[..], b"line one\n\nline two");
+    }
+
+    #[test]
+    fn top_type_is_read_without_building_the_type() {
+        let mut m = MimeMessage::new(&MimeType::new("Image", "GIF"), vec![0u8; 4]);
+        assert!(m.has_top_type("image") && m.has_top_type("IMAGE"));
+        m.headers.set(CONTENT_TYPE, "Multipart/Mixed; boundary=x");
+        assert_eq!(m.content_top(), "Multipart");
+        assert!(m.has_top_type("multipart"));
+        // Unparseable or absent: the `application/octet-stream` default.
+        for bad in ["image/gif; boundary", "image/", "im age/gif", ""] {
+            m.headers.set(CONTENT_TYPE, bad);
+            assert_eq!(m.content_top(), m.content_type().top, "{bad:?}");
+        }
+        m.headers.remove(CONTENT_TYPE);
+        assert!(m.has_top_type("application"));
     }
 
     #[test]
@@ -433,6 +487,69 @@ mod equivalence {
                     prop_assert!(matches!(old, Some((Err(_), _))), "{:?}", frame);
                 }
                 (Err(_), _) => {}
+            }
+        }
+
+        /// `content_top` reads the top-level type `content_type` would
+        /// build, and the same default when the value does not parse.
+        #[test]
+        fn content_top_agrees_with_content_type(
+            top in "[ a-zA-Z*é]{0,4}",
+            sub in "[ a-z.+*/-]{0,4}",
+            params in prop::collection::vec(("[ a-z]{0,3}", any::<bool>(), "[a-z\"]{0,3}"), 0..3),
+            slash in any::<bool>(),
+        ) {
+            let mut value = top;
+            if slash {
+                value.push('/');
+                value.push_str(&sub);
+            }
+            for (key, eq, v) in &params {
+                value.push(';');
+                value.push_str(key);
+                if *eq {
+                    value.push('=');
+                }
+                value.push_str(v);
+            }
+            let mut m = MimeMessage::text("x");
+            m.headers.set(CONTENT_TYPE, &value);
+            prop_assert_eq!(m.content_top().to_ascii_lowercase(), m.content_type().top, "{:?}", value);
+        }
+
+        /// The same headers and body, framed with CRLF or with bare LF
+        /// line breaks, parse to equal messages — whatever blank lines
+        /// either framing leaves in the body.
+        #[test]
+        fn crlf_and_lf_framings_parse_equal(
+            lines in prop::collection::vec(("[A-Za-z][A-Za-z0-9-]{0,8}", "[ -~]{0,12}"), 1..6),
+            body in prop::collection::vec(
+                prop_oneof![Just(b'\r'), Just(b'\n'), Just(b'x'), any::<u8>()],
+                0..48,
+            ),
+            declare_len in any::<bool>(),
+        ) {
+            let frame = |eol: &str| {
+                let mut frame = Vec::new();
+                for (name, value) in &lines {
+                    frame.extend_from_slice(format!("{name}: {value}{eol}").as_bytes());
+                }
+                if declare_len {
+                    frame.extend_from_slice(format!("Content-Length: {}{eol}", body.len()).as_bytes());
+                }
+                frame.extend_from_slice(eol.as_bytes());
+                frame.extend_from_slice(&body);
+                frame
+            };
+            let crlf = MimeMessage::from_wire(&frame("\r\n"));
+            let lf = MimeMessage::from_wire(&frame("\n"));
+            match (crlf, lf) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(&a.body[..], &body[..]);
+                    prop_assert_eq!(a.headers.as_wire(), b.headers.as_wire());
+                    prop_assert_eq!(a, b);
+                }
+                (a, b) => panic!("CRLF {a:?} vs LF {b:?}"),
             }
         }
     }

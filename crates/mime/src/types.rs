@@ -124,31 +124,7 @@ impl FromStr for MimeType {
     /// accepted and interpreted as the wildcard `text/*`, matching the
     /// thesis's usage ("the sink port type `text`").
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut sections = s.split(';');
-        let essence = sections.next().unwrap_or("").trim();
-        if essence.is_empty() {
-            return Err(MimeError::InvalidType {
-                input: s.into(),
-                reason: "empty type",
-            });
-        }
-        let (top, sub) = match essence.split_once('/') {
-            Some((t, u)) => (t.trim(), u.trim()),
-            None => (essence, "*"),
-        };
-        if top.is_empty() || sub.is_empty() {
-            return Err(MimeError::InvalidType {
-                input: s.into(),
-                reason: "empty type or subtype component",
-            });
-        }
-        let valid = |c: char| c.is_ascii_alphanumeric() || "-.+_*".contains(c);
-        if !top.chars().all(valid) || !sub.chars().all(valid) {
-            return Err(MimeError::InvalidType {
-                input: s.into(),
-                reason: "illegal character in type component",
-            });
-        }
+        let (top, sub, sections) = split_essence(s)?;
         let mut ty = MimeType::new(top, sub);
         for section in sections {
             let section = section.trim();
@@ -164,6 +140,48 @@ impl FromStr for MimeType {
         }
         Ok(ty)
     }
+}
+
+/// The validated `type` and `subtype` of a content-type value, and its
+/// remaining `;` sections (parameters, not yet checked).
+fn split_essence(s: &str) -> Result<(&str, &str, std::str::Split<'_, char>), MimeError> {
+    let mut sections = s.split(';');
+    let essence = sections.next().unwrap_or("").trim();
+    if essence.is_empty() {
+        return Err(MimeError::InvalidType {
+            input: s.into(),
+            reason: "empty type",
+        });
+    }
+    let (top, sub) = match essence.split_once('/') {
+        Some((t, u)) => (t.trim(), u.trim()),
+        None => (essence, "*"),
+    };
+    if top.is_empty() || sub.is_empty() {
+        return Err(MimeError::InvalidType {
+            input: s.into(),
+            reason: "empty type or subtype component",
+        });
+    }
+    let valid = |c: char| c.is_ascii_alphanumeric() || "-.+_*".contains(c);
+    if !top.chars().all(valid) || !sub.chars().all(valid) {
+        return Err(MimeError::InvalidType {
+            input: s.into(),
+            reason: "illegal character in type component",
+        });
+    }
+    Ok((top, sub, sections))
+}
+
+/// The top-level type of a content-type value as written (not
+/// lowercased), when the value parses as a [`MimeType`]; `None` exactly
+/// when `s.parse::<MimeType>()` fails. Nothing is allocated on success.
+pub(crate) fn top_level_of(s: &str) -> Option<&str> {
+    let (top, _, sections) = split_essence(s).ok()?;
+    sections
+        .map(str::trim)
+        .all(|section| section.is_empty() || section.contains('='))
+        .then_some(top)
 }
 
 /// The subtype/supertype lattice of Figure 4-1, extensible with declared

@@ -34,34 +34,39 @@ pub fn register(directory: &StreamletDirectory) {
 /// incoming messages from its input port, encapsulating the necessary
 /// headers and sending the messages to its relevant output port."
 ///
-/// The parse/unparse is performed for real — the message is serialized to
-/// wire form and re-parsed — so a chain of redirectors measures the
+/// The parse is performed for real — the message's header block is
+/// serialized and re-parsed — so a chain of redirectors measures the
 /// inherent per-streamlet cost.
 #[derive(Default)]
 pub struct Redirector {
     hops: u64,
+    /// The serialized header block of the message in hand, reused across
+    /// messages.
+    wire: String,
 }
 
+/// The header each redirector stamps with its hop count.
+const HOP_HEADER: &str = "X-MobiGATE-Hop";
+
 impl StreamletLogic for Redirector {
-    fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
+    fn process(&mut self, mut msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
         self.hops += 1;
-        // Parse/unparse the header block for real. The body is *not*
-        // copied: §6.7 treats headers as meta-data while message data stays
-        // in the pool and travels by reference.
-        let header_wire = msg.headers.to_wire();
-        let headers =
-            mobigate_mime::Headers::parse(&header_wire).map_err(|e| CoreError::Process {
+        // Serialize and re-parse the header block for real. The body is
+        // *not* copied: §6.7 treats headers as meta-data while message data
+        // stays in the pool and travels by reference. The parse lands in
+        // the message's own block when nothing else shares it.
+        self.wire.clear();
+        msg.headers.to_wire_into(&mut self.wire);
+        msg.headers
+            .reparse(&self.wire)
+            .map_err(|e| CoreError::Process {
                 streamlet: ctx.instance().to_string(),
                 message: e.to_string(),
             })?;
-        let mut parsed = MimeMessage {
-            headers,
-            body: msg.body.clone(),
-        };
         // …encapsulate the necessary headers…
-        parsed.headers.set("X-MobiGATE-Hop", self.hops.to_string());
+        msg.headers.set_u64(HOP_HEADER, self.hops);
         // …and forward.
-        ctx.emit("po", parsed);
+        ctx.emit("po", msg);
         Ok(())
     }
 
@@ -110,8 +115,7 @@ pub struct Switch;
 
 impl StreamletLogic for Switch {
     fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
-        let ty = msg.content_type();
-        if ty.top == "image" {
+        if msg.has_top_type("image") {
             ctx.emit("po1", msg);
         } else {
             ctx.emit("po2", msg);
@@ -137,7 +141,7 @@ pub struct Merge {
 
 impl StreamletLogic for Merge {
     fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
-        if msg.content_type().top == "image" {
+        if msg.has_top_type("image") {
             self.images.push_back(msg);
         } else {
             self.texts.push_back(msg);
@@ -219,7 +223,7 @@ pub struct PowerSaving;
 impl StreamletLogic for PowerSaving {
     fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
         let mut out = msg.clone();
-        if msg.content_type().top == "image" {
+        if msg.has_top_type("image") {
             if let Ok((img, _, _)) = Image::decode(&msg.body) {
                 let reduced = downsample(&img, 2);
                 out.set_body(reduced.encode(Encoding::Quantized, 30));

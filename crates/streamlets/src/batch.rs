@@ -184,7 +184,7 @@ impl StreamletLogic for Paginate {
     }
 
     fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
-        if msg.content_type().top != "text" || msg.body.len() <= self.page_size {
+        if !msg.has_top_type("text") || msg.body.len() <= self.page_size {
             ctx.emit("po", msg);
             return Ok(());
         }

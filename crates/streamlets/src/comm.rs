@@ -23,6 +23,9 @@ pub struct Communicator {
     transport: Arc<dyn Transport>,
     sent: u64,
     sent_bytes: u64,
+    /// The frame being sent: reused across messages, so serializing one
+    /// allocates nothing once the buffer has grown to the largest frame.
+    wire: Vec<u8>,
 }
 
 impl Communicator {
@@ -32,6 +35,7 @@ impl Communicator {
             transport,
             sent: 0,
             sent_bytes: 0,
+            wire: Vec::new(),
         }
     }
 
@@ -58,13 +62,16 @@ impl Communicator {
 
 impl StreamletLogic for Communicator {
     fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
-        let wire = msg.to_wire();
-        self.transport.send(&wire).map_err(|e| CoreError::Process {
-            streamlet: ctx.instance().to_string(),
-            message: e,
-        })?;
+        self.wire.clear();
+        msg.to_wire_into(&mut self.wire);
+        self.transport
+            .send(&self.wire)
+            .map_err(|e| CoreError::Process {
+                streamlet: ctx.instance().to_string(),
+                message: e,
+            })?;
         self.sent += 1;
-        self.sent_bytes += wire.len() as u64;
+        self.sent_bytes += self.wire.len() as u64;
         Ok(())
     }
 
