@@ -13,35 +13,22 @@
 //! overwrite the committed full-mode records. An unknown section name is
 //! an error.
 
-use mobigate::core::pool::{MessagePool, PayloadMode};
+use mobigate::core::pool::PayloadMode;
 use mobigate::core::{BatchConfig, ExecutorConfig, ServerConfig};
-use mobigate::mime::{MimeMessage, MimeType};
 use mobigate_bench::report::{ascii_series, Csv};
 use mobigate_bench::{
-    chaos_server_config, end_to_end_point, obs_chain_pair, reconfig_time, reconfig_time_with,
-    run_breaker_probe, run_chaos, run_memplane_chain, run_overload_burst, run_scrape_churn,
-    run_sessions, with_quiet_panics, ChainHarness, ChaosConfig, MemplaneChainConfig,
-    ObsChainConfig, OverloadBurstConfig, SessionsConfig,
+    chaos_server_config, end_to_end_point, obs_chain_pair, reconfig_time, run_breaker_probe,
+    run_chaos, run_memplane_chain, run_overload_burst, run_scrape_churn, run_sessions,
+    with_quiet_panics, ChainHarness, ChaosConfig, MemplaneChainConfig, ObsChainConfig,
+    OverloadBurstConfig, SessionsConfig,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Every section, in the order `all` runs them.
 const SECTIONS: &[&str] = &[
-    "fig7_2",
-    "fig7_3",
-    "fig7_6",
-    "eq7_1",
-    "fig7_7",
-    "pool_sharding",
-    "chaos",
-    "batching",
-    "fusion",
-    "sessions",
-    "obs",
-    "overload",
-    "memplane",
+    "fig7_2", "fig7_3", "fig7_6", "eq7_1", "fig7_7", "chaos", "batching", "fusion", "sessions",
+    "obs", "overload", "memplane",
 ];
 
 /// Set once in `main`: only full-mode runs write under `results/`.
@@ -89,9 +76,6 @@ fn main() {
     }
     if want("fig7_7") {
         fig7_7(quick);
-    }
-    if want("pool_sharding") {
-        pool_sharding(quick);
     }
     if want("chaos") {
         chaos(quick);
@@ -405,206 +389,6 @@ fn fig7_7(quick: bool) {
     }
     print!("{}", csv.to_table());
     save("fig7_7_end_to_end", &csv);
-}
-
-/// Pool-sharding × executor ablation: the Figure 7-2 chain and Figure 7-6
-/// reconfiguration workloads under {1, N} shards × {thread-per-streamlet,
-/// worker-pool}, plus a direct 8-thread pool-contention microbenchmark.
-/// Emits `results/BENCH_pool_sharding.json`.
-fn pool_sharding(quick: bool) {
-    println!("\n========= Ablation: pool sharding x executor back end =========");
-    let default_shards = MessagePool::new().shard_count();
-    // On small containers the core-count default degenerates to one shard;
-    // pin the multi-shard corner to at least 16 so the ablation always
-    // compares a genuinely sharded pool against the single-lock baseline.
-    let n_shards = default_shards.max(16);
-    println!("(default pool shard count: {default_shards}; ablation uses {n_shards})\n");
-
-    let chain_iters = if quick { 10 } else { 40 };
-    let reconfig_runs = if quick { 3 } else { 9 };
-    let chain_k = 10;
-    let chain_bytes = 10 * 1024;
-    let reconfig_n = 20;
-
-    let tps = ExecutorConfig::ThreadPerStreamlet;
-    let wp8 = ExecutorConfig::WorkerPool { workers: 8 };
-    let corners: [(&str, usize, &str, ServerConfig); 4] = [
-        (
-            "shards1_thread_per_streamlet",
-            1,
-            "thread-per-streamlet",
-            ServerConfig {
-                pool_shards: Some(1),
-                executor: tps,
-                ..Default::default()
-            },
-        ),
-        (
-            "shardsN_thread_per_streamlet",
-            n_shards,
-            "thread-per-streamlet",
-            ServerConfig {
-                pool_shards: Some(n_shards),
-                executor: tps,
-                ..Default::default()
-            },
-        ),
-        (
-            "shards1_worker_pool8",
-            1,
-            "worker-pool(8)",
-            ServerConfig {
-                pool_shards: Some(1),
-                executor: wp8,
-                ..Default::default()
-            },
-        ),
-        (
-            "shardsN_worker_pool8",
-            n_shards,
-            "worker-pool(8)",
-            ServerConfig {
-                pool_shards: Some(n_shards),
-                executor: wp8,
-                ..Default::default()
-            },
-        ),
-    ];
-
-    let mut csv = Csv::new(["config", "shards", "executor", "chain_us", "reconfig_us"]);
-    let mut series = Vec::new();
-    for (label, shards, exec_name, cfg) in &corners {
-        let chain = ChainHarness::with_config(chain_k, cfg.clone());
-        let chain_us = chain.mean_latency(chain_bytes, chain_iters).as_secs_f64() * 1e6;
-        let mut runs: Vec<_> = (0..reconfig_runs)
-            .map(|_| reconfig_time_with(reconfig_n, cfg.clone()))
-            .collect();
-        runs.sort_by_key(|s| s.total);
-        let reconfig_us = runs[runs.len() / 2].total.as_secs_f64() * 1e6;
-        csv.row([
-            label.to_string(),
-            shards.to_string(),
-            exec_name.to_string(),
-            format!("{chain_us:.1}"),
-            format!("{reconfig_us:.1}"),
-        ]);
-        series.push((
-            label.to_string(),
-            *shards,
-            exec_name.to_string(),
-            chain_us,
-            reconfig_us,
-        ));
-    }
-    print!("{}", csv.to_table());
-
-    // Direct contention microbenchmark: isolates the shard-lock effect from
-    // scheduling noise. 8 threads, each doing insert/peek/take cycles.
-    let threads = 8;
-    let ops = if quick { 2_000 } else { 20_000 };
-    let bench_runs = if quick { 3 } else { 7 };
-    let contend = |pool: &Arc<MessagePool>| -> f64 {
-        let msg = MimeMessage::new(&MimeType::new("text", "plain"), vec![0x42u8; 64]);
-        let mut samples: Vec<f64> = (0..bench_runs)
-            .map(|_| {
-                let t0 = Instant::now();
-                std::thread::scope(|scope| {
-                    for _ in 0..threads {
-                        let pool = pool.clone();
-                        let msg = msg.clone();
-                        scope.spawn(move || {
-                            for _ in 0..ops {
-                                let id = pool.insert(msg.clone(), 1);
-                                std::hint::black_box(pool.peek_len(id));
-                                std::hint::black_box(pool.take_ref(id));
-                            }
-                        });
-                    }
-                });
-                (threads * ops) as f64 / t0.elapsed().as_secs_f64() / 1e6
-            })
-            .collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        samples[samples.len() / 2]
-    };
-    let mops_1 = contend(&Arc::new(MessagePool::with_shards(1)));
-    let mops_n = contend(&Arc::new(MessagePool::with_shards(n_shards)));
-    let speedup = mops_n / mops_1;
-    println!(
-        "\npool contention ({threads} threads x {ops} insert/peek/take):\n  \
-         1 shard  : {mops_1:>7.2} Mops/s\n  \
-         {n_shards:>2} shards: {mops_n:>7.2} Mops/s   ({speedup:.2}x)\n"
-    );
-
-    // The serde shim is a no-op, so the JSON is formatted by hand.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"pool_sharding_ablation\",\n");
-    json.push_str(&format!("  \"default_shards\": {default_shards},\n"));
-    json.push_str(&format!("  \"ablation_shards\": {n_shards},\n"));
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str("  \"workloads\": {\n");
-    json.push_str(&format!(
-        "    \"fig7_2_chain\": {{\"redirectors\": {chain_k}, \"message_bytes\": {chain_bytes}, \
-         \"iters\": {chain_iters}}},\n"
-    ));
-    json.push_str(&format!(
-        "    \"fig7_6_reconfig\": {{\"inserted\": {reconfig_n}, \"runs\": {reconfig_runs}}}\n"
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"series\": [\n");
-    for (i, (label, shards, exec_name, chain_us, reconfig_us)) in series.iter().enumerate() {
-        let sep = if i + 1 == series.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"config\": \"{label}\", \"shards\": {shards}, \"executor\": \
-             \"{exec_name}\", \"chain_mean_latency_us\": {chain_us:.1}, \
-             \"reconfig_median_us\": {reconfig_us:.1}}}{sep}\n"
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"pool_contention\": {\n");
-    json.push_str(&format!(
-        "    \"threads\": {threads}, \"ops_per_thread\": {ops}, \"runs\": {bench_runs},\n"
-    ));
-    json.push_str(&format!("    \"shards1_mops_per_s\": {mops_1:.3},\n"));
-    json.push_str(&format!("    \"shardsN_mops_per_s\": {mops_n:.3},\n"));
-    json.push_str(&format!("    \"sharded_speedup\": {speedup:.3}\n"));
-    json.push_str("  },\n");
-    // Sharded-over-single-shard ratios per workload per executor
-    // (series order: s1/tps, sN/tps, s1/wp8, sN/wp8; >1 means sharded wins).
-    let ratio = |a: f64, b: f64| a / b;
-    let chain_tps = ratio(series[0].3, series[1].3);
-    let chain_wp8 = ratio(series[2].3, series[3].3);
-    let reconf_tps = ratio(series[0].4, series[1].4);
-    let reconf_wp8 = ratio(series[2].4, series[3].4);
-    json.push_str("  \"sharded_over_single_shard\": {\n");
-    json.push_str(&format!(
-        "    \"chain_thread_per_streamlet\": {chain_tps:.3},\n"
-    ));
-    json.push_str(&format!("    \"chain_worker_pool8\": {chain_wp8:.3},\n"));
-    json.push_str(&format!(
-        "    \"reconfig_thread_per_streamlet\": {reconf_tps:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"reconfig_worker_pool8\": {reconf_wp8:.3},\n"
-    ));
-    json.push_str(&format!("    \"contention_microbench\": {speedup:.3}\n"));
-    json.push_str("  },\n");
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    json.push_str(&format!("  \"host_cores\": {cores},\n"));
-    json.push_str(
-        "  \"note\": \"shard-lock contention needs true parallelism; on a single-core host \
-         the contention microbench reads ~1.0 and the end-to-end series carries the signal\"\n",
-    );
-    json.push_str("}\n");
-    println!(
-        "sharded/single-shard speedups: chain tps {chain_tps:.2}x, chain wp8 {chain_wp8:.2}x, \
-         reconfig tps {reconf_tps:.2}x, reconfig wp8 {reconf_wp8:.2}x, contention {speedup:.2}x"
-    );
-    save_json("BENCH_pool_sharding", &json);
-    save("pool_sharding_ablation", &csv);
 }
 
 /// Chaos harness: throughput and delivery of the `r0 → fault_injector → r1`
@@ -1047,14 +831,14 @@ fn fusion(quick: bool) {
 }
 
 /// Session-plane ablation: one MCL template instantiated as N concurrent
-/// per-user sessions over the sharded coordination plane, measured for
-/// spawn rate, aggregate throughput, steady-state latency, and memory,
-/// then torn down with pool-return and thread-leak verification. Asserts
+/// per-user sessions, measured for spawn rate, aggregate throughput,
+/// steady-state latency, memory and teardown time, with pool-return and
+/// thread-leak verification at teardown. Asserts
 /// that the worker pool's thread count stays flat across its session
 /// scales. Emits `results/BENCH_sessions.json`.
 fn sessions(quick: bool, smoke: bool) {
     println!("\n=============== Session plane: N concurrent user streams ===============");
-    println!("(one compiled template stamped out per session; sharded routing/events)\n");
+    println!("(one compiled template stamped out per session; name-keyed event lists)\n");
     let chain_len = 3;
     let payload = 64;
     // Keep total traffic roughly constant as N grows so every point
@@ -1098,6 +882,7 @@ fn sessions(quick: bool, smoke: bool) {
         "threads_running",
         "threads_after_teardown",
         "pool_returned",
+        "teardown_ms",
     ]);
     let mut outs = Vec::new();
     for &(executor, n) in &points {
@@ -1114,7 +899,7 @@ fn sessions(quick: bool, smoke: bool) {
         let out = run_sessions(cfg);
         println!(
             "{:>20} n={:<6} spawn {:>9.0}/s  {:>9.0} msg/s  latency {:>8.1} µs  \
-             rss {:>6.1} KiB/sess  threads {}→{}→{}",
+             rss {:>6.1} KiB/sess  threads {}→{}→{}  teardown {:>8.1} ms",
             out.executor,
             out.sessions,
             out.spawn_rate,
@@ -1123,7 +908,8 @@ fn sessions(quick: bool, smoke: bool) {
             out.rss_spawn_kib as f64 / out.sessions as f64,
             out.threads_baseline,
             out.threads_running,
-            out.threads_after_teardown
+            out.threads_after_teardown,
+            out.teardown.as_secs_f64() * 1e3
         );
         // Acceptance: zero loss, correct per-session labels, every
         // instance back in the pool, zero residual threads or rows.
@@ -1165,6 +951,7 @@ fn sessions(quick: bool, smoke: bool) {
             out.threads_running.to_string(),
             out.threads_after_teardown.to_string(),
             out.pool_returned_delta.to_string(),
+            format!("{:.1}", out.teardown.as_secs_f64() * 1e3),
         ]);
         outs.push(out);
     }
@@ -1215,8 +1002,8 @@ fn sessions(quick: bool, smoke: bool) {
              \"rss_spawn_kib\": {}, \"rss_kib_per_session\": {:.2}, \
              \"peak_resident_bytes\": {}, \"injected\": {}, \"delivered\": {}, \
              \"label_errors\": {}, \"threads_baseline\": {}, \"threads_running\": {}, \
-             \"threads_after_teardown\": {}, \"torn_down\": {}, \"pool_returned\": {}, \
-             \"pool_discarded\": {}, \"residual_streams\": {}}}{sep}\n",
+             \"threads_after_teardown\": {}, \"torn_down\": {}, \"teardown_ms\": {:.1}, \
+             \"pool_returned\": {}, \"pool_discarded\": {}, \"residual_streams\": {}}}{sep}\n",
             o.executor,
             o.sessions,
             o.spawn_rate,
@@ -1232,6 +1019,7 @@ fn sessions(quick: bool, smoke: bool) {
             o.threads_running,
             o.threads_after_teardown,
             o.torn_down,
+            o.teardown.as_secs_f64() * 1e3,
             o.pool_returned_delta,
             o.pool_discarded_delta,
             o.residual_streams

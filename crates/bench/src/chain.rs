@@ -34,7 +34,7 @@ impl ChainHarness {
     }
 
     /// Builds and deploys the chain over a fully specified [`ServerConfig`]
-    /// (executor back end, pool sharding) — the ablation entry point.
+    /// (executor back end, batching, telemetry) — the ablation entry point.
     pub fn with_config(k: usize, config: ServerConfig) -> Self {
         Self::with_library(k, config, "builtin/redirector")
     }

@@ -24,5 +24,5 @@ pub use overload::{
     run_breaker_probe, run_overload_burst, BreakerProbeOutcome, OverloadBurstConfig,
     OverloadBurstOutcome,
 };
-pub use reconfig::{reconfig_time, reconfig_time_with};
+pub use reconfig::reconfig_time;
 pub use sessions::{run_sessions, SessionsConfig, SessionsOutcome};

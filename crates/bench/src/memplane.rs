@@ -12,7 +12,7 @@
 
 use crate::ChainHarness;
 use mobigate::core::pool::PayloadMode;
-use mobigate::core::{MembufConfig, ServerConfig};
+use mobigate::core::ServerConfig;
 use mobigate::mime::{MimeMessage, MimeType};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,22 +103,16 @@ pub fn run_memplane_chain(cfg: MemplaneChainConfig) -> MemplaneChainOutcome {
 /// `"builtin/redirector"` the difference between two chain lengths is the
 /// §7.2 probe's per-hop parse/re-encapsulate allocation cost.
 pub fn run_library_chain(cfg: MemplaneChainConfig, library: &str) -> MemplaneChainOutcome {
-    let (mode, membuf) = if cfg.memplane {
-        (PayloadMode::Reference, MembufConfig::default())
+    let mode = if cfg.memplane {
+        PayloadMode::Reference
     } else {
-        (
-            PayloadMode::Value,
-            MembufConfig {
-                enabled: false,
-                ..MembufConfig::default()
-            },
-        )
+        PayloadMode::Value
     };
     let harness = ChainHarness::with_library(
         cfg.chain_len,
         ServerConfig {
             mode,
-            membuf,
+            membuf: cfg.memplane,
             ..Default::default()
         },
         library,

@@ -16,20 +16,11 @@ use std::sync::Arc;
 /// Deploys a fresh two-streamlet stream and inserts `n` redirectors
 /// between them in a single reconfiguration, returning the Eq 7-1 stats.
 pub fn reconfig_time(n: usize) -> ReconfigStats {
-    reconfig_time_with(
-        n,
+    let server = MobiGate::with_config(
         ServerConfig {
             mode: PayloadMode::Reference,
             ..Default::default()
         },
-    )
-}
-
-/// [`reconfig_time`] over a fully specified [`ServerConfig`] (executor back
-/// end, pool sharding) — the ablation entry point.
-pub fn reconfig_time_with(n: usize, config: ServerConfig) -> ReconfigStats {
-    let server = MobiGate::with_config(
-        config,
         Arc::new(StreamletDirectory::new()),
         Arc::new(StreamletPool::new(64)),
     );

@@ -81,6 +81,8 @@ pub struct SessionsOutcome {
     pub threads_after_teardown: usize,
     /// Sessions torn down.
     pub torn_down: usize,
+    /// Wall time of tearing every session down (`teardown_all`).
+    pub teardown: Duration,
     /// Pool checkins during teardown.
     pub pool_returned_delta: u64,
     /// Pool checkins dropped by the idle cap during teardown (0 when the
@@ -237,7 +239,9 @@ pub fn run_sessions(cfg: SessionsConfig) -> SessionsOutcome {
     // --- teardown --------------------------------------------------------
     let pool_before = pool.stats();
     drop(streams);
+    let t2 = Instant::now();
     let torn_down = manager.teardown_all();
+    let teardown = t2.elapsed();
     let pool_after = pool.stats();
     // Give TPS worker threads a moment to observe `end` and exit.
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -264,6 +268,7 @@ pub fn run_sessions(cfg: SessionsConfig) -> SessionsOutcome {
         threads_running,
         threads_after_teardown,
         torn_down,
+        teardown,
         pool_returned_delta: pool_after.returned - pool_before.returned,
         pool_discarded_delta: pool_after.discarded - pool_before.discarded,
         residual_streams,

@@ -160,20 +160,26 @@ fn header_block_parse_allocates_at_most_twice() {
         "H1: 1\r\nH2: 2\r\nH3: 3\r\nH4: 4\r\nH5: 5\r\nH6: 6\r\nH7: 7\r\n",
     ];
     for text in blocks {
-        let before = mobigate_bench::allocations();
-        let mut h = Headers::parse(text).unwrap();
-        h.set_u64("X-MobiGATE-Hop", 123_456);
-        let parsed = mobigate_bench::allocations() - before;
+        // The count is process-wide, and the harness may start another
+        // test's thread mid-measurement. That can only add to a count, so
+        // each figure is the least of a few identical repetitions.
+        let (mut parsed, mut reparsed) = (u64::MAX, u64::MAX);
+        for _ in 0..5 {
+            let before = mobigate_bench::allocations();
+            let mut h = Headers::parse(text).unwrap();
+            h.set_u64("X-MobiGATE-Hop", 123_456);
+            parsed = parsed.min(mobigate_bench::allocations() - before);
+
+            let wire = h.to_wire();
+            let before = mobigate_bench::allocations();
+            h.reparse(&wire).unwrap();
+            h.set_u64("X-MobiGATE-Hop", 123_457);
+            reparsed = reparsed.min(mobigate_bench::allocations() - before);
+        }
         assert!(
             parsed <= 2,
             "{text:?}: parse + one edit allocated {parsed} times"
         );
-
-        let wire = h.to_wire();
-        let before = mobigate_bench::allocations();
-        h.reparse(&wire).unwrap();
-        h.set_u64("X-MobiGATE-Hop", 123_457);
-        let reparsed = mobigate_bench::allocations() - before;
         assert_eq!(reparsed, 0, "{text:?}: re-parse in place allocated");
     }
 }

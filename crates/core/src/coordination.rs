@@ -13,14 +13,10 @@
 //! bumps, so reconfigurations here invalidate the caches without the data
 //! path ever taking the coordination locks.
 //!
-//! ## Sharding (session plane)
-//!
 //! The routing table itself ("the configuration table acts as the routing
-//! table", §3.3.1) is split into power-of-two shards keyed by session ID,
-//! matching the already-sharded `MessagePool`: deploying, reconfiguring,
-//! or tearing down one session locks only the shard its session hashes
-//! to, so churn on one user never serializes against lookups — or other
-//! churn — on the other `shards − 1` of the population.
+//! table", §3.3.1) is one map from session ID to stream behind one mutex.
+//! Deploys, lookups and teardowns hold it only for one map operation;
+//! stream construction and shutdown run outside it.
 
 use crate::error::CoreError;
 use crate::events::{ContextEvent, EventManager, EventSubscriber};
@@ -29,53 +25,26 @@ use mobigate_mcl::config::{ConfigTable, Program, StreamletSpec};
 use mobigate_mime::SessionId;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-type StreamShard = Mutex<HashMap<SessionId, Arc<RunningStream>>>;
 
 /// Deploys and tracks running streams.
 pub struct CoordinationManager {
     deps: StreamDeps,
     events: Arc<EventManager>,
-    shards: Box<[StreamShard]>,
-    mask: usize,
+    streams: Mutex<HashMap<SessionId, Arc<RunningStream>>>,
     next_session: AtomicU64,
 }
 
 impl CoordinationManager {
-    /// A manager over shared runtime services, sized to the machine.
+    /// A manager over shared runtime services.
     pub fn new(deps: StreamDeps, events: Arc<EventManager>) -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::with_shards(deps, events, cores.next_power_of_two().clamp(1, 64))
-    }
-
-    /// A manager with a fixed routing-table shard count (rounded up to a
-    /// power of two; `1` reproduces the original single-lock table).
-    pub fn with_shards(deps: StreamDeps, events: Arc<EventManager>, shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
         CoordinationManager {
             deps,
             events,
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            mask: n - 1,
+            streams: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
         }
-    }
-
-    /// Number of routing-table shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a session's routing-table row lives in.
-    fn shard_for(&self, session: &SessionId) -> &StreamShard {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        session.as_str().hash(&mut h);
-        &self.shards[(h.finish() as usize) & self.mask]
     }
 
     /// Generates the next unique session ID (§4.4.3: "the system
@@ -115,10 +84,8 @@ impl CoordinationManager {
         // to events of interest and ignore the flood of the rest).
         let sub: Arc<dyn EventSubscriber> = stream.clone();
         self.events
-            .subscribe_as(stream.name(), stream.subscribed_categories(), &sub);
-        self.shard_for(&session)
-            .lock()
-            .insert(session, stream.clone());
+            .subscribe_as(stream.shared_name(), stream.subscribed_categories(), &sub);
+        self.streams.lock().insert(session, stream.clone());
         Ok(stream)
     }
 
@@ -156,10 +123,10 @@ impl CoordinationManager {
     /// lookups miss immediately), the stream is unsubscribed from every
     /// event category it registered for (so 10k session teardowns do not
     /// leave 10k dead weak entries for multicast to prune), and only then
-    /// is the stream shut down — outside the shard lock, because shutdown
+    /// is the stream shut down — outside the table lock, because shutdown
     /// waits on executor tasks and checks instances back into the pool.
     pub fn undeploy(&self, session: &SessionId) -> bool {
-        let removed = self.shard_for(session).lock().remove(session);
+        let removed = self.streams.lock().remove(session);
         match removed {
             Some(stream) => {
                 let sub: Arc<dyn EventSubscriber> = stream.clone();
@@ -172,23 +139,19 @@ impl CoordinationManager {
         }
     }
 
-    /// Live streams snapshot (all shards; no global order).
+    /// Live streams snapshot (no order).
     pub fn streams(&self) -> Vec<Arc<RunningStream>> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.lock().values().cloned().collect::<Vec<_>>())
-            .collect()
+        self.streams.lock().values().cloned().collect()
     }
 
     /// Number of live streams.
     pub fn stream_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.streams.lock().len()
     }
 
-    /// Looks up a stream by session — one shard lock, untouched by churn
-    /// on sessions hashing elsewhere.
+    /// Looks up a stream by session.
     pub fn stream(&self, session: &SessionId) -> Option<Arc<RunningStream>> {
-        self.shard_for(session).lock().get(session).cloned()
+        self.streams.lock().get(session).cloned()
     }
 
     /// Raises a context event through the Event Manager; returns the number
@@ -209,12 +172,10 @@ impl CoordinationManager {
 
     /// Shuts every stream down.
     pub fn shutdown_all(&self) {
-        for shard in self.shards.iter() {
-            // Collect under the lock, shut down outside it.
-            let drained: Vec<_> = shard.lock().drain().map(|(_, s)| s).collect();
-            for stream in drained {
-                stream.shutdown();
-            }
+        // Collect under the lock, shut down outside it.
+        let drained: Vec<_> = self.streams.lock().drain().map(|(_, s)| s).collect();
+        for stream in drained {
+            stream.shutdown();
         }
     }
 }

@@ -10,25 +10,21 @@
 //! a subscriber additionally filters on `evtSource` (an event targeted at a
 //! specific stream application is ignored by others).
 //!
-//! ## Sharding (session plane)
+//! ## Subscriber lists keyed by name
 //!
-//! With thousands of per-user sessions subscribed, one `RwLock` per
-//! category would make every deploy (a `subscribe` write) contend with
-//! every `when`-rule delivery. Each category's subscriber list is
-//! therefore split into power-of-two shards keyed by the *subscriber
-//! name* — the same identity `evtSource` targets — so a targeted event
-//! locks exactly one shard (the one its target lives in) and a session's
-//! subscribe/unsubscribe never touches the shard another session's
-//! delivery is reading. Broadcasts still sweep every shard; they are the
-//! rare whole-gateway signals (LOW_BANDWIDTH et al.), not the per-session
-//! hot path. Delivery semantics are shard-count independent; only the
-//! `filtered` counter narrows (a targeted event no longer *sees* — and so
-//! no longer counts — non-matching subscribers parked in other shards).
+//! Each category's list is one `RwLock` over a map from subscriber name —
+//! the identity `evtSource` targets — to that name's subscriptions. A
+//! targeted event and an unsubscribe touch only the named entry, so with
+//! thousands of per-user sessions subscribed, neither scans the list nor
+//! asks other subscribers their name, and tearing down every session costs
+//! one map removal each rather than a sweep per session. A broadcast walks
+//! every entry; broadcasts are the rare whole-gateway signals
+//! (LOW_BANDWIDTH et al.), not the per-session path.
 
 use crate::supervisor::FaultInfo;
 use mobigate_mcl::events::{EventCategory, EventKind};
 use parking_lot::RwLock;
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -105,27 +101,43 @@ pub struct EventStats {
     pub filtered: u64,
 }
 
-/// One shard: a subscriber list per category, indexed by
-/// `EventCategory::id()` (`subscriberList` in Figure 6-7).
-struct EventShard {
-    lists: Vec<RwLock<Vec<Weak<dyn EventSubscriber>>>>,
+/// One category's `subscriberList` (Figure 6-7), keyed by subscriber
+/// name. A name may hold several subscriptions: two deployments of one
+/// stream, or one subscriber subscribed twice.
+#[derive(Default)]
+struct SubscriberList {
+    by_name: HashMap<Arc<str>, Vec<Weak<dyn EventSubscriber>>>,
+    /// Subscriptions across every name.
+    len: usize,
 }
 
-impl EventShard {
-    fn new() -> Self {
-        EventShard {
-            lists: (0..EventCategory::COUNT)
-                .map(|_| RwLock::new(Vec::new()))
-                .collect(),
+impl SubscriberList {
+    /// Keeps the live subscriptions of `name` that `keep` accepts,
+    /// dropping the entry once it is empty; returns the survivors.
+    fn retain(
+        &mut self,
+        name: &str,
+        mut keep: impl FnMut(&Weak<dyn EventSubscriber>) -> bool,
+    ) -> Vec<Arc<dyn EventSubscriber>> {
+        let Some(entry) = self.by_name.get_mut(name) else {
+            return Vec::new();
+        };
+        let before = entry.len();
+        entry.retain(|w| w.strong_count() > 0 && keep(w));
+        self.len -= before - entry.len();
+        let live = entry.iter().filter_map(Weak::upgrade).collect();
+        if entry.is_empty() {
+            self.by_name.remove(name);
         }
+        live
     }
 }
 
 /// The Event Manager (Figure 6-7): category-indexed subscriber lists plus
-/// multicast, sharded by subscriber name (see the module docs).
+/// multicast.
 pub struct EventManager {
-    shards: Box<[EventShard]>,
-    mask: usize,
+    /// Indexed by `EventCategory::id()`.
+    lists: Box<[RwLock<SubscriberList>]>,
     published: AtomicU64,
     delivered: AtomicU64,
     filtered: AtomicU64,
@@ -133,64 +145,47 @@ pub struct EventManager {
 
 impl Default for EventManager {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::with_shards(cores.next_power_of_two().clamp(1, 64))
-    }
-}
-
-impl EventManager {
-    /// A manager with empty subscriber lists, sized to the machine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A manager with a fixed shard count (rounded up to a power of two;
-    /// `1` reproduces the paper's single `subscriberList` per category).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
         EventManager {
-            shards: (0..n).map(|_| EventShard::new()).collect(),
-            mask: n - 1,
+            lists: (0..EventCategory::COUNT)
+                .map(|_| RwLock::default())
+                .collect(),
             published: AtomicU64::new(0),
             delivered: AtomicU64::new(0),
             filtered: AtomicU64::new(0),
         }
     }
+}
 
-    /// Number of shards each category's subscriber list is split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a subscriber (or `evtSource` target) named `name` lives
-    /// in. Keyed by name so targeted delivery and the target's own
-    /// subscribe/unsubscribe agree on a single shard.
-    fn shard_for(&self, name: &str) -> &EventShard {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        name.hash(&mut h);
-        &self.shards[(h.finish() as usize) & self.mask]
+impl EventManager {
+    /// A manager with empty subscriber lists.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Subscribes `app` to a category (paper `subscribeEvt`). Subscribers
     /// are held weakly: a dropped stream unsubscribes itself implicitly.
     pub fn subscribe(&self, category: EventCategory, app: &Arc<dyn EventSubscriber>) {
-        self.subscribe_as(&app.subscriber_name(), &[category], app);
+        self.subscribe_as(&app.subscriber_name().into(), &[category], app);
     }
 
     /// Subscribes `app`, whose [`EventSubscriber::subscriber_name`] is
     /// `name`, to every category in `categories` at once: the caller that
-    /// already knows the name saves asking for it once per category.
+    /// already holds the name saves asking for it, and copying it, once
+    /// per category.
     pub fn subscribe_as(
         &self,
-        name: &str,
+        name: &Arc<str>,
         categories: &[EventCategory],
         app: &Arc<dyn EventSubscriber>,
     ) {
-        let shard = self.shard_for(name);
         for c in categories {
-            shard.lists[c.id()].write().push(Arc::downgrade(app));
+            let mut list = self.lists[c.id()].write();
+            // Sized for the usual single subscription per name.
+            list.by_name
+                .entry(name.clone())
+                .or_insert_with(|| Vec::with_capacity(1))
+                .push(Arc::downgrade(app));
+            list.len += 1;
         }
     }
 
@@ -200,9 +195,9 @@ impl EventManager {
     }
 
     /// [`Self::unsubscribe`] from every category in `categories`, for a
-    /// subscriber named `name`. Entries are matched by address, so the
-    /// sweep never upgrades a live neighbour; dead entries are dropped
-    /// on the way.
+    /// subscriber named `name`. Only that name's entry is touched; its
+    /// subscriptions are matched by address, and dead ones are dropped on
+    /// the way.
     pub fn unsubscribe_as(
         &self,
         name: &str,
@@ -210,73 +205,65 @@ impl EventManager {
         app: &Arc<dyn EventSubscriber>,
     ) {
         let target = Arc::as_ptr(app) as *const ();
-        let shard = self.shard_for(name);
         for c in categories {
-            shard.lists[c.id()]
+            self.lists[c.id()]
                 .write()
-                .retain(|w| w.strong_count() > 0 && Weak::as_ptr(w) as *const () != target);
+                .retain(name, |w| Weak::as_ptr(w) as *const () != target);
         }
     }
 
-    /// Number of live subscribers in a category (all shards).
+    /// Number of live subscribers in a category.
     pub fn subscriber_count(&self, category: EventCategory) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                shard.lists[category.id()]
-                    .read()
-                    .iter()
-                    .filter(|w| w.strong_count() > 0)
-                    .count()
-            })
-            .sum()
+        self.lists[category.id()]
+            .read()
+            .by_name
+            .values()
+            .flatten()
+            .filter(|w| w.strong_count() > 0)
+            .count()
     }
 
     /// Multicasts an event to the subscribers of its category
     /// (Figure 6-7's `multicastEvent`). An `evtSource`-targeted event is
     /// delivered only to the stream whose name matches (§6.4: "the Event
     /// Manager is required to check the attribute evtSource … and verify
-    /// whether the corresponding stream application has subscribed") — and
-    /// since a subscriber's shard is derived from that same name, a
-    /// targeted event locks exactly one shard. Broadcasts sweep all
-    /// shards. Returns the number of deliveries.
+    /// whether the corresponding stream application has subscribed"): it
+    /// looks up that name's entry and counts the category's other
+    /// subscriptions as `filtered` without visiting them. A broadcast
+    /// reaches every entry, dropping dead subscriptions on the way.
+    /// Returns the number of deliveries.
     pub fn multicast(&self, event: &ContextEvent) -> usize {
         self.published.fetch_add(1, Ordering::Relaxed);
-        let mut count = 0;
-        match &event.source {
-            Some(src) => {
-                count += self.multicast_shard(self.shard_for(src), event);
-            }
-            None => {
-                for shard in self.shards.iter() {
-                    count += self.multicast_shard(shard, event);
-                }
-            }
-        }
-        count
-    }
-
-    fn multicast_shard(&self, shard: &EventShard, event: &ContextEvent) -> usize {
         let subs: Vec<Arc<dyn EventSubscriber>> = {
-            let mut list = shard.lists[event.category().id()].write();
-            // Opportunistically drop dead subscribers.
-            list.retain(|w| w.strong_count() > 0);
-            list.iter().filter_map(Weak::upgrade).collect()
-        };
-        let mut count = 0;
-        for sub in subs {
+            let mut list = self.lists[event.category().id()].write();
             match &event.source {
-                Some(src) if *src != sub.subscriber_name() => {
-                    self.filtered.fetch_add(1, Ordering::Relaxed);
+                Some(src) => {
+                    let subs = list.retain(src, |_| true);
+                    self.filtered
+                        .fetch_add((list.len - subs.len()) as u64, Ordering::Relaxed);
+                    subs
                 }
-                _ => {
-                    sub.on_event(event);
-                    self.delivered.fetch_add(1, Ordering::Relaxed);
-                    count += 1;
+                None => {
+                    let list = &mut *list;
+                    list.by_name.retain(|_, entry| {
+                        entry.retain(|w| w.strong_count() > 0);
+                        !entry.is_empty()
+                    });
+                    list.len = list.by_name.values().map(Vec::len).sum();
+                    list.by_name
+                        .values()
+                        .flatten()
+                        .filter_map(Weak::upgrade)
+                        .collect()
                 }
             }
+        };
+        for sub in &subs {
+            sub.on_event(event);
         }
-        count
+        self.delivered
+            .fetch_add(subs.len() as u64, Ordering::Relaxed);
+        subs.len()
     }
 
     /// Statistics snapshot.
@@ -297,17 +284,21 @@ mod tests {
     struct Recorder {
         name: String,
         seen: Mutex<Vec<EventKind>>,
+        /// `subscriber_name()` calls so far.
+        asked: AtomicU64,
     }
     impl Recorder {
         fn new(name: &str) -> Arc<Self> {
             Arc::new(Recorder {
                 name: name.into(),
                 seen: Mutex::new(Vec::new()),
+                asked: AtomicU64::new(0),
             })
         }
     }
     impl EventSubscriber for Recorder {
         fn subscriber_name(&self) -> String {
+            self.asked.fetch_add(1, Ordering::Relaxed);
             self.name.clone()
         }
         fn on_event(&self, event: &ContextEvent) {
@@ -335,7 +326,7 @@ mod tests {
 
     #[test]
     fn unsubscribing_one_stream_keeps_its_neighbours() {
-        let mgr = EventManager::with_shards(1);
+        let mgr = EventManager::new();
         let subs: Vec<Arc<Recorder>> = ["a", "b", "c"].iter().map(|n| Recorder::new(n)).collect();
         for r in &subs {
             mgr.subscribe(EventCategory::NetworkVariation, &as_sub(r));
@@ -352,9 +343,7 @@ mod tests {
 
     #[test]
     fn targeted_events_filter_by_source() {
-        // One shard so the `filtered` counter observes the non-matching
-        // subscriber (with more shards it may never be scanned at all).
-        let mgr = EventManager::with_shards(1);
+        let mgr = EventManager::new();
         let a = Recorder::new("appA");
         let b = Recorder::new("appB");
         mgr.subscribe(EventCategory::SystemCommand, &as_sub(&a));
@@ -368,65 +357,92 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_rounds_up_to_power_of_two() {
-        assert_eq!(EventManager::with_shards(1).shard_count(), 1);
-        assert_eq!(EventManager::with_shards(3).shard_count(), 4);
-        assert_eq!(EventManager::with_shards(16).shard_count(), 16);
-        assert_eq!(EventManager::with_shards(0).shard_count(), 1);
+    fn targeted_event_never_asks_other_subscribers_their_name() {
+        let mgr = EventManager::new();
+        let subs: Vec<_> = (0..8).map(|i| Recorder::new(&format!("s{i}"))).collect();
+        for s in &subs {
+            mgr.subscribe(EventCategory::SystemCommand, &as_sub(s));
+        }
+        let asked: Vec<u64> = subs
+            .iter()
+            .map(|s| s.asked.load(Ordering::Relaxed))
+            .collect();
+        assert_eq!(
+            mgr.multicast(&ContextEvent::targeted(EventKind::Pause, "s3")),
+            1
+        );
+        assert_eq!(subs[3].seen.lock().as_slice(), &[EventKind::Pause]);
+        for (s, before) in subs.iter().zip(asked) {
+            assert_eq!(
+                s.asked.load(Ordering::Relaxed),
+                before,
+                "{} was asked its name",
+                s.name
+            );
+        }
+        assert_eq!(mgr.stats().filtered, 7);
     }
 
     #[test]
-    fn delivery_is_shard_count_independent() {
-        // The same subscriber population and event sequence deliver
-        // identically whatever the shard count: a subscriber lives in the
-        // shard its *name* hashes to, which is exactly the shard a
-        // targeted event scans.
-        for shards in [1usize, 2, 8, 64] {
-            let mgr = EventManager::with_shards(shards);
-            let subs: Vec<_> = (0..17).map(|i| Recorder::new(&format!("s{i}"))).collect();
-            for s in &subs {
-                mgr.subscribe(EventCategory::NetworkVariation, &as_sub(s));
-                mgr.subscribe(EventCategory::SystemCommand, &as_sub(s));
-            }
+    fn targeted_and_broadcast_events_reach_the_right_subscribers() {
+        let mgr = EventManager::new();
+        let subs: Vec<_> = (0..17).map(|i| Recorder::new(&format!("s{i}"))).collect();
+        for s in &subs {
+            mgr.subscribe(EventCategory::NetworkVariation, &as_sub(s));
+            mgr.subscribe(EventCategory::SystemCommand, &as_sub(s));
+        }
+        assert_eq!(
+            mgr.multicast(&ContextEvent::broadcast(EventKind::LowBandwidth)),
+            17
+        );
+        for (i, s) in subs.iter().enumerate() {
+            let n = mgr.multicast(&ContextEvent::targeted(EventKind::End, format!("s{i}")));
+            assert_eq!(n, 1, "target s{i}");
             assert_eq!(
-                mgr.multicast(&ContextEvent::broadcast(EventKind::LowBandwidth)),
-                17,
-                "broadcast with {shards} shards"
-            );
-            for (i, s) in subs.iter().enumerate() {
-                let n = mgr.multicast(&ContextEvent::targeted(EventKind::End, format!("s{i}")));
-                assert_eq!(n, 1, "target s{i} with {shards} shards");
-                assert_eq!(
-                    s.seen
-                        .lock()
-                        .iter()
-                        .filter(|k| **k == EventKind::End)
-                        .count(),
-                    1
-                );
-            }
-            // A target nobody owns reaches nobody.
-            assert_eq!(
-                mgr.multicast(&ContextEvent::targeted(EventKind::End, "ghost")),
-                0
+                s.seen
+                    .lock()
+                    .iter()
+                    .filter(|k| **k == EventKind::End)
+                    .count(),
+                1
             );
         }
+        // A target nobody owns reaches nobody.
+        assert_eq!(
+            mgr.multicast(&ContextEvent::targeted(EventKind::End, "ghost")),
+            0
+        );
     }
 
     #[test]
-    fn unsubscribe_finds_the_right_shard() {
-        for shards in [1usize, 4, 32] {
-            let mgr = EventManager::with_shards(shards);
-            let subs: Vec<_> = (0..9).map(|i| Recorder::new(&format!("u{i}"))).collect();
-            for s in &subs {
-                mgr.subscribe(EventCategory::SystemCommand, &as_sub(s));
-            }
-            for s in &subs {
-                mgr.unsubscribe(EventCategory::SystemCommand, &as_sub(s));
-            }
-            assert_eq!(mgr.subscriber_count(EventCategory::SystemCommand), 0);
-            assert_eq!(mgr.multicast(&ContextEvent::broadcast(EventKind::End)), 0);
+    fn unsubscribe_finds_the_named_entry() {
+        let mgr = EventManager::new();
+        let subs: Vec<_> = (0..9).map(|i| Recorder::new(&format!("u{i}"))).collect();
+        for s in &subs {
+            mgr.subscribe(EventCategory::SystemCommand, &as_sub(s));
         }
+        for s in &subs {
+            mgr.unsubscribe(EventCategory::SystemCommand, &as_sub(s));
+        }
+        assert_eq!(mgr.subscriber_count(EventCategory::SystemCommand), 0);
+        assert_eq!(mgr.multicast(&ContextEvent::broadcast(EventKind::End)), 0);
+    }
+
+    #[test]
+    fn unsubscribe_leaves_a_namesakes_subscription() {
+        // Two deployments of one stream share its name.
+        let mgr = EventManager::new();
+        let a = Recorder::new("app");
+        let b = Recorder::new("app");
+        mgr.subscribe(EventCategory::SystemCommand, &as_sub(&a));
+        mgr.subscribe(EventCategory::SystemCommand, &as_sub(&b));
+        mgr.unsubscribe(EventCategory::SystemCommand, &as_sub(&a));
+        assert_eq!(
+            mgr.multicast(&ContextEvent::targeted(EventKind::End, "app")),
+            1
+        );
+        assert!(a.seen.lock().is_empty());
+        assert_eq!(b.seen.lock().as_slice(), &[EventKind::End]);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use error::CoreError;
 pub use events::{ContextEvent, EventManager};
 pub use executor::{default_executor, Executor, ThreadPerStreamlet, WorkerPool};
 pub use fusion::{FusedLogic, FusedMember, FusedShared};
-pub use membuf::{BufferPool, BufferPoolStats, MembufConfig, PooledBuf};
+pub use membuf::{BufferPool, BufferPoolStats, PooledBuf};
 pub use overload::{
     AdmissionConfig, AdmissionController, AdmissionStats, BreakerConfig, BreakerState,
     CircuitBreaker, FaultVerdict, OverloadConfig, PriorityClass, ProbeOutcome, ShedConfig,

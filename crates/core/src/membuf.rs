@@ -3,7 +3,7 @@
 //! The gateway's job is to shuttle multimedia payloads through streamlet
 //! chains (§3.3); at 10k+ concurrent sessions the dominant steady-state
 //! cost is no longer scheduling but per-message heap churn. This module
-//! removes it at the source: ingress checks a slab out of a sharded
+//! removes it at the source: ingress checks a slab out of a
 //! [`BufferPool`], parses the wire body straight into it, and freezes it
 //! into a refcounted [`Bytes`] whose **last-drop hook returns the slab to
 //! the pool automatically** (see the vendored `bytes` crate's
@@ -43,30 +43,6 @@ pub const SIZE_CLASSES: [usize; 7] = [
 /// worst-case memory a pathological payload can pin.
 const MAX_POOLED_CAPACITY: usize = 2 << 20;
 
-/// Memory-plane knobs on [`crate::ServerConfig`].
-#[derive(Debug, Clone, Copy)]
-pub struct MembufConfig {
-    /// When false no pool is built: ingress bodies are plain allocations
-    /// (the pre-memory-plane behavior, kept for ablations).
-    pub enabled: bool,
-    /// Retained slabs per size class per shard; returns beyond the cap
-    /// are freed (`discarded`).
-    pub max_per_class: usize,
-    /// Shard count (rounded up to a power of two). `None` derives it
-    /// from available parallelism.
-    pub shards: Option<usize>,
-}
-
-impl Default for MembufConfig {
-    fn default() -> Self {
-        MembufConfig {
-            enabled: true,
-            max_per_class: 64,
-            shards: None,
-        }
-    }
-}
-
 /// Lock-free snapshot of the pool's counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BufferPoolStats {
@@ -81,22 +57,17 @@ pub struct BufferPoolStats {
     /// Returns freed instead of retained (class full or capacity out of
     /// range).
     pub discarded: u64,
-    /// Slabs currently retained across all shards and classes.
+    /// Slabs currently retained across all classes.
     pub population: u64,
     /// Slabs checked out and not yet returned (live message bodies).
     pub outstanding: u64,
 }
 
-struct Shard {
-    classes: Vec<Mutex<Vec<Vec<u8>>>>,
-}
-
-/// A sharded pool of recycled body slabs (see module docs).
+/// A pool of recycled body slabs (see module docs).
 pub struct BufferPool {
-    shards: Vec<Shard>,
-    shard_mask: usize,
+    /// One stack of retained slabs per size class.
+    classes: Vec<Mutex<Vec<Vec<u8>>>>,
     max_per_class: usize,
-    next: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     resizes: AtomicU64,
@@ -122,22 +93,14 @@ fn class_down(capacity: usize) -> Option<usize> {
 }
 
 impl BufferPool {
-    /// Builds a pool with `shards` shards (rounded up to a power of two)
-    /// retaining at most `max_per_class` slabs per class per shard.
-    pub fn new(shards: usize, max_per_class: usize) -> Arc<Self> {
-        let shards = shards.max(1).next_power_of_two();
+    /// Builds a pool retaining at most `max_per_class` slabs per class.
+    pub fn new(max_per_class: usize) -> Arc<Self> {
         Arc::new(BufferPool {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    classes: SIZE_CLASSES
-                        .iter()
-                        .map(|_| Mutex::new(Vec::new()))
-                        .collect(),
-                })
+            classes: SIZE_CLASSES
+                .iter()
+                .map(|_| Mutex::new(Vec::new()))
                 .collect(),
-            shard_mask: shards - 1,
             max_per_class: max_per_class.max(1),
-            next: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             resizes: AtomicU64::new(0),
@@ -148,26 +111,11 @@ impl BufferPool {
         })
     }
 
-    /// Builds a pool from config (`None` when disabled).
-    pub fn from_config(cfg: &MembufConfig) -> Option<Arc<Self>> {
-        if !cfg.enabled {
-            return None;
-        }
-        let shards = cfg.shards.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-        });
-        Some(BufferPool::new(shards, cfg.max_per_class))
-    }
-
     /// Checks a cleared slab out of the pool, recycled when available,
     /// freshly allocated otherwise.
     pub fn checkout(self: &Arc<Self>, size_hint: usize) -> PooledBuf {
         let class = class_up(size_hint);
-        let shard =
-            &self.shards[self.next.fetch_add(1, Ordering::Relaxed) as usize & self.shard_mask];
-        let reused = shard.classes[class].lock().pop();
+        let reused = self.classes[class].lock().pop();
         let buf = match reused {
             Some(mut buf) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -232,9 +180,7 @@ impl SlabRecycler for BufferPool {
                 return;
             }
         };
-        let shard =
-            &self.shards[self.next.fetch_add(1, Ordering::Relaxed) as usize & self.shard_mask];
-        let mut stack = shard.classes[class].lock();
+        let mut stack = self.classes[class].lock();
         if stack.len() >= self.max_per_class {
             self.discarded.fetch_add(1, Ordering::Relaxed);
             return;
@@ -306,7 +252,7 @@ mod tests {
 
     #[test]
     fn checkout_miss_then_hit() {
-        let pool = BufferPool::new(1, 8);
+        let pool = BufferPool::new(8);
         let b = pool.checkout(1000);
         assert_eq!(pool.stats().misses, 1);
         assert_eq!(pool.stats().outstanding, 1);
@@ -322,7 +268,7 @@ mod tests {
 
     #[test]
     fn freeze_recycles_on_last_clone_drop() {
-        let pool = BufferPool::new(1, 8);
+        let pool = BufferPool::new(8);
         let mut b = pool.checkout(200);
         b.extend_from_slice(&[7u8; 200]);
         let bytes = b.freeze();
@@ -338,7 +284,7 @@ mod tests {
 
     #[test]
     fn small_freeze_goes_inline_and_recycles_immediately() {
-        let pool = BufferPool::new(1, 8);
+        let pool = BufferPool::new(8);
         let mut b = pool.checkout(16);
         b.extend_from_slice(&[1u8; 16]);
         let bytes = b.freeze();
@@ -349,7 +295,7 @@ mod tests {
 
     #[test]
     fn returns_classify_by_grown_capacity() {
-        let pool = BufferPool::new(1, 8);
+        let pool = BufferPool::new(8);
         let mut b = pool.checkout(256);
         // Grow well past the checkout class.
         b.extend_from_slice(&vec![0u8; 70 << 10]);
@@ -361,7 +307,7 @@ mod tests {
 
     #[test]
     fn oversized_returns_are_discarded() {
-        let pool = BufferPool::new(1, 8);
+        let pool = BufferPool::new(8);
         let mut b = pool.checkout(3 << 20);
         b.extend_from_slice(&vec![0u8; 3 << 20]);
         drop(b.freeze());
@@ -372,7 +318,7 @@ mod tests {
 
     #[test]
     fn class_cap_bounds_population() {
-        let pool = BufferPool::new(1, 2);
+        let pool = BufferPool::new(2);
         let bufs: Vec<_> = (0..4).map(|_| pool.checkout(1024)).collect();
         drop(bufs);
         let s = pool.stats();
@@ -382,7 +328,7 @@ mod tests {
 
     #[test]
     fn checkout_bytes_round_trips_content() {
-        let pool = BufferPool::new(2, 8);
+        let pool = BufferPool::new(8);
         let data: Vec<u8> = (0..=255u8).cycle().take(5000).collect();
         let bytes = pool.checkout_bytes(&data);
         assert_eq!(bytes, data);

@@ -13,18 +13,14 @@
 //! evicted at zero. [`PayloadMode::Value`] exists to reproduce the paper's
 //! pass-by-value baseline (Figure 7-3): each hop deep-copies the body.
 //!
-//! # Sharding
+//! # One lock, lock-free statistics
 //!
-//! The store is split into `N` power-of-two shards selected by message id.
-//! Ids are allocated from one atomic counter, so consecutive messages
-//! round-robin across shards and concurrent streams contend on different
-//! locks instead of serializing on one. [`MessagePool::stats`] aggregates
-//! per-shard atomic counters without taking any shard lock; `resident` is
+//! The store is one id-keyed map behind one mutex, as in the paper's
+//! centralized pool. [`MessagePool::stats`] reads atomic counters that are
+//! only written under that mutex, so it takes no lock; `resident` is
 //! derived as `inserted - evicted`, so the lifetime invariant
 //! `resident + evicted == inserted` holds by construction even while
-//! producers and consumers race. `MessagePool::new()` sizes the pool to the
-//! machine; [`MessagePool::with_shards`] pins a count (1 reproduces the
-//! paper's single-lock pool for ablation).
+//! producers and consumers race.
 
 // Hot-path modules must surface failures as `CoreError`s, never abort.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -83,9 +79,9 @@ impl Payload {
 /// Hashes the pool's sequential `u64` ids: one multiply by the golden
 /// ratio and a fold of the high half into the low, so both the bucket
 /// bits (low) and the tag bits (high) a hash table reads vary with every
-/// id — even among one shard's ids, which share their low bits.
+/// id.
 #[derive(Default)]
-pub(crate) struct IdHasher(u64);
+struct IdHasher(u64);
 
 impl std::hash::Hasher for IdHasher {
     fn finish(&self) -> u64 {
@@ -106,7 +102,7 @@ impl std::hash::Hasher for IdHasher {
 }
 
 /// A map keyed by sequential ids, hashed by [`IdHasher`].
-pub(crate) type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 #[derive(Debug)]
 struct Entry {
@@ -127,85 +123,40 @@ pub struct PoolStats {
     pub evicted: u64,
 }
 
-/// One lock's worth of the store: a slot map plus counters that mirror it.
+/// The centralized, thread-safe message store.
 ///
 /// The atomics are only written while holding `slots`, so they always agree
-/// with the map they describe; readers ([`MessagePool::stats`]) consume them
-/// without locking.
+/// with the map they describe; [`MessagePool::stats`] reads them without
+/// locking.
 #[derive(Debug, Default)]
-struct Shard {
+pub struct MessagePool {
     slots: Mutex<IdMap<Entry>>,
+    next_id: AtomicU64,
     inserted: AtomicU64,
     evicted: AtomicU64,
     resident_bytes: AtomicU64,
 }
 
-impl Shard {
-    fn evict(&self, map: &mut IdMap<Entry>, id: u64) -> Option<MimeMessage> {
-        let e = map.remove(&id)?;
-        self.evicted.fetch_add(1, Ordering::Release);
-        self.resident_bytes
-            .fetch_sub(e.msg.body.len() as u64, Ordering::Release);
-        Some(e.msg)
-    }
-}
-
-/// The centralized, thread-safe message store, sharded by message id.
-#[derive(Debug)]
-pub struct MessagePool {
-    shards: Box<[Shard]>,
-    mask: u64,
-    next_id: AtomicU64,
-}
-
-impl Default for MessagePool {
-    fn default() -> Self {
-        Self::with_shards(default_shard_count())
-    }
-}
-
-/// Power-of-two near the core count, clamped to a sane range.
-fn default_shard_count() -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(8);
-    cores.next_power_of_two().clamp(1, 64)
-}
-
 impl MessagePool {
-    /// An empty pool sized to the machine (power-of-two shards near the
-    /// core count).
+    /// An empty pool.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty pool with a fixed shard count (rounded up to a power of
-    /// two; `1` reproduces the paper's single-lock pool).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        MessagePool {
-            shards: (0..n).map(|_| Shard::default()).collect(),
-            mask: n as u64 - 1,
-            next_id: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, id: u64) -> &Shard {
-        &self.shards[(id & self.mask) as usize]
+    fn evict(&self, slots: &mut IdMap<Entry>, id: u64) -> Option<MimeMessage> {
+        let e = slots.remove(&id)?;
+        self.evicted.fetch_add(1, Ordering::Release);
+        self.resident_bytes
+            .fetch_sub(e.msg.body.len() as u64, Ordering::Release);
+        Some(e.msg)
     }
 
     /// Stores a message with `refs` outstanding references and returns its
     /// id. `refs == 0` is clamped to 1.
     pub fn insert(&self, msg: MimeMessage, refs: u32) -> MessageId {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard(id);
         let body_len = msg.body.len() as u64;
-        let mut slots = shard.slots.lock();
+        let mut slots = self.slots.lock();
         slots.insert(
             id,
             Entry {
@@ -213,8 +164,8 @@ impl MessagePool {
                 refs: refs.max(1),
             },
         );
-        shard.inserted.fetch_add(1, Ordering::Release);
-        shard.resident_bytes.fetch_add(body_len, Ordering::Release);
+        self.inserted.fetch_add(1, Ordering::Release);
+        self.resident_bytes.fetch_add(body_len, Ordering::Release);
         MessageId(id)
     }
 
@@ -231,7 +182,7 @@ impl MessagePool {
     /// Adds `n` references to an existing entry (fan-out after insertion).
     /// Returns false when the id is unknown (already fully consumed).
     pub fn add_refs(&self, id: MessageId, n: u32) -> bool {
-        let mut slots = self.shard(id.0).slots.lock();
+        let mut slots = self.slots.lock();
         match slots.get_mut(&id.0) {
             Some(e) => {
                 e.refs += n;
@@ -245,38 +196,25 @@ impl MessagePool {
     /// headers for routing do this). The returned message shares the pooled
     /// body buffer — no payload bytes are copied.
     pub fn peek(&self, id: MessageId) -> Option<MimeMessage> {
-        self.shard(id.0)
-            .slots
-            .lock()
-            .get(&id.0)
-            .map(|e| e.msg.clone())
+        self.slots.lock().get(&id.0).map(|e| e.msg.clone())
     }
 
     /// Reads just the body of a resident message as a shared [`Bytes`]
     /// handle — the cheapest way to inspect a payload without consuming a
     /// reference or touching the headers.
     pub fn peek_body(&self, id: MessageId) -> Option<Bytes> {
-        self.shard(id.0)
-            .slots
-            .lock()
-            .get(&id.0)
-            .map(|e| e.msg.body.clone())
+        self.slots.lock().get(&id.0).map(|e| e.msg.body.clone())
     }
 
     /// Body length of a resident message (buffer accounting).
     pub fn peek_len(&self, id: MessageId) -> Option<usize> {
-        self.shard(id.0)
-            .slots
-            .lock()
-            .get(&id.0)
-            .map(|e| e.msg.wire_len())
+        self.slots.lock().get(&id.0).map(|e| e.msg.wire_len())
     }
 
     /// Priority class of a resident message — feeds shedding without
     /// cloning the body handle or the headers, or building its type.
     pub(crate) fn peek_class(&self, id: MessageId) -> Option<PriorityClass> {
-        self.shard(id.0)
-            .slots
+        self.slots
             .lock()
             .get(&id.0)
             .map(|e| PriorityClass::of_message(&e.msg))
@@ -285,12 +223,11 @@ impl MessagePool {
     /// Takes one reference: returns the message (body shared, not copied)
     /// and evicts the entry when this was the last reference.
     pub fn take_ref(&self, id: MessageId) -> Option<MimeMessage> {
-        let shard = self.shard(id.0);
-        let mut slots = shard.slots.lock();
+        let mut slots = self.slots.lock();
         let entry = slots.get_mut(&id.0)?;
         entry.refs -= 1;
         if entry.refs == 0 {
-            shard.evict(&mut slots, id.0)
+            self.evict(&mut slots, id.0)
         } else {
             Some(entry.msg.clone())
         }
@@ -299,36 +236,32 @@ impl MessagePool {
     /// Drops one reference without reading (used when a queue discards a
     /// pending payload).
     pub fn drop_ref(&self, id: MessageId) {
-        let shard = self.shard(id.0);
-        let mut slots = shard.slots.lock();
+        let mut slots = self.slots.lock();
         if let Some(entry) = slots.get_mut(&id.0) {
             entry.refs -= 1;
             if entry.refs == 0 {
-                shard.evict(&mut slots, id.0);
+                self.evict(&mut slots, id.0);
             }
         }
     }
 
-    /// Current statistics snapshot, aggregated across shards without
-    /// taking any lock.
+    /// Current statistics snapshot, read without taking the lock.
     ///
-    /// Per shard, `evicted` is read before `inserted`: evictions strictly
-    /// follow their insertion, so this ordering guarantees
-    /// `inserted >= evicted` in the snapshot and `resident` (derived as
-    /// the difference) never underflows, even mid-race. The lifetime
-    /// invariant `resident + evicted == inserted` holds by construction.
+    /// `evicted` is read before `inserted`: evictions strictly follow
+    /// their insertion, so this ordering guarantees `inserted >= evicted`
+    /// in the snapshot and `resident` (derived as the difference) never
+    /// underflows, even mid-race. The lifetime invariant
+    /// `resident + evicted == inserted` holds by construction.
     pub fn stats(&self) -> PoolStats {
-        let mut stats = PoolStats::default();
-        for shard in self.shards.iter() {
-            let evicted = shard.evicted.load(Ordering::Acquire);
-            let resident_bytes = shard.resident_bytes.load(Ordering::Acquire);
-            let inserted = shard.inserted.load(Ordering::Acquire);
-            stats.inserted += inserted;
-            stats.evicted += evicted;
-            stats.resident += (inserted - evicted) as usize;
-            stats.resident_bytes += resident_bytes as usize;
+        let evicted = self.evicted.load(Ordering::Acquire);
+        let resident_bytes = self.resident_bytes.load(Ordering::Acquire);
+        let inserted = self.inserted.load(Ordering::Acquire);
+        PoolStats {
+            resident: (inserted - evicted) as usize,
+            resident_bytes: resident_bytes as usize,
+            inserted,
+            evicted,
         }
-        stats
     }
 
     /// Wraps a message as a payload according to `mode`, for delivery to
@@ -538,31 +471,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(MessagePool::with_shards(1).shard_count(), 1);
-        assert_eq!(MessagePool::with_shards(3).shard_count(), 4);
-        assert_eq!(MessagePool::with_shards(8).shard_count(), 8);
-        assert_eq!(MessagePool::with_shards(0).shard_count(), 1);
-        assert!(MessagePool::new().shard_count().is_power_of_two());
-    }
-
-    #[test]
-    fn sequential_ids_round_robin_across_shards() {
-        let pool = MessagePool::with_shards(4);
-        let ids: Vec<MessageId> = (0..8).map(|_| pool.insert(msg(1), 1)).collect();
-        // Consecutive ids land on consecutive shards, so any 4 consecutive
-        // inserts touch 4 distinct locks.
-        for w in ids.windows(4) {
-            let mut shards: Vec<u64> = w.iter().map(|id| id.0 & 3).collect();
-            shards.sort_unstable();
-            shards.dedup();
-            assert_eq!(shards.len(), 4);
-        }
-    }
-
-    #[test]
-    fn single_shard_pool_behaves_identically() {
-        let pool = MessagePool::with_shards(1);
+    fn added_ref_and_drop_ref_evict_once() {
+        let pool = MessagePool::new();
         let id = pool.insert(msg(16), 2);
         assert!(pool.add_refs(id, 1));
         assert!(pool.take_ref(id).is_some());
@@ -592,8 +502,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_resident_bytes_per_shard() {
-        let pool = MessagePool::with_shards(4);
+    fn stats_track_resident_bytes() {
+        let pool = MessagePool::new();
         let a = pool.insert(msg(100), 1);
         let b = pool.insert(msg(50), 1);
         assert_eq!(pool.stats().resident_bytes, 150);
@@ -603,7 +513,7 @@ mod tests {
         assert_eq!(pool.stats().resident_bytes, 0);
     }
 
-    /// The accounting race the sharded rewrite closes: concurrent
+    /// The accounting race lock-free stats must survive: concurrent
     /// `take_ref`/`drop_ref` on the *last* reference of many messages must
     /// never double-evict or leave `resident + evicted != inserted`.
     #[test]

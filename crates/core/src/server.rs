@@ -16,7 +16,7 @@ use crate::directory::StreamletDirectory;
 use crate::error::CoreError;
 use crate::events::{ContextEvent, EventManager};
 use crate::executor::{default_executor, Executor, WorkerPool};
-use crate::membuf::{BufferPool, MembufConfig};
+use crate::membuf::BufferPool;
 use crate::overload::{AdmissionController, OverloadConfig};
 use crate::pool::{MessagePool, PayloadMode};
 use crate::pooling::StreamletPool;
@@ -93,14 +93,6 @@ pub struct ServerConfig {
     pub route_opts: crate::streamlet::RouteOpts,
     /// Execution back end for streamlets.
     pub executor: ExecutorConfig,
-    /// Message-pool shard count (rounded up to a power of two). `None`
-    /// derives it from the machine's available parallelism.
-    pub pool_shards: Option<usize>,
-    /// Coordination-plane shard count — splits the Coordination Manager's
-    /// routing table and the Event Manager's per-category subscriber
-    /// lists (rounded up to a power of two; `1` reproduces the paper's
-    /// single-lock planes). `None` derives it from available parallelism.
-    pub coord_shards: Option<usize>,
     /// Streamlet supervision (panic isolation is always on; this governs
     /// restarts, quarantine, and the dead-letter queue).
     pub supervision: SupervisionConfig,
@@ -122,8 +114,11 @@ pub struct ServerConfig {
     /// Memory plane: the recycled-slab buffer pool backing
     /// [`RunningStream::post_wire`] ingress bodies. Enabled by default;
     /// disabling reproduces the plain-allocation baseline for ablations.
-    pub membuf: MembufConfig,
+    pub membuf: bool,
 }
+
+/// Slabs the memory plane retains per size class.
+const MEMBUF_MAX_PER_CLASS: usize = 128;
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -131,14 +126,12 @@ impl Default for ServerConfig {
             mode: PayloadMode::Reference,
             route_opts: Default::default(),
             executor: ExecutorConfig::default(),
-            pool_shards: None,
-            coord_shards: None,
             supervision: SupervisionConfig::default(),
             batching: BatchConfig::default(),
             fusion: false,
             telemetry: TelemetryConfig::default(),
             overload: OverloadConfig::default(),
-            membuf: MembufConfig::default(),
+            membuf: true,
         }
     }
 }
@@ -192,58 +185,28 @@ impl Default for MobiGate {
 impl MobiGate {
     /// Builds a server with the given payload-passing mode.
     pub fn new(mode: PayloadMode) -> Self {
-        Self::with_services(
-            mode,
+        Self::with_config(
+            ServerConfig {
+                mode,
+                ..Default::default()
+            },
             Arc::new(StreamletDirectory::new()),
             Arc::new(StreamletPool::new(64)),
         )
     }
 
-    /// Builds a server over caller-supplied directory/pool (ablations swap
-    /// in [`StreamletPool::disabled`]).
-    pub fn with_services(
-        mode: PayloadMode,
-        directory: Arc<StreamletDirectory>,
-        streamlet_pool: Arc<StreamletPool>,
-    ) -> Self {
-        Self::with_options(mode, directory, streamlet_pool, Default::default())
-    }
-
-    /// Builds a server with explicit routing options (e.g. the §4.1
-    /// runtime type check enabled).
-    pub fn with_options(
-        mode: PayloadMode,
-        directory: Arc<StreamletDirectory>,
-        streamlet_pool: Arc<StreamletPool>,
-        route_opts: crate::streamlet::RouteOpts,
-    ) -> Self {
-        Self::with_config(
-            ServerConfig {
-                mode,
-                route_opts,
-                ..Default::default()
-            },
-            directory,
-            streamlet_pool,
-        )
-    }
-
     /// Builds a server from a full [`ServerConfig`] (executor back end,
-    /// message-pool sharding, payload mode, routing options).
+    /// payload mode, routing options, optional planes) over
+    /// caller-supplied directory and streamlet pool (ablations swap in
+    /// [`StreamletPool::disabled`]).
     pub fn with_config(
         config: ServerConfig,
         directory: Arc<StreamletDirectory>,
         streamlet_pool: Arc<StreamletPool>,
     ) -> Self {
-        let msg_pool = Arc::new(match config.pool_shards {
-            Some(n) => MessagePool::with_shards(n),
-            None => MessagePool::new(),
-        });
+        let msg_pool = Arc::new(MessagePool::new());
         let executor = config.executor.build();
-        let events = Arc::new(match config.coord_shards {
-            Some(n) => EventManager::with_shards(n),
-            None => EventManager::new(),
-        });
+        let events = Arc::new(EventManager::new());
         let supervisor = if config.supervision.enabled {
             Some(Supervisor::with_options(
                 events.clone(),
@@ -263,7 +226,7 @@ impl MobiGate {
             .admission_on()
             .then(|| AdmissionController::new(config.overload.admission.clone()));
         let telemetry = if config.telemetry.enabled {
-            let t = Telemetry::new(&config.telemetry);
+            let t = Telemetry::new();
             if let Some(sup) = &supervisor {
                 sup.set_telemetry(t.clone());
             }
@@ -271,7 +234,7 @@ impl MobiGate {
         } else {
             None
         };
-        let buf_pool = BufferPool::from_config(&config.membuf);
+        let buf_pool = config.membuf.then(|| BufferPool::new(MEMBUF_MAX_PER_CLASS));
         let deps = StreamDeps {
             msg_pool: msg_pool.clone(),
             directory: directory.clone(),
@@ -287,10 +250,7 @@ impl MobiGate {
             admission: admission.clone(),
             buf_pool: buf_pool.clone(),
         };
-        let coordination = Arc::new(match config.coord_shards {
-            Some(n) => CoordinationManager::with_shards(deps, events.clone(), n),
-            None => CoordinationManager::new(deps, events.clone()),
-        });
+        let coordination = Arc::new(CoordinationManager::new(deps, events.clone()));
         if let Some(t) = &telemetry {
             if config.telemetry.bridge.enabled {
                 let bridge = MetricsBridge::start(
@@ -543,14 +503,12 @@ mod tests {
         let gate = MobiGate::with_config(
             ServerConfig {
                 executor: ExecutorConfig::WorkerPool { workers: 4 },
-                pool_shards: Some(4),
                 ..Default::default()
             },
             Arc::new(StreamletDirectory::new()),
             Arc::new(crate::pooling::StreamletPool::new(8)),
         );
         assert_eq!(gate.executor().name(), "worker-pool");
-        assert_eq!(gate.message_pool().shard_count(), 4);
         gate.directory()
             .register("builtin/rev", "reverse bytes", || Box::new(Rev));
         let stream = gate

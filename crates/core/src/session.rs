@@ -10,7 +10,7 @@
 //! fused-run descriptors, queue configurations, port bindings as indices —
 //! and stamps out independent sessions from that, each a full
 //! `RunningStream` with its own session ID, event identity, and
-//! routing-table row in the sharded Coordination Manager. A spawn creates
+//! routing-table row in the Coordination Manager. A spawn creates
 //! only live state; the blueprint's rows and `when` rules are shared.
 //!
 //! Per-session cost at idle is deliberately tiny: instances come out of
@@ -49,7 +49,7 @@ pub struct SessionManager {
     next_seq: AtomicU64,
     /// Sessions this manager spawned and has not torn down. Manager-local
     /// bookkeeping (`teardown_all`, listing); the authoritative routing
-    /// rows live sharded in the Coordination Manager.
+    /// rows live in the Coordination Manager.
     roster: Mutex<HashSet<SessionId>>,
 }
 
@@ -110,7 +110,7 @@ impl SessionManager {
         (0..n).map(|_| self.spawn()).collect()
     }
 
-    /// Looks up a live session (one coordination shard lock).
+    /// Looks up a live session in the routing table.
     pub fn get(&self, session: &SessionId) -> Option<Arc<RunningStream>> {
         self.coordination.stream(session)
     }
@@ -182,8 +182,8 @@ impl SessionManager {
 impl Drop for SessionManager {
     fn drop(&mut self) {
         // Sessions are this manager's resources: dropping it reclaims
-        // them (instances back to the pool, rows out of the coordination
-        // shards) instead of leaving orphans only `shutdown_all` can find.
+        // them (instances back to the pool, rows out of the routing
+        // table) instead of leaving orphans only `shutdown_all` can find.
         self.teardown_all();
     }
 }

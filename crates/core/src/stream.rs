@@ -845,6 +845,11 @@ impl RunningStream {
         &self.name
     }
 
+    /// The stream name as the shared string the stream holds.
+    pub(crate) fn shared_name(&self) -> &Arc<str> {
+        &self.name
+    }
+
     /// The unique session of this stream instance (§4.4.3).
     pub fn session(&self) -> &SessionId {
         &self.session

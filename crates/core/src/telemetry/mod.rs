@@ -4,10 +4,11 @@
 //! Everything hangs off one [`Telemetry`] object created by the server
 //! when `ServerConfig { telemetry }` enables it:
 //!
-//! * a sharded [`MetricsRegistry`] of per-stream [`StreamMetrics`]
-//!   (relaxed counters + log₂ [`hist::Histogram`]s) fed by [`QueueProbe`]s
-//!   installed on every channel of an instrumented stream — the registry
-//!   is sharded like `coord_shards` so a scrape never stalls deploys;
+//! * a [`MetricsRegistry`] of per-stream [`StreamMetrics`] (relaxed
+//!   counters + log₂ [`hist::Histogram`]s) fed by [`QueueProbe`]s
+//!   installed on every channel of an instrumented stream — a scrape
+//!   snapshots the streams outside the registry lock, so it never stalls
+//!   deploys;
 //! * a bounded overwrite-oldest [`TraceRing`] of lifecycle
 //!   [`trace::TraceEvent`]s (deploy, reconfigure, fuse/fission, fault,
 //!   quarantine, session spawn/teardown, drops) with monotonic
@@ -37,32 +38,17 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Lifecycle trace ring capacity in events.
+const TRACE_CAPACITY: usize = 1024;
+
 /// Runtime telemetry switches, carried on `ServerConfig { telemetry }`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TelemetryConfig {
     /// Master switch. Off by default: the disabled path allocates nothing
     /// and costs one `Option` branch per instrumented operation.
     pub enabled: bool,
-    /// Lifecycle trace ring capacity in events (rounded to a power of
-    /// two).
-    pub trace_capacity: usize,
-    /// Metrics registry shard count (rounded to a power of two). Sized
-    /// like `coord_shards`: enough that scrapes touch one shard at a time
-    /// while deploys proceed on the others.
-    pub registry_shards: usize,
     /// Threshold watcher configuration for the metrics→event bridge.
     pub bridge: BridgeConfig,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            enabled: false,
-            trace_capacity: 1024,
-            registry_shards: 16,
-            bridge: BridgeConfig::default(),
-        }
-    }
 }
 
 impl TelemetryConfig {
@@ -84,13 +70,13 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Builds the plane per `cfg`. Callers gate on `cfg.enabled`
+    /// Builds the plane. Callers gate on `TelemetryConfig::enabled`
     /// themselves (the server builds `None` when disabled).
-    pub fn new(cfg: &TelemetryConfig) -> Arc<Self> {
+    pub fn new() -> Arc<Self> {
         Arc::new(Telemetry {
             epoch: Instant::now(),
-            registry: MetricsRegistry::new(cfg.registry_shards),
-            trace: TraceRing::new(cfg.trace_capacity),
+            registry: MetricsRegistry::new(),
+            trace: TraceRing::new(TRACE_CAPACITY),
             bridge: Mutex::new(None),
         })
     }
@@ -281,7 +267,7 @@ mod tests {
     /// share.
     #[test]
     fn each_histogram_samples_its_own_share() {
-        let probe = Telemetry::new(&TelemetryConfig::enabled()).probe_for("s");
+        let probe = Telemetry::new().probe_for("s");
         let cycles = 64 * TIMING_SAMPLE;
         for _ in 0..cycles {
             if probe.sample_timing(TimingSite::Post) {

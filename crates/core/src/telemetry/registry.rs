@@ -1,20 +1,18 @@
-//! Per-stream hot-path metrics, registered in a sharded registry.
+//! Per-stream hot-path metrics, registered in a session-keyed registry.
 //!
 //! Every deployed stream/session owns one [`StreamMetrics`]: relaxed
 //! atomic counters plus log₂ histograms, shared (`Arc`) with the queues
 //! and streamlet tasks that feed it, so the hot path never touches the
-//! registry itself. The registry is sharded exactly like the Coordination
-//! Manager's routing table (`DefaultHasher` on the session string, power-
-//! of-two mask) so a scrape walks shard locks one at a time and never
-//! stalls deploys on other shards. When a stream retires, its counters
-//! and histograms are folded into a `retired` accumulator so global
-//! totals stay monotonic across session churn.
+//! registry itself. The registry is one map behind one mutex; a scrape
+//! clones the handles under the lock and snapshots them outside it, so
+//! it never holds the lock across thousands of snapshots and never
+//! stalls deploys for longer than one copy of the handles. When a stream
+//! retires, its counters and histograms are folded into a `retired`
+//! accumulator so global totals stay monotonic across session churn.
 
 use super::hist::{Histogram, HistogramSnapshot};
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -213,56 +211,34 @@ impl StreamMetricsSnapshot {
     }
 }
 
-type Shard = Mutex<HashMap<String, Arc<StreamMetrics>>>;
-
-/// Sharded session-keyed registry of live [`StreamMetrics`].
+/// Session-keyed registry of live [`StreamMetrics`].
+#[derive(Default)]
 pub struct MetricsRegistry {
-    shards: Box<[Shard]>,
-    mask: u64,
+    live: Mutex<HashMap<String, Arc<StreamMetrics>>>,
     /// Folded metrics of streams that have retired.
     retired: StreamMetrics,
 }
 
 impl MetricsRegistry {
-    /// A registry with `shards` shards (rounded up to a power of two).
-    pub fn new(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        MetricsRegistry {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            mask: n as u64 - 1,
-            retired: StreamMetrics::default(),
-        }
-    }
-
-    fn shard_for(&self, key: &str) -> &Mutex<HashMap<String, Arc<StreamMetrics>>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() & self.mask) as usize]
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// An empty registry.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Registers (or re-fetches) the metrics handle for `key`.
     pub fn register(&self, key: &str) -> Arc<StreamMetrics> {
-        let mut shard = self.shard_for(key).lock();
-        shard
-            .entry(key.to_string())
-            .or_insert_with(|| Arc::new(StreamMetrics::default()))
-            .clone()
+        self.live.lock().entry(key.to_string()).or_default().clone()
     }
 
     /// Looks up a live handle without registering.
     pub fn get(&self, key: &str) -> Option<Arc<StreamMetrics>> {
-        self.shard_for(key).lock().get(key).cloned()
+        self.live.lock().get(key).cloned()
     }
 
     /// Retires `key`: removes it from the live map and folds its final
     /// counters into the retired accumulator. Idempotent.
     pub fn deregister(&self, key: &str) {
-        let removed = self.shard_for(key).lock().remove(key);
+        let removed = self.live.lock().remove(key);
         if let Some(m) = removed {
             self.retired.absorb(&m);
         }
@@ -270,18 +246,19 @@ impl MetricsRegistry {
 
     /// Number of live entries.
     pub fn live_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.live.lock().len()
     }
 
-    /// Snapshot of every live stream's metrics, one shard lock at a time.
+    /// Snapshot of every live stream's metrics, sorted by key. The
+    /// handles are cloned under the lock and snapshotted outside it.
     pub fn per_stream(&self) -> Vec<(String, StreamMetricsSnapshot)> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let map = shard.lock();
-            for (k, m) in map.iter() {
-                out.push((k.clone(), m.snapshot()));
-            }
-        }
+        let live: Vec<(String, Arc<StreamMetrics>)> = self
+            .live
+            .lock()
+            .iter()
+            .map(|(k, m)| (k.clone(), m.clone()))
+            .collect();
+        let mut out: Vec<_> = live.into_iter().map(|(k, m)| (k, m.snapshot())).collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
@@ -289,11 +266,9 @@ impl MetricsRegistry {
     /// Global totals: retired accumulator plus every live stream.
     pub fn totals(&self) -> StreamMetricsSnapshot {
         let mut total = self.retired.snapshot();
-        for shard in self.shards.iter() {
-            let map = shard.lock();
-            for m in map.values() {
-                total.merge(&m.snapshot());
-            }
+        let live: Vec<Arc<StreamMetrics>> = self.live.lock().values().cloned().collect();
+        for m in live {
+            total.merge(&m.snapshot());
         }
         total
     }
@@ -305,7 +280,7 @@ mod tests {
 
     #[test]
     fn register_get_deregister() {
-        let reg = MetricsRegistry::new(4);
+        let reg = MetricsRegistry::new();
         let m = reg.register("app-1");
         m.posted.fetch_add(3, Ordering::Relaxed);
         assert_eq!(reg.live_count(), 1);
@@ -322,7 +297,7 @@ mod tests {
 
     #[test]
     fn totals_span_live_and_retired() {
-        let reg = MetricsRegistry::new(1);
+        let reg = MetricsRegistry::new();
         let a = reg.register("a");
         let b = reg.register("b");
         a.posted.fetch_add(5, Ordering::Relaxed);

@@ -101,7 +101,7 @@ fn pump(stream: &RunningStream, n: usize, scratch: &mut Vec<u8>) {
 /// climbing.
 #[test]
 fn wire_churn_recycles_slabs() {
-    let pool = BufferPool::new(1, 8);
+    let pool = BufferPool::new(8);
     let deps = deps(pool.clone());
     let stream = deploy(&deps, "churn");
     let mut scratch = Vec::new();
@@ -127,7 +127,7 @@ fn wire_churn_recycles_slabs() {
 /// 256-byte checkout that grew to 1 MiB re-enters at the top class.
 #[test]
 fn grown_slabs_promote_through_the_class_ladder() {
-    let pool = BufferPool::new(1, 8);
+    let pool = BufferPool::new(8);
     for (i, &class) in mobigate_core::membuf::SIZE_CLASSES
         .iter()
         .enumerate()
@@ -155,7 +155,7 @@ fn grown_slabs_promote_through_the_class_ladder() {
 /// sits at its post-warmup baseline (bounded by the class cap).
 #[test]
 fn sessions_drain_back_to_baseline() {
-    let pool = BufferPool::new(1, 2);
+    let pool = BufferPool::new(2);
     let deps = deps(pool.clone());
     let mut scratch = Vec::new();
 

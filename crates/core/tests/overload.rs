@@ -57,7 +57,6 @@ fn telemetry_on(bridge: Option<BridgeConfig>) -> TelemetryConfig {
             enabled: false,
             ..Default::default()
         }),
-        ..Default::default()
     }
 }
 

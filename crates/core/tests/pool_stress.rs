@@ -1,16 +1,18 @@
-//! Concurrency and equivalence tests for the sharded [`MessagePool`].
+//! Concurrency and reference-model tests for the [`MessagePool`].
 //!
 //! * an 8 producer × 8 consumer stress run, with a concurrent auditor
 //!   asserting the lifetime invariant `resident + evicted == inserted`
 //!   from the lock-free [`MessagePool::stats`] while the race is live;
-//! * a property test driving an identical random op sequence through a
-//!   single-shard pool and an 8-shard pool and requiring observational
-//!   equivalence (every return value and the final stats match).
+//! * a property test driving a random op sequence through a pool and a
+//!   `HashMap<id, (body, refs)>` model, comparing every return value,
+//!   every resident body, the stats and the invariant after each op, and
+//!   every refcount by draining the survivors at the end.
 
 use bytes::Bytes;
-use mobigate_core::pool::{MessageId, MessagePool};
+use mobigate_core::pool::{MessageId, MessagePool, PoolStats};
 use mobigate_mime::{MimeMessage, MimeType};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -21,7 +23,7 @@ const OPS_PER_PRODUCER: usize = 2_000;
 
 #[test]
 fn stress_8_producers_8_consumers_accounting_stays_consistent() {
-    let pool = Arc::new(MessagePool::with_shards(8));
+    let pool = Arc::new(MessagePool::new());
     let (tx, rx) = mpsc::channel::<MessageId>();
     let rx = Arc::new(Mutex::new(rx));
     let done = Arc::new(AtomicBool::new(false));
@@ -132,99 +134,119 @@ fn decode(raw: u32) -> Op {
     }
 }
 
-/// Applies one op to a pool, returning an observation string that must be
-/// identical across equivalent pools.
-fn apply(pool: &MessagePool, ids: &[MessageId], op: Op) -> (String, Option<MessageId>) {
-    let pick = |idx: usize| -> Option<MessageId> {
-        if ids.is_empty() {
-            None
-        } else {
-            Some(ids[idx % ids.len()])
+/// The pool's reference model: every resident message's body and
+/// outstanding references, plus the lifetime counters.
+#[derive(Default)]
+struct Model {
+    live: HashMap<u64, (Vec<u8>, u32)>,
+    next_id: u64,
+    evicted: u64,
+}
+
+impl Model {
+    /// Consumes one reference; `Some(body)` while the entry was resident.
+    fn take(&mut self, id: u64) -> Option<Vec<u8>> {
+        let (body, refs) = self.live.get_mut(&id)?;
+        let body = body.clone();
+        *refs -= 1;
+        if *refs == 0 {
+            self.live.remove(&id);
+            self.evicted += 1;
         }
-    };
+        Some(body)
+    }
+
+    fn stats(&self) -> PoolStats {
+        PoolStats {
+            resident: self.live.len(),
+            resident_bytes: self.live.values().map(|(b, _)| b.len()).sum(),
+            inserted: self.next_id,
+            evicted: self.evicted,
+        }
+    }
+}
+
+fn body_of(m: MimeMessage) -> Vec<u8> {
+    m.body.to_vec()
+}
+
+/// Applies one op to both the pool and the model and asserts they agree
+/// on its result. Ops pick any id ever issued, live or evicted.
+fn step(pool: &MessagePool, model: &mut Model, op: Op) {
+    let pick = |idx: usize| (model.next_id > 0).then(|| idx as u64 % model.next_id);
     match op {
         Op::Insert { body_len, refs } => {
-            let msg = MimeMessage::new(
-                &MimeType::new("application", "octet-stream"),
-                vec![0xA5u8; body_len],
-            );
+            // Distinct content per message, so a mixed-up id shows.
+            let body: Vec<u8> = (0..body_len)
+                .map(|i| (i as u64 ^ model.next_id) as u8)
+                .collect();
+            let msg = MimeMessage::new(&MimeType::new("application", "octet-stream"), body.clone());
             let id = pool.insert(msg, refs);
-            (format!("insert -> {}", id.0), Some(id))
+            assert_eq!(id, MessageId(model.next_id), "ids are sequential");
+            model.live.insert(model.next_id, (body, refs.max(1)));
+            model.next_id += 1;
         }
-        Op::AddRefs { idx, n } => match pick(idx) {
-            Some(id) => (
-                format!("add_refs({}) -> {}", id.0, pool.add_refs(id, n)),
-                None,
-            ),
-            None => ("add_refs(none)".into(), None),
-        },
-        Op::Peek { idx } => match pick(idx) {
-            Some(id) => (
-                format!(
-                    "peek({}) -> {:?}",
-                    id.0,
-                    pool.peek(id).map(|m| m.body.len())
-                ),
-                None,
-            ),
-            None => ("peek(none)".into(), None),
-        },
-        Op::PeekLen { idx } => match pick(idx) {
-            Some(id) => (
-                format!("peek_len({}) -> {:?}", id.0, pool.peek_len(id)),
-                None,
-            ),
-            None => ("peek_len(none)".into(), None),
-        },
-        Op::TakeRef { idx } => match pick(idx) {
-            Some(id) => (
-                format!(
-                    "take_ref({}) -> {:?}",
-                    id.0,
-                    pool.take_ref(id).map(|m| m.body.len())
-                ),
-                None,
-            ),
-            None => ("take_ref(none)".into(), None),
-        },
-        Op::DropRef { idx } => match pick(idx) {
-            Some(id) => {
-                pool.drop_ref(id);
-                (format!("drop_ref({})", id.0), None)
+        Op::AddRefs { idx, n } => {
+            if let Some(id) = pick(idx) {
+                let expected = model.live.get_mut(&id).map(|(_, refs)| *refs += n);
+                assert_eq!(pool.add_refs(MessageId(id), n), expected.is_some());
             }
-            None => ("drop_ref(none)".into(), None),
-        },
+        }
+        Op::Peek { idx } => {
+            if let Some(id) = pick(idx) {
+                let expected = model.live.get(&id).map(|(b, _)| b.clone());
+                assert_eq!(pool.peek(MessageId(id)).map(body_of), expected);
+            }
+        }
+        Op::PeekLen { idx } => {
+            if let Some(id) = pick(idx) {
+                assert_eq!(
+                    pool.peek_len(MessageId(id)).is_some(),
+                    model.live.contains_key(&id)
+                );
+            }
+        }
+        Op::TakeRef { idx } => {
+            if let Some(id) = pick(idx) {
+                assert_eq!(pool.take_ref(MessageId(id)).map(body_of), model.take(id));
+            }
+        }
+        Op::DropRef { idx } => {
+            if let Some(id) = pick(idx) {
+                pool.drop_ref(MessageId(id));
+                model.take(id);
+            }
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
-    /// A single-shard pool (the paper's single-lock design) and an 8-shard
-    /// pool are observationally equivalent under any op sequence.
+    /// The pool behaves as its reference model under any op sequence.
     #[test]
-    fn sharded_pool_matches_single_shard(raw_ops in prop::collection::vec(any::<u32>(), 0..200)) {
-        let single = MessagePool::with_shards(1);
-        let sharded = MessagePool::with_shards(8);
-        prop_assert_eq!(single.shard_count(), 1);
-        prop_assert_eq!(sharded.shard_count(), 8);
-
-        let mut ids_single = Vec::new();
-        let mut ids_sharded = Vec::new();
-        for (&raw, step) in raw_ops.iter().zip(0..) {
+    fn pool_matches_reference_model(raw_ops in prop::collection::vec(any::<u32>(), 0..200)) {
+        let pool = MessagePool::new();
+        let mut model = Model::default();
+        for (&raw, n) in raw_ops.iter().zip(0..) {
             let op = decode(raw);
-            let (obs_s, new_s) = apply(&single, &ids_single, op);
-            let (obs_n, new_n) = apply(&sharded, &ids_sharded, op);
-            prop_assert_eq!(&obs_s, &obs_n, "step {} diverged on {:?}", step, op);
-            if let Some(id) = new_s {
-                ids_single.push(id);
+            step(&pool, &mut model, op);
+            for (id, (body, _)) in &model.live {
+                let peeked = pool.peek_body(MessageId(*id)).map(|b| b.to_vec());
+                prop_assert_eq!(peeked.as_ref(), Some(body), "body of {} after step {}", id, n);
             }
-            if let Some(id) = new_n {
-                ids_sharded.push(id);
-            }
-            let (ss, sn) = (single.stats(), sharded.stats());
-            prop_assert_eq!(ss, sn, "stats diverged at step {} on {:?}", step, op);
-            prop_assert_eq!(ss.resident as u64 + ss.evicted, ss.inserted);
+            let s = pool.stats();
+            prop_assert_eq!(s, model.stats(), "stats after step {} ({:?})", n, op);
+            prop_assert_eq!(s.resident as u64 + s.evicted, s.inserted);
         }
+        // Every survivor gives up exactly its modelled references.
+        let survivors: Vec<(u64, u32)> = model.live.iter().map(|(id, (_, r))| (*id, *r)).collect();
+        for (id, refs) in survivors {
+            for _ in 0..refs {
+                prop_assert!(pool.take_ref(MessageId(id)).is_some());
+            }
+            prop_assert!(pool.take_ref(MessageId(id)).is_none(), "{} had more than {} refs", id, refs);
+        }
+        prop_assert_eq!(pool.stats().resident, 0);
     }
 }

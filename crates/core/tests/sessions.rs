@@ -4,13 +4,13 @@
 //!   traffic on survivor sessions and reconfiguration on a neighbor
 //!   session, with zero loss, correct per-session labels, and no
 //!   deadlock;
-//! * a property test driving an identical random op program (spawn /
-//!   teardown / round-trip / census) through a single-shard and an
-//!   8-shard coordination plane and requiring observational equivalence;
+//! * a property test driving a random op program (spawn / teardown /
+//!   round-trip / census) through the coordination plane and checking
+//!   every step against a model roster;
 //! * the satellite leak assertion — `MobiGate::undeploy` returns every
 //!   fused member to the §3.3.4 pool and clears the routing-table row;
 //! * per-session targeted events — a `Pause` aimed at one session's
-//!   `evtSource` identity stalls that session alone, across shard counts;
+//!   `evtSource` identity stalls that session alone;
 //! * the cheap session lifecycle — an idle pooled task ends inline on the
 //!   calling thread, a launch with no input schedules nothing, `end`
 //!   racing a burst of posts loses no message, and a dedicated-thread
@@ -67,14 +67,13 @@ fn script(k: usize) -> String {
     s
 }
 
-fn gate(coord_shards: usize, pool_cap: usize) -> MobiGate {
+fn gate(pool_cap: usize) -> MobiGate {
     let directory = Arc::new(StreamletDirectory::new());
     directory.register("test/echo", "", || Box::new(Echo));
     MobiGate::with_config(
         ServerConfig {
             executor: ExecutorConfig::WorkerPool { workers: 2 },
             fusion: true,
-            coord_shards: Some(coord_shards),
             ..Default::default()
         },
         directory,
@@ -103,11 +102,11 @@ fn round_trip(stream: &mobigate_core::RunningStream, tag: &str) {
 
 #[test]
 fn session_churn_races_traffic_and_reconfiguration_without_loss() {
-    let server = gate(8, 256);
+    let server = gate(256);
     let manager = Arc::new(server.session_manager(&script(3)).expect("template"));
     let survivors = manager.spawn_many(8).expect("survivors");
     // A dedicated neighbor session that only gets reconfigured, living in
-    // the same coordination shards the churn and traffic hit.
+    // the same routing table the churn and traffic hit.
     let neighbor = manager.spawn().expect("neighbor");
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -212,84 +211,63 @@ fn decode(raw: u32) -> Op {
     }
 }
 
-/// Applies one op to a (gate, manager, live-roster) triple, returning an
-/// observation string that must match across equivalent planes.
-fn apply(server: &MobiGate, manager: &SessionManager, live: &mut Vec<SessionId>, op: Op) -> String {
+/// Applies one op to the gate and to `live`, the model roster of
+/// sessions spawned and not torn down, asserting that the plane's
+/// observation agrees with the model.
+fn step(server: &MobiGate, manager: &SessionManager, live: &mut Vec<SessionId>, op: Op) {
     match op {
         Op::Spawn => {
-            let stream = manager.spawn().expect("spawn");
-            live.push(stream.session().clone());
-            format!("spawn -> {}", stream.session().as_str())
+            let session = manager.spawn().expect("spawn").session().clone();
+            assert!(!live.contains(&session), "session id {session:?} reused");
+            live.push(session);
         }
         Op::Teardown { idx } => {
-            if live.is_empty() {
-                "teardown(none)".into()
-            } else {
+            if !live.is_empty() {
                 let session = live.remove(idx % live.len());
-                format!(
-                    "teardown({}) -> {}",
-                    session.as_str(),
-                    manager.teardown(&session)
-                )
+                assert!(manager.teardown(&session), "live session {session:?}");
+                assert!(manager.get(&session).is_none());
+                assert!(!manager.teardown(&session), "torn down twice");
             }
         }
         Op::RoundTrip { idx } => {
-            if live.is_empty() {
-                "round_trip(none)".into()
-            } else {
-                let session = live[idx % live.len()].clone();
-                let stream = manager.get(&session).expect("live session");
-                stream.post_input(msg("prop")).expect("post");
-                let out = stream.take_output(Duration::from_secs(20)).expect("output");
-                format!(
-                    "round_trip({}) -> body={} label_ok={}",
-                    session.as_str(),
-                    out.body.len(),
-                    out.session().as_ref() == Some(&session)
-                )
+            if !live.is_empty() {
+                let session = &live[idx % live.len()];
+                let stream = manager.get(session).expect("live session");
+                assert_eq!(stream.session(), session);
+                round_trip(&stream, "prop");
             }
         }
-        Op::Census => format!(
-            "census sessions={} rows={}",
-            manager.session_count(),
-            server.coordination().stream_count()
-        ),
+        Op::Census => {
+            assert_eq!(manager.session_count(), live.len());
+            assert_eq!(server.coordination().stream_count(), live.len());
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
-    /// A single-shard coordination plane (the paper's single-lock design)
-    /// and an 8-shard plane are observationally equivalent under any
-    /// spawn/teardown/traffic program.
+    /// The coordination plane agrees with a model roster under any
+    /// spawn/teardown/traffic program: every live session is routable and
+    /// answers with its own label, every torn-down one is gone, and the
+    /// census counts exactly the roster.
     #[test]
-    fn sharded_coordination_matches_single_shard(raw_ops in prop::collection::vec(any::<u32>(), 0..30)) {
-        let single = gate(1, 128);
-        let sharded = gate(8, 128);
-        prop_assert_eq!(single.coordination().shard_count(), 1);
-        prop_assert_eq!(sharded.coordination().shard_count(), 8);
-        let m_single = single.session_manager(&script(2)).expect("template");
-        let m_sharded = sharded.session_manager(&script(2)).expect("template");
-        let mut live_single = Vec::new();
-        let mut live_sharded = Vec::new();
-        for (&raw, step) in raw_ops.iter().zip(0..) {
-            let op = decode(raw);
-            let obs_s = apply(&single, &m_single, &mut live_single, op);
-            let obs_n = apply(&sharded, &m_sharded, &mut live_sharded, op);
-            prop_assert_eq!(&obs_s, &obs_n, "step {} diverged on {:?}", step, op);
+    fn coordination_matches_model_roster(raw_ops in prop::collection::vec(any::<u32>(), 0..30)) {
+        let server = gate(128);
+        let manager = server.session_manager(&script(2)).expect("template");
+        let mut live = Vec::new();
+        for &raw in &raw_ops {
+            step(&server, &manager, &mut live, decode(raw));
         }
-        // Full teardown leaves both planes empty.
-        m_single.teardown_all();
-        m_sharded.teardown_all();
-        prop_assert_eq!(single.coordination().stream_count(), 0);
-        prop_assert_eq!(sharded.coordination().stream_count(), 0);
+        step(&server, &manager, &mut live, Op::Census);
+        prop_assert_eq!(manager.teardown_all(), live.len());
+        prop_assert_eq!(server.coordination().stream_count(), 0);
     }
 }
 
 #[test]
 fn undeploy_returns_every_instance_to_the_pool() {
-    let server = gate(4, 64);
+    let server = gate(64);
     let manager = server.session_manager(&script(3)).expect("template");
     let streams = manager.spawn_many(5).expect("spawn");
     for s in &streams {
@@ -315,50 +293,48 @@ fn undeploy_returns_every_instance_to_the_pool() {
 
 #[test]
 fn targeted_pause_stalls_only_the_named_session() {
-    for shards in [1usize, 8] {
-        let server = gate(shards, 64);
-        let manager = server.session_manager(&script(2)).expect("template");
-        let streams = manager.spawn_many(6).expect("spawn");
-        let (target, bystander) = (&streams[3], &streams[0]);
+    let server = gate(64);
+    let manager = server.session_manager(&script(2)).expect("template");
+    let streams = manager.spawn_many(6).expect("spawn");
+    let (target, bystander) = (&streams[3], &streams[0]);
 
-        // The Pause is addressed by evtSource == the session ID; exactly
-        // one subscriber may act on it regardless of shard count.
-        let delivered = server.raise_event(&ContextEvent::targeted(
-            EventKind::Pause,
-            target.session().as_str(),
-        ));
-        assert_eq!(delivered, 1, "shards={shards}");
+    // The Pause is addressed by evtSource == the session ID; exactly one
+    // subscriber may act on it.
+    let delivered = server.raise_event(&ContextEvent::targeted(
+        EventKind::Pause,
+        target.session().as_str(),
+    ));
+    assert_eq!(delivered, 1);
 
-        // The paused session queues its input; the bystander still flows.
-        target.post_input(msg("held")).expect("post");
-        round_trip(bystander, "flowing");
-        assert!(
-            target.take_output(Duration::from_millis(200)).is_none(),
-            "paused session must not emit (shards={shards})"
-        );
+    // The paused session queues its input; the bystander still flows.
+    target.post_input(msg("held")).expect("post");
+    round_trip(bystander, "flowing");
+    assert!(
+        target.take_output(Duration::from_millis(200)).is_none(),
+        "paused session must not emit"
+    );
 
-        // Resume releases the queued message.
-        let delivered = server.raise_event(&ContextEvent::targeted(
-            EventKind::Resume,
-            target.session().as_str(),
-        ));
-        assert_eq!(delivered, 1);
-        let out = target
-            .take_output(Duration::from_secs(20))
-            .expect("resumed session delivers");
-        assert_eq!(out.body.as_ref(), b"held");
-        assert_eq!(out.session().as_ref(), Some(target.session()));
+    // Resume releases the queued message.
+    let delivered = server.raise_event(&ContextEvent::targeted(
+        EventKind::Resume,
+        target.session().as_str(),
+    ));
+    assert_eq!(delivered, 1);
+    let out = target
+        .take_output(Duration::from_secs(20))
+        .expect("resumed session delivers");
+    assert_eq!(out.body.as_ref(), b"held");
+    assert_eq!(out.session().as_ref(), Some(target.session()));
 
-        // A ghost target reaches nobody.
-        let delivered = server.raise_event(&ContextEvent::targeted(
-            EventKind::Pause,
-            "app#no-such-session",
-        ));
-        assert_eq!(delivered, 0);
+    // A ghost target reaches nobody.
+    let delivered = server.raise_event(&ContextEvent::targeted(
+        EventKind::Pause,
+        "app#no-such-session",
+    ));
+    assert_eq!(delivered, 0);
 
-        assert_eq!(manager.teardown_all(), 6);
-        assert_eq!(server.coordination().stream_count(), 0);
-    }
+    assert_eq!(manager.teardown_all(), 6);
+    assert_eq!(server.coordination().stream_count(), 0);
 }
 
 /// What a [`Journaled`] logic saw of its lifecycle.
@@ -618,7 +594,7 @@ fn dedicated_thread_task_ends_through_its_thread() {
 
 #[test]
 fn sessions_of_one_manager_share_one_definitions_table() {
-    let server = gate(4, 64);
+    let server = gate(64);
     let manager = server.session_manager(&script(3)).expect("template");
     let streams = manager.spawn_many(3).expect("spawn");
     for s in &streams {
@@ -629,7 +605,7 @@ fn sessions_of_one_manager_share_one_definitions_table() {
 
 #[test]
 fn spawned_session_deploys_like_a_hand_deployed_table() {
-    let server = gate(4, 64);
+    let server = gate(64);
     let manager = server.session_manager(&script(3)).expect("template");
     let spawned = manager.spawn().expect("spawn");
     let template = manager.template();
@@ -657,7 +633,7 @@ fn spawned_session_deploys_like_a_hand_deployed_table() {
 
 #[test]
 fn each_spawn_checks_out_one_instance_per_member() {
-    let server = gate(4, 64);
+    let server = gate(64);
     // The fusion plan (with its logic probe) is computed here, once.
     let manager = server.session_manager(&script(3)).expect("template");
     let checkouts = || {
@@ -817,7 +793,7 @@ fn one_session_reconfigures_without_touching_its_siblings() {
 /// growing it by one entry per churned instance.
 #[test]
 fn session_churn_keeps_supervisor_entries_bounded() {
-    let server = gate(4, 64);
+    let server = gate(64);
     let sup = server.supervisor().expect("supervision is on by default");
     let manager = server.session_manager(&when_script()).expect("template");
     // Each session registers 4 instances: the fused e0..e1, e2, e3, and

@@ -60,7 +60,6 @@ fn telemetry_on(bridge: Option<BridgeConfig>) -> TelemetryConfig {
             enabled: false,
             ..Default::default()
         }),
-        ..Default::default()
     }
 }
 

@@ -326,9 +326,10 @@ impl LinkSender {
 
 impl LinkReceiver {
     /// Receives the next delivered frame, waiting up to `timeout` (wall
-    /// time). `None` on timeout or link shutdown with an empty buffer.
+    /// time; a timeout too long to represent as an instant waits with no
+    /// deadline). `None` on timeout or link shutdown with an empty buffer.
     pub fn recv(&self, timeout: Duration) -> Option<Vec<u8>> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut ch = self.shared.channel.lock();
         loop {
             let now = Instant::now();
@@ -336,23 +337,21 @@ impl LinkReceiver {
             if let Some(frame) = ch.delivered.pop_front() {
                 return Some(frame);
             }
-            if ch.stop || now >= deadline {
+            if ch.stop || deadline.is_some_and(|d| now >= d) {
                 return None;
             }
             // Sleep until the next delivery or the deadline, whichever
             // comes first; with nothing on the way, until a send.
-            match ch.next_delivery(&self.shared) {
-                Some(at) => {
-                    self.shared
-                        .delivered_cv
-                        .wait_until(&mut ch, at.min(deadline));
+            let next = ch.next_delivery(&self.shared);
+            let idle = usize::from(next.is_none());
+            ch.idle_receivers += idle;
+            match next.into_iter().chain(deadline).min() {
+                Some(until) => {
+                    self.shared.delivered_cv.wait_until(&mut ch, until);
                 }
-                None => {
-                    ch.idle_receivers += 1;
-                    self.shared.delivered_cv.wait_until(&mut ch, deadline);
-                    ch.idle_receivers -= 1;
-                }
+                None => self.shared.delivered_cv.wait(&mut ch),
             }
+            ch.idle_receivers -= idle;
         }
     }
 
@@ -569,6 +568,20 @@ mod tests {
         // After shutdown recv drains whatever was delivered then None.
         let _ = rx.recv(Duration::from_millis(50));
         assert!(rx.recv(Duration::from_millis(50)).is_none());
+    }
+
+    #[test]
+    fn recv_without_deadline_waits_for_a_frame_then_for_shutdown() {
+        let (mut link, tx, rx) = paced(100_000_000, Duration::ZERO);
+        let (got_tx, got_rx) = std::sync::mpsc::channel();
+        let receiver = std::thread::spawn(move || {
+            got_tx.send(rx.recv(Duration::MAX)).unwrap();
+            rx.recv(Duration::MAX)
+        });
+        assert!(tx.send(vec![9]));
+        assert_eq!(got_rx.recv().unwrap(), Some(vec![9]));
+        link.shutdown();
+        assert_eq!(receiver.join().unwrap(), None);
     }
 
     /// A lossless link of `bps` at wall-clock speed with an unbounded queue.

@@ -1,6 +1,5 @@
-//! The execution-plane knobs: run an adaptation pipeline on the shared
-//! worker pool with a sharded message pool instead of the paper's
-//! thread-per-streamlet default.
+//! The execution-plane knob: run an adaptation pipeline on the shared
+//! worker pool instead of the paper's thread-per-streamlet default.
 //!
 //! ```text
 //! cargo run --example worker_pool            # 2 workers
@@ -20,14 +19,12 @@ fn main() {
 
     let testbed = Testbed::new(TestbedConfig {
         executor: ExecutorConfig::WorkerPool { workers },
-        pool_shards: Some(8),
         ..TestbedConfig::fast()
     });
     println!(
-        "executor: {} ({} requested), pool shards: {}",
+        "executor: {} ({} requested)",
         testbed.server().executor().name(),
-        workers,
-        testbed.server().message_pool().shard_count()
+        workers
     );
 
     let stream = testbed

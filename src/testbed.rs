@@ -17,7 +17,6 @@ use mobigate_streamlets::batch::{Disaggregate, DISAGGREGATE_PEER};
 use mobigate_streamlets::comm::{Communicator, Transport};
 use mobigate_streamlets::compress::{TextDecompress, DECOMPRESS_PEER};
 use mobigate_streamlets::crypto::{Decrypt, DECRYPT_PEER, DEFAULT_KEY};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -107,11 +106,6 @@ pub struct TestbedConfig {
     pub runtime_type_check: bool,
     /// Execution back end for the server's streamlets.
     pub executor: ExecutorConfig,
-    /// Message-pool shard count override (`None` = auto).
-    pub pool_shards: Option<usize>,
-    /// Coordination-plane shard count override — routing table and event
-    /// fan-out (`None` = auto).
-    pub coord_shards: Option<usize>,
     /// Chain fusion: collapse fusable streamlet runs into single execution
     /// units on the server (ablation).
     pub fusion: bool,
@@ -126,8 +120,6 @@ impl Default for TestbedConfig {
             disable_pooling: false,
             runtime_type_check: false,
             executor: ExecutorConfig::default(),
-            pool_shards: None,
-            coord_shards: None,
             fusion: false,
         }
     }
@@ -154,7 +146,6 @@ pub struct Testbed {
     link: WirelessLink,
     client: Arc<MobiGateClient>,
     transport: Arc<LinkTransport>,
-    pump_stop: Arc<AtomicBool>,
     pump: Option<JoinHandle<()>>,
 }
 
@@ -176,14 +167,8 @@ impl Testbed {
                     ..Default::default()
                 },
                 executor: cfg.executor,
-                pool_shards: cfg.pool_shards,
-                coord_shards: cfg.coord_shards,
-                supervision: Default::default(),
-                batching: Default::default(),
                 fusion: cfg.fusion,
-                telemetry: Default::default(),
-                overload: Default::default(),
-                membuf: Default::default(),
+                ..Default::default()
             },
             Arc::new(mobigate_core::StreamletDirectory::new()),
             pool,
@@ -202,14 +187,13 @@ impl Testbed {
 
         // Pump: deliver link frames into the client distributor (the mobile
         // node's network interface).
-        let (pump_stop, pump) = spawn_pump(receiver, client.clone());
+        let pump = spawn_pump(receiver, client.clone());
 
         let tb = Testbed {
             server,
             link,
             client,
             transport,
-            pump_stop,
             pump: Some(pump),
         };
         // Uplink: client context reports become gateway events (§3.1).
@@ -269,19 +253,17 @@ impl Testbed {
         let (new_link, new_sender, new_receiver) = WirelessLink::spawn(cfg);
         self.transport.switch(new_sender);
 
-        // Retire the old pump and link.
-        self.pump_stop.store(true, Ordering::Release);
-        if let Some(h) = self.pump.take() {
-            let _ = h.join();
-        }
+        // Retire the old link and, once it has handed over what it had
+        // delivered, its pump.
         let mut old_link = std::mem::replace(&mut self.link, new_link);
         old_link.shutdown();
-        let old_stats = old_link.stats();
-
-        let (pump_stop, pump) = spawn_pump(new_receiver, self.client.clone());
-        self.pump_stop = pump_stop;
-        self.pump = Some(pump);
-        old_stats
+        if let Some(h) = self
+            .pump
+            .replace(spawn_pump(new_receiver, self.client.clone()))
+        {
+            let _ = h.join();
+        }
+        old_link.stats()
     }
 
     /// Tears the whole testbed down.
@@ -291,12 +273,11 @@ impl Testbed {
 
     fn stop(&mut self) {
         self.server.coordination().shutdown_all();
-        self.pump_stop.store(true, Ordering::Release);
+        self.link.shutdown();
         if let Some(h) = self.pump.take() {
             let _ = h.join();
         }
         self.client.shutdown();
-        self.link.shutdown();
     }
 }
 
@@ -306,29 +287,20 @@ impl Drop for Testbed {
     }
 }
 
-/// Starts a pump thread delivering link frames to the client distributor.
+/// Starts a pump thread delivering link frames to the client distributor
+/// until the link shuts down.
 fn spawn_pump(
     receiver: mobigate_netsim::LinkReceiver,
     client: Arc<MobiGateClient>,
-) -> (Arc<AtomicBool>, JoinHandle<()>) {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let pump = std::thread::Builder::new()
+) -> JoinHandle<()> {
+    std::thread::Builder::new()
         .name("testbed-pump".into())
         .spawn(move || {
-            while !stop2.load(Ordering::Acquire) {
-                match receiver.recv(Duration::from_millis(50)) {
-                    Some(frame) => client.submit_wire(frame),
-                    None => {
-                        // Dead link: avoid a busy loop while waiting for
-                        // retirement.
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                }
+            while let Some(frame) = receiver.recv(Duration::MAX) {
+                client.submit_wire(frame);
             }
         })
-        .expect("spawn pump");
-    (stop, pump)
+        .expect("spawn pump")
 }
 
 #[cfg(test)]
@@ -367,11 +339,9 @@ mod tests {
     fn worker_pool_testbed_end_to_end() {
         let tb = Testbed::new(TestbedConfig {
             executor: ExecutorConfig::WorkerPool { workers: 4 },
-            pool_shards: Some(4),
             ..TestbedConfig::fast()
         });
         assert_eq!(tb.server().executor().name(), "worker-pool");
-        assert_eq!(tb.server().message_pool().shard_count(), 4);
         let stream = tb
             .deploy_with_defs(
                 "main stream app {\n\

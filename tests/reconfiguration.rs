@@ -200,7 +200,6 @@ fn low_bandwidth_insert_retires_the_compressor_boundary_ports() {
                     enabled: false,
                     ..Default::default()
                 },
-                ..Default::default()
             },
             ..Default::default()
         },
