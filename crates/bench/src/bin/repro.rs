@@ -7,37 +7,52 @@
 //! cargo run --release -p mobigate-bench --bin repro -- fig7_7 --quick
 //! ```
 //!
-//! Results are printed as tables/ASCII charts. A full run (neither
-//! `--quick` nor `--smoke`) also writes them as CSV/JSON files under
-//! `results/`; the reduced modes write nothing there, so they never
-//! overwrite the committed full-mode records. An unknown section name is
-//! an error.
+//! Each section prints its tables (and ASCII charts for the figures). A
+//! full run (neither `--quick` nor `--smoke`) also writes each section's
+//! record as `results/BENCH_<section>.json`; the reduced modes write
+//! nothing there, so they never overwrite the committed full-mode
+//! records. An unknown section name is an error.
 
 use mobigate::core::pool::PayloadMode;
 use mobigate::core::{BatchConfig, ExecutorConfig, ServerConfig};
-use mobigate_bench::report::{ascii_series, Csv};
+use mobigate_bench::report::{ascii_series, BenchRecord, Mode, Row, Summary};
 use mobigate_bench::{
-    chaos_server_config, end_to_end_point, obs_chain_pair, reconfig_time, run_breaker_probe,
-    run_chaos, run_memplane_chain, run_overload_burst, run_scrape_churn, run_sessions,
-    with_quiet_panics, ChainHarness, ChaosConfig, MemplaneChainConfig, ObsChainConfig,
-    OverloadBurstConfig, SessionsConfig,
+    channel_post_us, chaos_server_config, end_to_end_point, obs_chain_pair, pool_checkout_ns,
+    reconfig_time, run_breaker_probe, run_chaos, run_memplane_chain, run_overload_burst,
+    run_scrape_churn, run_sessions, with_quiet_panics, ChainHarness, ChaosConfig,
+    MemplaneChainConfig, ObsChainConfig, OverloadBurstConfig, SessionsConfig, POOLED_LIBRARY,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-/// Every section, in the order `all` runs them.
-const SECTIONS: &[&str] = &[
-    "fig7_2", "fig7_3", "fig7_6", "eq7_1", "fig7_7", "chaos", "batching", "fusion", "sessions",
-    "obs", "overload", "memplane",
-];
+/// A section's name and the function that runs it.
+type Section = (&'static str, fn(Mode));
 
-/// Set once in `main`: only full-mode runs write under `results/`.
-static WRITE_RESULTS: AtomicBool = AtomicBool::new(false);
+/// Every section, in the order `all` runs them.
+const SECTIONS: &[Section] = &[
+    ("fig7_2", fig7_2),
+    ("fig7_3", fig7_3),
+    ("fig7_6", fig7_6),
+    ("eq7_1", eq7_1),
+    ("fig7_7", fig7_7),
+    ("chaos", chaos),
+    ("batching", batching),
+    ("fusion", fusion),
+    ("sessions", sessions),
+    ("obs", obs),
+    ("overload", overload),
+    ("memplane", memplane),
+    ("ablation", ablation),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let mode = if args.iter().any(|a| a == "--smoke") {
+        Mode::Smoke
+    } else if args.iter().any(|a| a == "--quick") {
+        Mode::Quick
+    } else {
+        Mode::Full
+    };
     let selected: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
@@ -45,87 +60,45 @@ fn main() {
         .collect();
     if let Some(unknown) = selected
         .iter()
-        .find(|s| **s != "all" && !SECTIONS.contains(s))
+        .find(|s| **s != "all" && !SECTIONS.iter().any(|(name, _)| name == *s))
     {
+        let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
         eprintln!(
             "repro: unknown section `{unknown}`; valid sections: all {}",
-            SECTIONS.join(" ")
+            names.join(" ")
         );
         std::process::exit(2);
     }
     let run_all = selected.is_empty() || selected.contains(&"all");
-    let want = |name: &str| run_all || selected.contains(&name);
-
-    let full = !quick && !smoke;
-    if full {
-        std::fs::create_dir_all("results").expect("create results dir");
+    for (name, run) in SECTIONS {
+        if run_all || selected.contains(name) {
+            run(mode);
+        }
     }
-    WRITE_RESULTS.store(full, Ordering::Relaxed);
-
-    if want("fig7_2") {
-        fig7_2(quick);
-    }
-    if want("fig7_3") {
-        fig7_3(quick);
-    }
-    if want("fig7_6") {
-        fig7_6(quick);
-    }
-    if want("eq7_1") {
-        eq7_1();
-    }
-    if want("fig7_7") {
-        fig7_7(quick);
-    }
-    if want("chaos") {
-        chaos(quick);
-    }
-    if want("batching") {
-        batching(quick);
-    }
-    if want("fusion") {
-        fusion(quick);
-    }
-    if want("sessions") {
-        sessions(quick, smoke);
-    }
-    if want("obs") {
-        obs(quick, smoke);
-    }
-    if want("overload") {
-        overload(quick, smoke);
-    }
-    if want("memplane") {
-        memplane(quick, smoke);
-    }
-    if full {
+    if mode == Mode::Full {
         println!("\nResults written under results/");
     } else {
         println!("\nReduced run (--quick/--smoke): nothing written under results/");
     }
 }
 
-fn save(name: &str, csv: &Csv) {
-    write_result(&format!("{name}.csv"), &csv.to_string());
-}
+/// Repeats behind each Figure 7-2/7-3/7-6 shape guard's median.
+const GUARD_REPEATS: usize = 5;
 
-fn save_json(name: &str, json: &str) {
-    write_result(&format!("{name}.json"), json);
-}
-
-/// Writes `results/{file}` in full mode; reduced runs write nothing.
-fn write_result(file: &str, contents: &str) {
-    if WRITE_RESULTS.load(Ordering::Relaxed) {
-        let path = format!("results/{file}");
-        std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("Wrote {path}");
-    }
+/// [`GUARD_REPEATS`] runs of [`ChainHarness::mean_latency`] through `k`
+/// redirectors, in µs.
+fn latency_us(k: usize, payload: PayloadMode, size: usize, iters: usize) -> Summary {
+    let h = ChainHarness::new(k, payload);
+    Summary::sample(GUARD_REPEATS, || {
+        h.mean_latency(size, iters).as_secs_f64() * 1e6
+    })
 }
 
 /// Figure 7-2: streamlet overhead — delay vs. number of redirectors.
-fn fig7_2(quick: bool) {
+fn fig7_2(mode: Mode) {
     println!("\n================ Figure 7-2: streamlet overhead ================");
     println!("(paper: linear growth, ≈12 ms per streamlet on 2004 Java/hardware)\n");
+    let quick = mode != Mode::Full;
     let counts: &[usize] = if quick {
         &[1, 5, 10]
     } else {
@@ -133,55 +106,55 @@ fn fig7_2(quick: bool) {
     };
     let iters = if quick { 20 } else { 100 };
     let size = 10 * 1024;
+    let mut rec = BenchRecord::new("fig7_2", mode);
+    rec.config("message_bytes", size).config("iters", iters);
 
-    let mut csv = Csv::new(["streamlets", "mean_latency_us", "per_streamlet_us"]);
     let mut pts = Vec::new();
     for &k in counts {
         let h = ChainHarness::new(k, PayloadMode::Reference);
-        let mean = h.mean_latency(size, iters);
-        let us = mean.as_secs_f64() * 1e6;
-        csv.row([
-            k.to_string(),
-            format!("{us:.1}"),
-            format!("{:.2}", us / k as f64),
-        ]);
+        let us = h.mean_latency(size, iters).as_secs_f64() * 1e6;
+        rec.push(
+            "latency",
+            Row::new()
+                .label("streamlets", k)
+                .metric("mean_latency_us", us)
+                .metric("per_streamlet_us", us / k as f64),
+        );
         pts.push((k as f64, us));
     }
-    print!("{}", csv.to_table());
-    println!();
     print!(
         "{}",
         ascii_series("delay vs streamlet count", &[("latency", pts)], "µs")
     );
-    save("fig7_2_streamlet_overhead", &csv);
 
     // Shape guard: 16 redirectors cost more per message than 2, compared
     // on the median of repeated runs so one descheduled run cannot flip it.
-    let short = median_latency(&ChainHarness::new(2, PayloadMode::Reference), size, 20);
-    let long = median_latency(&ChainHarness::new(16, PayloadMode::Reference), size, 20);
+    let short = latency_us(2, PayloadMode::Reference, size, 20);
+    let long = latency_us(16, PayloadMode::Reference, size, 20);
+    for (k, s) in [(2usize, short), (16, long)] {
+        rec.push(
+            "guard",
+            Row::new().label("streamlets", k).metric("latency_us", s),
+        );
+    }
     assert!(
-        long > short,
-        "16 hops ({long:?}) must cost more than 2 ({short:?})"
+        long.median > short.median,
+        "16 hops ({:.1} µs) must cost more than 2 ({:.1} µs)",
+        long.median,
+        short.median
     );
-    println!("\nchain-length guard: 16 hops {long:?} > 2 hops {short:?}  [ok]");
+    println!(
+        "\nchain-length guard: 16 hops {:.1} µs > 2 hops {:.1} µs  [ok]",
+        long.median, short.median
+    );
+    rec.finish();
 }
-
-/// Median over [`GUARD_REPEATS`] runs of [`ChainHarness::mean_latency`].
-fn median_latency(h: &ChainHarness, size: usize, iters: usize) -> Duration {
-    let mut runs: Vec<Duration> = (0..GUARD_REPEATS)
-        .map(|_| h.mean_latency(size, iters))
-        .collect();
-    runs.sort_unstable();
-    runs[GUARD_REPEATS / 2]
-}
-
-/// Repeats behind each Figure 7-2/7-3/7-6 shape guard's median.
-const GUARD_REPEATS: usize = 5;
 
 /// Figure 7-3: passing by reference vs. passing by value.
-fn fig7_3(quick: bool) {
+fn fig7_3(mode: Mode) {
     println!("\n========= Figure 7-3: pass by reference vs pass by value =========");
     println!("(paper: reference ≪ value, gap widening beyond ~200 KB messages)\n");
+    let quick = mode != Mode::Full;
     let sizes_kb: &[usize] = if quick {
         &[10, 100, 400]
     } else {
@@ -189,13 +162,9 @@ fn fig7_3(quick: bool) {
     };
     let k = if quick { 10 } else { 30 };
     let iters = if quick { 5 } else { 15 };
+    let mut rec = BenchRecord::new("fig7_3", mode);
+    rec.config("redirectors", k).config("iters", iters);
 
-    let mut csv = Csv::new([
-        "size_kb",
-        "reference_us",
-        "value_us",
-        "value_over_reference",
-    ]);
     let mut ref_pts = Vec::new();
     let mut val_pts = Vec::new();
     let href = ChainHarness::new(k, PayloadMode::Reference);
@@ -203,17 +172,17 @@ fn fig7_3(quick: bool) {
     for &kb in sizes_kb {
         let r = href.mean_latency(kb * 1024, iters).as_secs_f64() * 1e6;
         let v = hval.mean_latency(kb * 1024, iters).as_secs_f64() * 1e6;
-        csv.row([
-            kb.to_string(),
-            format!("{r:.1}"),
-            format!("{v:.1}"),
-            format!("{:.2}x", v / r),
-        ]);
+        rec.push(
+            "latency",
+            Row::new()
+                .label("size_kb", kb)
+                .metric("reference_us", r)
+                .metric("value_us", v)
+                .metric("value_over_reference", v / r),
+        );
         ref_pts.push((kb as f64, r));
         val_pts.push((kb as f64, v));
     }
-    print!("{}", csv.to_table());
-    println!();
     print!(
         "{}",
         ascii_series(
@@ -222,115 +191,128 @@ fn fig7_3(quick: bool) {
             "µs",
         )
     );
-    save("fig7_3_ref_vs_value", &csv);
 
     // Shape guard: 400 KB through 10 hops costs more by value than by
     // reference, on the median of repeated runs.
-    let by_ref = median_latency(
-        &ChainHarness::new(10, PayloadMode::Reference),
-        400 * 1024,
-        10,
-    );
-    let by_val = median_latency(&ChainHarness::new(10, PayloadMode::Value), 400 * 1024, 10);
+    let by_ref = latency_us(10, PayloadMode::Reference, 400 * 1024, 10);
+    let by_val = latency_us(10, PayloadMode::Value, 400 * 1024, 10);
+    for (payload, s) in [("reference", by_ref), ("value", by_val)] {
+        rec.push(
+            "guard",
+            Row::new()
+                .label("payload", payload)
+                .label("size_kb", 400usize)
+                .metric("latency_us", s),
+        );
+    }
     assert!(
-        by_val > by_ref,
-        "value {by_val:?} must exceed reference {by_ref:?}"
+        by_val.median > by_ref.median,
+        "value {:.1} µs must exceed reference {:.1} µs",
+        by_val.median,
+        by_ref.median
     );
-    println!("\npayload-mode guard: value {by_val:?} > reference {by_ref:?}  [ok]");
+    println!(
+        "\npayload-mode guard: value {:.1} µs > reference {:.1} µs  [ok]",
+        by_val.median, by_ref.median
+    );
+    rec.finish();
 }
 
 /// Figure 7-6: reconfiguration overhead vs. number of inserted streamlets.
-fn fig7_6(quick: bool) {
+fn fig7_6(mode: Mode) {
     println!("\n============== Figure 7-6: reconfiguration overhead ==============");
     println!("(paper: <20 ms for 10 streamlets, <100 ms for 100)\n");
-    let counts: &[usize] = if quick {
+    let counts: &[usize] = if mode != Mode::Full {
         &[1, 10, 40]
     } else {
         &[1, 5, 10, 20, 40, 60, 80, 100]
     };
+    let runs = 9usize;
+    let mut rec = BenchRecord::new("fig7_6", mode);
+    rec.config("runs", runs);
 
-    let mut csv = Csv::new([
-        "inserted",
-        "total_us",
-        "suspend_us",
-        "channel_us",
-        "activate_us",
-    ]);
     let mut pts = Vec::new();
     for &n in counts {
-        // Median of 9 runs to tame scheduler noise.
-        let mut runs: Vec<_> = (0..9).map(|_| reconfig_time(n)).collect();
-        runs.sort_by_key(|s| s.total);
-        let s = runs[runs.len() / 2];
-        let us = s.total.as_secs_f64() * 1e6;
-        csv.row([
-            n.to_string(),
-            format!("{us:.1}"),
-            format!("{:.1}", s.suspension_time.as_secs_f64() * 1e6),
-            format!("{:.1}", s.channel_time.as_secs_f64() * 1e6),
-            format!("{:.1}", s.activation_time.as_secs_f64() * 1e6),
-        ]);
-        pts.push((n as f64, us));
+        // Nine runs per point to tame scheduler noise.
+        let stats: Vec<_> = (0..runs).map(|_| reconfig_time(n)).collect();
+        let us = |part: fn(&mobigate::core::ReconfigStats) -> Duration| {
+            let values: Vec<f64> = stats.iter().map(|s| part(s).as_secs_f64() * 1e6).collect();
+            Summary::of(&values)
+        };
+        let total = us(|s| s.total);
+        rec.push(
+            "reconfiguration",
+            Row::new()
+                .label("inserted", n)
+                .metric("total_us", total)
+                .metric("suspend_us", us(|s| s.suspension_time))
+                .metric("channel_us", us(|s| s.channel_time))
+                .metric("activate_us", us(|s| s.activation_time)),
+        );
+        pts.push((n as f64, total.median));
     }
-    print!("{}", csv.to_table());
-    println!();
     print!(
         "{}",
         ascii_series("reconfiguration time vs inserts", &[("total", pts)], "µs")
     );
-    save("fig7_6_reconfiguration", &csv);
 
     // Shape guard: 20 inserts cost more than 2, compared on the median of
     // repeated runs so one descheduled run cannot flip it.
-    let median_total = |n: usize| {
-        let mut runs: Vec<Duration> = (0..GUARD_REPEATS).map(|_| reconfig_time(n).total).collect();
-        runs.sort_unstable();
-        runs[GUARD_REPEATS / 2]
-    };
-    let few = median_total(2);
-    let many = median_total(20);
+    let total_us =
+        |n: usize| Summary::sample(GUARD_REPEATS, || reconfig_time(n).total.as_secs_f64() * 1e6);
+    let few = total_us(2);
+    let many = total_us(20);
+    for (n, s) in [(2usize, few), (20, many)] {
+        rec.push(
+            "guard",
+            Row::new().label("inserted", n).metric("total_us", s),
+        );
+    }
     assert!(
-        many > few,
-        "20 inserts ({many:?}) must cost more than 2 ({few:?})"
+        many.median > few.median,
+        "20 inserts ({:.1} µs) must cost more than 2 ({:.1} µs)",
+        many.median,
+        few.median
     );
-    println!("\ninsert-count guard: 20 inserts {many:?} > 2 inserts {few:?}  [ok]");
+    println!(
+        "\ninsert-count guard: 20 inserts {:.1} µs > 2 inserts {:.1} µs  [ok]",
+        many.median, few.median
+    );
+    rec.finish();
 }
 
 /// Equation 7-1: T = Σ sᵢ + n·c + Σ aᵢ — measured decomposition.
-fn eq7_1() {
-    println!("\n===== Equation 7-1: T = Σ suspensions + n·channel-ops + Σ activations =====\n");
-    let mut csv = Csv::new([
-        "inserted",
-        "suspensions",
-        "channel_ops",
-        "activations",
-        "components_us",
-        "total_us",
-        "accounted_pct",
-    ]);
+fn eq7_1(mode: Mode) {
+    println!("\n===== Equation 7-1: T = Σ suspensions + n·channel-ops + Σ activations =====");
+    let mut rec = BenchRecord::new("eq7_1", mode);
     for n in [1usize, 5, 20, 50] {
         let s = reconfig_time(n);
         let comp = s.suspension_time + s.channel_time + s.activation_time;
-        csv.row([
-            n.to_string(),
-            s.suspensions.to_string(),
-            s.channel_ops.to_string(),
-            s.activations.to_string(),
-            format!("{:.1}", comp.as_secs_f64() * 1e6),
-            format!("{:.1}", s.total.as_secs_f64() * 1e6),
-            format!("{:.0}%", comp.as_secs_f64() / s.total.as_secs_f64() * 100.0),
-        ]);
+        rec.push(
+            "decomposition",
+            Row::new()
+                .label("inserted", n)
+                .metric("suspensions", s.suspensions)
+                .metric("channel_ops", s.channel_ops)
+                .metric("activations", s.activations)
+                .metric("components_us", comp.as_secs_f64() * 1e6)
+                .metric("total_us", s.total.as_secs_f64() * 1e6)
+                .metric(
+                    "accounted_pct",
+                    comp.as_secs_f64() / s.total.as_secs_f64() * 100.0,
+                ),
+        );
     }
-    print!("{}", csv.to_table());
-    save("eq7_1_decomposition", &csv);
+    rec.finish();
 }
 
 /// Figure 7-7: end-to-end effectiveness of the MobiGATE system.
-fn fig7_7(quick: bool) {
+fn fig7_7(mode: Mode) {
     println!("\n========== Figure 7-7: MobiGATE end-to-end effectiveness ==========");
     println!("(paper: MobiGATE ≥ direct at all bandwidths; gap grows as bandwidth");
     println!(" drops; TextCompressor auto-inserted below 100 Kb/s)\n");
 
+    let quick = mode != Mode::Full;
     let bandwidths_kbps: &[u64] = if quick {
         &[50, 500, 2000]
     } else {
@@ -340,44 +322,34 @@ fn fig7_7(quick: bool) {
     let n = if quick { 8 } else { 16 };
     // Scale wall time so the slowest point (20 Kb/s) stays tractable.
     let time_scale = if quick { 0.004 } else { 0.002 };
+    let seed = 42;
+    let mut rec = BenchRecord::new("fig7_7", mode);
+    rec.config("messages", n)
+        .config("time_scale", time_scale)
+        .config("seed", seed);
 
-    let mut csv = Csv::new([
-        "bandwidth_kbps",
-        "delay_ms",
-        "direct_kbps",
-        "mobigate_kbps",
-        "speedup",
-        "link_bytes_direct",
-        "link_bytes_mobigate",
-    ]);
     for &delay_ms in delays_ms {
         let delay = Duration::from_millis(delay_ms);
         let mut direct_pts = Vec::new();
         let mut mg_pts = Vec::new();
         for &bw in bandwidths_kbps {
             let bps = bw * 1000;
-            let d = end_to_end_point(bps, delay, false, n, time_scale, 42);
-            let m = end_to_end_point(bps, delay, true, n, time_scale, 42);
-            csv.row([
-                bw.to_string(),
-                delay_ms.to_string(),
-                format!("{:.1}", d.throughput_kbps),
-                format!("{:.1}", m.throughput_kbps),
-                format!("{:.2}x", m.throughput_kbps / d.throughput_kbps),
-                d.link_bytes.to_string(),
-                m.link_bytes.to_string(),
-            ]);
+            let d = end_to_end_point(bps, delay, false, n, time_scale, seed);
+            let m = end_to_end_point(bps, delay, true, n, time_scale, seed);
+            rec.push(
+                "end_to_end",
+                Row::new()
+                    .label("bandwidth_kbps", bw)
+                    .label("delay_ms", delay_ms)
+                    .metric("direct_kbps", d.throughput_kbps)
+                    .metric("mobigate_kbps", m.throughput_kbps)
+                    .metric("speedup", m.throughput_kbps / d.throughput_kbps)
+                    .metric("link_bytes_direct", d.link_bytes)
+                    .metric("link_bytes_mobigate", m.link_bytes),
+            );
             direct_pts.push((bw as f64, d.throughput_kbps));
             mg_pts.push((bw as f64, m.throughput_kbps));
-            println!(
-                "  bw={bw:>5} Kb/s delay={delay_ms:>3} ms   direct {:>8.1} Kb/s   \
-                 mobigate {:>8.1} Kb/s   ({:.2}x)",
-                d.throughput_kbps,
-                m.throughput_kbps,
-                m.throughput_kbps / d.throughput_kbps
-            );
         }
-        println!();
         print!(
             "{}",
             ascii_series(
@@ -387,48 +359,42 @@ fn fig7_7(quick: bool) {
             )
         );
     }
-    print!("{}", csv.to_table());
-    save("fig7_7_end_to_end", &csv);
+    rec.finish();
 }
+
+/// The two back ends the ablations compare, by the name records use.
+const EXECUTORS: [(&str, ExecutorConfig); 2] = [
+    ("thread_per_streamlet", ExecutorConfig::ThreadPerStreamlet),
+    ("worker_pool8", ExecutorConfig::WorkerPool { workers: 8 }),
+];
 
 /// Chaos harness: throughput and delivery of the `r0 → fault_injector → r1`
 /// chain under injected panic rates, per executor back end. Asserts that
 /// supervision keeps ≥99% of the benign load flowing and that poison
-/// messages land in the dead-letter queue. Emits `results/BENCH_chaos.json`.
-fn chaos(quick: bool) {
+/// messages land in the dead-letter queue.
+fn chaos(mode: Mode) {
     println!("\n=========== Chaos: delivery under streamlet faults ===========");
     println!("(supervision restarts the faulting injector; poison messages are");
-    println!(" evicted to the dead-letter queue; the benign load keeps flowing)\n");
+    println!(" evicted to the dead-letter queue; the benign load keeps flowing)");
 
-    let messages = if quick { 300 } else { 1500 };
+    let messages = if mode != Mode::Full { 300 } else { 1500 };
     let poison = 3usize;
-    let rates: &[f64] = &[0.0, 0.01, 0.05];
-    let executors: [(&str, ExecutorConfig); 2] = [
-        ("thread_per_streamlet", ExecutorConfig::ThreadPerStreamlet),
-        ("worker_pool8", ExecutorConfig::WorkerPool { workers: 8 }),
-    ];
+    let garbage_rate = 0.01;
+    let mut rec = BenchRecord::new("chaos", mode);
+    rec.config("chain", "r0 -> fault_injector -> r1")
+        .config("messages", messages)
+        .config("poison_messages", poison)
+        .config("garbage_rate", garbage_rate);
 
-    let mut csv = Csv::new([
-        "executor",
-        "panic_rate",
-        "sent",
-        "delivered",
-        "dead_lettered",
-        "faults",
-        "restarts",
-        "quarantined",
-        "throughput_msg_s",
-    ]);
-    let mut series = Vec::new();
-    for (exec_name, exec_cfg) in &executors {
-        for &rate in rates {
+    for (exec_name, exec_cfg) in EXECUTORS {
+        for rate in [0.0, 0.01, 0.05] {
             let cfg = ChaosConfig {
                 server: chaos_server_config(ServerConfig {
-                    executor: *exec_cfg,
+                    executor: exec_cfg,
                     ..Default::default()
                 }),
                 panic_rate: rate,
-                garbage_rate: 0.01,
+                garbage_rate,
                 messages,
                 // Poison only makes sense alongside faults; keep the 0%
                 // corner perfectly clean as the baseline.
@@ -437,17 +403,6 @@ fn chaos(quick: bool) {
                 ..Default::default()
             };
             let out = with_quiet_panics(|| run_chaos(&cfg));
-            println!(
-                "  {exec_name:<21} rate={rate:>4}: {}/{} delivered ({:.2}%), \
-                 {} dead-lettered, {} faults, {} restarts, {:.0} msg/s",
-                out.delivered,
-                out.sent,
-                out.delivery_ratio() * 100.0,
-                out.dead_lettered,
-                out.faults,
-                out.restarts,
-                out.throughput()
-            );
             assert!(
                 out.delivery_ratio() >= 0.99,
                 "{exec_name} rate {rate}: delivered only {}/{}",
@@ -461,86 +416,53 @@ fn chaos(quick: bool) {
                     "{exec_name} rate {rate}: every poison message must be dead-lettered"
                 );
             }
-            csv.row([
-                exec_name.to_string(),
-                format!("{rate}"),
-                out.sent.to_string(),
-                out.delivered.to_string(),
-                out.dead_lettered.to_string(),
-                out.faults.to_string(),
-                out.restarts.to_string(),
-                out.quarantined.to_string(),
-                format!("{:.0}", out.throughput()),
-            ]);
-            series.push((exec_name.to_string(), rate, out));
+            rec.push(
+                "faults",
+                Row::new()
+                    .label("executor", exec_name)
+                    .label("panic_rate", rate)
+                    .metric("sent", out.sent)
+                    .metric("delivered", out.delivered)
+                    .metric("delivery_ratio", out.delivery_ratio())
+                    .metric("garbage_delivered", out.garbage)
+                    .metric("dead_lettered", out.dead_lettered)
+                    .metric("faults", out.faults)
+                    .metric("restarts", out.restarts)
+                    .metric("quarantined", out.quarantined)
+                    .metric("throughput_msg_per_s", out.throughput()),
+            );
         }
     }
-    println!();
-    print!("{}", csv.to_table());
-
-    // The serde shim is a no-op, so the JSON is formatted by hand.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"chaos_supervision\",\n");
-    json.push_str("  \"chain\": \"r0 -> fault_injector -> r1\",\n");
-    json.push_str(&format!("  \"messages\": {messages},\n"));
-    json.push_str(&format!("  \"poison_messages\": {poison},\n"));
-    json.push_str("  \"garbage_rate\": 0.01,\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str("  \"series\": [\n");
-    for (i, (exec_name, rate, out)) in series.iter().enumerate() {
-        let sep = if i + 1 == series.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"executor\": \"{exec_name}\", \"panic_rate\": {rate}, \
-             \"sent\": {}, \"delivered\": {}, \"delivery_ratio\": {:.5}, \
-             \"garbage_delivered\": {}, \"dead_lettered\": {}, \"faults\": {}, \
-             \"restarts\": {}, \"quarantined\": {}, \
-             \"throughput_msg_per_s\": {:.1}}}{sep}\n",
-            out.sent,
-            out.delivered,
-            out.delivery_ratio(),
-            out.garbage,
-            out.dead_lettered,
-            out.faults,
-            out.restarts,
-            out.quarantined,
-            out.throughput()
-        ));
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-    save_json("BENCH_chaos", &json);
-    save("chaos_supervision", &csv);
+    rec.finish();
 }
 
 /// Hot-path batching ablation: pipelined chain throughput (the Figure 7-2
 /// redirector chain, kept saturated) under {batch=1, batch=16} × executor
-/// back end. Emits `results/BENCH_batching.json`.
-fn batching(quick: bool) {
+/// back end.
+fn batching(mode: Mode) {
     println!("\n========= Ablation: hot-path batching x executor =========");
     println!("(pipelined throughput, every hop busy at once — the workload that");
-    println!(" per-message locking and per-message wakeups throttle)\n");
+    println!(" per-message locking and per-message wakeups throttle)");
 
+    let quick = mode != Mode::Full;
     let chain_k = 10;
     let chain_bytes = 10 * 1024;
     // Each sample is a burst of at least this long, so that one
     // descheduling on a shared host cannot move a corner's median.
-    let window = if quick {
-        Duration::from_millis(250)
-    } else {
-        Duration::from_secs(1)
-    };
+    let window = Duration::from_millis(if quick { 250 } else { 1000 });
     let runs = if quick { 3 } else { 5 };
     let batch_n = 16;
+    let mut rec = BenchRecord::new("batching", mode);
+    rec.config("redirectors", chain_k)
+        .config("message_bytes", chain_bytes)
+        .config("sample_seconds", window.as_secs_f64())
+        .config("runs", runs)
+        .config("order", "corners interleaved within each run");
 
-    let executors: [(&str, ExecutorConfig); 2] = [
-        ("thread_per_streamlet", ExecutorConfig::ThreadPerStreamlet),
-        ("worker_pool8", ExecutorConfig::WorkerPool { workers: 8 }),
-    ];
     // Every corner's chain is deployed up front; each repeat then samples
     // all four in turn, so slow spells on the host fall on every corner
     // alike instead of on whichever corner ran during them.
-    let corners: Vec<(&str, usize, ChainHarness)> = executors
+    let corners: Vec<(&str, usize, ChainHarness)> = EXECUTORS
         .iter()
         .flat_map(|(exec_name, exec_cfg)| {
             [1, batch_n].map(|batch_max| {
@@ -564,186 +486,90 @@ fn batching(quick: bool) {
         }
     }
 
-    let mut csv = Csv::new(["executor", "batch_max", "throughput_msg_s"]);
-    // (executor, batch, [q1, median, q3] msg/s)
-    let mut series: Vec<(&str, usize, [f64; 3])> = Vec::new();
-    for ((exec_name, batch_max, _), samples) in corners.iter().zip(&samples) {
-        let q = [0.25, 0.5, 0.75].map(|p| quantile(samples, p));
-        println!(
-            "  {exec_name:<21} batch={batch_max:<3}: {:>9.0} msg/s  (IQR {:.0}..{:.0})",
-            q[1], q[0], q[2]
+    let summaries: Vec<Summary> = samples.iter().map(|s| Summary::of(s)).collect();
+    for ((exec_name, batch_max, _), s) in corners.iter().zip(&summaries) {
+        rec.push(
+            "throughput",
+            Row::new()
+                .label("executor", *exec_name)
+                .label("batch_max", *batch_max)
+                .metric("throughput_msg_per_s", *s),
         );
-        csv.row([
-            exec_name.to_string(),
-            batch_max.to_string(),
-            format!("{:.0}", q[1]),
-        ]);
-        series.push((exec_name, *batch_max, q));
     }
-    println!();
-    print!("{}", csv.to_table());
-
-    let speedup = |exec: &str| -> f64 {
-        let find = |batch: usize| {
-            series
-                .iter()
-                .find(|(e, b, _)| *e == exec && *b == batch)
-                .map(|(.., q)| q[1])
-                .expect("corner measured")
-        };
-        find(batch_n) / find(1)
-    };
-    let speedup_tps = speedup("thread_per_streamlet");
-    let speedup_wp8 = speedup("worker_pool8");
-    println!(
-        "\nbatch={batch_n} over batch=1 (medians): thread-per-streamlet {speedup_tps:.2}x, \
-         worker-pool8 {speedup_wp8:.2}x"
-    );
-
-    // The serde shim is a no-op, so the JSON is formatted by hand.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"hot_path_batching_ablation\",\n");
-    json.push_str("  \"workload\": {\n");
-    json.push_str(&format!(
-        "    \"redirectors\": {chain_k}, \"message_bytes\": {chain_bytes}, \
-         \"sample_seconds\": {}, \"runs\": {runs}, \"order\": \"corners interleaved \
-         within each run\", \"metric\": \"pipelined throughput (msg/s): median and \
-         interquartile range over runs\"\n",
-        window.as_secs_f64()
-    ));
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"batch_n\": {batch_n},\n"));
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str("  \"series\": [\n");
-    for (i, ((exec_name, batch_max, [q1, median, q3]), samples)) in
-        series.iter().zip(&samples).enumerate()
-    {
-        let sep = if i + 1 == series.len() { "" } else { "," };
-        let samples: Vec<String> = samples.iter().map(|s| format!("{s:.1}")).collect();
-        json.push_str(&format!(
-            "    {{\"executor\": \"{exec_name}\", \"batch_max\": {batch_max}, \
-             \"throughput_msg_per_s\": {median:.1}, \"q1\": {q1:.1}, \"q3\": {q3:.1}, \
-             \"samples\": [{}]}}{sep}\n",
-            samples.join(", ")
-        ));
+    // Corners come in (batch 1, batch n) pairs per executor.
+    for (pair, s) in corners.chunks(2).zip(summaries.chunks(2)) {
+        rec.push(
+            "speedup",
+            Row::new()
+                .label("executor", pair[0].0)
+                .metric("batched_over_batch1", s[1].median / s[0].median),
+        );
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"batched_over_batch1\": {\n");
-    json.push_str(&format!(
-        "    \"thread_per_streamlet\": {speedup_tps:.3},\n"
-    ));
-    json.push_str(&format!("    \"worker_pool8\": {speedup_wp8:.3}\n"));
-    json.push_str("  },\n");
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    json.push_str(&format!("  \"host_cores\": {cores}\n"));
-    json.push_str("}\n");
-    save_json("BENCH_batching", &json);
-    save("batching_ablation", &csv);
-}
-
-/// The `q` quantile (0..=1) of `values`, interpolating linearly between
-/// the closest ranks — the statistic gatebench reports.
-fn quantile(values: &[f64], q: f64) -> f64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    rec.finish();
 }
 
 /// Chain fusion ablation: pipelined throughput of the Figure 7-2 redirector
 /// chain with the whole run statically fused into one execution unit vs.
 /// the discrete (batched) baseline, per executor back end and chain
 /// length — plus a fusion-enabled chaos run proving supervision still
-/// holds. Emits `results/BENCH_fusion.json`.
-fn fusion(quick: bool) {
+/// holds.
+fn fusion(mode: Mode) {
     println!("\n=========== Ablation: chain fusion vs discrete chain ===========");
     println!("(fused: one execution unit runs every redirector back-to-back —");
-    println!(" no interior queues, no interior wakeups, no pool round-trips)\n");
+    println!(" no interior queues, no interior wakeups, no pool round-trips)");
 
+    let quick = mode != Mode::Full;
     let chain_ks: &[usize] = if quick { &[10] } else { &[10, 30] };
     let chain_bytes = 10 * 1024;
     let total = if quick { 400 } else { 2000 };
     let runs = if quick { 3 } else { 5 };
+    let mut rec = BenchRecord::new("fusion", mode);
+    rec.config("message_bytes", chain_bytes)
+        .config("messages_per_burst", total)
+        .config("runs", runs);
 
-    let executors: [(&str, ExecutorConfig); 2] = [
-        ("thread_per_streamlet", ExecutorConfig::ThreadPerStreamlet),
-        ("worker_pool8", ExecutorConfig::WorkerPool { workers: 8 }),
-    ];
-    let corners: [(&str, bool); 2] = [("unfused_batched", false), ("fused", true)];
-
-    let mut csv = Csv::new([
-        "executor",
-        "chain_k",
-        "fused",
-        "instances",
-        "throughput_msg_s",
-    ]);
-    // (executor, k, fused, live instances, median msg/s)
-    let mut series: Vec<(String, usize, bool, usize, f64)> = Vec::new();
-    for (exec_name, exec_cfg) in &executors {
+    for (exec_name, exec_cfg) in EXECUTORS {
         for &k in chain_ks {
-            for (label, fused) in &corners {
+            let mut medians = [0.0; 2];
+            for (median, fused) in medians.iter_mut().zip([false, true]) {
                 let cfg = ServerConfig {
-                    executor: *exec_cfg,
-                    fusion: *fused,
+                    executor: exec_cfg,
+                    fusion: fused,
                     ..Default::default()
                 };
                 let harness = ChainHarness::with_config(k, cfg);
                 let instances = harness.stream().instance_names().len();
-                if *fused {
+                if fused {
                     assert_eq!(
                         instances, 1,
                         "the whole {k}-redirector run must fuse into one unit"
                     );
                 }
-                let mut samples: Vec<f64> = (0..runs)
-                    .map(|_| harness.throughput(chain_bytes, total))
-                    .collect();
-                samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                let median = samples[samples.len() / 2];
-                println!(
-                    "  {exec_name:<21} k={k:<3} {label:<15}: {median:>9.0} msg/s \
-                     ({instances} live instances)"
+                let s = Summary::sample(runs, || harness.throughput(chain_bytes, total));
+                *median = s.median;
+                rec.push(
+                    "throughput",
+                    Row::new()
+                        .label("executor", exec_name)
+                        .label("chain_k", k)
+                        .label("fused", fused)
+                        .metric("live_instances", instances)
+                        .metric("throughput_msg_per_s", s),
                 );
-                csv.row([
-                    exec_name.to_string(),
-                    k.to_string(),
-                    fused.to_string(),
-                    instances.to_string(),
-                    format!("{median:.0}"),
-                ]);
-                series.push((exec_name.to_string(), k, *fused, instances, median));
             }
+            rec.push(
+                "speedup",
+                Row::new()
+                    .label("executor", exec_name)
+                    .label("chain_k", k)
+                    .metric("fused_over_batched", medians[1] / medians[0]),
+            );
         }
     }
-    println!();
-    print!("{}", csv.to_table());
-
-    let find = |exec: &str, k: usize, fused: bool| -> f64 {
-        series
-            .iter()
-            .find(|(e, kk, f, ..)| e == exec && *kk == k && *f == fused)
-            .map(|(.., t)| *t)
-            .expect("corner measured")
-    };
-    let headline_k = chain_ks[0];
-    let speedup_tps = find("thread_per_streamlet", headline_k, true)
-        / find("thread_per_streamlet", headline_k, false);
-    let speedup_wp8 =
-        find("worker_pool8", headline_k, true) / find("worker_pool8", headline_k, false);
-    println!(
-        "\nfused over unfused-batched (k={headline_k}): thread-per-streamlet \
-         {speedup_tps:.2}x, worker-pool8 {speedup_wp8:.2}x"
-    );
 
     // Chaos with fusion on: fused runs flank the (unfusable, stateful)
     // fault injector; restarts in the discrete middle must leave the
     // fused units flowing.
-    let chaos_messages = if quick { 300 } else { 1500 };
     let chaos_cfg = ChaosConfig {
         server: chaos_server_config(ServerConfig {
             fusion: true,
@@ -751,105 +577,54 @@ fn fusion(quick: bool) {
         }),
         panic_rate: 0.05,
         garbage_rate: 0.01,
-        messages: chaos_messages,
+        messages: if quick { 300 } else { 1500 },
         poison: 3,
         pad_redirectors: 2,
         seed: 0xF0510,
         ..Default::default()
     };
-    let chaos_out = with_quiet_panics(|| run_chaos(&chaos_cfg));
-    println!(
-        "\nchaos with fusion on (r0-r1 fused -> injector -> r2-r3 fused): \
-         {}/{} delivered ({:.2}%), {} dead-lettered, {} faults, {} restarts",
-        chaos_out.delivered,
-        chaos_out.sent,
-        chaos_out.delivery_ratio() * 100.0,
-        chaos_out.dead_lettered,
-        chaos_out.faults,
-        chaos_out.restarts
-    );
+    let out = with_quiet_panics(|| run_chaos(&chaos_cfg));
     assert!(
-        chaos_out.delivery_ratio() >= 0.99,
+        out.delivery_ratio() >= 0.99,
         "fusion-enabled chaos delivered only {}/{}",
-        chaos_out.delivered,
-        chaos_out.sent
+        out.delivered,
+        out.sent
     );
     assert_eq!(
-        chaos_out.quarantined, 0,
+        out.quarantined, 0,
         "restart budget must never exhaust under fused chaos"
     );
-
-    // The serde shim is a no-op, so the JSON is formatted by hand.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"chain_fusion_ablation\",\n");
-    json.push_str("  \"workload\": {\n");
-    json.push_str(&format!(
-        "    \"message_bytes\": {chain_bytes}, \"messages_per_burst\": {total}, \
-         \"runs\": {runs}, \"metric\": \"median pipelined throughput (msg/s)\"\n"
-    ));
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str("  \"series\": [\n");
-    for (i, (exec_name, k, fused, instances, msg_s)) in series.iter().enumerate() {
-        let sep = if i + 1 == series.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"executor\": \"{exec_name}\", \"chain_k\": {k}, \"fused\": {fused}, \
-             \"live_instances\": {instances}, \"throughput_msg_per_s\": {msg_s:.1}}}{sep}\n"
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"fused_over_batched\": {{\n    \"chain_k\": {headline_k},\n"
-    ));
-    json.push_str(&format!(
-        "    \"thread_per_streamlet\": {speedup_tps:.3},\n"
-    ));
-    json.push_str(&format!("    \"worker_pool8\": {speedup_wp8:.3}\n"));
-    json.push_str("  },\n");
-    json.push_str("  \"chaos_with_fusion\": {\n");
-    json.push_str("    \"chain\": \"r0 -> r1 (fused) -> fault_injector -> r2 -> r3 (fused)\",\n");
-    json.push_str(&format!(
-        "    \"sent\": {}, \"delivered\": {}, \"delivery_ratio\": {:.5},\n",
-        chaos_out.sent,
-        chaos_out.delivered,
-        chaos_out.delivery_ratio()
-    ));
-    json.push_str(&format!(
-        "    \"dead_lettered\": {}, \"faults\": {}, \"restarts\": {}, \
-         \"quarantined\": {}\n",
-        chaos_out.dead_lettered, chaos_out.faults, chaos_out.restarts, chaos_out.quarantined
-    ));
-    json.push_str("  },\n");
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    json.push_str(&format!("  \"host_cores\": {cores}\n"));
-    json.push_str("}\n");
-    save_json("BENCH_fusion", &json);
-    save("fusion_ablation", &csv);
+    rec.push(
+        "chaos_with_fusion",
+        Row::new()
+            .label(
+                "chain",
+                "r0 -> r1 (fused) -> fault_injector -> r2 -> r3 (fused)",
+            )
+            .metric("sent", out.sent)
+            .metric("delivered", out.delivered)
+            .metric("delivery_ratio", out.delivery_ratio())
+            .metric("dead_lettered", out.dead_lettered)
+            .metric("faults", out.faults)
+            .metric("restarts", out.restarts)
+            .metric("quarantined", out.quarantined),
+    );
+    rec.finish();
 }
 
 /// Session-plane ablation: one MCL template instantiated as N concurrent
 /// per-user sessions, measured for spawn rate, aggregate throughput,
 /// steady-state latency, memory and teardown time, with pool-return and
-/// thread-leak verification at teardown. Asserts
-/// that the worker pool's thread count stays flat across its session
-/// scales. Emits `results/BENCH_sessions.json`.
-fn sessions(quick: bool, smoke: bool) {
+/// thread-leak verification at teardown. Asserts that the worker pool's
+/// thread count stays flat across its session scales.
+fn sessions(mode: Mode) {
     println!("\n=============== Session plane: N concurrent user streams ===============");
-    println!("(one compiled template stamped out per session; name-keyed event lists)\n");
+    println!("(one compiled template stamped out per session; name-keyed event lists)");
     let chain_len = 3;
     let payload = 64;
     // Keep total traffic roughly constant as N grows so every point
     // finishes in comparable wall time.
-    let total_msgs: usize = if smoke {
-        400
-    } else if quick {
-        5_000
-    } else {
-        20_000
-    };
+    let total_msgs: usize = mode.pick(20_000, 5_000, 400);
     let workers = 4;
     let wp = ExecutorConfig::WorkerPool { workers };
     let tps = ExecutorConfig::ThreadPerStreamlet;
@@ -858,35 +633,27 @@ fn sessions(quick: bool, smoke: bool) {
     // and scheduling those threads is the wall the worker-pool executor
     // exists to remove — so the TPS curve stops at 1k and the worker pool
     // carries the 10k point on a flat thread count.
-    let points: Vec<(ExecutorConfig, usize)> = if smoke {
-        vec![(tps, 25), (wp, 25), (wp, 100)]
-    } else if quick {
-        vec![(tps, 100), (wp, 100), (wp, 1_000)]
-    } else {
+    let points: Vec<(ExecutorConfig, usize)> = mode.pick(
         vec![
             (tps, 100),
             (tps, 1_000),
             (wp, 100),
             (wp, 1_000),
             (wp, 10_000),
-        ]
-    };
+        ],
+        vec![(tps, 100), (wp, 100), (wp, 1_000)],
+        vec![(tps, 25), (wp, 25), (wp, 100)],
+    );
+    let mut rec = BenchRecord::new("sessions", mode);
+    rec.config("chain_len", chain_len)
+        .config("fusion", true)
+        .config("payload_bytes", payload)
+        .config("total_msgs_target", total_msgs)
+        .config("workers", workers);
 
-    let mut csv = Csv::new([
-        "executor",
-        "sessions",
-        "spawn_per_s",
-        "throughput_msg_s",
-        "latency_us",
-        "rss_kib_per_session",
-        "threads_running",
-        "threads_after_teardown",
-        "pool_returned",
-        "teardown_ms",
-    ]);
-    let mut outs = Vec::new();
-    for &(executor, n) in &points {
-        let cfg = SessionsConfig {
+    let mut pooled_extra = Vec::new();
+    for (executor, n) in points {
+        let out = run_sessions(SessionsConfig {
             sessions: n,
             mode: PayloadMode::Reference,
             chain_len,
@@ -894,23 +661,8 @@ fn sessions(quick: bool, smoke: bool) {
             payload_bytes: payload,
             executor,
             fusion: true,
-            latency_iters: if smoke { 5 } else { 20 },
-        };
-        let out = run_sessions(cfg);
-        println!(
-            "{:>20} n={:<6} spawn {:>9.0}/s  {:>9.0} msg/s  latency {:>8.1} µs  \
-             rss {:>6.1} KiB/sess  threads {}→{}→{}  teardown {:>8.1} ms",
-            out.executor,
-            out.sessions,
-            out.spawn_rate,
-            out.throughput_mps,
-            out.mean_latency.as_secs_f64() * 1e6,
-            out.rss_spawn_kib as f64 / out.sessions as f64,
-            out.threads_baseline,
-            out.threads_running,
-            out.threads_after_teardown,
-            out.teardown.as_secs_f64() * 1e3
-        );
+            latency_iters: if mode == Mode::Smoke { 5 } else { 20 },
+        });
         // Acceptance: zero loss, correct per-session labels, every
         // instance back in the pool, zero residual threads or rows.
         assert!(
@@ -941,186 +693,109 @@ fn sessions(quick: bool, smoke: bool) {
         );
         assert_eq!(out.pool_discarded_delta, 0);
         assert_eq!(out.settled_resident_bytes, 0);
-        csv.row([
-            out.executor.clone(),
-            out.sessions.to_string(),
-            format!("{:.0}", out.spawn_rate),
-            format!("{:.0}", out.throughput_mps),
-            format!("{:.1}", out.mean_latency.as_secs_f64() * 1e6),
-            format!("{:.2}", out.rss_spawn_kib as f64 / out.sessions as f64),
-            out.threads_running.to_string(),
-            out.threads_after_teardown.to_string(),
-            out.pool_returned_delta.to_string(),
-            format!("{:.1}", out.teardown.as_secs_f64() * 1e3),
-        ]);
-        outs.push(out);
+        if matches!(executor, ExecutorConfig::WorkerPool { .. }) {
+            pooled_extra.push(out.threads_running.saturating_sub(out.threads_baseline));
+        }
+        rec.push(
+            "sessions",
+            Row::new()
+                .label("executor", out.executor.as_str())
+                .label("sessions", out.sessions)
+                .metric("spawn_rate_per_s", out.spawn_rate)
+                .metric("throughput_msg_per_s", out.throughput_mps)
+                .metric("mean_latency_us", out.mean_latency.as_secs_f64() * 1e6)
+                .metric("rss_spawn_kib", out.rss_spawn_kib)
+                .metric(
+                    "rss_kib_per_session",
+                    out.rss_spawn_kib as f64 / out.sessions as f64,
+                )
+                .metric("peak_resident_bytes", out.peak_resident_bytes)
+                .metric("injected", out.injected)
+                .metric("delivered", out.delivered)
+                .metric("label_errors", out.label_errors)
+                .metric("threads_baseline", out.threads_baseline)
+                .metric("threads_running", out.threads_running)
+                .metric("threads_after_teardown", out.threads_after_teardown)
+                .metric("torn_down", out.torn_down)
+                .metric("teardown_ms", out.teardown.as_secs_f64() * 1e3)
+                .metric("pool_returned", out.pool_returned_delta)
+                .metric("pool_discarded", out.pool_discarded_delta)
+                .metric("residual_streams", out.residual_streams),
+        );
     }
-    print!("\n{}", csv.to_table());
 
     // Thread flatness: the pool's sessions cost no threads of their own,
     // so the threads beyond the baseline stay within the worker count and
     // identical at every pooled scale.
-    let pooled_extra: Vec<usize> = outs
-        .iter()
-        .filter(|o| o.executor == "worker-pool")
-        .map(|o| o.threads_running.saturating_sub(o.threads_baseline))
-        .collect();
     assert!(
         pooled_extra.iter().all(|&e| e <= workers) && pooled_extra.windows(2).all(|w| w[0] == w[1]),
         "worker-pool threads must stay flat across the session sweep: {pooled_extra:?}"
     );
-
-    // The serde shim is a no-op, so the JSON is formatted by hand.
-    let mode = if smoke {
-        "smoke"
-    } else if quick {
-        "quick"
-    } else {
-        "full"
-    };
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"session_plane_ablation\",\n");
-    json.push_str(&format!(
-        "  \"template\": {{\"chain_len\": {chain_len}, \"fusion\": true, \
-         \"payload_bytes\": {payload}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"mode\": \"{mode}\", \"total_msgs_target\": {total_msgs},\n"
-    ));
-    json.push_str(
-        "  \"note\": \"thread-per-streamlet stops at 1k sessions: one OS thread per \
-         session is the wall the worker pool removes; worker-pool threads stay flat \
-         across its points\",\n",
-    );
-    json.push_str("  \"series\": [\n");
-    for (i, o) in outs.iter().enumerate() {
-        let sep = if i + 1 == outs.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"executor\": \"{}\", \"sessions\": {}, \"spawn_rate_per_s\": {:.1}, \
-             \"throughput_msg_per_s\": {:.1}, \"mean_latency_us\": {:.1}, \
-             \"rss_spawn_kib\": {}, \"rss_kib_per_session\": {:.2}, \
-             \"peak_resident_bytes\": {}, \"injected\": {}, \"delivered\": {}, \
-             \"label_errors\": {}, \"threads_baseline\": {}, \"threads_running\": {}, \
-             \"threads_after_teardown\": {}, \"torn_down\": {}, \"teardown_ms\": {:.1}, \
-             \"pool_returned\": {}, \"pool_discarded\": {}, \"residual_streams\": {}}}{sep}\n",
-            o.executor,
-            o.sessions,
-            o.spawn_rate,
-            o.throughput_mps,
-            o.mean_latency.as_secs_f64() * 1e6,
-            o.rss_spawn_kib,
-            o.rss_spawn_kib as f64 / o.sessions as f64,
-            o.peak_resident_bytes,
-            o.injected,
-            o.delivered,
-            o.label_errors,
-            o.threads_baseline,
-            o.threads_running,
-            o.threads_after_teardown,
-            o.torn_down,
-            o.teardown.as_secs_f64() * 1e3,
-            o.pool_returned_delta,
-            o.pool_discarded_delta,
-            o.residual_streams
-        ));
-    }
-    json.push_str("  ],\n");
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    json.push_str(&format!("  \"host_cores\": {cores}\n"));
-    json.push_str("}\n");
-    save_json("BENCH_sessions", &json);
-    save("sessions_ablation", &csv);
+    rec.finish();
 }
 
 /// Observability ablation: telemetry-on vs. telemetry-off chain
 /// throughput per executor back end (the ≤5% overhead guard), plus a
-/// scrape-under-load point at session scale. Emits
-/// `results/BENCH_obs.json`.
-fn obs(quick: bool, smoke: bool) {
+/// scrape-under-load point at session scale.
+fn obs(mode: Mode) {
     println!("\n=========== Ablation: observability plane on vs off ===========");
     println!("(on: queue/process probes on every channel, trace ring, bridge");
-    println!(" thread polling; off: one `None` branch per instrumented op)\n");
+    println!(" thread polling; off: one `None` branch per instrumented op)");
 
     let chain_k = 8;
     let chain_bytes = 4 * 1024;
-    let (total, runs) = if smoke {
-        (500, 4)
-    } else if quick {
-        (1_000, 5)
-    } else {
-        (2_000, 8)
-    };
-    let executors: [(&str, ExecutorConfig); 2] = [
-        ("thread_per_streamlet", ExecutorConfig::ThreadPerStreamlet),
-        ("worker_pool8", ExecutorConfig::WorkerPool { workers: 8 }),
-    ];
+    // One burst shape in every mode, so the CI smoke guard and the
+    // recorded run measure the same thing; only the scrape point scales.
+    let window = Duration::from_millis(100);
+    let runs = 15;
+    let mut rec = BenchRecord::new("obs", mode);
+    rec.config("chain_k", chain_k)
+        .config("message_bytes", chain_bytes)
+        .config("sample_seconds", window.as_secs_f64())
+        .config("runs", runs);
 
-    let mut csv = Csv::new(["executor", "telemetry", "throughput_msg_s", "on_over_off"]);
-    // (executor, telemetry, best-of msg/s)
-    let mut series: Vec<(String, bool, f64)> = Vec::new();
-    let mut ratios: Vec<(String, f64)> = Vec::new();
-    for (exec_name, exec_cfg) in &executors {
-        let pair = |runs: usize| {
-            obs_chain_pair(&ObsChainConfig {
-                executor: *exec_cfg,
-                chain_k,
-                message_bytes: chain_bytes,
-                total,
-                runs,
-            })
-        };
-        let (mut off, mut on) = pair(runs);
-        if on < off * 0.95 {
-            // One retry at doubled depth before declaring a regression:
-            // a single noisy burst must not fail the guard.
-            let (off2, on2) = pair(runs * 2);
-            off = off.max(off2);
-            on = on.max(on2);
+    for (exec_name, executor) in EXECUTORS {
+        let pairs = obs_chain_pair(&ObsChainConfig {
+            executor,
+            chain_k,
+            message_bytes: chain_bytes,
+            window,
+            runs,
+        });
+        let side =
+            |pick: fn(&(f64, f64)) -> f64| Summary::of(&pairs.iter().map(pick).collect::<Vec<_>>());
+        for (telemetry, s) in [(false, side(|p| p.0)), (true, side(|p| p.1))] {
+            rec.push(
+                "throughput",
+                Row::new()
+                    .label("executor", exec_name)
+                    .label("telemetry", telemetry)
+                    .metric("throughput_msg_per_s", s),
+            );
         }
-        let ratio = on / off;
-        println!(
-            "  {exec_name:<21} off {off:>9.0} msg/s   on {on:>9.0} msg/s   \
-             on/off {ratio:.3}"
+        // Each pair ran its two bursts back to back, so its ratio cancels
+        // the host's slow spells; the guard reads the median ratio.
+        let ratio = side(|(off, on)| on / off);
+        rec.push(
+            "overhead",
+            Row::new()
+                .label("executor", exec_name)
+                .metric("on_over_off", ratio),
         );
         assert!(
-            ratio >= 0.95,
-            "telemetry-on regressed {exec_name} by more than 5%: \
-             {on:.0} vs {off:.0} msg/s (ratio {ratio:.3})"
+            ratio.median >= 0.95,
+            "telemetry-on regressed {exec_name} by more than 5%: median on/off ratio \
+             {:.3} over {runs} pairs (IQR {:.3}..{:.3})",
+            ratio.median,
+            ratio.q1,
+            ratio.q3
         );
-        for (telemetry, msg_s) in [(false, off), (true, on)] {
-            csv.row([
-                exec_name.to_string(),
-                telemetry.to_string(),
-                format!("{msg_s:.0}"),
-                format!("{ratio:.3}"),
-            ]);
-            series.push((exec_name.to_string(), telemetry, msg_s));
-        }
-        ratios.push((exec_name.to_string(), ratio));
     }
 
     // Scrape-under-load: 1k live telemetry-enabled sessions (full mode).
-    let n_sessions = if smoke {
-        50
-    } else if quick {
-        250
-    } else {
-        1_000
-    };
-    let scrape = run_scrape_churn(n_sessions, ExecutorConfig::WorkerPool { workers: 4 });
-    println!(
-        "\n  scrape with {} live sessions: {:.0} µs/scrape, {} B exposition, \
-         trace {}/{} recorded/overwritten, registry {}→{}",
-        scrape.sessions,
-        scrape.scrape_micros,
-        scrape.render_bytes,
-        scrape.trace_recorded,
-        scrape.trace_overwritten,
-        scrape.live_streams_mid,
-        scrape.live_streams_after
+    let scrape = run_scrape_churn(
+        mode.pick(1_000, 250, 50),
+        ExecutorConfig::WorkerPool { workers: 4 },
     );
     assert_eq!(
         scrape.live_streams_mid, scrape.sessions,
@@ -1131,130 +806,54 @@ fn obs(quick: bool, smoke: bool) {
         "teardown must deregister every session"
     );
     assert!(scrape.round_trips >= 1, "traffic phase must round-trip");
-
-    println!();
-    print!("{}", csv.to_table());
-
-    // The serde shim is a no-op, so the JSON is formatted by hand.
-    let mode = if smoke {
-        "smoke"
-    } else if quick {
-        "quick"
-    } else {
-        "full"
-    };
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"observability_ablation\",\n");
-    json.push_str(&format!(
-        "  \"workload\": {{\"chain_k\": {chain_k}, \"message_bytes\": {chain_bytes}, \
-         \"messages_per_burst\": {total}, \"runs\": {runs}, \
-         \"metric\": \"best-of pipelined throughput (msg/s)\"}},\n"
-    ));
-    json.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    json.push_str("  \"series\": [\n");
-    for (i, (exec_name, telemetry, msg_s)) in series.iter().enumerate() {
-        let sep = if i + 1 == series.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"executor\": \"{exec_name}\", \"telemetry\": {telemetry}, \
-             \"throughput_msg_per_s\": {msg_s:.1}}}{sep}\n"
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"on_over_off\": {\n");
-    for (i, (exec_name, ratio)) in ratios.iter().enumerate() {
-        let sep = if i + 1 == ratios.len() { "" } else { "," };
-        json.push_str(&format!("    \"{exec_name}\": {ratio:.3}{sep}\n"));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"scrape_under_load\": {{\"sessions\": {}, \"spawn_secs\": {:.3}, \
-         \"scrape_us\": {:.1}, \"exposition_bytes\": {}, \"trace_recorded\": {}, \
-         \"trace_overwritten\": {}, \"live_streams_after_teardown\": {}}},\n",
-        scrape.sessions,
-        scrape.spawn_secs,
-        scrape.scrape_micros,
-        scrape.render_bytes,
-        scrape.trace_recorded,
-        scrape.trace_overwritten,
-        scrape.live_streams_after
-    ));
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    json.push_str(&format!("  \"host_cores\": {cores}\n"));
-    json.push_str("}\n");
-    save_json("BENCH_obs", &json);
-    save("obs_ablation", &csv);
+    rec.push(
+        "scrape_under_load",
+        Row::new()
+            .label("sessions", scrape.sessions)
+            .metric("spawn_secs", scrape.spawn_secs)
+            .metric("scrape_us", scrape.scrape_micros)
+            .metric("exposition_bytes", scrape.render_bytes)
+            .metric("trace_recorded", scrape.trace_recorded)
+            .metric("trace_overwritten", scrape.trace_overwritten)
+            .metric("round_trips", scrape.round_trips)
+            .metric("live_streams_after_teardown", scrape.live_streams_after),
+    );
+    rec.finish();
 }
 
 /// Overload-protection ablation: a 10× admission-budget burst through N
 /// throttled sessions, protected (token-bucket admission) vs. the
 /// drop-on-full baseline, per executor back end — plus a circuit-breaker
 /// leg proving a transiently faulting instance trips, probes, and closes
-/// without burning the restart budget. Emits `results/BENCH_overload.json`.
-fn overload(quick: bool, smoke: bool) {
+/// without burning the restart budget.
+fn overload(mode: Mode) {
     println!("\n========= Overload: admission control vs drop-on-full =========");
     println!("(each session offers 10x its admission budget; the throttle bounds");
     println!(" the drain rate, so the baseline's latency grows with the offered");
-    println!(" burst while the protected gateway's is bounded by what it admits)\n");
+    println!(" burst while the protected gateway's is bounded by what it admits)");
 
     // Scaled so the full run carries the 1k-session point on the worker
     // pool while thread-per-streamlet stays at a thread count a small
     // host survives (same split as the sessions ablation).
-    let burst = if smoke { 50 } else { 100 };
+    let burst = if mode == Mode::Smoke { 50 } else { 100 };
     let throttle = Duration::from_micros(200);
-    let tps = ExecutorConfig::ThreadPerStreamlet;
-    let wp8 = ExecutorConfig::WorkerPool { workers: 8 };
-    let points: Vec<(&str, ExecutorConfig, usize)> = if smoke {
-        vec![("thread_per_streamlet", tps, 8), ("worker_pool8", wp8, 16)]
-    } else if quick {
-        vec![
-            ("thread_per_streamlet", tps, 50),
-            ("worker_pool8", wp8, 200),
-        ]
-    } else {
-        vec![
-            ("thread_per_streamlet", tps, 100),
-            ("worker_pool8", wp8, 1_000),
-        ]
-    };
+    let sessions = mode.pick([100, 1_000], [50, 200], [8, 16]);
+    let mut rec = BenchRecord::new("overload", mode);
+    rec.config("burst_per_session", burst)
+        .config("burst_over_budget", 10usize)
+        .config("throttle_us", throttle.as_secs_f64() * 1e6)
+        .config("chain", "session -> throttle -> out");
 
-    let mut csv = Csv::new([
-        "executor",
-        "protected",
-        "sessions",
-        "offered",
-        "admitted",
-        "delivered",
-        "rejected",
-        "dropped_admission",
-        "dropped_full",
-        "p50_ms",
-        "p99_ms",
-    ]);
-    // (executor label, protected, sessions, outcome)
-    let mut series = Vec::new();
-    for (exec_name, exec_cfg, sessions) in &points {
-        let mut pair = Vec::new();
-        for protected in [false, true] {
+    for ((exec_name, executor), sessions) in EXECUTORS.into_iter().zip(sessions) {
+        let mut p99 = [Duration::ZERO; 2];
+        for (p99, protected) in p99.iter_mut().zip([false, true]) {
             let out = run_overload_burst(&OverloadBurstConfig {
-                executor: *exec_cfg,
-                sessions: *sessions,
+                executor,
+                sessions,
                 burst_per_session: burst,
                 throttle,
                 protected,
             });
-            let tag = if protected { "protected" } else { "baseline " };
-            println!(
-                "  {exec_name:<21} n={sessions:<5} {tag}: {}/{} delivered, \
-                 {} rejected, p50 {:.1} ms, p99 {:.1} ms",
-                out.delivered,
-                out.offered,
-                out.rejected,
-                out.p50.as_secs_f64() * 1e3,
-                out.p99.as_secs_f64() * 1e3
-            );
             // Acceptance: the arithmetic closes (offered = delivered +
             // Σ reason-coded drops) and every admitted message delivers.
             assert!(
@@ -1280,45 +879,39 @@ fn overload(quick: bool, smoke: bool) {
                     "{exec_name}: every rejection must be reason-coded"
                 );
             }
-            csv.row([
-                exec_name.to_string(),
-                protected.to_string(),
-                sessions.to_string(),
-                out.offered.to_string(),
-                out.admitted.to_string(),
-                out.delivered.to_string(),
-                out.rejected.to_string(),
-                out.dropped_admission.to_string(),
-                out.dropped_full.to_string(),
-                format!("{:.2}", out.p50.as_secs_f64() * 1e3),
-                format!("{:.2}", out.p99.as_secs_f64() * 1e3),
-            ]);
-            series.push((exec_name.to_string(), protected, *sessions, out));
-            pair.push(series.last().expect("just pushed").3.clone());
+            *p99 = out.p99;
+            rec.push(
+                "burst",
+                Row::new()
+                    .label("executor", exec_name)
+                    .label("protected", protected)
+                    .label("sessions", sessions)
+                    .metric("offered", out.offered)
+                    .metric("admitted", out.admitted)
+                    .metric("delivered", out.delivered)
+                    .metric("rejected", out.rejected)
+                    .metric("dropped_admission", out.dropped_admission)
+                    .metric("dropped_full", out.dropped_full)
+                    .metric("dropped_total", out.dropped_total)
+                    .metric("accounted", out.accounted())
+                    .metric("p50_ms", out.p50.as_secs_f64() * 1e3)
+                    .metric("p99_ms", out.p99.as_secs_f64() * 1e3)
+                    .metric("elapsed_s", out.elapsed.as_secs_f64()),
+            );
         }
         // Graceful degradation: the protected p99 for admitted traffic
         // must beat the baseline's, which queues the whole 10x burst.
-        let (base, prot) = (&pair[0], &pair[1]);
+        let [base, prot] = p99;
         assert!(
-            prot.p99 < base.p99,
-            "{exec_name}: protected p99 {:?} must be below baseline p99 {:?}",
-            prot.p99,
-            base.p99
+            prot < base,
+            "{exec_name}: protected p99 {prot:?} must be below baseline p99 {base:?}"
         );
     }
-    println!();
-    print!("{}", csv.to_table());
 
     // Circuit-breaker leg, both executors.
-    let follow_up = if smoke { 5 } else { 20 };
-    let mut breaker_legs = Vec::new();
-    for (exec_name, exec_cfg) in [("thread_per_streamlet", tps), ("worker_pool8", wp8)] {
-        let out = with_quiet_panics(|| run_breaker_probe(exec_cfg, follow_up));
-        println!(
-            "\n  breaker {exec_name}: {} trips, {} restarts, {} quarantined, \
-             {}/{} delivered",
-            out.trips, out.restarts, out.quarantined, out.delivered, out.offered
-        );
+    let follow_up = if mode == Mode::Smoke { 5 } else { 20 };
+    for (exec_name, executor) in EXECUTORS {
+        let out = with_quiet_panics(|| run_breaker_probe(executor, follow_up));
         assert!(out.trips >= 1, "{exec_name}: the breaker must trip");
         assert_eq!(
             out.quarantined, 0,
@@ -1328,98 +921,55 @@ fn overload(quick: bool, smoke: bool) {
             out.delivered, out.offered,
             "{exec_name}: the probe must recover the stream"
         );
-        breaker_legs.push((exec_name, out));
+        rec.push(
+            "breaker",
+            Row::new()
+                .label("executor", exec_name)
+                .metric("trips", out.trips)
+                .metric("restarts", out.restarts)
+                .metric("quarantined", out.quarantined)
+                .metric("offered", out.offered)
+                .metric("delivered", out.delivered),
+        );
     }
-
-    // The serde shim is a no-op, so the JSON is formatted by hand.
-    let mode = if smoke {
-        "smoke"
-    } else if quick {
-        "quick"
-    } else {
-        "full"
-    };
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"overload_protection\",\n");
-    json.push_str(&format!(
-        "  \"workload\": {{\"burst_per_session\": {burst}, \"burst_over_budget\": 10, \
-         \"throttle_us\": {}, \"chain\": \"session -> throttle -> out\"}},\n",
-        throttle.as_micros()
-    ));
-    json.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    json.push_str("  \"series\": [\n");
-    for (i, (exec_name, protected, sessions, out)) in series.iter().enumerate() {
-        let sep = if i + 1 == series.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"executor\": \"{exec_name}\", \"protected\": {protected}, \
-             \"sessions\": {sessions}, \"offered\": {}, \"admitted\": {}, \
-             \"delivered\": {}, \"rejected\": {}, \"dropped_admission\": {}, \
-             \"dropped_full\": {}, \"dropped_total\": {}, \"accounted\": {}, \
-             \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"elapsed_s\": {:.3}}}{sep}\n",
-            out.offered,
-            out.admitted,
-            out.delivered,
-            out.rejected,
-            out.dropped_admission,
-            out.dropped_full,
-            out.dropped_total,
-            out.accounted(),
-            out.p50.as_secs_f64() * 1e3,
-            out.p99.as_secs_f64() * 1e3,
-            out.elapsed.as_secs_f64()
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"breaker\": [\n");
-    for (i, (exec_name, out)) in breaker_legs.iter().enumerate() {
-        let sep = if i + 1 == breaker_legs.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"executor\": \"{exec_name}\", \"trips\": {}, \"restarts\": {}, \
-             \"quarantined\": {}, \"offered\": {}, \"delivered\": {}}}{sep}\n",
-            out.trips, out.restarts, out.quarantined, out.offered, out.delivered
-        ));
-    }
-    json.push_str("  ],\n");
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    json.push_str(&format!("  \"host_cores\": {cores}\n"));
-    json.push_str("}\n");
-    save_json("BENCH_overload", &json);
-    save("overload_protection", &csv);
+    rec.finish();
 }
 
 /// Memory-plane ablation: allocations per message through a pure
 /// pass-through chain (counting global allocator) and session-scale
 /// throughput, each with the memory plane on (`Reference` payloads +
 /// recycled slab pool) vs. the pre-memory-plane baseline (`Value`
-/// deep copies, no slab pool). Emits `results/BENCH_memplane.json`.
-fn memplane(quick: bool, smoke: bool) {
+/// deep copies, no slab pool).
+fn memplane(mode: Mode) {
     println!("\n============ Ablation: zero-copy memory plane on vs off ============");
     println!("(on: recycled ingress slabs, CoW bodies/headers, reused scratch;");
     println!(" off: Value deep copies per hop, plain allocation at ingress)\n");
 
     // --- Part 1: allocs/msg through the pass-through chain. ---
-    let chains: &[usize] = if smoke { &[4] } else { &[1, 2, 4, 8] };
-    let alloc_msgs: usize = if smoke {
-        128
-    } else if quick {
-        512
+    let chains: &[usize] = if mode == Mode::Smoke {
+        &[4]
     } else {
-        2_048
+        &[1, 2, 4, 8]
     };
+    let alloc_msgs: usize = mode.pick(2_048, 512, 128);
     let alloc_payload = 4 * 1024;
+    // --- Part 2: throughput at session scale on the worker pool. ---
+    let chain_len = 4;
+    let payload = 16 * 1024;
+    let workers = 4;
+    let total_msgs: usize = mode.pick(20_000, 4_000, 400);
+    let mut rec = BenchRecord::new("memplane", mode);
+    rec.config("alloc_payload_bytes", alloc_payload)
+        .config("alloc_msgs", alloc_msgs)
+        .config("alloc_library", "builtin/forward")
+        .config("sessions_chain_len", chain_len)
+        .config("sessions_payload_bytes", payload)
+        .config("sessions_fusion", true)
+        .config("sessions_total_msgs_target", total_msgs)
+        .config("workers", workers);
 
-    let mut alloc_csv = Csv::new([
-        "chain_len",
-        "baseline_allocs_per_msg",
-        "memplane_allocs_per_msg",
-        "alloc_ratio",
-        "baseline_roundtrip_mps",
-        "memplane_roundtrip_mps",
-    ]);
-    let mut alloc_rows = Vec::new();
+    // Chains run shortest first, so the last ratio is the headline's.
+    let mut head_ratio = 0.0;
     for &k in chains {
         let run = |memplane| {
             run_memplane_chain(MemplaneChainConfig {
@@ -1431,78 +981,48 @@ fn memplane(quick: bool, smoke: bool) {
         };
         let base = run(false);
         let mem = run(true);
-        let ratio = base.allocs_per_msg / mem.allocs_per_msg.max(f64::MIN_POSITIVE);
-        println!(
-            "chain k={k}: baseline {:>6.1} allocs/msg, memplane {:>5.1} allocs/msg \
-             ({ratio:.1}x fewer); roundtrip {:>7.0} vs {:>7.0} msg/s",
-            base.allocs_per_msg, mem.allocs_per_msg, base.roundtrip_mps, mem.roundtrip_mps
+        head_ratio = base.allocs_per_msg / mem.allocs_per_msg.max(f64::MIN_POSITIVE);
+        rec.push(
+            "allocs",
+            Row::new()
+                .label("chain_len", k)
+                .metric("baseline_allocs_per_msg", base.allocs_per_msg)
+                .metric("memplane_allocs_per_msg", mem.allocs_per_msg)
+                .metric("alloc_ratio", head_ratio)
+                .metric("baseline_roundtrip_mps", base.roundtrip_mps)
+                .metric("memplane_roundtrip_mps", mem.roundtrip_mps),
         );
-        alloc_csv.row([
-            k.to_string(),
-            format!("{:.2}", base.allocs_per_msg),
-            format!("{:.2}", mem.allocs_per_msg),
-            format!("{ratio:.2}"),
-            format!("{:.0}", base.roundtrip_mps),
-            format!("{:.0}", mem.roundtrip_mps),
-        ]);
-        alloc_rows.push((k, base, mem, ratio));
     }
 
     // Acceptance guard: at the headline (longest) chain the memory plane
     // removes at least 5x the allocation churn.
-    let (head_k, _, _, head_ratio) = alloc_rows
-        .last()
-        .copied()
-        .expect("at least one chain length");
+    let head_k = chains[chains.len() - 1];
     assert!(
         head_ratio >= 5.0,
         "memory plane must cut allocs/msg by >=5x on the k={head_k} pass-through \
          chain, got {head_ratio:.2}x"
     );
-    println!("\nallocs/msg guard: {head_ratio:.1}x >= 5x at k={head_k}  [ok]");
+    println!("allocs/msg guard: {head_ratio:.1}x >= 5x at k={head_k}  [ok]");
 
-    // --- Part 2: throughput at session scale on the worker pool. ---
-    let chain_len = 4;
-    let payload = 16 * 1024;
-    let workers = 4;
-    let total_msgs: usize = if smoke {
-        400
-    } else if quick {
-        4_000
-    } else {
-        20_000
-    };
     let wp = ExecutorConfig::WorkerPool { workers };
     let label = "worker-pool";
-    let scales: Vec<usize> = if smoke {
-        vec![100, 1_000]
+    let scales = if mode == Mode::Smoke {
+        [100, 1_000]
     } else {
-        vec![1_000, 10_000]
+        [1_000, 10_000]
     };
-    let headline_sessions = *scales.last().expect("at least one scale");
-
-    let run = |n: usize, mode: PayloadMode| {
+    let headline_sessions = scales[1];
+    let run = |n: usize, payload_mode: PayloadMode| {
         let out = run_sessions(SessionsConfig {
             sessions: n,
-            mode,
+            mode: payload_mode,
             chain_len,
             msgs_per_session: (total_msgs / n).max(2),
             payload_bytes: payload,
             executor: wp,
             fusion: true,
-            latency_iters: if smoke { 5 } else { 20 },
+            latency_iters: if mode == Mode::Smoke { 5 } else { 20 },
         });
-        println!(
-            "{:>20} n={:<7} {:>9} {:>9.0} msg/s  latency {:>8.1} µs",
-            out.executor,
-            out.sessions,
-            match mode {
-                PayloadMode::Reference => "memplane",
-                PayloadMode::Value => "baseline",
-            },
-            out.throughput_mps,
-            out.mean_latency.as_secs_f64() * 1e6,
-        );
         assert!(
             out.delivery_clean(),
             "{} n={} lost messages: injected={} delivered={}",
@@ -1514,16 +1034,9 @@ fn memplane(quick: bool, smoke: bool) {
         out
     };
 
-    let mut tp_csv = Csv::new([
-        "executor",
-        "sessions",
-        "baseline_msg_s",
-        "memplane_msg_s",
-        "throughput_ratio",
-    ]);
-    let mut tp_rows = Vec::new();
+    // Scales run smallest first, so the last ratio is the headline's.
     let mut headline_ratio = 0.0;
-    for &n in &scales {
+    for n in scales {
         let base = run(n, PayloadMode::Value);
         // Best-of-3 against scheduler jitter at the guarded point.
         let mut mem = run(n, PayloadMode::Reference);
@@ -1538,19 +1051,18 @@ fn memplane(quick: bool, smoke: bool) {
                 }
             }
         }
-        let ratio = mem.throughput_mps / base.throughput_mps;
-        println!("    -> {label} n={n}: {ratio:.3}x");
-        tp_csv.row([
-            label.to_string(),
-            n.to_string(),
-            format!("{:.0}", base.throughput_mps),
-            format!("{:.0}", mem.throughput_mps),
-            format!("{ratio:.3}"),
-        ]);
-        if n == headline_sessions {
-            headline_ratio = ratio;
-        }
-        tp_rows.push((label, n, base, mem, ratio));
+        headline_ratio = mem.throughput_mps / base.throughput_mps;
+        rec.push(
+            "throughput",
+            Row::new()
+                .label("executor", label)
+                .label("sessions", n)
+                .metric("baseline_msg_per_s", base.throughput_mps)
+                .metric("memplane_msg_per_s", mem.throughput_mps)
+                .metric("throughput_ratio", headline_ratio)
+                .metric("baseline_latency_us", base.mean_latency.as_secs_f64() * 1e6)
+                .metric("memplane_latency_us", mem.mean_latency.as_secs_f64() * 1e6),
+        );
     }
 
     // Acceptance guard: at the headline scale the memory plane gains
@@ -1561,75 +1073,68 @@ fn memplane(quick: bool, smoke: bool) {
          {label}; got {headline_ratio:.3}x"
     );
     println!(
-        "\nthroughput guard: {headline_ratio:.3}x >= 1.15x at n={headline_sessions} ({label})  [ok]"
+        "throughput guard: {headline_ratio:.3}x >= 1.15x at n={headline_sessions} ({label})  [ok]"
     );
+    rec.finish();
+}
 
-    print!("\n{}", alloc_csv.to_table());
-    print!("\n{}", tp_csv.to_table());
+/// The paper-claim ablations: streamlet pooling (§3.3.4) and sync vs.
+/// async channels. Each repeat measures all four corners in turn.
+/// Asserts that a sync rendezvous costs more per message than an async
+/// post+fetch; pooling gets no guard (see EXPERIMENTS.md).
+fn ablation(mode: Mode) {
+    println!("\n=========== Ablation: streamlet pooling, sync vs async channels ===========");
+    println!("(pooling: checkout+checkin of {POOLED_LIBRARY}, reused vs built afresh;");
+    println!(" channels: a rendezvous post taken by a consumer thread vs post+fetch)");
 
-    let mode = if smoke {
-        "smoke"
-    } else if quick {
-        "quick"
-    } else {
-        "full"
-    };
-    // The serde shim is a no-op, so the JSON is formatted by hand.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"memplane_ablation\",\n");
-    json.push_str(&format!(
-        "  \"mode\": \"{mode}\", \"workers\": {workers},\n"
-    ));
-    json.push_str(&format!(
-        "  \"alloc_chain\": {{\"payload_bytes\": {alloc_payload}, \"msgs\": {alloc_msgs}, \
-         \"library\": \"builtin/forward\"}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"sessions\": {{\"chain_len\": {chain_len}, \"payload_bytes\": {payload}, \
-         \"fusion\": true, \"total_msgs_target\": {total_msgs}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"alloc_ratio_at_headline\": {head_ratio:.2}, \
-         \"throughput_ratio_at_headline\": {headline_ratio:.3},\n"
-    ));
-    json.push_str(
-        "  \"guards\": {\"allocs\": \"memplane cuts allocs/msg by >=5x on the \
-         longest pass-through chain\", \"throughput\": \">=1.15x msg/s at the \
-         headline session scale on the worker pool\"},\n",
+    let (repeats, iters) = mode.pick((9, 20_000), (5, 2_000), (5, 2_000));
+    let mut rec = BenchRecord::new("ablation", mode);
+    rec.config("repeats", repeats)
+        .config("iters", iters)
+        .config("library", POOLED_LIBRARY);
+
+    let mut samples = [(); 4].map(|()| Vec::with_capacity(repeats));
+    for _ in 0..repeats {
+        samples[0].push(pool_checkout_ns(true, iters));
+        samples[1].push(pool_checkout_ns(false, iters));
+        samples[2].push(channel_post_us(false, iters));
+        samples[3].push(channel_post_us(true, iters));
+    }
+    let [pooled, fresh, async_us, sync_us] = samples.map(|s| Summary::of(&s));
+    for (pool, s) in [("pooled", pooled), ("fresh", fresh)] {
+        rec.push(
+            "pooling",
+            Row::new()
+                .label("pool", pool)
+                .metric("checkout_checkin_ns", s),
+        );
+    }
+    for (channel, s) in [
+        ("async_post_fetch", async_us),
+        ("sync_rendezvous_post", sync_us),
+    ] {
+        rec.push(
+            "channels",
+            Row::new().label("channel", channel).metric("us_per_msg", s),
+        );
+    }
+    println!(
+        "\npooling: pooled {:.0} ns vs fresh {:.0} ns per checkout+checkin \
+         (fresh/pooled {:.2}; recorded, not guarded)",
+        pooled.median,
+        fresh.median,
+        fresh.median / pooled.median
     );
-    json.push_str("  \"alloc_series\": [\n");
-    for (i, (k, base, mem, ratio)) in alloc_rows.iter().enumerate() {
-        let sep = if i + 1 == alloc_rows.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"chain_len\": {k}, \"baseline_allocs_per_msg\": {:.2}, \
-             \"memplane_allocs_per_msg\": {:.2}, \"ratio\": {ratio:.2}, \
-             \"baseline_roundtrip_mps\": {:.1}, \"memplane_roundtrip_mps\": {:.1}}}{sep}\n",
-            base.allocs_per_msg, mem.allocs_per_msg, base.roundtrip_mps, mem.roundtrip_mps
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"throughput_series\": [\n");
-    for (i, (label, n, base, mem, ratio)) in tp_rows.iter().enumerate() {
-        let sep = if i + 1 == tp_rows.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"executor\": \"{label}\", \"sessions\": {n}, \
-             \"baseline_msg_per_s\": {:.1}, \"memplane_msg_per_s\": {:.1}, \
-             \"ratio\": {ratio:.3}, \"baseline_latency_us\": {:.1}, \
-             \"memplane_latency_us\": {:.1}}}{sep}\n",
-            base.throughput_mps,
-            mem.throughput_mps,
-            base.mean_latency.as_secs_f64() * 1e6,
-            mem.mean_latency.as_secs_f64() * 1e6,
-        ));
-    }
-    json.push_str("  ],\n");
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    json.push_str(&format!("  \"host_cores\": {cores}\n"));
-    json.push_str("}\n");
-    save_json("BENCH_memplane", &json);
-    save("memplane_allocs", &alloc_csv);
-    save("memplane_throughput", &tp_csv);
+    assert!(
+        sync_us.median > async_us.median,
+        "a sync rendezvous ({:.2} µs) must cost more per message than async post+fetch \
+         ({:.2} µs)",
+        sync_us.median,
+        async_us.median
+    );
+    println!(
+        "channel guard: sync {:.2} µs > async {:.2} µs per message  [ok]",
+        sync_us.median, async_us.median
+    );
+    rec.finish();
 }

@@ -1,7 +1,8 @@
-//! Measurement harnesses shared by the Criterion benches and the `repro`
-//! binary. One module per experiment; see DESIGN.md §5 for the experiment
+//! Measurement harnesses behind the `repro` binary and the bench crate's
+//! tests. One module per experiment; see DESIGN.md §5 for the experiment
 //! index and EXPERIMENTS.md for recorded results.
 
+pub mod ablation;
 pub mod chain;
 pub mod chaos;
 pub mod e2e;
@@ -12,6 +13,7 @@ pub mod reconfig;
 pub mod report;
 pub mod sessions;
 
+pub use ablation::{channel_post_us, pool_checkout_ns, POOLED_LIBRARY};
 pub use chain::ChainHarness;
 pub use chaos::{chaos_server_config, run_chaos, with_quiet_panics, ChaosConfig, ChaosOutcome};
 pub use e2e::{end_to_end_point, E2EPoint};

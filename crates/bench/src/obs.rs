@@ -7,8 +7,9 @@
 //!   redirector chain with `ServerConfig { telemetry }` off vs. on
 //!   (probes installed on every channel, the bridge thread polling at
 //!   its default interval), per executor back end. The acceptance bar
-//!   is ≤5% regression: the enabled path is relaxed atomics plus one
-//!   branch per operation, and the disabled path is a `None` check.
+//!   is ≤5% regression on the median of the per-pair on/off ratios: the
+//!   enabled path is relaxed atomics plus one branch per operation, and
+//!   the disabled path is a `None` check.
 //! * **scrape under load** — a gateway holding N live sessions is
 //!   scraped (`metrics_snapshot` + Prometheus render) while traffic
 //!   flows; the point records scrape latency, exposition size, and the
@@ -33,19 +34,18 @@ pub struct ObsChainConfig {
     pub chain_k: usize,
     /// Message body size in bytes.
     pub message_bytes: usize,
-    /// Messages per throughput burst.
-    pub total: usize,
-    /// Burst pairs to run; the best (highest msg/s) of each side is
-    /// reported, which is the right statistic for an overhead comparison
-    /// — peak capability with and without the probes in place.
+    /// How long each throughput burst lasts at least.
+    pub window: Duration,
+    /// Burst pairs to run.
     pub runs: usize,
 }
 
-/// Best-of-N pipelined throughput as `(telemetry_off, telemetry_on)`
-/// msg/s. Both deployments are built once and their bursts alternate, so
-/// scheduler drift (this may be a one-core box) hits both sides alike
-/// instead of biasing whichever corner ran second.
-pub fn obs_chain_pair(cfg: &ObsChainConfig) -> (f64, f64) {
+/// Pipelined throughput of each burst pair as `(telemetry_off,
+/// telemetry_on)` msg/s. Both deployments are built once and each pair
+/// runs its two bursts back to back, so scheduler drift (this may be a
+/// one-core box) hits both sides of a pair alike; a pair's on/off ratio
+/// is one overhead sample.
+pub fn obs_chain_pair(cfg: &ObsChainConfig) -> Vec<(f64, f64)> {
     let build = |telemetry: bool| {
         ChainHarness::with_config(
             cfg.chain_k,
@@ -62,13 +62,20 @@ pub fn obs_chain_pair(cfg: &ObsChainConfig) -> (f64, f64) {
     };
     let off = build(false);
     let on = build(true);
-    let mut best_off = 0.0f64;
-    let mut best_on = 0.0f64;
-    for _ in 0..cfg.runs {
-        best_off = best_off.max(off.throughput(cfg.message_bytes, cfg.total));
-        best_on = best_on.max(on.throughput(cfg.message_bytes, cfg.total));
-    }
-    (best_off, best_on)
+    let burst = |h: &ChainHarness| h.throughput_for(cfg.message_bytes, cfg.window);
+    (0..cfg.runs)
+        .map(|i| {
+            // Alternate which side goes first, so that whatever the first
+            // burst of a pair gains or loses falls on both sides alike.
+            if i % 2 == 0 {
+                let off = burst(&off);
+                (off, burst(&on))
+            } else {
+                let on = burst(&on);
+                (burst(&off), on)
+            }
+        })
+        .collect()
 }
 
 /// What the scrape-under-load point measures.
