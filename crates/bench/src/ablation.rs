@@ -13,7 +13,6 @@ use mobigate::core::queue::{FetchResult, MessageQueue, PostResult, QueueConfig};
 use mobigate::core::{StreamletDirectory, StreamletPool};
 use mobigate::mcl::ast::{ChannelCategory, ChannelKind};
 use mobigate::mime::MimeMessage;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,14 +74,13 @@ pub fn channel_post_us(sync: bool, iters: usize) -> f64 {
         },
         pool.clone(),
     );
-    let stop = Arc::new(AtomicBool::new(false));
+    // The consumer fetches with no deadline until the source detaches.
+    queue.attach_source();
     let consumer = {
-        let (queue, pool, stop) = (queue.clone(), pool.clone(), stop.clone());
+        let (queue, pool) = (queue.clone(), pool.clone());
         std::thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                if let FetchResult::Msg(p) = queue.fetch(Duration::from_millis(20)) {
-                    drop(pool.resolve(p));
-                }
+            while let FetchResult::Msg(p) = queue.fetch(Duration::MAX) {
+                drop(pool.resolve(p));
             }
         })
     };
@@ -92,7 +90,7 @@ pub fn channel_post_us(sync: bool, iters: usize) -> f64 {
         post(&queue);
     }
     let us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-    stop.store(true, Ordering::Release);
+    queue.detach_source().expect("S channels detach");
     consumer.join().expect("consumer thread");
     us
 }

@@ -19,7 +19,7 @@ use mobigate_bench::report::{ascii_series, BenchRecord, Mode, Row, Summary};
 use mobigate_bench::{
     channel_post_us, chaos_server_config, end_to_end_point, obs_chain_pair, pool_checkout_ns,
     reconfig_time, run_breaker_probe, run_chaos, run_memplane_chain, run_overload_burst,
-    run_scrape_churn, run_sessions, with_quiet_panics, ChainHarness, ChaosConfig,
+    run_scrape_churn, run_sessions, with_quiet_panics, ChainHarness, ChaosConfig, E2EPoint,
     MemplaneChainConfig, ObsChainConfig, OverloadBurstConfig, SessionsConfig, POOLED_LIBRARY,
 };
 use std::time::Duration;
@@ -334,21 +334,37 @@ fn fig7_7(mode: Mode) {
         let mut mg_pts = Vec::new();
         for &bw in bandwidths_kbps {
             let bps = bw * 1000;
-            let d = end_to_end_point(bps, delay, false, n, time_scale, seed);
-            let m = end_to_end_point(bps, delay, true, n, time_scale, seed);
+            // Five runs (odd: each median is one run's reading; stalls
+            // come in bursts that can spoil two runs in a row), direct
+            // and MobiGATE alternating, so a stall spoils one pair rather
+            // than one side of the point.
+            let pairs: Vec<_> = (0..5)
+                .map(|_| {
+                    let d = end_to_end_point(bps, delay, false, n, time_scale, seed);
+                    (d, end_to_end_point(bps, delay, true, n, time_scale, seed))
+                })
+                .collect();
+            let summary = |kbps: fn(&(E2EPoint, E2EPoint)) -> f64| {
+                Summary::of(&pairs.iter().map(kbps).collect::<Vec<_>>())
+            };
+            let direct = summary(|(d, _)| d.throughput_kbps);
+            let mobigate = summary(|(_, m)| m.throughput_kbps);
+            let speedup = summary(|(d, m)| m.throughput_kbps / d.throughput_kbps).median;
+            // One seed, so every run puts the same bytes on the link.
+            let (d, m) = &pairs[0];
             rec.push(
                 "end_to_end",
                 Row::new()
                     .label("bandwidth_kbps", bw)
                     .label("delay_ms", delay_ms)
-                    .metric("direct_kbps", d.throughput_kbps)
-                    .metric("mobigate_kbps", m.throughput_kbps)
-                    .metric("speedup", m.throughput_kbps / d.throughput_kbps)
+                    .metric("direct_kbps", direct)
+                    .metric("mobigate_kbps", mobigate)
+                    .metric("speedup", speedup)
                     .metric("link_bytes_direct", d.link_bytes)
                     .metric("link_bytes_mobigate", m.link_bytes),
             );
-            direct_pts.push((bw as f64, d.throughput_kbps));
-            mg_pts.push((bw as f64, m.throughput_kbps));
+            direct_pts.push((bw as f64, direct.median));
+            mg_pts.push((bw as f64, mobigate.median));
         }
         print!(
             "{}",

@@ -13,14 +13,15 @@
 //! thread … If this fails, the system creates a new thread", up to a cap.
 
 use crate::pool::ClientStreamletPool;
+use mobigate_core::sync::{deadline_after, Parker, Wake};
 use mobigate_core::{EventKind, StreamletCtx, StreamletLogic};
 use mobigate_mime::{multipart, MimeMessage, PEER_CHAIN};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Client-side counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,14 +42,26 @@ pub struct ClientStats {
     pub threads: u64,
 }
 
+/// Frames waiting for a distributor thread.
+#[derive(Default)]
+struct Inbox {
+    frames: VecDeque<Vec<u8>>,
+    /// Distributor threads waiting for a frame.
+    idle: usize,
+    stop: bool,
+}
+
+/// Delivered messages waiting for [`MobiGateClient::recv`].
+#[derive(Default)]
+struct Outbox {
+    msgs: VecDeque<MimeMessage>,
+    stop: bool,
+}
+
 struct Shared {
     pool: ClientStreamletPool,
-    inbox: Mutex<VecDeque<Vec<u8>>>,
-    inbox_cv: Condvar,
-    outbox: Mutex<VecDeque<MimeMessage>>,
-    outbox_cv: Condvar,
-    stop: AtomicBool,
-    idle_workers: AtomicUsize,
+    inbox: Parker<Inbox>,
+    outbox: Parker<Outbox>,
     received: AtomicU64,
     delivered: AtomicU64,
     reversals: AtomicU64,
@@ -77,12 +90,8 @@ impl MobiGateClient {
     pub fn new(pool: ClientStreamletPool, max_threads: usize) -> Arc<Self> {
         let shared = Arc::new(Shared {
             pool,
-            inbox: Mutex::new(VecDeque::new()),
-            inbox_cv: Condvar::new(),
-            outbox: Mutex::new(VecDeque::new()),
-            outbox_cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-            idle_workers: AtomicUsize::new(0),
+            inbox: Parker::default(),
+            outbox: Parker::default(),
             received: AtomicU64::new(0),
             delivered: AtomicU64::new(0),
             reversals: AtomicU64::new(0),
@@ -131,18 +140,18 @@ impl MobiGateClient {
 
     /// Submits a raw wire frame from the link.
     pub fn submit_wire(&self, frame: Vec<u8>) {
-        if self.shared.stop.load(Ordering::Acquire) {
-            return;
-        }
-        self.shared.received.fetch_add(1, Ordering::Relaxed);
+        let none_idle = self.shared.inbox.update(|inbox| {
+            if inbox.stop {
+                return (false, Wake::None);
+            }
+            self.shared.received.fetch_add(1, Ordering::Relaxed);
+            inbox.frames.push_back(frame);
+            (inbox.idle == 0, Wake::One)
+        });
         // Servlet-style elasticity: grow a worker when none is idle.
-        if self.shared.idle_workers.load(Ordering::Acquire) == 0
-            && (self.shared.threads.load(Ordering::Relaxed) as usize) < self.max_threads
-        {
+        if none_idle && (self.shared.threads.load(Ordering::Relaxed) as usize) < self.max_threads {
             self.spawn_worker();
         }
-        self.shared.inbox.lock().push_back(frame);
-        self.shared.inbox_cv.notify_one();
     }
 
     /// Submits an already-parsed message (in-process testing shortcut).
@@ -153,24 +162,11 @@ impl MobiGateClient {
     /// Receives the next fully reverse-processed message, waiting up to
     /// `timeout`.
     pub fn recv(&self, timeout: Duration) -> Option<MimeMessage> {
-        let deadline = Instant::now() + timeout;
-        let mut out = self.shared.outbox.lock();
-        loop {
-            if let Some(m) = out.pop_front() {
-                return Some(m);
-            }
-            if self.shared.stop.load(Ordering::Acquire) {
-                return None;
-            }
-            if self
-                .shared
-                .outbox_cv
-                .wait_until(&mut out, deadline)
-                .timed_out()
-            {
-                return out.pop_front();
-            }
-        }
+        self.shared.outbox.wait_then(
+            |out| out.msgs.is_empty() && !out.stop,
+            deadline_after(timeout),
+            |out, _| (out.msgs.pop_front(), Wake::None),
+        )
     }
 
     /// Statistics snapshot.
@@ -188,16 +184,14 @@ impl MobiGateClient {
 
     /// Stops the distributor threads.
     pub fn shutdown(&self) {
-        {
-            // Under both locks: a distributor checks `stop` under the
-            // inbox lock and `recv` under the outbox lock before each
-            // wait, so the notifies below cannot fall into that gap.
-            let _inbox = self.shared.inbox.lock();
-            let _outbox = self.shared.outbox.lock();
-            self.shared.stop.store(true, Ordering::Release);
-        }
-        self.shared.inbox_cv.notify_all();
-        self.shared.outbox_cv.notify_all();
+        self.shared.inbox.update(|inbox| {
+            inbox.stop = true;
+            ((), Wake::All)
+        });
+        self.shared.outbox.update(|out| {
+            out.stop = true;
+            ((), Wake::All)
+        });
         for h in self.workers.lock().drain(..) {
             let _ = h.join();
         }
@@ -222,20 +216,22 @@ impl Drop for MobiGateClient {
 
 fn distributor_loop(shared: Arc<Shared>) {
     loop {
-        let frame = {
-            let mut inbox = shared.inbox.lock();
-            loop {
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                if let Some(f) = inbox.pop_front() {
-                    break f;
-                }
-                shared.idle_workers.fetch_add(1, Ordering::AcqRel);
-                shared.inbox_cv.wait(&mut inbox);
-                shared.idle_workers.fetch_sub(1, Ordering::AcqRel);
-            }
-        };
+        // Idle until it takes a frame, so `submit_wire` grows the pool
+        // only when every thread is busy.
+        shared.inbox.update(|inbox| {
+            inbox.idle += 1;
+            ((), Wake::None)
+        });
+        let frame = shared.inbox.wait_then(
+            |inbox| inbox.frames.is_empty() && !inbox.stop,
+            None,
+            |inbox, _| {
+                inbox.idle -= 1;
+                let frame = inbox.frames.pop_front().filter(|_| !inbox.stop);
+                (frame, Wake::None)
+            },
+        );
+        let Some(frame) = frame else { return };
 
         let Ok(msg) = MimeMessage::from_wire(&frame) else {
             shared.parse_errors.fetch_add(1, Ordering::Relaxed);
@@ -273,8 +269,10 @@ fn distributor_loop(shared: Arc<Shared>) {
 /// Hands a fully reverse-processed message to the application.
 fn deliver(shared: &Shared, msg: MimeMessage) {
     shared.delivered.fetch_add(1, Ordering::Relaxed);
-    shared.outbox.lock().push_back(msg);
-    shared.outbox_cv.notify_all();
+    shared.outbox.update(|out| {
+        out.msgs.push_back(msg);
+        ((), Wake::All)
+    });
 }
 
 /// Pops the peer chain and applies each peer streamlet (most recent
@@ -493,6 +491,19 @@ mod tests {
             *seen.lock(),
             vec![EventKind::LowGrays, EventKind::LowEnergy]
         );
+    }
+
+    /// `Duration::MAX` means no deadline, not an `Instant` overflow: a
+    /// delivered message comes back, and after shutdown `recv` returns
+    /// `None` at once.
+    #[test]
+    fn unbounded_recv_returns_what_is_there() {
+        let c = client();
+        c.submit(&MimeMessage::text("here"));
+        let out = c.recv(Duration::MAX).expect("delivered");
+        assert_eq!(&out.body[..], b"here");
+        c.shutdown();
+        assert!(c.recv(Duration::MAX).is_none());
     }
 
     #[test]

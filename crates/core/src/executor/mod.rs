@@ -105,7 +105,7 @@ fn drive_dedicated(task: &StreamletTask) {
         let seen = notifier.snapshot();
         match task.pump(PUMP_BATCH) {
             PumpOutcome::More => {}
-            PumpOutcome::Idle => notifier.wait_untimed(seen),
+            PumpOutcome::Idle => notifier.wait_unless(seen, None),
             PumpOutcome::Ended => return,
         }
     }

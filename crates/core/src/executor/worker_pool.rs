@@ -2,9 +2,10 @@
 
 use super::{Executor, PUMP_BATCH};
 use crate::streamlet::{PumpOutcome, StreamletTask};
-use parking_lot::{Condvar, Mutex};
+use crate::sync::{Parker, Wake};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -16,7 +17,8 @@ use std::thread::JoinHandle;
 /// anyway. Workers fall into three groups for this:
 /// * `searching`: awake and bound to lock the queue and pop from it
 ///   before they could park (just woken, or just back from a pump);
-/// * parked: waiting on `cv`, possibly with a wake on its way (`waking`);
+/// * parked: waiting in the run queue's parker, possibly with a wake on
+///   its way (`waking`);
 /// * busy: inside a pump, counted in neither.
 ///
 /// `searching` is decremented only under the run-queue lock (by a worker
@@ -25,18 +27,17 @@ use std::thread::JoinHandle;
 /// which is harmless; one that sees it leaves the task to a worker that
 /// has yet to look.
 struct PoolState {
-    run_queue: Mutex<RunQueue>,
-    cv: Condvar,
+    run_queue: Parker<RunQueue>,
     searching: AtomicUsize,
-    stop: AtomicBool,
 }
 
 struct RunQueue {
     tasks: VecDeque<Arc<StreamletTask>>,
-    /// Workers waiting on `cv`.
+    /// Workers parked on the run queue.
     parked: usize,
     /// A wake was issued and no parked worker has taken it up yet.
     waking: bool,
+    stop: bool,
 }
 
 impl PoolState {
@@ -46,18 +47,22 @@ impl PoolState {
     /// caught by the post-pump `has_pending_work` check.
     fn schedule(&self, task: Arc<StreamletTask>) {
         if task.try_mark_scheduled() {
-            let mut queue = self.run_queue.lock();
-            queue.tasks.push_back(task);
-            self.wake_one_if_unsearched(&mut queue);
+            self.run_queue.update(|queue| {
+                queue.tasks.push_back(task);
+                ((), self.wake_one_if_unsearched(queue))
+            });
         }
     }
 
-    /// Wakes one parked worker when nobody awake will look at the queue:
-    /// no searcher and no wake already on its way.
-    fn wake_one_if_unsearched(&self, queue: &mut RunQueue) {
-        if queue.parked > 0 && !queue.waking && self.searching.load(Ordering::Acquire) == 0 {
+    /// Wakes one parked worker when a task waits and nobody awake will
+    /// look at the queue: no searcher and no wake already on its way.
+    fn wake_one_if_unsearched(&self, queue: &mut RunQueue) -> Wake {
+        let idle = !queue.tasks.is_empty() && queue.parked > 0 && !queue.waking;
+        if idle && self.searching.load(Ordering::Acquire) == 0 {
             queue.waking = true;
-            self.cv.notify_one();
+            Wake::One
+        } else {
+            Wake::None
         }
     }
 }
@@ -74,15 +79,14 @@ impl WorkerPool {
     pub fn new(workers: usize) -> Arc<Self> {
         let workers = workers.max(1);
         let state = Arc::new(PoolState {
-            run_queue: Mutex::new(RunQueue {
+            run_queue: Parker::new(RunQueue {
                 tasks: VecDeque::new(),
                 parked: 0,
                 waking: false,
+                stop: false,
             }),
-            cv: Condvar::new(),
             // Every worker starts out searching.
             searching: AtomicUsize::new(workers),
-            stop: AtomicBool::new(false),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -108,37 +112,46 @@ impl WorkerPool {
     }
 }
 
+/// What a searching worker found in the run queue.
+enum Next {
+    Pump(Arc<StreamletTask>),
+    Park,
+    Stop,
+}
+
 /// A worker searches the queue, pumps what it pops, and parks only when
 /// the queue is empty. Taking a task while others wait behind it passes
 /// the search on to a parked worker if no one else is searching (a chain
 /// wake), so `W` queued tasks still reach `W` workers.
 fn worker_loop(state: &PoolState) {
     loop {
-        let task = {
-            let mut queue = state.run_queue.lock();
-            loop {
-                if state.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                if let Some(task) = queue.tasks.pop_front() {
-                    state.searching.fetch_sub(1, Ordering::AcqRel);
-                    if !queue.tasks.is_empty() {
-                        state.wake_one_if_unsearched(&mut queue);
-                    }
-                    break task;
-                }
-                state.searching.fetch_sub(1, Ordering::AcqRel);
-                queue.parked += 1;
-                state.cv.wait(&mut queue);
-                queue.parked -= 1;
-                // Woken by a schedule (or spuriously, or for shutdown):
-                // either way this worker now searches, which is what the
-                // wake was for.
-                queue.waking = false;
-                state.searching.fetch_add(1, Ordering::AcqRel);
+        let next = state.run_queue.update(|queue| {
+            if queue.stop {
+                return (Next::Stop, Wake::None);
             }
-        };
-        pump_and_reschedule(state, task);
+            state.searching.fetch_sub(1, Ordering::AcqRel);
+            let Some(task) = queue.tasks.pop_front() else {
+                queue.parked += 1;
+                return (Next::Park, Wake::None);
+            };
+            (Next::Pump(task), state.wake_one_if_unsearched(queue))
+        });
+        match next {
+            Next::Stop => return,
+            Next::Pump(task) => pump_and_reschedule(state, task),
+            // Parked until a schedule's wake (or shutdown); taking the wake
+            // up makes this worker the searcher it was meant to be.
+            Next::Park => state.run_queue.wait_then(
+                |queue| !queue.waking && !queue.stop,
+                None,
+                |queue, _| {
+                    queue.parked -= 1;
+                    queue.waking = false;
+                    state.searching.fetch_add(1, Ordering::AcqRel);
+                    ((), Wake::None)
+                },
+            ),
+        }
     }
 }
 
@@ -206,14 +219,10 @@ impl Executor for WorkerPool {
     }
 
     fn shutdown(&self) {
-        {
-            // Under the run-queue lock: a worker between its `stop` check
-            // and its wait holds that lock, so the notify below cannot
-            // fall into the gap and leave it asleep.
-            let _queue = self.state.run_queue.lock();
-            self.state.stop.store(true, Ordering::Release);
-        }
-        self.state.cv.notify_all();
+        self.state.run_queue.update(|queue| {
+            queue.stop = true;
+            ((), Wake::All)
+        });
         for handle in self.workers.lock().drain(..) {
             let _ = handle.join();
         }

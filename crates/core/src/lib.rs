@@ -42,6 +42,7 @@ pub mod sharing;
 pub mod stream;
 pub mod streamlet;
 pub mod supervisor;
+pub mod sync;
 pub mod telemetry;
 
 pub use coordination::CoordinationManager;

@@ -25,6 +25,7 @@
 
 use crate::overload::PriorityClass;
 use crate::pool::{MessagePool, Payload};
+use crate::sync::{deadline_after, Parker, Wake};
 use crate::telemetry::{DropReason, QueueProbe, TimingSite};
 use mobigate_mcl::ast::{ChannelCategory, ChannelKind};
 use mobigate_mime::MimeType;
@@ -41,13 +42,13 @@ use std::time::{Duration, Instant};
 /// already pending, and while it is set further [`Notifier::notify`] calls
 /// return without touching the sequence mutex or the hook. The contract is
 /// that consumers *disarm* before re-checking their work sources —
-/// [`Notifier::snapshot`], [`Notifier::wait_unless`] and `wait_untimed`
-/// all disarm on entry, as does `StreamletTask::pump` — so a skipped
-/// notification is always covered by a re-check that observes its effects.
+/// [`Notifier::snapshot`] and [`Notifier::wait_unless`] disarm on entry,
+/// as does `StreamletTask::pump` — so a skipped notification is always
+/// covered by a re-check that observes its effects.
 #[derive(Default)]
 pub struct Notifier {
-    seq: Mutex<u64>,
-    cv: Condvar,
+    /// Notification sequence; dedicated threads wait for it to move.
+    seq: Parker<u64>,
     /// A wake is pending and its consumer has not yet re-checked: further
     /// notifies are redundant and skipped.
     armed: AtomicBool,
@@ -64,7 +65,7 @@ pub struct Notifier {
 impl std::fmt::Debug for Notifier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Notifier")
-            .field("seq", &*self.seq.lock())
+            .field("seq", &self.seq.read(|s| *s))
             .field("armed", &self.armed.load(Ordering::Relaxed))
             .field("hooked", &self.hook.lock().is_some())
             .finish()
@@ -98,11 +99,10 @@ impl Notifier {
             // then re-check, observing whatever this notify announces.
             return;
         }
-        {
-            let mut seq = self.seq.lock();
+        self.seq.update(|seq| {
             *seq += 1;
-            self.cv.notify_all();
-        }
+            ((), Wake::All)
+        });
         // Outside the seq lock: the hook takes scheduler locks of its own.
         // The atomic guard keeps hookless notifiers (the common case —
         // thread-per-streamlet installs no hook) off this mutex entirely.
@@ -149,29 +149,16 @@ impl Notifier {
     /// Disarms wake coalescing, per the consumer contract.
     pub fn snapshot(&self) -> u64 {
         self.disarm();
-        *self.seq.lock()
+        self.seq.read(|s| *s)
     }
 
-    /// Waits until notified or `timeout` elapses. Returns immediately when
-    /// a notification already happened after `since` was snapshotted.
-    pub fn wait_unless(&self, since: u64, timeout: Duration) {
+    /// Waits until notified or `deadline` passes (`None`: no deadline, for
+    /// consumers every one of whose wake sources notifies). Returns
+    /// immediately when a notification already happened after `since` was
+    /// snapshotted.
+    pub fn wait_unless(&self, since: u64, deadline: Option<Instant>) {
         self.disarm();
-        let mut seq = self.seq.lock();
-        if *seq != since {
-            return;
-        }
-        self.cv.wait_for(&mut seq, timeout);
-    }
-
-    /// [`Notifier::wait_unless`] without a timeout: returns only once a
-    /// notification has landed after `since` was snapshotted. For
-    /// consumers every one of whose wake sources notifies.
-    pub(crate) fn wait_untimed(&self, since: u64) {
-        self.disarm();
-        let mut seq = self.seq.lock();
-        while *seq == since {
-            self.cv.wait(&mut seq);
-        }
+        self.seq.wait_while(|seq| *seq == since, deadline);
     }
 }
 
@@ -988,11 +975,6 @@ impl MessageQueue {
         st.queue.is_empty() || st.bytes + len <= self.cfg.capacity_bytes
     }
 
-    /// True for sync (zero-length, rendezvous) channels.
-    pub fn is_sync(&self) -> bool {
-        self.cfg.kind == ChannelKind::Sync
-    }
-
     /// Pops the oldest pending payload. Caller holds the state lock.
     fn pop_one(&self, st: &mut QState) -> Option<Payload> {
         let p = st.queue.pop_front()?;
@@ -1022,7 +1004,7 @@ impl MessageQueue {
 
     /// Blocking fetch with timeout.
     pub fn fetch(&self, timeout: Duration) -> FetchResult {
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_after(timeout);
         let mut st = self.state.lock();
         loop {
             if let Some(p) = self.pop_one(&mut st) {
@@ -1038,8 +1020,13 @@ impl MessageQueue {
             if !st.source_open && self.pcount() == 0 {
                 return FetchResult::Disconnected;
             }
-            if self.cv.wait_until(&mut st, deadline).timed_out() && st.queue.is_empty() {
-                return FetchResult::Empty;
+            match deadline {
+                None => self.cv.wait(&mut st),
+                Some(d) => {
+                    if self.cv.wait_until(&mut st, d).timed_out() && st.queue.is_empty() {
+                        return FetchResult::Empty;
+                    }
+                }
             }
         }
     }
@@ -1378,6 +1365,19 @@ mod tests {
         assert_eq!(q.pcount(), 1);
     }
 
+    /// `Duration::MAX` means no deadline, not an `Instant` overflow: a
+    /// fetch with a message queued, or from a disconnected queue, returns
+    /// at once.
+    #[test]
+    fn fetch_with_an_unbounded_timeout_returns_what_is_there() {
+        let (q, pool) = setup(QueueConfig::default());
+        q.attach_source();
+        q.post(payload(&pool, 4));
+        assert!(matches!(q.fetch(Duration::MAX), FetchResult::Msg(_)));
+        q.detach_source().unwrap();
+        assert!(matches!(q.fetch(Duration::MAX), FetchResult::Disconnected));
+    }
+
     #[test]
     fn listener_woken_on_post() {
         let (q, pool) = setup(QueueConfig::default());
@@ -1387,7 +1387,7 @@ mod tests {
         let since = n.snapshot();
         let waiter = thread::spawn(move || {
             let t0 = Instant::now();
-            n2.wait_unless(since, Duration::from_millis(500));
+            n2.wait_unless(since, deadline_after(Duration::from_millis(500)));
             t0.elapsed()
         });
         thread::sleep(Duration::from_millis(20));

@@ -21,12 +21,12 @@
 
 use crate::error::CoreError;
 use crate::pool::{MessagePool, PayloadMode};
-use crate::queue::{FetchResult, MessageQueue, Notifier, QueueConfig};
+use crate::queue::{FetchResult, MessageQueue, QueueConfig};
 use crate::streamlet::{StreamletCtx, StreamletLogic};
 use mobigate_mime::{MimeMessage, SessionId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -48,8 +48,6 @@ struct SharedInner {
     inbox: Arc<MessageQueue>,
     pool: Arc<MessagePool>,
     mode: PayloadMode,
-    stop: AtomicBool,
-    notifier: Arc<Notifier>,
     processed: AtomicU64,
     routed: AtomicU64,
     unrouted: AtomicU64,
@@ -82,15 +80,14 @@ impl SharedStreamlet {
             },
             pool.clone(),
         );
-        let notifier = Arc::new(Notifier::new());
-        inbox.add_listener(notifier.clone());
+        // The instance is the inbox's one source: `shutdown` detaches it,
+        // and the worker stops once the inbox is drained.
+        inbox.attach_source();
         let inner = Arc::new(SharedInner {
             routes: RwLock::new(HashMap::new()),
             inbox,
             pool,
             mode,
-            stop: AtomicBool::new(false),
-            notifier,
             processed: AtomicU64::new(0),
             routed: AtomicU64::new(0),
             unrouted: AtomicU64::new(0),
@@ -154,11 +151,12 @@ impl SharedStreamlet {
         }
     }
 
-    /// Stops the worker and returns the logic instance (for pooling).
+    /// Closes the inbox, joins the worker once it has drained it, and
+    /// returns the logic instance (for pooling).
     pub fn shutdown(&self) -> Option<Box<dyn StreamletLogic>> {
-        self.inner.stop.store(true, Ordering::Release);
-        self.inner.notifier.notify();
         if let Some(h) = self.worker.lock().take() {
+            // Disconnects the inbox, which wakes the worker's fetch.
+            let _ = self.inner.inbox.detach_source();
             let _ = h.join();
         }
         self.logic_slot.lock().take()
@@ -172,19 +170,9 @@ fn shared_worker(
 ) {
     logic.on_activate();
     loop {
-        // Snapshot first, then check `stop` and the inbox: a `shutdown`
-        // or post landing after the snapshot moves the sequence, so the
-        // untimed wait below returns at once instead of missing it.
-        let snapshot = inner.notifier.snapshot();
-        if inner.stop.load(Ordering::Acquire) {
+        // No deadline: only `shutdown` (disconnected) ends the wait.
+        let FetchResult::Msg(payload) = inner.inbox.fetch(Duration::MAX) else {
             break;
-        }
-        let payload = match inner.inbox.try_fetch() {
-            FetchResult::Msg(p) => p,
-            _ => {
-                inner.notifier.wait_untimed(snapshot);
-                continue;
-            }
         };
         let Some(msg) = inner.pool.resolve(payload) else {
             continue;

@@ -29,6 +29,7 @@ use crate::pool::{MessagePool, PayloadMode};
 use crate::pooling::StreamletPool;
 use crate::queue::{FetchResult, MessageQueue, Notifier, QueueConfig};
 use crate::streamlet::{LifecycleState, RouteOpts, StreamletHandle, StreamletLogic};
+use crate::sync::{deadline_after, expired};
 use crate::telemetry::{QueueProbe, Telemetry, TraceKind};
 use mobigate_mcl::config::{
     ChannelRow, ConfigTable, ConnectionRow, ReconfigAction, StreamletSpec, WhenRule,
@@ -1010,7 +1011,7 @@ impl RunningStream {
     /// Takes one adapted message from the stream's exported outputs,
     /// waiting up to `timeout`.
     pub fn take_output(&self, timeout: Duration) -> Option<MimeMessage> {
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_after(timeout);
         loop {
             let notified = self.egress_notifier.snapshot();
             match self.egress.try_fetch() {
@@ -1019,15 +1020,11 @@ impl RunningStream {
                     self.delivered.fetch_add(1, Ordering::Relaxed);
                     return Some(msg);
                 }
+                // The last exported output detaching (teardown) wakes the
+                // egress listeners, so this ends an unbounded wait too.
                 FetchResult::Disconnected => return None,
-                FetchResult::Empty => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    self.egress_notifier
-                        .wait_unless(notified, (deadline - now).min(Duration::from_millis(20)));
-                }
+                FetchResult::Empty if expired(deadline) => return None,
+                FetchResult::Empty => self.egress_notifier.wait_unless(notified, deadline),
             }
         }
     }
@@ -1066,51 +1063,6 @@ impl RunningStream {
             }
         };
         handle.set_parameter(&key, value, Duration::from_secs(2))
-    }
-
-    /// One-line-per-component dump of buffered message locations —
-    /// channel depths, per-instance pending outputs and lifecycle state —
-    /// for diagnosing where in-flight messages sit when a drain stalls.
-    pub fn debug_depths(&self) -> String {
-        use std::fmt::Write as _;
-        let inner = self.inner.lock();
-        let mut out = String::new();
-        let mut names: Vec<&Arc<str>> = inner.channels.keys().collect();
-        names.sort();
-        for name in names {
-            let q = &inner.channels[name];
-            let stats = q.stats();
-            if !q.is_empty() || stats.dropped_total() > 0 {
-                let _ = writeln!(
-                    out,
-                    "channel {name}: len={} dropped={}",
-                    q.len(),
-                    stats.dropped_total()
-                );
-            }
-        }
-        let mut names: Vec<&Arc<str>> = inner.instances.keys().collect();
-        names.sort();
-        for name in names {
-            let h = &inner.instances[name];
-            let pending = h.pending_outputs();
-            if pending > 0 {
-                let _ = writeln!(
-                    out,
-                    "instance {name}: pending_out={pending} state={:?}",
-                    h.state()
-                );
-            }
-        }
-        for (alias, q) in &self.ingress {
-            if !q.is_empty() {
-                let _ = writeln!(out, "ingress {alias}: len={}", q.len());
-            }
-        }
-        if !self.egress.is_empty() {
-            let _ = writeln!(out, "egress: len={}", self.egress.len());
-        }
-        out
     }
 
     /// Renders the current live topology as Graphviz DOT (initial and
@@ -1268,7 +1220,7 @@ impl RunningStream {
     /// stream keeps running, so a false return means the caller tears down
     /// with messages still queued (they are dropped by `shutdown`).
     pub fn drain(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_after(timeout);
         loop {
             // Snapshot before the check: an instance finishing a step
             // after it fires the notifier, and the wait returns at once.
@@ -1276,11 +1228,10 @@ impl RunningStream {
             if self.quiescent() {
                 return true;
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if expired(deadline) {
                 return false;
             }
-            self.quiesce.wait_unless(seen, deadline - now);
+            self.quiesce.wait_unless(seen, deadline);
         }
     }
 
@@ -2382,6 +2333,42 @@ mod tests {
         assert_eq!(stats.injected, 1);
         assert_eq!(stats.delivered, 1);
         stream.shutdown();
+    }
+
+    /// `Duration::MAX` means no deadline, not an `Instant` overflow: with
+    /// output already waiting, `take_output` returns it at once.
+    #[test]
+    fn unbounded_take_output_returns_waiting_output() {
+        let (stream, _) = deploy(SCRIPT);
+        stream.post_input(MimeMessage::text("x")).unwrap();
+        let out = stream.take_output(Duration::MAX).expect("output");
+        assert_eq!(&out.body[..], b"xab");
+        stream.shutdown();
+    }
+
+    /// As above for `drain`: a quiescent stream drains at once.
+    #[test]
+    fn unbounded_drain_of_a_quiescent_stream_returns_at_once() {
+        let (stream, _) = deploy(SCRIPT);
+        assert_eq!(roundtrip(&stream, "x"), "xab");
+        assert!(stream.drain(Duration::MAX));
+        stream.shutdown();
+    }
+
+    /// An unbounded `take_output` waits on the egress notifier with no
+    /// poll slice; the last exported output detaching at shutdown wakes
+    /// it, and it returns `None`.
+    #[test]
+    fn unbounded_take_output_returns_none_once_the_stream_shuts_down() {
+        let (stream, _) = deploy(SCRIPT);
+        assert_eq!(roundtrip(&stream, "x"), "xab");
+        let taker = {
+            let stream = stream.clone();
+            std::thread::spawn(move || stream.take_output(Duration::MAX))
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        stream.shutdown();
+        assert!(taker.join().unwrap().is_none());
     }
 
     #[test]

@@ -15,9 +15,10 @@ use crate::executor::{default_executor, Executor};
 use crate::pool::{MessagePool, Payload, PayloadMode};
 use crate::queue::{FetchResult, MessageQueue, Notifier};
 use crate::supervisor::FaultCause;
+use crate::sync::{deadline_after, Parker, Wake};
 use crate::telemetry::{QueueProbe, TimingSite};
 use mobigate_mime::{MimeMessage, SessionId, TypeRegistry};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -264,7 +265,7 @@ pub enum LifecycleState {
     Running,
     /// Suspended (reconfiguration step 2, Figure 7-4).
     Paused,
-    /// Terminated; the worker thread has exited or will imminently.
+    /// Terminated; the driver has finalized or will imminently.
     Ended,
     /// The logic panicked; the poisoned object was dropped and the task is
     /// parked awaiting a supervisor restart (see `supervisor.rs`).
@@ -272,6 +273,35 @@ pub enum LifecycleState {
     /// The supervisor's restart budget is exhausted: the instance stays
     /// wired but will never process again unless reconfigured away.
     Quarantined,
+}
+
+/// The lifecycle as the driver and its controllers share it: the public
+/// [`LifecycleState`] plus whether the driver has taken up a pause or an
+/// end. `Pausing` and `Ending` read as `Paused` and `Ended`; the driver
+/// moves them on once it is quiescent (Figure 6-8) or has finalized.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Created,
+    Running,
+    Pausing,
+    Paused,
+    Ending,
+    Ended,
+    Faulted,
+    Quarantined,
+}
+
+impl Phase {
+    fn public(self) -> LifecycleState {
+        match self {
+            Phase::Created => LifecycleState::Created,
+            Phase::Running => LifecycleState::Running,
+            Phase::Pausing | Phase::Paused => LifecycleState::Paused,
+            Phase::Ending | Phase::Ended => LifecycleState::Ended,
+            Phase::Faulted => LifecycleState::Faulted,
+            Phase::Quarantined => LifecycleState::Quarantined,
+        }
+    }
 }
 
 /// Counters exposed by a handle.
@@ -295,19 +325,13 @@ pub struct StreamletStats {
 
 struct Shared {
     name: Arc<str>,
-    state: Mutex<LifecycleState>,
-    /// Signalled (under `state`) when the task publishes its exit;
-    /// `end()` waits on it. Drivers wait on `notifier`, never here.
-    cv: Condvar,
+    /// `pause_and_wait` and `end` wait here for the driver to reach
+    /// `Paused` or `Ended`, whichever executor drives it. Drivers wait on
+    /// `notifier`, never here.
+    life: Parker<Phase>,
     notifier: Arc<Notifier>,
     /// Set by the worker while inside `process` (Fig 6-8 condition 2).
     processing: AtomicBool,
-    /// Set by the worker when it has observed `Paused` and gone quiescent.
-    pause_acked: AtomicBool,
-    /// Set (under the state lock) once the task has finalized: `on_end` ran
-    /// and the logic is parked back in the handle. `end()` waits on this
-    /// instead of joining a thread, so it works under any executor.
-    exited: AtomicBool,
     inputs: RwLock<Vec<(String, Arc<MessageQueue>)>>,
     outputs: RwLock<Vec<(String, Arc<MessageQueue>)>>,
     /// Monotonic generation of the `outputs` binding table, bumped *after*
@@ -390,8 +414,8 @@ struct StepScratch {
     spare_runs: Vec<Vec<Payload>>,
 }
 
-/// Rendezvous slot a control requester waits on: result + wakeup.
-type ControlSlot = Arc<(Mutex<Option<Result<(), CoreError>>>, Condvar)>;
+/// Rendezvous slot a control requester waits on for the result.
+type ControlSlot = Arc<Parker<Option<Result<(), CoreError>>>>;
 
 /// Supervisor callback invoked (off the executor thread's unwind path)
 /// whenever the instance faults.
@@ -415,6 +439,31 @@ struct RouteMemo {
 }
 
 impl Shared {
+    /// Moves the lifecycle to `to` if `from` accepts the phase it is in,
+    /// waking lifecycle waiters; returns that phase.
+    fn transition(&self, from: impl FnOnce(Phase) -> bool, to: Phase) -> Phase {
+        self.life.update(|p| {
+            let was = *p;
+            if from(was) {
+                *p = to;
+            }
+            (was, Wake::All)
+        })
+    }
+
+    /// A lifecycle error naming this instance.
+    fn lifecycle_error(&self, message: impl Into<String>) -> CoreError {
+        CoreError::Lifecycle {
+            name: self.name.to_string(),
+            message: message.into(),
+        }
+    }
+
+    /// The error for a lifecycle call the phase `from` does not allow.
+    fn refuse(&self, action: &str, from: Phase) -> CoreError {
+        self.lifecycle_error(format!("cannot {action} from {:?}", from.public()))
+    }
+
     /// Routes the emissions collected in `scratch.outputs` (drained in
     /// order), grouping payloads into per-queue runs so a batch of
     /// emissions to the same channel pays one lock acquisition. Run vecs
@@ -654,9 +703,6 @@ pub struct StreamletHandle {
     /// can upgrade for as long as the streamlet runs. `None` before
     /// `start()` and after `end()`.
     task: Mutex<Option<Arc<StreamletTask>>>,
-    /// True once `start()` handed a task to the executor; `end()` only
-    /// waits for exit when something actually ran.
-    started: AtomicBool,
 }
 
 impl StreamletHandle {
@@ -724,12 +770,9 @@ impl StreamletHandle {
         Arc::new(StreamletHandle {
             shared: Arc::new(Shared {
                 name: name.into(),
-                state: Mutex::new(LifecycleState::Created),
-                cv: Condvar::new(),
+                life: Parker::new(Phase::Created),
                 notifier: Arc::new(Notifier::new()),
                 processing: AtomicBool::new(false),
-                pause_acked: AtomicBool::new(false),
-                exited: AtomicBool::new(false),
                 inputs: RwLock::new(Vec::new()),
                 outputs: RwLock::new(Vec::new()),
                 route_epoch: AtomicU64::new(0),
@@ -762,13 +805,7 @@ impl StreamletHandle {
             logic_slot: Arc::new(Mutex::new(Some(logic))),
             executor,
             task: Mutex::new(None),
-            started: AtomicBool::new(false),
         })
-    }
-
-    /// Diagnostic name of the executor scheduling this handle.
-    pub fn executor_name(&self) -> &'static str {
-        self.executor.name()
     }
 
     /// Instance name.
@@ -798,7 +835,7 @@ impl StreamletHandle {
 
     /// Current lifecycle state.
     pub fn state(&self) -> LifecycleState {
-        *self.shared.state.lock()
+        self.shared.life.read(|p| p.public())
     }
 
     /// True while the worker is inside `process` (Fig 6-8 condition).
@@ -852,32 +889,27 @@ impl StreamletHandle {
         value: &str,
         timeout: Duration,
     ) -> Result<(), CoreError> {
-        let s = *self.shared.state.lock();
+        let s = self.state();
         if matches!(s, LifecycleState::Ended | LifecycleState::Quarantined) {
-            return Err(CoreError::Lifecycle {
-                name: self.shared.name.to_string(),
-                message: format!("cannot control a streamlet in {s:?}"),
-            });
+            let message = format!("cannot control a streamlet in {s:?}");
+            return Err(self.shared.lifecycle_error(message));
         }
-        let done: ControlSlot = Arc::new((Mutex::new(None), Condvar::new()));
+        let done: ControlSlot = Arc::default();
         self.shared.controls.lock().push(ControlRequest {
             key: key.to_string(),
             value: value.to_string(),
             done: done.clone(),
         });
         self.shared.notifier.notify();
-        let (slot, cv) = &*done;
-        let mut guard = slot.lock();
-        let deadline = Instant::now() + timeout;
-        while guard.is_none() {
-            if cv.wait_until(&mut guard, deadline).timed_out() {
-                return Err(CoreError::Lifecycle {
-                    name: self.shared.name.to_string(),
-                    message: "control command not serviced in time".into(),
-                });
-            }
-        }
-        guard.take().expect("checked above")
+        done.wait_then(
+            |r| r.is_none(),
+            deadline_after(timeout),
+            |r, _| (r.take(), Wake::None),
+        )
+        .unwrap_or_else(|| {
+            let message = "control command not serviced in time";
+            Err(self.shared.lifecycle_error(message))
+        })
     }
 
     // --- port wiring (coordination plane only) ---------------------------
@@ -1052,23 +1084,17 @@ impl StreamletHandle {
     /// Starts execution (`Created` → `Running`): hands a [`StreamletTask`]
     /// to the handle's executor.
     pub fn start(self: &Arc<Self>) -> Result<(), CoreError> {
-        let mut state = self.shared.state.lock();
-        if *state != LifecycleState::Created {
-            return Err(CoreError::Lifecycle {
-                name: self.shared.name.to_string(),
-                message: format!("cannot start from {:?}", *state),
-            });
-        }
-        let logic = self
-            .logic_slot
-            .lock()
-            .take()
-            .ok_or_else(|| CoreError::Lifecycle {
-                name: self.shared.name.to_string(),
-                message: "logic already taken".into(),
-            })?;
-        *state = LifecycleState::Running;
-        drop(state);
+        let logic = self.shared.life.update(|p| {
+            if *p != Phase::Created {
+                return (Err(self.shared.refuse("start", *p)), Wake::None);
+            }
+            let Some(logic) = self.logic_slot.lock().take() else {
+                let taken = self.shared.lifecycle_error("logic already taken");
+                return (Err(taken), Wake::None);
+            };
+            *p = Phase::Running;
+            (Ok(logic), Wake::All)
+        })?;
 
         let task = Arc::new(StreamletTask {
             shared: self.shared.clone(),
@@ -1078,7 +1104,6 @@ impl StreamletHandle {
             scheduled: AtomicBool::new(false),
         });
         *self.task.lock() = Some(task.clone());
-        self.started.store(true, Ordering::Release);
         self.executor.launch(task);
         Ok(())
     }
@@ -1087,69 +1112,46 @@ impl StreamletHandle {
     /// inside `process`). This is step 2 of the Figure 7-4 reconfiguration.
     pub fn pause_and_wait(&self, timeout: Duration) -> Result<(), CoreError> {
         let t0 = Instant::now();
-        {
-            let mut state = self.shared.state.lock();
-            match *state {
-                LifecycleState::Running => {
-                    *state = LifecycleState::Paused;
-                    self.shared.pause_acked.store(false, Ordering::Release);
-                }
-                LifecycleState::Paused => {}
-                // No worker is inside `process` for a faulted/quarantined
-                // instance: it is already quiescent for reconfiguration.
-                LifecycleState::Faulted | LifecycleState::Quarantined => return Ok(()),
-                other => {
-                    return Err(CoreError::Lifecycle {
-                        name: self.shared.name.to_string(),
-                        message: format!("cannot pause from {other:?}"),
-                    });
-                }
-            }
+        let running = |p| p == Phase::Running;
+        match self.shared.transition(running, Phase::Pausing) {
+            Phase::Running | Phase::Pausing | Phase::Paused => {}
+            // No worker is inside `process` for a faulted/quarantined
+            // instance: it is already quiescent for reconfiguration.
+            Phase::Faulted | Phase::Quarantined => return Ok(()),
+            other => return Err(self.shared.refuse("pause", other)),
         }
         self.shared.notifier.notify();
-        let deadline = t0 + timeout;
-        while !self.shared.pause_acked.load(Ordering::Acquire) {
-            // A fault can supersede the pause; the instance is then
-            // quiescent anyway.
-            if matches!(
-                self.state(),
-                LifecycleState::Faulted | LifecycleState::Quarantined
-            ) {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(CoreError::Timeout {
-                    waited: t0.elapsed(),
-                    instance: self.shared.name.to_string(),
-                });
-            }
-            std::thread::yield_now();
+        // The driver acknowledges the pause once quiescent; a fault can
+        // supersede it, and the instance is then quiescent anyway.
+        let quiescent = self.shared.life.wait_while(
+            |p| !matches!(p, Phase::Paused | Phase::Faulted | Phase::Quarantined),
+            deadline_after(timeout),
+        );
+        if quiescent {
+            return Ok(());
         }
-        Ok(())
+        Err(CoreError::Timeout {
+            waited: t0.elapsed(),
+            instance: self.shared.name.to_string(),
+        })
     }
 
     /// Resumes a paused streamlet (Figure 7-4 step 6).
     pub fn activate(&self) -> Result<(), CoreError> {
-        let mut state = self.shared.state.lock();
-        match *state {
-            LifecycleState::Paused => {
-                *state = LifecycleState::Running;
-                self.shared.pause_acked.store(false, Ordering::Release);
-                drop(state);
+        let paused = |p| matches!(p, Phase::Pausing | Phase::Paused);
+        match self.shared.transition(paused, Phase::Running) {
+            Phase::Pausing | Phase::Paused => {
                 self.shared.notifier.notify();
                 Ok(())
             }
-            LifecycleState::Running => Ok(()),
-            other => Err(CoreError::Lifecycle {
-                name: self.shared.name.to_string(),
-                message: format!("cannot activate from {other:?}"),
-            }),
+            Phase::Running => Ok(()),
+            other => Err(self.shared.refuse("activate", other)),
         }
     }
 
     /// Ends the streamlet: the task finalizes and the logic object is
     /// parked back in the handle (retrievable via [`Self::take_logic`] for
-    /// pooling). Blocks until the task has exited, whichever executor
+    /// pooling). Blocks until the task has finalized, whichever executor
     /// drives it.
     ///
     /// A pooled task no worker is pumping — its logic in the task's slot
@@ -1158,32 +1160,18 @@ impl StreamletHandle {
     /// pump is in progress, or a fault dropped the logic) the driver is
     /// woken and publishes the exit itself.
     pub fn end(&self) {
-        {
-            let mut state = self.shared.state.lock();
-            if *state == LifecycleState::Ended {
-                return;
-            }
-            *state = LifecycleState::Ended;
-        }
-        let task = self.task.lock().clone();
-        if task.is_some_and(|t| t.end_inline()) {
-            *self.task.lock() = None;
+        let ended = |p| matches!(p, Phase::Ending | Phase::Ended);
+        if ended(self.shared.transition(|p| !ended(p), Phase::Ending)) {
             return;
         }
-        self.shared.notifier.notify();
-        if !self.started.load(Ordering::Acquire) {
+        // No task: never started, or `start` has yet to hand it over, and
+        // its driver then finds `Ending` on its first pump.
+        let Some(task) = self.task.lock().clone() else {
             return;
-        }
-        while !self.shared.exited.load(Ordering::Acquire) {
-            // Re-kick the scheduler each round in case a wakeup was lost.
+        };
+        if !task.end_inline() {
             self.shared.notifier.notify();
-            let mut state = self.shared.state.lock();
-            if self.shared.exited.load(Ordering::Acquire) {
-                break;
-            }
-            self.shared
-                .cv
-                .wait_for(&mut state, Duration::from_millis(20));
+            self.shared.life.wait_while(|p| *p == Phase::Ending, None);
         }
         // The task has finalized; release our ownership of it.
         *self.task.lock() = None;
@@ -1201,11 +1189,6 @@ impl StreamletHandle {
     /// the hook must be cheap and must not block.
     pub fn set_fault_hook(&self, hook: impl Fn(FaultCause) + Send + Sync + 'static) {
         *self.shared.fault_hook.lock() = Some(Box::new(hook));
-    }
-
-    /// Removes the fault hook.
-    pub fn clear_fault_hook(&self) {
-        *self.shared.fault_hook.lock() = None;
     }
 
     /// The most recent fault's cause, if any.
@@ -1268,28 +1251,25 @@ impl StreamletHandle {
     ) -> Result<(), CoreError> {
         let task = self.task.lock().clone();
         let Some(task) = task else {
-            return Err(CoreError::Lifecycle {
-                name: self.shared.name.to_string(),
-                message: "no live task to restart".into(),
-            });
+            return Err(self.shared.lifecycle_error("no live task to restart"));
         };
-        {
-            // Lock order matches `pump`: running slot, then state.
-            let mut slot = task.running.lock();
-            let mut state = self.shared.state.lock();
-            if *state != LifecycleState::Faulted {
-                return Err(CoreError::Lifecycle {
-                    name: self.shared.name.to_string(),
-                    message: format!("cannot restart from {:?}", *state),
-                });
+        // Lock order matches `pump`: running slot, then lifecycle.
+        let mut slot = task.running.lock();
+        let restarted = self.shared.life.update(|p| {
+            if *p != Phase::Faulted {
+                return (Err(*p), Wake::None);
             }
             *slot = Some(logic);
             // The fresh logic gets its own `on_activate`.
             task.activated.store(false, Ordering::Release);
-            self.shared.pause_acked.store(false, Ordering::Release);
             self.shared.restarts.fetch_add(1, Ordering::Relaxed);
             on_restart();
-            *state = LifecycleState::Running;
+            *p = Phase::Running;
+            (Ok(()), Wake::All)
+        });
+        drop(slot);
+        if let Err(from) = restarted {
+            return Err(self.shared.refuse("restart", from));
         }
         self.shared.notifier.notify();
         Ok(())
@@ -1301,19 +1281,14 @@ impl StreamletHandle {
     /// re-materializes the faulted member of a fused unit as a discrete,
     /// never-started instance that must carry the quarantine over.
     pub fn quarantine(&self) -> Result<(), CoreError> {
-        let mut state = self.shared.state.lock();
-        match *state {
-            LifecycleState::Faulted | LifecycleState::Created => {
-                *state = LifecycleState::Quarantined;
-                drop(state);
+        let faulted = |p| matches!(p, Phase::Faulted | Phase::Created);
+        match self.shared.transition(faulted, Phase::Quarantined) {
+            Phase::Faulted | Phase::Created => {
                 self.shared.notifier.notify();
                 Ok(())
             }
-            LifecycleState::Quarantined => Ok(()),
-            other => Err(CoreError::Lifecycle {
-                name: self.shared.name.to_string(),
-                message: format!("cannot quarantine from {other:?}"),
-            }),
+            Phase::Quarantined => Ok(()),
+            other => Err(self.shared.refuse("quarantine", other)),
         }
     }
 }
@@ -1402,16 +1377,15 @@ impl StreamletTask {
     /// True when a pump would make progress: unserviced lifecycle
     /// transition, pending control command, or a non-empty input.
     pub fn has_pending_work(&self) -> bool {
-        let state = *self.shared.state.lock();
-        match state {
-            LifecycleState::Ended => !self.shared.exited.load(Ordering::Acquire),
-            LifecycleState::Paused => !self.shared.pause_acked.load(Ordering::Acquire),
-            LifecycleState::Created => false,
+        match self.shared.life.read(|p| *p) {
+            // An end or pause the driver has yet to take up.
+            Phase::Ending | Phase::Pausing => true,
+            Phase::Ended | Phase::Paused | Phase::Created => false,
             // A faulted/quarantined task has nothing to run until the
             // supervisor's `restart_with` moves it back to Running (which
             // notifies, so the wake hook reschedules it).
-            LifecycleState::Faulted | LifecycleState::Quarantined => false,
-            LifecycleState::Running => {
+            Phase::Faulted | Phase::Quarantined => false,
+            Phase::Running => {
                 if !self.shared.controls.lock().is_empty() {
                     return true;
                 }
@@ -1452,17 +1426,13 @@ impl StreamletTask {
         self.shared.notifier.disarm();
         let mut slot = self.running.lock();
         if slot.is_none() {
-            if self.shared.exited.load(Ordering::Acquire) {
-                // Already finalized.
-                return PumpOutcome::Ended;
-            }
-            // The poisoned logic was dropped by a fault. Keep servicing
-            // lifecycle transitions: `end()` still needs the exit
-            // published, and until then the task just idles awaiting a
-            // supervisor restart.
-            let state = { *self.shared.state.lock() };
-            return match state {
-                LifecycleState::Ended => {
+            // Finalized already, or the poisoned logic was dropped by a
+            // fault. Keep servicing lifecycle transitions: `end()` still
+            // needs the exit published, and until then the task just
+            // idles awaiting a supervisor restart.
+            return match self.shared.life.read(|p| *p) {
+                Phase::Ended => PumpOutcome::Ended,
+                Phase::Ending => {
                     drop(slot);
                     self.finalize_empty();
                     PumpOutcome::Ended
@@ -1475,27 +1445,27 @@ impl StreamletTask {
             return PumpOutcome::Idle;
         }
         for _ in 0..budget.max(1) {
-            // Copy the state out so the guard drops before the arms run:
-            // the `Ended` arm's finalize re-locks `state`.
-            let state = { *self.shared.state.lock() };
-            match state {
-                LifecycleState::Running => {}
-                LifecycleState::Paused => {
-                    if !self.shared.pause_acked.swap(true, Ordering::AcqRel) {
-                        slot.as_mut().expect("checked").on_pause();
-                    }
+            match self.shared.life.read(|p| *p) {
+                Phase::Running => {}
+                Phase::Pausing => {
+                    slot.as_mut().expect("checked").on_pause();
+                    // Quiescent: acknowledge, unless an activate or a
+                    // fault already moved the lifecycle on.
+                    let pausing = |p| p == Phase::Pausing;
+                    self.shared.transition(pausing, Phase::Paused);
                     return PumpOutcome::Idle;
                 }
-                LifecycleState::Ended => {
+                Phase::Ending => {
                     let logic = slot.take().expect("checked");
                     drop(slot);
                     self.finalize(logic);
                     return PumpOutcome::Ended;
                 }
-                LifecycleState::Created => return PumpOutcome::Idle,
-                LifecycleState::Faulted | LifecycleState::Quarantined => {
-                    return PumpOutcome::Idle;
-                }
+                Phase::Created
+                | Phase::Paused
+                | Phase::Ended
+                | Phase::Faulted
+                | Phase::Quarantined => return PumpOutcome::Idle,
             }
             let logic = slot.as_mut().expect("checked");
             if !self.service_controls(logic.as_mut()) {
@@ -1579,23 +1549,25 @@ impl StreamletTask {
             };
             let outcome =
                 std::panic::catch_unwind(AssertUnwindSafe(|| logic.control(&req.key, &req.value)));
-            let (slot, cv) = &*req.done;
-            match outcome {
-                Ok(result) => {
-                    *slot.lock() = Some(result);
-                    cv.notify_all();
-                }
+            let (result, panic) = match outcome {
+                Ok(result) => (result, None),
                 Err(payload) => {
                     let text = panic_message(payload.as_ref());
                     // The requester gets an error rather than a timeout.
-                    *slot.lock() = Some(Err(CoreError::Process {
+                    let err = CoreError::Process {
                         streamlet: self.shared.name.to_string(),
                         message: format!("control handler panicked: {text}"),
-                    }));
-                    cv.notify_all();
-                    self.fault(FaultCause::ControlPanic(text));
-                    return false;
+                    };
+                    (Err(err), Some(text))
                 }
+            };
+            req.done.update(|slot| {
+                *slot = Some(result);
+                ((), Wake::All)
+            });
+            if let Some(text) = panic {
+                self.fault(FaultCause::ControlPanic(text));
+                return false;
             }
         }
         true
@@ -1882,16 +1854,14 @@ impl StreamletTask {
         if let Some(p) = shared.probe.get() {
             p.on_fault();
         }
-        let report = {
-            let mut state = shared.state.lock();
-            if *state == LifecycleState::Ended {
-                false
-            } else {
-                *state = LifecycleState::Faulted;
-                *shared.last_fault.lock() = Some(cause.clone());
-                true
+        let report = shared.life.update(|p| {
+            if matches!(p, Phase::Ending | Phase::Ended) {
+                return (false, Wake::None);
             }
-        };
+            *p = Phase::Faulted;
+            *shared.last_fault.lock() = Some(cause.clone());
+            (true, Wake::All)
+        });
         if report {
             let hook = shared.fault_hook.lock();
             if let Some(h) = &*hook {
@@ -1922,24 +1892,14 @@ impl StreamletTask {
     fn finalize(&self, mut logic: Box<dyn StreamletLogic>) {
         logic.on_end();
         *self.park.lock() = Some(logic);
-        self.drain_pending_out();
-        {
-            let _state = self.shared.state.lock();
-            self.shared.exited.store(true, Ordering::Release);
-            self.shared.cv.notify_all();
-        }
-        self.shared.notifier.notify();
+        self.finalize_empty();
     }
 
     /// Publishes the exit for a task whose logic was already dropped by a
     /// fault: there is nothing to run `on_end` on and nothing to park.
     fn finalize_empty(&self) {
         self.drain_pending_out();
-        {
-            let _state = self.shared.state.lock();
-            self.shared.exited.store(true, Ordering::Release);
-            self.shared.cv.notify_all();
-        }
+        self.shared.transition(|_| true, Phase::Ended);
         self.shared.notifier.notify();
     }
 }
@@ -2130,6 +2090,29 @@ mod tests {
         ));
         h.activate().unwrap();
         assert_eq!(fetch_text(&pool, &qout), "B");
+        h.end();
+    }
+
+    /// `Duration::MAX` means no deadline, not an `Instant` overflow: the
+    /// driver acknowledges the pause at once.
+    #[test]
+    fn pause_with_an_unbounded_timeout_returns_once_quiescent() {
+        let (_pool, _qin, _qout, h) = pipeline();
+        h.start().unwrap();
+        h.pause_and_wait(Duration::MAX).unwrap();
+        assert_eq!(h.state(), LifecycleState::Paused);
+        h.end();
+    }
+
+    /// As above for a control command: the driver services it (here with
+    /// the default "unknown parameter" error) instead of the call
+    /// overflowing its deadline.
+    #[test]
+    fn control_with_an_unbounded_timeout_returns_once_serviced() {
+        let (_pool, _qin, _qout, h) = pipeline();
+        h.start().unwrap();
+        let err = h.set_parameter("rate", "9", Duration::MAX).unwrap_err();
+        assert!(matches!(err, CoreError::NotFound { .. }), "{err:?}");
         h.end();
     }
 

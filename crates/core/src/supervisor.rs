@@ -26,13 +26,14 @@ use crate::error::CoreError;
 use crate::events::{ContextEvent, EventManager};
 use crate::overload::{BreakerConfig, CircuitBreaker, FaultVerdict, ProbeOutcome};
 use crate::streamlet::{StreamletHandle, StreamletLogic};
+use crate::sync::{Parker, Wake};
 use crate::telemetry::{Telemetry, TraceKind};
 use mobigate_mcl::events::EventKind;
 use mobigate_mime::MimeMessage;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -275,10 +276,31 @@ struct Job {
     kind: JobKind,
 }
 
+#[derive(Default)]
 struct WorkQueue {
-    jobs: Mutex<VecDeque<Job>>,
-    cv: Condvar,
-    stop: AtomicBool,
+    jobs: VecDeque<Job>,
+    stop: bool,
+}
+
+impl WorkQueue {
+    fn earliest_due(&self) -> Option<Instant> {
+        self.jobs.iter().map(|j| j.due).min()
+    }
+
+    /// Removes the earliest job if it is due.
+    fn pop_due(&mut self) -> Option<Job> {
+        let due = self.earliest_due().filter(|&d| d <= Instant::now())?;
+        let i = self.jobs.iter().position(|j| j.due == due)?;
+        self.jobs.remove(i)
+    }
+}
+
+/// Queues a job for the supervision worker.
+fn push_job(work: &Parker<WorkQueue>, key: u64, due: Instant, kind: JobKind) {
+    work.update(|w| {
+        w.jobs.push_back(Job { key, due, kind });
+        ((), Wake::All)
+    });
 }
 
 /// The supervision engine: one background worker that restarts faulted
@@ -290,7 +312,7 @@ pub struct Supervisor {
     /// Entry count at which the next registration sweeps out entries
     /// whose instance is gone.
     sweep_at: AtomicUsize,
-    work: Arc<WorkQueue>,
+    work: Arc<Parker<WorkQueue>>,
     worker: Mutex<Option<JoinHandle<()>>>,
     events: Arc<EventManager>,
     dead_letters: Arc<DeadLetterQueue>,
@@ -350,11 +372,7 @@ impl Supervisor {
             entries: Mutex::new(HashMap::new()),
             next_key: AtomicU64::new(1),
             sweep_at: AtomicUsize::new(MIN_SWEEP),
-            work: Arc::new(WorkQueue {
-                jobs: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-                stop: AtomicBool::new(false),
-            }),
+            work: Arc::default(),
             worker: Mutex::new(None),
             events,
             dead_letters: Arc::new(DeadLetterQueue::new(dead_letter_capacity)),
@@ -444,13 +462,7 @@ impl Supervisor {
         drop(entries);
         let work = Arc::clone(&self.work);
         handle.set_fault_hook(move |cause| {
-            let mut jobs = work.jobs.lock();
-            jobs.push_back(Job {
-                key,
-                due: Instant::now(),
-                kind: JobKind::Fault(cause),
-            });
-            work.cv.notify_all();
+            push_job(&work, key, Instant::now(), JobKind::Fault(cause));
         });
     }
 
@@ -493,14 +505,10 @@ impl Supervisor {
 
     /// Stops the worker thread. Idempotent; also run on drop.
     pub fn shutdown(&self) {
-        {
-            // Under the jobs lock: an idle worker checks `stop` under it
-            // and then waits with no timeout, so a store outside the lock
-            // could land between the two and the notify wake nobody.
-            let _jobs = self.work.jobs.lock();
-            self.work.stop.store(true, Ordering::Release);
-        }
-        self.work.cv.notify_all();
+        self.work.update(|w| {
+            w.stop = true;
+            ((), Wake::All)
+        });
         if let Some(h) = self.worker.lock().take() {
             // The worker loop upgrades its Weak while handling a job, so the
             // last Arc can die *on the worker thread* (Drop → shutdown here).
@@ -533,31 +541,20 @@ impl Supervisor {
                 let Some(sup) = sup.upgrade() else { return };
                 let work = Arc::clone(&sup.work);
                 drop(sup);
-                let mut jobs = work.jobs.lock();
                 loop {
-                    if work.stop.load(Ordering::Acquire) {
+                    let (stop, job, due) =
+                        work.update(|w| ((w.stop, w.pop_due(), w.earliest_due()), Wake::None));
+                    if stop {
                         return;
                     }
-                    let now = Instant::now();
-                    let due_idx = jobs
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, j)| j.due)
-                        .map(|(i, j)| (i, j.due));
-                    match due_idx {
-                        Some((i, due)) if due <= now => {
-                            break jobs.remove(i);
-                        }
-                        Some((_, due)) => {
-                            work.cv.wait_for(&mut jobs, due - now);
-                        }
-                        None => {
-                            work.cv.wait(&mut jobs);
-                        }
+                    if let Some(job) = job {
+                        break job;
                     }
+                    // Until the earliest job comes due, one due sooner
+                    // arrives, or stop.
+                    work.wait_while(|w| !w.stop && w.earliest_due() == due, due);
                 }
             };
-            let Some(job) = job else { continue };
             let Some(sup) = sup.upgrade() else { return };
             match job.kind {
                 JobKind::Fault(cause) => sup.handle_fault(job.key, cause),
@@ -613,14 +610,7 @@ impl Supervisor {
                     );
                     let breaker_event =
                         scoped_event(EventKind::BreakerOpen, entry.stream.as_deref());
-                    let mut jobs = self.work.jobs.lock();
-                    jobs.push_back(Job {
-                        key,
-                        due: now + cooldown,
-                        kind: JobKind::Probe,
-                    });
-                    drop(jobs);
-                    self.work.cv.notify_all();
+                    push_job(&self.work, key, now + cooldown, JobKind::Probe);
                     // Raise events only after releasing the registry lock
                     // (delivery can run `when` rules that supervise new
                     // instances).
@@ -686,13 +676,7 @@ impl Supervisor {
                 let delay = entry
                     .policy
                     .backoff_for(entry.fault_times.len() as u32, self.next_jitter());
-                let mut jobs = self.work.jobs.lock();
-                jobs.push_back(Job {
-                    key,
-                    due: now + delay,
-                    kind: JobKind::Restart,
-                });
-                self.work.cv.notify_all();
+                push_job(&self.work, key, now + delay, JobKind::Restart);
             }
             event
         };
@@ -787,14 +771,12 @@ impl Supervisor {
                         *restarts += 1;
                         self.restarts.fetch_add(1, Ordering::Relaxed);
                     });
-                    let mut jobs = self.work.jobs.lock();
-                    jobs.push_back(Job {
+                    push_job(
+                        &self.work,
                         key,
-                        due: Instant::now() + breaker.cooldown(),
-                        kind: JobKind::ProbeVerdict,
-                    });
-                    drop(jobs);
-                    self.work.cv.notify_all();
+                        Instant::now() + breaker.cooldown(),
+                        JobKind::ProbeVerdict,
+                    );
                     scoped_event(EventKind::BreakerHalfOpen, entry.stream.as_deref())
                 }
                 Err(_) => {
@@ -848,14 +830,12 @@ impl Supervisor {
                     scoped_event(EventKind::BreakerClose, entry.stream.as_deref())
                 }
                 ProbeOutcome::StillHalfOpen => {
-                    let mut jobs = self.work.jobs.lock();
-                    jobs.push_back(Job {
+                    push_job(
+                        &self.work,
                         key,
-                        due: Instant::now() + breaker.cooldown(),
-                        kind: JobKind::ProbeVerdict,
-                    });
-                    drop(jobs);
-                    self.work.cv.notify_all();
+                        Instant::now() + breaker.cooldown(),
+                        JobKind::ProbeVerdict,
+                    );
                     return;
                 }
                 ProbeOutcome::NotHalfOpen => return,

@@ -29,8 +29,8 @@
 use super::Telemetry;
 use crate::coordination::CoordinationManager;
 use crate::events::{ContextEvent, EventManager};
+use crate::sync::{deadline_after, Parker, Wake};
 use crate::EventKind;
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -90,7 +90,8 @@ struct WatchState {
 
 /// Handle to the running bridge thread.
 pub struct MetricsBridge {
-    stop: Arc<(Mutex<bool>, Condvar)>,
+    /// True once stopped.
+    stop: Arc<Parker<bool>>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -104,7 +105,7 @@ impl MetricsBridge {
         coordination: Weak<CoordinationManager>,
         events: Weak<EventManager>,
     ) -> Self {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
+        let stop = Arc::new(Parker::new(false));
         let stop2 = stop.clone();
         let thread = std::thread::Builder::new()
             .name("mobigate-bridge".into())
@@ -115,11 +116,10 @@ impl MetricsBridge {
 
     /// Stops and joins the watcher thread. Idempotent.
     pub fn stop(mut self) {
-        {
-            let (lock, cv) = &*self.stop;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
+        self.stop.update(|stopped| {
+            *stopped = true;
+            ((), Wake::All)
+        });
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -131,19 +131,12 @@ fn run(
     telemetry: Weak<Telemetry>,
     coordination: Weak<CoordinationManager>,
     events: Weak<EventManager>,
-    stop: Arc<(Mutex<bool>, Condvar)>,
+    stop: Arc<Parker<bool>>,
 ) {
     let mut watch: HashMap<String, WatchState> = HashMap::new();
     loop {
-        {
-            let (lock, cv) = &*stop;
-            let mut stopped = lock.lock();
-            if !*stopped {
-                cv.wait_for(&mut stopped, cfg.poll_interval);
-            }
-            if *stopped {
-                return;
-            }
+        if stop.wait_while(|stopped| !*stopped, deadline_after(cfg.poll_interval)) {
+            return;
         }
         let (Some(telemetry), Some(coordination), Some(events)) = (
             telemetry.upgrade(),

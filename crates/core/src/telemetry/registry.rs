@@ -238,8 +238,10 @@ impl MetricsRegistry {
     /// Retires `key`: removes it from the live map and folds its final
     /// counters into the retired accumulator. Idempotent.
     pub fn deregister(&self, key: &str) {
-        let removed = self.live.lock().remove(key);
-        if let Some(m) = removed {
+        // Folded under the live lock, which `totals` also reads `retired`
+        // under: a total sees the stream live or retired, never neither.
+        let mut live = self.live.lock();
+        if let Some(m) = live.remove(key) {
             self.retired.absorb(&m);
         }
     }
@@ -265,8 +267,11 @@ impl MetricsRegistry {
 
     /// Global totals: retired accumulator plus every live stream.
     pub fn totals(&self) -> StreamMetricsSnapshot {
-        let mut total = self.retired.snapshot();
-        let live: Vec<Arc<StreamMetrics>> = self.live.lock().values().cloned().collect();
+        let (mut total, live) = {
+            let live = self.live.lock();
+            let handles: Vec<Arc<StreamMetrics>> = live.values().cloned().collect();
+            (self.retired.snapshot(), handles)
+        };
         for m in live {
             total.merge(&m.snapshot());
         }
