@@ -16,12 +16,16 @@
 use mobigate::core::pool::PayloadMode;
 use mobigate::core::{BatchConfig, ExecutorConfig, ServerConfig};
 use mobigate_bench::report::{ascii_series, BenchRecord, Mode, Row, Summary};
+use mobigate_bench::roles::{json_number, run_sampled, SampledRun};
 use mobigate_bench::{
     channel_post_us, chaos_server_config, end_to_end_point, obs_chain_pair, pool_checkout_ns,
     reconfig_time, run_breaker_probe, run_chaos, run_memplane_chain, run_overload_burst,
     run_scrape_churn, run_sessions, with_quiet_panics, ChainHarness, ChaosConfig, E2EPoint,
     MemplaneChainConfig, ObsChainConfig, OverloadBurstConfig, SessionsConfig, POOLED_LIBRARY,
 };
+use std::collections::BTreeSet;
+use std::path::PathBuf;
+use std::process::Command;
 use std::time::Duration;
 
 /// A section's name and the function that runs it.
@@ -42,6 +46,7 @@ const SECTIONS: &[Section] = &[
     ("overload", overload),
     ("memplane", memplane),
     ("ablation", ablation),
+    ("roles", roles),
 ];
 
 fn main() {
@@ -1151,6 +1156,146 @@ fn ablation(mode: Mode) {
     println!(
         "channel guard: sync {:.2} µs > async {:.2} µs per message  [ok]",
         sync_us.median, async_us.median
+    );
+    rec.finish();
+}
+
+/// The gatebench manifest, relative to the repository root `repro` runs
+/// from.
+const GATEBENCH_MANIFEST: &str = "gatebench/Cargo.toml";
+
+/// Builds the gatebench binary as `BENCHMARK.json`'s command does and
+/// returns its path.
+fn build_gatebench() -> PathBuf {
+    assert!(
+        std::path::Path::new(GATEBENCH_MANIFEST).exists(),
+        "{GATEBENCH_MANIFEST} not found: run repro from the repository root"
+    );
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let status = Command::new(cargo)
+        .args([
+            "build",
+            "--release",
+            "--offline",
+            "--quiet",
+            "--manifest-path",
+        ])
+        .arg(GATEBENCH_MANIFEST)
+        .status()
+        .expect("run cargo build");
+    assert!(status.success(), "building gatebench failed: {status}");
+    let target = std::env::var_os("CARGO_TARGET_DIR")
+        .map_or_else(|| PathBuf::from("gatebench/target"), PathBuf::from);
+    target.join("release").join("mobigate-gatebench")
+}
+
+/// Per-thread-role cost of the declared benchmark: gatebench runs as a
+/// child process while its threads are sampled from `/proc` every 50 ms.
+/// Each role's CPU time and voluntary and involuntary switches are
+/// divided by the run's `attempted` operations; the whole child's CPU
+/// per operation comes from `cutime`+`cstime`. Asserts that every run
+/// is correct and that the samples cover at least 85% of the child's
+/// CPU time.
+fn roles(mode: Mode) {
+    println!("\n=========== Thread roles: CPU and switches per operation ===========");
+    println!("(gatebench as a child process; /proc/<child>/task/* sampled every 50 ms,");
+    println!(" summed by thread name without its `-<n>`; `main` is gatebench's first thread)");
+    const PERIOD: Duration = Duration::from_millis(50);
+    const MIN_COVERAGE: f64 = 0.85;
+    let all: &[&str] = &["webaccel", "sessions", "churn"];
+    let (workloads, runs, seconds) =
+        mode.pick((all, 3usize, 10usize), (all, 1, 3), (&["sessions"], 1, 1));
+    let mut rec = BenchRecord::new("roles", mode);
+    rec.config("runs", runs)
+        .config("seconds", seconds)
+        .config("trace", 0usize)
+        .config("sample_period_ms", PERIOD.as_millis() as u64);
+    let binary = build_gatebench();
+
+    for &workload in workloads {
+        let mut sampled: Vec<(SampledRun, f64)> = Vec::new();
+        for run in 0..runs {
+            let seed = 1 + run;
+            let mut cmd = Command::new(&binary);
+            cmd.args(["--workload", workload, "--trace", "0"])
+                .args(["--seed", &seed.to_string()])
+                .args(["--seconds", &seconds.to_string()]);
+            let out = run_sampled(cmd, PERIOD)
+                .unwrap_or_else(|e| panic!("gatebench --workload {workload}: {e}"));
+            assert!(
+                out.last_line.contains("\"correct\": true"),
+                "gatebench --workload {workload} --seed {seed} was not correct: {}",
+                out.last_line
+            );
+            let attempted = json_number(&out.last_line, "attempted")
+                .filter(|&n| n > 0.0)
+                .unwrap_or_else(|| panic!("no `attempted` in: {}", out.last_line));
+            assert!(
+                out.coverage() >= MIN_COVERAGE,
+                "{workload} seed {seed}: samples cover {:.1}% of the child's CPU time \
+                 ({:.2} of {:.2} s); at least {:.0}% expected",
+                100.0 * out.coverage(),
+                out.total().cpu_s,
+                out.child_cpu_s,
+                100.0 * MIN_COVERAGE
+            );
+            sampled.push((out, attempted));
+        }
+
+        // One cell per metric: its summary over the runs, each run's value
+        // computed from the run and its `attempted` count.
+        let over_runs = |f: &dyn Fn(&SampledRun, f64) -> f64| {
+            Summary::of(&sampled.iter().map(|(r, n)| f(r, *n)).collect::<Vec<_>>())
+        };
+        // A role missing from a run (no distributor thread started, say)
+        // used nothing in it.
+        let names: BTreeSet<&String> = sampled.iter().flat_map(|(r, _)| r.roles.keys()).collect();
+        for name in names {
+            let role = |r: &SampledRun| r.roles.get(name).copied().unwrap_or_default();
+            rec.push(
+                "roles",
+                Row::new()
+                    .label("workload", workload)
+                    .label("role", name.as_str())
+                    .metric("cpu_us_per_op", over_runs(&|r, n| role(r).cpu_s * 1e6 / n))
+                    .metric(
+                        "voluntary_per_op",
+                        over_runs(&|r, n| role(r).voluntary as f64 / n),
+                    )
+                    .metric(
+                        "involuntary_per_op",
+                        over_runs(&|r, n| role(r).involuntary as f64 / n),
+                    )
+                    .metric("threads", over_runs(&|r, _| role(r).threads as f64)),
+            );
+        }
+        let end_to_end = |key: &str| {
+            over_runs(&|r, _| {
+                json_number(&r.last_line, key)
+                    .unwrap_or_else(|| panic!("no `{key}` in: {}", r.last_line))
+            })
+        };
+        rec.push(
+            "process",
+            Row::new()
+                .label("workload", workload)
+                .metric("cpu_us_per_op", over_runs(&|r, n| r.child_cpu_s * 1e6 / n))
+                .metric("sampled_coverage", over_runs(&|r, _| r.coverage()))
+                .metric(
+                    "voluntary_per_op",
+                    over_runs(&|r, n| r.total().voluntary as f64 / n),
+                )
+                .metric(
+                    "involuntary_per_op",
+                    over_runs(&|r, n| r.total().involuntary as f64 / n),
+                )
+                .metric("latency_p50_ms", end_to_end("latency_p50_ms"))
+                .metric("throughput_mps", end_to_end("throughput_mps")),
+        );
+    }
+    println!(
+        "\ncoverage guard: every run's samples cover >= {:.0}% of its CPU time  [ok]",
+        100.0 * MIN_COVERAGE
     );
     rec.finish();
 }

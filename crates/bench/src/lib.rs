@@ -11,6 +11,7 @@ pub mod obs;
 pub mod overload;
 pub mod reconfig;
 pub mod report;
+pub mod roles;
 pub mod sessions;
 
 pub use ablation::{channel_post_us, pool_checkout_ns, POOLED_LIBRARY};

@@ -31,6 +31,20 @@ fn unknown_section_exits_2_without_a_panic() {
 }
 
 #[test]
+fn roles_is_a_known_section() {
+    let out = repro().arg("fig7_99").output().expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let valid = stderr
+        .split("valid sections:")
+        .nth(1)
+        .unwrap_or_else(|| panic!("lists the valid sections: {stderr}"));
+    assert!(
+        valid.split_whitespace().any(|s| s == "roles"),
+        "`roles` is listed: {stderr}"
+    );
+}
+
+#[test]
 fn reduced_runs_write_no_results() {
     for flag in ["--quick", "--smoke"] {
         let dir = fresh_dir(&flag[2..]);

@@ -1,16 +1,20 @@
 //! The Message Distributor (§3.4.1) and the client facade.
 //!
-//! Each incoming wire frame is parsed as a MIME message, then reverse-
-//! processed: the distributor pops peer identifiers off the
-//! `X-MobiGATE-Peer` stack (most recently applied first) and runs the
-//! matching peer streamlets from the [`ClientStreamletPool`] (§6.5: "once a
-//! message has been processed by all necessary peer streamlets, it is
-//! delivered to the application"). `multipart/mixed` messages are split
-//! and each part reverse-processed and delivered individually.
+//! Each incoming wire frame is parsed once, as a MIME message, on the
+//! thread that submits it. A message with no `X-MobiGATE-Peer` chain and
+//! no multipart body has no peer to find, so that thread delivers it to
+//! the application at once. Any other message goes to a distributor
+//! thread, which reverse-processes it: it pops peer identifiers off the
+//! chain (most recently applied first) and runs the matching peer
+//! streamlets from the [`ClientStreamletPool`] (§6.5: "once a message has
+//! been processed by all necessary peer streamlets, it is delivered to the
+//! application"). `multipart/mixed` messages are split and each part
+//! reverse-processed and delivered individually.
 //!
-//! Threading follows the paper's servlet model: "whenever a new message
-//! arrives, the system tries to find an available Message Distributor
-//! thread … If this fails, the system creates a new thread", up to a cap.
+//! Distributor threads follow the paper's servlet model: "whenever a new
+//! message arrives, the system tries to find an available Message
+//! Distributor thread … If this fails, the system creates a new thread",
+//! up to a cap. None exists until the first message that needs a peer.
 
 use crate::pool::ClientStreamletPool;
 use mobigate_core::sync::{deadline_after, Parker, Wake};
@@ -42,11 +46,11 @@ pub struct ClientStats {
     pub threads: u64,
 }
 
-/// Frames waiting for a distributor thread.
+/// Parsed messages waiting for a distributor thread.
 #[derive(Default)]
 struct Inbox {
-    frames: VecDeque<Vec<u8>>,
-    /// Distributor threads waiting for a frame.
+    msgs: VecDeque<MimeMessage>,
+    /// Distributor threads waiting for a message.
     idle: usize,
     stop: bool,
 }
@@ -85,8 +89,9 @@ pub struct MobiGateClient {
 }
 
 impl MobiGateClient {
-    /// A client with a peer pool and a worker cap. One distributor thread
-    /// is started eagerly; more appear under load.
+    /// A client with a peer pool and a cap on distributor threads. No
+    /// thread is started here: the first message that needs a peer starts
+    /// one, and more appear while none is idle.
     pub fn new(pool: ClientStreamletPool, max_threads: usize) -> Arc<Self> {
         let shared = Arc::new(Shared {
             pool,
@@ -100,14 +105,12 @@ impl MobiGateClient {
             peer_errors: AtomicU64::new(0),
             threads: AtomicU64::new(0),
         });
-        let client = Arc::new(MobiGateClient {
+        Arc::new(MobiGateClient {
             shared,
             max_threads: max_threads.max(1),
             workers: Mutex::new(Vec::new()),
             reporter: Mutex::new(None),
-        });
-        client.spawn_worker();
-        client
+        })
     }
 
     /// The peer pool (to register more peers after construction).
@@ -138,18 +141,46 @@ impl MobiGateClient {
         }
     }
 
-    /// Submits a raw wire frame from the link.
+    /// Submits a raw wire frame from the link. The frame is parsed here;
+    /// one that needs no peer is delivered on the calling thread, and the
+    /// rest are queued for the distributor threads. After
+    /// [`MobiGateClient::shutdown`] nothing is delivered or counted.
     pub fn submit_wire(&self, frame: Vec<u8>) {
-        let none_idle = self.shared.inbox.update(|inbox| {
+        let shared = &*self.shared;
+        let Ok(msg) = MimeMessage::from_wire(&frame) else {
+            shared.outbox.read(|out| {
+                if !out.stop {
+                    shared.received.fetch_add(1, Ordering::Relaxed);
+                    shared.parse_errors.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            return;
+        };
+        // Multipart bodies *without* a peer chain are distributed per part
+        // (§3.4.1 "parse the incoming MIME messages and distribute them");
+        // a multipart with a chain is handled by its peers (e.g. the
+        // disaggregate peer of the aggregate streamlet). A message with
+        // neither goes straight to the application.
+        if msg.headers.get(PEER_CHAIN).is_none() && !msg.has_top_type("multipart") {
+            shared.outbox.update(|out| {
+                if out.stop {
+                    return ((), Wake::None);
+                }
+                shared.received.fetch_add(1, Ordering::Relaxed);
+                push_delivery(shared, out, msg)
+            });
+            return;
+        }
+        let none_idle = shared.inbox.update(|inbox| {
             if inbox.stop {
                 return (false, Wake::None);
             }
-            self.shared.received.fetch_add(1, Ordering::Relaxed);
-            inbox.frames.push_back(frame);
+            shared.received.fetch_add(1, Ordering::Relaxed);
+            inbox.msgs.push_back(msg);
             (inbox.idle == 0, Wake::One)
         });
         // Servlet-style elasticity: grow a worker when none is idle.
-        if none_idle && (self.shared.threads.load(Ordering::Relaxed) as usize) < self.max_threads {
+        if none_idle && (shared.threads.load(Ordering::Relaxed) as usize) < self.max_threads {
             self.spawn_worker();
         }
     }
@@ -182,7 +213,7 @@ impl MobiGateClient {
         }
     }
 
-    /// Stops the distributor threads.
+    /// Stops the distributor threads and ends every wait in `recv`.
     pub fn shutdown(&self) {
         self.shared.inbox.update(|inbox| {
             inbox.stop = true;
@@ -216,36 +247,28 @@ impl Drop for MobiGateClient {
 
 fn distributor_loop(shared: Arc<Shared>) {
     loop {
-        // Idle until it takes a frame, so `submit_wire` grows the pool
+        // Idle until it takes a message, so `submit_wire` grows the pool
         // only when every thread is busy.
         shared.inbox.update(|inbox| {
             inbox.idle += 1;
             ((), Wake::None)
         });
-        let frame = shared.inbox.wait_then(
-            |inbox| inbox.frames.is_empty() && !inbox.stop,
+        let msg = shared.inbox.wait_then(
+            |inbox| inbox.msgs.is_empty() && !inbox.stop,
             None,
             |inbox, _| {
                 inbox.idle -= 1;
-                let frame = inbox.frames.pop_front().filter(|_| !inbox.stop);
-                (frame, Wake::None)
+                let msg = inbox.msgs.pop_front().filter(|_| !inbox.stop);
+                (msg, Wake::None)
             },
         );
-        let Some(frame) = frame else { return };
+        let Some(msg) = msg else { return };
 
-        let Ok(msg) = MimeMessage::from_wire(&frame) else {
-            shared.parse_errors.fetch_add(1, Ordering::Relaxed);
-            continue;
-        };
-
-        // Multipart bodies *without* a peer chain are distributed per part
-        // (§3.4.1 "parse the incoming MIME messages and distribute them");
-        // a multipart with a chain is handled by its peers (e.g. the
-        // disaggregate peer of the aggregate streamlet). A frame with
-        // neither goes straight to the application.
+        // `submit_wire` queues only messages with a peer chain or a
+        // multipart body.
         let parts = if msg.headers.get(PEER_CHAIN).is_some() {
             vec![msg]
-        } else if msg.has_top_type("multipart") {
+        } else {
             match multipart::split(&msg) {
                 Ok(parts) => parts,
                 Err(_) => {
@@ -253,9 +276,6 @@ fn distributor_loop(shared: Arc<Shared>) {
                     continue;
                 }
             }
-        } else {
-            deliver(&shared, msg);
-            continue;
         };
 
         for part in parts {
@@ -268,11 +288,14 @@ fn distributor_loop(shared: Arc<Shared>) {
 
 /// Hands a fully reverse-processed message to the application.
 fn deliver(shared: &Shared, msg: MimeMessage) {
+    shared.outbox.update(|out| push_delivery(shared, out, msg));
+}
+
+/// Queues `msg` for [`MobiGateClient::recv`], under the outbox lock.
+fn push_delivery(shared: &Shared, out: &mut Outbox, msg: MimeMessage) -> ((), Wake) {
     shared.delivered.fetch_add(1, Ordering::Relaxed);
-    shared.outbox.update(|out| {
-        out.msgs.push_back(msg);
-        ((), Wake::All)
-    });
+    out.msgs.push_back(msg);
+    ((), Wake::All)
 }
 
 /// Pops the peer chain and applies each peer streamlet (most recent
@@ -430,12 +453,77 @@ mod tests {
         assert_eq!(c.stats().delivered, 0);
     }
 
+    /// Parsing happens inside `submit_wire`, so the counters are final
+    /// when it returns.
     #[test]
     fn parse_errors_counted() {
         let c = client();
         c.submit_wire(b"complete garbage, no header separator".to_vec());
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(c.stats().parse_errors, 1);
+        let stats = c.stats();
+        assert_eq!((stats.received, stats.parse_errors), (1, 1));
+        assert_eq!(stats.delivered, 0);
+    }
+
+    /// Frames with nothing to reverse are delivered by the submitting
+    /// thread, in submit order, and start no distributor thread.
+    #[test]
+    fn plain_frames_are_delivered_in_order_without_a_distributor() {
+        let c = client();
+        for i in 0..1000 {
+            c.submit(&MimeMessage::text(format!("m{i}")));
+        }
+        for i in 0..1000 {
+            let out = c.recv(Duration::from_secs(2)).expect("delivered");
+            assert_eq!(out.body.to_vec(), format!("m{i}").into_bytes());
+        }
+        let stats = c.stats();
+        assert_eq!((stats.received, stats.delivered), (1000, 1000));
+        assert_eq!(stats.threads, 0);
+    }
+
+    /// Records the name of the thread that runs it, then passes the
+    /// message on unchanged.
+    struct NameThread(Arc<Mutex<Vec<Option<String>>>>);
+    impl StreamletLogic for NameThread {
+        fn process(&mut self, m: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
+            let name = std::thread::current().name().map(str::to_string);
+            self.0.lock().push(name);
+            ctx.emit("po", m);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn peer_frames_are_reversed_on_a_distributor_thread() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let pool = ClientStreamletPool::new();
+        let seen2 = seen.clone();
+        pool.register_peer("name", move || Box::new(NameThread(seen2.clone())));
+        let c = MobiGateClient::new(pool, 2);
+        assert_eq!(c.stats().threads, 0, "no thread before a peer frame");
+        let mut msg = MimeMessage::text("x");
+        msg.push_peer("name");
+        c.submit(&msg);
+        let out = c.recv(Duration::from_secs(2)).expect("delivered");
+        assert_eq!(&out.body[..], b"x");
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 1);
+        let name = seen[0].as_deref().unwrap_or("");
+        assert!(name.starts_with("mg-distributor-"), "ran on `{name}`");
+        assert_eq!(c.stats().threads, 1);
+    }
+
+    #[test]
+    fn submissions_after_shutdown_are_neither_delivered_nor_counted() {
+        let c = client();
+        c.shutdown();
+        let mut peer = MimeMessage::text("cba");
+        peer.push_peer("rev");
+        c.submit(&MimeMessage::text("plain"));
+        c.submit(&peer);
+        c.submit_wire(b"garbage".to_vec());
+        assert!(c.recv(Duration::from_millis(50)).is_none());
+        assert_eq!(c.stats(), ClientStats::default());
     }
 
     #[test]
