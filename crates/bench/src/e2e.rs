@@ -15,7 +15,7 @@
 
 use mobigate::core::events::ContextEvent;
 use mobigate::core::EventKind;
-use mobigate::netsim::{LinkConfig, WirelessLink};
+use mobigate::netsim::{LinkConfig, LinkEvent, WirelessLink};
 use mobigate::streamlets::workload::MessageMix;
 use mobigate::testbed::{Testbed, TestbedConfig, WEB_ACCELERATOR};
 use std::time::{Duration, Instant};
@@ -76,12 +76,15 @@ pub fn end_to_end_point(
         let stream = tb
             .deploy_with_defs(WEB_ACCELERATOR)
             .expect("deploy accelerator");
-        if bandwidth_bps < LOW_BANDWIDTH_THRESHOLD {
-            // The context monitor would raise this; the harness sets the
-            // condition up front for a steady-state measurement.
-            tb.server()
-                .raise_event(&ContextEvent::broadcast(EventKind::LowBandwidth));
-        }
+        // The link's watch raises LOW_BANDWIDTH; a link that starts below
+        // the threshold raises it here, before the measurement starts.
+        let coordination = tb.server().coordination().clone();
+        let low = LOW_BANDWIDTH_THRESHOLD;
+        tb.link().watch(low, low, move |e| {
+            if let LinkEvent::BandwidthLow(_) = e {
+                coordination.raise(&ContextEvent::broadcast(EventKind::LowBandwidth));
+            }
+        });
         let t0 = Instant::now();
         for m in messages {
             stream.post_input(m).expect("post");

@@ -12,21 +12,23 @@
 //!   quickly while preserving every ordering (DESIGN.md §3);
 //! * [`link::LinkStats`] — delivery/drop/byte accounting for throughput
 //!   computation;
-//! * [`schedule::BandwidthSchedule`] — time-varying bandwidth for the §7.5
+//! * [`WirelessLink::watch`] — one threshold watch per link, whose
+//!   callback [`WirelessLink::set_bandwidth`] itself raises on a crossing
+//!   ([`monitor::LinkEvent`]): the substrate behind the Event Manager's
+//!   LOW_BANDWIDTH / HIGH_BANDWIDTH context events, as in the §7.5
 //!   scenario where the link degrades below 100 Kb/s mid-run;
-//! * [`monitor::LinkMonitor`] — watches the link and fires
-//!   threshold-crossing callbacks, the substrate behind the Event Manager's
-//!   LOW_BANDWIDTH / HIGH_BANDWIDTH context events;
 //! * [`snoop::SnoopLink`] — the §2.1.2 snoop protocol: base-station frame
 //!   caching + local retransmission over the lossy hop, turning the raw
 //!   link into an in-order, loss-free one.
+//!
+//! Nothing here starts a thread or sleeps on a timer: the endpoints settle
+//! the link and the snoop agent by absolute deadlines, and a waiting
+//! receiver sleeps until its next delivery, timeout or deadline.
 
 pub mod link;
 pub mod monitor;
-pub mod schedule;
 pub mod snoop;
 
 pub use link::{LinkConfig, LinkReceiver, LinkSender, LinkStats, WirelessLink};
-pub use monitor::{LinkEvent, LinkMonitor};
-pub use schedule::BandwidthSchedule;
+pub use monitor::LinkEvent;
 pub use snoop::{SnoopConfig, SnoopLink, SnoopReceiver, SnoopSender, SnoopStats};

@@ -16,6 +16,7 @@
 //! and a late wake-up never shifts the schedule: sleep overshoot delays
 //! when a receiver *notices* a frame, never when the next one departs.
 
+use crate::monitor::{LinkEvent, Watch};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -203,6 +204,9 @@ impl Shared {
 /// sender/receiver endpoints.
 pub struct WirelessLink {
     shared: Arc<Shared>,
+    /// The link's one threshold watch. `set_bandwidth` holds this lock
+    /// throughout, so crossings are observed in the order they happen.
+    watch: Mutex<Option<Watch>>,
 }
 
 /// Sending endpoint (server side of the air gap).
@@ -239,6 +243,7 @@ impl WirelessLink {
         (
             WirelessLink {
                 shared: shared.clone(),
+                watch: Mutex::new(None),
             },
             LinkSender {
                 shared: shared.clone(),
@@ -249,24 +254,35 @@ impl WirelessLink {
 
     /// Changes the link bandwidth on the fly (vertical handoff, fading…).
     /// Frames already transmitting keep their rate; the new one applies
-    /// from the next transmission start.
+    /// from the next transmission start. A threshold crossing raises the
+    /// watch's event on this thread, once the channel is unlocked.
     pub fn set_bandwidth(&self, bps: u64) {
+        let mut watch = self.watch.lock();
         self.shared.settled().bandwidth_bps = bps;
         // A receiver asleep until the queue head's predicted delivery
         // must recompute it at the new rate.
         self.shared.delivered_cv.notify_all();
+        if let Some(w) = watch.as_mut() {
+            w.observe(bps);
+        }
+    }
+
+    /// Watches the bandwidth with the hysteresis band `low..=high`,
+    /// replacing any earlier watch: `callback` gets
+    /// [`LinkEvent::BandwidthLow`] when the bandwidth falls below `low`,
+    /// and [`LinkEvent::BandwidthHigh`] only once it has since risen above
+    /// `high` (and so on). A link already below `low` fires at once. The
+    /// callback runs on the thread that changed the bandwidth, and must
+    /// not change this link's bandwidth or watch itself.
+    pub fn watch(&self, low: u64, high: u64, callback: impl FnMut(LinkEvent) + Send + 'static) {
+        let mut watch = self.watch.lock();
+        let w = watch.insert(Watch::new(low, high, Box::new(callback)));
+        w.observe(self.bandwidth());
     }
 
     /// Current bandwidth.
     pub fn bandwidth(&self) -> u64 {
         self.shared.channel.lock().bandwidth_bps
-    }
-
-    /// A detached probe reading the current bandwidth (used by monitors
-    /// that must not borrow the link).
-    pub fn bandwidth_probe(&self) -> impl Fn() -> u64 + Send + Sync + 'static {
-        let shared = self.shared.clone();
-        move || shared.channel.lock().bandwidth_bps
     }
 
     /// Statistics snapshot. A frame counts as delivered once its delivery
@@ -358,6 +374,17 @@ impl LinkReceiver {
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Vec<u8>> {
         self.shared.settled().delivered.pop_front()
+    }
+
+    /// When the next frame can be received: now if one already can,
+    /// `None` with nothing on the way.
+    pub fn next_delivery(&self) -> Option<Instant> {
+        let ch = self.shared.settled();
+        if ch.delivered.is_empty() {
+            ch.next_delivery(&self.shared)
+        } else {
+            Some(Instant::now())
+        }
     }
 }
 

@@ -14,15 +14,19 @@
 //! the application sees an in-order, loss-free stream as long as the retry
 //! budget suffices.
 //!
+//! Like the link, the agent has no thread. Every endpoint call settles
+//! both sides up to now: landed frames are acked and reordered, landed
+//! acks clear the cache, and each cached frame whose timeout has come due
+//! is retransmitted or abandoned. A waiting receiver sleeps until the next
+//! landing, the next timeout or its deadline, whichever comes first.
+//!
 //! Frame format on the wire: `"SNP1" | seq: u64 LE | payload…`; acks on the
 //! reverse link are `"SNPA" | seq: u64 LE`.
 
 use crate::link::{LinkConfig, LinkReceiver, LinkSender, WirelessLink};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const DATA_MAGIC: &[u8; 4] = b"SNP1";
@@ -68,48 +72,53 @@ struct Pending {
     last_tx: Instant,
 }
 
-struct AgentShared {
-    tx: LinkSender,
-    cache: Mutex<HashMap<u64, Pending>>,
-    stop: AtomicBool,
-    sent: AtomicU64,
-    acked: AtomicU64,
-    retransmissions: AtomicU64,
-    gave_up: AtomicU64,
-    cfg: SnoopConfig,
+/// Both sides of the hop, settled together under one lock.
+struct Agent {
+    fwd_tx: LinkSender,
+    fwd_rx: LinkReceiver,
+    ack_tx: LinkSender,
+    ack_rx: LinkReceiver,
+    state: Mutex<State>,
+    /// Receivers wait here; a send, a landing and shutdown wake them.
+    wake: Condvar,
+    rto: Duration,
+    max_attempts: u32,
+}
+
+struct State {
+    next_seq: u64,
+    /// The base station's cache: frames not yet acknowledged.
+    cache: BTreeMap<u64, Pending>,
+    /// The mobile side: the next sequence number owed to the
+    /// application, frames that arrived ahead of it, and in-order output.
+    next_deliver: u64,
+    out_of_order: BTreeMap<u64, Vec<u8>>,
+    ready: VecDeque<Vec<u8>>,
+    stats: SnoopStats,
+    down: bool,
 }
 
 /// The reliable-link pair: a sending agent and a reordering receiver.
 pub struct SnoopLink {
     forward: WirelessLink,
-    _reverse: WirelessLink,
-    shared: Arc<AgentShared>,
-    threads: Vec<JoinHandle<()>>,
+    reverse: WirelessLink,
+    agent: Arc<Agent>,
 }
 
 /// Application-facing sender (base-station side).
 #[derive(Clone)]
 pub struct SnoopSender {
-    shared: Arc<AgentShared>,
-    next_seq: Arc<AtomicU64>,
+    agent: Arc<Agent>,
 }
 
 /// Application-facing receiver (mobile side): in-order, duplicate-free.
 pub struct SnoopReceiver {
-    ordered: Arc<(Mutex<ReceiverState>, Condvar)>,
-}
-
-struct ReceiverState {
-    next_deliver: u64,
-    out_of_order: BTreeMap<u64, Vec<u8>>,
-    ready: Vec<Vec<u8>>,
-    stopped: bool,
+    agent: Arc<Agent>,
 }
 
 impl SnoopLink {
-    /// Spawns the forward lossy link, a (lossless, fast) reverse ack
-    /// channel, the agent's retransmit timer, and the mobile-side
-    /// reassembly worker.
+    /// Builds the forward lossy link and a (lossless, fast) reverse ack
+    /// channel. No thread is started: the endpoints run the agent.
     pub fn spawn(cfg: SnoopConfig) -> (SnoopLink, SnoopSender, SnoopReceiver) {
         let (forward, fwd_tx, fwd_rx) = WirelessLink::spawn(cfg.link.clone());
         // The ack path: small frames, assumed reliable (acks lost on a real
@@ -124,74 +133,34 @@ impl SnoopLink {
             seed: cfg.link.seed ^ 0xACED,
             queue_limit: usize::MAX,
         });
-
-        let shared = Arc::new(AgentShared {
-            tx: fwd_tx,
-            cache: Mutex::new(HashMap::new()),
-            stop: AtomicBool::new(false),
-            sent: AtomicU64::new(0),
-            acked: AtomicU64::new(0),
-            retransmissions: AtomicU64::new(0),
-            gave_up: AtomicU64::new(0),
-            cfg: cfg.clone(),
-        });
-
-        let ordered = Arc::new((
-            Mutex::new(ReceiverState {
+        let agent = Arc::new(Agent {
+            fwd_tx,
+            fwd_rx,
+            ack_tx,
+            ack_rx,
+            state: Mutex::new(State {
+                next_seq: 0,
+                cache: BTreeMap::new(),
                 next_deliver: 0,
                 out_of_order: BTreeMap::new(),
-                ready: Vec::new(),
-                stopped: false,
+                ready: VecDeque::new(),
+                stats: SnoopStats::default(),
+                down: false,
             }),
-            Condvar::new(),
-        ));
-
-        let mut threads = Vec::new();
-
-        // Mobile side: receive data frames, ack them, reorder, deliver.
-        {
-            let ordered = ordered.clone();
-            let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("snoop-mobile".into())
-                    .spawn(move || mobile_worker(fwd_rx, ack_tx, ordered, shared))
-                    .expect("spawn snoop mobile"),
-            );
-        }
-        // Base station: consume acks, clear the cache.
-        {
-            let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("snoop-ack".into())
-                    .spawn(move || ack_worker(ack_rx, shared))
-                    .expect("spawn snoop ack"),
-            );
-        }
-        // Base station: retransmit timer.
-        {
-            let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("snoop-rto".into())
-                    .spawn(move || rto_worker(shared))
-                    .expect("spawn snoop rto"),
-            );
-        }
-
+            wake: Condvar::new(),
+            rto: cfg.rto,
+            max_attempts: cfg.max_attempts,
+        });
         (
             SnoopLink {
                 forward,
-                _reverse: reverse,
-                shared: shared.clone(),
-                threads,
+                reverse,
+                agent: agent.clone(),
             },
             SnoopSender {
-                shared,
-                next_seq: Arc::new(AtomicU64::new(0)),
+                agent: agent.clone(),
             },
-            SnoopReceiver { ordered },
+            SnoopReceiver { agent },
         )
     }
 
@@ -200,24 +169,20 @@ impl SnoopLink {
         &self.forward
     }
 
-    /// Agent statistics.
+    /// Agent statistics, settled up to now.
     pub fn stats(&self) -> SnoopStats {
-        SnoopStats {
-            sent: self.shared.sent.load(Ordering::Relaxed),
-            acked: self.shared.acked.load(Ordering::Relaxed),
-            retransmissions: self.shared.retransmissions.load(Ordering::Relaxed),
-            gave_up: self.shared.gave_up.load(Ordering::Relaxed),
-        }
+        let mut st = self.agent.state.lock();
+        self.agent.settle(&mut st, Instant::now());
+        st.stats
     }
 
-    /// Stops every worker.
+    /// Takes both links down and wakes waiting receivers, which return
+    /// what is already in order and then `None`.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
         self.forward.shutdown();
-        self._reverse.shutdown();
-        for h in self.threads.drain(..) {
-            let _ = h.join();
-        }
+        self.reverse.shutdown();
+        self.agent.state.lock().down = true;
+        self.agent.wake.notify_all();
     }
 }
 
@@ -230,152 +195,120 @@ impl Drop for SnoopLink {
 impl SnoopSender {
     /// Sends a payload reliably. Returns the assigned sequence number.
     pub fn send(&self, payload: Vec<u8>) -> u64 {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let frame = encode_data(seq, &payload);
-        self.shared.cache.lock().insert(
-            seq,
-            Pending {
-                payload,
-                attempts: 1,
-                last_tx: Instant::now(),
-            },
-        );
-        self.shared.sent.fetch_add(1, Ordering::Relaxed);
-        self.shared.tx.send(frame);
+        let agent = &*self.agent;
+        let mut st = agent.state.lock();
+        let now = Instant::now();
+        agent.settle(&mut st, now);
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        agent.fwd_tx.send(encode(DATA_MAGIC, seq, &payload));
+        let pending = Pending {
+            payload,
+            attempts: 1,
+            last_tx: now,
+        };
+        st.cache.insert(seq, pending);
+        st.stats.sent += 1;
+        drop(st);
+        // This frame may be a receiver's next landing and next timeout.
+        agent.wake.notify_all();
         seq
     }
 }
 
 impl SnoopReceiver {
-    /// Receives the next in-order payload, waiting up to `timeout`.
+    /// Receives the next in-order payload, waiting up to `timeout` (wall
+    /// time; a timeout too long to represent as an instant waits with no
+    /// deadline). `None` on timeout, or after shutdown once nothing in
+    /// order is left.
     pub fn recv(&self, timeout: Duration) -> Option<Vec<u8>> {
-        let deadline = Instant::now() + timeout;
-        let (lock, cv) = &*self.ordered;
-        let mut st = lock.lock();
+        let deadline = Instant::now().checked_add(timeout);
+        let agent = &*self.agent;
+        let mut st = agent.state.lock();
         loop {
-            if !st.ready.is_empty() {
-                return Some(st.ready.remove(0));
+            let now = Instant::now();
+            let next_rto = agent.settle(&mut st, now);
+            if let Some(payload) = st.ready.pop_front() {
+                return Some(payload);
             }
-            if st.stopped {
+            if st.down || deadline.is_some_and(|d| now >= d) {
                 return None;
             }
-            if cv.wait_until(&mut st, deadline).timed_out() {
-                return if st.ready.is_empty() {
-                    None
-                } else {
-                    Some(st.ready.remove(0))
-                };
+            let until = [agent.fwd_rx.next_delivery(), next_rto, deadline];
+            match until.into_iter().flatten().min() {
+                Some(until) => {
+                    agent.wake.wait_until(&mut st, until);
+                }
+                None => agent.wake.wait(&mut st),
             }
         }
     }
 }
 
-fn encode_data(seq: u64, payload: &[u8]) -> Vec<u8> {
+impl Agent {
+    /// Moves both sides of the hop to `now`. Returns when the earliest
+    /// cached frame's timeout comes due, `None` with an empty cache.
+    fn settle(&self, st: &mut State, now: Instant) -> Option<Instant> {
+        // Mobile side: ack every landed frame, duplicates included (the
+        // earlier ack or the original may still be in flight), and reorder
+        // what is not yet delivered.
+        while let Some(frame) = self.fwd_rx.try_recv() {
+            let Some((seq, payload)) = decode(DATA_MAGIC, &frame) else {
+                continue;
+            };
+            self.ack_tx.send(encode(ACK_MAGIC, seq, &[]));
+            if seq >= st.next_deliver {
+                st.out_of_order.insert(seq, payload.to_vec());
+            }
+        }
+        while let Some(payload) = st.out_of_order.remove(&st.next_deliver) {
+            st.ready.push_back(payload);
+            st.next_deliver += 1;
+        }
+        if !st.ready.is_empty() {
+            self.wake.notify_all();
+        }
+        // Base station: acknowledged frames leave the cache.
+        while let Some(ack) = self.ack_rx.try_recv() {
+            let acked = decode(ACK_MAGIC, &ack).and_then(|(seq, _)| st.cache.remove(&seq));
+            st.stats.acked += u64::from(acked.is_some());
+        }
+        // Retransmit what has come due, or abandon it past the budget.
+        let State { cache, stats, .. } = st;
+        let mut next = None;
+        cache.retain(|&seq, p| {
+            if now >= p.last_tx + self.rto {
+                if p.attempts >= self.max_attempts {
+                    stats.gave_up += 1;
+                    return false;
+                }
+                p.attempts += 1;
+                p.last_tx = now;
+                stats.retransmissions += 1;
+                self.fwd_tx.send(encode(DATA_MAGIC, seq, &p.payload));
+            }
+            let due = p.last_tx + self.rto;
+            next = Some(next.map_or(due, |n: Instant| n.min(due)));
+            true
+        });
+        next
+    }
+}
+
+fn encode(magic: &[u8; 4], seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut f = Vec::with_capacity(12 + payload.len());
-    f.extend_from_slice(DATA_MAGIC);
+    f.extend_from_slice(magic);
     f.extend_from_slice(&seq.to_le_bytes());
     f.extend_from_slice(payload);
     f
 }
 
-fn decode_data(frame: &[u8]) -> Option<(u64, &[u8])> {
-    if frame.len() < 12 || &frame[..4] != DATA_MAGIC {
+fn decode<'a>(magic: &[u8; 4], frame: &'a [u8]) -> Option<(u64, &'a [u8])> {
+    if frame.len() < 12 || &frame[..4] != magic {
         return None;
     }
     let seq = u64::from_le_bytes(frame[4..12].try_into().ok()?);
     Some((seq, &frame[12..]))
-}
-
-fn mobile_worker(
-    rx: LinkReceiver,
-    ack_tx: LinkSender,
-    ordered: Arc<(Mutex<ReceiverState>, Condvar)>,
-    shared: Arc<AgentShared>,
-) {
-    while !shared.stop.load(Ordering::Acquire) {
-        let Some(frame) = rx.recv(Duration::from_millis(20)) else {
-            continue;
-        };
-        let Some((seq, payload)) = decode_data(&frame) else {
-            continue;
-        };
-        // Ack everything, including duplicates (the earlier ack or the
-        // original may still be in flight).
-        let mut ack = Vec::with_capacity(12);
-        ack.extend_from_slice(ACK_MAGIC);
-        ack.extend_from_slice(&seq.to_le_bytes());
-        ack_tx.send(ack);
-
-        let (lock, cv) = &*ordered;
-        let mut st = lock.lock();
-        if seq < st.next_deliver || st.out_of_order.contains_key(&seq) {
-            continue; // duplicate
-        }
-        st.out_of_order.insert(seq, payload.to_vec());
-        while let Some(p) = {
-            let key = st.next_deliver;
-            st.out_of_order.remove(&key)
-        } {
-            st.ready.push(p);
-            st.next_deliver += 1;
-        }
-        if !st.ready.is_empty() {
-            cv.notify_all();
-        }
-    }
-    let (lock, cv) = &*ordered;
-    lock.lock().stopped = true;
-    cv.notify_all();
-}
-
-fn ack_worker(ack_rx: LinkReceiver, shared: Arc<AgentShared>) {
-    while !shared.stop.load(Ordering::Acquire) {
-        let Some(frame) = ack_rx.recv(Duration::from_millis(20)) else {
-            continue;
-        };
-        if frame.len() != 12 || &frame[..4] != ACK_MAGIC {
-            continue;
-        }
-        let Ok(bytes) = frame[4..12].try_into() else {
-            continue;
-        };
-        let seq = u64::from_le_bytes(bytes);
-        if shared.cache.lock().remove(&seq).is_some() {
-            shared.acked.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-fn rto_worker(shared: Arc<AgentShared>) {
-    while !shared.stop.load(Ordering::Acquire) {
-        std::thread::sleep(shared.cfg.rto / 4);
-        let now = Instant::now();
-        let mut retransmit = Vec::new();
-        {
-            let mut cache = shared.cache.lock();
-            let mut expired = Vec::new();
-            for (&seq, pending) in cache.iter_mut() {
-                if now.duration_since(pending.last_tx) < shared.cfg.rto {
-                    continue;
-                }
-                if pending.attempts >= shared.cfg.max_attempts {
-                    expired.push(seq);
-                    continue;
-                }
-                pending.attempts += 1;
-                pending.last_tx = now;
-                retransmit.push(encode_data(seq, &pending.payload));
-            }
-            for seq in expired {
-                cache.remove(&seq);
-                shared.gave_up.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        for frame in retransmit {
-            shared.retransmissions.fetch_add(1, Ordering::Relaxed);
-            shared.tx.send(frame);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -514,5 +447,64 @@ mod tests {
         }
         assert_eq!(snoop_got, n, "snoop recovers everything");
         snoop.shutdown();
+    }
+
+    #[test]
+    fn recv_without_deadline_waits_for_a_frame_then_for_shutdown() {
+        let (mut link, tx, rx) = SnoopLink::spawn(SnoopConfig {
+            link: fast_link(0.0, 5),
+            ..Default::default()
+        });
+        let (got_tx, got_rx) = std::sync::mpsc::channel();
+        let receiver = std::thread::spawn(move || {
+            got_tx.send(rx.recv(Duration::MAX)).unwrap();
+            rx.recv(Duration::MAX)
+        });
+        tx.send(vec![9]);
+        assert_eq!(got_rx.recv().unwrap(), Some(vec![9]));
+        link.shutdown();
+        assert_eq!(receiver.join().unwrap(), None);
+    }
+
+    #[test]
+    fn a_frame_lost_while_the_receiver_waits_is_retransmitted_by_its_wait() {
+        // Seed 12 loses the first copy at 50% loss, and nobody sends after
+        // it: only the waiting receiver's timeout can retransmit it.
+        let (mut link, tx, rx) = SnoopLink::spawn(SnoopConfig {
+            link: fast_link(0.5, 12),
+            rto: Duration::from_millis(5),
+            max_attempts: 32,
+        });
+        let receiver = std::thread::spawn(move || rx.recv(Duration::MAX));
+        std::thread::sleep(Duration::from_millis(10));
+        tx.send(vec![1; 16]);
+        assert_eq!(receiver.join().unwrap(), Some(vec![1; 16]));
+        let stats = link.stats();
+        assert!(stats.retransmissions >= 1, "the first copy was lost");
+        assert_eq!(stats.gave_up, 0);
+        link.shutdown();
+    }
+
+    #[test]
+    fn frames_are_acked_while_the_application_does_not_receive() {
+        // With no thread on the mobile side, a frame is acked only when a
+        // settle sees it. The sender's own settles must ack what landed,
+        // or every frame would exhaust its retry budget here.
+        let (mut link, tx, rx) = SnoopLink::spawn(SnoopConfig {
+            link: fast_link(0.0, 13),
+            rto: Duration::from_millis(2),
+            max_attempts: 3,
+        });
+        for i in 0..40u8 {
+            tx.send(vec![i; 8]);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for i in 0..40u8 {
+            assert_eq!(rx.recv(Duration::from_secs(5)), Some(vec![i; 8]));
+        }
+        let stats = link.stats();
+        assert_eq!(stats.sent, 40);
+        assert_eq!(stats.gave_up, 0);
+        link.shutdown();
     }
 }

@@ -13,7 +13,6 @@ use mobigate::netsim::snoop::{SnoopConfig, SnoopLink, SnoopSender};
 use mobigate::netsim::{LinkConfig, WirelessLink};
 use mobigate::streamlets::comm::{Communicator, Transport};
 use mobigate::streamlets::compress::{TextDecompress, DECOMPRESS_PEER};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -88,17 +87,15 @@ fn drive(stream: &mobigate::core::RunningStream, client: &MobiGateClient) -> usi
 
 fn main() {
     // --- raw lossy link -------------------------------------------------
-    let (raw_link, raw_tx, raw_rx) = WirelessLink::spawn(hostile());
+    let (mut raw_link, raw_tx, raw_rx) = WirelessLink::spawn(hostile());
     let (gate, stream) = server_with(Arc::new(RawTransport(raw_tx)));
     let c = client();
-    let stop = Arc::new(AtomicBool::new(false));
+    // Each pump blocks until a frame lands and ends when its link goes down.
     let pump = {
-        let (c, stop) = (c.clone(), stop.clone());
+        let c = c.clone();
         std::thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                if let Some(f) = raw_rx.recv(Duration::from_millis(20)) {
-                    c.submit_wire(f);
-                }
+            while let Some(f) = raw_rx.recv(Duration::MAX) {
+                c.submit_wire(f);
             }
         })
     };
@@ -108,7 +105,7 @@ fn main() {
         N - got
     );
     println!("  link stats: {:?}", raw_link.stats());
-    stop.store(true, Ordering::Release);
+    raw_link.shutdown();
     pump.join().unwrap();
     stream.shutdown();
     drop(gate);
@@ -122,14 +119,11 @@ fn main() {
     });
     let (gate, stream) = server_with(Arc::new(SnoopTransport(snoop_tx)));
     let c = client();
-    let stop = Arc::new(AtomicBool::new(false));
     let pump = {
-        let (c, stop) = (c.clone(), stop.clone());
+        let c = c.clone();
         std::thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                if let Some(f) = snoop_rx.recv(Duration::from_millis(20)) {
-                    c.submit_wire(f);
-                }
+            while let Some(f) = snoop_rx.recv(Duration::MAX) {
+                c.submit_wire(f);
             }
         })
     };
@@ -141,10 +135,9 @@ fn main() {
         stats.sent, stats.acked, stats.retransmissions, stats.gave_up
     );
     println!("  raw hop underneath: {:?}", snoop.forward_link().stats());
-    stop.store(true, Ordering::Release);
+    snoop.shutdown();
     pump.join().unwrap();
     stream.shutdown();
     drop(gate);
     c.shutdown();
-    snoop.shutdown();
 }

@@ -9,10 +9,9 @@
 
 use mobigate::core::events::ContextEvent;
 use mobigate::core::EventKind;
-use mobigate::netsim::{LinkConfig, LinkEvent, LinkMonitor};
+use mobigate::netsim::{LinkConfig, LinkEvent};
 use mobigate::streamlets::workload::MessageMix;
 use mobigate::testbed::{Testbed, TestbedConfig, WEB_ACCELERATOR};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -35,18 +34,18 @@ fn main() {
         stream.instance_names()
     );
 
-    // Wire the link monitor to the Event Manager: bandwidth crossings
-    // become LOW_BANDWIDTH / HIGH_BANDWIDTH context events (§6.4).
-    let (event_tx, event_rx) = mpsc::channel::<LinkEvent>();
-    let _monitor = LinkMonitor::watch(
-        testbed.link(),
-        100_000,
-        150_000,
-        Duration::from_millis(5),
-        move |e| {
-            let _ = event_tx.send(e);
-        },
-    );
+    // Wire the link's watch to the Event Manager: bandwidth crossings
+    // become LOW_BANDWIDTH / HIGH_BANDWIDTH context events (§6.4), raised
+    // inside the `set_bandwidth` call that crosses.
+    let coordination = testbed.server().coordination().clone();
+    testbed.link().watch(100_000, 150_000, move |e| {
+        let kind = match e {
+            LinkEvent::BandwidthLow(_) => EventKind::LowBandwidth,
+            LinkEvent::BandwidthHigh(_) => EventKind::HighBandwidth,
+        };
+        let delivered = coordination.raise(&ContextEvent::broadcast(kind));
+        println!("link: {e:?} → {kind:?} delivered to {delivered} stream(s)");
+    });
 
     let run_phase = |label: &str, n: usize| {
         let mut mix = MessageMix::new(7, 30, 64, 8 * 1024);
@@ -80,18 +79,8 @@ fn main() {
     run_phase("normal", 30);
 
     println!("\n--- phase 2: link degrades to 60 Kb/s ---");
+    // The watch raises LOW_BANDWIDTH before this call returns.
     testbed.link().set_bandwidth(60_000);
-    // The monitor notices and we translate to a MobiGATE event.
-    match event_rx.recv_timeout(Duration::from_secs(1)) {
-        Ok(LinkEvent::BandwidthLow(bw)) => {
-            println!("monitor: bandwidth low ({bw} b/s) → raising LOW_BANDWIDTH");
-            let delivered = testbed
-                .server()
-                .raise_event(&ContextEvent::broadcast(EventKind::LowBandwidth));
-            println!("event delivered to {delivered} stream(s)");
-        }
-        other => println!("unexpected monitor outcome: {other:?}"),
-    }
     if let Some(stats) = stream.last_reconfig() {
         println!(
             "reconfiguration: total {:?} = suspend {:?} + channels {:?} ({} ops) + activate {:?}",

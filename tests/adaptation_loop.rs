@@ -1,14 +1,18 @@
-//! The full adaptation loop: client context reports travel back to the
-//! gateway, become Event Manager events, and reconfigure the stream —
-//! plus aggregation/disaggregation across the link.
+//! The full adaptation loop: client context reports and the link's own
+//! bandwidth changes become Event Manager events and reconfigure the
+//! stream — plus aggregation/disaggregation across the link.
 
-use mobigate::core::EventKind;
+use mobigate::core::events::ContextEvent;
+use mobigate::core::{EventKind, ExecutorConfig, RunningStream};
 use mobigate::mime::MimeMessage;
+use mobigate::netsim::{LinkConfig, LinkEvent};
 use mobigate::streamlets::codec::raster::Image;
 use mobigate::streamlets::workload;
-use mobigate::testbed::{Testbed, TestbedConfig};
+use mobigate::testbed::{Testbed, TestbedConfig, WEB_ACCELERATOR};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Duration;
 
 #[test]
@@ -49,17 +53,11 @@ fn client_report_drives_gateway_reconfiguration() {
     let (img, _, _) = Image::decode(&before.body).unwrap();
     assert_eq!(img.channels, 3);
 
-    // The mobile device reports its shallow display.
+    // The mobile device reports its shallow display. The uplink runs the
+    // event through the Event Manager on this thread, so the splice has
+    // landed when the report returns.
     assert!(tb.client().report_context(EventKind::LowGrays));
-    // Wait for the reconfiguration to land (the uplink is synchronous in
-    // the testbed, but give the splice a moment).
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while !stream.instance_names().contains(&"gray".to_string())
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(stream.instance_names().contains(&"gray".to_string()));
+    assert!(stream.connections().iter().any(|c| c.from.0 == "gray"));
 
     // After the report: images arrive as 16-level grayscale.
     stream
@@ -154,4 +152,74 @@ fn aggregate_then_compress_chains_reverse_fully() {
     assert_eq!(stats.reversals, 2, "decompress + disaggregate");
     assert_eq!(stats.delivered, 4);
     tb.shutdown();
+}
+
+/// §7.5 with nothing raised by hand: the link's own drop below 100 Kb/s
+/// raises LOW_BANDWIDTH into the server, whose `when` rule splices the
+/// text compressor in before `set_bandwidth` returns.
+fn bandwidth_drop_splices_in_the_compressor(executor: ExecutorConfig) {
+    let tb = Testbed::new(TestbedConfig {
+        link: LinkConfig {
+            bandwidth_bps: 500_000,
+            propagation_delay: Duration::ZERO,
+            time_scale: 0.001,
+            ..Default::default()
+        },
+        executor,
+        ..TestbedConfig::default()
+    });
+    let stream = tb.deploy_with_defs(WEB_ACCELERATOR).unwrap();
+    let spliced = |s: &RunningStream| s.connections().iter().any(|c| c.from.0 == "comp");
+    assert!(!spliced(&stream));
+
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let (seen, coordination) = (events.clone(), tb.server().coordination().clone());
+    tb.link().watch(100_000, 150_000, move |e| {
+        seen.lock().push(e);
+        if let LinkEvent::BandwidthLow(_) = e {
+            coordination.raise(&ContextEvent::broadcast(EventKind::LowBandwidth));
+        }
+    });
+    assert!(events.lock().is_empty(), "500 Kb/s is above the band");
+    tb.link().set_bandwidth(60_000);
+    assert!(spliced(&stream), "comp is live when set_bandwidth returns");
+    assert_eq!(*events.lock(), [LinkEvent::BandwidthLow(60_000)]);
+
+    let before = tb.link().stats().delivered_bytes;
+    let texts: Vec<String> = (0..12)
+        .map(|i| format!("page {i}: {}", "slow wireless web text ".repeat(40)))
+        .collect();
+    for text in &texts {
+        stream.post_input(MimeMessage::text(text.clone())).unwrap();
+    }
+    // Distributor threads reverse the texts concurrently: compare as sets.
+    let mut got: Vec<String> = (0..texts.len())
+        .map(|_| tb.client().recv(Duration::from_secs(10)).expect("text"))
+        .map(|m| String::from_utf8(m.body.to_vec()).expect("decompressed"))
+        .collect();
+    got.sort();
+    let mut sent = texts.clone();
+    sent.sort();
+    assert_eq!(got, sent, "every text arrives decompressed");
+    let carried = tb.link().stats().delivered_bytes - before;
+    let payload: usize = texts.iter().map(String::len).sum();
+    assert!(
+        carried < payload as u64 / 2,
+        "texts crossed compressed: {carried} B for {payload} B"
+    );
+    assert_eq!(tb.client().stats().reversals, texts.len() as u64);
+
+    tb.link().set_bandwidth(90_000); // still below the band's top
+    assert_eq!(events.lock().len(), 1, "no second event");
+    tb.shutdown();
+}
+
+#[test]
+fn link_bandwidth_drop_splices_in_the_compressor_thread_per_streamlet() {
+    bandwidth_drop_splices_in_the_compressor(ExecutorConfig::ThreadPerStreamlet);
+}
+
+#[test]
+fn link_bandwidth_drop_splices_in_the_compressor_worker_pool() {
+    bandwidth_drop_splices_in_the_compressor(ExecutorConfig::WorkerPool { workers: 2 });
 }

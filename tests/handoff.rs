@@ -61,9 +61,11 @@ fn handoff_keeps_the_stream_flowing() {
 
 #[test]
 fn handoff_to_slow_network_can_trigger_adaptation() {
-    // Handoff to a slow network, then raise LOW_BANDWIDTH (in production
-    // the link monitor does this): the compressor joins the path and
-    // traffic shrinks.
+    // Handoff to a slow network, then raise LOW_BANDWIDTH by hand: a
+    // link's `watch` raises it only from `set_bandwidth`, and a handoff
+    // swaps in a new link rather than changing the bandwidth of the old
+    // one (tests/adaptation_loop.rs runs the watch-driven loop). The
+    // compressor joins the path and traffic shrinks.
     let mut tb = Testbed::new(TestbedConfig::fast());
     let stream = tb.deploy_with_defs(APP).unwrap();
 
