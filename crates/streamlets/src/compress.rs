@@ -21,7 +21,7 @@ pub fn register(directory: &StreamletDirectory) {
     directory.register(
         "builtin/text_compress",
         "generic LZSS text compressor",
-        || Box::new(TextCompress),
+        || Box::new(TextCompress::default()),
     );
     directory.register("builtin/text_decompress", "peer decompressor", || {
         Box::new(TextDecompress)
@@ -29,12 +29,16 @@ pub fn register(directory: &StreamletDirectory) {
 }
 
 /// A generic text compressor — "this streamlet has the potential to reduce
-/// the data size by up to 75%" (§7.5).
-pub struct TextCompress;
+/// the data size by up to 75%" (§7.5). It keeps one LZSS compressor's
+/// tables for all its messages; each message is still compressed alone.
+#[derive(Default)]
+pub struct TextCompress {
+    lzss: lzss::Compressor,
+}
 
 impl StreamletLogic for TextCompress {
     fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
-        let compressed = lzss::compress(&msg.body);
+        let compressed = self.lzss.compress(&msg.body);
         let mut out = msg.clone();
         out.headers
             .set(ORIGINAL_TYPE, msg.content_type().to_string());
@@ -45,7 +49,8 @@ impl StreamletLogic for TextCompress {
         Ok(())
     }
 
-    // Stateless transform: batches share one dispatch and panic boundary.
+    // Its output depends on the message alone (the tables are scratch):
+    // batches share one dispatch and panic boundary.
     fn supports_batch(&self) -> bool {
         true
     }
@@ -106,7 +111,7 @@ mod tests {
     fn compress_decompress_round_trip() {
         let mut rng = StdRng::seed_from_u64(21);
         let original = workload::text_message(&mut rng, 4096);
-        let compressed = run(&mut TextCompress, original.clone());
+        let compressed = run(&mut TextCompress::default(), original.clone());
         assert!(compressed.body.len() < original.body.len() / 2);
         assert_eq!(compressed.content_type(), MimeType::new("text", "x-lzss"));
         assert_eq!(compressed.peer_chain(), vec![DECOMPRESS_PEER]);
@@ -122,7 +127,7 @@ mod tests {
         // §7.5: "the potential to reduce the data size by up to 75%".
         let mut rng = StdRng::seed_from_u64(22);
         let original = workload::text_message(&mut rng, 16 * 1024);
-        let compressed = run(&mut TextCompress, original.clone());
+        let compressed = run(&mut TextCompress::default(), original.clone());
         let reduction = 1.0 - compressed.body.len() as f64 / original.body.len() as f64;
         assert!(
             reduction > 0.55,
@@ -133,7 +138,7 @@ mod tests {
     #[test]
     fn original_type_preserved_for_richtext() {
         let msg = MimeMessage::new(&MimeType::new("text", "richtext"), &b"abc abc abc"[..]);
-        let restored = run(&mut TextDecompress, run(&mut TextCompress, msg));
+        let restored = run(&mut TextDecompress, run(&mut TextCompress::default(), msg));
         assert_eq!(restored.content_type(), MimeType::new("text", "richtext"));
     }
 
@@ -148,7 +153,10 @@ mod tests {
     #[test]
     fn empty_body_round_trips() {
         let msg = MimeMessage::text("");
-        let restored = run(&mut TextDecompress, run(&mut TextCompress, msg.clone()));
+        let restored = run(
+            &mut TextDecompress,
+            run(&mut TextCompress::default(), msg.clone()),
+        );
         assert_eq!(restored.body, msg.body);
     }
 }

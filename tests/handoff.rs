@@ -75,9 +75,13 @@ fn handoff_to_slow_network_can_trigger_adaptation() {
         time_scale: 0.001,
         ..Default::default()
     });
+    // `comp` is instantiated at deploy, so only the connection table shows
+    // whether the insert spliced it into the path.
+    let spliced = || stream.connections().iter().any(|c| c.from.0 == "comp");
+    assert!(!spliced());
     tb.server()
         .raise_event(&ContextEvent::broadcast(EventKind::LowBandwidth));
-    assert!(stream.instance_names().contains(&"comp".to_string()));
+    assert!(spliced(), "LOW_BANDWIDTH inserted comp between r and out");
 
     let body = "roaming payload ".repeat(200);
     stream.post_input(MimeMessage::text(body.clone())).unwrap();

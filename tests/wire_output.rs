@@ -55,6 +55,15 @@ main stream webAccel {
 }
 "#;
 
+/// The §7.5 text branch alone: the compressor and the communicator.
+const COMPRESSOR: &str = r#"
+main stream textAccel {
+    streamlet comp = new-streamlet (text_compress);
+    streamlet out = new-streamlet (communicator);
+    connect (comp.po, out.pi);
+}
+"#;
+
 fn server(executor: ExecutorConfig, fusion: bool) -> (MobiGate, Arc<CollectorTransport>) {
     let server = MobiGate::with_config(
         ServerConfig {
@@ -149,5 +158,26 @@ fn web_accelerator_frames_are_byte_identical() {
     let mut frames = wait_for(&collector, 32);
     frames.sort();
     assert_eq!(digest(&frames), (32, 16_368, 0xa3ec_18d1_c570_8af1));
+    assert!(server.undeploy(stream.session()));
+}
+
+/// 16 texts of 8 KiB, the size `gatebench --workload webaccel` sends, from
+/// four seeds, through one compressor instance. Each body is twice the
+/// LZSS window, so matches reach back across the window's edge; the
+/// digest was recorded before the compressor began building its hash
+/// chains ahead of the match search.
+#[test]
+fn compressed_8k_text_frames_are_byte_identical() {
+    let (server, collector) = server(ExecutorConfig::ThreadPerStreamlet, false);
+    let stream = server.deploy_mcl(&script(COMPRESSOR)).unwrap();
+    for seed in 31..35 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..4 {
+            let msg = text_message(&mut rng, 8 * 1024);
+            stream.post_wire(&msg.to_wire()).unwrap();
+        }
+    }
+    let frames = wait_for(&collector, 16);
+    assert_eq!(digest(&frames), (16, 32_862, 0xd714_22f0_ca3a_1cfa));
     assert!(server.undeploy(stream.session()));
 }
