@@ -218,20 +218,22 @@ impl FusedLogic {
                 // a per-message `Err` discards that invocation's emissions
                 // and counts one error (the default `process_batch` charges
                 // its failed messages the same way); a batch that returns
-                // `Err` discards the whole batch's emissions under one
-                // error count (what `process_batched` does for a discrete
-                // streamlet). One context serves the whole stage; rollback
-                // marks give each message its own discard scope.
+                // `Err` discards the whole batch's emissions and charges
+                // one error per message not already charged (what
+                // `process_batched` does for a discrete streamlet). One
+                // context serves the whole stage; rollback marks give each
+                // message its own discard scope.
                 let mut errors = 0u64;
                 let mut mctx =
                     StreamletCtx::with_buffers(&member.instance, session, outs_buf, spare);
                 if use_batch {
+                    let n = feed.len() as u64;
                     // `process_batch` takes the feed's buffer with it.
                     if logic
                         .process_batch(std::mem::take(&mut feed), &mut mctx)
                         .is_err()
                     {
-                        errors += 1;
+                        errors += n - mctx.failed_messages();
                         mctx.truncate_outputs(0);
                     }
                     errors += mctx.charged_errors();
@@ -497,6 +499,53 @@ mod tests {
         assert_eq!(
             shared.member_errors(),
             vec![("a".into(), 0), ("b".into(), 1), ("c".into(), 0)]
+        );
+    }
+
+    /// [`BatchFailOn`] through the default `process_batch`, which charges
+    /// the `bad` message alone, after which the whole batch fails.
+    struct FailWholeBatch;
+    impl StreamletLogic for FailWholeBatch {
+        fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
+            FailOn("bad").process(msg, ctx)
+        }
+
+        fn supports_batch(&self) -> bool {
+            true
+        }
+
+        fn process_batch(
+            &mut self,
+            msgs: Vec<MimeMessage>,
+            ctx: &mut StreamletCtx,
+        ) -> Result<(), CoreError> {
+            BatchFailOn("bad").process_batch(msgs, ctx)?;
+            Err(CoreError::Process {
+                streamlet: "failer".into(),
+                message: "whole batch".into(),
+            })
+        }
+    }
+
+    #[test]
+    fn a_failed_member_batch_charges_each_message_not_already_charged() {
+        let shared = FusedShared::new(
+            "u",
+            vec![
+                member("a", Box::new(Append(".a"))),
+                member("b", Box::new(FailWholeBatch)),
+                member("c", Box::new(Append(".c"))),
+            ],
+        );
+        let mut fused = FusedLogic::new(shared.clone());
+        let mut ctx = StreamletCtx::new("u", None);
+        let batch = ["ok1", "bad", "ok2"].map(MimeMessage::text).to_vec();
+        fused.process_batch(batch, &mut ctx).unwrap();
+        assert_eq!(ctx.charged_errors(), 3);
+        assert!(ctx.into_outputs().is_empty());
+        assert_eq!(
+            shared.member_errors(),
+            vec![("a".into(), 0), ("b".into(), 3), ("c".into(), 0)]
         );
     }
 

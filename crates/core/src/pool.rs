@@ -281,15 +281,6 @@ impl MessagePool {
         Payload::Value(Box::new(deep_copy(msg)))
     }
 
-    /// Wraps an *owned* message the caller is done with as a value
-    /// payload. No deep copy: the refcounted body moves into the payload
-    /// as-is. Use this instead of [`MessagePool::wrap_copy`] when the
-    /// message would otherwise be dropped — deep-copying a value that has
-    /// exactly one owner buys no isolation, only the memcpy.
-    pub fn wrap_owned(&self, msg: MimeMessage) -> Payload {
-        Payload::Value(Box::new(msg))
-    }
-
     /// Resolves a payload into an owned message, consuming its reference.
     pub fn resolve(&self, payload: Payload) -> Option<MimeMessage> {
         match payload {

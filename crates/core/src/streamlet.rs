@@ -111,7 +111,7 @@ impl<'a> StreamletCtx<'a> {
     }
 
     /// Messages charged through [`StreamletCtx::fail_message`].
-    fn failed_messages(&self) -> u64 {
+    pub(crate) fn failed_messages(&self) -> u64 {
         self.failed_messages
     }
 
@@ -173,8 +173,8 @@ pub trait StreamletLogic: Send {
     /// only its own emissions and is charged as one error, while its
     /// batch-mates are processed and delivered. An override that returns
     /// `Err` fails the whole batch instead: the handle discards every
-    /// emission of the call, charges one error, and counts none of the
-    /// batch as processed.
+    /// emission of the call, charges one error for each message not
+    /// already charged, and counts none of the batch as processed.
     fn process_batch(
         &mut self,
         msgs: Vec<MimeMessage>,
@@ -542,6 +542,25 @@ impl Shared {
                 q.post_all(&mut payloads);
             }
             spare_runs.push(payloads);
+        }
+    }
+
+    /// Accounts a finished `process`/`process_batch` call whose context
+    /// charged `charged` errors and left `fresh` messages uncharged. A
+    /// call that succeeded counts those as processed and routes its
+    /// emissions; a failed call charges each of them one error and
+    /// discards its emissions, retiring their port strings.
+    fn settle(&self, ok: bool, charged: u64, fresh: u64, scratch: &mut StepScratch) {
+        self.errors.fetch_add(charged, Ordering::Relaxed);
+        if ok {
+            self.processed.fetch_add(fresh, Ordering::Relaxed);
+            self.route_outputs(scratch);
+            return;
+        }
+        self.errors.fetch_add(fresh, Ordering::Relaxed);
+        for (mut port, _msg) in scratch.outputs.drain(..) {
+            port.clear();
+            scratch.spare_strings.push(port);
         }
     }
 
@@ -1037,6 +1056,11 @@ impl StreamletHandle {
             .iter()
             .map(|(p, q)| (p.clone(), q.config().name.clone()))
             .collect()
+    }
+
+    /// True when a channel is bound to output `port`.
+    pub(crate) fn has_output(&self, port: &str) -> bool {
+        self.shared.outputs.read().iter().any(|(p, _)| p == port)
     }
 
     /// Input bindings with their live queues (port, queue). Fission uses
@@ -1727,27 +1751,7 @@ impl StreamletTask {
                 drop(replay);
                 scratch.outputs = outs;
                 scratch.spare_strings = spare;
-                shared.errors.fetch_add(charged, Ordering::Relaxed);
-                match result {
-                    Ok(()) => {
-                        shared.processed.fetch_add(1, Ordering::Relaxed);
-                        shared.route_outputs(scratch);
-                    }
-                    Err(_) => {
-                        shared.errors.fetch_add(1, Ordering::Relaxed);
-                        // Discard the failed call's emissions, retiring
-                        // their port strings.
-                        let StepScratch {
-                            outputs,
-                            spare_strings,
-                            ..
-                        } = scratch;
-                        for (mut port, _msg) in outputs.drain(..) {
-                            port.clear();
-                            spare_strings.push(port);
-                        }
-                    }
-                }
+                shared.settle(result.is_ok(), charged, 1, scratch);
                 Step::Progress
             }
             Err(payload) => {
@@ -1802,25 +1806,7 @@ impl StreamletTask {
                 drop(replays);
                 scratch.outputs = outs;
                 scratch.spare_strings = spare;
-                shared.errors.fetch_add(charged, Ordering::Relaxed);
-                match result {
-                    Ok(()) => {
-                        shared.processed.fetch_add(n - failed, Ordering::Relaxed);
-                        shared.route_outputs(scratch);
-                    }
-                    Err(_) => {
-                        shared.errors.fetch_add(1, Ordering::Relaxed);
-                        let StepScratch {
-                            outputs,
-                            spare_strings,
-                            ..
-                        } = scratch;
-                        for (mut port, _msg) in outputs.drain(..) {
-                            port.clear();
-                            spare_strings.push(port);
-                        }
-                    }
-                }
+                shared.settle(result.is_ok(), charged, n - failed, scratch);
                 Step::Progress
             }
             Err(payload) => {
@@ -1976,6 +1962,81 @@ mod tests {
             }
             Ok(())
         }
+    }
+
+    /// [`RefuseBad`] through the default `process_batch`, which charges
+    /// the `bad` message alone, after which the whole batch fails.
+    struct RefuseBatch;
+    impl StreamletLogic for RefuseBatch {
+        fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
+            RefuseBad.process(msg, ctx)
+        }
+
+        fn supports_batch(&self) -> bool {
+            true
+        }
+
+        fn process_batch(
+            &mut self,
+            msgs: Vec<MimeMessage>,
+            ctx: &mut StreamletCtx,
+        ) -> Result<(), CoreError> {
+            RefuseBad.process_batch(msgs, ctx)?;
+            Err(CoreError::Process {
+                streamlet: "refuser".into(),
+                message: "whole batch".into(),
+            })
+        }
+    }
+
+    /// An executor that keeps the task for the test to pump by hand.
+    #[derive(Default)]
+    struct Held(Mutex<Option<Arc<StreamletTask>>>);
+    impl Executor for Held {
+        fn launch(&self, task: Arc<StreamletTask>) {
+            // A hook lets `end` finalize the idle task inline.
+            task.set_wake_hook(|| {});
+            *self.0.lock() = Some(task);
+        }
+
+        fn name(&self) -> &'static str {
+            "held"
+        }
+    }
+
+    #[test]
+    fn a_failed_batch_charges_each_message_not_already_charged() {
+        let pool = Arc::new(MessagePool::new());
+        let qin = MessageQueue::new(QueueConfig::default(), pool.clone());
+        let qout = MessageQueue::new(QueueConfig::default(), pool.clone());
+        let held = Arc::new(Held::default());
+        let h = StreamletHandle::with_executor(
+            "r1",
+            "refuser",
+            false,
+            Box::new(RefuseBatch),
+            pool.clone(),
+            PayloadMode::Reference,
+            None,
+            RouteOpts::default(),
+            held.clone(),
+        );
+        h.attach_in("pi", &qin);
+        h.attach_out("po", &qout);
+        h.set_batch_max(16);
+        for text in ["ok1", "bad", "ok2"] {
+            post_text(&pool, &qin, text);
+        }
+        h.start().unwrap();
+        let task = held.0.lock().clone().unwrap();
+        // One step takes all three messages as one batch.
+        assert_eq!(task.pump(1), PumpOutcome::More);
+        let stats = h.stats();
+        assert_eq!((stats.errors, stats.processed), (3, 0));
+        assert_eq!((stats.emitted, stats.dropped_unrouted), (0, 0));
+        assert!(matches!(qout.try_fetch(), FetchResult::Empty));
+        h.end();
+        assert_eq!(h.state(), LifecycleState::Ended);
     }
 
     #[test]

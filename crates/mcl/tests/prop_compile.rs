@@ -162,3 +162,100 @@ proptest! {
         prop_assert!(table.instance(&last).is_some());
     }
 }
+
+/// The MCL scripts the examples ship, cut out of their raw string literals
+/// (`r#"…"#`); the seed corpus of the mutation fuzzer below.
+fn example_scripts() -> Vec<String> {
+    let sources = [
+        include_str!("../../../examples/distillation.rs"),
+        include_str!("../../../examples/mcl_analysis.rs"),
+        include_str!("../../../examples/quickstart.rs"),
+        include_str!("../../../examples/reconfiguration.rs"),
+        include_str!("../../../examples/worker_pool.rs"),
+    ];
+    let mut scripts = Vec::new();
+    for source in sources {
+        let mut rest = source;
+        while let Some(start) = rest.find("r#\"") {
+            let body = &rest[start + 3..];
+            let Some(end) = body.find("\"#") else { break };
+            scripts.push(body[..end].to_string());
+            rest = &body[end + 2..];
+        }
+    }
+    scripts
+}
+
+/// Compiles `bytes` (decoded lossily) and fails, naming the input, if the
+/// compiler panics. Accepting or rejecting it are both fine.
+fn compile_never_panics(bytes: &[u8]) {
+    let source = String::from_utf8_lossy(bytes);
+    let outcome = std::panic::catch_unwind(|| {
+        let _ = compile(&source);
+    });
+    assert!(outcome.is_ok(), "compile panicked on {source:?}");
+}
+
+/// One byte-level edit: replace, insert, delete, or truncate at `pos`. An
+/// inserted or replacing byte is `byte` itself, or, when `copy` is set,
+/// the script's own byte at `byte`'s position, so edits also shuffle the
+/// script's punctuation and keywords around.
+fn mutate(bytes: &mut Vec<u8>, (op, pos, byte, copy): (u8, usize, u8, bool)) {
+    let len = bytes.len();
+    let byte = match (copy, len) {
+        (true, 1..) => bytes[byte as usize % len],
+        _ => byte,
+    };
+    match op {
+        0 if len > 0 => bytes[pos % len] = byte,
+        1 => bytes.insert(pos % (len + 1), byte),
+        2 if len > 0 => {
+            bytes.remove(pos % len);
+        }
+        3 => bytes.truncate(pos % (len + 1)),
+        _ => {}
+    }
+}
+
+#[test]
+fn example_scripts_are_extracted() {
+    let scripts = example_scripts();
+    assert!(scripts.len() >= 10, "only {} scripts", scripts.len());
+    // At least one seed is a whole, valid program, so mutations start from
+    // inputs the compiler accepts.
+    assert!(scripts.iter().any(|s| compile(s).is_ok()));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// Arbitrary bytes never panic the compiler.
+    #[test]
+    fn compile_never_panics_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        compile_never_panics(&bytes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+    /// Byte-level mutations of the example scripts never panic the
+    /// compiler.
+    #[test]
+    fn compile_never_panics_on_mutated_example_scripts(
+        seed in any::<usize>(),
+        edits in proptest::collection::vec(
+            (0u8..4, any::<usize>(), any::<u8>(), any::<bool>()),
+            1..12,
+        ),
+    ) {
+        let scripts = example_scripts();
+        let mut bytes = scripts[seed % scripts.len()].clone().into_bytes();
+        for edit in edits {
+            mutate(&mut bytes, edit);
+        }
+        compile_never_panics(&bytes);
+    }
+}

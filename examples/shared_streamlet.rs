@@ -6,9 +6,9 @@
 //! cargo run --example shared_streamlet
 //! ```
 
-use mobigate::core::pool::{MessagePool, PayloadMode};
+use mobigate::core::pool::PayloadMode;
 use mobigate::core::queue::{FetchResult, MessageQueue, QueueConfig};
-use mobigate::core::{CoreError, Emitter, SharedStreamlet, StreamletCtx, StreamletLogic};
+use mobigate::core::{CoreError, Emitter, MobiGate, SharedStreamlet, StreamletCtx, StreamletLogic};
 use mobigate::mime::{MimeMessage, SessionId};
 use mobigate::streamlets::codec::lzss;
 use std::sync::Arc;
@@ -27,13 +27,17 @@ impl StreamletLogic for SharedCompressor {
 }
 
 fn main() {
-    let pool = Arc::new(MessagePool::new());
-    let shared = SharedStreamlet::spawn(
-        "shared-compressor",
-        Box::new(SharedCompressor),
-        pool.clone(),
-        PayloadMode::Reference,
-    );
+    // The shared instance runs on the server's executor, under its
+    // supervisor, built from the directory like any deployed streamlet.
+    let server = MobiGate::new(PayloadMode::Reference);
+    server
+        .directory()
+        .register("shared/lzss", "stateless LZSS compressor", || {
+            Box::new(SharedCompressor)
+        });
+    let pool = server.message_pool().clone();
+    let shared = SharedStreamlet::spawn(&server, "shared-compressor", "shared/lzss")
+        .expect("the directory knows shared/lzss");
 
     // Three independent "streams" subscribe, each with its own output
     // channel and session ID (§4.4.3: "the system automatically generates a
