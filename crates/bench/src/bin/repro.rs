@@ -760,8 +760,8 @@ fn sessions(mode: Mode) {
 /// scrape-under-load point at session scale.
 fn obs(mode: Mode) {
     println!("\n=========== Ablation: observability plane on vs off ===========");
-    println!("(on: queue/process probes on every channel, trace ring, bridge");
-    println!(" thread polling; off: one `None` branch per instrumented op)");
+    println!("(on: queue/process probes on every channel, trace ring, load-event");
+    println!(" watchers armed; off: one `None` branch per instrumented op)");
 
     let chain_k = 8;
     let chain_bytes = 4 * 1024;

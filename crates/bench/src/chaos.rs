@@ -64,7 +64,6 @@ impl Default for ChaosConfig {
 pub fn chaos_server_config(base: ServerConfig) -> ServerConfig {
     ServerConfig {
         supervision: SupervisionConfig {
-            enabled: true,
             policy: RestartPolicy {
                 max_restarts: 100_000,
                 window: Duration::from_secs(3600),
@@ -230,14 +229,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     producer.join().expect("chaos producer thread");
     let elapsed = last.duration_since(t0);
 
-    let (faults, restarts, quarantined) = match server.supervisor() {
-        Some(sup) => {
-            let s = sup.stats();
-            (s.faults, s.restarts, s.quarantined)
-        }
-        None => (0, 0, 0),
-    };
-    let dead_lettered = server.dead_letters().map(|q| q.len()).unwrap_or(0);
+    let s = server.supervisor().stats();
+    let (faults, restarts, quarantined) = (s.faults, s.restarts, s.quarantined);
+    let dead_lettered = server.dead_letters().len();
 
     ChaosOutcome {
         sent: cfg.messages,

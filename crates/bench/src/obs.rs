@@ -5,8 +5,8 @@
 //!
 //! * **chain overhead** — pipelined throughput of the Figure 7-2
 //!   redirector chain with `ServerConfig { telemetry }` off vs. on
-//!   (probes installed on every channel, the bridge thread polling at
-//!   its default interval), per executor back end. The acceptance bar
+//!   (probes installed on every channel, the load-event watchers armed
+//!   at their default thresholds), per executor back end. The acceptance bar
 //!   is ≤5% regression on the median of the per-pair on/off ratios: the
 //!   enabled path is relaxed atomics plus one branch per operation, and
 //!   the disabled path is a `None` check.

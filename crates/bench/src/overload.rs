@@ -310,7 +310,6 @@ pub fn run_breaker_probe(executor: ExecutorConfig, follow_up: usize) -> BreakerP
         },
         ..Default::default()
     };
-    config.supervision.enabled = true;
     config.supervision.policy.max_restarts = 5;
     config.supervision.policy.backoff_base = Duration::from_millis(1);
     config.supervision.policy.backoff_max = Duration::from_millis(2);
@@ -340,7 +339,7 @@ pub fn run_breaker_probe(executor: ExecutorConfig, follow_up: usize) -> BreakerP
             delivered += 1;
         }
     }
-    let stats = server.supervisor().expect("supervision on").stats();
+    let stats = server.supervisor().stats();
     stream.shutdown();
     BreakerProbeOutcome {
         trips: stats.breaker_trips,

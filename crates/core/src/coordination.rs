@@ -139,11 +139,6 @@ impl CoordinationManager {
         }
     }
 
-    /// Live streams snapshot (no order).
-    pub fn streams(&self) -> Vec<Arc<RunningStream>> {
-        self.streams.lock().values().cloned().collect()
-    }
-
     /// Number of live streams.
     pub fn stream_count(&self) -> usize {
         self.streams.lock().len()
@@ -242,7 +237,7 @@ mod tests {
         let stream = mgr.deploy_main(&program).unwrap();
         stream.post_input(MimeMessage::text("hi")).unwrap();
         assert!(stream.take_output(Duration::from_secs(5)).is_some());
-        assert_eq!(mgr.streams().len(), 1);
+        assert_eq!(mgr.stream_count(), 1);
     }
 
     #[test]
@@ -252,7 +247,7 @@ mod tests {
         let a = mgr.deploy_main(&program).unwrap();
         let b = mgr.deploy_main(&program).unwrap();
         assert_ne!(a.session(), b.session());
-        assert_eq!(mgr.streams().len(), 2);
+        assert_eq!(mgr.stream_count(), 2);
     }
 
     #[test]

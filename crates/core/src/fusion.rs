@@ -56,25 +56,18 @@ pub struct FusedMember {
 /// and the other lockers (rebuild, fission) only run while the task is
 /// parked or paused.
 pub struct FusedShared {
-    unit: Arc<str>,
     members: Mutex<Vec<FusedMember>>,
     /// Index of the member whose panic poisoned the unit, if any.
     faulted: Mutex<Option<usize>>,
 }
 
 impl FusedShared {
-    /// Creates the shared roster for unit `unit`.
-    pub fn new(unit: impl Into<Arc<str>>, members: Vec<FusedMember>) -> Arc<Self> {
+    /// Creates the shared roster of a unit running `members` in order.
+    pub fn new(members: Vec<FusedMember>) -> Arc<Self> {
         Arc::new(FusedShared {
-            unit: unit.into(),
             members: Mutex::new(members),
             faulted: Mutex::new(None),
         })
-    }
-
-    /// The fused unit's instance name.
-    pub fn unit_name(&self) -> &str {
-        &self.unit
     }
 
     /// Member instance names in pipeline order.
@@ -446,14 +439,11 @@ mod tests {
 
     #[test]
     fn threads_messages_through_all_members_in_order() {
-        let shared = FusedShared::new(
-            "fused:a..c",
-            vec![
-                member("a", Box::new(Append(".a"))),
-                member("b", Box::new(Append(".b"))),
-                member("c", Box::new(Append(".c"))),
-            ],
-        );
+        let shared = FusedShared::new(vec![
+            member("a", Box::new(Append(".a"))),
+            member("b", Box::new(Append(".b"))),
+            member("c", Box::new(Append(".c"))),
+        ]);
         let mut fused = FusedLogic::new(shared);
         let mut ctx = StreamletCtx::new("fused:a..c", None);
         fused
@@ -482,14 +472,11 @@ mod tests {
 
     #[test]
     fn batched_member_error_drops_only_that_message() {
-        let shared = FusedShared::new(
-            "u",
-            vec![
-                member("a", Box::new(Append(".a"))),
-                member("b", Box::new(BatchFailOn("bad"))),
-                member("c", Box::new(Append(".c"))),
-            ],
-        );
+        let shared = FusedShared::new(vec![
+            member("a", Box::new(Append(".a"))),
+            member("b", Box::new(BatchFailOn("bad"))),
+            member("c", Box::new(Append(".c"))),
+        ]);
         let mut fused = FusedLogic::new(shared.clone());
         let mut ctx = StreamletCtx::new("u", None);
         let batch = ["ok1", "bad", "ok2"].map(MimeMessage::text).to_vec();
@@ -529,14 +516,11 @@ mod tests {
 
     #[test]
     fn a_failed_member_batch_charges_each_message_not_already_charged() {
-        let shared = FusedShared::new(
-            "u",
-            vec![
-                member("a", Box::new(Append(".a"))),
-                member("b", Box::new(FailWholeBatch)),
-                member("c", Box::new(Append(".c"))),
-            ],
-        );
+        let shared = FusedShared::new(vec![
+            member("a", Box::new(Append(".a"))),
+            member("b", Box::new(FailWholeBatch)),
+            member("c", Box::new(Append(".c"))),
+        ]);
         let mut fused = FusedLogic::new(shared.clone());
         let mut ctx = StreamletCtx::new("u", None);
         let batch = ["ok1", "bad", "ok2"].map(MimeMessage::text).to_vec();
@@ -551,14 +535,11 @@ mod tests {
 
     #[test]
     fn member_error_drops_only_that_message() {
-        let shared = FusedShared::new(
-            "u",
-            vec![
-                member("a", Box::new(Append(".a"))),
-                member("b", Box::new(FailOn("bad"))),
-                member("c", Box::new(Append(".c"))),
-            ],
-        );
+        let shared = FusedShared::new(vec![
+            member("a", Box::new(Append(".a"))),
+            member("b", Box::new(FailOn("bad"))),
+            member("c", Box::new(Append(".c"))),
+        ]);
         let mut fused = FusedLogic::new(shared.clone());
         let mut ctx = StreamletCtx::new("u", None);
         fused
@@ -580,14 +561,11 @@ mod tests {
 
     #[test]
     fn member_panic_attributes_and_poisons_only_that_member() {
-        let shared = FusedShared::new(
-            "u",
-            vec![
-                member("a", Box::new(Append(".a"))),
-                member("boom", Box::new(PanicOn("poison"))),
-                member("c", Box::new(Append(".c"))),
-            ],
-        );
+        let shared = FusedShared::new(vec![
+            member("a", Box::new(Append(".a"))),
+            member("boom", Box::new(PanicOn("poison"))),
+            member("c", Box::new(Append(".c"))),
+        ]);
         let mut fused = FusedLogic::new(shared.clone());
         let mut ctx = StreamletCtx::new("u", None);
         let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -606,13 +584,10 @@ mod tests {
 
     #[test]
     fn rebuild_installs_fresh_member_logic() {
-        let shared = FusedShared::new(
-            "u",
-            vec![
-                member("a", Box::new(Append(".a"))),
-                member("boom", Box::new(PanicOn("poison"))),
-            ],
-        );
+        let shared = FusedShared::new(vec![
+            member("a", Box::new(Append(".a"))),
+            member("boom", Box::new(PanicOn("poison"))),
+        ]);
         let mut fused = FusedLogic::new(shared.clone());
         let mut ctx = StreamletCtx::new("u", None);
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -642,13 +617,10 @@ mod tests {
                 Ok(())
             }
         }
-        let shared = FusedShared::new(
-            "u",
-            vec![
-                member("t", Box::new(Teer)),
-                member("z", Box::new(Append(".z"))),
-            ],
-        );
+        let shared = FusedShared::new(vec![
+            member("t", Box::new(Teer)),
+            member("z", Box::new(Append(".z"))),
+        ]);
         let mut fused = FusedLogic::new(shared);
         let mut ctx = StreamletCtx::new("u", None);
         fused.process(MimeMessage::text("m"), &mut ctx).unwrap();
@@ -677,14 +649,11 @@ mod tests {
             out_port: None,
             ..member("out", Box::new(Sink(seen.clone())))
         };
-        FusedLogic::new(FusedShared::new(
-            "fused:a..out",
-            vec![
-                member("a", Box::new(Append(".a"))),
-                member("b", Box::new(Append(".b"))),
-                sink,
-            ],
-        ))
+        FusedLogic::new(FusedShared::new(vec![
+            member("a", Box::new(Append(".a"))),
+            member("b", Box::new(Append(".b"))),
+            sink,
+        ]))
     }
 
     #[test]
@@ -706,19 +675,16 @@ mod tests {
     fn only_a_unit_without_a_sink_tail_batches() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         assert!(!sink_unit(&seen).supports_batch());
-        let plain = FusedShared::new("u", vec![member("a", Box::new(Append(".a")))]);
+        let plain = FusedShared::new(vec![member("a", Box::new(Append(".a")))]);
         assert!(FusedLogic::new(plain).supports_batch());
     }
 
     #[test]
     fn member_errors_are_charged_to_the_unit() {
-        let shared = FusedShared::new(
-            "u",
-            vec![
-                member("a", Box::new(FailOn("bad"))),
-                member("b", Box::new(FailOn("ok"))),
-            ],
-        );
+        let shared = FusedShared::new(vec![
+            member("a", Box::new(FailOn("bad"))),
+            member("b", Box::new(FailOn("ok"))),
+        ]);
         let mut fused = FusedLogic::new(shared);
         let mut ctx = StreamletCtx::new("u", None);
         fused
@@ -768,13 +734,10 @@ mod tests {
                 }
             }
         }
-        let shared = FusedShared::new(
-            "u",
-            vec![
-                member("k1", Box::new(Knob { v: String::new() })),
-                member("k2", Box::new(Knob { v: String::new() })),
-            ],
-        );
+        let shared = FusedShared::new(vec![
+            member("k1", Box::new(Knob { v: String::new() })),
+            member("k2", Box::new(Knob { v: String::new() })),
+        ]);
         let mut fused = FusedLogic::new(shared);
         fused.control("k2.v", "x").unwrap();
         fused.control("v", "y").unwrap(); // first taker (k1)

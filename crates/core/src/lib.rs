@@ -69,7 +69,8 @@ pub use streamlet::{
     StreamletTask,
 };
 pub use supervisor::{
-    DeadLetter, DeadLetterQueue, FaultCause, FaultInfo, RestartPolicy, Supervisor, SupervisorStats,
+    DeadLetter, DeadLetterQueue, EventSink, FaultCause, FaultInfo, RestartPolicy, Supervisor,
+    SupervisorStats,
 };
 pub use telemetry::{
     BridgeConfig, DropReason, MetricsSnapshot, Telemetry, TelemetryConfig, TraceEvent, TraceKind,

@@ -14,8 +14,8 @@
 //! * **Priority classes** — messages classify by MIME top-level type:
 //!   interactive `text/*`/`application/*` control traffic above bulk
 //!   `image/*`/`video/*`/`audio/*` prefetch. `MessageQueue::shed_oldest`
-//!   sheds lowest class first (oldest within a class) when the
-//!   `MetricsBridge` publishes `CHANNEL_CONGESTED`.
+//!   sheds lowest class first (oldest within a class) when a post that
+//!   congests a channel raises `CHANNEL_CONGESTED`.
 //! * **Circuit breakers** — one per supervised streamlet instance. A
 //!   breaker trips open after `fault_threshold` faults inside `window`,
 //!   which stops the supervisor scheduling restarts (the `when

@@ -272,6 +272,8 @@ struct QState {
     bytes: usize,
     source_open: bool,
     sink_open: bool,
+    /// `CHANNEL_CONGESTED` fired and has not re-armed yet.
+    congested: bool,
 }
 
 /// The channel object. Cheaply shareable via `Arc`.
@@ -299,6 +301,9 @@ pub struct MessageQueue {
     /// observability plane is enabled. `None` costs one branch per
     /// instrumented operation.
     probe: Option<QueueProbe>,
+    /// Buffered bytes at which a post raises `CHANNEL_CONGESTED`
+    /// ([`QueueProbe::congestion_mark`]; `usize::MAX` without a watcher).
+    congest_at: usize,
     listeners: RwLock<Vec<Arc<Notifier>>>,
     /// Producer-side peers of `listeners`: notified whenever capacity
     /// frees up, so pool-driven producers with parked outputs wake
@@ -330,6 +335,7 @@ impl MessageQueue {
                 bytes: 0,
                 source_open: true,
                 sink_open: true,
+                congested: false,
             }),
             cv: Condvar::new(),
             pool,
@@ -343,6 +349,9 @@ impl MessageQueue {
             dropped_expired: AtomicU64::new(0),
             dropped_shed: AtomicU64::new(0),
             dropped_admission: AtomicU64::new(0),
+            congest_at: probe
+                .as_ref()
+                .map_or(usize::MAX, QueueProbe::congestion_mark),
             probe,
             listeners: RwLock::new(Vec::new()),
             space_listeners: RwLock::new(Vec::new()),
@@ -364,6 +373,30 @@ impl MessageQueue {
         ctr.fetch_add(n, Ordering::Relaxed);
         if let Some(p) = &self.probe {
             p.on_drop(&self.cfg.name, reason, n);
+        }
+    }
+
+    /// Adds `len` buffered bytes. True on the congestion edge: the bytes
+    /// reached the mark while the watcher was armed.
+    fn grow(&self, st: &mut QState, len: usize) -> bool {
+        st.bytes += len;
+        let crossed = !st.congested && st.bytes >= self.congest_at;
+        st.congested |= crossed;
+        crossed
+    }
+
+    /// Releases `len` buffered bytes; at half the mark or below, the
+    /// congestion watcher re-arms.
+    fn shrink(&self, st: &mut QState, len: usize) {
+        st.bytes = st.bytes.saturating_sub(len);
+        st.congested &= st.bytes > self.congest_at / 2;
+    }
+
+    /// Reports a post that crossed the congestion mark to the probe, which
+    /// raises `CHANNEL_CONGESTED`. Called with the state lock released.
+    fn raise_congested(&self, crossed: bool) {
+        if let (true, Some(p)) = (crossed, &self.probe) {
+            p.on_congested();
         }
     }
 
@@ -533,6 +566,7 @@ impl MessageQueue {
             self.pool.discard(p);
         }
         st.bytes = 0;
+        st.congested = false;
         if n > 0 {
             self.charge_drop(DropReason::Break, n);
         }
@@ -561,15 +595,14 @@ impl MessageQueue {
     }
 
     /// Admits `payload` into the buffer if the byte budget allows (an
-    /// empty channel admits one oversized message). Caller holds the state
-    /// lock.
-    fn try_admit(&self, st: &mut QState, payload: Payload, len: usize) -> Result<(), Payload> {
+    /// empty channel admits one oversized message), returning whether it
+    /// crossed the congestion mark. Caller holds the state lock.
+    fn try_admit(&self, st: &mut QState, payload: Payload, len: usize) -> Result<bool, Payload> {
         if !st.queue.is_empty() && st.bytes + len > self.cfg.capacity_bytes {
             return Err(payload);
         }
         st.queue.push_back(payload);
-        st.bytes += len;
-        Ok(())
+        Ok(self.grow(st, len))
     }
 
     /// The monitor-based post path (the paper's Figure 6-9 pseudocode).
@@ -588,12 +621,13 @@ impl MessageQueue {
                 let mut payload = payload;
                 loop {
                     match self.try_admit(&mut st, payload, len) {
-                        Ok(()) => {
+                        Ok(crossed) => {
                             self.posted.fetch_add(1, Ordering::Relaxed);
                             self.probe_admit(len);
                             drop(st);
                             self.cv.notify_all();
                             self.wake_listeners();
+                            self.raise_congested(crossed);
                             return PostResult::Posted;
                         }
                         Err(p) => payload = p,
@@ -602,12 +636,13 @@ impl MessageQueue {
                         *deadline.get_or_insert_with(|| Instant::now() + self.cfg.full_wait);
                     if self.cv.wait_until(&mut st, deadline).timed_out() {
                         match self.try_admit(&mut st, payload, len) {
-                            Ok(()) => {
+                            Ok(crossed) => {
                                 self.posted.fetch_add(1, Ordering::Relaxed);
                                 self.probe_admit(len);
                                 drop(st);
                                 self.cv.notify_all();
                                 self.wake_listeners();
+                                self.raise_congested(crossed);
                                 return PostResult::Posted;
                             }
                             Err(p) => {
@@ -647,7 +682,7 @@ impl MessageQueue {
                     return PostResult::Closed;
                 }
                 st.queue.push_back(payload);
-                st.bytes += len;
+                let crossed = self.grow(&mut st, len);
                 self.posted.fetch_add(1, Ordering::Relaxed);
                 self.cv.notify_all();
                 self.wake_listeners();
@@ -656,11 +691,12 @@ impl MessageQueue {
                     if self.cv.wait_until(&mut st, deadline).timed_out() {
                         // Consumer never came: withdraw the message.
                         if let Some(p) = st.queue.pop_front() {
-                            st.bytes = st.bytes.saturating_sub(len);
+                            self.shrink(&mut st, len);
                             drop(st);
                             self.pool.discard(p);
                             self.posted.fetch_sub(1, Ordering::Relaxed);
                             self.charge_drop(DropReason::Full, 1);
+                            self.raise_congested(crossed);
                             return PostResult::Dropped;
                         }
                         break;
@@ -668,7 +704,9 @@ impl MessageQueue {
                 }
                 // The rendezvous completed: only now is the admission
                 // final (a withdrawn message must never have been counted).
+                drop(st);
                 self.probe_admit(len);
+                self.raise_congested(crossed);
                 PostResult::Posted
             }
         }
@@ -700,6 +738,7 @@ impl MessageQueue {
         // The run's shared budget starts when its first admission fails.
         let mut deadline = None;
         let mut admitted = 0u64;
+        let mut crossed = false;
         let mut st = self.state.lock();
         'run: for payload in payloads.drain(..) {
             if !st.sink_open {
@@ -711,8 +750,9 @@ impl MessageQueue {
             let mut payload = payload;
             loop {
                 match self.try_admit(&mut st, payload, len) {
-                    Ok(()) => {
+                    Ok(c) => {
                         admitted += 1;
+                        crossed |= c;
                         self.probe_admit(len);
                         if st.queue.len() == 1 {
                             // Empty→non-empty: blocked fetchers wake as
@@ -734,8 +774,9 @@ impl MessageQueue {
                 let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.cfg.full_wait);
                 if self.cv.wait_until(&mut st, deadline).timed_out() {
                     match self.try_admit(&mut st, payload, len) {
-                        Ok(()) => {
+                        Ok(c) => {
                             admitted += 1;
+                            crossed |= c;
                             self.probe_admit(len);
                         }
                         Err(p) => {
@@ -758,6 +799,7 @@ impl MessageQueue {
             self.cv.notify_all();
             self.wake_listeners();
         }
+        self.raise_congested(crossed);
         if let (Some(p), Some(t0)) = (&self.probe, t0) {
             p.on_post_ns(t0.elapsed().as_nanos() as u64);
         }
@@ -793,12 +835,13 @@ impl MessageQueue {
         if self.cfg.kind == ChannelKind::Sync && !st.queue.is_empty() {
             return Err(payload);
         }
-        self.try_admit(&mut st, payload, len)?;
+        let crossed = self.try_admit(&mut st, payload, len)?;
         self.posted.fetch_add(1, Ordering::Relaxed);
         self.probe_admit(len);
         drop(st);
         self.cv.notify_all();
         self.wake_listeners();
+        self.raise_congested(crossed);
         Ok(PostResult::Posted)
     }
 
@@ -832,6 +875,7 @@ impl MessageQueue {
             return handled;
         }
         let mut admitted = 0u64;
+        let mut crossed = false;
         let mut st = self.state.lock();
         while let Some(payload) = payloads.pop() {
             if !st.sink_open {
@@ -842,8 +886,9 @@ impl MessageQueue {
             }
             let len = payload.buffered_len();
             match self.try_admit(&mut st, payload, len) {
-                Ok(()) => {
+                Ok(c) => {
                     admitted += 1;
+                    crossed |= c;
                     self.probe_admit(len);
                     handled += 1;
                 }
@@ -861,6 +906,7 @@ impl MessageQueue {
             self.cv.notify_all();
             self.wake_listeners();
         }
+        self.raise_congested(crossed);
         handled
     }
 
@@ -877,8 +923,9 @@ impl MessageQueue {
     /// Overload relief valve: discards up to `max_n` pending messages,
     /// charging them to the `shed` drop reason, and returns how many were
     /// shed. The runtime's congestion handler (a `CHANNEL_CONGESTED`
-    /// event from the metrics→event bridge) and operator hooks call this
-    /// to trade old data for headroom instead of stalling producers.
+    /// event raised by a post that congested a channel) and operator
+    /// hooks call this to trade old data for headroom instead of stalling
+    /// producers.
     ///
     /// Selection is **priority-aware**: lowest [`PriorityClass`] first
     /// (bulk `image/*`/`video/*`/`audio/*` before interactive
@@ -915,7 +962,7 @@ impl MessageQueue {
             let old = std::mem::take(&mut st.queue);
             for (i, p) in old.into_iter().enumerate() {
                 if shed[i] {
-                    st.bytes = st.bytes.saturating_sub(p.buffered_len());
+                    self.shrink(&mut st, p.buffered_len());
                     self.pool.discard(p);
                     n += 1;
                 } else {
@@ -978,7 +1025,7 @@ impl MessageQueue {
     /// Pops the oldest pending payload. Caller holds the state lock.
     fn pop_one(&self, st: &mut QState) -> Option<Payload> {
         let p = st.queue.pop_front()?;
-        st.bytes = st.bytes.saturating_sub(p.buffered_len());
+        self.shrink(st, p.buffered_len());
         Some(p)
     }
 

@@ -23,7 +23,7 @@ use crate::pooling::StreamletPool;
 use crate::session::SessionManager;
 use crate::stream::{BatchConfig, RunningStream, StreamDeps};
 use crate::supervisor::{DeadLetterQueue, RestartPolicy, Supervisor};
-use crate::telemetry::{bridge::MetricsBridge, MetricsSnapshot, Telemetry, TelemetryConfig};
+use crate::telemetry::{MetricsSnapshot, Telemetry, TelemetryConfig};
 use mobigate_mcl::analysis;
 use mobigate_mcl::compile::compile;
 use mobigate_mcl::config::Program;
@@ -59,9 +59,6 @@ impl ExecutorConfig {
 /// Fault-tolerance knobs for the execution plane (see `supervisor.rs`).
 #[derive(Clone)]
 pub struct SupervisionConfig {
-    /// When false, no supervisor is built: a faulted instance stays
-    /// `Faulted` forever (panics are still isolated from the executor).
-    pub enabled: bool,
     /// Default restart policy applied to every deployed instance.
     pub policy: RestartPolicy,
     /// Capacity of the poison-message dead-letter queue.
@@ -75,7 +72,6 @@ pub struct SupervisionConfig {
 impl Default for SupervisionConfig {
     fn default() -> Self {
         SupervisionConfig {
-            enabled: true,
             policy: RestartPolicy::default(),
             dead_letter_capacity: 64,
             jitter_seed: Supervisor::DEFAULT_JITTER_SEED,
@@ -103,7 +99,7 @@ pub struct ServerConfig {
     /// fission on reconfiguration or member quarantine (see `fusion.rs`).
     pub fusion: bool,
     /// Observability plane: hot-path metrics, lifecycle traces, and the
-    /// metrics→event bridge. Disabled by default — the off path allocates
+    /// load-event watchers. Disabled by default — the off path allocates
     /// nothing and costs one branch per instrumented operation.
     pub telemetry: TelemetryConfig,
     /// Overload protection: token-bucket admission control at ingress,
@@ -149,11 +145,12 @@ pub struct MobiGate {
     mode: PayloadMode,
     /// Declared after `coordination` on purpose: streams shut down (ending
     /// their streamlets) before the supervisor stops restarting them and
-    /// before the executor's workers are joined.
-    supervisor: Option<Arc<Supervisor>>,
+    /// before the executor's workers are joined. Its thread also publishes
+    /// the telemetry plane's load events.
+    supervisor: Arc<Supervisor>,
     executor: Arc<dyn Executor>,
     /// The observability plane, when `ServerConfig { telemetry }` enabled
-    /// it. `None` otherwise — nothing is allocated, nothing is polled.
+    /// it. `None` otherwise — nothing is allocated.
     telemetry: Option<Arc<Telemetry>>,
     /// Gateway-wide admission controller, when `ServerConfig { overload }`
     /// enabled admission control. Shared with every stream's deps.
@@ -164,11 +161,6 @@ pub struct MobiGate {
 
 impl Drop for MobiGate {
     fn drop(&mut self) {
-        // Stop the bridge's watcher thread before tearing streams down so
-        // it never observes a half-shut-down coordination plane.
-        if let Some(t) = &self.telemetry {
-            t.stop_bridge();
-        }
         // An outstanding `Arc<CoordinationManager>` (a SessionManager kept
         // alive past the gate) must not keep streams running against an
         // executor whose workers the next field drops are about to join.
@@ -207,33 +199,30 @@ impl MobiGate {
         let msg_pool = Arc::new(MessagePool::new());
         let executor = config.executor.build();
         let events = Arc::new(EventManager::new());
-        let supervisor = if config.supervision.enabled {
-            Some(Supervisor::with_options(
-                events.clone(),
-                config.supervision.policy.clone(),
-                config.supervision.dead_letter_capacity,
-                config.supervision.jitter_seed,
-                config
-                    .overload
-                    .breaker_on()
-                    .then(|| config.overload.breaker.clone()),
-            ))
-        } else {
-            None
-        };
+        let supervisor = Supervisor::with_options(
+            events.clone(),
+            config.supervision.policy.clone(),
+            config.supervision.dead_letter_capacity,
+            config.supervision.jitter_seed,
+            config
+                .overload
+                .breaker_on()
+                .then(|| config.overload.breaker.clone()),
+        );
         let admission = config
             .overload
             .admission_on()
             .then(|| AdmissionController::new(config.overload.admission.clone()));
-        let telemetry = if config.telemetry.enabled {
-            let t = Telemetry::new();
-            if let Some(sup) = &supervisor {
-                sup.set_telemetry(t.clone());
-            }
-            Some(t)
-        } else {
-            None
-        };
+        let telemetry = config.telemetry.enabled.then(|| {
+            let bridge = &config.telemetry.bridge;
+            let t = if bridge.enabled {
+                Telemetry::watching(bridge.clone(), supervisor.event_sink())
+            } else {
+                Telemetry::new()
+            };
+            supervisor.set_telemetry(t.clone());
+            t
+        });
         let buf_pool = config.membuf.then(|| BufferPool::new(MEMBUF_MAX_PER_CLASS));
         let deps = StreamDeps {
             msg_pool: msg_pool.clone(),
@@ -242,7 +231,7 @@ impl MobiGate {
             mode: config.mode,
             route_opts: config.route_opts,
             executor: executor.clone(),
-            supervisor: supervisor.clone(),
+            supervisor: Some(supervisor.clone()),
             batching: config.batching,
             fusion: config.fusion,
             telemetry: telemetry.clone(),
@@ -251,17 +240,6 @@ impl MobiGate {
             buf_pool: buf_pool.clone(),
         };
         let coordination = Arc::new(CoordinationManager::new(deps, events.clone()));
-        if let Some(t) = &telemetry {
-            if config.telemetry.bridge.enabled {
-                let bridge = MetricsBridge::start(
-                    config.telemetry.bridge.clone(),
-                    Arc::downgrade(t),
-                    Arc::downgrade(&coordination),
-                    Arc::downgrade(&events),
-                );
-                t.install_bridge(bridge);
-            }
-        }
         MobiGate {
             directory,
             streamlet_pool,
@@ -312,15 +290,14 @@ impl MobiGate {
         &self.executor
     }
 
-    /// The streamlet supervisor, when supervision is enabled.
-    pub fn supervisor(&self) -> Option<&Arc<Supervisor>> {
-        self.supervisor.as_ref()
+    /// The streamlet supervisor.
+    pub fn supervisor(&self) -> &Arc<Supervisor> {
+        &self.supervisor
     }
 
-    /// The poison-message dead-letter queue (inspection API), when
-    /// supervision is enabled.
-    pub fn dead_letters(&self) -> Option<&Arc<DeadLetterQueue>> {
-        self.supervisor.as_ref().map(|s| s.dead_letters())
+    /// The poison-message dead-letter queue (inspection API).
+    pub fn dead_letters(&self) -> &Arc<DeadLetterQueue> {
+        self.supervisor.dead_letters()
     }
 
     /// The observability plane, when enabled.
@@ -331,11 +308,6 @@ impl MobiGate {
     /// The admission controller, when overload protection enabled it.
     pub fn admission(&self) -> Option<&Arc<AdmissionController>> {
         self.admission.as_ref()
-    }
-
-    /// The memory plane's buffer pool, when enabled.
-    pub fn buffer_pool(&self) -> Option<&Arc<BufferPool>> {
-        self.buf_pool.as_ref()
     }
 
     /// Assembles one coherent [`MetricsSnapshot`] across every subsystem
@@ -352,8 +324,8 @@ impl MobiGate {
             streamlet_pool: self.streamlet_pool.stats(),
             msg_pool: self.msg_pool.stats(),
             events: self.events.stats(),
-            supervisor: self.supervisor.as_ref().map(|s| s.stats()),
-            dead_letters: self.supervisor.as_ref().map(|s| s.dead_letters().stats()),
+            supervisor: self.supervisor.stats(),
+            dead_letters: self.dead_letters().stats(),
             trace_recorded: t.trace().recorded(),
             trace_overwritten: t.trace().overwritten(),
             buf_pool: self.buf_pool.as_ref().map(|p| p.stats()),

@@ -61,7 +61,7 @@ pub struct SharedStreamlet {
     parked: LogicSlot,
     probe: Option<QueueProbe>,
     /// Keeps the restart worker alive while the instance can fault.
-    _supervisor: Option<Arc<Supervisor>>,
+    _supervisor: Arc<Supervisor>,
 }
 
 impl SharedStreamlet {
@@ -82,16 +82,16 @@ impl SharedStreamlet {
             RouteOpts::default(),
             server.executor().clone(),
         );
-        let probe = server.telemetry().map(|t| t.probe_for(name));
+        let probe = server.telemetry().map(|t| t.probe_for(name, name));
         if let Some(p) = &probe {
             handle.set_probe(p.clone());
         }
-        let supervisor = server.supervisor().cloned();
-        if let Some(sup) = &supervisor {
+        let rebuild = {
             let (key, parked): (Arc<str>, _) = (key.into(), parked.clone());
-            let rebuild = move || Ok(SessionRouted::boxed(directory.create(&key)?, &parked));
-            sup.supervise(&handle, rebuild, None);
-        }
+            move || Ok(SessionRouted::boxed(directory.create(&key)?, &parked))
+        };
+        let supervisor = server.supervisor().clone();
+        supervisor.supervise(&handle, rebuild, None);
         let inbox = QueueConfig {
             name: format!("__shared/{name}"),
             capacity_bytes: 16 << 20,
@@ -591,12 +591,12 @@ mod tests {
             // faulted the instance `poison_threshold` times, restarting
             // the instance after every fault.
             let threshold = RestartPolicy::default().poison_threshold;
-            let letters = server.dead_letters().unwrap().snapshot();
+            let letters = server.dead_letters().snapshot();
             assert_eq!(letters.len(), 1, "{executor:?}");
             assert_eq!(&letters[0].message.body[..], b"boom", "{executor:?}");
             assert_eq!(letters[0].instance, "picky", "{executor:?}");
             assert_eq!(letters[0].faults, threshold, "{executor:?}");
-            let sup = server.supervisor().unwrap().stats();
+            let sup = server.supervisor().stats();
             assert_eq!(sup.restarts, u64::from(threshold), "{executor:?}");
             let stats = rig.shared.handle.stats();
             assert_eq!(stats.faults, u64::from(threshold), "{executor:?}");
@@ -637,8 +637,8 @@ mod tests {
                 assert_eq!(fetch_text(pool, qb), format!("B{k}"), "{executor:?}");
             }
             assert!(received_nothing(qa) && received_nothing(qb), "{executor:?}");
-            assert!(server.dead_letters().unwrap().is_empty(), "{executor:?}");
-            let restarts = server.supervisor().unwrap().stats().restarts;
+            assert!(server.dead_letters().is_empty(), "{executor:?}");
+            let restarts = server.supervisor().stats().restarts;
             assert_eq!(restarts, 1, "{executor:?}");
             assert_eq!(rig.faults.seen.lock().len(), 1, "{executor:?}");
             assert_eq!(rig.shared.stats().processed, 11, "{executor:?}");

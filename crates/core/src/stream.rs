@@ -477,12 +477,17 @@ impl StreamBlueprint {
         session: SessionId,
     ) -> Result<Arc<RunningStream>, CoreError> {
         let deps = &self.deps;
+        let name = if self.named_by_session {
+            session.shared()
+        } else {
+            self.name.clone()
+        };
         // One session-keyed telemetry probe is shared by every channel and
         // handle of this stream; `None` when the observability plane is off.
         let probe = deps
             .telemetry
             .as_ref()
-            .map(|t| t.probe_for(session.as_str()));
+            .map(|t| t.probe_for(session.as_str(), &name));
         let queue = |cfg: &Arc<QueueConfig>| {
             MessageQueue::with_probe(cfg.clone(), deps.msg_pool.clone(), probe.clone())
         };
@@ -496,11 +501,6 @@ impl StreamBlueprint {
         let egress = queue(&self.egress);
         let egress_notifier = Arc::new(Notifier::new());
         egress.add_listener(egress_notifier.clone());
-        let name = if self.named_by_session {
-            session.shared()
-        } else {
-            self.name.clone()
-        };
         let stream = Arc::new(RunningStream {
             name,
             session,
@@ -639,8 +639,8 @@ fn event_categories(rules: &[WhenRule], deps: &StreamDeps) -> Box<[EventCategory
         categories.push(EventCategory::RuntimeFault);
     }
     if deps.overload.shed_on() {
-        // Load shedding reacts to CHANNEL_CONGESTED from the metrics
-        // bridge even when the script has no load-variation rules.
+        // Load shedding reacts to CHANNEL_CONGESTED even when the script
+        // has no load-variation rules.
         categories.push(EventCategory::LoadVariation);
     }
     categories.sort_by_key(|c| c.id());
@@ -803,7 +803,7 @@ impl RunningStream {
     ) -> (Arc<StreamletHandle>, Arc<FusedShared>) {
         let deps = self.deps();
         let n_members = members.len();
-        let shared = FusedShared::new(unit.clone(), members);
+        let shared = FusedShared::new(members);
         let handle = self.wrap_logic(
             unit.clone(),
             fused_def(),
@@ -1703,10 +1703,15 @@ impl RunningStream {
 
         // Wait for the Fig 6-8 prerequisites: inputs drained + not
         // processing. (Outputs are delivered synchronously by the worker, so
-        // quiescence implies condition 3.)
-        let deadline = Instant::now() + deadline;
-        while !handle.inputs_empty() || handle.is_processing() {
-            if Instant::now() >= deadline {
+        // quiescence implies condition 3.) Only a step of the streamlet can
+        // meet them, and every step fires the stream's quiesce notifier.
+        let deadline = deadline_after(deadline);
+        loop {
+            let seen = self.quiesce.snapshot();
+            if handle.inputs_empty() && !handle.is_processing() {
+                break;
+            }
+            if expired(deadline) {
                 // Reactivate producers before giving up.
                 for row in &rows {
                     if let Some(p) = inner.instances.get(row.from.0.as_str()) {
@@ -1719,7 +1724,7 @@ impl RunningStream {
                     ),
                 });
             }
-            std::thread::sleep(Duration::from_millis(1));
+            self.quiesce.wait_unless(seen, deadline);
         }
 
         // Detach every connection touching the streamlet.

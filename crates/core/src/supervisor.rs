@@ -268,6 +268,8 @@ enum JobKind {
     /// The half-open probe window elapsed: close the breaker if the probe
     /// stayed quiet.
     ProbeVerdict,
+    /// Multicast an event handed in through an [`EventSink`].
+    Publish(ContextEvent),
 }
 
 struct Job {
@@ -295,17 +297,39 @@ impl WorkQueue {
     }
 }
 
-/// Queues a job for the supervision worker.
+/// Queues a job for the supervision worker; a stopped worker takes none.
 fn push_job(work: &Parker<WorkQueue>, key: u64, due: Instant, kind: JobKind) {
     work.update(|w| {
+        if w.stop {
+            return ((), Wake::None);
+        }
         w.jobs.push_back(Job { key, due, kind });
         ((), Wake::All)
     });
 }
 
+/// Hands context events to the supervisor thread, which multicasts them
+/// and runs the `when` reconfigurations they trigger. The telemetry
+/// plane raises its load events through one: the thread whose post or
+/// fault moved a counter may be a streamlet driver, and a `when` rule
+/// that pauses that driver's own unit, run on that driver, would wait
+/// for a pause it cannot acknowledge. Holds the job queue only, never
+/// the supervisor, so whoever keeps a sink keeps no supervisor alive;
+/// events handed in after the supervisor stopped are dropped.
+#[derive(Clone)]
+pub struct EventSink(Arc<Parker<WorkQueue>>);
+
+impl EventSink {
+    /// Queues `event` for multicast on the supervisor thread.
+    pub fn publish(&self, event: ContextEvent) {
+        push_job(&self.0, 0, Instant::now(), JobKind::Publish(event));
+    }
+}
+
 /// The supervision engine: one background worker that restarts faulted
 /// instances, quarantines repeat offenders, dead-letters poison messages,
-/// and raises `STREAMLET_FAULT` events.
+/// raises `STREAMLET_FAULT` events, and multicasts what its
+/// [`EventSink`]s hand in.
 pub struct Supervisor {
     entries: Mutex<HashMap<u64, Entry>>,
     next_key: AtomicU64,
@@ -472,6 +496,11 @@ impl Supervisor {
         self.entries.lock().len()
     }
 
+    /// A sink that publishes events from this supervisor's thread.
+    pub fn event_sink(&self) -> EventSink {
+        EventSink(Arc::clone(&self.work))
+    }
+
     /// The dead-letter queue (server inspection API).
     pub fn dead_letters(&self) -> &Arc<DeadLetterQueue> {
         &self.dead_letters
@@ -561,6 +590,9 @@ impl Supervisor {
                 JobKind::Restart => sup.handle_restart(job.key),
                 JobKind::Probe => sup.handle_probe(job.key),
                 JobKind::ProbeVerdict => sup.handle_probe_verdict(job.key),
+                JobKind::Publish(event) => {
+                    sup.events.multicast(&event);
+                }
             }
         }
     }

@@ -1,5 +1,5 @@
 //! The observability plane — hot-path telemetry, lifecycle tracing, and
-//! the metrics→event bridge (ROADMAP item 5's measurement half).
+//! the load-event watchers (ROADMAP item 5's measurement half).
 //!
 //! Everything hangs off one [`Telemetry`] object created by the server
 //! when `ServerConfig { telemetry }` enables it:
@@ -13,28 +13,43 @@
 //!   [`trace::TraceEvent`]s (deploy, reconfigure, fuse/fission, fault,
 //!   quarantine, session spawn/teardown, drops) with monotonic
 //!   nanosecond timestamps, exportable as JSONL;
-//! * a [`bridge::MetricsBridge`] that polls measured state and publishes
-//!   real `ContextEvent`s (CHANNEL_CONGESTED, HIGH_DROP_RATE,
-//!   HIGH_FAULT_RATE, BYTE_BUDGET_EXCEEDED) into the `EventManager`, so
-//!   MCL `when (...)` rules react to what the gateway *measures*.
+//! * load-event watchers, armed by `TelemetryConfig { bridge }`: the
+//!   probe call that moves a counter past its threshold raises the Load
+//!   Variation event itself, targeted at the stream's name, so MCL
+//!   `when (...)` rules react to what the gateway *measures*. A post that
+//!   lifts a channel to its high-water mark raises `CHANNEL_CONGESTED`;
+//!   the drop, fault or admission reject that brings the stream's count
+//!   in a one-second [`RateWindow`] to its threshold raises
+//!   `HIGH_DROP_RATE`, `HIGH_FAULT_RATE` or `OVERLOAD`; the ingress post
+//!   that takes a session past its byte budget raises
+//!   `BYTE_BUDGET_EXCEEDED`. Each fires on its crossing edge only (the
+//!   re-arm rules are on [`BridgeConfig`] and [`RateWindow`]). No thread
+//!   polls: the event goes onto the supervisor's job queue through an
+//!   [`EventSink`], and the supervisor thread multicasts it and runs the
+//!   `when` reconfiguration it triggers — never the streamlet driver that
+//!   raised it, which that reconfiguration may pause.
 //!
 //! When telemetry is disabled nothing here is allocated: the runtime
 //! threads an `Option<Arc<Telemetry>>` that stays `None`, and every hot
 //! path pays exactly one branch on it.
 
-pub mod bridge;
 pub mod hist;
 pub mod registry;
 pub mod snapshot;
 pub mod trace;
 
-pub use bridge::BridgeConfig;
 pub use hist::{Histogram, HistogramSnapshot};
-pub use registry::{DropReason, MetricsRegistry, StreamMetrics, StreamMetricsSnapshot, TimingSite};
+pub use registry::{
+    DropReason, MetricsRegistry, RateWindow, StreamMetrics, StreamMetricsSnapshot, TimingSite,
+};
 pub use snapshot::MetricsSnapshot;
 pub use trace::{TraceEvent, TraceKind, TraceRing};
 
+use crate::events::ContextEvent;
+use crate::supervisor::EventSink;
+use mobigate_mcl::events::EventKind;
 use parking_lot::Mutex;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,7 +62,7 @@ pub struct TelemetryConfig {
     /// Master switch. Off by default: the disabled path allocates nothing
     /// and costs one `Option` branch per instrumented operation.
     pub enabled: bool,
-    /// Threshold watcher configuration for the metrics→event bridge.
+    /// Thresholds of the load-event watchers.
     pub bridge: BridgeConfig,
 }
 
@@ -61,23 +76,80 @@ impl TelemetryConfig {
     }
 }
 
+/// Thresholds of the load-event watchers. Rates count over one-second
+/// windows ([`RateWindow`]).
+#[derive(Clone, Debug)]
+pub struct BridgeConfig {
+    /// Raises load events (only meaningful with telemetry enabled).
+    pub enabled: bool,
+    /// `CHANNEL_CONGESTED` when a post lifts one channel's buffered bytes
+    /// to this mark. The channel re-arms at half the mark; the stream
+    /// raises the event again once a one-second window passes with no
+    /// crossing ([`QueueProbe::on_congested`]).
+    pub queue_high_water_bytes: u64,
+    /// `HIGH_DROP_RATE` when a stream drops this many messages within
+    /// one second.
+    pub drop_rate_per_sec: u64,
+    /// `HIGH_FAULT_RATE` when a stream faults this many times within one
+    /// second.
+    pub fault_rate_per_sec: u64,
+    /// `BYTE_BUDGET_EXCEEDED` when a session's cumulative ingress bytes
+    /// exceed this budget. `None` disables the watcher.
+    pub session_byte_budget: Option<u64>,
+    /// `OVERLOAD` when admission control rejects this many of a stream's
+    /// posts within one second — the signal that load shedding should
+    /// engage downstream of the bucket.
+    pub admission_rejects_per_sec: u64,
+}
+
+impl Default for BridgeConfig {
+    fn default() -> Self {
+        BridgeConfig {
+            enabled: true,
+            queue_high_water_bytes: 4 << 20,
+            drop_rate_per_sec: 1_000,
+            fault_rate_per_sec: 50,
+            session_byte_budget: None,
+            admission_rejects_per_sec: 1_000,
+        }
+    }
+}
+
+/// The armed watchers: their thresholds and where their events go.
+struct Watch {
+    cfg: BridgeConfig,
+    sink: EventSink,
+}
+
 /// The observability plane's root object (one per server).
 pub struct Telemetry {
     epoch: Instant,
     registry: MetricsRegistry,
     trace: TraceRing,
-    bridge: Mutex<Option<bridge::MetricsBridge>>,
+    /// `None` when no load event is watched.
+    watch: Option<Watch>,
 }
 
 impl Telemetry {
-    /// Builds the plane. Callers gate on `TelemetryConfig::enabled`
-    /// themselves (the server builds `None` when disabled).
+    /// Builds the plane with no load-event watchers. Callers gate on
+    /// `TelemetryConfig::enabled` themselves (the server builds `None`
+    /// when disabled).
     pub fn new() -> Arc<Self> {
+        Self::build(None)
+    }
+
+    /// Builds the plane with the load-event watchers of `cfg` armed: their
+    /// events are published through `sink`.
+    pub fn watching(cfg: BridgeConfig, sink: EventSink) -> Arc<Self> {
+        Self::build(Some(Watch { cfg, sink }))
+    }
+
+    fn build(watch: Option<Watch>) -> Arc<Self> {
         Arc::new(Telemetry {
             epoch: Instant::now(),
             registry: MetricsRegistry::new(),
             trace: TraceRing::new(TRACE_CAPACITY),
-            bridge: Mutex::new(None),
+            watch,
         })
     }
 
@@ -115,45 +187,30 @@ impl Telemetry {
     }
 
     /// Registers (or re-fetches) stream metrics for `key` and returns a
-    /// probe queues and tasks can record through.
-    pub fn probe_for(self: &Arc<Self>, key: &str) -> QueueProbe {
+    /// probe queues and tasks can record through. Load events it raises
+    /// target `stream`, the event identity of the stream keyed `key`.
+    pub fn probe_for(self: &Arc<Self>, key: &str, stream: &str) -> QueueProbe {
         QueueProbe {
             telemetry: self.clone(),
             stream: self.registry.register(key),
             key: Arc::from(key),
+            target: Arc::from(stream),
         }
-    }
-
-    /// Stops the bridge thread, if one is running. Idempotent.
-    pub fn stop_bridge(&self) {
-        if let Some(b) = self.bridge.lock().take() {
-            b.stop();
-        }
-    }
-
-    pub(crate) fn install_bridge(&self, b: bridge::MetricsBridge) {
-        let prev = self.bridge.lock().replace(b);
-        if let Some(prev) = prev {
-            prev.stop();
-        }
-    }
-}
-
-impl Drop for Telemetry {
-    fn drop(&mut self) {
-        self.stop_bridge();
     }
 }
 
 /// The hot-path recording handle: one per instrumented stream, cloned
 /// into each of its queues and streamlet tasks. All methods are relaxed
-/// atomics on [`StreamMetrics`] plus (for drops) one trace-ring append.
+/// atomics on [`StreamMetrics`] plus (for drops) one trace-ring append;
+/// with the watchers armed, drops and faults also charge a rate window.
 #[derive(Clone)]
 pub struct QueueProbe {
     pub telemetry: Arc<Telemetry>,
     pub stream: Arc<StreamMetrics>,
     /// The registry key (session/stream ID) — names trace events.
     pub key: Arc<str>,
+    /// The stream name load events are targeted at.
+    pub target: Arc<str>,
 }
 
 impl std::fmt::Debug for QueueProbe {
@@ -176,7 +233,7 @@ impl QueueProbe {
     /// increment of the site's own tick.
     #[inline]
     pub fn sample_timing(&self, site: TimingSite) -> bool {
-        self.stream.timing_ticks[site as usize].fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        self.stream.timing_ticks[site as usize].fetch_add(1, Ordering::Relaxed)
             & (TIMING_SAMPLE - 1)
             == 0
     }
@@ -187,10 +244,7 @@ impl QueueProbe {
     /// costs exactly one relaxed increment.
     #[inline]
     pub fn on_admit(&self, len: usize) {
-        let n = self
-            .stream
-            .posted
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let n = self.stream.posted.fetch_add(1, Ordering::Relaxed);
         if n & (TIMING_SAMPLE - 1) == 0 {
             self.stream.msg_bytes.record(len as u64);
         }
@@ -205,9 +259,7 @@ impl QueueProbe {
     /// `n` messages fetched (single fetch: `n = 1`).
     #[inline]
     pub fn on_fetch(&self, n: u64) {
-        self.stream
-            .fetched
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+        self.stream.fetched.fetch_add(n, Ordering::Relaxed);
     }
 
     /// One `take_batch` handed out `n` messages. The fetched counter is
@@ -221,17 +273,24 @@ impl QueueProbe {
     }
 
     /// `n` messages dropped for `reason` on queue `queue` — charges the
-    /// reason counter and appends one trace event.
+    /// reason counter, appends one trace event, and charges the drop
+    /// (and, for admission rejects, the admission) rate window.
     pub fn on_drop(&self, queue: &str, reason: DropReason, n: u64) {
-        self.stream
-            .drop_for(reason)
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+        self.stream.drop_for(reason).fetch_add(n, Ordering::Relaxed);
         self.telemetry.trace_event(
             TraceKind::Drop,
             Some(&self.key),
             None,
             format!("{}x{} on {}", reason.name(), n, queue),
         );
+        if let Some(w) = &self.telemetry.watch {
+            let (rate, kind) = (&self.stream.drop_rate, EventKind::HighDropRate);
+            self.charge(rate, n, w.cfg.drop_rate_per_sec, kind);
+            if reason == DropReason::Admission {
+                let (rate, kind) = (&self.stream.admission_rate, EventKind::Overload);
+                self.charge(rate, n, w.cfg.admission_rejects_per_sec, kind);
+            }
+        }
     }
 
     /// Wall time of one streamlet `process`/`process_batch` call (ns).
@@ -240,20 +299,63 @@ impl QueueProbe {
         self.stream.process_ns.record(ns);
     }
 
-    /// Ingress bytes injected into the stream (byte-budget watcher feed).
+    /// Ingress bytes injected into the stream. The add that takes them
+    /// past the session byte budget raises `BYTE_BUDGET_EXCEEDED`; only
+    /// one add can, so it fires once.
     #[inline]
     pub fn on_bytes_in(&self, n: u64) {
-        self.stream
-            .bytes_in
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+        let before = self.stream.bytes_in.fetch_add(n, Ordering::Relaxed);
+        let budget = self
+            .telemetry
+            .watch
+            .as_ref()
+            .and_then(|w| w.cfg.session_byte_budget);
+        if budget.is_some_and(|b| before <= b && before.saturating_add(n) > b) {
+            self.raise(EventKind::ByteBudgetExceeded);
+        }
     }
 
-    /// One execution-plane fault attributed to this stream.
+    /// One execution-plane fault attributed to this stream; charges the
+    /// fault rate window.
     #[inline]
     pub fn on_fault(&self) {
-        self.stream
-            .faults
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stream.faults.fetch_add(1, Ordering::Relaxed);
+        if let Some(w) = &self.telemetry.watch {
+            let (rate, kind) = (&self.stream.fault_rate, EventKind::HighFaultRate);
+            self.charge(rate, 1, w.cfg.fault_rate_per_sec, kind);
+        }
+    }
+
+    /// One of this stream's channels crossed its congestion mark. Raises
+    /// `CHANNEL_CONGESTED` unless a crossing already raised it within the
+    /// stream's current window: congestion that moves from channel to
+    /// channel as a burst flows down the stream is one condition, not one
+    /// event per hop.
+    pub fn on_congested(&self) {
+        self.charge(&self.stream.congestion, 1, 1, EventKind::ChannelCongested);
+    }
+
+    /// Charges `n` to `window`; raises `kind` on its firing edge.
+    fn charge(&self, window: &Mutex<RateWindow>, n: u64, threshold: u64, kind: EventKind) {
+        if window.lock().charge(self.telemetry.now_ns(), n, threshold) {
+            self.raise(kind);
+        }
+    }
+
+    /// The buffered bytes at which a channel raises `CHANNEL_CONGESTED`:
+    /// `usize::MAX`, which no channel reaches, when no watcher is armed.
+    pub(crate) fn congestion_mark(&self) -> usize {
+        self.telemetry.watch.as_ref().map_or(usize::MAX, |w| {
+            usize::try_from(w.cfg.queue_high_water_bytes).unwrap_or(usize::MAX)
+        })
+    }
+
+    /// Publishes `kind`, targeted at this probe's stream, from the
+    /// supervisor thread.
+    fn raise(&self, kind: EventKind) {
+        if let Some(w) = &self.telemetry.watch {
+            w.sink.publish(ContextEvent::targeted(kind, &*self.target));
+        }
     }
 }
 
@@ -267,7 +369,7 @@ mod tests {
     /// share.
     #[test]
     fn each_histogram_samples_its_own_share() {
-        let probe = Telemetry::new().probe_for("s");
+        let probe = Telemetry::new().probe_for("s", "s");
         let cycles = 64 * TIMING_SAMPLE;
         for _ in 0..cycles {
             if probe.sample_timing(TimingSite::Post) {

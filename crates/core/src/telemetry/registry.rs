@@ -67,6 +67,39 @@ impl TimingSite {
     pub const COUNT: usize = 3;
 }
 
+/// Length of a watched rate's window, nanoseconds.
+const RATE_WINDOW_NS: u64 = 1_000_000_000;
+
+/// One watched rate: a count over a one-second window that opens at the
+/// first charge after the previous one closed, so no timer resets it.
+/// The watcher fires on the charge that lifts a window's count to the
+/// threshold, then stays latched until a window closes below the
+/// threshold or a whole window passes without a charge.
+#[derive(Debug, Default)]
+pub struct RateWindow {
+    start_ns: u64,
+    count: u64,
+    latched: bool,
+}
+
+impl RateWindow {
+    /// Charges `n` at `now_ns`; true on the firing edge.
+    pub fn charge(&mut self, now_ns: u64, n: u64, threshold: u64) -> bool {
+        let elapsed = now_ns.saturating_sub(self.start_ns);
+        if self.count == 0 || elapsed >= RATE_WINDOW_NS {
+            if self.count < threshold || elapsed >= 2 * RATE_WINDOW_NS {
+                self.latched = false;
+            }
+            self.start_ns = now_ns;
+            self.count = 0;
+        }
+        self.count = self.count.saturating_add(n);
+        let fire = !self.latched && self.count >= threshold;
+        self.latched |= fire;
+        fire
+    }
+}
+
 /// Hot-path metrics for one stream/session (or the retired accumulator).
 #[derive(Default)]
 pub struct StreamMetrics {
@@ -85,6 +118,13 @@ pub struct StreamMetrics {
     /// ([`super::QueueProbe::sample_timing`]), one per [`TimingSite`];
     /// not part of snapshots.
     pub timing_ticks: [AtomicU64; TimingSite::COUNT],
+    /// Load-event rate windows ([`super::BridgeConfig`]); not part of
+    /// snapshots. `congestion` counts channel crossings with a threshold
+    /// of one.
+    pub congestion: Mutex<RateWindow>,
+    pub drop_rate: Mutex<RateWindow>,
+    pub fault_rate: Mutex<RateWindow>,
+    pub admission_rate: Mutex<RateWindow>,
     // Histograms.
     /// Wall time of one `post`/`post_all` call, nanoseconds.
     pub post_ns: Histogram,
@@ -230,11 +270,6 @@ impl MetricsRegistry {
         self.live.lock().entry(key.to_string()).or_default().clone()
     }
 
-    /// Looks up a live handle without registering.
-    pub fn get(&self, key: &str) -> Option<Arc<StreamMetrics>> {
-        self.live.lock().get(key).cloned()
-    }
-
     /// Retires `key`: removes it from the live map and folds its final
     /// counters into the retired accumulator. Idempotent.
     pub fn deregister(&self, key: &str) {
@@ -290,14 +325,45 @@ mod tests {
         m.posted.fetch_add(3, Ordering::Relaxed);
         assert_eq!(reg.live_count(), 1);
         assert!(Arc::ptr_eq(&reg.register("app-1"), &m));
-        assert_eq!(reg.get("app-1").unwrap().posted.load(Ordering::Relaxed), 3);
+        assert_eq!(reg.per_stream()[0].1.posted, 3);
         reg.deregister("app-1");
-        assert!(reg.get("app-1").is_none());
+        assert!(reg.per_stream().is_empty());
         assert_eq!(reg.live_count(), 0);
         // Retired totals keep the counts.
         assert_eq!(reg.totals().posted, 3);
         reg.deregister("app-1"); // idempotent
         assert_eq!(reg.totals().posted, 3);
+    }
+
+    #[test]
+    fn rate_window_fires_on_the_crossing_charge_only() {
+        let mut w = RateWindow::default();
+        let t0 = 5 * RATE_WINDOW_NS;
+        assert!(!w.charge(t0, 2, 3));
+        assert!(w.charge(t0 + 1, 1, 3), "the charge reaching 3 fires");
+        assert!(!w.charge(t0 + 2, 10, 3), "latched within the window");
+        // A standing rate keeps the latch across windows.
+        assert!(!w.charge(t0 + RATE_WINDOW_NS, 3, 3));
+        assert!(!w.charge(t0 + 2 * RATE_WINDOW_NS, 3, 3));
+    }
+
+    #[test]
+    fn rate_window_rearms_after_a_quiet_window() {
+        // A window that closes below the threshold re-arms.
+        let mut w = RateWindow::default();
+        assert!(w.charge(0, 3, 3));
+        assert!(!w.charge(RATE_WINDOW_NS, 1, 3));
+        assert!(!w.charge(RATE_WINDOW_NS + 1, 1, 3));
+        assert!(w.charge(2 * RATE_WINDOW_NS, 3, 3));
+        // So does a whole window without a charge.
+        let mut w = RateWindow::default();
+        assert!(w.charge(0, 3, 3));
+        assert!(!w.charge(RATE_WINDOW_NS + RATE_WINDOW_NS / 2, 3, 3));
+        assert!(w.charge(4 * RATE_WINDOW_NS, 3, 3));
+        // Charges spread over two windows never reach the threshold.
+        let mut w = RateWindow::default();
+        assert!(!w.charge(0, 2, 3));
+        assert!(!w.charge(RATE_WINDOW_NS, 2, 3));
     }
 
     #[test]

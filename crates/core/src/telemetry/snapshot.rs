@@ -30,10 +30,10 @@ pub struct MetricsSnapshot {
     pub msg_pool: PoolStats,
     /// Event manager counters.
     pub events: EventStats,
-    /// Supervisor counters, when supervision is enabled.
-    pub supervisor: Option<SupervisorStats>,
-    /// Dead-letter queue counters, when supervision is enabled.
-    pub dead_letters: Option<DeadLetterStats>,
+    /// Supervisor counters.
+    pub supervisor: SupervisorStats,
+    /// Dead-letter queue counters.
+    pub dead_letters: DeadLetterStats,
     /// Lifecycle trace events ever recorded.
     pub trace_recorded: u64,
     /// Lifecycle trace events lost to ring overwrite.
@@ -192,52 +192,49 @@ impl MetricsSnapshot {
             self.events.filtered,
         );
 
-        if let Some(s) = &self.supervisor {
-            counter(
-                &mut out,
-                "mobigate_supervisor_faults_total",
-                "Faults handled by the supervisor.",
-                s.faults,
-            );
-            counter(
-                &mut out,
-                "mobigate_supervisor_restarts_total",
-                "Successful supervised restarts.",
-                s.restarts,
-            );
-            counter(
-                &mut out,
-                "mobigate_supervisor_quarantined_total",
-                "Instances quarantined.",
-                s.quarantined,
-            );
-            counter(
-                &mut out,
-                "mobigate_supervisor_dead_lettered_total",
-                "Poison messages evicted to the dead-letter queue.",
-                s.dead_lettered,
-            );
-            counter(
-                &mut out,
-                "mobigate_supervisor_breaker_trips_total",
-                "Circuit-breaker trips (faults parked behind an open breaker).",
-                s.breaker_trips,
-            );
-        }
-        if let Some(d) = &self.dead_letters {
-            counter(
-                &mut out,
-                "mobigate_dead_letters_enqueued_total",
-                "Messages ever enqueued to the dead-letter queue.",
-                d.enqueued,
-            );
-            counter(
-                &mut out,
-                "mobigate_dead_letters_discarded_total",
-                "Dead letters dropped at capacity.",
-                d.discarded,
-            );
-        }
+        let (s, d) = (&self.supervisor, &self.dead_letters);
+        counter(
+            &mut out,
+            "mobigate_supervisor_faults_total",
+            "Faults handled by the supervisor.",
+            s.faults,
+        );
+        counter(
+            &mut out,
+            "mobigate_supervisor_restarts_total",
+            "Successful supervised restarts.",
+            s.restarts,
+        );
+        counter(
+            &mut out,
+            "mobigate_supervisor_quarantined_total",
+            "Instances quarantined.",
+            s.quarantined,
+        );
+        counter(
+            &mut out,
+            "mobigate_supervisor_dead_lettered_total",
+            "Poison messages evicted to the dead-letter queue.",
+            s.dead_lettered,
+        );
+        counter(
+            &mut out,
+            "mobigate_supervisor_breaker_trips_total",
+            "Circuit-breaker trips (faults parked behind an open breaker).",
+            s.breaker_trips,
+        );
+        counter(
+            &mut out,
+            "mobigate_dead_letters_enqueued_total",
+            "Messages ever enqueued to the dead-letter queue.",
+            d.enqueued,
+        );
+        counter(
+            &mut out,
+            "mobigate_dead_letters_discarded_total",
+            "Dead letters dropped at capacity.",
+            d.discarded,
+        );
 
         if let Some(bp) = &self.buf_pool {
             for (name, help, v) in [
@@ -350,13 +347,13 @@ mod tests {
         snap.totals.post_ns.buckets[3] = 4;
         snap.totals.post_ns.count = 4;
         snap.totals.post_ns.sum = 20;
-        snap.supervisor = Some(SupervisorStats {
+        snap.supervisor = SupervisorStats {
             faults: 1,
             restarts: 1,
             quarantined: 0,
             dead_lettered: 0,
             breaker_trips: 0,
-        });
+        };
         let text = snap.render_prometheus();
         assert!(text.contains("# TYPE mobigate_posted_total counter"));
         assert!(text.contains("mobigate_posted_total 10"));

@@ -1,7 +1,7 @@
 //! Overload-protection plane integration tests:
 //!
 //! * priority-aware shedding fires from a *measured* `CHANNEL_CONGESTED`
-//!   event published by the metrics bridge — bulk payloads are shed,
+//!   event raised by the post that crossed the mark — bulk payloads are shed,
 //!   interactive traffic survives, and every drop is reason-coded;
 //! * the circuit breaker routes a repeatedly faulting instance through
 //!   trip → half-open probe → close without burning the supervisor's
@@ -147,8 +147,8 @@ fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
 }
 
 /// Satellite 1: load shedding fires from a *real* `CHANNEL_CONGESTED`
-/// event published by the metrics bridge — nobody raises the event by
-/// hand. Bulk (image) payloads parked in the paused ingress are shed
+/// event raised by the post that crossed the mark — nobody raises the
+/// event by hand. Bulk (image) payloads parked in the paused ingress are shed
 /// lowest-priority-first; the interactive (text) messages behind them
 /// all survive and deliver, and every drop is charged to the `shed`
 /// reason.
@@ -158,15 +158,14 @@ fn bridge_congestion_sheds_bulk_keeps_interactive() {
         ServerConfig {
             telemetry: telemetry_on(Some(BridgeConfig {
                 enabled: true,
-                poll_interval: Duration::from_millis(10),
                 // 8 × 256 B of bulk payload crosses this exactly, so the
                 // congestion signal cannot fire before the whole bulk
                 // burst is resident.
                 queue_high_water_bytes: 2048,
-                drop_rate_per_poll: u64::MAX,
-                fault_rate_per_poll: u64::MAX,
+                drop_rate_per_sec: u64::MAX,
+                fault_rate_per_sec: u64::MAX,
                 session_byte_budget: None,
-                admission_rejects_per_poll: u64::MAX,
+                admission_rejects_per_sec: u64::MAX,
             })),
             overload: OverloadConfig {
                 enabled: true,
@@ -204,8 +203,7 @@ fn bridge_congestion_sheds_bulk_keeps_interactive() {
             .unwrap();
     }
 
-    // The bridge must observe the high-water crossing and publish the
-    // event; the stream subscribes for LoadVariation automatically when
+    // The high-water crossing must raise the event; the stream subscribes for LoadVariation automatically when
     // shedding is on (no `when` rule in the script).
     let g2 = &g;
     assert!(
@@ -281,7 +279,6 @@ fn breaker_trips_probes_and_closes_without_quarantine() {
         },
         ..Default::default()
     };
-    config.supervision.enabled = true;
     config.supervision.policy.max_restarts = 5;
     config.supervision.policy.backoff_base = Duration::from_millis(1);
     config.supervision.policy.backoff_max = Duration::from_millis(2);
@@ -302,7 +299,7 @@ fn breaker_trips_probes_and_closes_without_quarantine() {
         "the in-flight message must be delivered after the breaker closes"
     );
 
-    let sup = g.supervisor().unwrap();
+    let sup = g.supervisor();
     let breaker = sup.breaker_of("f").expect("f must carry a breaker");
     assert!(
         wait_until(Duration::from_secs(5), || breaker.state()
@@ -486,11 +483,10 @@ fn jitter_sequence_is_reproducible_from_seed() {
     // The knob is plumbed through ServerConfig: a gateway built with an
     // explicit seed draws the same sequence as a bare supervisor.
     let mut config = ServerConfig::default();
-    config.supervision.enabled = true;
     config.supervision.jitter_seed = 0xDEAD_BEEF;
     let g = gate(config, Arc::new(AtomicU64::new(0)));
     let via_server = (0..32)
-        .map(|_| g.supervisor().unwrap().next_jitter())
+        .map(|_| g.supervisor().next_jitter())
         .collect::<Vec<u64>>();
     assert_eq!(via_server, a);
 }

@@ -698,7 +698,6 @@ mod supervision {
     fn streamlet_fault_event_drives_mcl_bypass() {
         let config = ServerConfig {
             supervision: SupervisionConfig {
-                enabled: true,
                 policy: RestartPolicy {
                     // No restart budget: the first fault quarantines, and
                     // the when-rule routes around the dead instance.

@@ -794,7 +794,7 @@ fn one_session_reconfigures_without_touching_its_siblings() {
 #[test]
 fn session_churn_keeps_supervisor_entries_bounded() {
     let server = gate(64);
-    let sup = server.supervisor().expect("supervision is on by default");
+    let sup = server.supervisor();
     let manager = server.session_manager(&when_script()).expect("template");
     // Each session registers 4 instances: the fused e0..e1, e2, e3, and
     // the x its rule creates.

@@ -4,9 +4,11 @@
 //!   `pending_out_bytes` exactly once, so its resident footprint matches
 //!   the discrete topology byte-for-byte, survives fission unchanged,
 //!   and drains to zero;
-//! * the metrics→event bridge — a `when (CHANNEL_CONGESTED)` rule fires
+//! * the load-event watchers — a `when (CHANNEL_CONGESTED)` rule fires
 //!   from a *measured* queue high-water crossing (nobody calls
-//!   `raise_event`), closing the adaptation loop;
+//!   `raise_event`), closing the adaptation loop, also when the crossing
+//!   post runs on a streamlet driver whose own unit the rule rewires; and
+//!   each rate or budget watcher fires once, on the charge that crosses;
 //! * telemetry concurrency — merged histograms match a sequential model
 //!   (property test), the trace ring keeps the newest events under
 //!   concurrent wraparound, and snapshots taken during session churn
@@ -17,13 +19,17 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use mobigate_core::events::EventSubscriber;
 use mobigate_core::telemetry::{Histogram, TraceKind, TraceRing};
 use mobigate_core::{
-    BridgeConfig, CoreError, Emitter, LifecycleState, MobiGate, ServerConfig, StreamletCtx,
+    AdmissionConfig, BridgeConfig, ContextEvent, CoreError, Emitter, EventCategory, EventKind,
+    ExecutorConfig, LifecycleState, MobiGate, OverloadConfig, ServerConfig, StreamletCtx,
     StreamletDirectory, StreamletLogic, StreamletPool, TelemetryConfig,
 };
 use mobigate_mime::MimeMessage;
+use parking_lot::Mutex;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,7 +58,7 @@ impl StreamletLogic for Boom {
     }
 }
 
-/// Telemetry on, bridge off unless a config is given.
+/// Telemetry on, load-event watchers off unless a config is given.
 fn telemetry_on(bridge: Option<BridgeConfig>) -> TelemetryConfig {
     TelemetryConfig {
         enabled: true,
@@ -195,20 +201,19 @@ fn fission_mid_burst_conserves_byte_accounting() {
 }
 
 /// The tentpole acceptance loop: a `when (CHANNEL_CONGESTED)` rule fires
-/// from a *measured* queue high-water crossing published by the metrics
-/// bridge — no test code ever raises the event.
+/// from a *measured* queue high-water crossing, raised by the post that
+/// crossed — no test code ever raises the event.
 #[test]
 fn bridge_published_congestion_fires_when_rule() {
     let g = gate(ServerConfig {
         telemetry: telemetry_on(Some(BridgeConfig {
             enabled: true,
-            poll_interval: Duration::from_millis(10),
             queue_high_water_bytes: 1024,
             // Keep the other watchers out of the way.
-            drop_rate_per_poll: u64::MAX,
-            fault_rate_per_poll: u64::MAX,
+            drop_rate_per_sec: u64::MAX,
+            fault_rate_per_sec: u64::MAX,
             session_byte_budget: None,
-            admission_rejects_per_poll: u64::MAX,
+            admission_rejects_per_sec: u64::MAX,
         })),
         ..Default::default()
     });
@@ -461,7 +466,6 @@ fn jsonl_export_reconstructs_fault_quarantine_timeline() {
         telemetry: telemetry_on(None),
         ..Default::default()
     };
-    config.supervision.enabled = true;
     config.supervision.policy.max_restarts = 1;
     config.supervision.policy.backoff_base = Duration::from_millis(1);
     config.supervision.policy.backoff_max = Duration::from_millis(2);
@@ -508,7 +512,6 @@ fn refused_restart_after_shutdown_is_traced() {
         telemetry: telemetry_on(None),
         ..Default::default()
     };
-    config.supervision.enabled = true;
     config.supervision.policy.max_restarts = 5;
     config.supervision.policy.backoff_base = Duration::from_millis(300);
     config.supervision.policy.backoff_max = Duration::from_millis(300);
@@ -539,4 +542,293 @@ fn refused_restart_after_shutdown_is_traced() {
         "the late restart must be traced as refused:\n{}",
         g.export_trace_jsonl().unwrap_or_default()
     );
+}
+
+/// Watchers armed with every threshold out of reach; each test lowers
+/// the one it exercises.
+fn quiet() -> BridgeConfig {
+    BridgeConfig {
+        enabled: true,
+        queue_high_water_bytes: u64::MAX,
+        drop_rate_per_sec: u64::MAX,
+        fault_rate_per_sec: u64::MAX,
+        session_byte_budget: None,
+        admission_rejects_per_sec: u64::MAX,
+    }
+}
+
+/// Records the load events targeted at one stream, in arrival order.
+struct LoadEvents {
+    name: String,
+    seen: Mutex<Vec<EventKind>>,
+    /// Broadcast markers received (see [`LoadEvents::flush`]).
+    marks: AtomicU64,
+}
+
+impl EventSubscriber for LoadEvents {
+    fn subscriber_name(&self) -> String {
+        self.name.clone()
+    }
+    fn on_event(&self, event: &ContextEvent) {
+        match event.source {
+            Some(_) => self.seen.lock().push(event.kind),
+            None => {
+                self.marks.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+}
+
+impl LoadEvents {
+    /// Subscribes a recorder for `stream`'s load events on `g`.
+    fn on(g: &MobiGate, stream: &str) -> Arc<Self> {
+        let rec = Arc::new(LoadEvents {
+            name: stream.to_string(),
+            seen: Mutex::new(Vec::new()),
+            marks: AtomicU64::new(0),
+        });
+        let sub: Arc<dyn EventSubscriber> = rec.clone();
+        g.events().subscribe(EventCategory::LoadVariation, &sub);
+        rec
+    }
+
+    /// Every load event raised so far. The supervisor thread publishes
+    /// events in the order they were raised, so once a marker queued now
+    /// arrives, everything raised before it has arrived too. The marker
+    /// is a kind streams take no built-in action on.
+    fn flush(&self, g: &MobiGate) -> Vec<EventKind> {
+        let marks = self.marks.load(Ordering::SeqCst);
+        g.supervisor()
+            .event_sink()
+            .publish(ContextEvent::broadcast(EventKind::HighDropRate));
+        assert!(
+            wait_until(Duration::from_secs(10), || self
+                .marks
+                .load(Ordering::SeqCst)
+                > marks),
+            "the supervisor thread must publish the marker"
+        );
+        self.seen.lock().clone()
+    }
+}
+
+/// Charges one unit of load per step and checks that `kind` fires on
+/// the `threshold`-th charge, not before, and never again while the
+/// load stands.
+fn fires_once_at(
+    g: &MobiGate,
+    events: &LoadEvents,
+    kind: EventKind,
+    threshold: usize,
+    mut charge: impl FnMut(usize),
+) {
+    for i in 1..=threshold + 3 {
+        charge(i);
+        let want = if i < threshold { vec![] } else { vec![kind] };
+        assert_eq!(events.flush(g), want, "after charge {i} of {kind:?}");
+    }
+}
+
+/// BYTE_BUDGET_EXCEEDED fires on the ingress post that takes the session
+/// past its budget, and once only.
+#[test]
+fn byte_budget_fires_once_on_the_crossing_post() {
+    let g = gate(ServerConfig {
+        telemetry: telemetry_on(Some(BridgeConfig {
+            session_byte_budget: Some(1000),
+            ..quiet()
+        })),
+        ..Default::default()
+    });
+    let stream = g.deploy_mcl(CHAIN).unwrap();
+    let events = LoadEvents::on(&g, stream.name());
+    // 250 B bodies: the fourth post reaches the budget, the fifth exceeds it.
+    fires_once_at(&g, &events, EventKind::ByteBudgetExceeded, 5, |_| {
+        stream
+            .post_input(MimeMessage::text("b".repeat(250)))
+            .unwrap();
+    });
+    stream.shutdown();
+}
+
+/// OVERLOAD fires on the admission reject that brings the stream's
+/// rejects within one second to the threshold.
+#[test]
+fn admission_rejects_fire_overload_once_on_the_crossing_reject() {
+    let g = gate(ServerConfig {
+        telemetry: telemetry_on(Some(BridgeConfig {
+            admission_rejects_per_sec: 3,
+            ..quiet()
+        })),
+        overload: OverloadConfig {
+            enabled: true,
+            admission: AdmissionConfig {
+                enabled: true,
+                session_rate: 0.001,
+                session_burst: 1.0,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let stream = g.deploy_mcl(CHAIN).unwrap();
+    let events = LoadEvents::on(&g, stream.name());
+    // The bucket's one token admits the first post; every later one is
+    // rejected.
+    stream.post_input(MimeMessage::text("in")).unwrap();
+    fires_once_at(&g, &events, EventKind::Overload, 3, |_| {
+        let err = stream.post_input(MimeMessage::text("out")).unwrap_err();
+        assert!(matches!(err, CoreError::Overloaded { .. }), "{err}");
+    });
+    stream.shutdown();
+}
+
+/// HIGH_DROP_RATE fires on the drop that brings the stream's drops
+/// within one second to the threshold.
+#[test]
+fn drop_rate_fires_once_on_the_crossing_drop() {
+    let g = gate(ServerConfig {
+        telemetry: telemetry_on(Some(BridgeConfig {
+            drop_rate_per_sec: 3,
+            ..quiet()
+        })),
+        ..Default::default()
+    });
+    let stream = g.deploy_mcl(CHAIN).unwrap();
+    let events = LoadEvents::on(&g, stream.name());
+    stream.pause_all();
+    for i in 0..6 {
+        stream
+            .post_input(MimeMessage::text(format!("m{i}")))
+            .unwrap();
+    }
+    // Each shed drops one parked message.
+    fires_once_at(&g, &events, EventKind::HighDropRate, 3, |_| {
+        assert_eq!(stream.shed_lowest(1), 1);
+    });
+    stream.shutdown();
+}
+
+/// HIGH_FAULT_RATE fires on the fault that brings the stream's faults
+/// within one second to the threshold.
+#[test]
+fn fault_rate_fires_once_on_the_crossing_fault() {
+    let mut config = ServerConfig {
+        telemetry: telemetry_on(Some(BridgeConfig {
+            fault_rate_per_sec: 3,
+            ..quiet()
+        })),
+        ..Default::default()
+    };
+    // Each poison message faults `f` once, is dead-lettered, and `f`
+    // restarts at once for the next.
+    config.supervision.policy.max_restarts = 100;
+    config.supervision.policy.backoff_base = Duration::from_millis(1);
+    config.supervision.policy.backoff_max = Duration::from_millis(1);
+    config.supervision.policy.jitter = false;
+    config.supervision.policy.poison_threshold = 1;
+    let g = gate(config);
+    let stream = g.deploy_mcl(BOOM_CHAIN).unwrap();
+    let events = LoadEvents::on(&g, stream.name());
+    let faults = |g: &MobiGate| g.metrics_snapshot().unwrap().totals.faults;
+    fires_once_at(&g, &events, EventKind::HighFaultRate, 3, |i| {
+        stream.post_input(MimeMessage::text("boom")).unwrap();
+        assert!(
+            wait_until(Duration::from_secs(10), || faults(&g) == i as u64),
+            "fault {i} never landed"
+        );
+    });
+    stream.shutdown();
+}
+
+/// An interior channel congests on the streamlet driver that posts into
+/// it, and the `when (CHANNEL_CONGESTED)` rule splices a streamlet in
+/// behind that very unit — Figure 7-4's insert, which suspends it first.
+/// Run on that driver, the rule would wait on itself until the pause
+/// timed out and the insert failed. The rule runs on the supervisor
+/// thread, so the insert completes while the driver keeps running, and
+/// every message is delivered.
+fn driver_posted_congestion_reconfigures(executor: ExecutorConfig) {
+    let g = gate(ServerConfig {
+        executor,
+        telemetry: telemetry_on(Some(BridgeConfig {
+            queue_high_water_bytes: 1024,
+            ..quiet()
+        })),
+        ..Default::default()
+    });
+    let stream = g
+        .deploy_mcl(
+            r#"
+            streamlet echo {
+                port { in pi : */*; out po : */*; }
+                attribute { type = STATELESS; library = "obs/echo"; }
+            }
+            main stream app {
+                streamlet a = new-streamlet (echo);
+                streamlet b = new-streamlet (echo);
+                streamlet mid = new-streamlet (echo);
+                connect (a.po, b.pi);
+                when (CHANNEL_CONGESTED) {
+                    insert (a.po, b.pi, mid);
+                }
+            }
+            "#,
+        )
+        .unwrap();
+    let (a, b) = (stream.instance("a").unwrap(), stream.instance("b").unwrap());
+    b.pause_and_wait(Duration::from_secs(5)).unwrap();
+    let spliced = || {
+        stream
+            .connections()
+            .iter()
+            .any(|c| c.from.0 == "a" && c.to.0 == "mid")
+    };
+    let n = 8u64;
+    for i in 1..=n {
+        // One message at a time, each taken by `a` before the next: the
+        // ingress never holds 1 KiB, so the crossing is `a`'s post into
+        // the interior channel, which `b` does not drain.
+        stream
+            .post_input(MimeMessage::text("x".repeat(256)))
+            .unwrap();
+        assert!(
+            wait_until(Duration::from_secs(10), || a.stats().processed == i),
+            "`a` must take message {i}"
+        );
+        if i == 4 {
+            assert!(
+                wait_until(Duration::from_secs(10), || stream.stats().reconfigurations
+                    >= 1),
+                "the rule must run"
+            );
+            assert!(
+                spliced(),
+                "the insert must complete: {:?}",
+                stream.connections()
+            );
+        }
+    }
+    assert_eq!(a.state(), LifecycleState::Running);
+
+    b.activate().unwrap();
+    for i in 0..n {
+        assert!(
+            stream.take_output(Duration::from_secs(10)).is_some(),
+            "message {i} must be delivered"
+        );
+    }
+    assert_eq!(g.metrics_snapshot().unwrap().totals.dropped_total(), 0);
+    stream.shutdown();
+}
+
+#[test]
+fn driver_posted_congestion_reconfigures_thread_per_streamlet() {
+    driver_posted_congestion_reconfigures(ExecutorConfig::ThreadPerStreamlet);
+}
+
+#[test]
+fn driver_posted_congestion_reconfigures_worker_pool() {
+    driver_posted_congestion_reconfigures(ExecutorConfig::WorkerPool { workers: 2 });
 }

@@ -35,9 +35,9 @@ pub enum EventCategory {
     RuntimeFault,
     /// Proxy-side load conditions measured by the telemetry plane (queue
     /// high-water, drop rate, fault rate, byte budgets). Another extension
-    /// beyond Table 6-1: the metrics→event bridge publishes these so
-    /// `when (...)` rules react to *measured* runtime state rather than
-    /// injected test events.
+    /// beyond Table 6-1: the operation that moves a watched counter past
+    /// its threshold raises these, so `when (...)` rules react to
+    /// *measured* runtime state rather than injected test events.
     LoadVariation,
 }
 
@@ -128,17 +128,21 @@ pub enum EventKind {
     BreakerHalfOpen,
     /// A half-open breaker observed enough quiet probes and closed again.
     BreakerClose,
-    // --- Load Variation (metrics→event bridge) ---
-    /// A stream's queued bytes crossed the configured high-water mark.
+    // --- Load Variation (raised where the telemetry counters move) ---
+    /// A post lifted one of the stream's channels to the configured
+    /// high-water mark. A channel re-arms at half the mark; the stream
+    /// raises the event again once a one-second window passes with no
+    /// crossing.
     ChannelCongested,
-    /// A stream's drop rate crossed the configured threshold.
+    /// The stream's drops within one second reached the configured rate.
     HighDropRate,
-    /// A stream's fault rate crossed the configured threshold.
+    /// The stream's faults within one second reached the configured rate.
     HighFaultRate,
-    /// A session consumed more ingress bytes than its configured budget.
+    /// An ingress post took the session past its configured byte budget.
     ByteBudgetExceeded,
-    /// Admission control is actively rejecting ingress for a stream (the
-    /// gateway is saturated beyond its token-bucket refill rate).
+    /// Admission control rejected the configured number of the stream's
+    /// posts within one second (the gateway is saturated beyond its
+    /// token-bucket refill rate).
     Overload,
 }
 
