@@ -272,7 +272,7 @@ struct QState {
     bytes: usize,
     source_open: bool,
     sink_open: bool,
-    /// `CHANNEL_CONGESTED` fired and has not re-armed yet.
+    /// This channel raised `CHANNEL_CONGESTED` and has not re-armed yet.
     congested: bool,
 }
 
@@ -377,10 +377,17 @@ impl MessageQueue {
     }
 
     /// Adds `len` buffered bytes. True on the congestion edge: the bytes
-    /// reached the mark while the watcher was armed.
+    /// reached the mark while the channel was armed and the stream could
+    /// raise the event ([`QueueProbe::claim_congestion`]). A crossing the
+    /// stream could not raise leaves the channel armed.
     fn grow(&self, st: &mut QState, len: usize) -> bool {
         st.bytes += len;
-        let crossed = !st.congested && st.bytes >= self.congest_at;
+        let crossed = !st.congested
+            && st.bytes >= self.congest_at
+            && self
+                .probe
+                .as_ref()
+                .is_some_and(QueueProbe::claim_congestion);
         st.congested |= crossed;
         crossed
     }
@@ -696,7 +703,6 @@ impl MessageQueue {
                             self.pool.discard(p);
                             self.posted.fetch_sub(1, Ordering::Relaxed);
                             self.charge_drop(DropReason::Full, 1);
-                            self.raise_congested(crossed);
                             return PostResult::Dropped;
                         }
                         break;

@@ -17,13 +17,13 @@
 //!   probe call that moves a counter past its threshold raises the Load
 //!   Variation event itself, targeted at the stream's name, so MCL
 //!   `when (...)` rules react to what the gateway *measures*. A post that
-//!   lifts a channel to its high-water mark raises `CHANNEL_CONGESTED`;
-//!   the drop, fault or admission reject that brings the stream's count
-//!   in a one-second [`RateWindow`] to its threshold raises
-//!   `HIGH_DROP_RATE`, `HIGH_FAULT_RATE` or `OVERLOAD`; the ingress post
-//!   that takes a session past its byte budget raises
+//!   lifts a channel to its high-water mark raises `CHANNEL_CONGESTED`
+//!   (at most once per second per stream); the drop, fault or admission
+//!   reject that brings the stream's count in a one-second window to its
+//!   threshold raises `HIGH_DROP_RATE`, `HIGH_FAULT_RATE` or `OVERLOAD`;
+//!   the ingress post that takes a session past its byte budget raises
 //!   `BYTE_BUDGET_EXCEEDED`. Each fires on its crossing edge only (the
-//!   re-arm rules are on [`BridgeConfig`] and [`RateWindow`]). No thread
+//!   re-arm rules are on [`BridgeConfig`]). No thread
 //!   polls: the event goes onto the supervisor's job queue through an
 //!   [`EventSink`], and the supervisor thread multicasts it and runs the
 //!   `when` reconfiguration it triggers — never the streamlet driver that
@@ -39,9 +39,8 @@ pub mod snapshot;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use registry::{
-    DropReason, MetricsRegistry, RateWindow, StreamMetrics, StreamMetricsSnapshot, TimingSite,
-};
+pub use registry::{DropReason, MetricsRegistry, StreamMetrics, StreamMetricsSnapshot, TimingSite};
+use registry::{RateWindow, RATE_WINDOW_NS};
 pub use snapshot::MetricsSnapshot;
 pub use trace::{TraceEvent, TraceKind, TraceRing};
 
@@ -77,15 +76,19 @@ impl TelemetryConfig {
 }
 
 /// Thresholds of the load-event watchers. Rates count over one-second
-/// windows ([`RateWindow`]).
+/// windows, each opened by the first charge after the previous one
+/// closed; a rate watcher fires on the charge that reaches its threshold
+/// and re-arms when a window closes below it or a whole window passes
+/// with no charge.
 #[derive(Clone, Debug)]
 pub struct BridgeConfig {
     /// Raises load events (only meaningful with telemetry enabled).
     pub enabled: bool,
     /// `CHANNEL_CONGESTED` when a post lifts one channel's buffered bytes
-    /// to this mark. The channel re-arms at half the mark; the stream
-    /// raises the event again once a one-second window passes with no
-    /// crossing ([`QueueProbe::on_congested`]).
+    /// to this mark. A stream raises it at most once per second; a channel
+    /// that raised it re-arms at half the mark, and one whose crossing fell
+    /// inside that second stays armed, so a later post while it is still
+    /// at the mark raises it once the second has passed.
     pub queue_high_water_bytes: u64,
     /// `HIGH_DROP_RATE` when a stream drops this many messages within
     /// one second.
@@ -140,7 +143,7 @@ impl Telemetry {
 
     /// Builds the plane with the load-event watchers of `cfg` armed: their
     /// events are published through `sink`.
-    pub fn watching(cfg: BridgeConfig, sink: EventSink) -> Arc<Self> {
+    pub(crate) fn watching(cfg: BridgeConfig, sink: EventSink) -> Arc<Self> {
         Self::build(Some(Watch { cfg, sink }))
     }
 
@@ -326,13 +329,30 @@ impl QueueProbe {
         }
     }
 
-    /// One of this stream's channels crossed its congestion mark. Raises
-    /// `CHANNEL_CONGESTED` unless a crossing already raised it within the
-    /// stream's current window: congestion that moves from channel to
-    /// channel as a burst flows down the stream is one condition, not one
-    /// event per hop.
-    pub fn on_congested(&self) {
-        self.charge(&self.stream.congestion, 1, 1, EventKind::ChannelCongested);
+    /// Claims this stream's `CHANNEL_CONGESTED` for a post that left a
+    /// channel at its congestion mark: true at most once per second per
+    /// stream. Congestion that moves from channel to channel as a burst
+    /// flows down the stream is one condition, not one event per hop;
+    /// congestion that persists raises one event each second. Called under
+    /// the channel's state lock, so it takes no lock itself.
+    pub(crate) fn claim_congestion(&self) -> bool {
+        let now = self.telemetry.now_ns();
+        let due = &self.stream.congestion_due_ns;
+        let at = due.load(Ordering::Relaxed);
+        now >= at
+            && due
+                .compare_exchange(
+                    at,
+                    now + RATE_WINDOW_NS,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                )
+                .is_ok()
+    }
+
+    /// Raises the `CHANNEL_CONGESTED` a post claimed.
+    pub(crate) fn on_congested(&self) {
+        self.raise(EventKind::ChannelCongested);
     }
 
     /// Charges `n` to `window`; raises `kind` on its firing edge.
@@ -390,5 +410,27 @@ mod tests {
         ] {
             assert_eq!(h.snapshot().count, per_cycle * want, "{name}");
         }
+    }
+
+    /// Every channel of a stream shares one claim: a second crossing within
+    /// the second is refused, wherever it happens, and the claim opens
+    /// again once the second has passed.
+    #[test]
+    fn congestion_claims_once_per_second_per_stream() {
+        let telemetry = Telemetry::new();
+        let (ingress, interior) = (telemetry.probe_for("s", "s"), telemetry.probe_for("s", "s"));
+        let other = telemetry.probe_for("t", "t");
+        assert!(ingress.claim_congestion());
+        assert!(
+            !interior.claim_congestion(),
+            "one claim per stream per second"
+        );
+        assert!(!ingress.claim_congestion());
+        assert!(other.claim_congestion(), "streams claim independently");
+        let due = ingress.stream.congestion_due_ns.load(Ordering::Relaxed);
+        assert!(due >= RATE_WINDOW_NS && due <= telemetry.now_ns() + RATE_WINDOW_NS);
+        // Move the stream's second into the past.
+        ingress.stream.congestion_due_ns.store(0, Ordering::Relaxed);
+        assert!(interior.claim_congestion());
     }
 }

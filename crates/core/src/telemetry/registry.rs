@@ -68,7 +68,7 @@ impl TimingSite {
 }
 
 /// Length of a watched rate's window, nanoseconds.
-const RATE_WINDOW_NS: u64 = 1_000_000_000;
+pub(crate) const RATE_WINDOW_NS: u64 = 1_000_000_000;
 
 /// One watched rate: a count over a one-second window that opens at the
 /// first charge after the previous one closed, so no timer resets it.
@@ -76,7 +76,7 @@ const RATE_WINDOW_NS: u64 = 1_000_000_000;
 /// threshold, then stays latched until a window closes below the
 /// threshold or a whole window passes without a charge.
 #[derive(Debug, Default)]
-pub struct RateWindow {
+pub(crate) struct RateWindow {
     start_ns: u64,
     count: u64,
     latched: bool,
@@ -84,7 +84,7 @@ pub struct RateWindow {
 
 impl RateWindow {
     /// Charges `n` at `now_ns`; true on the firing edge.
-    pub fn charge(&mut self, now_ns: u64, n: u64, threshold: u64) -> bool {
+    pub(crate) fn charge(&mut self, now_ns: u64, n: u64, threshold: u64) -> bool {
         let elapsed = now_ns.saturating_sub(self.start_ns);
         if self.count == 0 || elapsed >= RATE_WINDOW_NS {
             if self.count < threshold || elapsed >= 2 * RATE_WINDOW_NS {
@@ -118,13 +118,13 @@ pub struct StreamMetrics {
     /// ([`super::QueueProbe::sample_timing`]), one per [`TimingSite`];
     /// not part of snapshots.
     pub timing_ticks: [AtomicU64; TimingSite::COUNT],
-    /// Load-event rate windows ([`super::BridgeConfig`]); not part of
-    /// snapshots. `congestion` counts channel crossings with a threshold
-    /// of one.
-    pub congestion: Mutex<RateWindow>,
-    pub drop_rate: Mutex<RateWindow>,
-    pub fault_rate: Mutex<RateWindow>,
-    pub admission_rate: Mutex<RateWindow>,
+    /// Load-event watcher state ([`super::BridgeConfig`]); not part of
+    /// snapshots. `congestion_due_ns` is the earliest telemetry time at
+    /// which the stream may raise `CHANNEL_CONGESTED` again.
+    pub(crate) congestion_due_ns: AtomicU64,
+    pub(crate) drop_rate: Mutex<RateWindow>,
+    pub(crate) fault_rate: Mutex<RateWindow>,
+    pub(crate) admission_rate: Mutex<RateWindow>,
     // Histograms.
     /// Wall time of one `post`/`post_all` call, nanoseconds.
     pub post_ns: Histogram,

@@ -249,6 +249,72 @@ fn bridge_congestion_sheds_bulk_keeps_interactive() {
     stream.shutdown();
 }
 
+/// Congestion that persists keeps shedding. The first crossing sheds the
+/// paused ingress empty; a steady producer then refills it past the mark
+/// within the stream's one-second event interval. That crossing raises
+/// nothing, but it leaves the channel armed, so a post once the second
+/// has passed raises `CHANNEL_CONGESTED` again and the stream sheds a
+/// second time instead of backing up to the channel's capacity.
+#[test]
+fn sustained_congestion_sheds_again_after_a_second() {
+    let g = gate(
+        ServerConfig {
+            telemetry: telemetry_on(Some(BridgeConfig {
+                enabled: true,
+                queue_high_water_bytes: 2048,
+                drop_rate_per_sec: u64::MAX,
+                fault_rate_per_sec: u64::MAX,
+                session_byte_budget: None,
+                admission_rejects_per_sec: u64::MAX,
+            })),
+            overload: OverloadConfig {
+                enabled: true,
+                admission: AdmissionConfig {
+                    enabled: false,
+                    ..Default::default()
+                },
+                shed: ShedConfig {
+                    enabled: true,
+                    shed_max: 64,
+                },
+                breaker: BreakerConfig {
+                    enabled: false,
+                    ..Default::default()
+                },
+            },
+            ..Default::default()
+        },
+        Arc::new(AtomicU64::new(0)),
+    );
+    let stream = g.deploy_mcl(ECHO_CHAIN).unwrap();
+    stream.pause_all();
+    let sheds = || {
+        g.export_trace_jsonl()
+            .unwrap()
+            .matches("\"kind\":\"shed\"")
+            .count()
+    };
+
+    // 256 B bodies every 5 ms: the mark is at most 8 posts away, and a
+    // second of this load stays below the ingress channel's 100 KiB.
+    let image = MimeType::new("image", "jpeg");
+    let t0 = Instant::now();
+    while sheds() < 2 && t0.elapsed() < Duration::from_secs(10) {
+        stream
+            .post_input(MimeMessage::new(&image, vec![b'j'; 256]))
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(sheds() >= 2, "sustained congestion must shed again");
+    let m = g.metrics_snapshot().unwrap();
+    assert_eq!(
+        m.totals.dropped_total(),
+        m.totals.dropped_shed,
+        "no post waited out a full channel"
+    );
+    stream.shutdown();
+}
+
 /// Tentpole: a transiently faulting instance trips its circuit breaker
 /// *before* the restart budget exhausts, parks through the cooldown,
 /// half-opens for a probe restart, and closes when the probe stays

@@ -129,10 +129,9 @@ pub enum EventKind {
     /// A half-open breaker observed enough quiet probes and closed again.
     BreakerClose,
     // --- Load Variation (raised where the telemetry counters move) ---
-    /// A post lifted one of the stream's channels to the configured
-    /// high-water mark. A channel re-arms at half the mark; the stream
-    /// raises the event again once a one-second window passes with no
-    /// crossing.
+    /// A post left one of the stream's channels at the configured
+    /// high-water mark. A stream raises it at most once per second; a
+    /// channel that raised it re-arms at half the mark.
     ChannelCongested,
     /// The stream's drops within one second reached the configured rate.
     HighDropRate,
