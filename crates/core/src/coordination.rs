@@ -56,10 +56,10 @@ impl CoordinationManager {
     }
 
     /// Deploys one configuration table under an explicit session identity:
-    /// compiles it into a [`StreamBlueprint`] and stamps the blueprint's
+    /// compiles it into a `StreamBlueprint` and stamps the blueprint's
     /// one instance. `deploy` routes compiled programs here; the session
     /// plane (`session.rs`) compiles its template once and stamps every
-    /// session through [`Self::instantiate`].
+    /// session through `Self::instantiate`.
     pub fn deploy_table(
         &self,
         table: &ConfigTable,

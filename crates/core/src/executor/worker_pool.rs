@@ -187,7 +187,7 @@ impl Executor for WorkerPool {
     /// unless the task already has work — an idle session costs no pump,
     /// and `on_activate` waits for the first one (or for an inline `end`).
     ///
-    /// Order matters as in [`pump_and_reschedule`]: the hook is installed
+    /// Order matters as in `pump_and_reschedule`: the hook is installed
     /// and the coalescing notifier re-armed *before* the work check, so a
     /// post landing after the disarm fires the hook, and one that landed
     /// before it is seen by the check.

@@ -29,9 +29,9 @@ use crate::sync::{deadline_after, Parker, Wake};
 use crate::telemetry::{DropReason, QueueProbe, TimingSite};
 use mobigate_mcl::ast::{ChannelCategory, ChannelKind};
 use mobigate_mime::MimeType;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -230,13 +230,15 @@ pub enum FetchResult {
     Disconnected,
 }
 
-/// Lifetime counters.
+/// Lifetime counters, and the pending depth at the same instant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Successfully enqueued messages.
     pub posted: u64,
     /// Successfully fetched messages.
     pub fetched: u64,
+    /// Messages in the channel: admitted, not yet fetched or dropped.
+    pub pending: u64,
     /// Messages dropped because the queue stayed full past `T`.
     pub dropped_full: u64,
     /// Messages discarded because the sink was disconnected.
@@ -264,8 +266,16 @@ impl QueueStats {
             + self.dropped_shed
             + self.dropped_admission
     }
+
+    /// Admitted messages that have left the channel: fetched, or drained
+    /// by a break or a shed. `posted == departed + pending` always.
+    fn departed(&self) -> u64 {
+        self.fetched + self.dropped_break + self.dropped_shed
+    }
 }
 
+/// The monitor's state: the buffer, both sides' attachment, and the
+/// counters, all changed under one lock.
 #[derive(Debug)]
 struct QState {
     queue: VecDeque<Payload>,
@@ -274,6 +284,41 @@ struct QState {
     sink_open: bool,
     /// This channel raised `CHANNEL_CONGESTED` and has not re-armed yet.
     congested: bool,
+    /// Paper `pCount` / `cCount` (Figure 6-3).
+    pcount: usize,
+    ccount: usize,
+    /// Lifetime counters, charged in the same lock hold that moves the
+    /// message (`pending` is filled in by [`MessageQueue::stats`]).
+    stats: QueueStats,
+}
+
+impl QState {
+    /// No producer is attached and the source side is closed: nothing
+    /// more will ever arrive.
+    fn source_gone(&self) -> bool {
+        !self.source_open && self.pcount == 0
+    }
+}
+
+/// What one admission attempt did with its payload.
+enum Offer {
+    /// Admitted as the `ticket`-th message counted `posted`; `crossed` is
+    /// true when it reached the congestion mark.
+    Admitted { crossed: bool, ticket: u64 },
+    /// Discarded and charged to `reason` (`Closed` or `Full`).
+    Discarded(DropReason),
+    /// No room: the payload is handed back.
+    Refused(Payload),
+}
+
+/// An admission wakes the blocked fetches; a discard or a refusal changes
+/// nothing a waiter waits on.
+fn woken(offer: Offer) -> (Offer, Wake) {
+    let wake = match offer {
+        Offer::Admitted { .. } => Wake::All,
+        _ => Wake::None,
+    };
+    (offer, wake)
 }
 
 /// The channel object. Cheaply shareable via `Arc`.
@@ -281,22 +326,10 @@ struct QState {
 pub struct MessageQueue {
     /// Shared with every queue stamped from the same stream blueprint.
     cfg: Arc<QueueConfig>,
-    state: Mutex<QState>,
-    /// Signals consumers (message available) and producers (space
-    /// available); a single condvar keeps the monitor simple, exactly like
-    /// the paper's `wait`/`notifyAll` usage.
-    cv: Condvar,
+    /// The monitor: consumers wait on it for a message, producers for
+    /// room or for their rendezvous, like the paper's `wait`/`notifyAll`.
+    state: Parker<QState>,
     pool: Arc<MessagePool>,
-    pcount: AtomicUsize,
-    ccount: AtomicUsize,
-    posted: AtomicU64,
-    fetched: AtomicU64,
-    dropped_full: AtomicU64,
-    dropped_closed: AtomicU64,
-    dropped_break: AtomicU64,
-    dropped_expired: AtomicU64,
-    dropped_shed: AtomicU64,
-    dropped_admission: AtomicU64,
     /// Telemetry recording handle of the owning stream, when the
     /// observability plane is enabled. `None` costs one branch per
     /// instrumented operation.
@@ -330,25 +363,17 @@ impl MessageQueue {
     ) -> Arc<Self> {
         Arc::new(MessageQueue {
             cfg: cfg.into(),
-            state: Mutex::new(QState {
+            state: Parker::new(QState {
                 queue: VecDeque::new(),
                 bytes: 0,
                 source_open: true,
                 sink_open: true,
                 congested: false,
+                pcount: 0,
+                ccount: 0,
+                stats: QueueStats::default(),
             }),
-            cv: Condvar::new(),
             pool,
-            pcount: AtomicUsize::new(0),
-            ccount: AtomicUsize::new(0),
-            posted: AtomicU64::new(0),
-            fetched: AtomicU64::new(0),
-            dropped_full: AtomicU64::new(0),
-            dropped_closed: AtomicU64::new(0),
-            dropped_break: AtomicU64::new(0),
-            dropped_expired: AtomicU64::new(0),
-            dropped_shed: AtomicU64::new(0),
-            dropped_admission: AtomicU64::new(0),
             congest_at: probe
                 .as_ref()
                 .map_or(usize::MAX, QueueProbe::congestion_mark),
@@ -359,19 +384,10 @@ impl MessageQueue {
         })
     }
 
-    /// Charges `n` drops to `reason` — the single bookkeeping site for
-    /// every drop path, mirroring into the telemetry probe when present.
-    fn charge_drop(&self, reason: DropReason, n: u64) {
-        let ctr = match reason {
-            DropReason::Full => &self.dropped_full,
-            DropReason::Closed => &self.dropped_closed,
-            DropReason::Break => &self.dropped_break,
-            DropReason::Expired => &self.dropped_expired,
-            DropReason::Shed => &self.dropped_shed,
-            DropReason::Admission => &self.dropped_admission,
-        };
-        ctr.fetch_add(n, Ordering::Relaxed);
-        if let Some(p) = &self.probe {
+    /// Mirrors `n` drops charged to `reason` into the telemetry probe.
+    /// Called with the state lock released.
+    fn probe_drop(&self, reason: DropReason, n: u64) {
+        if let (true, Some(p)) = (n > 0, &self.probe) {
             p.on_drop(&self.cfg.name, reason, n);
         }
     }
@@ -422,12 +438,12 @@ impl MessageQueue {
 
     /// Producer count (paper `pCount`).
     pub fn pcount(&self) -> usize {
-        self.pcount.load(Ordering::Acquire)
+        self.state.read(|st| st.pcount)
     }
 
     /// Consumer count (paper `cCount`).
     pub fn ccount(&self) -> usize {
-        self.ccount.load(Ordering::Acquire)
+        self.state.read(|st| st.ccount)
     }
 
     /// Registers a notifier woken on every post (consumer-side wakeup).
@@ -473,17 +489,22 @@ impl MessageQueue {
     }
 
     /// Attaches a producer (paper `incr_pCount`); reopens the source side.
+    /// No waiter waits for a side to open.
     pub fn attach_source(&self) {
-        self.pcount.fetch_add(1, Ordering::SeqCst);
-        self.state.lock().source_open = true;
-        self.cv.notify_all();
+        self.state.update(|st| {
+            st.pcount += 1;
+            st.source_open = true;
+            ((), Wake::None)
+        });
     }
 
     /// Attaches a consumer (paper `incr_cCount`); reopens the sink side.
     pub fn attach_sink(&self) {
-        self.ccount.fetch_add(1, Ordering::SeqCst);
-        self.state.lock().sink_open = true;
-        self.cv.notify_all();
+        self.state.update(|st| {
+            st.ccount += 1;
+            st.sink_open = true;
+            ((), Wake::None)
+        });
         self.wake_listeners();
     }
 
@@ -491,36 +512,30 @@ impl MessageQueue {
     /// producer leaves. Returns `Err` for KK channels, which "cannot be
     /// disconnected at either side".
     pub fn detach_source(&self) -> Result<(), crate::CoreError> {
-        if self.cfg.category == ChannelCategory::KK {
-            return Err(crate::CoreError::Channel {
-                name: self.cfg.name.clone(),
-                message: "KK channels cannot be disconnected".into(),
-            });
-        }
-        let prev = self.pcount.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(prev > 0, "detach_source without attach");
-        let mut st = self.state.lock();
-        if prev == 1 {
+        self.refuse_kk()?;
+        let (last, broken) = self.state.update(|st| {
+            let prev = st.pcount;
+            debug_assert!(prev > 0, "detach_source without attach");
+            st.pcount = prev.saturating_sub(1);
+            if prev != 1 {
+                return ((false, 0), Wake::None);
+            }
             st.source_open = false;
-            match self.cfg.category {
+            let broken = match self.cfg.category {
                 // BB: breaking one side breaks the other; pending dropped.
-                ChannelCategory::BB => {
-                    st.sink_open = false;
-                    self.drop_pending(&mut st);
-                }
                 // KB reverses BK: a source break also breaks the target.
-                ChannelCategory::KB => {
+                ChannelCategory::BB | ChannelCategory::KB => {
                     st.sink_open = false;
-                    self.drop_pending(&mut st);
+                    self.drop_pending(st)
                 }
                 // BK: pending units keep flowing to the target; S/sync has
                 // no pending by construction.
-                ChannelCategory::BK | ChannelCategory::S | ChannelCategory::KK => {}
-            }
-        }
-        drop(st);
-        if prev == 1 {
-            self.cv.notify_all();
+                ChannelCategory::BK | ChannelCategory::S | ChannelCategory::KK => 0,
+            };
+            ((true, broken), Wake::All)
+        });
+        if last {
+            self.probe_drop(DropReason::Break, broken);
             self.wake_listeners();
             self.wake_space_listeners();
         }
@@ -529,34 +544,28 @@ impl MessageQueue {
 
     /// Detaches a consumer (category-symmetric to [`Self::detach_source`]).
     pub fn detach_sink(&self) -> Result<(), crate::CoreError> {
-        if self.cfg.category == ChannelCategory::KK {
-            return Err(crate::CoreError::Channel {
-                name: self.cfg.name.clone(),
-                message: "KK channels cannot be disconnected".into(),
-            });
-        }
-        let prev = self.ccount.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(prev > 0, "detach_sink without attach");
-        let mut st = self.state.lock();
-        if prev == 1 {
+        self.refuse_kk()?;
+        let (last, broken) = self.state.update(|st| {
+            let prev = st.ccount;
+            debug_assert!(prev > 0, "detach_sink without attach");
+            st.ccount = prev.saturating_sub(1);
+            if prev != 1 {
+                return ((false, 0), Wake::None);
+            }
             st.sink_open = false;
-            match self.cfg.category {
-                ChannelCategory::BB => {
-                    st.source_open = false;
-                    self.drop_pending(&mut st);
-                }
+            let broken = match self.cfg.category {
                 // BK: a sink break also breaks the source; pending dropped.
-                ChannelCategory::BK => {
+                ChannelCategory::BB | ChannelCategory::BK => {
                     st.source_open = false;
-                    self.drop_pending(&mut st);
+                    self.drop_pending(st)
                 }
                 // KB: pending units are retained for a future sink.
-                ChannelCategory::KB | ChannelCategory::S | ChannelCategory::KK => {}
-            }
-        }
-        drop(st);
-        if prev == 1 {
-            self.cv.notify_all();
+                ChannelCategory::KB | ChannelCategory::S | ChannelCategory::KK => 0,
+            };
+            ((true, broken), Wake::All)
+        });
+        if last {
+            self.probe_drop(DropReason::Break, broken);
             // A closed sink unblocks parked producers too: their next
             // flush discards into the pool instead of waiting for room.
             self.wake_space_listeners();
@@ -564,24 +573,91 @@ impl MessageQueue {
         Ok(())
     }
 
-    /// Discards every pending unit on a break; the caller has closed the
-    /// sink. Every post checks `sink_open` under the same lock, so none
-    /// can land after this drain.
-    fn drop_pending(&self, st: &mut QState) {
+    /// KK channels "cannot be disconnected at either side".
+    fn refuse_kk(&self) -> Result<(), crate::CoreError> {
+        if self.cfg.category == ChannelCategory::KK {
+            return Err(crate::CoreError::Channel {
+                name: self.cfg.name.clone(),
+                message: "KK channels cannot be disconnected".into(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Discards every pending unit on a break and charges them to
+    /// `break`, returning how many; the caller has closed the sink. Every
+    /// post checks `sink_open` under the same lock, so none can land
+    /// after this drain.
+    fn drop_pending(&self, st: &mut QState) -> u64 {
         let n = st.queue.len() as u64;
         for p in st.queue.drain(..) {
             self.pool.discard(p);
         }
         st.bytes = 0;
         st.congested = false;
-        if n > 0 {
-            self.charge_drop(DropReason::Break, n);
-        }
+        st.stats.dropped_break += n;
+        n
     }
 
     fn wake_listeners(&self) {
         for l in self.listeners.read().iter() {
             l.notify();
+        }
+    }
+
+    /// Room for a `len`-byte payload: an empty buffer admits anything (so
+    /// one oversized message can still cross); otherwise an async channel
+    /// needs room in its byte budget, and a rendezvous slot has none.
+    fn fits(&self, st: &QState, len: usize) -> bool {
+        st.queue.is_empty()
+            || (self.cfg.kind == ChannelKind::Async && st.bytes + len <= self.cfg.capacity_bytes)
+    }
+
+    /// One admission attempt (Figure 6-9). A closed sink discards the
+    /// payload; a payload that fits is admitted; one that does not is
+    /// handed back, or — on the `last` attempt, once the wait budget is
+    /// spent — discarded and charged to `full`.
+    fn offer(&self, st: &mut QState, payload: Payload, len: usize, last: bool) -> Offer {
+        if !st.sink_open {
+            self.pool.discard(payload);
+            st.stats.dropped_closed += 1;
+            return Offer::Discarded(DropReason::Closed);
+        }
+        if !self.fits(st, len) {
+            if !last {
+                return Offer::Refused(payload);
+            }
+            self.pool.discard(payload);
+            st.stats.dropped_full += 1;
+            return Offer::Discarded(DropReason::Full);
+        }
+        st.queue.push_back(payload);
+        st.stats.posted += 1;
+        Offer::Admitted {
+            crossed: self.grow(st, len),
+            ticket: st.stats.posted,
+        }
+    }
+
+    /// Settles an offer with the lock released: an admission is counted,
+    /// wakes the consumer listeners and may raise `CHANNEL_CONGESTED`; a
+    /// discard reaches the probe; a refusal hands the payload back.
+    fn finish(&self, offer: Offer, len: usize) -> Result<PostResult, Payload> {
+        match offer {
+            Offer::Admitted { crossed, .. } => {
+                self.probe_admit(len);
+                self.wake_listeners();
+                self.raise_congested(crossed);
+                Ok(PostResult::Posted)
+            }
+            Offer::Discarded(reason) => {
+                self.probe_drop(reason, 1);
+                Ok(match reason {
+                    DropReason::Closed => PostResult::Closed,
+                    _ => PostResult::Dropped,
+                })
+            }
+            Offer::Refused(payload) => Err(payload),
         }
     }
 
@@ -594,137 +670,87 @@ impl MessageQueue {
             .as_ref()
             .filter(|p| p.sample_timing(TimingSite::Post))
             .map(|_| Instant::now());
-        let res = self.post_locked(payload, len);
+        let res = self.post_one(payload, len);
         if let (Some(p), Some(t0)) = (&self.probe, t0) {
             p.on_post_ns(t0.elapsed().as_nanos() as u64);
         }
         res
     }
 
-    /// Admits `payload` into the buffer if the byte budget allows (an
-    /// empty channel admits one oversized message), returning whether it
-    /// crossed the congestion mark. Caller holds the state lock.
-    fn try_admit(&self, st: &mut QState, payload: Payload, len: usize) -> Result<bool, Payload> {
-        if !st.queue.is_empty() && st.bytes + len > self.cfg.capacity_bytes {
-            return Err(payload);
-        }
-        st.queue.push_back(payload);
-        Ok(self.grow(st, len))
-    }
-
     /// The monitor-based post path (the paper's Figure 6-9 pseudocode).
-    fn post_locked(&self, payload: Payload, len: usize) -> PostResult {
-        let mut st = self.state.lock();
-        if !st.sink_open {
-            drop(st);
-            self.pool.discard(payload);
-            self.charge_drop(DropReason::Closed, 1);
-            return PostResult::Closed;
+    fn post_one(&self, payload: Payload, len: usize) -> PostResult {
+        // The clock is read only once the first attempt is refused.
+        let mut deadline = None;
+        let mut offer = self
+            .state
+            .update(|st| woken(self.offer(st, payload, len, false)));
+        if let Offer::Refused(payload) = offer {
+            let d = *deadline.insert(Instant::now() + self.cfg.full_wait);
+            offer = self.state.wait_then(
+                |st| st.sink_open && !self.fits(st, len),
+                Some(d),
+                |st, _| woken(self.offer(st, payload, len, true)),
+            );
         }
-        match self.cfg.kind {
-            ChannelKind::Async => {
-                // The clock is read only once a post has to wait.
-                let mut deadline = None;
-                let mut payload = payload;
-                loop {
-                    match self.try_admit(&mut st, payload, len) {
-                        Ok(crossed) => {
-                            self.posted.fetch_add(1, Ordering::Relaxed);
-                            self.probe_admit(len);
-                            drop(st);
-                            self.cv.notify_all();
-                            self.wake_listeners();
-                            self.raise_congested(crossed);
-                            return PostResult::Posted;
-                        }
-                        Err(p) => payload = p,
-                    }
-                    let deadline =
-                        *deadline.get_or_insert_with(|| Instant::now() + self.cfg.full_wait);
-                    if self.cv.wait_until(&mut st, deadline).timed_out() {
-                        match self.try_admit(&mut st, payload, len) {
-                            Ok(crossed) => {
-                                self.posted.fetch_add(1, Ordering::Relaxed);
-                                self.probe_admit(len);
-                                drop(st);
-                                self.cv.notify_all();
-                                self.wake_listeners();
-                                self.raise_congested(crossed);
-                                return PostResult::Posted;
-                            }
-                            Err(p) => {
-                                drop(st);
-                                self.pool.discard(p);
-                                self.charge_drop(DropReason::Full, 1);
-                                return PostResult::Dropped;
-                            }
-                        }
-                    }
-                    if !st.sink_open {
-                        drop(st);
-                        self.pool.discard(payload);
-                        self.charge_drop(DropReason::Closed, 1);
-                        return PostResult::Closed;
-                    }
-                }
-            }
-            ChannelKind::Sync => {
-                // A rendezvous always waits for its consumer, so its
-                // deadline is taken up front.
-                let deadline = Instant::now() + self.cfg.full_wait;
-                // Zero-length buffer: admit when empty, then wait until the
-                // consumer takes it.
-                while !st.queue.is_empty() {
-                    if self.cv.wait_until(&mut st, deadline).timed_out() {
-                        drop(st);
-                        self.pool.discard(payload);
-                        self.charge_drop(DropReason::Full, 1);
-                        return PostResult::Dropped;
-                    }
-                }
-                if !st.sink_open {
-                    drop(st);
-                    self.pool.discard(payload);
-                    self.charge_drop(DropReason::Closed, 1);
-                    return PostResult::Closed;
-                }
-                st.queue.push_back(payload);
-                let crossed = self.grow(&mut st, len);
-                self.posted.fetch_add(1, Ordering::Relaxed);
-                self.cv.notify_all();
+        match offer {
+            Offer::Admitted { crossed, ticket } if self.cfg.kind == ChannelKind::Sync => {
                 self.wake_listeners();
-                // Rendezvous: wait until taken (or deadline).
-                while !st.queue.is_empty() {
-                    if self.cv.wait_until(&mut st, deadline).timed_out() {
-                        // Consumer never came: withdraw the message.
-                        if let Some(p) = st.queue.pop_front() {
-                            self.shrink(&mut st, len);
-                            drop(st);
-                            self.pool.discard(p);
-                            self.posted.fetch_sub(1, Ordering::Relaxed);
-                            self.charge_drop(DropReason::Full, 1);
-                            return PostResult::Dropped;
-                        }
-                        break;
-                    }
+                let deadline = deadline.unwrap_or_else(|| Instant::now() + self.cfg.full_wait);
+                if !self.rendezvous(ticket, deadline) {
+                    return PostResult::Dropped;
                 }
-                // The rendezvous completed: only now is the admission
-                // final (a withdrawn message must never have been counted).
-                drop(st);
+                // Only now is the admission final: a withdrawn message
+                // must never have been counted.
                 self.probe_admit(len);
                 self.raise_congested(crossed);
                 PostResult::Posted
             }
+            // A last attempt never hands its payload back.
+            offer => self.finish(offer, len).unwrap_or(PostResult::Dropped),
         }
     }
 
-    /// Posts a run of payloads under a single lock acquisition, sharing
-    /// one Figure 6-9 wait budget `T` across the run. Per-message byte
-    /// accounting and drop-on-full semantics are identical to calling
-    /// [`MessageQueue::post`] once per payload; sync (zero-length)
-    /// channels rendezvous per message, so they simply delegate. Drains
-    /// `payloads` in place, so the caller can reuse the buffer (its
-    /// capacity is retained for the next run).
+    /// A rendezvous's second half: waits until its own message — the
+    /// `ticket`-th admission — has left the slot (fetched, or drained by
+    /// a break or a shed). Every message admitted is fetched, drained or
+    /// still pending, so the slot's message has left once `departed`
+    /// reaches the ticket; a later message landing in the freed slot does
+    /// not hold the wait. On timeout the message is still the slot's only
+    /// occupant, and only it is withdrawn: uncounted as posted, charged
+    /// to `full`. Returns whether the message was taken.
+    fn rendezvous(&self, ticket: u64, deadline: Instant) -> bool {
+        let taken = self.state.wait_then(
+            |st| st.stats.departed() < ticket,
+            Some(deadline),
+            |st, taken| {
+                if taken {
+                    return (true, Wake::None);
+                }
+                if let Some(p) = st.queue.pop_front() {
+                    self.shrink(st, p.buffered_len());
+                    self.pool.discard(p);
+                }
+                st.stats.posted -= 1;
+                st.stats.dropped_full += 1;
+                // The slot is free for the next producer.
+                (false, Wake::All)
+            },
+        );
+        if !taken {
+            self.probe_drop(DropReason::Full, 1);
+            self.wake_space_listeners();
+        }
+        taken
+    }
+
+    /// Posts a run of payloads, sharing one Figure 6-9 wait budget `T`
+    /// across the run: each lock hold admits as many as fit, and a
+    /// refused payload waits (on the rest of the budget) for room.
+    /// Per-message byte accounting and drop-on-full semantics are
+    /// identical to calling [`MessageQueue::post`] once per payload; sync
+    /// (zero-length) channels rendezvous per message, so they simply
+    /// delegate. Drains `payloads` in place, so the caller can reuse the
+    /// buffer (its capacity is retained for the next run).
     pub fn post_all(&self, payloads: &mut Vec<Payload>) {
         if payloads.is_empty() {
             return;
@@ -741,70 +767,56 @@ impl MessageQueue {
             .as_ref()
             .filter(|p| p.sample_timing(TimingSite::Post))
             .map(|_| Instant::now());
+        let mut run = payloads.drain(..).map(|p| {
+            let len = p.buffered_len();
+            (p, len)
+        });
+        // The payload the queue last refused, waiting for room.
+        let mut refused: Option<(Payload, usize)> = None;
         // The run's shared budget starts when its first admission fails.
         let mut deadline = None;
-        let mut admitted = 0u64;
-        let mut crossed = false;
-        let mut st = self.state.lock();
-        'run: for payload in payloads.drain(..) {
-            if !st.sink_open {
-                self.pool.discard(payload);
-                self.charge_drop(DropReason::Closed, 1);
-                continue;
-            }
-            let len = payload.buffered_len();
-            let mut payload = payload;
-            loop {
-                match self.try_admit(&mut st, payload, len) {
-                    Ok(c) => {
-                        admitted += 1;
-                        crossed |= c;
-                        self.probe_admit(len);
-                        if st.queue.len() == 1 {
-                            // Empty→non-empty: blocked fetchers wake as
-                            // soon as we release (or wait on) the lock.
-                            self.cv.notify_all();
-                        }
-                        // Make the wake visible *during* the run, not just
-                        // at its end: if the queue fills before the run
-                        // completes, we wait on the consumer below — and a
-                        // consumer that was never woken would leave us
-                        // stuck until the drop deadline. The coalescing
-                        // armed flag keeps the repeat notifies down to one
-                        // atomic swap each.
-                        self.wake_listeners();
-                        continue 'run;
-                    }
-                    Err(p) => payload = p,
-                }
-                let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.cfg.full_wait);
-                if self.cv.wait_until(&mut st, deadline).timed_out() {
-                    match self.try_admit(&mut st, payload, len) {
-                        Ok(c) => {
-                            admitted += 1;
-                            crossed |= c;
-                            self.probe_admit(len);
-                        }
-                        Err(p) => {
-                            self.pool.discard(p);
-                            self.charge_drop(DropReason::Full, 1);
+        let (mut crossed, mut closed, mut full) = (false, 0u64, 0u64);
+        loop {
+            let waiting = refused.as_ref().map(|&(_, len)| len);
+            let admitted = self.state.wait_then(
+                |st| waiting.is_some_and(|len| st.sink_open && !self.fits(st, len)),
+                deadline,
+                |st, cleared| {
+                    // Still refused when the wait ended: the budget is
+                    // spent, and the rest of the run drops if it must wait.
+                    let last = !cleared;
+                    let mut admitted = 0u64;
+                    for (p, len) in refused.take().into_iter().chain(run.by_ref()) {
+                        match self.offer(st, p, len, last) {
+                            Offer::Admitted { crossed: c, .. } => {
+                                admitted += 1;
+                                crossed |= c;
+                                self.probe_admit(len);
+                            }
+                            Offer::Discarded(DropReason::Closed) => closed += 1,
+                            Offer::Discarded(_) => full += 1,
+                            Offer::Refused(p) => {
+                                refused = Some((p, len));
+                                break;
+                            }
                         }
                     }
-                    continue 'run;
-                }
-                if !st.sink_open {
-                    self.pool.discard(payload);
-                    self.charge_drop(DropReason::Closed, 1);
-                    continue 'run;
-                }
+                    let wake = if admitted > 0 { Wake::All } else { Wake::None };
+                    (admitted, wake)
+                },
+            );
+            if admitted > 0 {
+                // Before waiting for room: a consumer that was never woken
+                // would leave this run stuck until its drop deadline.
+                self.wake_listeners();
             }
+            if refused.is_none() {
+                break;
+            }
+            deadline.get_or_insert_with(|| Instant::now() + self.cfg.full_wait);
         }
-        drop(st);
-        if admitted > 0 {
-            self.posted.fetch_add(admitted, Ordering::Relaxed);
-            self.cv.notify_all();
-            self.wake_listeners();
-        }
+        self.probe_drop(DropReason::Closed, closed);
+        self.probe_drop(DropReason::Full, full);
         self.raise_congested(crossed);
         if let (Some(p), Some(t0)) = (&self.probe, t0) {
             p.on_post_ns(t0.elapsed().as_nanos() as u64);
@@ -831,89 +843,55 @@ impl MessageQueue {
     /// otherwise deadlock with every worker blocked inside a post.
     pub fn post_nowait(&self, payload: Payload) -> Result<PostResult, Payload> {
         let len = payload.buffered_len();
-        let mut st = self.state.lock();
-        if !st.sink_open {
-            drop(st);
-            self.pool.discard(payload);
-            self.charge_drop(DropReason::Closed, 1);
-            return Ok(PostResult::Closed);
-        }
-        if self.cfg.kind == ChannelKind::Sync && !st.queue.is_empty() {
-            return Err(payload);
-        }
-        let crossed = self.try_admit(&mut st, payload, len)?;
-        self.posted.fetch_add(1, Ordering::Relaxed);
-        self.probe_admit(len);
-        drop(st);
-        self.cv.notify_all();
-        self.wake_listeners();
-        self.raise_congested(crossed);
-        Ok(PostResult::Posted)
+        let offer = self
+            .state
+            .update(|st| woken(self.offer(st, payload, len, false)));
+        self.finish(offer, len)
     }
 
     /// Non-blocking batch post under one lock acquisition: handles a
     /// prefix of `payloads` in place (admitted, or discarded on a closed
     /// sink) and returns how many were consumed. On return the vec holds
     /// only the refused tail, in order, still owned by the caller; its
-    /// capacity is retained either way.
+    /// capacity is retained either way. A rendezvous slot admits at most
+    /// one payload.
     pub fn post_all_nowait(&self, payloads: &mut Vec<Payload>) -> usize {
         if payloads.is_empty() {
             return 0;
         }
-        let mut handled = 0usize;
         // Pop-from-the-back over the reversed vec hands out owned
         // payloads front-first without shifting or reallocating; the
-        // (rare) refused tail pays one more reverse to restore order.
+        // refused tail is reversed back into order.
         payloads.reverse();
-        if self.cfg.kind == ChannelKind::Sync {
-            // A rendezvous slot admits at most one payload; the rest go
-            // back to the caller untouched.
-            while let Some(payload) = payloads.pop() {
-                match self.post_nowait(payload) {
-                    Ok(_) => handled += 1,
-                    Err(p) => {
+        let (mut crossed, mut closed) = (false, 0u64);
+        let admitted = self.state.update(|st| {
+            let mut admitted = 0u64;
+            while let Some(p) = payloads.pop() {
+                let len = p.buffered_len();
+                match self.offer(st, p, len, false) {
+                    Offer::Admitted { crossed: c, .. } => {
+                        admitted += 1;
+                        crossed |= c;
+                        self.probe_admit(len);
+                    }
+                    Offer::Discarded(_) => closed += 1,
+                    Offer::Refused(p) => {
+                        // Full: stop here so per-queue FIFO order survives.
                         payloads.push(p);
-                        payloads.reverse();
-                        return handled;
+                        break;
                     }
                 }
             }
-            return handled;
-        }
-        let mut admitted = 0u64;
-        let mut crossed = false;
-        let mut st = self.state.lock();
-        while let Some(payload) = payloads.pop() {
-            if !st.sink_open {
-                self.pool.discard(payload);
-                self.charge_drop(DropReason::Closed, 1);
-                handled += 1;
-                continue;
-            }
-            let len = payload.buffered_len();
-            match self.try_admit(&mut st, payload, len) {
-                Ok(c) => {
-                    admitted += 1;
-                    crossed |= c;
-                    self.probe_admit(len);
-                    handled += 1;
-                }
-                Err(p) => {
-                    // Full: stop here so per-queue FIFO order survives.
-                    payloads.push(p);
-                    payloads.reverse();
-                    break;
-                }
-            }
-        }
-        drop(st);
+            let wake = if admitted > 0 { Wake::All } else { Wake::None };
+            (admitted, wake)
+        });
+        payloads.reverse();
         if admitted > 0 {
-            self.posted.fetch_add(admitted, Ordering::Relaxed);
-            self.cv.notify_all();
             self.wake_listeners();
         }
+        self.probe_drop(DropReason::Closed, closed);
         self.raise_congested(crossed);
-        handled
+        (admitted + closed) as usize
     }
 
     /// Accounts a payload that waited out Figure 6-9's `T` *outside* the
@@ -923,7 +901,11 @@ impl MessageQueue {
     /// (which blocked a `post`), so overflow and expiry stay separable.
     pub fn discard_expired(&self, payload: Payload) {
         self.pool.discard(payload);
-        self.charge_drop(DropReason::Expired, 1);
+        self.state.update(|st| {
+            st.stats.dropped_expired += 1;
+            ((), Wake::None)
+        });
+        self.probe_drop(DropReason::Expired, 1);
     }
 
     /// Overload relief valve: discards up to `max_n` pending messages,
@@ -940,46 +922,38 @@ impl MessageQueue {
         if max_n == 0 {
             return 0;
         }
-        let mut st = self.state.lock();
-        let mut n = 0usize;
-        if !st.queue.is_empty() {
-            let classes: Vec<PriorityClass> =
-                st.queue.iter().map(|p| self.payload_class(p)).collect();
-            let mut shed = vec![false; classes.len()];
-            let mut remaining = max_n;
-            for class in [
-                PriorityClass::Bulk,
-                PriorityClass::Normal,
-                PriorityClass::Interactive,
-            ] {
-                if remaining == 0 {
-                    break;
-                }
-                for (i, c) in classes.iter().enumerate() {
-                    if remaining == 0 {
-                        break;
-                    }
-                    if *c == class {
-                        shed[i] = true;
-                        remaining -= 1;
-                    }
-                }
+        let n = self.state.update(|st| {
+            if st.queue.is_empty() {
+                return (0, Wake::None);
             }
+            // Lowest class first, oldest within a class.
+            let mut order: Vec<(PriorityClass, usize)> = st
+                .queue
+                .iter()
+                .map(|p| self.payload_class(p))
+                .zip(0..)
+                .collect();
+            order.sort_unstable();
+            let mut shed = vec![false; order.len()];
+            for &(_, i) in order.iter().take(max_n) {
+                shed[i] = true;
+            }
+            let mut n = 0usize;
             let old = std::mem::take(&mut st.queue);
             for (i, p) in old.into_iter().enumerate() {
                 if shed[i] {
-                    self.shrink(&mut st, p.buffered_len());
+                    self.shrink(st, p.buffered_len());
                     self.pool.discard(p);
                     n += 1;
                 } else {
                     st.queue.push_back(p);
                 }
             }
-        }
-        drop(st);
+            st.stats.dropped_shed += n as u64;
+            (n, if n > 0 { Wake::All } else { Wake::None })
+        });
         if n > 0 {
-            self.charge_drop(DropReason::Shed, n as u64);
-            self.cv.notify_all();
+            self.probe_drop(DropReason::Shed, n as u64);
             self.wake_space_listeners();
         }
         n
@@ -999,7 +973,11 @@ impl MessageQueue {
     /// the pool), so only the reason counter — and its probe/trace mirror
     /// — is charged.
     pub fn charge_admission_rejected(&self, n: u64) {
-        self.charge_drop(DropReason::Admission, n);
+        self.state.update(|st| {
+            st.stats.dropped_admission += n;
+            ((), Wake::None)
+        });
+        self.probe_drop(DropReason::Admission, n);
     }
 
     /// The Figure 6-9 full-wait budget `T` configured for this channel.
@@ -1008,24 +986,14 @@ impl MessageQueue {
     }
 
     /// True when a [`MessageQueue::post_nowait`] of a `len`-byte payload
-    /// would make progress right now — room in the byte budget, an empty
-    /// buffer (oversized admission), or a closed sink (the post discards
-    /// and reports `Closed`). Advisory: the answer can go stale the moment
-    /// the lock drops, so callers treat `true` as "worth retrying", not a
+    /// would make progress right now — room in the byte budget (for a
+    /// sync channel, an empty slot), an empty buffer (oversized
+    /// admission), or a closed sink (the post discards and reports
+    /// `Closed`). Advisory: the answer can go stale the moment the lock
+    /// drops, so callers treat `true` as "worth retrying", not a
     /// guarantee.
     pub fn has_space(&self, len: usize) -> bool {
-        let st = self.state.lock();
-        if !st.sink_open {
-            return true;
-        }
-        if self.cfg.kind == ChannelKind::Sync {
-            // The rendezvous slot is the only capacity there is; the byte
-            // budget below would wrongly report room while it is occupied
-            // (and a retrying producer would spin instead of sleeping on
-            // the space wakeup).
-            return st.queue.is_empty();
-        }
-        st.queue.is_empty() || st.bytes + len <= self.cfg.capacity_bytes
+        self.state.read(|st| !st.sink_open || self.fits(st, len))
     }
 
     /// Pops the oldest pending payload. Caller holds the state lock.
@@ -1035,53 +1003,46 @@ impl MessageQueue {
         Some(p)
     }
 
-    /// Non-blocking fetch.
-    pub fn try_fetch(&self) -> FetchResult {
-        let mut st = self.state.lock();
-        if let Some(p) = self.pop_one(&mut st) {
-            self.fetched.fetch_add(1, Ordering::Relaxed);
-            if let Some(pr) = &self.probe {
-                pr.on_fetch(1);
-            }
-            drop(st);
-            self.cv.notify_all();
-            self.wake_space_listeners();
-            return FetchResult::Msg(p);
+    /// Takes the oldest pending payload, or says why there is none. A
+    /// take wakes blocked producers and rendezvous.
+    fn take_one(&self, st: &mut QState) -> (FetchResult, Wake) {
+        if let Some(p) = self.pop_one(st) {
+            st.stats.fetched += 1;
+            return (FetchResult::Msg(p), Wake::All);
         }
-        if !st.source_open && self.pcount() == 0 {
+        let gone = st.source_gone();
+        let r = if gone {
             FetchResult::Disconnected
         } else {
             FetchResult::Empty
-        }
+        };
+        (r, Wake::None)
     }
 
-    /// Blocking fetch with timeout.
-    pub fn fetch(&self, timeout: Duration) -> FetchResult {
-        let deadline = deadline_after(timeout);
-        let mut st = self.state.lock();
-        loop {
-            if let Some(p) = self.pop_one(&mut st) {
-                self.fetched.fetch_add(1, Ordering::Relaxed);
-                if let Some(pr) = &self.probe {
-                    pr.on_fetch(1);
-                }
-                drop(st);
-                self.cv.notify_all();
-                self.wake_space_listeners();
-                return FetchResult::Msg(p);
+    /// Mirrors a fetch into the probe and wakes the space listeners.
+    fn after_fetch(&self, r: FetchResult) -> FetchResult {
+        if let FetchResult::Msg(_) = r {
+            if let Some(pr) = &self.probe {
+                pr.on_fetch(1);
             }
-            if !st.source_open && self.pcount() == 0 {
-                return FetchResult::Disconnected;
-            }
-            match deadline {
-                None => self.cv.wait(&mut st),
-                Some(d) => {
-                    if self.cv.wait_until(&mut st, d).timed_out() && st.queue.is_empty() {
-                        return FetchResult::Empty;
-                    }
-                }
-            }
+            self.wake_space_listeners();
         }
+        r
+    }
+
+    /// Non-blocking fetch.
+    pub fn try_fetch(&self) -> FetchResult {
+        self.after_fetch(self.state.update(|st| self.take_one(st)))
+    }
+
+    /// Blocking fetch with timeout: waits while the queue is empty and
+    /// its source live.
+    pub fn fetch(&self, timeout: Duration) -> FetchResult {
+        self.after_fetch(self.state.wait_then(
+            |st| st.queue.is_empty() && !st.source_gone(),
+            deadline_after(timeout),
+            |st, _| self.take_one(st),
+        ))
     }
 
     /// Removes up to `max_n` pending payloads under a single lock
@@ -1095,30 +1056,30 @@ impl MessageQueue {
         if max_n == 0 {
             return 0;
         }
-        let mut st = self.state.lock();
-        let mut taken = 0usize;
-        let mut bytes = 0usize;
-        while taken < max_n {
-            let Some(next) = st.queue.front().map(|p| p.buffered_len()) else {
-                break;
-            };
-            if taken != 0 && bytes.saturating_add(next) > max_bytes {
-                break;
+        let taken = self.state.update(|st| {
+            let mut taken = 0usize;
+            let mut bytes = 0usize;
+            while taken < max_n {
+                let Some(next) = st.queue.front().map(|p| p.buffered_len()) else {
+                    break;
+                };
+                if taken != 0 && bytes.saturating_add(next) > max_bytes {
+                    break;
+                }
+                let Some(p) = self.pop_one(st) else {
+                    break;
+                };
+                bytes = bytes.saturating_add(next);
+                out.push(p);
+                taken += 1;
             }
-            let Some(p) = self.pop_one(&mut st) else {
-                break;
-            };
-            bytes = bytes.saturating_add(next);
-            out.push(p);
-            taken += 1;
-        }
+            st.stats.fetched += taken as u64;
+            (taken, if taken != 0 { Wake::All } else { Wake::None })
+        });
         if taken != 0 {
-            self.fetched.fetch_add(taken as u64, Ordering::Relaxed);
             if let Some(p) = &self.probe {
                 p.on_batch(taken);
             }
-            drop(st);
-            self.cv.notify_all();
             self.wake_space_listeners();
         }
         taken
@@ -1126,31 +1087,27 @@ impl MessageQueue {
 
     /// Number of pending messages.
     pub fn len(&self) -> usize {
-        self.state.lock().queue.len()
+        self.state.read(|st| st.queue.len())
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.state.lock().queue.is_empty()
+        self.state.read(|st| st.queue.is_empty())
     }
 
     /// Bytes currently buffered.
     pub fn buffered_bytes(&self) -> usize {
-        self.state.lock().bytes
+        self.state.read(|st| st.bytes)
     }
 
-    /// Statistics snapshot.
+    /// Statistics snapshot, counters and pending depth from one lock
+    /// hold: `posted == fetched + pending + dropped_break + dropped_shed`
+    /// holds for every snapshot.
     pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            posted: self.posted.load(Ordering::Relaxed),
-            fetched: self.fetched.load(Ordering::Relaxed),
-            dropped_full: self.dropped_full.load(Ordering::Relaxed),
-            dropped_closed: self.dropped_closed.load(Ordering::Relaxed),
-            dropped_break: self.dropped_break.load(Ordering::Relaxed),
-            dropped_expired: self.dropped_expired.load(Ordering::Relaxed),
-            dropped_shed: self.dropped_shed.load(Ordering::Relaxed),
-            dropped_admission: self.dropped_admission.load(Ordering::Relaxed),
-        }
+        self.state.read(|st| QueueStats {
+            pending: st.queue.len() as u64,
+            ..st.stats
+        })
     }
 }
 
@@ -1291,6 +1248,107 @@ mod tests {
         assert!(t0.elapsed() >= Duration::from_millis(15));
         assert!(matches!(consumer.join().unwrap(), FetchResult::Msg(_)));
         assert!(q.is_empty());
+    }
+
+    fn text(pool: &MessagePool, body: &str) -> Payload {
+        pool.wrap(MimeMessage::text(body), crate::PayloadMode::Reference, 1)
+    }
+
+    fn body(pool: &MessagePool, r: FetchResult) -> String {
+        match r {
+            FetchResult::Msg(p) => String::from_utf8_lossy(&pool.resolve(p).unwrap().body).into(),
+            other => panic!("expected a message, got {other:?}"),
+        }
+    }
+
+    /// A rendezvous waits for its own message to be taken, not for the
+    /// slot to empty: a message another producer lands in the freed slot
+    /// neither holds the wait nor is withdrawn by its timeout.
+    #[test]
+    fn sync_rendezvous_waits_for_its_own_message() {
+        let (q, pool) = setup(QueueConfig {
+            kind: ChannelKind::Sync,
+            category: ChannelCategory::S,
+            full_wait: Duration::from_millis(100),
+            ..Default::default()
+        });
+        let (q2, pool2) = (q.clone(), pool.clone());
+        let producer = thread::spawn(move || q2.post(text(&pool2, "A")));
+        thread::sleep(Duration::from_millis(20));
+        assert_eq!(body(&pool, q.try_fetch()), "A");
+        assert_eq!(
+            q.post_nowait(text(&pool, "C")).ok(),
+            Some(PostResult::Posted)
+        );
+        assert_eq!(producer.join().unwrap(), PostResult::Posted);
+        assert_eq!(body(&pool, q.try_fetch()), "C");
+        let s = q.stats();
+        assert_eq!((s.posted, s.fetched, s.dropped_total()), (2, 2, 0));
+    }
+
+    /// Two blocking producers on one rendezvous slot: the second admits
+    /// the moment the first message is taken, and the first producer
+    /// still returns `Posted` at once, withdrawing nothing.
+    #[test]
+    fn sync_rendezvous_of_two_producers_withdraws_nothing_it_does_not_own() {
+        for round in 0..20 {
+            let (q, pool) = setup(QueueConfig {
+                kind: ChannelKind::Sync,
+                category: ChannelCategory::S,
+                full_wait: Duration::from_secs(2),
+                ..Default::default()
+            });
+            let post = |tag: &'static str| {
+                let (q, pool) = (q.clone(), pool.clone());
+                thread::spawn(move || q.post(text(&pool, tag)))
+            };
+            let first = post("A");
+            while q.is_empty() {
+                thread::yield_now();
+            }
+            let second = post("B");
+            thread::sleep(Duration::from_millis(5));
+            assert_eq!(body(&pool, q.try_fetch()), "A", "round {round}");
+            assert_eq!(first.join().unwrap(), PostResult::Posted, "round {round}");
+            assert_eq!(
+                body(&pool, q.fetch(Duration::from_secs(2))),
+                "B",
+                "round {round}"
+            );
+            assert_eq!(second.join().unwrap(), PostResult::Posted, "round {round}");
+            let s = q.stats();
+            assert_eq!(
+                (s.posted, s.fetched, s.dropped_total()),
+                (2, 2, 0),
+                "round {round}"
+            );
+        }
+    }
+
+    /// A break that drains the slot ends the rendezvous as it always
+    /// has: the post reports `Posted`, the message is charged `break`.
+    #[test]
+    fn sync_rendezvous_broken_by_a_drain_returns() {
+        let (q, pool) = setup(QueueConfig {
+            kind: ChannelKind::Sync,
+            category: ChannelCategory::BB,
+            full_wait: Duration::from_secs(5),
+            ..Default::default()
+        });
+        q.attach_source();
+        q.attach_sink();
+        let (q2, pool2) = (q.clone(), pool.clone());
+        let t0 = Instant::now();
+        let producer = thread::spawn(move || q2.post(text(&pool2, "A")));
+        while q.is_empty() {
+            thread::yield_now();
+        }
+        q.detach_source().unwrap();
+        assert_eq!(producer.join().unwrap(), PostResult::Posted);
+        assert!(t0.elapsed() < Duration::from_secs(4), "woken by the drain");
+        let s = q.stats();
+        assert_eq!((s.posted, s.dropped_break, s.pending), (1, 1, 0));
+        assert_eq!(pool.stats().resident, 0);
     }
 
     #[test]
@@ -1687,5 +1745,104 @@ mod tests {
             );
             assert_eq!(pool.stats().resident, 0, "round {round}");
         }
+    }
+
+    /// Every snapshot balances, `posted == fetched + pending +
+    /// dropped_break + dropped_shed`, while producers on `post`,
+    /// `post_all` and `post_nowait`, a batch-and-fetch consumer and a
+    /// shedder run; after a final sink break, every offered message was
+    /// fetched or charged to exactly one drop reason.
+    #[test]
+    fn channel_conservation_holds_at_every_instant() {
+        use std::sync::atomic::AtomicU64;
+        const EACH: u64 = 400;
+        let (q, pool) = setup(QueueConfig {
+            capacity_bytes: 600,
+            full_wait: Duration::from_millis(2),
+            ..Default::default()
+        });
+        q.attach_source();
+        q.attach_sink();
+        let done = Arc::new(AtomicBool::new(false));
+        let offered = Arc::new(AtomicU64::new(0));
+        let spawn = |f: fn(&MessageQueue, &MessagePool, &AtomicU64)| {
+            let (q, pool, offered) = (q.clone(), pool.clone(), offered.clone());
+            thread::spawn(move || f(&q, &pool, &offered))
+        };
+        let producers = [
+            spawn(|q, pool, offered| {
+                for _ in 0..EACH {
+                    q.post(payload(pool, 40));
+                    offered.fetch_add(1, Ordering::Relaxed);
+                }
+            }),
+            spawn(|q, pool, offered| {
+                let mut run = Vec::new();
+                for _ in 0..EACH / 4 {
+                    run.extend((0..4).map(|_| payload(pool, 40)));
+                    q.post_all(&mut run);
+                    offered.fetch_add(4, Ordering::Relaxed);
+                }
+            }),
+            spawn(|q, pool, offered| {
+                for _ in 0..EACH {
+                    match q.post_nowait(payload(pool, 40)) {
+                        Ok(_) => offered.fetch_add(1, Ordering::Relaxed),
+                        Err(p) => {
+                            pool.discard(p);
+                            thread::yield_now();
+                            0
+                        }
+                    };
+                }
+            }),
+        ];
+        let until_done = |f: fn(&MessageQueue, &MessagePool)| {
+            let (q, pool, done) = (q.clone(), pool.clone(), done.clone());
+            thread::spawn(move || {
+                while !done.load(Ordering::Relaxed) {
+                    f(&q, &pool);
+                }
+            })
+        };
+        let helpers = [
+            until_done(|q, pool| {
+                let mut out = Vec::new();
+                q.take_batch(&mut out, 3, usize::MAX);
+                if let FetchResult::Msg(p) = q.fetch(Duration::from_millis(1)) {
+                    out.push(p);
+                }
+                out.into_iter().for_each(|p| pool.discard(p));
+            }),
+            until_done(|q, _| {
+                q.shed_oldest(2);
+                thread::sleep(Duration::from_micros(300));
+            }),
+            until_done(|q, _| {
+                let s = q.stats();
+                assert_eq!(
+                    s.posted,
+                    s.fetched + s.pending + s.dropped_break + s.dropped_shed,
+                    "{s:?}"
+                );
+            }),
+        ];
+        for p in producers {
+            p.join().unwrap();
+        }
+        q.detach_sink().unwrap();
+        done.store(true, Ordering::Relaxed);
+        for h in helpers {
+            h.join().unwrap();
+        }
+        let s = q.stats();
+        assert_eq!(s.pending, 0, "the break drained the channel");
+        assert_eq!(
+            offered.load(Ordering::Relaxed),
+            s.fetched + s.dropped_total(),
+            "{s:?}"
+        );
+        assert_eq!(s.dropped_expired + s.dropped_admission, 0);
+        assert_eq!(pool.stats().resident, 0);
     }
 }

@@ -6,7 +6,7 @@
 //! instance of a stream"; §3.3.4 pooling exists so that per-session cost
 //! stays small). The [`SessionManager`] industrializes that: it holds one
 //! validated [`StreamTemplate`] (compiled and analyzed exactly once),
-//! compiles it once more into a [`StreamBlueprint`] — resolved pool keys,
+//! compiles it once more into a `StreamBlueprint` — resolved pool keys,
 //! fused-run descriptors, queue configurations, port bindings as indices —
 //! and stamps out independent sessions from that, each a full
 //! `RunningStream` with its own session ID, event identity, and

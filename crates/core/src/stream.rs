@@ -679,7 +679,7 @@ pub struct RunningStream {
 
 impl RunningStream {
     /// Materializes a configuration table into a running stream: compiles
-    /// a [`StreamBlueprint`] and stamps its one instance.
+    /// a `StreamBlueprint` and stamps its one instance.
     pub fn deploy(
         table: &ConfigTable,
         defs: &BTreeMap<String, StreamletSpec>,
@@ -1917,10 +1917,7 @@ impl RunningStream {
             // 2. Push the unit's parked emissions downstream so nothing is
             // stranded with the old handle (bounded: a persistently full
             // downstream queue expires the stragglers per Figure 6-9).
-            let deadline = Instant::now() + Duration::from_millis(500);
-            while !handle.flush_pending_outputs() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            handle.flush_pending_outputs(Instant::now() + Duration::from_millis(500));
         }
 
         let Some(info) = inner.fused.remove(unit) else {

@@ -603,16 +603,16 @@ impl Shared {
     /// Retries every parked output in emission order; entries whose drop
     /// deadline has passed are accounted as `dropped_expired` on their
     /// queue.
-    /// Returns `true` when the buffer ended up empty (the task may consume
-    /// new input), `false` when something is still stuck behind a full
-    /// queue.
-    fn flush_pending(&self) -> bool {
+    /// Returns `None` when the buffer ended up empty (the task may consume
+    /// new input), or the earliest drop deadline among the entries still
+    /// stuck behind a full queue.
+    fn flush_pending(&self) -> Option<Instant> {
         // The lock is held across the whole flush (every post is a
         // `post_nowait`, so nothing blocks under it): quiescence checks
         // must never observe an empty buffer while entries are mid-repost.
         let mut pending = self.pending_out.lock();
         if pending.is_empty() {
-            return true;
+            return None;
         }
         let items = std::mem::take(&mut *pending);
         let mut stuck: VecDeque<(Arc<MessageQueue>, Payload, Instant)> = VecDeque::new();
@@ -639,11 +639,11 @@ impl Shared {
                 Err(p) => stuck.push_back((q, p, deadline)),
             }
         }
-        let empty = stuck.is_empty();
+        let next = stuck.iter().map(|&(_, _, deadline)| deadline).min();
         // The single driving thread is the only writer, so nothing was
         // appended concurrently — the put-back preserves order.
         *pending = stuck;
-        empty
+        next
     }
 
     /// True when a `flush_pending` would make progress right now: some
@@ -1075,12 +1075,24 @@ impl StreamletHandle {
         self.shared.outputs.read().clone()
     }
 
-    /// Retries parked outputs once (see `flush_pending`); returns `true`
-    /// when the overflow buffer is empty afterwards. Fission drains a
-    /// paused unit's parked emissions through this before re-materializing
-    /// its members, so no in-flight output is lost with the old handle.
-    pub fn flush_pending_outputs(&self) -> bool {
-        self.shared.flush_pending()
+    /// Pushes parked outputs downstream until the overflow buffer is
+    /// empty, waiting between retries on the task's notifier — a space
+    /// listener on every output queue. An output whose Figure 6-9 drop
+    /// deadline passes is charged `expired` (see `flush_pending`); `bound`
+    /// caps the whole wait. Fission drains a paused unit's parked
+    /// emissions through this before re-materializing its members, so no
+    /// in-flight output is lost with the old handle.
+    pub fn flush_pending_outputs(&self, bound: Instant) {
+        let wake = &self.shared.notifier;
+        loop {
+            let seen = wake.snapshot();
+            match self.shared.flush_pending() {
+                Some(next) if Instant::now() < bound => {
+                    wake.wait_unless(seen, Some(next.min(bound)));
+                }
+                _ => return,
+            }
+        }
     }
 
     /// Moves this handle's entire redelivery stash out (message, fault
@@ -1628,7 +1640,7 @@ impl StreamletTask {
         // acts as a bounded overflow extension of the downstream queue
         // (≤ one batch parked + one step's emissions) and the pipeline
         // stays full.
-        let flushed = shared.flush_pending();
+        let flushed = shared.flush_pending().is_none();
         let batch_max = shared.batch_max.load(Ordering::Relaxed).max(1);
         if !flushed && shared.pending_out.lock().len() >= batch_max {
             return Step::Idle;
@@ -2429,13 +2441,13 @@ mod tests {
         // and must drop (Figure 6-9), charged exactly once, under its own
         // reason code (`expired`, not an in-queue `full`).
         let _ = fetch_text(&pool, &qout);
-        assert!(h.shared.flush_pending());
+        assert_eq!(h.shared.flush_pending(), None);
         assert_eq!(qout.stats().dropped_expired, 1);
         assert_eq!(qout.stats().dropped_full, 0);
         // Regression: repeated flushes after expiry must not re-charge,
         // and the expired entry must not have been delivered late.
-        assert!(h.shared.flush_pending());
-        assert!(h.shared.flush_pending());
+        assert_eq!(h.shared.flush_pending(), None);
+        assert_eq!(h.shared.flush_pending(), None);
         assert_eq!(qout.stats().dropped_expired, 1);
         assert!(matches!(
             qout.fetch(Duration::from_millis(20)),

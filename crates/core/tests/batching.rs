@@ -346,6 +346,7 @@ impl Model {
         self.queue.push_back((tag, len));
         self.bytes += len;
         self.stats.posted += 1;
+        self.stats.pending += 1;
         Some(PostResult::Posted)
     }
 
@@ -361,6 +362,7 @@ impl Model {
         let (tag, len) = self.queue.pop_front()?;
         self.bytes -= len;
         self.stats.fetched += 1;
+        self.stats.pending -= 1;
         Some(tag)
     }
 
@@ -382,6 +384,7 @@ impl Model {
 
     fn break_sink(&mut self) {
         self.stats.dropped_break += self.queue.len() as u64;
+        self.stats.pending = 0;
         self.queue.clear();
         self.bytes = 0;
         self.sink_open = false;

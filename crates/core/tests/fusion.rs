@@ -279,6 +279,119 @@ fn fission_under_load_loses_nothing() {
     stream.shutdown();
 }
 
+/// Under the worker pool a full downstream queue parks a fused unit's
+/// outputs. Fission waits for them on the unit's notifier: once the
+/// consumer drains the egress, every parked output arrives.
+#[test]
+fn fission_parked_outputs_arrive_once_downstream_drains() {
+    let (stream, _) = deploy_chain_on(true, WorkerPool::new(2));
+    let unit = stream.instance("fused:f1..f3").unwrap();
+    let (_, egress) = unit.bound_outputs().remove(0);
+    // 64 KiB bodies: ~127 fill the 8 MiB egress and the unit parks the
+    // rest, fewer than a batch, so it takes every message off the
+    // ingress and none flows through the channels fission creates.
+    let body = "x".repeat(64 << 10);
+    let n = 137;
+    for _ in 0..n {
+        stream.post_input(MimeMessage::text(body.clone())).unwrap();
+    }
+    assert!(
+        wait_until(|| unit.pending_outputs() > 0 && unit.pending_outputs() + egress.len() == n),
+        "outputs park behind the full egress"
+    );
+    let consumer = {
+        let stream = stream.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            (0..n)
+                .take_while(|_| stream.take_output(Duration::from_secs(5)).is_some())
+                .count()
+        })
+    };
+    stream
+        .insert_streamlet(("f1", "po"), ("f2", "pi"), "mid", "ftag_c")
+        .unwrap();
+    assert_eq!(consumer.join().unwrap(), n, "every parked output arrives");
+    assert_eq!(unit.pending_outputs(), 0);
+    assert_eq!(egress.stats().dropped_total(), 0);
+    stream.shutdown();
+}
+
+/// Blocks in `process` until the gate opens.
+struct Stall(Arc<std::sync::Mutex<()>>);
+impl StreamletLogic for Stall {
+    fn process(&mut self, _msg: MimeMessage, _ctx: &mut StreamletCtx) -> Result<(), CoreError> {
+        drop(self.0.lock());
+        Ok(())
+    }
+}
+
+/// A fused unit whose outputs are parked behind a 1 KB channel that its
+/// consumer never drains: fission charges them `expired` at their Figure
+/// 6-9 deadline (`T` = 50 ms) and returns then, not at its 500 ms bound.
+#[test]
+fn fission_parked_outputs_expire_after_t_when_downstream_never_drains() {
+    let gate = Arc::new(std::sync::Mutex::new(()));
+    let d = deps_on(true, WorkerPool::new(3));
+    let g = gate.clone();
+    d.directory
+        .register("fuse/stall", "", move || Box::new(Stall(g.clone())));
+    let stream = deploy_script(
+        &format!(
+            "{TAG_DEFS}
+            streamlet stall {{
+                port {{ in pi : text/plain; }}
+                attribute {{ type = STATELESS; library = \"fuse/stall\"; }}
+            }}
+            channel smallbuf {{
+                port {{ in ci : text/plain; out co : text/plain; }}
+                attribute {{ type = ASYNC; category = BK; buffer = 1; }}
+            }}
+            main stream app {{
+                streamlet f1 = new-streamlet (ftag_a);
+                streamlet f2 = new-streamlet (ftag_b);
+                streamlet f3 = new-streamlet (ftag_c);
+                streamlet s = new-streamlet (stall);
+                channel small = new-channel (smallbuf);
+                connect (f1.po, f2.pi);
+                connect (f2.po, f3.pi);
+                connect (f3.po, s.pi, small);
+            }}"
+        ),
+        d,
+        "stalled",
+    );
+    let unit = stream.instance("fused:f1..f3").unwrap();
+    let (_, small) = unit.bound_outputs().remove(0);
+    // Declared after the stream, so a failed assertion opens the gate
+    // before the stream's teardown waits on `s`.
+    let closed = gate.lock().unwrap();
+    for _ in 0..20 {
+        stream
+            .post_input(MimeMessage::text("y".repeat(600)))
+            .unwrap();
+    }
+    assert!(
+        wait_until(|| unit.pending_outputs() > 0),
+        "outputs park behind the full channel"
+    );
+    let t0 = Instant::now();
+    stream
+        .insert_streamlet(("f1", "po"), ("f2", "pi"), "mid", "ftag_c")
+        .unwrap();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(400),
+        "fission returns at the parked outputs' deadline, took {took:?}"
+    );
+    assert_eq!(unit.pending_outputs(), 0, "none stranded with the unit");
+    let s = small.stats();
+    assert!(s.dropped_expired > 0, "{s:?}");
+    assert_eq!(s.dropped_full, 0, "{s:?}");
+    drop(closed);
+    stream.shutdown();
+}
+
 #[test]
 fn member_panic_quarantines_only_that_member() {
     let mut cfg = ServerConfig {

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! * [`lexer`] / [`parser`] / [`ast`] — the front end (Figures 4-2..4-5);
-//! * [`compile`] — name resolution, MIME port-compatibility checking
+//! * [`compile`](mod@compile) — name resolution, MIME port-compatibility checking
 //!   (§4.4.1), recursive-composition expansion (§4.4.2), and generation of
 //!   the configuration tables consumed by the Coordination Manager (§3.3.1);
 //! * [`config`] — the configuration-table data model;

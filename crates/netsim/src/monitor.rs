@@ -3,7 +3,7 @@
 //!
 //! "The Event Manager monitors the underlying client variations and
 //! composes corresponding events in response to various situations" (§6.4).
-//! A link carries at most one [`Watch`]; [`WirelessLink::set_bandwidth`]
+//! A link carries at most one `Watch`; [`WirelessLink::set_bandwidth`]
 //! feeds it every new bandwidth, and it fires its callback on threshold
 //! crossings, with hysteresis so a link hovering at the threshold does not
 //! flap reconfigurations.
