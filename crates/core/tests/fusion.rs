@@ -19,8 +19,8 @@
 use mobigate_core::stream::{RunningStream, StreamDeps};
 use mobigate_core::{
     default_executor, CoreError, Emitter, Executor, LifecycleState, MessagePool, MobiGate,
-    PayloadMode, RouteOpts, ServerConfig, StreamletCtx, StreamletDirectory, StreamletLogic,
-    StreamletPool, WorkerPool,
+    PayloadMode, RouteOpts, ServerConfig, StreamletCtx, StreamletDirectory, StreamletHandle,
+    StreamletLogic, StreamletPool, Telemetry, WorkerPool,
 };
 use mobigate_mcl::compile::compile;
 use mobigate_mime::{MimeMessage, SessionId};
@@ -390,6 +390,204 @@ fn fission_parked_outputs_expire_after_t_when_downstream_never_drains() {
     assert_eq!(s.dropped_full, 0, "{s:?}");
     drop(closed);
     stream.shutdown();
+}
+
+/// Body size of the backlog messages below: ~127 fill the 8 MiB egress
+/// and each 100 KB interior channel holds one.
+const BACKLOG_BODY: usize = 64 << 10;
+
+/// The three-tag chain with `f3b` declared for a `replace` of `f3`.
+fn replaceable_chain_script() -> String {
+    format!(
+        "{TAG_DEFS}
+        main stream app {{
+            streamlet f1 = new-streamlet (ftag_a);
+            streamlet f2 = new-streamlet (ftag_b);
+            streamlet f3 = new-streamlet (ftag_c);
+            connect (f1.po, f2.pi);
+            connect (f2.po, f3.pi);
+            when (LOW_BANDWIDTH) {{
+                streamlet f3b = new-streamlet (ftag_c);
+                replace (f3, f3b);
+            }}
+        }}"
+    )
+}
+
+/// Messages charged to a drop reason so far: the channels' drop counters
+/// (through telemetry, which also covers channels a reconfiguration has
+/// since removed) plus the live instances' unrouted emissions.
+fn charged(stream: &RunningStream, telemetry: &Telemetry) -> u64 {
+    let unrouted: u64 = stream
+        .instance_names()
+        .iter()
+        .filter_map(|name| stream.instance(name))
+        .map(|h| h.stats().dropped_unrouted)
+        .sum();
+    telemetry.registry().totals().dropped_total() + unrouted
+}
+
+/// Posts `n` 64 KiB messages into `stream`, waits until `stuck` holds,
+/// and runs `rewire` while a consumer that starts 30 ms later drains the
+/// egress. Returns (delivered, charged) once they add up to `n` or 10 s
+/// pass.
+fn rewire_under_backlog(
+    stream: &Arc<RunningStream>,
+    telemetry: &Arc<Telemetry>,
+    n: u64,
+    stuck: impl FnMut() -> bool,
+    rewire: impl FnOnce(),
+) -> (u64, u64) {
+    let body = "x".repeat(BACKLOG_BODY);
+    for _ in 0..n {
+        stream.post_input(MimeMessage::text(body.clone())).unwrap();
+    }
+    assert!(wait_until(stuck), "the backlog reaches the rewired instance");
+    let consumer = {
+        let (stream, telemetry) = (stream.clone(), telemetry.clone());
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut delivered = 0;
+            loop {
+                if stream.take_output(Duration::from_millis(50)).is_some() {
+                    delivered += 1;
+                    continue;
+                }
+                // Only when the egress runs dry: `charged` takes the
+                // stream lock, which the rewiring holds.
+                let charged = charged(&stream, &telemetry);
+                if delivered + charged >= n || Instant::now() >= deadline {
+                    return (delivered, charged);
+                }
+            }
+        })
+    };
+    rewire();
+    consumer.join().unwrap()
+}
+
+/// Both executors, the worker pool flagged: only its instances park
+/// outputs.
+fn both_executors() -> [(bool, Arc<dyn Executor>); 2] {
+    [(false, default_executor()), (true, WorkerPool::new(2))]
+}
+
+/// The rewired instance `h` is backed up: its outputs are parked (worker
+/// pool), or its output queue is full (a dedicated thread blocks in the
+/// post instead).
+fn backed_up(h: &StreamletHandle, pool: bool) -> bool {
+    let (_, out) = h.bound_outputs().remove(0);
+    if pool {
+        h.pending_outputs() > 0
+    } else {
+        !out.has_space(BACKLOG_BODY)
+    }
+}
+
+fn deploy_traced(script: &str, fusion: bool, executor: Arc<dyn Executor>) -> Deployed {
+    let telemetry = Telemetry::new();
+    let mut d = deps_on(fusion, executor);
+    d.telemetry = Some(telemetry.clone());
+    (deploy_script(script, d, "rewired"), telemetry)
+}
+
+type Deployed = (Arc<RunningStream>, Arc<Telemetry>);
+
+/// An insert pauses the upstream instance A and moves its output from
+/// channel m to the new channel n. Outputs A had parked for m must reach
+/// m first: once A no longer listens for space on m, nothing retries
+/// them. Fused, A is `f1` as re-materialized by the fission the insert
+/// triggers in mid-backlog. Discrete, A has taken the whole backlog off
+/// the ingress and parked its tail, so no later input steps it either.
+#[test]
+fn insert_flushes_the_paused_upstreams_parked_outputs() {
+    for fusion in [true, false] {
+        for (pool, executor) in both_executors() {
+            let (stream, telemetry) = deploy_traced(&chain_script(false), fusion, executor);
+            let (a, n) = match fusion {
+                true => (stream.instance("fused:f1..f3").unwrap(), 160),
+                // ~127 in the egress, 16 parked by f3 and by f2, one in
+                // each interior channel: f1 parks the rest.
+                false => (stream.instance("f1").unwrap(), 170),
+            };
+            let (delivered, charged) = rewire_under_backlog(
+                &stream,
+                &telemetry,
+                n,
+                || backed_up(&a, pool) && (fusion || !pool || a.inputs_empty()),
+                || {
+                    stream
+                        .insert_streamlet(("f1", "po"), ("f2", "pi"), "mid", "ftag_c")
+                        .unwrap();
+                },
+            );
+            assert_eq!(
+                delivered + charged,
+                n,
+                "fusion {fusion}, pool {pool}: {delivered} delivered"
+            );
+            stream.shutdown();
+        }
+    }
+}
+
+/// A replace moves the old instance's bindings to the new one and ends
+/// the old one. Outputs it had parked must be pushed downstream before
+/// the end discards its overflow buffer.
+#[test]
+fn replace_flushes_the_old_handles_parked_outputs() {
+    use mobigate_mcl::config::ReconfigAction;
+    for (pool, executor) in both_executors() {
+        let (stream, telemetry) = deploy_traced(&replaceable_chain_script(), false, executor);
+        let f3 = stream.instance("f3").unwrap();
+        let n = 160;
+        let (delivered, charged) = rewire_under_backlog(
+            &stream,
+            &telemetry,
+            n,
+            || backed_up(&f3, pool),
+            || {
+                let stats = stream.reconfigure(&[ReconfigAction::Replace {
+                    old: "f3".into(),
+                    new: "f3b".into(),
+                }]);
+                assert_eq!(stats.errors, 0);
+            },
+        );
+        assert_eq!(delivered + charged, n, "pool {pool}: {delivered} delivered");
+        assert_eq!(f3.pending_outputs(), 0, "none stranded with the old handle");
+        stream.shutdown();
+    }
+}
+
+/// Figure 6-8's third condition: a streamlet is removed only once its
+/// outputs have left it. Under the worker pool they may sit parked after
+/// its inputs drained; removal waits for them instead of ending the
+/// instance, which would discard them uncharged.
+#[test]
+fn remove_waits_for_the_removed_handles_parked_outputs() {
+    for (pool, executor) in both_executors() {
+        let (stream, telemetry) = deploy_traced(&chain_script(false), false, executor);
+        let [f1, f2, f3] = ["f1", "f2", "f3"].map(|name| stream.instance(name).unwrap());
+        // ~127 in the egress, 16 parked by f3, one in f2's output
+        // channel: f2 takes the rest off its input and parks its tail.
+        let n = 155;
+        let settled = || {
+            let idle = |h: &StreamletHandle| h.inputs_empty() && h.pending_outputs() == 0;
+            backed_up(&f3, false) && (!pool || (idle(&f1) && f2.inputs_empty()))
+        };
+        let (delivered, charged) = rewire_under_backlog(
+            &stream,
+            &telemetry,
+            n,
+            || settled() && backed_up(&f2, pool),
+            || stream.remove_streamlet("f2", Duration::from_secs(5)).unwrap(),
+        );
+        assert_eq!(delivered + charged, n, "pool {pool}: {delivered} delivered");
+        assert_eq!(f2.pending_outputs(), 0, "none stranded with the removed handle");
+        stream.shutdown();
+    }
 }
 
 #[test]
