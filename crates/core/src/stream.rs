@@ -44,6 +44,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
+/// How long a rewiring waits for a paused instance's parked outputs to
+/// leave it before moving on (a persistently full downstream queue
+/// expires the stragglers per Figure 6-9 first when its `T` is shorter).
+const PARKED_FLUSH_BOUND: Duration = Duration::from_millis(500);
+
 /// Hot-path batching knobs, plumbed from `ServerConfig` down to every
 /// channel and streamlet instance a stream deploys.
 #[derive(Debug, Clone, Copy)]
@@ -1616,6 +1621,9 @@ impl RunningStream {
         a.pause_and_wait(Duration::from_secs(2))?;
         stats.suspensions += 1;
         stats.suspension_time += t_s.elapsed();
+        // A's outputs parked for m go to m now: once A is detached from m,
+        // no take on m wakes A to retry them.
+        a.flush_pending_outputs(Some(Instant::now() + PARKED_FLUSH_BOUND));
 
         // Steps 3-5: rewire through channel m and a fresh channel n.
         let t_c = Instant::now();
@@ -1701,15 +1709,21 @@ impl RunningStream {
             }
         }
 
-        // Wait for the Fig 6-8 prerequisites: inputs drained + not
-        // processing. (Outputs are delivered synchronously by the worker, so
-        // quiescence implies condition 3.) Only a step of the streamlet can
-        // meet them, and every step fires the stream's quiesce notifier.
+        // Wait for the Fig 6-8 prerequisites: inputs drained, not
+        // processing, and no output still parked behind a full queue (a
+        // pool-driven instance's posts never block, so its outputs may
+        // outlast its inputs). Only a step of the streamlet drains its
+        // inputs, and every step fires the stream's quiesce notifier; the
+        // parked outputs leave on space wakeups or expire at their
+        // Figure 6-9 deadline.
         let deadline = deadline_after(deadline);
         loop {
             let seen = self.quiesce.snapshot();
             if handle.inputs_empty() && !handle.is_processing() {
-                break;
+                handle.flush_pending_outputs(deadline);
+                if handle.pending_outputs() == 0 {
+                    break;
+                }
             }
             if expired(deadline) {
                 // Reactivate producers before giving up.
@@ -1776,6 +1790,9 @@ impl RunningStream {
         old_h.pause_and_wait(Duration::from_secs(2))?;
         stats.suspensions += 1;
         stats.suspension_time += t_s.elapsed();
+        // Parked outputs leave on the old bindings, before `end` would
+        // discard them.
+        old_h.flush_pending_outputs(Some(Instant::now() + PARKED_FLUSH_BOUND));
 
         // Move *every* binding from old to new, port names preserved —
         // including the stream-boundary ingress/egress bindings, so a
@@ -1915,9 +1932,8 @@ impl RunningStream {
             stats.suspensions += 1;
             stats.suspension_time += t_s.elapsed();
             // 2. Push the unit's parked emissions downstream so nothing is
-            // stranded with the old handle (bounded: a persistently full
-            // downstream queue expires the stragglers per Figure 6-9).
-            handle.flush_pending_outputs(Instant::now() + Duration::from_millis(500));
+            // stranded with the old handle.
+            handle.flush_pending_outputs(Some(Instant::now() + PARKED_FLUSH_BOUND));
         }
 
         let Some(info) = inner.fused.remove(unit) else {

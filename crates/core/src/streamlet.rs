@@ -15,7 +15,7 @@ use crate::executor::{default_executor, Executor};
 use crate::pool::{MessagePool, Payload, PayloadMode};
 use crate::queue::{FetchResult, MessageQueue, Notifier};
 use crate::supervisor::FaultCause;
-use crate::sync::{deadline_after, Parker, Wake};
+use crate::sync::{deadline_after, expired, Parker, Wake};
 use crate::telemetry::{QueueProbe, TimingSite};
 use mobigate_mime::{MimeMessage, SessionId, TypeRegistry};
 use parking_lot::{Mutex, RwLock};
@@ -1079,16 +1079,18 @@ impl StreamletHandle {
     /// empty, waiting between retries on the task's notifier — a space
     /// listener on every output queue. An output whose Figure 6-9 drop
     /// deadline passes is charged `expired` (see `flush_pending`); `bound`
-    /// caps the whole wait. Fission drains a paused unit's parked
-    /// emissions through this before re-materializing its members, so no
-    /// in-flight output is lost with the old handle.
-    pub fn flush_pending_outputs(&self, bound: Instant) {
+    /// (`None`: none) caps the whole wait. Every rewiring that retires
+    /// or re-points an instance's outputs — fission, insert, replace,
+    /// removal — drains its parked emissions through this first, so no
+    /// in-flight output is stranded with a detached binding or lost with
+    /// the old handle.
+    pub fn flush_pending_outputs(&self, bound: Option<Instant>) {
         let wake = &self.shared.notifier;
         loop {
             let seen = wake.snapshot();
             match self.shared.flush_pending() {
-                Some(next) if Instant::now() < bound => {
-                    wake.wait_unless(seen, Some(next.min(bound)));
+                Some(next) if !expired(bound) => {
+                    wake.wait_unless(seen, Some(bound.map_or(next, |b| next.min(b))));
                 }
                 _ => return,
             }
