@@ -1624,7 +1624,15 @@ impl StreamletTask {
         // keeps the buffers out of the panic boundary's reach and makes a
         // poisoning panic merely lose one set of buffers.
         let mut scratch = std::mem::take(&mut *self.shared.scratch.lock());
+        // `processing` covers the whole step, from before the fetch until
+        // the emissions land in their queues: a fetched message is in
+        // flight through this instance even between the fetch and its
+        // `process` call, or while it waits its turn in a batch, and both
+        // Fig 6-8 safe removal and `RunningStream::drain` read "not
+        // processing && queues empty" as nothing in transit.
+        self.shared.processing.store(true, Ordering::Release);
         let step = self.step_inner(logic, &mut scratch);
+        self.shared.processing.store(false, Ordering::Release);
         *self.shared.scratch.lock() = scratch;
         if let Some(n) = self.shared.quiesce.get() {
             n.notify();
@@ -1738,7 +1746,6 @@ impl StreamletTask {
             .get()
             .filter(|p| p.sample_timing(TimingSite::Process))
             .map(|_| Instant::now());
-        shared.processing.store(true, Ordering::Release);
         // Lend the scratch's output and spare-string buffers to the ctx so
         // steady-state emission reuses last step's allocations. A panic
         // loses the lent buffers (the empty `take` leftovers self-heal on
@@ -1751,11 +1758,6 @@ impl StreamletTask {
             let result = logic.process(msg, &mut ctx);
             (result, ctx.charged_errors(), ctx.into_parts())
         }));
-        // `processing` stays up through routing: until the emissions land
-        // in their queues the message is still in flight through this
-        // instance, and both Fig 6-8 safe removal and `RunningStream::
-        // drain` rely on "not processing && queues empty" meaning nothing
-        // is in transit.
         let step = match outcome {
             Ok((result, charged, (outs, spare))) => {
                 // No panic, so no replay: release the snapshot before
@@ -1780,7 +1782,6 @@ impl StreamletTask {
         if let (Some(p), Some(t0)) = (shared.probe.get(), t0) {
             p.on_process_ns(t0.elapsed().as_nanos() as u64);
         }
-        shared.processing.store(false, Ordering::Release);
         step
     }
 
@@ -1801,7 +1802,6 @@ impl StreamletTask {
             .get()
             .filter(|p| p.sample_timing(TimingSite::Process))
             .map(|_| Instant::now());
-        shared.processing.store(true, Ordering::Release);
         let outputs = std::mem::take(&mut scratch.outputs);
         let spare = std::mem::take(&mut scratch.spare_strings);
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(move || {
@@ -1811,9 +1811,6 @@ impl StreamletTask {
             let counts = (ctx.charged_errors(), ctx.failed_messages());
             (result, counts, ctx.into_parts())
         }));
-        // As in `process_one`: the flag stays up until the batch's
-        // emissions are routed, so quiescence checks never miss in-transit
-        // messages.
         let step = match outcome {
             Ok((result, (charged, failed), (outs, spare))) => {
                 // As in `process_one`: release the snapshots before routing.
@@ -1841,7 +1838,6 @@ impl StreamletTask {
         if let (Some(p), Some(t0)) = (shared.probe.get(), t0) {
             p.on_process_ns(t0.elapsed().as_nanos() as u64);
         }
-        shared.processing.store(false, Ordering::Release);
         step
     }
 

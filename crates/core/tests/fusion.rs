@@ -442,7 +442,10 @@ fn rewire_under_backlog(
     for _ in 0..n {
         stream.post_input(MimeMessage::text(body.clone())).unwrap();
     }
-    assert!(wait_until(stuck), "the backlog reaches the rewired instance");
+    assert!(
+        wait_until(stuck),
+        "the backlog reaches the rewired instance"
+    );
     let consumer = {
         let (stream, telemetry) = (stream.clone(), telemetry.clone());
         std::thread::spawn(move || {
@@ -582,10 +585,23 @@ fn remove_waits_for_the_removed_handles_parked_outputs() {
             &telemetry,
             n,
             || settled() && backed_up(&f2, pool),
-            || stream.remove_streamlet("f2", Duration::from_secs(5)).unwrap(),
+            || {
+                stream
+                    .remove_streamlet("f2", Duration::from_secs(5))
+                    .unwrap()
+            },
         );
-        assert_eq!(delivered + charged, n, "pool {pool}: {delivered} delivered");
-        assert_eq!(f2.pending_outputs(), 0, "none stranded with the removed handle");
+        assert_eq!(
+            delivered + charged,
+            n,
+            "pool {pool}: {delivered} delivered, f2 {:?}",
+            f2.stats()
+        );
+        assert_eq!(
+            f2.pending_outputs(),
+            0,
+            "none stranded with the removed handle"
+        );
         stream.shutdown();
     }
 }
