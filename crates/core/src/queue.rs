@@ -274,6 +274,25 @@ impl QueueStats {
     }
 }
 
+/// Field-wise sum: a stream's counters are its channels' summed.
+impl std::ops::Add for QueueStats {
+    type Output = QueueStats;
+
+    fn add(self, o: QueueStats) -> QueueStats {
+        QueueStats {
+            posted: self.posted + o.posted,
+            fetched: self.fetched + o.fetched,
+            pending: self.pending + o.pending,
+            dropped_full: self.dropped_full + o.dropped_full,
+            dropped_closed: self.dropped_closed + o.dropped_closed,
+            dropped_break: self.dropped_break + o.dropped_break,
+            dropped_expired: self.dropped_expired + o.dropped_expired,
+            dropped_shed: self.dropped_shed + o.dropped_shed,
+            dropped_admission: self.dropped_admission + o.dropped_admission,
+        }
+    }
+}
+
 /// The monitor's state: the buffer, both sides' attachment, and the
 /// counters, all changed under one lock.
 #[derive(Debug)]
@@ -354,14 +373,15 @@ impl MessageQueue {
         Self::with_probe(cfg, pool, None)
     }
 
-    /// Creates a queue carrying an optional telemetry probe: every post,
-    /// fetch, and drop is mirrored into the owning stream's metrics.
+    /// Creates a queue carrying an optional telemetry probe. The queue
+    /// joins the owning stream's channel list, whose metrics read its
+    /// counters; drops and sampled figures reach the probe.
     pub fn with_probe(
         cfg: impl Into<Arc<QueueConfig>>,
         pool: Arc<MessagePool>,
         probe: Option<QueueProbe>,
     ) -> Arc<Self> {
-        Arc::new(MessageQueue {
+        let q = Arc::new(MessageQueue {
             cfg: cfg.into(),
             state: Parker::new(QState {
                 queue: VecDeque::new(),
@@ -381,10 +401,14 @@ impl MessageQueue {
             listeners: RwLock::new(Vec::new()),
             space_listeners: RwLock::new(Vec::new()),
             space_listener_count: AtomicUsize::new(0),
-        })
+        });
+        if let Some(p) = &q.probe {
+            p.stream.add_channel(q.clone());
+        }
+        q
     }
 
-    /// Mirrors `n` drops charged to `reason` into the telemetry probe.
+    /// Reports `n` drops charged to `reason` to the telemetry probe.
     /// Called with the state lock released.
     fn probe_drop(&self, reason: DropReason, n: u64) {
         if let (true, Some(p)) = (n > 0, &self.probe) {
@@ -420,14 +444,6 @@ impl MessageQueue {
     fn raise_congested(&self, crossed: bool) {
         if let (true, Some(p)) = (crossed, &self.probe) {
             p.on_congested();
-        }
-    }
-
-    /// Mirrors one admitted message into the probe, when present.
-    #[inline]
-    fn probe_admit(&self, len: usize) {
-        if let Some(p) = &self.probe {
-            p.on_admit(len);
         }
     }
 
@@ -614,7 +630,8 @@ impl MessageQueue {
     }
 
     /// One admission attempt (Figure 6-9). A closed sink discards the
-    /// payload; a payload that fits is admitted; one that does not is
+    /// payload; a payload that fits is admitted and shown to the probe's
+    /// size sampler; one that does not is
     /// handed back, or — on the `last` attempt, once the wait budget is
     /// spent — discarded and charged to `full`.
     fn offer(&self, st: &mut QState, payload: Payload, len: usize, last: bool) -> Offer {
@@ -633,19 +650,22 @@ impl MessageQueue {
         }
         st.queue.push_back(payload);
         st.stats.posted += 1;
+        let ticket = st.stats.posted;
+        if let Some(p) = &self.probe {
+            p.on_admit(len, ticket);
+        }
         Offer::Admitted {
             crossed: self.grow(st, len),
-            ticket: st.stats.posted,
+            ticket,
         }
     }
 
-    /// Settles an offer with the lock released: an admission is counted,
-    /// wakes the consumer listeners and may raise `CHANNEL_CONGESTED`; a
-    /// discard reaches the probe; a refusal hands the payload back.
-    fn finish(&self, offer: Offer, len: usize) -> Result<PostResult, Payload> {
+    /// Settles an offer with the lock released: an admission wakes the
+    /// consumer listeners and may raise `CHANNEL_CONGESTED`; a discard
+    /// reaches the probe; a refusal hands the payload back.
+    fn finish(&self, offer: Offer) -> Result<PostResult, Payload> {
         match offer {
             Offer::Admitted { crossed, .. } => {
-                self.probe_admit(len);
                 self.wake_listeners();
                 self.raise_congested(crossed);
                 Ok(PostResult::Posted)
@@ -699,14 +719,11 @@ impl MessageQueue {
                 if !self.rendezvous(ticket, deadline) {
                     return PostResult::Dropped;
                 }
-                // Only now is the admission final: a withdrawn message
-                // must never have been counted.
-                self.probe_admit(len);
                 self.raise_congested(crossed);
                 PostResult::Posted
             }
             // A last attempt never hands its payload back.
-            offer => self.finish(offer, len).unwrap_or(PostResult::Dropped),
+            offer => self.finish(offer).unwrap_or(PostResult::Dropped),
         }
     }
 
@@ -791,7 +808,6 @@ impl MessageQueue {
                             Offer::Admitted { crossed: c, .. } => {
                                 admitted += 1;
                                 crossed |= c;
-                                self.probe_admit(len);
                             }
                             Offer::Discarded(DropReason::Closed) => closed += 1,
                             Offer::Discarded(_) => full += 1,
@@ -846,7 +862,7 @@ impl MessageQueue {
         let offer = self
             .state
             .update(|st| woken(self.offer(st, payload, len, false)));
-        self.finish(offer, len)
+        self.finish(offer)
     }
 
     /// Non-blocking batch post under one lock acquisition: handles a
@@ -872,7 +888,6 @@ impl MessageQueue {
                     Offer::Admitted { crossed: c, .. } => {
                         admitted += 1;
                         crossed |= c;
-                        self.probe_admit(len);
                     }
                     Offer::Discarded(_) => closed += 1,
                     Offer::Refused(p) => {
@@ -970,8 +985,8 @@ impl MessageQueue {
 
     /// Accounts `n` ingress posts rejected by admission control. No
     /// payload ever existed (rejection happens before the message enters
-    /// the pool), so only the reason counter — and its probe/trace mirror
-    /// — is charged.
+    /// the pool), so only the reason counter is charged, and the drop
+    /// reaches the probe's trace and rate watchers.
     pub fn charge_admission_rejected(&self, n: u64) {
         self.state.update(|st| {
             st.stats.dropped_admission += n;
@@ -1019,12 +1034,9 @@ impl MessageQueue {
         (r, Wake::None)
     }
 
-    /// Mirrors a fetch into the probe and wakes the space listeners.
+    /// Wakes the space listeners after a fetch that took a message.
     fn after_fetch(&self, r: FetchResult) -> FetchResult {
         if let FetchResult::Msg(_) = r {
-            if let Some(pr) = &self.probe {
-                pr.on_fetch(1);
-            }
             self.wake_space_listeners();
         }
         r

@@ -45,8 +45,7 @@ use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
 /// How long a rewiring waits for a paused instance's parked outputs to
-/// leave it before moving on (a persistently full downstream queue
-/// expires the stragglers per Figure 6-9 first when its `T` is shorter).
+/// leave it (a full queue with a shorter `T` expires them first).
 const PARKED_FLUSH_BOUND: Duration = Duration::from_millis(500);
 
 /// Hot-path batching knobs, plumbed from `ServerConfig` down to every
@@ -532,8 +531,6 @@ impl StreamBlueprint {
             // start armed: until a drain waits, instances pay one swap a
             // step.
             quiesce: Arc::new(Notifier::armed()),
-            injected: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
             reconfigurations: AtomicU64::new(0),
             last_reconfig: Mutex::new(None),
             probe,
@@ -672,8 +669,6 @@ pub struct RunningStream {
     /// Fired by every instance of the stream after each step; `drain`
     /// waits on it.
     quiesce: Arc<Notifier>,
-    injected: AtomicU64,
-    delivered: AtomicU64,
     reconfigurations: AtomicU64,
     last_reconfig: Mutex<Option<ReconfigStats>>,
     /// Telemetry recording handle (session-keyed), cloned into every
@@ -867,36 +862,35 @@ impl RunningStream {
         &self.blueprint.defs
     }
 
-    /// Counters snapshot. The byte gauges walk the stream's channels and
-    /// instances under the stream lock — control-plane cost, paid by the
-    /// caller asking, never by the data path.
+    /// Counters snapshot, read from the channels: `post_to`, the ingress
+    /// channels' only producer, counts there as admitted or dropped full
+    /// or closed, and `take_output` is the egress channel's only consumer.
+    /// The walk runs under the stream lock — control-plane cost, paid by
+    /// the caller asking, never by the data path.
     pub fn stats(&self) -> StreamStats {
-        let (queued, pending) = {
-            let inner = self.inner.lock();
-            let mut queued: u64 = inner
-                .channels
-                .values()
-                .map(|q| q.buffered_bytes() as u64)
-                .sum();
-            queued += self
-                .ingress
-                .iter()
-                .map(|(_, q)| q.buffered_bytes() as u64)
-                .sum::<u64>();
-            queued += self.egress.buffered_bytes() as u64;
-            let pending: u64 = inner
+        let inner = self.inner.lock();
+        let mut queued: u64 = inner
+            .channels
+            .values()
+            .chain([&self.egress])
+            .map(|q| q.buffered_bytes() as u64)
+            .sum();
+        let mut injected = 0;
+        for (_, q) in &self.ingress {
+            let s = q.stats();
+            injected += s.posted + s.dropped_full + s.dropped_closed;
+            queued += q.buffered_bytes() as u64;
+        }
+        StreamStats {
+            injected,
+            delivered: self.egress.stats().fetched,
+            reconfigurations: self.reconfigurations.load(Ordering::Relaxed),
+            queued_bytes: queued,
+            pending_out_bytes: inner
                 .instances
                 .values()
                 .map(|h| h.pending_output_bytes() as u64)
-                .sum();
-            (queued, pending)
-        };
-        StreamStats {
-            injected: self.injected.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            reconfigurations: self.reconfigurations.load(Ordering::Relaxed),
-            queued_bytes: queued,
-            pending_out_bytes: pending,
+                .sum(),
         }
     }
 
@@ -981,7 +975,6 @@ impl RunningStream {
         }
         let payload = self.deps().msg_pool.wrap(msg, self.deps().mode, 1);
         q.post(payload);
-        self.injected.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1020,11 +1013,7 @@ impl RunningStream {
         loop {
             let notified = self.egress_notifier.snapshot();
             match self.egress.try_fetch() {
-                FetchResult::Msg(p) => {
-                    let msg = self.deps().msg_pool.resolve(p)?;
-                    self.delivered.fetch_add(1, Ordering::Relaxed);
-                    return Some(msg);
-                }
+                FetchResult::Msg(p) => return self.deps().msg_pool.resolve(p),
                 // The last exported output detaching (teardown) wakes the
                 // egress listeners, so this ends an unbounded wait too.
                 FetchResult::Disconnected => return None,

@@ -60,22 +60,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Folds another histogram's current contents into this one (used when
-    /// a stream retires and its metrics are accumulated into the registry's
-    /// `retired` totals so global counts stay monotonic).
-    pub fn absorb(&self, other: &Histogram) {
-        for i in 0..BUCKETS {
-            let n = other.buckets[i].load(Ordering::Relaxed);
-            if n != 0 {
-                self.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// A point-in-time copy. Buckets are read individually (relaxed), so a
     /// snapshot taken during concurrent recording may be mid-update between
     /// `count` and a bucket — totals are reconciled from the buckets.
@@ -200,14 +184,14 @@ mod tests {
     }
 
     #[test]
-    fn absorb_accumulates() {
+    fn merge_accumulates() {
         let a = Histogram::new();
         let b = Histogram::new();
         a.record(5);
         b.record(5);
         b.record(1000);
-        a.absorb(&b);
-        let s = a.snapshot();
+        let mut s = a.snapshot();
+        s.merge(&b.snapshot());
         assert_eq!(s.count, 3);
         assert_eq!(s.buckets[bucket_index(5)], 2);
         assert_eq!(s.buckets[bucket_index(1000)], 1);

@@ -4,9 +4,12 @@
 //! Everything hangs off one [`Telemetry`] object created by the server
 //! when `ServerConfig { telemetry }` enables it:
 //!
-//! * a [`MetricsRegistry`] of per-stream [`StreamMetrics`] (relaxed
-//!   counters + log₂ [`hist::Histogram`]s) fed by [`QueueProbe`]s
-//!   installed on every channel of an instrumented stream — a scrape
+//! * a [`MetricsRegistry`] of per-stream [`StreamMetrics`]: the message
+//!   counters are read from the stream's channels at scrape time (each
+//!   [`crate::queue::MessageQueue`] counts posts, fetches and
+//!   reason-coded drops in the lock hold that moves the message), next
+//!   to log₂ [`hist::Histogram`]s fed by the [`QueueProbe`]s installed on
+//!   every channel and task of an instrumented stream — a scrape
 //!   snapshots the streams outside the registry lock, so it never stalls
 //!   deploys;
 //! * a bounded overwrite-oldest [`TraceRing`] of lifecycle
@@ -203,9 +206,10 @@ impl Telemetry {
 }
 
 /// The hot-path recording handle: one per instrumented stream, cloned
-/// into each of its queues and streamlet tasks. All methods are relaxed
-/// atomics on [`StreamMetrics`] plus (for drops) one trace-ring append;
-/// with the watchers armed, drops and faults also charge a rate window.
+/// into each of its queues and streamlet tasks. It counts no message: the
+/// queues do. It samples histograms, counts ingress bytes and faults,
+/// appends a trace event per drop and, with the watchers armed, charges
+/// drops and faults to rate windows.
 #[derive(Clone)]
 pub struct QueueProbe {
     pub telemetry: Arc<Telemetry>,
@@ -224,10 +228,9 @@ impl std::fmt::Debug for QueueProbe {
     }
 }
 
-/// Latency histograms time 1 in this many operations. Counters stay
-/// exact; only the `Instant::now()` pairs are sampled, so the per-op cost
-/// of an instrumented post/process is a couple of relaxed increments
-/// instead of two clock reads.
+/// Histograms sample 1 in this many operations: an instrumented post or
+/// process pays one relaxed increment of a sampling tick instead of two
+/// clock reads.
 pub const TIMING_SAMPLE: u64 = 64;
 
 impl QueueProbe {
@@ -241,14 +244,13 @@ impl QueueProbe {
             == 0
     }
 
-    /// One message admitted into a queue (`len` payload bytes). The
-    /// counter is exact; the size histogram samples 1 in
-    /// [`TIMING_SAMPLE`], gated by the counter value itself so an admit
-    /// costs exactly one relaxed increment.
+    /// The `ticket`-th message admitted into a queue (`len` payload
+    /// bytes), under the queue's lock. The size histogram samples the
+    /// queue's first admission and every [`TIMING_SAMPLE`]th after it, so
+    /// an admit touches no shared counter.
     #[inline]
-    pub fn on_admit(&self, len: usize) {
-        let n = self.stream.posted.fetch_add(1, Ordering::Relaxed);
-        if n & (TIMING_SAMPLE - 1) == 0 {
+    pub fn on_admit(&self, len: usize, ticket: u64) {
+        if ticket & (TIMING_SAMPLE - 1) == 1 {
             self.stream.msg_bytes.record(len as u64);
         }
     }
@@ -259,27 +261,19 @@ impl QueueProbe {
         self.stream.post_ns.record(ns);
     }
 
-    /// `n` messages fetched (single fetch: `n = 1`).
-    #[inline]
-    pub fn on_fetch(&self, n: u64) {
-        self.stream.fetched.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// One `take_batch` handed out `n` messages. The fetched counter is
-    /// exact; the batch-length histogram is sampled.
+    /// One `take_batch` handed out `n` messages: the batch-length
+    /// histogram is sampled.
     #[inline]
     pub fn on_batch(&self, n: usize) {
-        self.on_fetch(n as u64);
         if self.sample_timing(TimingSite::Batch) {
             self.stream.batch_len.record(n as u64);
         }
     }
 
-    /// `n` messages dropped for `reason` on queue `queue` — charges the
-    /// reason counter, appends one trace event, and charges the drop
-    /// (and, for admission rejects, the admission) rate window.
+    /// `n` messages dropped for `reason` on queue `queue`, which has
+    /// counted them — appends one trace event, and charges the drop (and,
+    /// for admission rejects, the admission) rate window.
     pub fn on_drop(&self, queue: &str, reason: DropReason, n: u64) {
-        self.stream.drop_for(reason).fetch_add(n, Ordering::Relaxed);
         self.telemetry.trace_event(
             TraceKind::Drop,
             Some(&self.key),

@@ -1,16 +1,18 @@
-//! Per-stream hot-path metrics, registered in a session-keyed registry.
+//! Per-stream metrics, registered in a session-keyed registry.
 //!
-//! Every deployed stream/session owns one [`StreamMetrics`]: relaxed
-//! atomic counters plus log₂ histograms, shared (`Arc`) with the queues
-//! and streamlet tasks that feed it, so the hot path never touches the
-//! registry itself. The registry is one map behind one mutex; a scrape
-//! clones the handles under the lock and snapshots them outside it, so
-//! it never holds the lock across thousands of snapshots and never
-//! stalls deploys for longer than one copy of the handles. When a stream
-//! retires, its counters and histograms are folded into a `retired`
-//! accumulator so global totals stay monotonic across session churn.
+//! Every deployed stream/session owns one [`StreamMetrics`], shared
+//! (`Arc`) with its queues and streamlet tasks, so the hot path never
+//! touches the registry itself. Its message counters are read from the
+//! channels: a snapshot sums each channel's own [`QueueStats`]. The
+//! registry is one map behind one mutex; a scrape clones the handles
+//! under the lock and snapshots them outside it, so it never stalls
+//! deploys for longer than one copy of the handles. A retiring stream's
+//! final snapshot is merged into a `retired` accumulator, so global
+//! totals stay monotonic across session churn. Lock order: registry →
+//! channel list → channel monitor.
 
 use super::hist::{Histogram, HistogramSnapshot};
+use crate::queue::{MessageQueue, QueueStats};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,19 +102,37 @@ impl RateWindow {
     }
 }
 
-/// Hot-path metrics for one stream/session (or the retired accumulator).
+/// A stream's channels: the message counters a snapshot sums.
+#[derive(Default)]
+struct Channels {
+    live: Vec<Arc<MessageQueue>>,
+    /// Final counters of channels no longer listed: dropped by the
+    /// stream, or folded in when the stream retired.
+    gone: QueueStats,
+}
+
+impl Channels {
+    /// Folds the counters of the channels `keep` rejects into `gone` and
+    /// unlists them.
+    fn fold_unless(&mut self, keep: impl Fn(&Arc<MessageQueue>) -> bool) {
+        let gone = &mut self.gone;
+        self.live.retain(|q| {
+            let kept = keep(q);
+            if !kept {
+                *gone = *gone + q.stats();
+            }
+            kept
+        });
+    }
+}
+
+/// Metrics for one stream/session.
 #[derive(Default)]
 pub struct StreamMetrics {
-    // Counters.
-    pub posted: AtomicU64,
-    pub fetched: AtomicU64,
+    /// Every channel created with this stream's probe.
+    channels: Mutex<Channels>,
+    // Counters with no channel counterpart.
     pub bytes_in: AtomicU64,
-    pub dropped_full: AtomicU64,
-    pub dropped_closed: AtomicU64,
-    pub dropped_break: AtomicU64,
-    pub dropped_expired: AtomicU64,
-    pub dropped_shed: AtomicU64,
-    pub dropped_admission: AtomicU64,
     pub faults: AtomicU64,
     /// Internal tick counters driving the 1-in-N sampling gate
     /// ([`super::QueueProbe::sample_timing`]), one per [`TimingSite`];
@@ -137,63 +157,35 @@ pub struct StreamMetrics {
 }
 
 impl StreamMetrics {
-    /// Charges one drop to the right reason counter.
-    #[inline]
-    pub fn drop_for(&self, reason: DropReason) -> &AtomicU64 {
-        match reason {
-            DropReason::Full => &self.dropped_full,
-            DropReason::Closed => &self.dropped_closed,
-            DropReason::Break => &self.dropped_break,
-            DropReason::Expired => &self.dropped_expired,
-            DropReason::Shed => &self.dropped_shed,
-            DropReason::Admission => &self.dropped_admission,
-        }
+    /// Lists a channel whose counters this stream's snapshots sum. Folds
+    /// the final counters of listed channels nothing else holds any more,
+    /// so a stream that keeps rewiring keeps a bounded list.
+    pub(crate) fn add_channel(&self, q: Arc<MessageQueue>) {
+        let mut c = self.channels.lock();
+        c.fold_unless(|q| Arc::strong_count(q) > 1);
+        c.live.push(q);
     }
 
-    /// Sum of every drop reason.
-    pub fn dropped_total(&self) -> u64 {
-        self.dropped_full.load(Ordering::Relaxed)
-            + self.dropped_closed.load(Ordering::Relaxed)
-            + self.dropped_break.load(Ordering::Relaxed)
-            + self.dropped_expired.load(Ordering::Relaxed)
-            + self.dropped_shed.load(Ordering::Relaxed)
-            + self.dropped_admission.load(Ordering::Relaxed)
+    /// The stream's message counters: its channels' summed.
+    fn counters(&self) -> QueueStats {
+        let c = self.channels.lock();
+        c.live.iter().fold(c.gone, |sum, q| sum + q.stats())
     }
 
-    /// Folds `other` into `self` (retirement accumulation).
-    pub fn absorb(&self, other: &StreamMetrics) {
-        for (dst, src) in [
-            (&self.posted, &other.posted),
-            (&self.fetched, &other.fetched),
-            (&self.bytes_in, &other.bytes_in),
-            (&self.dropped_full, &other.dropped_full),
-            (&self.dropped_closed, &other.dropped_closed),
-            (&self.dropped_break, &other.dropped_break),
-            (&self.dropped_expired, &other.dropped_expired),
-            (&self.dropped_shed, &other.dropped_shed),
-            (&self.dropped_admission, &other.dropped_admission),
-            (&self.faults, &other.faults),
-        ] {
-            dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.post_ns.absorb(&other.post_ns);
-        self.msg_bytes.absorb(&other.msg_bytes);
-        self.batch_len.absorb(&other.batch_len);
-        self.process_ns.absorb(&other.process_ns);
-    }
-
-    /// A point-in-time copy.
+    /// A point-in-time copy: each channel's counters are read in one
+    /// hold of its monitor.
     pub fn snapshot(&self) -> StreamMetricsSnapshot {
+        let c = self.counters();
         StreamMetricsSnapshot {
-            posted: self.posted.load(Ordering::Relaxed),
-            fetched: self.fetched.load(Ordering::Relaxed),
+            posted: c.posted,
+            fetched: c.fetched,
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            dropped_full: self.dropped_full.load(Ordering::Relaxed),
-            dropped_closed: self.dropped_closed.load(Ordering::Relaxed),
-            dropped_break: self.dropped_break.load(Ordering::Relaxed),
-            dropped_expired: self.dropped_expired.load(Ordering::Relaxed),
-            dropped_shed: self.dropped_shed.load(Ordering::Relaxed),
-            dropped_admission: self.dropped_admission.load(Ordering::Relaxed),
+            dropped_full: c.dropped_full,
+            dropped_closed: c.dropped_closed,
+            dropped_break: c.dropped_break,
+            dropped_expired: c.dropped_expired,
+            dropped_shed: c.dropped_shed,
+            dropped_admission: c.dropped_admission,
             faults: self.faults.load(Ordering::Relaxed),
             post_ns: self.post_ns.snapshot(),
             msg_bytes: self.msg_bytes.snapshot(),
@@ -255,8 +247,9 @@ impl StreamMetricsSnapshot {
 #[derive(Default)]
 pub struct MetricsRegistry {
     live: Mutex<HashMap<String, Arc<StreamMetrics>>>,
-    /// Folded metrics of streams that have retired.
-    retired: StreamMetrics,
+    /// Merged final snapshots of the streams that have retired; locked
+    /// only while `live` is held.
+    retired: Mutex<StreamMetricsSnapshot>,
 }
 
 impl MetricsRegistry {
@@ -270,14 +263,19 @@ impl MetricsRegistry {
         self.live.lock().entry(key.to_string()).or_default().clone()
     }
 
-    /// Retires `key`: removes it from the live map and folds its final
-    /// counters into the retired accumulator. Idempotent.
+    /// Retires `key`: removes it from the live map and merges its final
+    /// snapshot into the retired accumulator. Idempotent.
     pub fn deregister(&self, key: &str) {
-        // Folded under the live lock, which `totals` also reads `retired`
+        // Merged under the live lock, which `totals` also reads `retired`
         // under: a total sees the stream live or retired, never neither.
+        // A total that cloned the handle before this reads the counters
+        // folded into it, so it sees them once too.
+        // Forgetting the channels breaks the channel → probe → metrics →
+        // channel cycle; later snapshots read their folded counters.
         let mut live = self.live.lock();
         if let Some(m) = live.remove(key) {
-            self.retired.absorb(&m);
+            m.channels.lock().fold_unless(|_| false);
+            self.retired.lock().merge(&m.snapshot());
         }
     }
 
@@ -305,7 +303,7 @@ impl MetricsRegistry {
         let (mut total, live) = {
             let live = self.live.lock();
             let handles: Vec<Arc<StreamMetrics>> = live.values().cloned().collect();
-            (self.retired.snapshot(), handles)
+            (self.retired.lock().clone(), handles)
         };
         for m in live {
             total.merge(&m.snapshot());
@@ -317,12 +315,27 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::{MessagePool, PayloadMode};
+    use crate::queue::{FetchResult, QueueConfig};
+    use mobigate_mime::MimeMessage;
+    use std::time::Duration;
+
+    /// A channel listed with `m`, carrying `n` posts.
+    fn channel_with_posts(m: &StreamMetrics, n: usize) -> Arc<MessageQueue> {
+        let pool = Arc::new(MessagePool::new());
+        let q = MessageQueue::new(QueueConfig::default(), pool.clone());
+        m.add_channel(q.clone());
+        for _ in 0..n {
+            q.post(pool.wrap(MimeMessage::text("x"), PayloadMode::Value, 1));
+        }
+        q
+    }
 
     #[test]
     fn register_get_deregister() {
         let reg = MetricsRegistry::new();
         let m = reg.register("app-1");
-        m.posted.fetch_add(3, Ordering::Relaxed);
+        let _q = channel_with_posts(&m, 3);
         assert_eq!(reg.live_count(), 1);
         assert!(Arc::ptr_eq(&reg.register("app-1"), &m));
         assert_eq!(reg.per_stream()[0].1.posted, 3);
@@ -371,13 +384,33 @@ mod tests {
         let reg = MetricsRegistry::new();
         let a = reg.register("a");
         let b = reg.register("b");
-        a.posted.fetch_add(5, Ordering::Relaxed);
+        let qa = channel_with_posts(&a, 5);
         a.msg_bytes.record(100);
-        b.posted.fetch_add(7, Ordering::Relaxed);
+        let _qb = channel_with_posts(&b, 7);
         reg.deregister("a");
         let t = reg.totals();
         assert_eq!(t.posted, 12);
         assert_eq!(t.msg_bytes.count, 1);
         assert_eq!(reg.per_stream().len(), 1);
+        // A retired stream's channel is forgotten: traffic after the
+        // retirement is not counted, and the list no longer holds it.
+        assert!(matches!(qa.try_fetch(), FetchResult::Msg(_)));
+        assert_eq!(reg.totals().fetched, 0);
+        assert_eq!(Arc::strong_count(&qa), 1);
+    }
+
+    /// A channel the stream dropped keeps its counts: listing the next
+    /// channel folds them in and forgets it.
+    #[test]
+    fn dropped_channels_fold_into_the_stream() {
+        let reg = MetricsRegistry::new();
+        let m = reg.register("s");
+        let q = channel_with_posts(&m, 4);
+        assert!(matches!(q.fetch(Duration::ZERO), FetchResult::Msg(_)));
+        drop(q);
+        let _next = channel_with_posts(&m, 1);
+        assert_eq!(m.channels.lock().live.len(), 1);
+        let s = m.snapshot();
+        assert_eq!((s.posted, s.fetched), (5, 1));
     }
 }

@@ -20,13 +20,14 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mobigate_core::events::EventSubscriber;
-use mobigate_core::telemetry::{Histogram, TraceKind, TraceRing};
+use mobigate_core::telemetry::{Histogram, StreamMetricsSnapshot, TraceKind, TraceRing};
 use mobigate_core::{
     AdmissionConfig, BridgeConfig, ContextEvent, CoreError, Emitter, EventCategory, EventKind,
-    ExecutorConfig, LifecycleState, MobiGate, OverloadConfig, ServerConfig, StreamletCtx,
-    StreamletDirectory, StreamletLogic, StreamletPool, TelemetryConfig,
+    ExecutorConfig, LifecycleState, MessageQueue, MobiGate, OverloadConfig, ServerConfig,
+    StreamletCtx, StreamletDirectory, StreamletLogic, StreamletPool, TelemetryConfig,
 };
-use mobigate_mime::MimeMessage;
+use mobigate_mcl::config::{ChannelSpec, ReconfigAction};
+use mobigate_mime::{MimeMessage, MimeType};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -306,12 +307,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
 
     /// Sharded recording is invisible in the aggregate: values recorded
-    /// concurrently across 4 histograms, then folded (`absorb`) and
-    /// snapshot-merged, match one histogram fed sequentially.
+    /// concurrently across 4 histograms, then snapshot-merged, match one
+    /// histogram fed sequentially.
     #[test]
     /// Values stay below 2^55 so 200 of them cannot overflow the `sum`
     /// counter (`merge` saturates while the atomics wrap, so an overflow
-    /// would make the two paths legitimately disagree).
+    /// would make the merge and the model legitimately disagree).
     fn sharded_histograms_match_sequential_model(values in prop::collection::vec(0u64..(1u64 << 55), 0..200)) {
         let model = Histogram::new();
         for v in &values {
@@ -336,24 +337,17 @@ proptest! {
             t.join().unwrap();
         }
 
-        // Path 1: atomic absorb into an accumulator.
-        let folded = Histogram::new();
-        for h in &shards {
-            folded.absorb(h);
-        }
-        // Path 2: snapshot each shard and merge the owned copies.
-        let mut merged = shards[0].snapshot();
+        // Snapshot each shard and merge the owned copies.
+        let mut got = shards[0].snapshot();
         for h in &shards[1..] {
-            merged.merge(&h.snapshot());
+            got.merge(&h.snapshot());
         }
 
         let want = model.snapshot();
-        for got in [folded.snapshot(), merged] {
-            prop_assert_eq!(&got.buckets[..], &want.buckets[..]);
-            prop_assert_eq!(got.count, want.count);
-            prop_assert_eq!(got.sum, want.sum);
-            prop_assert_eq!(got.bucket_total(), want.count);
-        }
+        prop_assert_eq!(&got.buckets[..], &want.buckets[..]);
+        prop_assert_eq!(got.count, want.count);
+        prop_assert_eq!(got.sum, want.sum);
+        prop_assert_eq!(got.bucket_total(), want.count);
     }
 }
 
@@ -420,6 +414,125 @@ fn snapshot_during_session_churn_stays_monotonic() {
     assert!(text.contains("mobigate_posted_total"));
     assert!(text.contains("mobigate_dropped_total{reason=\"full\"}"));
     assert!(text.contains("mobigate_post_ns_bucket"));
+}
+
+/// The eight message counters a snapshot reads from the channels.
+fn counters(s: &StreamMetricsSnapshot) -> [u64; 8] {
+    [
+        s.posted,
+        s.fetched,
+        s.dropped_full,
+        s.dropped_closed,
+        s.dropped_break,
+        s.dropped_expired,
+        s.dropped_shed,
+        s.dropped_admission,
+    ]
+}
+
+/// The same counters, summed over channels' own `stats()`.
+fn channel_counters<'a>(qs: impl IntoIterator<Item = &'a Arc<MessageQueue>>) -> [u64; 8] {
+    let mut sum = [0; 8];
+    for q in qs {
+        let s = q.stats();
+        let c = [
+            s.posted,
+            s.fetched,
+            s.dropped_full,
+            s.dropped_closed,
+            s.dropped_break,
+            s.dropped_expired,
+            s.dropped_shed,
+            s.dropped_admission,
+        ];
+        for (sum, c) in sum.iter_mut().zip(c) {
+            *sum += c;
+        }
+    }
+    sum
+}
+
+/// Telemetry reads the channels' own counters: a drained stream's entry
+/// is the sum of its channels' `stats()`, and the counts of a channel a
+/// reconfiguration removes stay in the stream's entry and in the totals,
+/// through the removal, a later channel creation, and the stream's
+/// retirement.
+#[test]
+fn removed_channel_keeps_its_counts_in_the_totals() {
+    let g = gate(ServerConfig {
+        telemetry: telemetry_on(None),
+        ..Default::default()
+    });
+    let stream = g.deploy_mcl(CHAIN).unwrap();
+    let [f1, f2, f3] = ["f1", "f2", "f3"].map(|name| stream.instance(name).unwrap());
+    let (_, ingress) = f1.bound_inputs().remove(0);
+    let (_, m) = f1.bound_outputs().remove(0);
+    let (_, n) = f2.bound_outputs().remove(0);
+    let (_, egress) = f3.bound_outputs().remove(0);
+    for i in 0..10 {
+        stream
+            .post_input(MimeMessage::text(format!("m{i}")))
+            .unwrap();
+        assert!(stream.take_output(Duration::from_secs(5)).is_some());
+    }
+    // Drops on the channel about to go: one shed while f2 is paused,
+    // and two admission rejects charged to it directly.
+    f2.pause_and_wait(Duration::from_secs(2)).unwrap();
+    for i in 0..3 {
+        stream
+            .post_input(MimeMessage::text(format!("p{i}")))
+            .unwrap();
+    }
+    assert!(wait_until(Duration::from_secs(5), || m.len() == 3));
+    assert_eq!(m.shed_oldest(1), 1);
+    m.charge_admission_rejected(2);
+    f2.activate().unwrap();
+    for _ in 0..2 {
+        assert!(stream.take_output(Duration::from_secs(5)).is_some());
+    }
+    assert!(stream.drain(Duration::from_secs(5)));
+
+    let channels = [&ingress, &m, &n, &egress];
+    let before = g.metrics_snapshot().unwrap();
+    assert_eq!(before.per_stream.len(), 1);
+    assert_eq!(
+        counters(&before.per_stream[0].1),
+        channel_counters(channels),
+        "a drained stream's entry is its channels' sum"
+    );
+    assert_eq!(counters(&before.totals), channel_counters(channels));
+    assert_eq!(
+        before.totals.posted,
+        4 * 13 - 2,
+        "four channels per message; the shed one never reached n or the egress"
+    );
+    let removed = channel_counters([&m]);
+    assert!(removed[6] == 1 && removed[7] == 2, "{removed:?}");
+
+    let name = m.config().name.clone();
+    drop(m);
+    let stats = stream.reconfigure(&[ReconfigAction::RemoveChannel { name }]);
+    assert_eq!(stats.errors, 0);
+    let rest = channel_counters([&ingress, &n, &egress]);
+    let expected: Vec<u64> = rest.iter().zip(removed).map(|(r, m)| r + m).collect();
+    let after = g.metrics_snapshot().unwrap();
+    assert_eq!(counters(&after.totals).to_vec(), expected, "removal");
+    assert_eq!(counters(&after.totals), counters(&before.totals));
+
+    // A new channel lists itself, folding the removed one's counts in.
+    let stats = stream.reconfigure(&[ReconfigAction::NewChannel {
+        name: "fresh".into(),
+        spec: ChannelSpec::default_for(MimeType::any()),
+    }]);
+    assert_eq!(stats.errors, 0);
+    let after = g.metrics_snapshot().unwrap();
+    assert_eq!(counters(&after.totals).to_vec(), expected, "new channel");
+    assert_eq!(counters(&after.per_stream[0].1).to_vec(), expected);
+
+    stream.shutdown();
+    let retired = g.metrics_snapshot().unwrap();
+    assert_eq!(retired.live_streams, 0);
+    assert_eq!(counters(&retired.totals).to_vec(), expected, "retirement");
 }
 
 const BOOM_CHAIN: &str = r#"
