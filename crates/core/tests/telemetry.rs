@@ -20,6 +20,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mobigate_core::events::EventSubscriber;
+use mobigate_core::queue::QueueStats;
 use mobigate_core::telemetry::{Histogram, StreamMetricsSnapshot, TraceKind, TraceRing};
 use mobigate_core::{
     AdmissionConfig, BridgeConfig, ContextEvent, CoreError, Emitter, EventCategory, EventKind,
@@ -432,24 +433,19 @@ fn counters(s: &StreamMetricsSnapshot) -> [u64; 8] {
 
 /// The same counters, summed over channels' own `stats()`.
 fn channel_counters<'a>(qs: impl IntoIterator<Item = &'a Arc<MessageQueue>>) -> [u64; 8] {
-    let mut sum = [0; 8];
-    for q in qs {
-        let s = q.stats();
-        let c = [
-            s.posted,
-            s.fetched,
-            s.dropped_full,
-            s.dropped_closed,
-            s.dropped_break,
-            s.dropped_expired,
-            s.dropped_shed,
-            s.dropped_admission,
-        ];
-        for (sum, c) in sum.iter_mut().zip(c) {
-            *sum += c;
-        }
-    }
-    sum
+    let s = qs
+        .into_iter()
+        .fold(QueueStats::default(), |sum, q| sum + q.stats());
+    [
+        s.posted,
+        s.fetched,
+        s.dropped_full,
+        s.dropped_closed,
+        s.dropped_break,
+        s.dropped_expired,
+        s.dropped_shed,
+        s.dropped_admission,
+    ]
 }
 
 /// Telemetry reads the channels' own counters: a drained stream's entry
