@@ -631,9 +631,9 @@ impl MessageQueue {
 
     /// One admission attempt (Figure 6-9). A closed sink discards the
     /// payload; a payload that fits is admitted and shown to the probe's
-    /// size sampler; one that does not is
-    /// handed back, or — on the `last` attempt, once the wait budget is
-    /// spent — discarded and charged to `full`.
+    /// size sampler; one that does not is handed back, or — on the
+    /// `last` attempt, once the wait budget is spent — discarded and
+    /// charged to `full`.
     fn offer(&self, st: &mut QState, payload: Payload, len: usize, last: bool) -> Offer {
         if !st.sink_open {
             self.pool.discard(payload);
