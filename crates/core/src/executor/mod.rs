@@ -31,12 +31,12 @@
 //! the run queue until its wake hook re-schedules it.
 //!
 //! Pool-driven tasks post outputs without blocking: a full async queue
-//! parks the message in the task's pending-output buffer (with its Figure
-//! 6-9 drop deadline) rather than parking the worker, and a rendezvous
-//! (sync) channel whose slot is occupied does the same — the producer
-//! registers on the queue's space listeners and yields the worker, so
-//! chains of either channel kind deeper than the worker count keep making
-//! progress under backpressure.
+//! queues the message in its waiting lane (with its Figure 6-9 drop
+//! deadline) rather than parking the worker, and a rendezvous (sync)
+//! channel whose slot is occupied does the same — the producer yields the
+//! worker and the entry's departure wakes it, so chains of either channel
+//! kind deeper than the worker count keep making progress under
+//! backpressure.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -362,8 +362,9 @@ mod tests {
     /// channels much deeper than the worker count. Before non-blocking
     /// sync posts, each producer parked its worker inside `post` until the
     /// downstream consumer ran — impossible with every worker parked — so
-    /// the chain deadlocked until drop deadlines fired. Now the producer
-    /// parks the payload and yields, and the chain drains on one worker.
+    /// the chain deadlocked until drop deadlines fired. Now the payload
+    /// waits in the channel's lane and the producer yields, and the chain
+    /// drains on one worker.
     fn sync_chain_deeper_than_workers(executor: Arc<dyn Executor>) {
         const CHAIN: usize = 40;
         let pool = Arc::new(MessagePool::new());

@@ -182,22 +182,19 @@ fn pump_and_reschedule(state: &PoolState, task: Arc<StreamletTask>) {
 }
 
 impl Executor for WorkerPool {
-    /// Adopts `task`: non-blocking outputs, and a wake hook routing every
-    /// notification to the run queue. The launch itself schedules nothing
-    /// unless the task already has work — an idle session costs no pump,
-    /// and `on_activate` waits for the first one (or for an inline `end`).
+    /// Adopts `task`: a wake hook routing every notification to the run
+    /// queue. With the hook installed the task's output posts never wait:
+    /// what a full channel refuses waits in its lane, and the worker moves
+    /// on, so a backed-up chain deeper than the pool cannot eat every
+    /// worker. The launch itself schedules nothing unless the task
+    /// already has work — an idle session costs no pump, and
+    /// `on_activate` waits for the first one (or for an inline `end`).
     ///
     /// Order matters as in `pump_and_reschedule`: the hook is installed
     /// and the coalescing notifier re-armed *before* the work check, so a
     /// post landing after the disarm fires the hook, and one that landed
     /// before it is seen by the check.
     fn launch(&self, task: Arc<StreamletTask>) {
-        // Workers must never park inside a downstream post: with more
-        // streamlets than workers, a backed-up chain would otherwise eat
-        // every worker and stall until the drop deadline. Full async queues
-        // park the message in the task's pending-output buffer, occupied
-        // rendezvous slots do the same, and the worker moves on.
-        task.set_nonblocking_outputs(true);
         // Weak in both directions: the hook lives inside the task's
         // notifier, so a strong task ref here would leak the task, and a
         // strong state ref would keep a dead pool alive.

@@ -44,10 +44,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
-/// How long a rewiring waits for a paused instance's parked outputs to
-/// leave it (a full queue with a shorter `T` expires them first).
-const PARKED_FLUSH_BOUND: Duration = Duration::from_millis(500);
-
 /// Hot-path batching knobs, plumbed from `ServerConfig` down to every
 /// channel and streamlet instance a stream deploys.
 #[derive(Debug, Clone, Copy)]
@@ -150,18 +146,16 @@ pub struct StreamStats {
     pub delivered: u64,
     /// Reconfigurations executed.
     pub reconfigurations: u64,
-    /// Body bytes currently buffered in the stream's channels (interior
-    /// channels + ingress + egress).
+    /// Body bytes the stream's channels hold (interior channels + ingress
+    /// + egress), buffered or waiting in their lanes.
     pub queued_bytes: u64,
-    /// Body bytes held in instance overflow buffers (outputs a full
-    /// downstream queue refused, waiting in `pending_out`).
-    pub pending_out_bytes: u64,
 }
 
 impl StreamStats {
-    /// Total bytes of in-flight message memory attributable to the stream.
+    /// Total bytes of in-flight message memory attributable to the stream:
+    /// every in-flight message sits in a channel.
     pub fn resident_bytes(&self) -> u64 {
-        self.queued_bytes + self.pending_out_bytes
+        self.queued_bytes
     }
 }
 
@@ -886,11 +880,6 @@ impl RunningStream {
             delivered: self.egress.stats().fetched,
             reconfigurations: self.reconfigurations.load(Ordering::Relaxed),
             queued_bytes: queued,
-            pending_out_bytes: inner
-                .instances
-                .values()
-                .map(|h| h.pending_output_bytes() as u64)
-                .sum(),
         }
     }
 
@@ -1207,8 +1196,8 @@ impl RunningStream {
     }
 
     /// Waits (up to `timeout`) for every in-flight message to leave the
-    /// stream's interior: ingress and interior channels empty, no instance
-    /// mid-`process`, no overflow buffer occupied. Egress is deliberately
+    /// stream's interior: ingress and interior channels empty (their
+    /// lanes with them), no instance mid-`process`. Egress is deliberately
     /// excluded — delivered output waiting for the consumer is not
     /// "in flight". Returns whether quiescence was reached; either way the
     /// stream keeps running, so a false return means the caller tears down
@@ -1243,10 +1232,7 @@ impl RunningStream {
         };
         inner.shutdown
             || (queues_empty(&inner)
-                && inner
-                    .instances
-                    .values()
-                    .all(|h| !h.is_processing() && h.pending_outputs() == 0)
+                && inner.instances.values().all(|h| !h.is_processing())
                 && queues_empty(&inner))
     }
 
@@ -1610,9 +1596,6 @@ impl RunningStream {
         a.pause_and_wait(Duration::from_secs(2))?;
         stats.suspensions += 1;
         stats.suspension_time += t_s.elapsed();
-        // A's outputs parked for m go to m now: once A is detached from m,
-        // no take on m wakes A to retry them.
-        a.flush_pending_outputs(Some(Instant::now() + PARKED_FLUSH_BOUND));
 
         // Steps 3-5: rewire through channel m and a fresh channel n.
         let t_c = Instant::now();
@@ -1698,21 +1681,16 @@ impl RunningStream {
             }
         }
 
-        // Wait for the Fig 6-8 prerequisites: inputs drained, not
-        // processing, and no output still parked behind a full queue (a
-        // pool-driven instance's posts never block, so its outputs may
-        // outlast its inputs). Only a step of the streamlet drains its
-        // inputs, and every step fires the stream's quiesce notifier; the
-        // parked outputs leave on space wakeups or expire at their
-        // Figure 6-9 deadline.
+        // Wait for the Fig 6-8 prerequisites: inputs drained and not
+        // processing. Outputs have left the streamlet once its step ends:
+        // one a full channel refused waits in that channel's lane. Only a
+        // step of the streamlet drains its inputs, and every step fires
+        // the stream's quiesce notifier.
         let deadline = deadline_after(deadline);
         loop {
             let seen = self.quiesce.snapshot();
             if handle.inputs_empty() && !handle.is_processing() {
-                handle.flush_pending_outputs(deadline);
-                if handle.pending_outputs() == 0 {
-                    break;
-                }
+                break;
             }
             if expired(deadline) {
                 // Reactivate producers before giving up.
@@ -1779,9 +1757,6 @@ impl RunningStream {
         old_h.pause_and_wait(Duration::from_secs(2))?;
         stats.suspensions += 1;
         stats.suspension_time += t_s.elapsed();
-        // Parked outputs leave on the old bindings, before `end` would
-        // discard them.
-        old_h.flush_pending_outputs(Some(Instant::now() + PARKED_FLUSH_BOUND));
 
         // Move *every* binding from old to new, port names preserved —
         // including the stream-boundary ingress/egress bindings, so a
@@ -1884,11 +1859,11 @@ impl RunningStream {
         let _ = self.fission_unit(&mut inner, unit, at);
     }
 
-    /// Fission: pause the fused unit, drain its parked outputs, re-create
-    /// the interior channels and member instances, splice them into the
-    /// live topology **attach-before-detach** (so no queue ever closes with
-    /// messages in flight), transplant the redelivery backlog into the
-    /// entry member, and only then retire the unit — zero message loss.
+    /// Fission: pause the fused unit, re-create the interior channels and
+    /// member instances, splice them into the live topology
+    /// **attach-before-detach** (so no queue ever closes with messages in
+    /// flight), transplant the redelivery backlog into the entry member,
+    /// and only then retire the unit — zero message loss.
     ///
     /// With `quarantine_at = Some(i)`, member `i` comes back discrete with
     /// fresh directory logic but is left `Quarantined`, and the surviving
@@ -1920,9 +1895,6 @@ impl RunningStream {
             handle.pause_and_wait(Duration::from_secs(2))?;
             stats.suspensions += 1;
             stats.suspension_time += t_s.elapsed();
-            // 2. Push the unit's parked emissions downstream so nothing is
-            // stranded with the old handle.
-            handle.flush_pending_outputs(Some(Instant::now() + PARKED_FLUSH_BOUND));
         }
 
         let Some(info) = inner.fused.remove(unit) else {
@@ -1941,7 +1913,7 @@ impl RunningStream {
         let n = members.len();
         let quarantine_at = quarantine_at.filter(|&q| q < n);
 
-        // 3. Segment the roster: fully discrete by default; around a
+        // 2. Segment the roster: fully discrete by default; around a
         // quarantined member, the survivors re-fuse.
         let (segments, boundary): (Vec<(usize, usize)>, HashSet<usize>) = match quarantine_at {
             None => (
@@ -1968,7 +1940,7 @@ impl RunningStream {
             }
         };
 
-        // 4. Re-materialize the boundary channels (those between segments;
+        // 3. Re-materialize the boundary channels (those between segments;
         // channels interior to a re-fused segment stay collapsed).
         for (i, row) in info.interior_channels.iter().enumerate() {
             if !boundary.contains(&i) {
@@ -1984,7 +1956,7 @@ impl RunningStream {
             stats.channel_time += t.elapsed();
         }
 
-        // 5. One handle per segment, in pipeline order.
+        // 4. One handle per segment, in pipeline order.
         let mut seg_handles: Vec<Arc<StreamletHandle>> = Vec::new();
         let mut quarantine_seg: Option<usize> = None;
         let mut roster: VecDeque<FusedMember> = members.into();
@@ -2027,7 +1999,7 @@ impl RunningStream {
             }
         }
 
-        // 6. Splice into the live topology. Attach-before-detach: every
+        // 5. Splice into the live topology. Attach-before-detach: every
         // stream-side queue gains its new consumer/producer before the old
         // handle lets go.
         let t_c = Instant::now();
@@ -2065,7 +2037,7 @@ impl RunningStream {
         }
         stats.channel_time += t_c.elapsed();
 
-        // 7. Transplant the redelivery backlog into the entry segment so a
+        // 6. Transplant the redelivery backlog into the entry segment so a
         // faulted batch keeps replaying (poison accounting survives).
         if let Some(first) = seg_handles.first() {
             if !redelivery.is_empty() {
@@ -2073,7 +2045,7 @@ impl RunningStream {
             }
         }
 
-        // 8. Retire the unit, then start the segments.
+        // 7. Retire the unit, then start the segments.
         handle.end();
         let _ = handle.detach_all();
         inner.instances.remove(unit);

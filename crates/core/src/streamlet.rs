@@ -15,7 +15,7 @@ use crate::executor::{default_executor, Executor};
 use crate::pool::{MessagePool, Payload, PayloadMode};
 use crate::queue::{FetchResult, MessageQueue, Notifier};
 use crate::supervisor::FaultCause;
-use crate::sync::{deadline_after, expired, Parker, Wake};
+use crate::sync::{deadline_after, Parker, Wake};
 use crate::telemetry::{QueueProbe, TimingSite};
 use mobigate_mime::{MimeMessage, SessionId, TypeRegistry};
 use parking_lot::{Mutex, RwLock};
@@ -364,17 +364,6 @@ struct Shared {
     /// Upper bound on messages drained per wake (1 = the paper's original
     /// per-message cadence; set via `StreamletHandle::set_batch_max`).
     batch_max: AtomicUsize,
-    /// When set (pool executors), output posts never block the driving
-    /// worker: a full downstream queue hands the payload back and it waits
-    /// in `pending_out` instead, so a chain deeper than the worker count
-    /// cannot deadlock with every worker stuck inside a post.
-    nonblocking_outputs: AtomicBool,
-    /// Outputs a full downstream queue refused, each with the absolute
-    /// Figure 6-9 drop deadline it inherited at first refusal. Flushed (in
-    /// order, per queue) before the task consumes any new input, so the
-    /// buffer never exceeds one step's emissions and backpressure still
-    /// propagates upstream.
-    pending_out: Mutex<VecDeque<(Arc<MessageQueue>, Payload, Instant)>>,
     /// Cause of the most recent fault.
     last_fault: Mutex<Option<FaultCause>>,
     /// Fired from the executor thread when the instance faults; installed
@@ -386,9 +375,9 @@ struct Shared {
     /// single atomic load, so the disabled path stays one branch per call.
     probe: OnceLock<QueueProbe>,
     /// The owning stream's quiescence notifier, fired after every step
-    /// (once `processing` is down and parked outputs have had their
-    /// retry), so `RunningStream::drain` waits on events instead of
-    /// polling. Coalesces to one atomic swap while no drain is waiting.
+    /// (once `processing` is down), so `RunningStream::drain` waits on
+    /// events instead of polling. Coalesces to one atomic swap while no
+    /// drain is waiting.
     quiesce: OnceLock<Arc<Notifier>>,
     /// Reused per-step buffers (memory plane). Exactly one driver runs a
     /// task at a time, so the mutex is uncontended; `step` moves the
@@ -519,21 +508,14 @@ impl Shared {
             port.clear();
             spare_strings.push(port);
         }
-        let nonblocking = self.nonblocking_outputs.load(Ordering::Relaxed);
+        // A pooled producer (one with a wake hook) never waits in a post:
+        // what a channel refuses waits in its lane, and `gated` holds the
+        // producer's input while a batch's worth does. A dedicated thread
+        // waits in the post, as the paper's does.
+        let waker = self.notifier.has_hook().then_some(&self.notifier);
         for (q, mut payloads) in runs.drain(..) {
-            if nonblocking {
-                q.post_all_nowait(&mut payloads);
-                if !payloads.is_empty() {
-                    // Full queue — or an occupied rendezvous slot: park the
-                    // tail with the drop deadline it would have waited out
-                    // inside `post`, and yield the worker. `flush_pending`
-                    // retries before any new input is consumed, woken by
-                    // the queue's space listeners (for a sync channel,
-                    // fired by the fetch that empties the slot).
-                    let deadline = Instant::now() + q.full_wait();
-                    let mut pending = self.pending_out.lock();
-                    pending.extend(payloads.drain(..).map(|p| (q.clone(), p, deadline)));
-                }
+            if waker.is_some() {
+                q.post_all_nowait(&mut payloads, waker);
             } else if payloads.len() == 1 {
                 if let Some(p) = payloads.pop() {
                     q.post(p);
@@ -543,6 +525,21 @@ impl Shared {
             }
             spare_runs.push(payloads);
         }
+    }
+
+    /// A pooled producer's input gate: it consumes input only while fewer
+    /// than `batch_max` of its outputs wait in channel lanes, and the
+    /// departure of one wakes it. At the gate it first holds each output
+    /// channel, which charges the entries that waited out `T`, so it
+    /// drops those and moves on as a blocked poster would.
+    fn gated(&self, batch_max: usize) -> bool {
+        if self.notifier.waiting() < batch_max {
+            return false;
+        }
+        for (_, q) in self.outputs.read().iter() {
+            q.expire_waiting();
+        }
+        self.notifier.waiting() >= batch_max
     }
 
     /// Accounts a finished `process`/`process_batch` call whose context
@@ -598,80 +595,6 @@ impl Shared {
     /// Invalidate the route memo after an output-binding mutation.
     fn bump_route_epoch(&self) {
         self.route_epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// Retries every parked output in emission order; entries whose drop
-    /// deadline has passed are accounted as `dropped_expired` on their
-    /// queue.
-    /// Returns `None` when the buffer ended up empty (the task may consume
-    /// new input), or the earliest drop deadline among the entries still
-    /// stuck behind a full queue.
-    fn flush_pending(&self) -> Option<Instant> {
-        // The lock is held across the whole flush (every post is a
-        // `post_nowait`, so nothing blocks under it): quiescence checks
-        // must never observe an empty buffer while entries are mid-repost.
-        let mut pending = self.pending_out.lock();
-        if pending.is_empty() {
-            return None;
-        }
-        let items = std::mem::take(&mut *pending);
-        let mut stuck: VecDeque<(Arc<MessageQueue>, Payload, Instant)> = VecDeque::new();
-        let now = Instant::now();
-        for (q, payload, deadline) in items {
-            // Figure 6-9: the wait budget `T` elapsed while the entry was
-            // parked, so it drops — charged via `discard_expired`, the
-            // single `dropped_expired` charge site — *before* any retry.
-            // An expired entry must never race a successful late post
-            // (which would deliver it *and* leave it eligible for a second
-            // charge on a later flush) nor be charged once per flush round.
-            if now >= deadline {
-                q.discard_expired(payload);
-                continue;
-            }
-            // Per-queue FIFO: once one of a queue's messages is stuck,
-            // everything later for that queue stays parked behind it.
-            if stuck.iter().any(|(sq, _, _)| Arc::ptr_eq(sq, &q)) {
-                stuck.push_back((q, payload, deadline));
-                continue;
-            }
-            match q.post_nowait(payload) {
-                Ok(_) => {}
-                Err(p) => stuck.push_back((q, p, deadline)),
-            }
-        }
-        let next = stuck.iter().map(|&(_, _, deadline)| deadline).min();
-        // The single driving thread is the only writer, so nothing was
-        // appended concurrently — the put-back preserves order.
-        *pending = stuck;
-        next
-    }
-
-    /// True when a `flush_pending` would make progress right now: some
-    /// parked output's queue has room (or a closed sink), or its drop
-    /// deadline has passed. Deliberately *not* "buffer non-empty" — a task
-    /// whose outputs are all stuck behind a still-full queue parks and
-    /// waits for that queue's space wakeup instead of spinning through the
-    /// pool's run queue (which starves the very consumer it waits on).
-    fn pending_flushable(&self) -> bool {
-        let pending = self.pending_out.lock();
-        if pending.is_empty() {
-            return false;
-        }
-        let now = Instant::now();
-        let mut checked: Vec<*const MessageQueue> = Vec::new();
-        for (q, p, deadline) in pending.iter() {
-            // Per-queue FIFO: only each queue's first parked entry can
-            // move; later ones sit behind it.
-            let key = Arc::as_ptr(q);
-            if checked.contains(&key) {
-                continue;
-            }
-            checked.push(key);
-            if now >= *deadline || q.has_space(p.buffered_len()) {
-                return true;
-            }
-        }
-        false
     }
 
     /// Appends a payload to the run for `q`, creating it on first use.
@@ -808,8 +731,6 @@ impl StreamletHandle {
                 controls: Mutex::new(Vec::new()),
                 redelivery: Mutex::new(VecDeque::new()),
                 batch_max: AtomicUsize::new(1),
-                nonblocking_outputs: AtomicBool::new(false),
-                pending_out: Mutex::new(VecDeque::new()),
                 last_fault: Mutex::new(None),
                 fault_hook: Mutex::new(None),
                 faults: AtomicU64::new(0),
@@ -860,23 +781,6 @@ impl StreamletHandle {
     /// True while the worker is inside `process` (Fig 6-8 condition).
     pub fn is_processing(&self) -> bool {
         self.shared.processing.load(Ordering::Acquire)
-    }
-
-    /// Outputs currently parked behind full downstream queues (pool
-    /// executors only; always 0 under dedicated-thread drivers).
-    pub fn pending_outputs(&self) -> usize {
-        self.shared.pending_out.lock().len()
-    }
-
-    /// Total body bytes held in the overflow buffer (the memory the
-    /// instance itself is holding, as opposed to bytes parked in channels).
-    pub fn pending_output_bytes(&self) -> usize {
-        self.shared
-            .pending_out
-            .lock()
-            .iter()
-            .map(|(_, p, _)| p.buffered_len())
-            .sum()
     }
 
     /// True when every bound input queue is empty (Fig 6-8 condition).
@@ -945,13 +849,9 @@ impl StreamletHandle {
         self.shared.notifier.notify();
     }
 
-    /// Binds a channel to an output port (the paper's `setOut`). The
-    /// worker's notifier also subscribes to the queue's *space* wakeups,
-    /// so a pool-driven task with outputs parked behind this queue wakes
-    /// when room frees instead of polling.
+    /// Binds a channel to an output port (the paper's `setOut`).
     pub fn attach_out(&self, port: &str, q: &Arc<MessageQueue>) {
         q.attach_source();
-        q.add_space_listener(self.shared.notifier.clone());
         self.shared
             .outputs
             .write()
@@ -988,7 +888,6 @@ impl StreamletHandle {
         let (_, q) = outputs.remove(idx);
         drop(outputs);
         self.shared.bump_route_epoch();
-        q.remove_space_listener(&self.shared.notifier);
         q.detach_source()
     }
 
@@ -1019,11 +918,9 @@ impl StreamletHandle {
             let mut outputs = self.shared.outputs.write();
             let mut kept = Vec::new();
             for (port, q) in outputs.drain(..) {
-                q.remove_space_listener(&self.shared.notifier);
                 match q.detach_source() {
                     Ok(()) => {}
                     Err(e) => {
-                        q.add_space_listener(self.shared.notifier.clone());
                         first_err.get_or_insert(e);
                         kept.push((port, q));
                     }
@@ -1073,28 +970,6 @@ impl StreamletHandle {
     /// Output bindings with their live queues (port, queue).
     pub fn bound_outputs(&self) -> Vec<(String, Arc<MessageQueue>)> {
         self.shared.outputs.read().clone()
-    }
-
-    /// Pushes parked outputs downstream until the overflow buffer is
-    /// empty, waiting between retries on the task's notifier — a space
-    /// listener on every output queue. An output whose Figure 6-9 drop
-    /// deadline passes is charged `expired` (see `flush_pending`); `bound`
-    /// (`None`: none) caps the whole wait. Every rewiring that retires
-    /// or re-points an instance's outputs — fission, insert, replace,
-    /// removal — drains its parked emissions through this first, so no
-    /// in-flight output is stranded with a detached binding or lost with
-    /// the old handle.
-    pub fn flush_pending_outputs(&self, bound: Option<Instant>) {
-        let wake = &self.shared.notifier;
-        loop {
-            let seen = wake.snapshot();
-            match self.shared.flush_pending() {
-                Some(next) if !expired(bound) => {
-                    wake.wait_unless(seen, Some(bound.map_or(next, |b| next.min(b))));
-                }
-                _ => return,
-            }
-        }
     }
 
     /// Moves this handle's entire redelivery stash out (message, fault
@@ -1403,15 +1278,6 @@ impl StreamletTask {
         &self.shared.notifier
     }
 
-    /// Switches output posting to the non-blocking pending-buffer
-    /// discipline. Pool executors set this at launch: their workers must
-    /// never park inside a downstream `post`, or a backed-up chain deeper
-    /// than the pool eats every worker and deadlocks until the drop
-    /// deadline. Dedicated-thread drivers keep the paper's blocking posts.
-    pub fn set_nonblocking_outputs(&self, on: bool) {
-        self.shared.nonblocking_outputs.store(on, Ordering::Relaxed);
-    }
-
     /// True when a pump would make progress: unserviced lifecycle
     /// transition, pending control command, or a non-empty input.
     pub fn has_pending_work(&self) -> bool {
@@ -1427,18 +1293,16 @@ impl StreamletTask {
                 if !self.shared.controls.lock().is_empty() {
                     return true;
                 }
-                // At the parked-output cap a step would bail immediately
-                // (see the flush gate in `step`), so non-empty inputs are
-                // not runnable work — counting them would hot-spin every
-                // backpressured task through the run queue and starve the
-                // consumers that could actually free space. The space
-                // listener re-arms the wake hook when room frees up.
+                // At the gate a step would bail at once, so non-empty
+                // inputs are not runnable work — counting them would
+                // hot-spin a backpressured task through the run queue and
+                // starve the consumers that free room. The departure of
+                // one of its waiting outputs wakes it.
                 let batch_max = self.shared.batch_max.load(Ordering::Relaxed).max(1);
-                if self.shared.pending_out.lock().len() >= batch_max {
-                    return self.shared.pending_flushable();
+                if self.shared.notifier.waiting() >= batch_max {
+                    return false;
                 }
                 !self.shared.redelivery.lock().is_empty()
-                    || self.shared.pending_flushable()
                     || self.shared.inputs.read().iter().any(|(_, q)| !q.is_empty())
             }
         }
@@ -1642,17 +1506,14 @@ impl StreamletTask {
 
     fn step_inner(&self, logic: &mut dyn StreamletLogic, scratch: &mut StepScratch) -> Step {
         let shared = &self.shared;
-        // Outputs parked behind a full queue go first. A still-stuck
-        // buffer does not gate input outright — demanding a fully empty
-        // buffer turns a backpressured chain into a lockstep wave, one
-        // scheduling round-trip per batch per hop. Instead the task keeps
-        // consuming while the backlog is under one batch, so the buffer
-        // acts as a bounded overflow extension of the downstream queue
-        // (≤ one batch parked + one step's emissions) and the pipeline
-        // stays full.
-        let flushed = shared.flush_pending().is_none();
+        // Waiting outputs do not gate input outright — demanding that none
+        // wait turns a backpressured chain into a lockstep wave, one
+        // scheduling round-trip per batch per hop. The task keeps
+        // consuming while fewer than a batch wait, so the pipeline stays
+        // full and the lanes hold at most one batch plus one step's
+        // emissions of its outputs.
         let batch_max = shared.batch_max.load(Ordering::Relaxed).max(1);
-        if !flushed && shared.pending_out.lock().len() >= batch_max {
+        if shared.gated(batch_max) {
             return Step::Idle;
         }
         let pending = shared.redelivery.lock().pop_front();
@@ -1866,23 +1727,6 @@ impl StreamletTask {
         }
     }
 
-    /// Discards outputs still parked behind full queues so the pool's
-    /// reference accounting balances when the task exits. Entries whose
-    /// Figure 6-9 deadline already passed are overflow drops the next
-    /// flush would have charged — charge them now (exactly once, via the
-    /// single charge site); entries still inside their budget are a
-    /// teardown artifact, not an overflow, and stay uncharged.
-    fn drain_pending_out(&self) {
-        let now = Instant::now();
-        for (q, payload, deadline) in self.shared.pending_out.lock().drain(..) {
-            if now >= deadline {
-                q.discard_expired(payload);
-            } else {
-                self.shared.pool.discard(payload);
-            }
-        }
-    }
-
     /// Runs `on_end`, parks the logic back in the handle, and publishes
     /// the exit so `end()` waiters wake up.
     fn finalize(&self, mut logic: Box<dyn StreamletLogic>) {
@@ -1894,7 +1738,6 @@ impl StreamletTask {
     /// Publishes the exit for a task whose logic was already dropped by a
     /// fault: there is nothing to run `on_end` on and nothing to park.
     fn finalize_empty(&self) {
-        self.drain_pending_out();
         self.shared.transition(|_| true, Phase::Ended);
         self.shared.notifier.notify();
     }
@@ -2397,21 +2240,13 @@ mod tests {
         assert!(h.shared.resolve_route("nope").is_empty());
     }
 
+    /// A producer is woken only by departures of its own lane entries:
+    /// takes from its output channel while the lane is empty notify it
+    /// not at all.
     #[test]
-    fn expired_pending_out_charged_exactly_once() {
+    fn take_with_an_empty_lane_wakes_no_attached_producer() {
         let pool = Arc::new(MessagePool::new());
-        let qin = MessageQueue::new(QueueConfig::default(), pool.clone());
-        // A queue whose byte budget is exhausted by its first message and
-        // whose Figure 6-9 wait budget is tiny.
-        let qout = MessageQueue::new(
-            QueueConfig {
-                name: "tiny".into(),
-                capacity_bytes: 1,
-                full_wait: Duration::from_millis(10),
-                ..Default::default()
-            },
-            pool.clone(),
-        );
+        let q = MessageQueue::new(QueueConfig::default(), pool.clone());
         let h = StreamletHandle::new(
             "u1",
             "upper",
@@ -2421,79 +2256,20 @@ mod tests {
             PayloadMode::Reference,
             None,
         );
-        h.attach_in("pi", &qin);
-        h.attach_out("po", &qout);
-        h.shared.nonblocking_outputs.store(true, Ordering::Relaxed);
-        // Oversized-head admission fills the queue past its budget…
-        assert_eq!(
-            qout.post(pool.wrap(MimeMessage::text("head"), PayloadMode::Reference, 1)),
-            PostResult::Posted
-        );
-        // …so this emission is refused and parked with its drop deadline.
-        h.shared
-            .route_outputs_vec(vec![("po".to_string(), MimeMessage::text("parked"))]);
-        assert_eq!(h.pending_outputs(), 1);
-        assert_eq!(qout.stats().dropped_expired, 0);
-        std::thread::sleep(Duration::from_millis(20));
-        // Space frees up before the flush — the entry is expired anyway
-        // and must drop (Figure 6-9), charged exactly once, under its own
-        // reason code (`expired`, not an in-queue `full`).
-        let _ = fetch_text(&pool, &qout);
-        assert_eq!(h.shared.flush_pending(), None);
-        assert_eq!(qout.stats().dropped_expired, 1);
-        assert_eq!(qout.stats().dropped_full, 0);
-        // Regression: repeated flushes after expiry must not re-charge,
-        // and the expired entry must not have been delivered late.
-        assert_eq!(h.shared.flush_pending(), None);
-        assert_eq!(h.shared.flush_pending(), None);
-        assert_eq!(qout.stats().dropped_expired, 1);
-        assert!(matches!(
-            qout.fetch(Duration::from_millis(20)),
-            FetchResult::Empty
-        ));
-        assert_eq!(pool.stats().resident, 0, "dropped payload fully released");
-    }
-
-    #[test]
-    fn teardown_charges_only_expired_pending_out() {
-        let pool = Arc::new(MessagePool::new());
-        let qin = MessageQueue::new(QueueConfig::default(), pool.clone());
-        let qout = MessageQueue::new(
-            QueueConfig {
-                name: "tiny".into(),
-                capacity_bytes: 1,
-                full_wait: Duration::from_millis(10),
-                ..Default::default()
-            },
-            pool.clone(),
-        );
-        let h = StreamletHandle::new(
-            "u1",
-            "upper",
-            false,
-            Box::new(Upper),
-            pool.clone(),
-            PayloadMode::Reference,
-            None,
-        );
-        h.attach_in("pi", &qin);
-        h.attach_out("po", &qout);
-        h.shared.nonblocking_outputs.store(true, Ordering::Relaxed);
-        assert_eq!(
-            qout.post(pool.wrap(MimeMessage::text("head"), PayloadMode::Reference, 1)),
-            PostResult::Posted
-        );
-        h.shared
-            .route_outputs_vec(vec![("po".to_string(), MimeMessage::text("parked"))]);
-        assert_eq!(h.pending_outputs(), 1);
-        std::thread::sleep(Duration::from_millis(20));
-        // Ending the (started) streamlet drains the overflow buffer; the
-        // entry sat past its deadline, so the teardown books the drop
-        // under the `expired` reason.
-        h.start().unwrap();
-        h.end();
-        assert_eq!(qout.stats().dropped_expired, 1);
-        assert_eq!(qout.stats().dropped_full, 0);
+        h.attach_out("po", &q);
+        let wakes = Arc::new(AtomicUsize::new(0));
+        let w = wakes.clone();
+        h.shared.notifier.set_hook(move || {
+            w.fetch_add(1, Ordering::SeqCst);
+        });
+        for i in 0..8 {
+            // Disarmed, as a pump leaves it: any notify would fire the hook.
+            h.shared.notifier.disarm();
+            let msg = MimeMessage::text(format!("m{i}"));
+            h.shared.route_outputs_vec(vec![("po".to_string(), msg)]);
+            assert_eq!(fetch_text(&pool, &q), format!("m{i}"));
+        }
+        assert_eq!(wakes.load(Ordering::SeqCst), 0);
     }
 
     #[test]

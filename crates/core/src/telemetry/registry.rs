@@ -22,14 +22,12 @@ use std::sync::Arc;
 /// all-purpose `dropped_full` bucket.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DropReason {
-    /// Admission wait exhausted `T` while the queue stayed full (Fig 6-9).
+    /// Waited out Figure 6-9's `T` for room in a full channel.
     Full,
     /// Queue closed (sink/source detached or stream ending).
     Closed,
     /// Discarded by `BB_BREAK`/`BK_BREAK` semantics.
     Break,
-    /// Expired out of a `pending_out` overflow before space appeared.
-    Expired,
     /// Explicitly shed by the overload relief valve.
     Shed,
     /// Rejected at ingress by token-bucket admission control.
@@ -42,7 +40,6 @@ impl DropReason {
             DropReason::Full => "full",
             DropReason::Closed => "closed",
             DropReason::Break => "break",
-            DropReason::Expired => "expired",
             DropReason::Shed => "shed",
             DropReason::Admission => "admission",
         }
@@ -183,7 +180,6 @@ impl StreamMetrics {
             dropped_full: c.dropped_full,
             dropped_closed: c.dropped_closed,
             dropped_break: c.dropped_break,
-            dropped_expired: c.dropped_expired,
             dropped_shed: c.dropped_shed,
             dropped_admission: c.dropped_admission,
             faults: self.faults.load(Ordering::Relaxed),
@@ -204,7 +200,6 @@ pub struct StreamMetricsSnapshot {
     pub dropped_full: u64,
     pub dropped_closed: u64,
     pub dropped_break: u64,
-    pub dropped_expired: u64,
     pub dropped_shed: u64,
     pub dropped_admission: u64,
     pub faults: u64,
@@ -219,7 +214,6 @@ impl StreamMetricsSnapshot {
         self.dropped_full
             + self.dropped_closed
             + self.dropped_break
-            + self.dropped_expired
             + self.dropped_shed
             + self.dropped_admission
     }
@@ -232,7 +226,6 @@ impl StreamMetricsSnapshot {
         self.dropped_full += other.dropped_full;
         self.dropped_closed += other.dropped_closed;
         self.dropped_break += other.dropped_break;
-        self.dropped_expired += other.dropped_expired;
         self.dropped_shed += other.dropped_shed;
         self.dropped_admission += other.dropped_admission;
         self.faults += other.faults;

@@ -76,7 +76,6 @@ impl MetricsSnapshot {
             ("full", self.totals.dropped_full),
             ("closed", self.totals.dropped_closed),
             ("break", self.totals.dropped_break),
-            ("expired", self.totals.dropped_expired),
             ("shed", self.totals.dropped_shed),
             ("admission", self.totals.dropped_admission),
         ] {

@@ -4,13 +4,14 @@
 //!   enters an *empty* queue, and `post_all` keeps per-message Figure 6-9
 //!   drop-on-full semantics;
 //! * `take_batch` count and byte budgets;
-//! * the non-blocking producer API (`post_nowait` / `post_all_nowait`)
-//!   and the edge-triggered space-listener wakeup that pool executors
-//!   build their parked-output flushing on;
+//! * the non-blocking producer API (`post_nowait` / `post_all_nowait`):
+//!   refused payloads wait in the channel's lane, in order, and a lane
+//!   departure wakes only the pooled producer whose entry departed;
 //! * a property test driving random schedules of every post and take
-//!   entry point (plus sink breaks) through one queue and a `VecDeque`
-//!   reference model with the same byte budget, requiring identical
-//!   `PostResult`s, delivery order, byte accounting and stats.
+//!   entry point (plus sheds and sink breaks) through one queue and a
+//!   `VecDeque` reference model of the buffer and the lane with the same
+//!   byte budget, requiring identical `PostResult`s, delivery order, byte
+//!   accounting and stats.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -21,6 +22,7 @@ use mobigate_mcl::ast::ChannelKind;
 use mobigate_mime::{MimeMessage, MimeType};
 use proptest::prelude::*;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -192,81 +194,131 @@ fn buffered_bytes_return_to_zero_after_interleaved_posts_takes_and_sheds() {
     assert_eq!(pool.stats().resident, 0);
 }
 
+/// A channel whose refused payloads never expire within a test.
+fn patient_queue(capacity_bytes: usize) -> QueueConfig {
+    QueueConfig {
+        capacity_bytes,
+        full_wait: Duration::from_secs(3600),
+        ..Default::default()
+    }
+}
+
+fn tags(pool: &MessagePool, ps: Vec<Payload>) -> Vec<u8> {
+    ps.into_iter().map(|p| tag_of(pool, p)).collect()
+}
+
+/// A refused non-blocking post neither waits nor comes back: the payload
+/// waits in the lane, nothing is dropped, and the take that frees room
+/// admits it in the same hold.
 #[test]
-fn post_nowait_hands_payload_back_instead_of_waiting() {
-    let (q, pool) = setup(small_queue());
+fn post_nowait_queues_a_refused_payload_in_the_lane() {
+    let (q, pool) = setup(patient_queue(256));
     assert_eq!(
-        q.post_nowait(payload(&pool, 200, 1)).unwrap(),
+        q.post_nowait(payload(&pool, 200, 1), None),
         PostResult::Posted
     );
-    // Full: the payload comes straight back, nothing is dropped.
-    let p = q.post_nowait(payload(&pool, 200, 2)).unwrap_err();
-    assert_eq!(q.stats().dropped_full, 0);
-    // Space frees up → the same payload is admitted.
-    assert!(matches!(q.try_fetch(), FetchResult::Msg(_)));
-    assert_eq!(q.post_nowait(p).unwrap(), PostResult::Posted);
+    assert_eq!(
+        q.post_nowait(payload(&pool, 200, 2), None),
+        PostResult::Waiting
+    );
+    let s = q.stats();
+    assert_eq!((s.pending, s.waiting, s.dropped_total()), (1, 1, 0));
+    assert_eq!(tags(&pool, take(&q, 1, usize::MAX)), vec![1]);
+    let s = q.stats();
+    assert_eq!((s.posted, s.pending, s.waiting), (2, 1, 0));
+    assert_eq!(tags(&pool, take(&q, 1, usize::MAX)), vec![2]);
+    assert_eq!(pool.stats().resident, 0);
 }
 
+/// A run's refused tail waits in the lane in emission order, and a later
+/// post that would fit by bytes still queues behind it: takes deliver
+/// the global order 0..6.
 #[test]
-fn post_all_nowait_returns_fifo_leftovers() {
+fn post_all_nowait_queues_the_refused_tail_in_order() {
     let pool = Arc::new(MessagePool::new());
     let unit = unit_len(&pool, 100);
-    let q = MessageQueue::new(
-        QueueConfig {
-            capacity_bytes: 2 * unit,
-            full_wait: Duration::from_millis(5),
-            ..Default::default()
-        },
-        pool.clone(),
+    let small = unit_len(&pool, 1);
+    let q = MessageQueue::new(patient_queue(2 * unit + small), pool.clone());
+    let mut run: Vec<Payload> = (0..5).map(|tag| payload(&pool, 100, tag)).collect();
+    // #0 and #1 fit; the tail waits.
+    assert_eq!(q.post_all_nowait(&mut run, None), 3);
+    assert!(run.is_empty());
+    assert_eq!(
+        q.post_nowait(payload(&pool, 1, 5), None),
+        PostResult::Waiting
     );
-    let mut rest: Vec<Payload> = (0..5).map(|tag| payload(&pool, 100, tag)).collect();
-    // #0 and #1 fit; the tail comes back untouched, still in emission
-    // order, so the caller's re-post preserves FIFO.
-    assert_eq!(q.post_all_nowait(&mut rest), 2);
-    assert_eq!(rest.len(), 3);
-    // Drain, re-post the leftovers, and confirm global order 0..5.
-    let mut tags = Vec::new();
-    for p in take(&q, 16, usize::MAX) {
-        tags.push(pool.resolve(p).unwrap().body[0]);
+    assert_eq!(q.stats().waiting, 4);
+    let mut got = Vec::new();
+    loop {
+        let batch = take(&q, 16, usize::MAX);
+        if batch.is_empty() {
+            break;
+        }
+        got.extend(tags(&pool, batch));
     }
-    assert_eq!(q.post_all_nowait(&mut rest), 2);
-    assert_eq!(rest.len(), 1);
-    for p in take(&q, 16, usize::MAX) {
-        tags.push(pool.resolve(p).unwrap().body[0]);
-    }
-    for p in rest {
-        assert_eq!(q.post_nowait(p).unwrap(), PostResult::Posted);
-    }
-    for p in take(&q, 16, usize::MAX) {
-        tags.push(pool.resolve(p).unwrap().body[0]);
-    }
-    assert_eq!(tags, vec![0, 1, 2, 3, 4]);
+    assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
+    assert_eq!(q.stats().dropped_total(), 0);
 }
 
-#[test]
-fn space_listener_fires_on_pop_and_sink_close() {
-    let (q, pool) = setup(small_queue());
-    q.attach_source();
-    q.attach_sink();
+/// A notifier with a hook that counts its (non-coalesced) wakes.
+fn counting_notifier() -> (Arc<Notifier>, Arc<AtomicUsize>) {
     let n = Arc::new(Notifier::new());
-    q.add_space_listener(n.clone());
-    assert_eq!(q.post(payload(&pool, 200, 1)), PostResult::Posted);
-    // Posting never wakes the producer side.
-    let before = n.snapshot();
-    // A pop frees capacity → edge-triggered wake.
-    assert!(matches!(q.try_fetch(), FetchResult::Msg(_)));
-    assert_ne!(n.snapshot(), before, "pop must wake space listeners");
-    // Closing the sink unblocks parked producers too (their flush will
-    // discard into the pool instead of waiting for room).
-    let before = n.snapshot();
-    q.detach_sink().unwrap();
-    assert_ne!(n.snapshot(), before, "sink close must wake space listeners");
-    q.remove_space_listener(&n);
+    let wakes = Arc::new(AtomicUsize::new(0));
+    let w = wakes.clone();
+    n.set_hook(move || {
+        w.fetch_add(1, Ordering::SeqCst);
+    });
+    (n, wakes)
+}
+
+/// Two pooled producers wait on one channel: each departure wakes only
+/// the producer whose entry departed, whether a take promotes it or a
+/// sink close charges it, and joining the lane wakes none.
+#[test]
+fn lane_departure_wakes_only_its_own_producer() {
+    let (q, pool) = setup(patient_queue(1));
     q.attach_sink();
-    assert_eq!(q.post(payload(&pool, 10, 2)), PostResult::Posted);
-    let before = n.snapshot();
-    assert!(matches!(q.try_fetch(), FetchResult::Msg(_)));
-    assert_eq!(n.snapshot(), before, "removed listener stays quiet");
+    let (na, a_wakes) = counting_notifier();
+    let (nb, b_wakes) = counting_notifier();
+    assert_eq!(q.post(payload(&pool, 8, 0)), PostResult::Posted);
+    assert_eq!(
+        q.post_nowait(payload(&pool, 8, 1), Some(&na)),
+        PostResult::Waiting
+    );
+    assert_eq!(
+        q.post_nowait(payload(&pool, 8, 2), Some(&nb)),
+        PostResult::Waiting
+    );
+    let wakes = || {
+        (
+            a_wakes.load(Ordering::SeqCst),
+            b_wakes.load(Ordering::SeqCst),
+        )
+    };
+    assert_eq!((na.waiting(), nb.waiting(), wakes()), (1, 1, (0, 0)));
+    // Taking #0 promotes A's entry into the one-message buffer.
+    assert_eq!(tags(&pool, take(&q, 1, usize::MAX)), vec![0]);
+    assert_eq!((na.waiting(), nb.waiting(), wakes()), (0, 1, (1, 0)));
+    na.disarm();
+    // Taking #1 promotes B's.
+    assert_eq!(tags(&pool, take(&q, 1, usize::MAX)), vec![1]);
+    assert_eq!((na.waiting(), nb.waiting(), wakes()), (0, 0, (1, 1)));
+    nb.disarm();
+    // An empty lane wakes nobody.
+    assert_eq!(tags(&pool, take(&q, 1, usize::MAX)), vec![2]);
+    assert_eq!(wakes(), (1, 1));
+    // A sink close charges A's waiting entry `closed` and wakes A alone.
+    assert_eq!(q.post(payload(&pool, 8, 3)), PostResult::Posted);
+    assert_eq!(
+        q.post_nowait(payload(&pool, 8, 4), Some(&na)),
+        PostResult::Waiting
+    );
+    na.disarm();
+    q.detach_sink().unwrap();
+    assert_eq!((na.waiting(), wakes()), (0, (2, 1)));
+    let s = q.stats();
+    assert_eq!((s.waiting, s.dropped_closed, s.dropped_break), (0, 1, 1));
+    assert_eq!(pool.stats().resident, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -291,7 +343,11 @@ enum Op {
     TakeAtBoundary(usize, usize, isize),
     /// `try_fetch`.
     TryFetch,
-    /// Detach the sink (a BK break: pending dropped, posts `Closed`).
+    /// `shed_oldest` of up to `n` (every message here is one class, so
+    /// the oldest go).
+    Shed(usize),
+    /// Detach the sink (a BK break: pending dropped, the lane charged
+    /// `closed`, posts `Closed`).
     Break,
     /// Reattach the sink.
     Reattach,
@@ -312,56 +368,107 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (1usize..6, 1usize..600).prop_map(|(n, b)| Op::Take(n, b)),
         (1usize..6, 1usize..4, -1isize..2).prop_map(|(n, k, d)| Op::TakeAtBoundary(n, k, d)),
         Just(Op::TryFetch),
+        (1usize..4).prop_map(Op::Shed),
         Just(Op::Break),
         Just(Op::Reattach),
     ]
 }
 
-/// The Figure 6-9 channel with `T = 0`, as a plain FIFO over a byte
-/// budget: an empty buffer admits anything, otherwise a message fits
-/// only within `capacity` buffered bytes.
+/// The Figure 6-9 channel as a plain FIFO over a byte budget, with its
+/// lane: an empty buffer admits anything, otherwise a message fits only
+/// behind an empty lane and within `capacity` buffered bytes. `T` is
+/// either zero (`expires`: every lane entry has expired by the next
+/// hold) or longer than any case (none ever does).
+#[derive(Clone)]
 struct Model {
     capacity: usize,
+    expires: bool,
     /// (tag, buffered length) per pending message.
     queue: VecDeque<(u8, usize)>,
     bytes: usize,
+    /// (tag, buffered length) per waiting message.
+    lane: VecDeque<(u8, usize)>,
     sink_open: bool,
     stats: QueueStats,
 }
 
 impl Model {
-    fn admits(&self, len: usize) -> bool {
+    fn fits(&self, len: usize) -> bool {
         self.queue.is_empty() || self.bytes + len <= self.capacity
     }
 
-    /// `post`/`post_nowait` admission; `None` when refused.
-    fn offer(&mut self, tag: u8, len: usize) -> Option<PostResult> {
-        if !self.sink_open {
-            self.stats.dropped_closed += 1;
-            return Some(PostResult::Closed);
-        }
-        if !self.admits(len) {
-            return None;
-        }
+    fn push(&mut self, tag: u8, len: usize) {
         self.queue.push_back((tag, len));
         self.bytes += len;
         self.stats.posted += 1;
         self.stats.pending += 1;
-        Some(PostResult::Posted)
     }
 
-    /// A blocking post with `T = 0`: refused means dropped at once.
-    fn post(&mut self, tag: u8, len: usize) -> PostResult {
-        self.offer(tag, len).unwrap_or_else(|| {
-            self.stats.dropped_full += 1;
-            PostResult::Dropped
-        })
+    /// A hold moves the lane on: with `T = 0` every entry has expired and
+    /// is charged `full`, never admitted; otherwise heads that fit are.
+    fn advance(&mut self) {
+        if self.expires {
+            self.stats.dropped_full += self.lane.len() as u64;
+            self.lane.clear();
+        }
+        while let Some(&(tag, len)) = self.lane.front() {
+            if !self.fits(len) {
+                break;
+            }
+            self.lane.pop_front();
+            self.push(tag, len);
+        }
+    }
+
+    /// One admission attempt inside a post's hold.
+    fn offer(&mut self, tag: u8, len: usize) -> PostResult {
+        if !self.sink_open {
+            self.stats.dropped_closed += 1;
+            return PostResult::Closed;
+        }
+        if self.lane.is_empty() && self.fits(len) {
+            self.push(tag, len);
+            return PostResult::Posted;
+        }
+        self.lane.push_back((tag, len));
+        PostResult::Waiting
+    }
+
+    /// A non-blocking post of a run: how many of it wait in the lane. An
+    /// empty run takes no hold.
+    fn post_nowait(&mut self, run: &[(u8, usize)]) -> usize {
+        if run.is_empty() {
+            return 0;
+        }
+        self.advance();
+        run.iter()
+            .filter(|&&(tag, len)| self.offer(tag, len) == PostResult::Waiting)
+            .count()
+    }
+
+    /// True when a blocking post of `run` would wait for room: with a
+    /// patient `T` such a post would block the single-threaded case.
+    fn would_wait(&self, run: &[(u8, usize)]) -> bool {
+        !self.expires && self.clone().post_nowait(run) > 0
+    }
+
+    /// A blocking post of a run: what waits has expired by the poster's
+    /// own hold at its deadline, which charges it `full`.
+    fn post(&mut self, run: &[(u8, usize)]) -> PostResult {
+        let waiting = self.post_nowait(run);
+        if waiting > 0 {
+            self.advance();
+            return PostResult::Dropped;
+        }
+        match run.first() {
+            Some(_) if !self.sink_open => PostResult::Closed,
+            _ => PostResult::Posted,
+        }
     }
 
     fn pop(&mut self) -> Option<u8> {
         let (tag, len) = self.queue.pop_front()?;
         self.bytes -= len;
-        self.stats.fetched += 1;
         self.stats.pending -= 1;
         Some(tag)
     }
@@ -379,15 +486,39 @@ impl Model {
             bytes += len;
             out.extend(self.pop());
         }
+        self.stats.fetched += out.len() as u64;
+        if !out.is_empty() {
+            self.advance();
+        }
         out
     }
 
+    fn shed(&mut self, n: usize) -> usize {
+        if self.queue.is_empty() {
+            return 0;
+        }
+        let shed = (0..n).filter_map(|_| self.pop()).count();
+        self.stats.dropped_shed += shed as u64;
+        self.advance();
+        shed
+    }
+
     fn break_sink(&mut self) {
+        self.stats.dropped_closed += self.lane.len() as u64;
+        self.lane.clear();
         self.stats.dropped_break += self.queue.len() as u64;
         self.stats.pending = 0;
         self.queue.clear();
         self.bytes = 0;
         self.sink_open = false;
+    }
+
+    /// The stats a queue in this state reports.
+    fn stats(&self) -> QueueStats {
+        QueueStats {
+            waiting: self.lane.len() as u64,
+            ..self.stats
+        }
     }
 }
 
@@ -399,13 +530,22 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
 
     /// Every post and take entry point behaves as the reference model:
-    /// per-call outcomes, FIFO delivery order, byte accounting, the
-    /// lifetime stats, and the pool's resident count after each step.
+    /// per-call outcomes, FIFO delivery order through the buffer and the
+    /// lane, byte accounting, the lifetime stats with both depths, and
+    /// the pool's resident count after each step. With `T = 0` an expired
+    /// head is charged `full` and never admitted; with a patient `T`
+    /// takes and sheds promote the lane in order; a sink break charges
+    /// the lane `closed`. A lane is only ever seen behind a non-empty
+    /// buffer and an open sink.
     #[test]
-    fn queue_matches_reference_model(ops in prop::collection::vec(op_strategy(), 0..120)) {
+    fn queue_matches_reference_model(
+        expires in any::<bool>(),
+        ops in prop::collection::vec(op_strategy(), 0..120),
+    ) {
+        let full_wait = if expires { Duration::ZERO } else { Duration::from_secs(3600) };
         let (q, pool) = setup(QueueConfig {
             capacity_bytes: 200,
-            full_wait: Duration::ZERO,
+            full_wait,
             kind: ChannelKind::Async,
             ..Default::default()
         });
@@ -413,65 +553,62 @@ proptest! {
         q.attach_sink();
         let mut model = Model {
             capacity: 200,
+            expires,
             queue: VecDeque::new(),
             bytes: 0,
+            lane: VecDeque::new(),
             sink_open: true,
             stats: QueueStats::default(),
         };
         let mut next_tag = 0u8;
-        let mut mint = |size: usize| {
-            let tag = next_tag;
-            next_tag = next_tag.wrapping_add(1);
-            let p = payload(&pool, size, tag);
-            let len = p.buffered_len();
-            (p, tag, len)
+        let mut mint = |sizes: &[usize]| {
+            sizes
+                .iter()
+                .map(|&size| {
+                    let tag = next_tag;
+                    next_tag = next_tag.wrapping_add(1);
+                    let p = payload(&pool, size, tag);
+                    let len = p.buffered_len();
+                    (p, (tag, len))
+                })
+                .unzip::<_, _, Vec<Payload>, Vec<(u8, usize)>>()
         };
         for (step, op) in ops.iter().enumerate() {
             match op {
                 Op::Post(size) => {
-                    let (p, tag, len) = mint(*size);
-                    prop_assert_eq!(q.post(p), model.post(tag, len), "step {}", step);
+                    let (mut run, keys) = mint(&[*size]);
+                    if model.would_wait(&keys) {
+                        run.into_iter().for_each(|p| pool.discard(p));
+                        continue;
+                    }
+                    let p = run.pop().unwrap();
+                    prop_assert_eq!(q.post(p), model.post(&keys), "step {}", step);
                 }
                 Op::PostAll(sizes) => {
-                    let minted: Vec<_> = sizes.iter().map(|s| mint(*s)).collect();
-                    for &(_, tag, len) in &minted {
-                        model.post(tag, len);
+                    let (mut run, keys) = mint(sizes);
+                    if model.would_wait(&keys) {
+                        run.into_iter().for_each(|p| pool.discard(p));
+                        continue;
                     }
-                    let mut run: Vec<Payload> = minted.into_iter().map(|(p, ..)| p).collect();
+                    model.post(&keys);
                     q.post_all(&mut run);
                     prop_assert!(run.is_empty(), "step {}", step);
                 }
                 Op::PostNowait(size) => {
-                    let (p, tag, len) = mint(*size);
-                    match (q.post_nowait(p), model.offer(tag, len)) {
-                        (Ok(got), Some(want)) => prop_assert_eq!(got, want, "step {}", step),
-                        (Err(back), None) => {
-                            prop_assert_eq!(tag_of(&pool, back), tag, "step {}", step)
-                        }
-                        (got, want) => prop_assert!(
-                            false,
-                            "step {}: queue {:?}, model {:?}",
-                            step,
-                            got.map_err(|_| "refused"),
-                            want
-                        ),
-                    }
+                    let (mut run, keys) = mint(&[*size]);
+                    let want = match model.post_nowait(&keys) {
+                        0 if model.sink_open => PostResult::Posted,
+                        0 => PostResult::Closed,
+                        _ => PostResult::Waiting,
+                    };
+                    let got = q.post_nowait(run.pop().unwrap(), None);
+                    prop_assert_eq!(got, want, "step {}", step);
                 }
                 Op::PostAllNowait(sizes) => {
-                    let minted: Vec<_> = sizes.iter().map(|s| mint(*s)).collect();
-                    let mut handled = 0;
-                    let mut refused = Vec::new();
-                    for &(_, tag, len) in &minted {
-                        if refused.is_empty() && model.offer(tag, len).is_some() {
-                            handled += 1;
-                        } else {
-                            refused.push(tag);
-                        }
-                    }
-                    let mut run: Vec<Payload> = minted.into_iter().map(|(p, ..)| p).collect();
-                    prop_assert_eq!(q.post_all_nowait(&mut run), handled, "step {}", step);
-                    let back: Vec<u8> = run.into_iter().map(|p| tag_of(&pool, p)).collect();
-                    prop_assert_eq!(back, refused, "step {}", step);
+                    let (mut run, keys) = mint(sizes);
+                    let want = model.post_nowait(&keys);
+                    prop_assert_eq!(q.post_all_nowait(&mut run, None), want, "step {}", step);
+                    prop_assert!(run.is_empty(), "step {}", step);
                 }
                 Op::Take(max_n, max_bytes) => {
                     let got: Vec<u8> = take(&q, *max_n, *max_bytes)
@@ -498,7 +635,10 @@ proptest! {
                             None
                         }
                     };
-                    prop_assert_eq!(got, model.pop(), "step {}", step);
+                    prop_assert_eq!(got, model.take(1, usize::MAX).pop(), "step {}", step);
+                }
+                Op::Shed(n) => {
+                    prop_assert_eq!(q.shed_oldest(*n), model.shed(*n), "step {}", step);
                 }
                 Op::Break => {
                     if model.sink_open {
@@ -513,10 +653,23 @@ proptest! {
                     }
                 }
             }
+            let lane_bytes: usize = model.lane.iter().map(|&(_, len)| len).sum();
+            let s = q.stats();
+            prop_assert_eq!(s, model.stats(), "step {}", step);
+            prop_assert!(
+                s.waiting == 0 || (s.pending > 0 && model.sink_open),
+                "step {}: {:?}",
+                step,
+                s
+            );
             prop_assert_eq!(q.len(), model.queue.len(), "step {}", step);
-            prop_assert_eq!(q.buffered_bytes(), model.bytes, "step {}", step);
-            prop_assert_eq!(q.stats(), model.stats, "step {}", step);
-            prop_assert_eq!(pool.stats().resident, model.queue.len(), "step {}", step);
+            prop_assert_eq!(q.buffered_bytes(), model.bytes + lane_bytes, "step {}", step);
+            prop_assert_eq!(
+                pool.stats().resident,
+                model.queue.len() + model.lane.len(),
+                "step {}",
+                step
+            );
         }
     }
 }

@@ -18,9 +18,9 @@
 
 use mobigate_core::stream::{RunningStream, StreamDeps};
 use mobigate_core::{
-    default_executor, CoreError, Emitter, Executor, LifecycleState, MessagePool, MobiGate,
-    PayloadMode, RouteOpts, ServerConfig, StreamletCtx, StreamletDirectory, StreamletHandle,
-    StreamletLogic, StreamletPool, Telemetry, WorkerPool,
+    default_executor, CoreError, Emitter, Executor, FetchResult, LifecycleState, MessagePool,
+    MobiGate, PayloadMode, RouteOpts, ServerConfig, StreamletCtx, StreamletDirectory,
+    StreamletHandle, StreamletLogic, StreamletPool, Telemetry, WorkerPool,
 };
 use mobigate_mcl::compile::compile;
 use mobigate_mime::{MimeMessage, SessionId};
@@ -279,9 +279,9 @@ fn fission_under_load_loses_nothing() {
     stream.shutdown();
 }
 
-/// Under the worker pool a full downstream queue parks a fused unit's
-/// outputs. Fission waits for them on the unit's notifier: once the
-/// consumer drains the egress, every parked output arrives.
+/// Under the worker pool a full downstream channel parks a fused unit's
+/// outputs in its lane, and fission leaves them there: once the consumer
+/// drains the egress, every parked output arrives.
 #[test]
 fn fission_parked_outputs_arrive_once_downstream_drains() {
     let (stream, _) = deploy_chain_on(true, WorkerPool::new(2));
@@ -296,7 +296,10 @@ fn fission_parked_outputs_arrive_once_downstream_drains() {
         stream.post_input(MimeMessage::text(body.clone())).unwrap();
     }
     assert!(
-        wait_until(|| unit.pending_outputs() > 0 && unit.pending_outputs() + egress.len() == n),
+        wait_until(|| {
+            let s = egress.stats();
+            s.waiting > 0 && s.waiting + s.pending == n as u64
+        }),
         "outputs park behind the full egress"
     );
     let consumer = {
@@ -312,7 +315,7 @@ fn fission_parked_outputs_arrive_once_downstream_drains() {
         .insert_streamlet(("f1", "po"), ("f2", "pi"), "mid", "ftag_c")
         .unwrap();
     assert_eq!(consumer.join().unwrap(), n, "every parked output arrives");
-    assert_eq!(unit.pending_outputs(), 0);
+    assert_eq!(egress.stats().waiting, 0);
     assert_eq!(egress.stats().dropped_total(), 0);
     stream.shutdown();
 }
@@ -327,8 +330,9 @@ impl StreamletLogic for Stall {
 }
 
 /// A fused unit whose outputs are parked behind a 1 KB channel that its
-/// consumer never drains: fission charges them `expired` at their Figure
-/// 6-9 deadline (`T` = 50 ms) and returns then, not at its 500 ms bound.
+/// consumer never drains: fission returns without waiting for them, and
+/// once their Figure 6-9 deadline (`T` = 50 ms) has passed, the take
+/// that makes room charges every one `full` and admits none.
 #[test]
 fn fission_parked_outputs_expire_after_t_when_downstream_never_drains() {
     let gate = Arc::new(std::sync::Mutex::new(()));
@@ -372,7 +376,7 @@ fn fission_parked_outputs_expire_after_t_when_downstream_never_drains() {
             .unwrap();
     }
     assert!(
-        wait_until(|| unit.pending_outputs() > 0),
+        wait_until(|| small.stats().waiting > 0),
         "outputs park behind the full channel"
     );
     let t0 = Instant::now();
@@ -382,12 +386,32 @@ fn fission_parked_outputs_expire_after_t_when_downstream_never_drains() {
     let took = t0.elapsed();
     assert!(
         took < Duration::from_millis(400),
-        "fission returns at the parked outputs' deadline, took {took:?}"
+        "fission does not wait for the parked outputs, took {took:?}"
     );
-    assert_eq!(unit.pending_outputs(), 0, "none stranded with the unit");
+    // Every input has reached the channel: admitted, or in the lane.
+    assert!(
+        wait_until(|| {
+            let s = small.stats();
+            s.posted + s.waiting + s.dropped_full == 20
+        }),
+        "{:?}",
+        small.stats()
+    );
+    std::thread::sleep(Duration::from_millis(60));
+    let before = small.stats();
+    assert!(
+        matches!(small.try_fetch(), FetchResult::Msg(_)),
+        "{before:?}"
+    );
     let s = small.stats();
-    assert!(s.dropped_expired > 0, "{s:?}");
-    assert_eq!(s.dropped_full, 0, "{s:?}");
+    assert_eq!(s.waiting, 0, "none stranded in the lane: {s:?}");
+    assert_eq!(s.posted, before.posted, "none admitted late: {s:?}");
+    assert_eq!(
+        s.dropped_full,
+        before.dropped_full + before.waiting,
+        "{s:?}"
+    );
+    assert!(s.dropped_full > 0, "{s:?}");
     drop(closed);
     stream.shutdown();
 }
@@ -470,22 +494,17 @@ fn rewire_under_backlog(
     consumer.join().unwrap()
 }
 
-/// Both executors, the worker pool flagged: only its instances park
-/// outputs.
+/// Both executors, the worker pool flagged.
 fn both_executors() -> [(bool, Arc<dyn Executor>); 2] {
     [(false, default_executor()), (true, WorkerPool::new(2))]
 }
 
-/// The rewired instance `h` is backed up: its outputs are parked (worker
-/// pool), or its output queue is full (a dedicated thread blocks in the
-/// post instead).
-fn backed_up(h: &StreamletHandle, pool: bool) -> bool {
+/// The rewired instance `h` is backed up: outputs its full output channel
+/// refused wait in that channel's lane, whether their poster returned (a
+/// pooled task) or waits in the post (a dedicated thread).
+fn backed_up(h: &StreamletHandle) -> bool {
     let (_, out) = h.bound_outputs().remove(0);
-    if pool {
-        h.pending_outputs() > 0
-    } else {
-        !out.has_space(BACKLOG_BODY)
-    }
+    out.stats().waiting > 0
 }
 
 fn deploy_traced(script: &str, fusion: bool, executor: Arc<dyn Executor>) -> Deployed {
@@ -498,13 +517,13 @@ fn deploy_traced(script: &str, fusion: bool, executor: Arc<dyn Executor>) -> Dep
 type Deployed = (Arc<RunningStream>, Arc<Telemetry>);
 
 /// An insert pauses the upstream instance A and moves its output from
-/// channel m to the new channel n. Outputs A had parked for m must reach
-/// m first: once A no longer listens for space on m, nothing retries
-/// them. Fused, A is `f1` as re-materialized by the fission the insert
+/// channel m to the new channel n. Outputs A had parked for m wait in
+/// m's lane, which the insert leaves alone: every one is delivered or
+/// charged. Fused, A is `f1` as re-materialized by the fission the insert
 /// triggers in mid-backlog. Discrete, A has taken the whole backlog off
 /// the ingress and parked its tail, so no later input steps it either.
 #[test]
-fn insert_flushes_the_paused_upstreams_parked_outputs() {
+fn insert_delivers_or_charges_every_parked_output() {
     for fusion in [true, false] {
         for (pool, executor) in both_executors() {
             let (stream, telemetry) = deploy_traced(&chain_script(false), fusion, executor);
@@ -518,7 +537,7 @@ fn insert_flushes_the_paused_upstreams_parked_outputs() {
                 &stream,
                 &telemetry,
                 n,
-                || backed_up(&a, pool) && (fusion || !pool || a.inputs_empty()),
+                || backed_up(&a) && (fusion || !pool || a.inputs_empty()),
                 || {
                     stream
                         .insert_streamlet(("f1", "po"), ("f2", "pi"), "mid", "ftag_c")
@@ -536,20 +555,21 @@ fn insert_flushes_the_paused_upstreams_parked_outputs() {
 }
 
 /// A replace moves the old instance's bindings to the new one and ends
-/// the old one. Outputs it had parked must be pushed downstream before
-/// the end discards its overflow buffer.
+/// the old one. Outputs it had parked wait in its output channel's lane,
+/// which outlives the old handle: every one is delivered or charged.
 #[test]
-fn replace_flushes_the_old_handles_parked_outputs() {
+fn replace_delivers_or_charges_every_parked_output() {
     use mobigate_mcl::config::ReconfigAction;
     for (pool, executor) in both_executors() {
         let (stream, telemetry) = deploy_traced(&replaceable_chain_script(), false, executor);
         let f3 = stream.instance("f3").unwrap();
+        let (_, out) = f3.bound_outputs().remove(0);
         let n = 160;
         let (delivered, charged) = rewire_under_backlog(
             &stream,
             &telemetry,
             n,
-            || backed_up(&f3, pool),
+            || backed_up(&f3),
             || {
                 let stats = stream.reconfigure(&[ReconfigAction::Replace {
                     old: "f3".into(),
@@ -559,32 +579,31 @@ fn replace_flushes_the_old_handles_parked_outputs() {
             },
         );
         assert_eq!(delivered + charged, n, "pool {pool}: {delivered} delivered");
-        assert_eq!(f3.pending_outputs(), 0, "none stranded with the old handle");
+        assert_eq!(out.stats().waiting, 0, "none stranded in the lane");
         stream.shutdown();
     }
 }
 
 /// Figure 6-8's third condition: a streamlet is removed only once its
-/// outputs have left it. Under the worker pool they may sit parked after
-/// its inputs drained; removal waits for them instead of ending the
-/// instance, which would discard them uncharged.
+/// outputs have left it. Outputs its full output channel refused have:
+/// they wait in that channel's lane, even after the streamlet's inputs
+/// drained under the worker pool, and the removal's disconnect charges
+/// them there. Every message is delivered or charged.
 #[test]
-fn remove_waits_for_the_removed_handles_parked_outputs() {
+fn remove_delivers_or_charges_every_parked_output() {
     for (pool, executor) in both_executors() {
         let (stream, telemetry) = deploy_traced(&chain_script(false), false, executor);
         let [f1, f2, f3] = ["f1", "f2", "f3"].map(|name| stream.instance(name).unwrap());
+        let (_, out) = f2.bound_outputs().remove(0);
         // ~127 in the egress, 16 parked by f3, one in f2's output
         // channel: f2 takes the rest off its input and parks its tail.
         let n = 155;
-        let settled = || {
-            let idle = |h: &StreamletHandle| h.inputs_empty() && h.pending_outputs() == 0;
-            backed_up(&f3, false) && (!pool || (idle(&f1) && f2.inputs_empty()))
-        };
+        let settled = || backed_up(&f3) && (!pool || (f1.inputs_empty() && f2.inputs_empty()));
         let (delivered, charged) = rewire_under_backlog(
             &stream,
             &telemetry,
             n,
-            || settled() && backed_up(&f2, pool),
+            || settled() && backed_up(&f2),
             || {
                 stream
                     .remove_streamlet("f2", Duration::from_secs(5))
@@ -597,11 +616,7 @@ fn remove_waits_for_the_removed_handles_parked_outputs() {
             "pool {pool}: {delivered} delivered, f2 {:?}",
             f2.stats()
         );
-        assert_eq!(
-            f2.pending_outputs(),
-            0,
-            "none stranded with the removed handle"
-        );
+        assert_eq!(out.stats().waiting, 0, "none stranded in the lane");
         stream.shutdown();
     }
 }

@@ -1,7 +1,7 @@
 //! Observability-plane integration tests:
 //!
-//! * byte-accounting audit — a fused deployment charges `queued_bytes` /
-//!   `pending_out_bytes` exactly once, so its resident footprint matches
+//! * byte-accounting audit — a fused deployment charges `queued_bytes`
+//!   exactly once, so its resident footprint matches
 //!   the discrete topology byte-for-byte, survives fission unchanged,
 //!   and drains to zero;
 //! * the load-event watchers — a `when (CHANNEL_CONGESTED)` rule fires
@@ -191,9 +191,8 @@ fn fission_mid_burst_conserves_byte_accounting() {
     assert_eq!(
         stats.resident_bytes(),
         0,
-        "fission must hand byte charges over exactly once (queued={} pending={})",
-        stats.queued_bytes,
-        stats.pending_out_bytes
+        "fission must hand byte charges over exactly once (queued={})",
+        stats.queued_bytes
     );
     assert!(stream.instance_names().contains(&"mid".to_string()));
     // Telemetry agrees: every admitted payload was eventually fetched.
@@ -417,22 +416,21 @@ fn snapshot_during_session_churn_stays_monotonic() {
     assert!(text.contains("mobigate_post_ns_bucket"));
 }
 
-/// The eight message counters a snapshot reads from the channels.
-fn counters(s: &StreamMetricsSnapshot) -> [u64; 8] {
+/// The seven message counters a snapshot reads from the channels.
+fn counters(s: &StreamMetricsSnapshot) -> [u64; 7] {
     [
         s.posted,
         s.fetched,
         s.dropped_full,
         s.dropped_closed,
         s.dropped_break,
-        s.dropped_expired,
         s.dropped_shed,
         s.dropped_admission,
     ]
 }
 
 /// The same counters, summed over channels' own `stats()`.
-fn channel_counters<'a>(qs: impl IntoIterator<Item = &'a Arc<MessageQueue>>) -> [u64; 8] {
+fn channel_counters<'a>(qs: impl IntoIterator<Item = &'a Arc<MessageQueue>>) -> [u64; 7] {
     let s = qs
         .into_iter()
         .fold(QueueStats::default(), |sum, q| sum + q.stats());
@@ -442,7 +440,6 @@ fn channel_counters<'a>(qs: impl IntoIterator<Item = &'a Arc<MessageQueue>>) -> 
         s.dropped_full,
         s.dropped_closed,
         s.dropped_break,
-        s.dropped_expired,
         s.dropped_shed,
         s.dropped_admission,
     ]
@@ -503,7 +500,7 @@ fn removed_channel_keeps_its_counts_in_the_totals() {
         "four channels per message; the shed one never reached n or the egress"
     );
     let removed = channel_counters([&m]);
-    assert!(removed[6] == 1 && removed[7] == 2, "{removed:?}");
+    assert!(removed[5] == 1 && removed[6] == 2, "{removed:?}");
 
     let name = m.config().name.clone();
     drop(m);
